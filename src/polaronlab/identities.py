@@ -37,10 +37,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import fock
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .grid import FormFactor, MomentumGrid
 from .reduction import ReductionBundle, ReductionWorkspace, build_workspace
-from .spectral import SolverConfig, lowest_eigenpairs, start_vector
+from .spectral import SolverConfig, SymmetricFactor, lowest_eigenpairs, start_vector
 
 EXACT = "exact"
 TRUNCATION_LIMITED = "truncation-limited"
@@ -786,12 +786,15 @@ def verify_energy_derivatives(
     grad_rel = []
     for k in probes:
         analytic = _gradient_analytic(ws, k)
+        fd = np.zeros(ws.grid.d)
         for i in range(ws.grid.d):
             dk = np.zeros(ws.grid.d)
             dk[i] = fd_step
-            fd = (ws.energy_curve(k + dk) - ws.energy_curve(k - dk)) / (2.0 * fd_step)
-            denom = max(abs(analytic[i]), 1e-12)
-            grad_rel.append(abs(analytic[i] - fd) / denom)
+            fd[i] = (ws.energy_curve(k + dk) - ws.energy_curve(k - dk)) / (2.0 * fd_step)
+        # one error per probe vector: a component that vanishes by symmetry
+        # carries only rounding noise and must not set the relative scale
+        denom = max(float(np.linalg.norm(analytic)), 1e-12)
+        grad_rel.append(float(np.linalg.norm(analytic - fd)) / denom)
     grad_rel_max = float(max(grad_rel))
 
     grad0 = _gradient_analytic(ws, np.zeros(ws.grid.d))
@@ -885,17 +888,24 @@ def verify_energy_derivatives(
 
 
 def _fiber_eigs_below(ws: ReductionWorkspace, threshold: float) -> np.ndarray:
-    """All fiber eigenvalues strictly below ``threshold``, ascending."""
+    """All fiber eigenvalues strictly below ``threshold``, ascending.
+
+    Above the dense threshold their number is the exact inertia of
+    ``H - threshold``, and one eigenpair solve of that size must land
+    every one of them below the threshold.
+    """
     op = ws.hamiltonian
     if op.dim <= ws.config.dense_threshold:
         vals = sla.eigvalsh(op.toarray())
         return vals[vals < threshold]
-    k = min(16, op.dim - 2)
-    while True:
-        vals, _ = lowest_eigenpairs(op, k, ws.config)
-        if vals[-1] >= threshold or k >= op.dim - 2:
-            return vals[vals < threshold]
-        k = min(2 * k, op.dim - 2)
+    count = SymmetricFactor(op, threshold, ws.config, label="fiber Hamiltonian").negative_count
+    vals, _ = lowest_eigenpairs(op, count, ws.config)
+    if vals[-1] >= threshold:
+        raise SolverError(
+            f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "
+            f"returned {vals[-1]!r} as the {count}-th"
+        )
+    return vals
 
 
 def _predicted_count(ws: ReductionWorkspace, eps: float, kin0: float) -> int:

@@ -28,7 +28,7 @@ from . import fock
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
 from .fock import FockBasis, SparseOperator
 from .grid import FormFactor, MomentumGrid
-from .spectral import SolverConfig, SpdSolver, ground_energy, lowest_eigenpairs, nu
+from .spectral import SolverConfig, SpdSolver, ground_energy, nu
 
 Momentum = Union[float, Sequence[float], np.ndarray]
 

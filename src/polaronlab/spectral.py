@@ -2,17 +2,19 @@
 
 Small problems (dimension at or below ``dense_threshold``) are handled by
 dense LAPACK routines, which doubles as the built-in oracle for the sparse
-path; larger ones use Lanczos iteration with a deterministic seeded start
-vector.  Resolvent applications use a Cholesky factorization under the
-dense fallback and conjugate-gradient iteration otherwise; both paths
-check positive definiteness first and report indefiniteness as a
-first-class error instead of returning garbage.
+path.  Above it one ``SymmetricFactor`` -- a minimum-degree sparse LDL^T
+of ``A - shift`` (George & Liu, SIAM Rev. 31, 1989) -- serves everything:
+its pivot signs give exact eigenvalue counts and definiteness (Sylvester's
+law of inertia), and its solves drive shift-invert Lanczos (Ericsson &
+Ruhe, Math. Comp. 35, 1980).  A count the factor cannot certify is a
+``SolverError``.  ``SpdSolver`` solves by Cholesky when dense and by
+conjugate gradients, behind that definiteness certificate, otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,14 +87,9 @@ def _dense(mat) -> np.ndarray:
 
 def _gershgorin_lower(mat) -> float:
     """Rigorous lower bound for the spectrum of a symmetric matrix."""
-    if sp.issparse(mat):
-        m = mat.tocsr()
-        diag = m.diagonal()
-        radii = np.asarray(np.abs(m).sum(axis=1)).ravel() - np.abs(diag)
-    else:
-        dense = np.asarray(mat, dtype=float)
-        diag = np.diag(dense)
-        radii = np.abs(dense).sum(axis=1) - np.abs(diag)
+    m = sp.csr_matrix(mat)
+    diag = m.diagonal()
+    radii = np.asarray(np.abs(m).sum(axis=1)).ravel() - np.abs(diag)
     return float(np.min(diag - radii))
 
 
@@ -103,14 +100,65 @@ def start_vector(dim: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def lowest_eigenpairs(
-    op: MatrixLike, count: int, config: SolverConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``count`` smallest eigenpairs of a real symmetric operator.
+class SymmetricFactor:
+    """Sparse symmetric LDL^T factorization of ``A - shift * I``.
 
-    Dense diagonalization below the fallback threshold, Lanczos above it.
-    Every returned pair is certified by its residual ``|A x - lam x|``.
+    SuperLU with a minimum-degree ordering of ``A + A^T`` applied to rows
+    and columns alike, and no threshold pivoting.  While the row and column
+    permutations agree, ``P (A - shift) P^T = L D L^T`` with ``D = diag(U)``,
+    so the negative pivots count the eigenvalues below ``shift`` exactly.
+    A zero pivot forces an off-diagonal pivot or a singular factor; both
+    void the count and raise ``SolverError``.
     """
+
+    def __init__(
+        self, mat: MatrixLike, shift: float, config: SolverConfig, label: str = "operator"
+    ):
+        self.config = config
+        self.label = label
+        mat = sp.csc_matrix(_as_matrix(mat))
+        self._shifted = (mat - shift * sp.identity(mat.shape[0], format="csc")).tocsc()
+        try:
+            self._lu = spla.splu(
+                self._shifted,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            raise SolverError(f"{label} is singular at shift {shift!r}: {exc}") from exc
+        if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
+            raise SolverError(
+                f"{label} needed off-diagonal pivots at shift {shift!r}; "
+                "its inertia is not certified"
+            )
+        self.negative_count = int(np.count_nonzero(self._lu.U.diagonal() < 0))
+        self.solves = 0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``(A - shift) x = rhs``, certified by the true residual."""
+        rhs = np.asarray(rhs, dtype=float)
+        x = self._lu.solve(rhs)
+        self.solves += 1
+        residual, scale = np.linalg.norm(self._shifted @ x - rhs), np.linalg.norm(rhs)
+        if residual > self.config.lin_tol * scale:
+            raise SolverError(
+                f"factor solve on {self.label} left residual {residual:.3e} at |rhs| {scale:.3e}"
+            )
+        return x
+
+
+class _Eigenpairs(NamedTuple):
+    values: np.ndarray
+    vectors: np.ndarray
+    residuals: np.ndarray
+    method: str
+    iterations: int
+
+
+def _eigenpairs(op: MatrixLike, count: int, config: SolverConfig) -> _Eigenpairs:
+    """``count`` smallest residual-certified eigenpairs plus the path taken:
+    ``"dense"``, or ``"shift-invert"`` with the number of factor solves."""
     mat = _as_matrix(op)
     dim = mat.shape[0]
     if count < 1 or count > dim:
@@ -119,30 +167,31 @@ def lowest_eigenpairs(
         dense = _dense(mat)
         vals, vecs = sla.eigh(dense)
         vals, vecs = vals[:count], vecs[:, :count]
-        method = "dense"
+        method, iterations = "dense", 0
     else:
         # Shift-invert around a point strictly below the spectrum.  Plain
         # smallest-algebraic Lanczos silently loses eigenvectors the matrix
-        # (nearly) annihilates -- their Krylov components never grow -- so
-        # it is not trustworthy for counting; the inverted operator makes
-        # the low end dominant instead.
-        v0 = start_vector(dim, config.seed)
+        # (nearly) annihilates, because their Krylov components never grow;
+        # the inverted operator makes the low end dominant instead.
         sigma = _gershgorin_lower(mat) - 1.0
+        factor = SymmetricFactor(mat, sigma, config, label="shift-invert operator")
+        opinv = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=float)
         try:
             vals, vecs = spla.eigsh(
                 mat,
                 k=count,
                 sigma=sigma,
                 which="LM",
+                OPinv=opinv,
                 tol=config.eig_tol,
                 maxiter=config.max_iterations,
-                v0=v0,
+                v0=start_vector(dim, config.seed),
             )
         except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"Lanczos failed to converge: {exc}") from exc
+            raise SolverError(f"shift-invert Lanczos failed to converge: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        method = "shift-invert"
+        method, iterations = "shift-invert", factor.solves
     residuals = np.array(
         [np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(count)]
     )
@@ -152,43 +201,51 @@ def lowest_eigenpairs(
         raise SolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance ({method})"
         )
-    return vals, vecs
+    return _Eigenpairs(vals, vecs, residuals, method, iterations)
+
+
+def lowest_eigenpairs(
+    op: MatrixLike, count: int, config: SolverConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``count`` smallest eigenpairs of a real symmetric operator.
+
+    Dense diagonalization below the fallback threshold, shift-invert
+    Lanczos on a ``SymmetricFactor`` above it.  Every returned pair is
+    certified by its residual ``|A x - lam x|``.
+    """
+    pairs = _eigenpairs(op, count, config)
+    return pairs.values, pairs.vectors
+
+
+def _signed_unit(vec: np.ndarray) -> np.ndarray:
+    """``vec`` normalized, with its largest entry positive so reruns are
+    bit-identical."""
+    vec = vec / np.linalg.norm(vec)
+    pivot = int(np.argmax(np.abs(vec)))
+    return -vec if vec[pivot] < 0 else vec
 
 
 def ground_energy(op: MatrixLike, config: SolverConfig) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit ground vector."""
     vals, vecs = lowest_eigenpairs(op, 1, config)
-    vec = vecs[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    # fix the overall sign so reruns are bit-identical
-    pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0:
-        vec = -vec
-    return float(vals[0]), vec
+    return float(vals[0]), _signed_unit(vecs[:, 0])
 
 
 def spectrum_summary(
     op: MatrixLike, basis: FockBasis, e0_shift: Optional[float], count: int, config: SolverConfig
 ) -> SpectralResult:
     """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2."""
-    mat = _as_matrix(op)
-    count = min(count, mat.shape[0])
-    vals, vecs = lowest_eigenpairs(op, count, config)
-    residuals = np.array(
-        [np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(count)]
-    )
-    ground = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    pivot = int(np.argmax(np.abs(ground)))
-    if ground[pivot] < 0:
-        ground = -ground
-    e0 = float(vals[0]) if e0_shift is None else e0_shift
+    pairs = _eigenpairs(op, min(count, _as_matrix(op).shape[0]), config)
+    ground = _signed_unit(pairs.vectors[:, 0])
     result = SpectralResult(
-        eigenvalues=vals,
-        residuals=residuals,
+        eigenvalues=pairs.values,
+        residuals=pairs.residuals,
         ground_vector=ground,
         vacuum_overlap=float(ground[0]),
-        method="dense" if mat.shape[0] <= config.dense_threshold else "lanczos",
+        method=pairs.method,
+        iterations=pairs.iterations,
     )
+    e0 = result.e0 if e0_shift is None else e0_shift
     if basis.nmax >= 1:
         result.nu1 = nu(op, e0, 1, basis, config)
     if basis.nmax >= 2:
@@ -218,23 +275,18 @@ def count_below(
     """Number of eigenvalues at or below ``threshold - buffer``.
 
     The buffer keeps the count stable against eigenvalues sitting right at
-    the threshold; each counted eigenvalue is certified by the residual
-    check inside the eigenpair solver.
+    the threshold.  Above the dense threshold the count is the inertia of
+    ``A - (threshold - buffer)``; a cut exactly on an eigenvalue, or one
+    the factorization cannot certify, raises ``SolverError``.
     """
     if buffer < 0:
         raise ConfigError(f"buffer must be >= 0, got {buffer}")
     mat = _as_matrix(op)
-    dim = mat.shape[0]
     cut = threshold - buffer
-    if dim <= config.dense_threshold:
+    if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
         return int(np.sum(vals <= cut))
-    k = min(8, dim - 2)
-    while True:
-        vals, _ = lowest_eigenpairs(op, k, config)
-        if vals[-1] > cut or k >= dim - 2:
-            return int(np.sum(vals <= cut))
-        k = min(2 * k, dim - 2)
+    return SymmetricFactor(mat, cut, config, label="counted operator").negative_count
 
 
 class SpdSolver:
@@ -242,9 +294,10 @@ class SpdSolver:
 
     Below the dense threshold the matrix is Cholesky-factored once and
     reused (the factorization doubles as the definiteness check); above
-    it, each solve runs conjugate gradients after a one-time smallest-
-    eigenvalue check.  Instances are immutable after construction and safe
-    to share across threads.
+    it, construction certifies definiteness by the inertia of a transient
+    ``SymmetricFactor`` and each solve runs conjugate gradients, so a
+    cached solver holds no factor.  Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, mat, config: SolverConfig, label: str = "operator"):
@@ -253,7 +306,6 @@ class SpdSolver:
         self._mat = _as_matrix(mat)
         self.dim = self._mat.shape[0]
         self._dense_factor = None
-        self._checked = False
         if self.dim <= config.dense_threshold:
             dense = _dense(self._mat)
             try:
@@ -262,23 +314,10 @@ class SpdSolver:
                 raise IndefiniteOperatorError(
                     f"{label} is not positive definite (Cholesky failed)"
                 ) from exc
-            self._checked = True
-
-    def _check_definite(self) -> None:
-        if self._checked:
             return
-        if _gershgorin_lower(self._mat) > 0:  # cheap rigorous certificate
-            self._checked = True
-            return
-        try:
-            vals, _ = lowest_eigenpairs(self._mat, 1, self.config)
-        except SolverError as exc:
-            raise SolverError(f"definiteness check failed for {self.label}") from exc
-        if vals[0] <= 0:
-            raise IndefiniteOperatorError(
-                f"{self.label} has smallest eigenvalue {vals[0]:.3e} <= 0"
-            )
-        self._checked = True
+        negative = SymmetricFactor(self._mat, 0.0, config, label).negative_count
+        if negative:
+            raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` to the configured linear tolerance."""
@@ -287,7 +326,6 @@ class SpdSolver:
             raise ConfigError(f"rhs has dim {rhs.shape[0]}, operator has {self.dim}")
         if self._dense_factor is not None:
             return sla.cho_solve(self._dense_factor, rhs)
-        self._check_definite()
         if rhs.ndim == 2:
             return np.column_stack([self.solve(rhs[:, j]) for j in range(rhs.shape[1])])
         x, info = spla.cg(
@@ -304,14 +342,3 @@ class SpdSolver:
     def solve_many(self, rhs_matrix: np.ndarray) -> np.ndarray:
         """Batched solve with the rhs vectors as columns."""
         return self.solve(np.asarray(rhs_matrix, dtype=float))
-
-
-def resolvent_apply(
-    op: MatrixLike, shift: float, rhs: np.ndarray, config: SolverConfig
-) -> np.ndarray:
-    """Apply ``(A - shift)^{-1}`` to ``rhs`` for symmetric ``A - shift > 0``."""
-    mat = _as_matrix(op)
-    shifted = mat - shift * sp.identity(mat.shape[0], format="csr") if sp.issparse(mat) else (
-        np.asarray(mat, dtype=float) - shift * np.eye(mat.shape[0])
-    )
-    return SpdSolver(shifted, config, label="shifted operator").solve(rhs)

@@ -238,3 +238,30 @@ def test_suite_reuses_prebuilt_workspaces(ref_grid, ref_ff, ref_workspaces, ref_
     assert by_name["norm-identity"].residuals["pairing"][0] == pytest.approx(
         1.950e-4, rel=0.05
     )
+
+
+def test_energy_derivatives_symmetry_zero_component():
+    """On a d=2 grid at xi=0 the probe gradient's y-component vanishes by
+    symmetry; its rounding noise must not fail the finite-difference check."""
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.05), 2)
+    report = verify_energy_derivatives(ws)
+    assert report.residuals["gradient_rel"][0] <= 1e-7
+    assert report.passed is True
+
+
+def test_sparse_paths_pass_reference_suite(ref_grid, ref_ff, shifted_workspace):
+    """The identity suite and the spectral correspondence with every solve
+    forced onto the sparse paths: on the reference instance, and on the
+    shifted instance whose window holds three fiber eigenvalues."""
+    cfg = pl.SolverConfig(dense_threshold=10)
+    workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n, config=cfg) for n in LEVELS}
+    reports = pl.run_suite(ref_grid, ref_ff, LEVELS, workspaces=workspaces)
+    assert [r.identity for r in reports if not r.passed] == []
+    assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
+    shifted = shifted_workspace
+    sparse_ws = pl.build_workspace(shifted.grid, shifted.ff, 2, config=cfg, xi=shifted.xi)
+    sparse = pl.schur_equivalence_report(sparse_ws)
+    dense = pl.schur_equivalence_report(shifted)
+    assert sparse["consistent"] is True
+    assert np.allclose(sparse["window_eigenvalues"], dense["window_eigenvalues"], rtol=0, atol=1e-10)

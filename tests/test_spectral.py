@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig, SolverError
-from polaronlab.spectral import SpdSolver, resolvent_apply, start_vector
+from polaronlab.spectral import SpdSolver, SymmetricFactor, start_vector
 
 
 @pytest.fixture(scope="module")
@@ -97,31 +97,48 @@ def test_ground_energy_nonincreasing_in_coupling():
 
 def test_spectrum_summary_residuals_certified(mid_instance):
     grid, ff, basis, ham = mid_instance
-    result = pl.spectrum_summary(ham, basis, None, 6, SolverConfig())
-    assert result.eigenvalues.shape == (6,)
-    assert np.all(np.diff(result.eigenvalues) >= 0)
-    assert np.all(result.residuals <= 1e-8)
-    assert 0.9 < result.vacuum_overlap <= 1.0
-    payload = result.to_json_dict()
-    assert payload["diagnostics"]["method"] == "dense"
-    assert payload["nu2"] == pytest.approx(result.nu2)
+    dense = pl.spectrum_summary(ham, basis, None, 6, SolverConfig())
+    sparse = pl.spectrum_summary(ham, basis, None, 6, SolverConfig(dense_threshold=10))
+    for result in (dense, sparse):
+        assert result.eigenvalues.shape == (6,)
+        assert np.all(np.diff(result.eigenvalues) >= 0)
+        assert np.all(result.residuals <= 1e-8)
+        assert 0.9 < result.vacuum_overlap <= 1.0
+        assert result.to_json_dict()["nu2"] == pytest.approx(result.nu2)
+    assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-9)
+    # the diagnostics name the path that ran and count its factor solves
+    assert dense.to_json_dict()["diagnostics"] == {"method": "dense", "iterations": 0}
+    assert sparse.method == "shift-invert"
+    assert sparse.iterations > 0
+    assert sparse.to_json_dict()["diagnostics"]["iterations"] == sparse.iterations
+    # asking for (almost) every eigenvalue takes the dense path at any size
+    tiny_grid = pl.build_grid(1, 1.0, 1.0)
+    tiny = pl.enumerate_basis(tiny_grid.size, 3)  # dim 10
+    tiny_ham = pl.assemble_hamiltonian(
+        tiny, tiny_grid, pl.sample_form_factor(tiny_grid, "gaussian", 0.2)
+    )
+    full = pl.spectrum_summary(tiny_ham, tiny, None, 10, SolverConfig(dense_threshold=5))
+    assert (full.method, full.iterations) == ("dense", 0)
 
 
 def test_spd_solver_dense_and_cg_agree(mid_instance):
     grid, ff, basis, ham = mid_instance
-    shifted = ham.matrix + 2.0 * sp.identity(basis.dim, format="csr")
+    e0, _ = pl.ground_energy(ham, SolverConfig())
+    identity = sp.identity(basis.dim, format="csr")
     rhs = start_vector(basis.dim, 7)
-    dense = SpdSolver(shifted, SolverConfig(dense_threshold=500))
-    iterative = SpdSolver(shifted, SolverConfig(dense_threshold=10))
-    x_d = dense.solve(rhs)
-    x_i = iterative.solve(rhs)
-    assert np.allclose(x_d, x_i, rtol=0, atol=1e-9)
-    # residual of the dense solve
-    assert np.linalg.norm(shifted @ x_d - rhs) <= 1e-10
-    # batched columns match one-by-one solves
-    rhs2 = np.column_stack([rhs, start_vector(basis.dim, 8)])
-    batch = dense.solve_many(rhs2)
-    assert np.allclose(batch[:, 0], x_d, rtol=0, atol=1e-12)
+    # a diagonal offset, and the Hamiltonian shifted to half a unit below e0
+    for shifted in (ham.matrix + 2.0 * identity, ham.matrix - (e0 - 0.5) * identity):
+        dense = SpdSolver(shifted, SolverConfig(dense_threshold=500))
+        iterative = SpdSolver(shifted, SolverConfig(dense_threshold=10))
+        x_d = dense.solve(rhs)
+        x_i = iterative.solve(rhs)
+        assert np.allclose(x_d, x_i, rtol=0, atol=1e-9)
+        assert np.linalg.norm(shifted @ x_d - rhs) <= 1e-10
+        assert np.linalg.norm(shifted @ x_i - rhs) <= 1e-8
+        # batched columns match one-by-one solves
+        rhs2 = np.column_stack([rhs, start_vector(basis.dim, 8)])
+        batch = dense.solve_many(rhs2)
+        assert np.allclose(batch[:, 0], x_d, rtol=0, atol=1e-12)
 
 
 def test_spd_solver_rejects_indefinite():
@@ -129,24 +146,15 @@ def test_spd_solver_rejects_indefinite():
     with pytest.raises(IndefiniteOperatorError):
         SpdSolver(mat, SolverConfig())
     sparse_mat = sp.diags([1.0, -0.5] + [2.0] * 48, format="csr")
+    # the sparse path certifies definiteness at construction
     with pytest.raises(IndefiniteOperatorError):
-        solver = SpdSolver(sparse_mat, SolverConfig(dense_threshold=10))
-        solver.solve(np.ones(50))
+        SpdSolver(sparse_mat, SolverConfig(dense_threshold=10))
 
 
 def test_spd_solver_shape_validation():
     solver = SpdSolver(np.eye(3), SolverConfig())
     with pytest.raises(ConfigError):
         solver.solve(np.ones(4))
-
-
-def test_resolvent_apply(mid_instance):
-    grid, ff, basis, ham = mid_instance
-    cfg = SolverConfig()
-    rhs = start_vector(basis.dim, 3)
-    e0, _ = pl.ground_energy(ham, cfg)
-    x = resolvent_apply(ham, e0 - 0.5, rhs, cfg)
-    assert np.linalg.norm(ham.matrix @ x - (e0 - 0.5) * x - rhs) <= 1e-8
 
 
 def test_start_vector_deterministic():
@@ -156,3 +164,37 @@ def test_start_vector_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def d2_instance():
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.1)
+    basis = pl.enumerate_basis(grid.size, 3)  # dim 2925
+    return pl.assemble_hamiltonian(basis, grid, ff)
+
+
+def test_count_below_inertia_matches_dense(d2_instance):
+    """Exact inertia counts every copy of a degenerate eigenvalue, for cuts
+    between each pair of neighbouring distinct eigenvalues."""
+    vals = np.linalg.eigvalsh(d2_instance.toarray())
+    low = vals[vals < vals[0] + 1.5]
+    distinct = low[np.concatenate([[True], np.diff(low) > 1e-9])]
+    assert distinct.size < low.size  # the window holds degenerate doublets
+    sparse_cfg = SolverConfig(dense_threshold=10)
+    for a, b in zip(distinct, distinct[1:]):
+        cut = 0.5 * (a + b)
+        assert pl.count_below(d2_instance, cut, 0.0, sparse_cfg) == int(np.sum(vals <= cut))
+
+
+def test_count_below_refuses_uncertified_inertia():
+    """A zero diagonal forces SuperLU off the diagonal, where the pivot signs
+    no longer give the inertia; a cut on an eigenvalue is singular."""
+    swap = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]])] * 10, format="csr")
+    cfg = SolverConfig(dense_threshold=10)
+    assert pl.count_below(swap, 0.0, 0.0, SolverConfig()) == 10
+    assert SymmetricFactor(swap, 0.5, cfg).negative_count == 10
+    with pytest.raises(SolverError):
+        pl.count_below(swap, 0.0, 0.0, cfg)
+    with pytest.raises(SolverError):
+        pl.count_below(swap, 1.0, 0.0, cfg)
