@@ -519,12 +519,17 @@ def _scan_worker(payload: Tuple[dict, float]) -> dict:
     return _scan_row(cfg, coupling)
 
 
+def _scan_jobs(jobs: int, couplings: int) -> int:
+    """Worker count: the requested jobs, but no more than couplings or cores."""
+    return max(1, min(jobs, couplings, os.cpu_count() or 1))
+
+
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["solver"]["seed"] = args.seed
     couplings = [float(c) for c in cfg["scan"]["couplings"]]
-    jobs = max(1, args.jobs)
+    jobs = _scan_jobs(args.jobs, len(couplings))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_worker, [(cfg, c) for c in couplings]))
@@ -650,7 +655,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="sweep the coupling strength")
     common(p_scan)
-    p_scan.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_scan.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers (at most one per coupling and core)"
+    )
     p_scan.set_defaults(func=cmd_scan)
 
     p_report = sub.add_parser("report", help="re-hash and summarize a run directory")

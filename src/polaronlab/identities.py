@@ -34,7 +34,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import fock
 from .errors import ConfigError, SolverError
@@ -68,7 +67,6 @@ DEFAULT_THRESHOLDS = {
     "gradient_origin": 1e-8,
     "hessian_rel": 1e-4,
     "equivalence": 1e-7,
-    "ratio_factor": 2.0,
     "bs_limit": 5e-2,
 }
 
@@ -140,25 +138,6 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
     return vec / n
-
-
-def _raising_part(ws: ReductionWorkspace) -> sp.csr_matrix:
-    """Raising half of the coupling field (maps sector n to n+1)."""
-    cached = getattr(ws, "_raising_cache", None)
-    if cached is not None:
-        return cached
-    coo = ws.phi_op.matrix.tocoo()
-    counts = ws.basis.boson_counts()
-    mask = counts[coo.row] == counts[coo.col] + 1
-    mat = sp.coo_matrix(
-        (coo.data[mask], (coo.row[mask], coo.col[mask])), shape=coo.shape
-    ).tocsr()
-    ws._raising_cache = mat
-    return mat
-
-
-def _lowering_part(ws: ReductionWorkspace) -> sp.csr_matrix:
-    return _raising_part(ws).T.tocsr()
 
 
 def _mode_sample(ws: ReductionWorkspace, count: int = 3) -> List[int]:
@@ -385,7 +364,7 @@ def verify_resolvent_identities(
                 worst = max(worst, float(np.linalg.norm(lhs - rhs)))
         res_vac.append(worst)
 
-        raising = _raising_part(ws)
+        raising = ws.raising_part
         worst = 0.0
         for p in probes:
             p1 = ws.project_tail(p, 1)
@@ -487,7 +466,7 @@ def verify_lambda_identity(
         dmat = bundles[nmax].dmat
         u = ws.y_on_v(np.zeros(ws.grid.d))
         u1 = ws.sector1_components(u)
-        av_u = _lowering_part(ws) @ u
+        av_u = ws.raising_part.T.tocsr() @ u
         av_u1 = ws.sector1_components(av_u)
         rhs = u1 + av_u1 + dmat @ u1
         lhs = np.array(
@@ -539,7 +518,7 @@ def verify_c0_identity(
         u = ws.y_on_v(np.zeros(ws.grid.d))
         u_sec1 = ws.project_sector(u, 1)
         u1 = ws.sector1_components(u)
-        raising = _raising_part(ws)
+        raising = ws.raising_part
         inner = float(u @ u_sec1) + float(u @ (raising @ u_sec1)) + float(u1 @ (b.dmat @ u1))
         c0_one = -ws.e0 / (1.0 + ws.e0) - inner
         xg = ws.apply_x(u)

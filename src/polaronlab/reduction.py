@@ -18,6 +18,7 @@ only through diagonal blueprints, so probe momenta off the grid are fine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -342,15 +343,29 @@ class ReductionWorkspace:
         This is the exact Schur coupling of the truncated operator through
         the >=2 tail (no pull-through rewriting involved).
         """
-        m = self.basis.n_modes
         handle = self.x_handle(eps)
-        rhs = np.empty((self.basis.dim - handle.start, m))
-        for j in range(m):
-            raised = fock.creator(self.basis, j).matrix @ self.v
-            rhs[:, j] = raised[handle.start :]
+        rhs = self._raised_v
         solved = handle.solver.solve_many(rhs)
-        handle.solves += m
+        handle.solves += rhs.shape[1]
         return rhs.T @ solved
+
+    @cached_property
+    def _raised_v(self) -> np.ndarray:
+        """Columns ``[a_j^+ |v>]`` on the >=2 tail, one per grid mode."""
+        return np.column_stack(
+            [(fock.creator(self.basis, j).matrix @ self.v)[self.start2 :]
+             for j in range(self.basis.n_modes)]
+        )
+
+    @cached_property
+    def raising_part(self) -> sp.csr_matrix:
+        """Raising half of the coupling field (maps sector n to n+1)."""
+        coo = self.phi_op.matrix.tocoo()
+        counts = self.basis.boson_counts()
+        mask = counts[coo.row] == counts[coo.col] + 1
+        return sp.coo_matrix(
+            (coo.data[mask], (coo.row[mask], coo.col[mask])), shape=coo.shape
+        ).tocsr()
 
     def _c_points(self) -> np.ndarray:
         """Momentum points of the extended kernel: zero first, then modes."""

@@ -7,12 +7,15 @@ of ``A - shift`` (George & Liu, SIAM Rev. 31, 1989) -- serves everything:
 its pivot signs give exact eigenvalue counts and definiteness (Sylvester's
 law of inertia), and its solves drive shift-invert Lanczos (Ericsson &
 Ruhe, Math. Comp. 35, 1980).  A count the factor cannot certify is a
-``SolverError``.  ``SpdSolver`` solves by Cholesky when dense and by
-conjugate gradients, behind that definiteness certificate, otherwise.
+``SolverError``.  ``SpdSolver`` solves by Cholesky when dense.  Sparse, it
+certifies definiteness by Gershgorin's theorem, else by that inertia, and
+solves by Jacobi-preconditioned conjugate gradients whose every answer
+must pass a true-residual check.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -25,6 +28,8 @@ from .errors import ConfigError, IndefiniteOperatorError, SolverError
 from .fock import FockBasis, SparseOperator
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, SparseOperator]
+
+_log = logging.getLogger("polaronlab")
 
 
 @dataclass(frozen=True)
@@ -293,9 +298,11 @@ class SpdSolver:
     """Repeated solves against one symmetric positive definite matrix.
 
     Below the dense threshold the matrix is Cholesky-factored once and
-    reused (the factorization doubles as the definiteness check); above
-    it, construction certifies definiteness by the inertia of a transient
-    ``SymmetricFactor`` and each solve runs conjugate gradients, so a
+    reused (the factorization doubles as the definiteness check).  Above
+    it, construction certifies definiteness -- by a positive Gershgorin
+    lower bound, else by the inertia of a transient ``SymmetricFactor`` --
+    and each solve runs Jacobi-preconditioned conjugate gradients, whose
+    answer must leave a true residual ``|A x - b| <= lin_tol |b|``.  A
     cached solver holds no factor.  Instances are immutable after
     construction and safe to share across threads.
     """
@@ -315,9 +322,13 @@ class SpdSolver:
                     f"{label} is not positive definite (Cholesky failed)"
                 ) from exc
             return
-        negative = SymmetricFactor(self._mat, 0.0, config, label).negative_count
-        if negative:
-            raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
+        certificate = "gershgorin"
+        if _gershgorin_lower(self._mat) <= 0.0:
+            certificate = "inertia"
+            negative = SymmetricFactor(self._mat, 0.0, config, label).negative_count
+            if negative:
+                raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
+        _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` to the configured linear tolerance."""
@@ -326,17 +337,30 @@ class SpdSolver:
             raise ConfigError(f"rhs has dim {rhs.shape[0]}, operator has {self.dim}")
         if self._dense_factor is not None:
             return sla.cho_solve(self._dense_factor, rhs)
+        # Built per call, not kept, so a cached solver holds only its matrix;
+        # positive, since a positive definite matrix has a positive diagonal.
+        jacobi = sp.diags(1.0 / self._mat.diagonal())
         if rhs.ndim == 2:
-            return np.column_stack([self.solve(rhs[:, j]) for j in range(rhs.shape[1])])
+            return np.column_stack([self._cg(rhs[:, j], jacobi) for j in range(rhs.shape[1])])
+        return self._cg(rhs, jacobi)
+
+    def _cg(self, rhs: np.ndarray, jacobi) -> np.ndarray:
         x, info = spla.cg(
             self._mat,
             rhs,
             rtol=self.config.lin_tol,
             atol=0.0,
             maxiter=self.config.max_iterations,
+            M=jacobi,
         )
         if info != 0:
             raise SolverError(f"conjugate gradients failed on {self.label} (info={info})")
+        residual, scale = np.linalg.norm(self._mat @ x - rhs), np.linalg.norm(rhs)
+        if residual > self.config.lin_tol * scale:
+            raise SolverError(
+                f"conjugate gradients on {self.label} left residual {residual:.3e} "
+                f"at |rhs| {scale:.3e}"
+            )
         return x
 
     def solve_many(self, rhs_matrix: np.ndarray) -> np.ndarray:

@@ -256,6 +256,22 @@ def test_scan_parallel_matches_serial(tmp_path):
     assert _tree_digest(out1) == _tree_digest(out2)
 
 
+def test_scan_jobs_clamped_to_couplings_and_cores(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert [cli._scan_jobs(j, 4) for j in (0, 1, 2, 8)] == [1, 1, 2, 2]
+    assert cli._scan_jobs(8, 1) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._scan_jobs(8, 4) == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a clamped single-worker scan must not start a pool")
+
+    # one coupling: --jobs 8 runs serially, in this process
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg = _write_config(tmp_path, scan={"couplings": [0.1]})
+    assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "8"]) == 0
+
+
 def test_default_out_name_is_config_hash(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     monkeypatch.chdir(tmp_path)

@@ -90,6 +90,27 @@ def test_d_kernel_matches_oracle(tiny):
         assert np.allclose(ours, ours.T, rtol=0, atol=1e-13)
 
 
+def test_sparse_d_kernel_reuses_raised_block(monkeypatch):
+    """On the sparse path the raised vectors ``a_j^+ |v>`` are built once per
+    workspace and serve every ``eps``; the kernels match the dense path."""
+    grid = pl.build_grid(2, 1.0, 1.0)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.2)
+    dense = pl.build_workspace(grid, ff, 4)  # dim 495, eight modes
+    refs = {eps: dense.d_kernel(eps) for eps in (0.0, 0.3)}
+    sparse = pl.build_workspace(grid, ff, 4, config=SolverConfig(dense_threshold=10))
+    built = []
+    creator = pl.fock.creator
+
+    def counting_creator(basis, mode):
+        built.append(mode)
+        return creator(basis, mode)
+
+    monkeypatch.setattr(pl.fock, "creator", counting_creator)
+    for eps, ref in refs.items():
+        assert np.allclose(sparse.d_kernel(eps), ref, rtol=0, atol=1e-10)
+    assert built == list(range(grid.size))
+
+
 def test_c_kernel_matches_oracle(tiny):
     grid, ff, ws, occs, e0 = tiny
     idx2 = oracles.tail_indices(occs, 2)

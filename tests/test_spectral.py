@@ -1,12 +1,15 @@
 """Eigenvalue solvers, sector gaps, and counting."""
 
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig, SolverError
-from polaronlab.spectral import SpdSolver, SymmetricFactor, start_vector
+from polaronlab.spectral import SpdSolver, SymmetricFactor, _gershgorin_lower, start_vector
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +148,34 @@ def test_spd_solver_rejects_indefinite():
     mat = np.diag([1.0, -0.5, 2.0])
     with pytest.raises(IndefiniteOperatorError):
         SpdSolver(mat, SolverConfig())
-    sparse_mat = sp.diags([1.0, -0.5] + [2.0] * 48, format="csr")
+    diagonal = sp.diags([1.0, -0.5] + [2.0] * 48, format="csr")
+    coupled = sp.block_diag([np.array([[1.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
     # the sparse path certifies definiteness at construction
-    with pytest.raises(IndefiniteOperatorError):
-        SpdSolver(sparse_mat, SolverConfig(dense_threshold=10))
+    for sparse_mat in (diagonal, coupled):
+        with pytest.raises(IndefiniteOperatorError):
+            SpdSolver(sparse_mat, SolverConfig(dense_threshold=10))
+
+
+def test_spd_solver_certificate_gershgorin_else_inertia(mid_instance, caplog):
+    """A positive Gershgorin bound certifies a sparse solver outright; a
+    definite matrix without one is certified by its inertia.  Either way the
+    Jacobi CG solve matches the dense Cholesky answer."""
+    grid, ff, basis, ham = mid_instance
+    dominant = ham.matrix + 2.0 * sp.identity(basis.dim, format="csr")
+    # eigenvalues 0.197 and 3.803, Gershgorin bound 1 - 1.5 < 0
+    skewed = sp.block_diag([np.array([[3.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
+    assert _gershgorin_lower(dominant) > 0 >= _gershgorin_lower(skewed)
+    logger = logging.getLogger("polaronlab")
+    for mat, certificate in ((dominant, "gershgorin"), (skewed, "inertia")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+            solver = SpdSolver(mat, SolverConfig(dense_threshold=10), label="probe")
+        events = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+        assert events == [f"probe: dim {mat.shape[0]} certified positive definite by {certificate}"]
+        rhs = start_vector(mat.shape[0], 5)
+        exact = sla.cho_solve(sla.cho_factor(mat.toarray()), rhs)
+        assert np.allclose(solver.solve(rhs), exact, rtol=0, atol=1e-10)
+    assert logger.handlers == []
 
 
 def test_spd_solver_shape_validation():
