@@ -18,14 +18,12 @@ from .fock import (
     FockBasis,
     SparseOperator,
     annihilator,
-    assemble_component,
     assemble_hamiltonian,
     creator,
     enumerate_basis,
     field_operator,
     fock_dimension,
     one_boson_vector,
-    sector_projector,
 )
 from .grid import (
     FormFactor,
@@ -84,7 +82,6 @@ __all__ = [
     "SparseOperator",
     "SpectralResult",
     "annihilator",
-    "assemble_component",
     "assemble_hamiltonian",
     "build_grid",
     "build_workspace",
@@ -98,7 +95,6 @@ __all__ = [
     "nu",
     "one_boson_vector",
     "run_suite",
-    "sector_projector",
     "sample_form_factor",
     "schur_equivalence_report",
     "spectrum_summary",

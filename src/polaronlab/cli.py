@@ -219,26 +219,6 @@ def instance_from_config(cfg: dict) -> Tuple[MomentumGrid, FormFactor]:
 # ---------------------------------------------------------------------------
 
 
-def _plain(obj):
-    """Map numpy scalars/arrays to JSON-serializable built-ins, recursively."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        value = float(obj)
-        return value
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
-
-
 class RunDirectory:
     """Deterministic artifact sink for one command invocation."""
 
@@ -256,7 +236,7 @@ class RunDirectory:
         self.artifacts[relpath] = storage.sha256_bytes(data)
 
     def write_json(self, relpath: str, payload) -> None:
-        text = storage.json_dumps(_plain(payload)) + "\n"
+        text = storage.json_dumps(storage.jsonable(payload)) + "\n"
         self._register(relpath, text.encode("utf-8"))
 
     def write_csv(self, relpath: str, header: List[str], rows: List[List[object]]) -> None:
@@ -275,8 +255,8 @@ class RunDirectory:
     def finalize(self) -> None:
         manifest = {
             "command": self.command,
-            "config": _plain(self.config),
-            "config_sha256": storage.config_hash(_plain(self.config)),
+            "config": storage.jsonable(self.config),
+            "config_sha256": storage.config_hash(storage.jsonable(self.config)),
             "artifacts": dict(sorted(self.artifacts.items())),
         }
         text = storage.json_dumps(manifest) + "\n"
@@ -289,7 +269,7 @@ class RunDirectory:
 
 
 def _default_out(cfg: dict, command: str) -> str:
-    digest = storage.config_hash(_plain(cfg))[:12]
+    digest = storage.config_hash(storage.jsonable(cfg))[:12]
     return f"run-{command}-{digest}"
 
 

@@ -3,16 +3,21 @@
 States are occupation vectors ``(n_1, ..., n_M)`` with ``sum n_j <= nmax``,
 ordered by total boson number and lexicographically inside each sector, so
 the vacuum always has index 0 and every sector is one contiguous index
-range.  Creation operators annihilate the top sector: raising out of the
-truncation maps to zero.  All assembled operators are real symmetric and
-stored in compressed sparse row form.
+range.  ``FockBasis.rank`` maps occupation vectors to indices with the
+combinatorial number system: the sector offset plus, mode by mode, the
+number of compositions that sort below the state.  Every ladder and field
+operator is built from one vectorized helper, ``_lowering``, which lowers
+one mode on all states at once and ranks the results.  Creation operators
+annihilate the top sector: raising out of the truncation maps to zero.
+All assembled operators are real symmetric or real ladder matrices stored
+in compressed sparse row form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,16 +33,6 @@ def fock_dimension(n_modes: int, nmax: int) -> int:
     return sum(comb(n_modes + n - 1, n) for n in range(nmax + 1))
 
 
-def _compositions(total: int, slots: int):
-    """All ways to put ``total`` bosons into ``slots`` modes, lexicographic."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 @dataclass(eq=False)
 class FockBasis:
     """Enumerated occupation basis for ``n_modes`` modes up to ``nmax`` bosons."""
@@ -46,21 +41,33 @@ class FockBasis:
     nmax: int
     occupations: np.ndarray = field(repr=False)  # (dim, n_modes) int32
     sector_offsets: np.ndarray = field(repr=False)  # (nmax + 2,) int64
-    _index: Dict[bytes, int] = field(repr=False, default_factory=dict)
+    #: below[i, r, c]: ways to put ``r`` bosons into modes ``i..`` with fewer
+    #: than ``c`` in mode ``i``; a state's rank in its sector sums these
+    below: np.ndarray = field(repr=False)  # (n_modes, nmax + 1, nmax + 2) int64
 
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
 
+    def rank(self, occupations: np.ndarray) -> np.ndarray:
+        """Basis index of every row of a ``(k, n_modes)`` array of basis states.
+
+        Rows are not validated; ``index_of`` does that for a single state.
+        """
+        occ = np.asarray(occupations)
+        total = occ.sum(axis=1)
+        left = total[:, None] - np.cumsum(occ, axis=1) + occ
+        lex = self.below[np.arange(self.n_modes), left, occ].sum(axis=1)
+        return self.sector_offsets[total] + lex
+
     def index_of(self, occupation: Sequence[int]) -> int:
         """Index of an occupation vector; raises ConfigError if absent."""
-        key = np.asarray(occupation, dtype=np.int32).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
+        occ = np.asarray(occupation, dtype=np.int64)
+        if occ.shape != (self.n_modes,) or occ.min() < 0 or occ.sum() > self.nmax:
             raise ConfigError(
                 f"occupation {list(occupation)} is not a basis state (nmax={self.nmax})"
-            ) from None
+            )
+        return int(self.rank(occ[None, :])[0])
 
     def sector_range(self, n: int) -> range:
         """Contiguous index range of the ``n``-boson sector."""
@@ -95,19 +102,30 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
     dim = fock_dimension(n_modes, nmax)
     if dim > cap:
         raise DimensionCapError(f"Fock dimension {dim} exceeds cap {cap}")
-    occ = np.empty((dim, n_modes), dtype=np.int32)
-    offsets = np.zeros(nmax + 2, dtype=np.int64)
-    row = 0
-    for n in range(nmax + 1):
-        offsets[n] = row
-        for state in _compositions(n, n_modes):
-            occ[row] = state
-            row += 1
-    offsets[nmax + 1] = row
-    assert row == dim
-    index = {occ[i].tobytes(): i for i in range(dim)}
+    # every vector with sum <= nmax in lexicographic order, one mode at a time
+    occ = np.zeros((1, 0), dtype=np.int32)
+    used = np.zeros(1, dtype=np.int64)
+    for _ in range(n_modes):
+        counts = nmax + 1 - used
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        occ = np.hstack([np.repeat(occ, counts, axis=0), value[:, None].astype(np.int32)])
+        used = np.repeat(used, counts) + value
+    # a stable sort by total keeps each sector lexicographic
+    occ = occ[np.argsort(used, kind="stable")]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(used, minlength=nmax + 1))])
+    assert offsets[-1] == dim
+    # ways[i, s]: compositions of s bosons into the modes after i
+    ways = np.zeros((n_modes, nmax + 1), dtype=np.int64)
+    ways[-1, 0] = 1
+    for i in range(n_modes - 2, -1, -1):
+        ways[i] = np.cumsum(ways[i + 1])
+    s = np.arange(nmax + 1)
+    rest = s[:, None] - s[None, :]  # bosons left after mode i takes c of r
+    terms = np.where(rest >= 0, ways[:, np.maximum(rest, 0)], 0)
+    below = np.zeros((n_modes, nmax + 1, nmax + 2), dtype=np.int64)
+    np.cumsum(terms, axis=2, out=below[:, :, 1:])
     return FockBasis(
-        n_modes=n_modes, nmax=nmax, occupations=occ, sector_offsets=offsets, _index=index
+        n_modes=n_modes, nmax=nmax, occupations=occ, sector_offsets=offsets, below=below
     )
 
 
@@ -141,25 +159,20 @@ def _canonical_csr(mat: sp.spmatrix) -> sp.csr_matrix:
     return out
 
 
-def _lowering_triplets(basis: FockBasis, mode: int):
-    """Triplets (row, col, sqrt(n_mode)) of the annihilator for one mode."""
-    occ = basis.occupations
-    cols = np.nonzero(occ[:, mode] > 0)[0]
-    rows = np.empty_like(cols)
-    vals = np.empty(cols.shape[0], dtype=float)
-    for i, c in enumerate(cols):
-        lowered = occ[c].copy()
-        lowered[mode] -= 1
-        rows[i] = basis._index[lowered.tobytes()]
-        vals[i] = np.sqrt(float(occ[c, mode]))
-    return rows, cols, vals
+def _lowering(basis: FockBasis, mode: int):
+    """Triplets (row, col, sqrt(n_mode)) of the annihilator ``a_mode``."""
+    cols = np.flatnonzero(basis.occupations[:, mode])
+    lowered = basis.occupations[cols]
+    n = lowered[:, mode].astype(float)
+    lowered[:, mode] -= 1
+    return basis.rank(lowered), cols, np.sqrt(n)
 
 
 def annihilator(basis: FockBasis, mode: int) -> SparseOperator:
     """Mode annihilation operator ``a_k`` (lowers every sector)."""
     if not 0 <= mode < basis.n_modes:
         raise ConfigError(f"mode {mode} outside 0..{basis.n_modes - 1}")
-    rows, cols, vals = _lowering_triplets(basis, mode)
+    rows, cols, vals = _lowering(basis, mode)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     return SparseOperator(matrix=_canonical_csr(mat), hermitian=False)
 
@@ -176,36 +189,23 @@ def field_operator(basis: FockBasis, ff: FormFactor) -> SparseOperator:
         raise ConfigError(
             f"form factor has {ff.values.shape[0]} amplitudes, basis has {basis.n_modes} modes"
         )
-    occ = basis.occupations
-    dim = basis.dim
     rows, cols, vals = [], [], []
-    for c in range(dim):
-        state = occ[c]
-        for mode in np.nonzero(state > 0)[0]:
-            lowered = state.copy()
-            lowered[mode] -= 1
-            r = basis._index[lowered.tobytes()]
-            amp = float(ff.values[mode]) * np.sqrt(float(state[mode]))
-            rows.append(r)
-            cols.append(c)
-            vals.append(amp)
-            rows.append(c)
-            cols.append(r)
-            vals.append(amp)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    for mode in range(basis.n_modes):
+        low_rows, low_cols, sqrt_n = _lowering(basis, mode)
+        amp = ff.values[mode] * sqrt_n
+        rows += [low_rows, low_cols]
+        cols += [low_cols, low_rows]
+        vals += [amp, amp]
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
     return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
 
 
 def number_diagonal(basis: FockBasis) -> np.ndarray:
     """Diagonal of the boson number operator."""
     return basis.boson_counts().astype(float)
-
-
-def momentum_diagonal(basis: FockBasis, grid: MomentumGrid, axis: int) -> np.ndarray:
-    """Diagonal of the total-momentum component ``P_i``."""
-    if not 0 <= axis < grid.d:
-        raise ConfigError(f"axis {axis} outside 0..{grid.d - 1}")
-    return basis.momentum_sums(grid)[:, axis]
 
 
 def shifted_kinetic_diagonal(
@@ -217,49 +217,6 @@ def shifted_kinetic_diagonal(
         raise ConfigError(f"shift has shape {k0.shape}, expected ({grid.d},)")
     p = basis.momentum_sums(grid) + k0[None, :]
     return np.sum(p * p, axis=1)
-
-
-def assemble_component(
-    basis: FockBasis,
-    grid: MomentumGrid,
-    which: str,
-    *,
-    ff: Optional[FormFactor] = None,
-    axis: int = 0,
-    k0: Optional[Sequence[float]] = None,
-    mode: Optional[int] = None,
-) -> SparseOperator:
-    """Assemble one named building block of the fiber Hamiltonian.
-
-    ``which`` selects among ``"N"`` (boson number), ``"P"`` (momentum
-    component ``axis``), ``"Psquared_shift"`` (``(P+k0)^2``), ``"Phi"``
-    (coupling field, needs ``ff``), ``"annihilator"`` and ``"creator"``
-    (single-mode ladder operators, need ``mode``).
-    """
-    if which == "N":
-        mat = sp.diags(number_diagonal(basis), format="csr")
-        return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
-    if which == "P":
-        mat = sp.diags(momentum_diagonal(basis, grid, axis), format="csr")
-        return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
-    if which == "Psquared_shift":
-        if k0 is None:
-            raise ConfigError("Psquared_shift needs the shift vector k0")
-        mat = sp.diags(shifted_kinetic_diagonal(basis, grid, k0), format="csr")
-        return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
-    if which == "Phi":
-        if ff is None:
-            raise ConfigError("Phi needs a form factor")
-        return field_operator(basis, ff)
-    if which == "annihilator":
-        if mode is None:
-            raise ConfigError("annihilator needs a mode index")
-        return annihilator(basis, mode)
-    if which == "creator":
-        if mode is None:
-            raise ConfigError("creator needs a mode index")
-        return creator(basis, mode)
-    raise ConfigError(f"unknown component selector {which!r}")
 
 
 def assemble_hamiltonian(
@@ -278,18 +235,6 @@ def assemble_hamiltonian(
     return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
 
 
-def sector_projector(basis: FockBasis, n_low: int, n_high: Optional[int] = None) -> SparseOperator:
-    """Orthogonal projector onto sectors ``n_low..n_high`` (inclusive)."""
-    if n_high is None:
-        n_high = basis.nmax
-    if not 0 <= n_low <= n_high <= basis.nmax:
-        raise ConfigError(f"bad sector window [{n_low}, {n_high}] for nmax={basis.nmax}")
-    diag = np.zeros(basis.dim)
-    diag[basis.tail_start(n_low) : int(basis.sector_offsets[n_high + 1])] = 1.0
-    mat = sp.diags(diag, format="csr")
-    return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
-
-
 def one_boson_vector(basis: FockBasis, ff: FormFactor) -> np.ndarray:
     """Full-space vector with the coupling amplitudes in the 1-boson sector.
 
@@ -298,10 +243,5 @@ def one_boson_vector(basis: FockBasis, ff: FormFactor) -> np.ndarray:
     """
     vec = np.zeros(basis.dim)
     if basis.nmax >= 1:
-        sec = basis.sector_range(1)
-        # inside the 1-boson sector, state j has a single boson in one mode;
-        # lexicographic enumeration puts mode M-1 first, so map explicitly
-        for idx in sec:
-            mode = int(np.nonzero(basis.occupations[idx])[0][0])
-            vec[idx] = ff.values[mode]
+        vec[basis.rank(np.eye(basis.n_modes, dtype=np.int32))] = ff.values
     return vec

@@ -40,6 +40,7 @@ from .errors import ConfigError, SolverError
 from .grid import FormFactor, MomentumGrid
 from .reduction import ReductionBundle, ReductionWorkspace, build_workspace
 from .spectral import SolverConfig, SymmetricFactor, lowest_eigenpairs, start_vector
+from .storage import jsonable
 
 EXACT = "exact"
 TRUNCATION_LIMITED = "truncation-limited"
@@ -67,25 +68,7 @@ DEFAULT_THRESHOLDS = {
     "gradient_origin": 1e-8,
     "hessian_rel": 1e-4,
     "equivalence": 1e-7,
-    "bs_limit": 5e-2,
 }
-
-
-def _jsonable(value):
-    """Recursively strip numpy scalar/array types for JSON payloads."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
 
 
 @dataclass
@@ -105,17 +88,19 @@ class IdentityReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "classification": self.classification,
-            "nmax_levels": [int(n) for n in self.nmax_levels],
-            "residuals": {k: _jsonable(v) for k, v in self.residuals.items()},
-            "summary": _jsonable(self.summary),
-            "threshold": self.threshold,
-            "passed": None if self.passed is None else bool(self.passed),
-            "details": _jsonable(self.details),
-            "notes": self.notes,
-        }
+        return jsonable(
+            {
+                "identity": self.identity,
+                "classification": self.classification,
+                "nmax_levels": [int(n) for n in self.nmax_levels],
+                "residuals": self.residuals,
+                "summary": self.summary,
+                "threshold": self.threshold,
+                "passed": self.passed,
+                "details": self.details,
+                "notes": self.notes,
+            }
+        )
 
 
 TREND_FLOOR = 1e-13

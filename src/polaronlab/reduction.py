@@ -198,10 +198,7 @@ class ReductionWorkspace:
         self.start2 = basis.tail_start(2)
         self.sector1 = basis.sector_range(1)
         # mode j <-> the 1-boson basis state carrying that mode
-        self.mode_state = np.array(
-            [basis.index_of(np.eye(basis.n_modes, dtype=int)[j]) for j in range(basis.n_modes)],
-            dtype=np.int64,
-        )
+        self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
         self._handles: Dict[Tuple, ResolventHandle] = {}
         self._u_cache: Dict[bytes, np.ndarray] = {}
         self.schur_gap = abs(self.e0 - self.vacuum_kinetic() + self.vacuum_schur(1.0))

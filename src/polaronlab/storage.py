@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Any, Dict, Tuple
@@ -35,13 +36,30 @@ def sha256_bytes(data: bytes) -> str:
     return _sha256(data)
 
 
+def jsonable(value: Any) -> Any:
+    """Map numpy scalars and arrays to JSON built-ins, recursively.
+
+    Keys become strings and non-finite floats become ``None``, so the result
+    always passes ``json.dumps(..., allow_nan=False)``.
+    """
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
 def json_dumps(payload: Dict[str, Any]) -> str:
     """Canonical JSON used for all artifacts (sorted keys, stable floats)."""
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-
-
-def write_json(path: Path, payload: Dict[str, Any]) -> None:
-    Path(path).write_text(json_dumps(payload) + "\n")
 
 
 def read_json(path: Path) -> Dict[str, Any]:
@@ -77,15 +95,6 @@ def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, D
         "meta": meta,
     }
     return blob, sidecar
-
-
-def save_operator(op: SparseOperator, base: Path, meta: Dict[str, Any]) -> Dict[str, Any]:
-    """Write ``base.bin`` + ``base.json`` and return the sidecar payload."""
-    base = Path(base)
-    blob, sidecar = operator_payload(op, meta)
-    base.with_suffix(".bin").write_bytes(blob)
-    write_json(base.with_suffix(".json"), sidecar)
-    return sidecar
 
 
 def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:

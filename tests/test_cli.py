@@ -49,6 +49,10 @@ def test_unknown_config_key_is_fatal(tmp_path, capsys):
     path.write_text(json.dumps({"grid": {"d": 1, "K": 1.0, "h": 1.0, "spacing": 0.5}}))
     assert cli.main(["build", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # the bs_limit report has no pass/fail threshold, so naming one is an error
+    cfg = _write_config(tmp_path, thresholds={"bs_limit": 5e-2})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
+    assert "bs_limit" in capsys.readouterr().err
 
 
 def test_missing_required_key_is_fatal(tmp_path, capsys):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polaronlab as pl
 from polaronlab import CacheCorruptionError, ConfigError, DimensionCapError
-from polaronlab import storage
+from polaronlab import cli, storage
 
 import oracles
 
@@ -46,6 +47,13 @@ def test_index_of_roundtrip():
         assert basis.index_of(basis.occupations[i]) == i
     with pytest.raises(ConfigError):
         basis.index_of(np.array([4, 0, 0, 0]))  # above the truncation
+    with pytest.raises(ConfigError):
+        basis.index_of(np.array([1, 0, 0]))  # wrong length
+    with pytest.raises(ConfigError):
+        basis.index_of(np.array([-1, 1, 0, 0]))  # negative entry
+    for n_modes, nmax in [(4, 3), (1, 4), (3, 0), (24, 3)]:
+        basis = pl.enumerate_basis(n_modes, nmax)
+        assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
 
 
 def test_sector_layout_helpers():
@@ -155,7 +163,7 @@ def test_commutation_identity_and_top_sector_defect(small_setup):
     for k_id in range(grid.size):
         k = grid.modes[k_id]
         ck = pl.creator(basis, k_id).toarray()
-        shifted = pl.assemble_component(basis, grid, "Psquared_shift", k0=k).toarray()
+        shifted = np.diag(pl.fock.shifted_kinetic_diagonal(basis, grid, k))
         n_op = np.diag(basis.boson_counts().astype(float))
         rhs = ck @ (shifted + field + n_op + np.eye(basis.dim)) + ff.values[k_id] * np.eye(
             basis.dim
@@ -167,25 +175,17 @@ def test_commutation_identity_and_top_sector_defect(small_setup):
         assert np.allclose(defect[:, top], expect_top, rtol=0, atol=1e-13)
 
 
-def test_assemble_component_diagonals(small_setup):
+def test_diagonal_operators(small_setup):
     grid, ff, basis, occs, perm = small_setup
     momenta = oracles.total_momenta(occs, grid.modes)
     n_ref = oracles.boson_counts(occs)
-    ours_n = pl.assemble_component(basis, grid, "N").toarray()
-    assert np.array_equal(
-        np.diag(ours_n), oracles.aligned(np.diag(n_ref.astype(float)), perm, basis.dim).diagonal()
-    )
-    ours_p = pl.assemble_component(basis, grid, "P", axis=0).toarray()
-    ref_p = oracles.aligned(np.diag(momenta[:, 0]), perm, basis.dim)
-    assert np.allclose(ours_p, ref_p, rtol=0, atol=1e-15)
+    assert np.array_equal(pl.fock.number_diagonal(basis)[perm], n_ref.astype(float))
+    assert np.allclose(basis.momentum_sums(grid)[perm, 0], momenta[:, 0], rtol=0, atol=1e-15)
     k0 = np.array([0.5])
-    ours_sq = pl.assemble_component(basis, grid, "Psquared_shift", k0=k0).toarray()
-    ref_sq = oracles.aligned(np.diag((momenta[:, 0] + 0.5) ** 2), perm, basis.dim)
-    assert np.allclose(ours_sq, ref_sq, rtol=0, atol=1e-14)
+    ours_sq = pl.fock.shifted_kinetic_diagonal(basis, grid, k0)[perm]
+    assert np.allclose(ours_sq, (momenta[:, 0] + 0.5) ** 2, rtol=0, atol=1e-14)
     with pytest.raises(ConfigError):
-        pl.assemble_component(basis, grid, "Hsquared")
-    with pytest.raises(ConfigError):
-        pl.assemble_component(basis, grid, "Phi")  # needs a form factor
+        pl.fock.shifted_kinetic_diagonal(basis, grid, [0.5, 0.5])  # shift must live in R^d
 
 
 def test_one_boson_vector(small_setup):
@@ -201,21 +201,30 @@ def test_one_boson_vector(small_setup):
     assert np.linalg.norm(vec) == pytest.approx(ff.norm, abs=1e-15)
 
 
-def test_sector_projector(small_setup):
+def test_sector_tails(small_setup):
     grid, ff, basis, occs, perm = small_setup
-    counts = basis.boson_counts()
-    p12 = pl.sector_projector(basis, 1, 2).toarray()
-    want = np.diag(((counts >= 1) & (counts <= 2)).astype(float))
-    assert np.array_equal(p12, want)
-    tail = pl.sector_projector(basis, 2).toarray()
-    assert np.array_equal(tail, np.diag((counts >= 2).astype(float)))
+    counts = np.empty(basis.dim, dtype=int)
+    counts[perm] = oracles.boson_counts(occs)
+    window = np.flatnonzero((counts >= 1) & (counts <= 2))
+    assert np.array_equal(window, np.arange(basis.tail_start(1), basis.tail_start(3)))
+    tail = np.flatnonzero(counts >= 2)
+    assert np.array_equal(tail, np.arange(basis.tail_start(2), basis.dim))
+
+
+def _write_operator(op, base, meta):
+    """Write ``base.bin`` and ``base.json`` the way ``build`` writes operators."""
+    blob, sidecar = storage.operator_payload(op, meta)
+    out = cli.RunDirectory(str(base.parent), config={}, command="build")
+    out.write_bytes(base.name + ".bin", blob)
+    out.write_json(base.name + ".json", sidecar)
+    return sidecar
 
 
 def test_operator_persistence_roundtrip(tmp_path, small_setup):
     grid, ff, basis, occs, perm = small_setup
     op = pl.assemble_hamiltonian(basis, grid, ff)
     base = tmp_path / "ham_n3"
-    sidecar = storage.save_operator(op, base, meta={"nmax": 3})
+    sidecar = _write_operator(op, base, meta={"nmax": 3})
     loaded, side_loaded = storage.load_operator(base)
     assert side_loaded == sidecar
     assert loaded.hermitian == op.hermitian
@@ -231,7 +240,7 @@ def test_operator_corruption_detected(tmp_path, small_setup):
     grid, ff, basis, occs, perm = small_setup
     op = pl.assemble_hamiltonian(basis, grid, ff)
     base = tmp_path / "ham"
-    storage.save_operator(op, base, meta={})
+    _write_operator(op, base, meta={})
     bin_path = base.with_suffix(".bin")
     blob = bytearray(bin_path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
@@ -239,8 +248,27 @@ def test_operator_corruption_detected(tmp_path, small_setup):
     with pytest.raises(CacheCorruptionError):
         storage.load_operator(base)
     # truncation is also caught
-    storage.save_operator(op, base, meta={})
+    _write_operator(op, base, meta={})
     good = bin_path.read_bytes()
     bin_path.write_bytes(good[: len(good) // 2])
     with pytest.raises(CacheCorruptionError):
         storage.load_operator(base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_modes=st.integers(1, 5),
+    nmax=st.integers(0, 4),
+    amps=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=5, max_size=5),
+)
+def test_ladder_and_field_match_oracle_property(n_modes, nmax, amps):
+    basis = pl.enumerate_basis(n_modes, nmax)
+    occs = oracles.occupations(n_modes, nmax)
+    perm = oracles.permutation_into(occs, basis)
+    values = np.array(amps[:n_modes])
+    ff = pl.FormFactor(profile="constant", g=1.0, alpha=0.0, values=values)
+    ours = pl.field_operator(basis, ff).toarray()
+    assert np.array_equal(ours, oracles.aligned(oracles.dense_field(occs, values), perm, basis.dim))
+    for mode in range(n_modes):
+        ref = oracles.aligned(oracles.dense_annihilator(occs, mode), perm, basis.dim)
+        assert np.array_equal(pl.annihilator(basis, mode).toarray(), ref)
