@@ -25,12 +25,20 @@ break sits only in the top sector, so probes supported in sectors up to
 applies the inverted identity; any resolvent output touches the top
 sector, so its residual is truncation-limited even for protected probes
 and is tracked as a decreasing ladder instead.
+
+The spectral correspondence (``schur_equivalence_report``) matches fiber
+eigenvalues in ``(e0, e0 + 1)`` with zeros of the one-particle Schur
+complement ``O(eps)`` in both directions.  Inertia jumps of ``O(eps)`` are
+pinned by Illinois false position on the one eigenvalue that crosses,
+which is valid because every ordered eigenvalue of ``O(eps)`` rises with
+slope at least one away from the vacuum pole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import logging
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -41,6 +49,11 @@ from .grid import FormFactor, MomentumGrid
 from .reduction import ReductionBundle, ReductionWorkspace, build_workspace
 from .spectral import SolverConfig, SymmetricFactor, lowest_eigenpairs, start_vector
 from .storage import jsonable
+
+_log = logging.getLogger("polaronlab")
+
+#: most kernel points one crossing may take before its bracket is reported
+MAX_CROSSING_DEPTH = 60
 
 EXACT = "exact"
 TRUNCATION_LIMITED = "truncation-limited"
@@ -872,36 +885,99 @@ def _fiber_eigs_below(ws: ReductionWorkspace, threshold: float) -> np.ndarray:
     return vals
 
 
-def _predicted_count(ws: ReductionWorkspace, eps: float, kin0: float) -> int:
+def _below_count(eps: float, vals: np.ndarray, pole: float) -> int:
     """Eigenvalues of the fiber operator below ``e0 + 1 - eps`` as read off
-    the reduced kernel: negative inertia of O(eps) plus the vacuum block."""
-    vals = sla.eigvalsh(ws.one_particle_operator(float(eps)))
-    vac = 1 if (1.0 + ws.e0 - eps - kin0) > 0 else 0
-    return int(np.sum(vals < 0.0)) + vac
+    the reduced kernel: the negative inertia of ``O(eps)`` (eigenvalues
+    ``vals``) plus the vacuum block, which counts below its pole."""
+    return int(np.sum(vals < 0.0)) + int(eps < pole)
+
+
+def _false_position(
+    evaluate: Callable[[float], np.ndarray],
+    pole: float,
+    lo: float,
+    hi: float,
+    vlo: np.ndarray,
+    vhi: np.ndarray,
+    width: float,
+    depth: int,
+) -> Tuple[float, float, int]:
+    """Shrink a one-jump, pole-free bracket around its root by Illinois
+    false position; returns the final bracket and the kernel points taken.
+
+    The root is that of eigenvalue ``kneg(lo) - 1`` of ``O(eps)``, negative
+    at ``lo`` and not at ``hi``.  Each probe replaces the end whose inertia
+    count it shares; a count equal to neither raises ``SolverError``.
+    """
+    clo, chi = _below_count(lo, vlo, pole), _below_count(hi, vhi, pole)
+    index = int(np.sum(vlo < 0.0)) - 1
+    flo, fhi = float(vlo[index]), float(vhi[index])
+    side = 0
+    while hi - lo > width and depth <= MAX_CROSSING_DEPTH:
+        # kept width/2 inside the bracket, so a converged estimate still
+        # closes the bracket on its next probe
+        probe = lo + (hi - lo) * flo / (flo - fhi)
+        probe = min(max(probe, lo + 0.5 * width), hi - 0.5 * width)
+        vals = evaluate(probe)
+        depth += 1
+        count = _below_count(probe, vals, pole)
+        if count == clo:
+            lo, flo = probe, float(vals[index])
+            if side < 0:
+                fhi *= 0.5
+            side = -1
+        elif count == chi:
+            hi, fhi = probe, float(vals[index])
+            if side > 0:
+                flo *= 0.5
+            side = 1
+        else:
+            raise SolverError(
+                f"inertia count {count} at offset {probe!r} leaves the bracket "
+                f"[{lo!r}, {hi!r}] with counts {clo} and {chi}"
+            )
+    return lo, hi, depth
 
 
 def _locate_crossings(
-    ws: ReductionWorkspace,
+    evaluate: Callable[[float], np.ndarray],
+    pole: float,
     lo: float,
     hi: float,
-    clo: int,
-    chi: int,
-    kin0: float,
+    vlo: np.ndarray,
+    vhi: np.ndarray,
     out: List[float],
     width: float = 1e-9,
     depth: int = 0,
 ) -> None:
-    """Bisect the offset interval until each inertia jump is pinned."""
-    jumps = clo - chi
+    """Pin every inertia jump of ``O(eps)`` between ``lo`` and ``hi``.
+
+    ``evaluate(eps)`` returns the ascending eigenvalues of ``O(eps)``, and
+    ``vlo``/``vhi`` are those at the ends; ``pole`` is the offset where the
+    vacuum block changes sign.  For ``eps >= 0``,
+    ``dO/deps = I + B^T X(eps)^2 B + v v^T / denom^2 >= I``, so away from
+    the pole every ordered eigenvalue rises with slope at least one: an
+    interval holding one jump and not the pole brackets a single root,
+    refined by false position (Dowell & Jarratt, BIT 11, 1971).  Several
+    jumps, or the pole, are split by bisection.  Each crossing is the
+    midpoint of a bracket no wider than ``width`` (or of the bracket held
+    after more than ``MAX_CROSSING_DEPTH`` kernel points) and is logged
+    at DEBUG level.
+    """
+    jumps = _below_count(lo, vlo, pole) - _below_count(hi, vhi, pole)
     if jumps <= 0:
         return
-    if hi - lo <= width or depth > 60:
+    if jumps == 1 and not lo <= pole <= hi:
+        lo, hi, depth = _false_position(evaluate, pole, lo, hi, vlo, vhi, width, depth)
+    if hi - lo <= width or depth > MAX_CROSSING_DEPTH:
+        for _ in range(jumps):
+            _log.debug("crossing pinned to eps in [%r, %r] by %d kernel points", lo, hi, depth)
         out.extend([0.5 * (lo + hi)] * jumps)
         return
     mid = 0.5 * (lo + hi)
-    cmid = _predicted_count(ws, mid, kin0)
-    _locate_crossings(ws, lo, mid, clo, cmid, kin0, out, width, depth + 1)
-    _locate_crossings(ws, mid, hi, cmid, chi, kin0, out, width, depth + 1)
+    vmid = evaluate(mid)
+    _locate_crossings(evaluate, pole, lo, mid, vlo, vmid, out, width, depth + 1)
+    _locate_crossings(evaluate, pole, mid, hi, vmid, vhi, out, width, depth + 1)
 
 
 def schur_equivalence_report(
@@ -916,8 +992,11 @@ def schur_equivalence_report(
     operator at the matching offset.  Direction two: on an offset grid,
     the negative-inertia count of the reduced operator (plus the vacuum
     block) must equal the number of fiber eigenvalues below the matching
-    energy; every inertia jump between grid points is refined by
-    bisection and matched back to a fiber eigenvalue.
+    energy; every inertia jump between grid points is pinned to a bracket
+    no wider than 1e-9 -- by false position where an interval holds one
+    jump and no vacuum pole, by bisection otherwise -- and matched back to
+    a fiber eigenvalue.  The grid's kernel eigenvalues seed the brackets,
+    so no offset is evaluated twice.
     """
     thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     tol = thr["equivalence"]
@@ -927,6 +1006,11 @@ def schur_equivalence_report(
     if eps_grid.size == 0 or eps_grid[0] <= 0.0 or eps_grid[-1] >= 1.0:
         raise ConfigError("offset grid must lie strictly inside (0, 1)")
     kin0 = float(ws._kinetic_diag(np.zeros(ws.grid.d))[0])
+    # the vacuum block 1 + e0 - eps - |xi|^2 of O(eps) changes sign here
+    pole = 1.0 + ws.e0 - kin0
+
+    def evaluate(eps: float) -> np.ndarray:
+        return sla.eigvalsh(ws.one_particle_operator(float(eps)))
 
     eigs = _fiber_eigs_below(ws, ws.e0 + 1.0)
     window = [float(e) for e in eigs if e > ws.e0 + 1e-12]
@@ -934,7 +1018,7 @@ def schur_equivalence_report(
     spectrum_to_kernel = []
     for energy in window:
         eps_star = ws.e0 + 1.0 - energy
-        vals = sla.eigvalsh(ws.one_particle_operator(eps_star))
+        vals = evaluate(eps_star)
         min_abs = float(np.min(np.abs(vals)))
         spectrum_to_kernel.append(
             {
@@ -945,19 +1029,15 @@ def schur_equivalence_report(
             }
         )
 
+    grid_vals = [evaluate(e) for e in eps_grid]
     grid_rows = []
-    counts = []
-    for e in eps_grid:
-        vals = sla.eigvalsh(ws.one_particle_operator(float(e)))
-        kneg = int(np.sum(vals < 0.0))
-        vac = 1 if (1.0 + ws.e0 - e - kin0) > 0 else 0
-        predicted = kneg + vac
+    for e, vals in zip(eps_grid, grid_vals):
+        predicted = _below_count(e, vals, pole)
         actual = int(np.sum(eigs < ws.e0 + 1.0 - e))
-        counts.append(predicted)
         grid_rows.append(
             {
                 "eps": float(e),
-                "negative_count": kneg,
+                "negative_count": int(np.sum(vals < 0.0)),
                 "predicted_below": predicted,
                 "fiber_below": actual,
                 "consistent": bool(predicted == actual),
@@ -965,8 +1045,11 @@ def schur_equivalence_report(
         )
 
     located: List[float] = []
-    for (lo, clo), (hi, chi) in zip(zip(eps_grid, counts), zip(eps_grid[1:], counts[1:])):
-        _locate_crossings(ws, float(lo), float(hi), clo, chi, kin0, located)
+    for i in range(eps_grid.size - 1):
+        _locate_crossings(
+            evaluate, pole, float(eps_grid[i]), float(eps_grid[i + 1]),
+            grid_vals[i], grid_vals[i + 1], located,
+        )
     crossings = []
     for eps_star in sorted(located):
         energy = ws.e0 + 1.0 - eps_star

@@ -200,6 +200,8 @@ class ReductionWorkspace:
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
         self._handles: Dict[Tuple, ResolventHandle] = {}
+        #: (kind, k) -> lowest shift at which that family was certified definite
+        self._definite_from: Dict[Tuple[str, bytes], float] = {}
         self._u_cache: Dict[bytes, np.ndarray] = {}
         self.schur_gap = abs(self.e0 - self.vacuum_kinetic() + self.vacuum_schur(1.0))
         if self.schur_gap > 1e-6:
@@ -240,7 +242,18 @@ class ReductionWorkspace:
         if handle is None:
             start = {FULL: 0, TAIL_ONE: self.start1, TAIL_TWO: self.start2}[kind]
             mat = self.restricted_matrix(kind, k, shift)
-            solver = SpdSolver(mat, self.config, label=f"{kind} resolvent at k={k.tolist()}")
+            # Members of one (kind, k) family differ by shift * I, added to the
+            # diagonal with monotone rounding, so a definite member certifies
+            # every member at a higher shift.
+            family = key[:2]
+            floor = self._definite_from.get(family)
+            certificate = "shift" if floor is not None and shift >= floor else None
+            solver = SpdSolver(
+                mat, self.config, label=f"{kind} resolvent at k={k.tolist()}",
+                certificate=certificate,
+            )
+            if certificate is None:
+                self._definite_from[family] = shift
             handle = ResolventHandle(kind=kind, k=k, shift=shift, start=start, solver=solver)
             self._handles[key] = handle
         return handle

@@ -8,9 +8,11 @@ its pivot signs give exact eigenvalue counts and definiteness (Sylvester's
 law of inertia), and its solves drive shift-invert Lanczos (Ericsson &
 Ruhe, Math. Comp. 35, 1980).  A count the factor cannot certify is a
 ``SolverError``.  ``SpdSolver`` solves by Cholesky when dense.  Sparse, it
-certifies definiteness by Gershgorin's theorem, else by that inertia, and
-solves by Jacobi-preconditioned conjugate gradients whose every answer
-must pass a true-residual check.
+certifies definiteness by Gershgorin's theorem, else by that inertia --
+unless the caller hands it a certificate of its own, such as a definite
+member of the same ``A + shift * I`` family at a lower shift -- and solves
+by Jacobi-preconditioned conjugate gradients whose every answer must pass
+a true-residual check.
 """
 
 from __future__ import annotations
@@ -303,11 +305,16 @@ class SpdSolver:
     lower bound, else by the inertia of a transient ``SymmetricFactor`` --
     and each solve runs Jacobi-preconditioned conjugate gradients, whose
     answer must leave a true residual ``|A x - b| <= lin_tol |b|``.  A
-    cached solver holds no factor.  Instances are immutable after
-    construction and safe to share across threads.
+    caller that has already proven the matrix positive definite passes the
+    proof's name as ``certificate``; the sparse path then skips its own
+    check.  Either way one DEBUG event on the ``polaronlab`` logger names
+    the certificate.  A cached solver holds no factor.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
-    def __init__(self, mat, config: SolverConfig, label: str = "operator"):
+    def __init__(
+        self, mat, config: SolverConfig, label: str = "operator", certificate: Optional[str] = None
+    ):
         self.config = config
         self.label = label
         self._mat = _as_matrix(mat)
@@ -322,12 +329,13 @@ class SpdSolver:
                     f"{label} is not positive definite (Cholesky failed)"
                 ) from exc
             return
-        certificate = "gershgorin"
-        if _gershgorin_lower(self._mat) <= 0.0:
-            certificate = "inertia"
-            negative = SymmetricFactor(self._mat, 0.0, config, label).negative_count
-            if negative:
-                raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
+        if certificate is None:
+            certificate = "gershgorin"
+            if _gershgorin_lower(self._mat) <= 0.0:
+                certificate = "inertia"
+                negative = SymmetricFactor(self._mat, 0.0, config, label).negative_count
+                if negative:
+                    raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
         _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -98,7 +98,9 @@ def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, D
 
 
 def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
-    """Load an operator, verifying its content hash; raises on mismatch."""
+    """Load an operator, verifying its content hash and its layout: the
+    header must match the sidecar and hold exactly ``nnz`` records.  Any
+    mismatch raises ``CacheCorruptionError``."""
     base = Path(base)
     bin_path = base.with_suffix(".bin")
     sidecar = read_json(base.with_suffix(".json"))
@@ -108,9 +110,11 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     if len(blob) < _HEADER.size:
         raise CacheCorruptionError(f"truncated operator file {bin_path}")
     dim, nnz, flags = _HEADER.unpack_from(blob)
-    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    if records.shape[0] != nnz:
+    if (dim, nnz) != (sidecar.get("dimension"), sidecar.get("nnz")):
+        raise CacheCorruptionError(f"header of {bin_path} disagrees with its sidecar")
+    if len(blob) - _HEADER.size != nnz * _RECORD_DTYPE.itemsize:
         raise CacheCorruptionError(f"record count mismatch in {bin_path}")
+    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
     mat = sp.coo_matrix(
         (records["value"], (records["row"], records["col"])), shape=(int(dim), int(dim))
     )

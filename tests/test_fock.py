@@ -1,5 +1,8 @@
 """Truncated boson-space operators against an independent dense oracle."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,12 +250,33 @@ def test_operator_corruption_detected(tmp_path, small_setup):
     bin_path.write_bytes(bytes(blob))
     with pytest.raises(CacheCorruptionError):
         storage.load_operator(base)
-    # truncation is also caught
+    # a truncated blob no longer matches the sidecar's content hash
     _write_operator(op, base, meta={})
     good = bin_path.read_bytes()
     bin_path.write_bytes(good[: len(good) // 2])
     with pytest.raises(CacheCorruptionError):
         storage.load_operator(base)
+
+
+def test_operator_layout_checked_behind_matching_hash(tmp_path, small_setup):
+    """Blobs whose sidecar hash matches but whose layout is broken: a short
+    header, a partial record, a missing record, and a self-consistent blob
+    whose header disagrees with the sidecar's nnz."""
+    grid, ff, basis, occs, perm = small_setup
+    op = pl.assemble_hamiltonian(basis, grid, ff)
+    base = tmp_path / "ham"
+    sidecar = _write_operator(op, base, meta={})
+    good = base.with_suffix(".bin").read_bytes()
+    header, record = 24, 24
+    dim, nnz, flags = struct.unpack_from("<QQQ", good)
+    fewer = struct.pack("<QQQ", dim, nnz - 1, flags) + good[header : -record]
+    for blob in (good[:10], good[: header + 5], good[:-record], fewer):
+        base.with_suffix(".bin").write_bytes(blob)
+        base.with_suffix(".json").write_text(
+            json.dumps({**sidecar, "sha256": storage.sha256_bytes(blob)})
+        )
+        with pytest.raises(CacheCorruptionError):
+            storage.load_operator(base)
 
 
 @settings(max_examples=25, deadline=None)

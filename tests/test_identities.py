@@ -1,6 +1,8 @@
 """Identity verification suite: classifications, trends, and reports."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from polaronlab.identities import (
     EXACT,
     ORACLE_LIMITED,
     TRUNCATION_LIMITED,
+    _locate_crossings,
     _strictly_decreasing,
     norm_identity_value,
     verify_energy_derivatives,
     verify_pullthrough,
 )
+from polaronlab.reduction import ReductionWorkspace
 
 LEVELS = (2, 3, 4)
 
@@ -213,6 +217,59 @@ def test_equivalence_report_populated_window(shifted_workspace):
     direct = sorted(p["eps"] for p in report["spectrum_to_kernel"])
     located = sorted(c["eps"] for c in report["crossings"])
     assert np.allclose(direct, located, rtol=0, atol=1e-6)
+
+
+def test_crossing_locator_on_synthetic_kernel():
+    """``O(eps) = diag(eps - r_i)`` plus a vacuum-pole eigenvalue that turns
+    negative past the pole, so the count drops only at the roots: a simple
+    root, a double root, and a root beside the pole in one grid interval."""
+    roots = np.array([0.23, 0.47, 0.61, 0.61])
+    pole = 0.43
+
+    def evaluate(eps):
+        return np.sort(np.append(eps - roots, 0.01 / (pole - eps)))
+
+    grid = np.round(np.linspace(0.1, 0.9, 9), 12)
+    vals = [evaluate(e) for e in grid]
+    located = []
+    for i in range(grid.size - 1):
+        _locate_crossings(evaluate, pole, grid[i], grid[i + 1], vals[i], vals[i + 1], located)
+    assert np.allclose(sorted(located), roots, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dense_threshold", [500, 10])
+def test_crossings_pinned_by_few_kernel_points(
+    shifted_workspace, dense_threshold, monkeypatch, caplog
+):
+    """Each crossing is pinned within 1e-9 of its direct offset from at most
+    30 kernel evaluations, and logs one DEBUG event with its bracket."""
+    shifted = shifted_workspace
+    cfg = pl.SolverConfig(dense_threshold=dense_threshold)
+    ws = pl.build_workspace(shifted.grid, shifted.ff, 2, config=cfg, xi=shifted.xi)
+    calls = []
+    d_kernel = ReductionWorkspace.d_kernel
+
+    def counting_d_kernel(self, eps=0.0):
+        calls.append(eps)
+        return d_kernel(self, eps)
+
+    monkeypatch.setattr(ReductionWorkspace, "d_kernel", counting_d_kernel)
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        report = pl.schur_equivalence_report(ws)
+    direct = sorted(p["eps"] for p in report["spectrum_to_kernel"])
+    located = sorted(c["eps"] for c in report["crossings"])
+    assert len(located) == 3
+    assert np.allclose(direct, located, rtol=0, atol=1e-9)
+    assert len(calls) <= 30
+    brackets = [
+        [float(x) for x in re.search(r"\[(.*), (.*)\]", r.getMessage()).groups()]
+        for r in caplog.records
+        if r.name == "polaronlab" and r.getMessage().startswith("crossing")
+    ]
+    assert len(brackets) == 3
+    for (lo, hi), eps in zip(sorted(brackets), located):
+        assert lo <= eps <= hi and hi - lo <= 1e-9
+    assert logging.getLogger("polaronlab").handlers == []
 
 
 def test_equivalence_grid_validation(ref_workspaces):

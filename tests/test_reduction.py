@@ -1,11 +1,14 @@
 """Schur reduction workspace against dense numpy oracles."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import polaronlab as pl
-from polaronlab import ConfigError, SolverConfig
+from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig
+from polaronlab.reduction import TAIL_TWO
 
 import oracles
 
@@ -109,6 +112,44 @@ def test_sparse_d_kernel_reuses_raised_block(monkeypatch):
     for eps, ref in refs.items():
         assert np.allclose(sparse.d_kernel(eps), ref, rtol=0, atol=1e-10)
     assert built == list(range(grid.size))
+
+
+def test_x_family_certified_once(monkeypatch, caplog):
+    """X(eps) handles differ by a multiple of the identity: once one is
+    certified, handles at larger eps skip the check and log ``shift``, while
+    a lower member is certified on its own and an indefinite one still
+    raises.  Gershgorin fails on this tail, so certification factors."""
+    grid = pl.build_grid(1, 1.0, 0.5)
+    ff = pl.sample_form_factor(grid, "constant", 0.4)
+    ws = pl.build_workspace(grid, ff, 3, config=SolverConfig(dense_threshold=10), xi=[0.45])
+    factors = []
+    factor = pl.spectral.SymmetricFactor
+
+    def counting_factor(*args, **kwargs):
+        factors.append(args[1])
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(pl.spectral, "SymmetricFactor", counting_factor)
+
+    def certify(eps):
+        factors.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+            handle = ws.x_handle(eps)
+        [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+        return handle, event.rsplit(" ", 1)[1], len(factors)
+
+    assert certify(0.1)[1:] == ("inertia", 1)
+    handle, certificate, built = certify(0.3)
+    assert (certificate, built) == ("shift", 0)
+    tail = ws.restricted_matrix(TAIL_TWO, np.zeros(1), handle.shift).toarray()
+    rhs = np.linspace(-1.0, 1.0, tail.shape[0])
+    assert np.allclose(handle.solver.solve(rhs), np.linalg.solve(tail, rhs), rtol=0, atol=1e-10)
+    assert certify(0.05)[1:] == ("inertia", 1)
+    assert certify(0.07)[1:] == ("shift", 0)
+    lowest = np.linalg.eigvalsh(ws.restricted_matrix(TAIL_TWO, np.zeros(1), 0.0).toarray())[0]
+    with pytest.raises(IndefiniteOperatorError):
+        ws._handle(TAIL_TWO, np.zeros(1), -lowest - 0.1)
 
 
 def test_c_kernel_matches_oracle(tiny):
