@@ -28,6 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -37,7 +38,7 @@ from . import fock, grid as gridmod, identities, storage
 from .errors import CacheCorruptionError, ConfigError, SolverError
 from .grid import FormFactor, MomentumGrid, build_grid, export_form_factor_csv, sample_form_factor
 from .identities import DEFAULT_THRESHOLDS, run_suite, schur_equivalence_report
-from .reduction import ReductionWorkspace, build_workspace
+from .reduction import build_workspace
 from .spectral import SolverConfig, count_below, spectrum_summary
 
 _REQUIRED = object()
@@ -58,13 +59,7 @@ DEFAULT_CONFIG = {
     },
     "nmax": [2, 3, 4],
     "xi": None,
-    "solver": {
-        "eig_tol": 1e-10,
-        "lin_tol": 1e-12,
-        "max_iterations": 5000,
-        "dense_threshold": 500,
-        "seed": 2024,
-    },
+    "solver": {f.name: f.default for f in fields(SolverConfig)},
     "thresholds": dict(DEFAULT_THRESHOLDS),
     "epsilon_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
     "scan": {
@@ -196,14 +191,9 @@ def _validate_values(cfg: dict) -> None:
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
+    """Each ``solver`` entry cast to the type of its ``SolverConfig`` default."""
     s = cfg["solver"]
-    return SolverConfig(
-        eig_tol=float(s["eig_tol"]),
-        lin_tol=float(s["lin_tol"]),
-        max_iterations=int(s["max_iterations"]),
-        dense_threshold=int(s["dense_threshold"]),
-        seed=int(s["seed"]),
-    )
+    return SolverConfig(**{f.name: type(f.default)(s[f.name]) for f in fields(SolverConfig)})
 
 
 def instance_from_config(cfg: dict) -> Tuple[MomentumGrid, FormFactor]:
@@ -289,8 +279,6 @@ def _instance_summary(cfg: dict, grid: MomentumGrid, ff: FormFactor) -> dict:
 
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["solver"]["seed"] = args.seed
     grid, ff = instance_from_config(cfg)
     out = RunDirectory(args.out or _default_out(cfg, "build"), cfg, "build")
 
@@ -328,8 +316,6 @@ def cmd_build(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["solver"]["seed"] = args.seed
     grid, ff = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     out = RunDirectory(args.out or _default_out(cfg, "spectrum"), cfg, "spectrum")
@@ -417,8 +403,6 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["solver"]["seed"] = args.seed
     only = None
     if args.filter:
         only = [tok.strip() for tok in args.filter.split(",") if tok.strip()]
@@ -461,7 +445,7 @@ def cmd_verify(args) -> int:
 
 
 def _scan_row(cfg: dict, coupling: float) -> dict:
-    grid, ff_base = instance_from_config(cfg)
+    grid, _ = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     ff = sample_form_factor(
         grid, cfg["form_factor"]["profile"], float(coupling), alpha=float(cfg["form_factor"]["alpha"])
@@ -506,8 +490,6 @@ def _scan_jobs(jobs: int, couplings: int) -> int:
 
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["solver"]["seed"] = args.seed
     couplings = [float(c) for c in cfg["scan"]["couplings"]]
     jobs = _scan_jobs(args.jobs, len(couplings))
     if jobs > 1:
@@ -615,7 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="path to a JSON run configuration")
         p.add_argument("--out", help="artifact directory (defaults to a config-hash name)")
-        p.add_argument("--seed", type=int, default=None, help="override solver.seed")
 
     p_build = sub.add_parser("build", help="assemble and persist operators")
     common(p_build)

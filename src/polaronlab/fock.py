@@ -147,9 +147,6 @@ class SparseOperator:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def __matmul__(self, other):
-        return self.matrix @ other
-
 
 def _canonical_csr(mat: sp.spmatrix) -> sp.csr_matrix:
     out = mat.tocsr()

@@ -46,14 +46,23 @@ import scipy.linalg as sla
 from . import fock
 from .errors import ConfigError, SolverError
 from .grid import FormFactor, MomentumGrid
-from .reduction import ReductionBundle, ReductionWorkspace, build_workspace
-from .spectral import SolverConfig, SymmetricFactor, lowest_eigenpairs, start_vector
+from .reduction import (
+    FULL, TAIL_ONE, TAIL_TWO, ReductionBundle, ReductionWorkspace, build_workspace,
+)
+from .spectral import SolverConfig, eigenvalues_below, start_vector
 from .storage import jsonable
 
 _log = logging.getLogger("polaronlab")
 
 #: most kernel points one crossing may take before its bracket is reported
 MAX_CROSSING_DEPTH = 60
+
+#: central-difference steps of the energy-curve gradient and Hessian checks
+FD_STEP = 1e-4
+HESSIAN_STEP = 1e-3
+
+#: offsets at which the vacuum Schur scalar must be strictly decreasing
+VACUUM_SCHUR_LADDER = (0.5, 1.0, 1.5)
 
 EXACT = "exact"
 TRUNCATION_LIMITED = "truncation-limited"
@@ -204,25 +213,23 @@ def _pullthrough_local_residual(
     if kind == "creator":
         raised = fock.creator(ws.basis, kj).matrix @ probe
         lhs = np.zeros(ws.basis.dim)
-        lhs[ws.start2 :] = ws.restricted_matrix("tail>=2", np.zeros(ws.grid.d), -ws.e0 - 1.0) @ (
+        lhs[ws.start2 :] = ws.restricted_matrix(TAIL_TWO, np.zeros(ws.grid.d), -ws.e0 - 1.0) @ (
             raised[ws.start2 :]
         )
         y_inv = np.zeros(ws.basis.dim)
-        y_inv[ws.start1 :] = ws.restricted_matrix("tail>=1", k, -ws.e0) @ probe[ws.start1 :]
+        y_inv[ws.start1 :] = ws.restricted_matrix(TAIL_ONE, k, -ws.e0) @ probe[ws.start1 :]
         rhs = fock.creator(ws.basis, kj).matrix @ y_inv
         rhs[: ws.start2] = 0.0
         rhs += float(ws.ff.values[kj]) * ws.project_tail(probe, 2)
         return float(np.linalg.norm(lhs - rhs))
-    if kind == "annihilator":
-        l = ws.grid.modes[lj]
-        y_inv = np.zeros(ws.basis.dim)
-        y_inv[ws.start1 :] = ws.restricted_matrix("tail>=1", k, -ws.e0) @ probe[ws.start1 :]
-        lhs = fock.annihilator(ws.basis, lj).matrix @ y_inv
-        lowered = fock.annihilator(ws.basis, lj).matrix @ probe
-        rhs = ws.restricted_matrix("full", k + l, 1.0 - ws.e0) @ lowered
-        rhs += float(ws.ff.values[lj]) * ws.project_tail(probe, 1)
-        return float(np.linalg.norm(lhs - rhs))
-    raise ConfigError(f"unknown pull-through kind {kind!r}")
+    l = ws.grid.modes[lj]
+    y_inv = np.zeros(ws.basis.dim)
+    y_inv[ws.start1 :] = ws.restricted_matrix(TAIL_ONE, k, -ws.e0) @ probe[ws.start1 :]
+    lhs = fock.annihilator(ws.basis, lj).matrix @ y_inv
+    lowered = fock.annihilator(ws.basis, lj).matrix @ probe
+    rhs = ws.restricted_matrix(FULL, k + l, 1.0 - ws.e0) @ lowered
+    rhs += float(ws.ff.values[lj]) * ws.project_tail(probe, 1)
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def _pullthrough_resolvent_residual(
@@ -239,21 +246,18 @@ def _pullthrough_resolvent_residual(
         yk = ws.apply_y(k, probe)
         rhs = fock.creator(ws.basis, kj).matrix @ yk - float(ws.ff.values[kj]) * ws.apply_x(yk)
         return float(np.linalg.norm(lhs - rhs))
-    if kind == "annihilator":
-        l = ws.grid.modes[lj]
-        yk = ws.apply_y(k, probe)
-        lhs = fock.annihilator(ws.basis, lj).matrix @ yk
-        rhs = ws.apply_z(k + l, fock.annihilator(ws.basis, lj).matrix @ probe)
-        rhs -= float(ws.ff.values[lj]) * ws.apply_z(k + l, yk)
-        return float(np.linalg.norm(lhs - rhs))
-    raise ConfigError(f"unknown pull-through kind {kind!r}")
+    l = ws.grid.modes[lj]
+    yk = ws.apply_y(k, probe)
+    lhs = fock.annihilator(ws.basis, lj).matrix @ yk
+    rhs = ws.apply_z(k + l, fock.annihilator(ws.basis, lj).matrix @ probe)
+    rhs -= float(ws.ff.values[lj]) * ws.apply_z(k + l, yk)
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def verify_pullthrough(
     workspaces: Dict[int, ReductionWorkspace],
     kind: str,
     thresholds: Optional[dict] = None,
-    probes: Optional[List[np.ndarray]] = None,
 ) -> IdentityReport:
     """Check one pull-through identity across the truncation ladder.
 
@@ -272,11 +276,7 @@ def verify_pullthrough(
     boundary: List[Optional[float]] = []
     for nmax in levels:
         ws = workspaces[nmax]
-        if probes is not None:
-            bad = [p for p in probes if np.linalg.norm(p[ws.basis.tail_start(max(1, nmax - 1)) :]) > 0]
-            if bad:
-                raise ConfigError("pull-through probe touches the truncation boundary sectors")
-        prot = probes if probes is not None else _protected_probes(ws, ws.config.seed)
+        prot = _protected_probes(ws, ws.config.seed)
         kjs = _mode_sample(ws)
         pairs = [(kjs[0], kjs[-1]), (kjs[len(kjs) // 2], kjs[len(kjs) // 2])]
         if prot:
@@ -402,9 +402,7 @@ def verify_resolvent_identities(
 
 
 def verify_vacuum_schur(
-    workspaces: Dict[int, ReductionWorkspace],
-    thresholds: Optional[dict] = None,
-    eps_ladder: Sequence[float] = (0.5, 1.0, 1.5),
+    workspaces: Dict[int, ReductionWorkspace], thresholds: Optional[dict] = None
 ) -> IdentityReport:
     """Ground-energy fixed point of the vacuum Schur scalar.
 
@@ -420,7 +418,7 @@ def verify_vacuum_schur(
     for nmax in levels:
         ws = workspaces[nmax]
         gaps.append(abs(ws.e0 - ws.vacuum_kinetic() + ws.vacuum_schur(1.0)))
-        vals = [ws.vacuum_schur(e) for e in eps_ladder]
+        vals = [ws.vacuum_schur(e) for e in VACUUM_SCHUR_LADDER]
         ladder_values[str(nmax)] = vals
         if ws.ff.norm > 0:
             monotone_ok = monotone_ok and all(b < a for a, b in zip(vals, vals[1:]))
@@ -435,7 +433,7 @@ def verify_vacuum_schur(
         summary=gaps,
         threshold=thr["schur_fixed_point"],
         passed=passed,
-        details={"eps_ladder": list(eps_ladder), "values": ladder_values,
+        details={"eps_ladder": list(VACUUM_SCHUR_LADDER), "values": ladder_values,
                  "strictly_decreasing": monotone_ok},
     )
 
@@ -446,9 +444,7 @@ def verify_vacuum_schur(
 
 
 def verify_lambda_identity(
-    workspaces: Dict[int, ReductionWorkspace],
-    bundles: Dict[int, ReductionBundle],
-    thresholds: Optional[dict] = None,
+    workspaces: Dict[int, ReductionWorkspace], bundles: Dict[int, ReductionBundle]
 ) -> IdentityReport:
     """Transfer of the lambda scalars to a one-boson matrix element.
 
@@ -743,8 +739,6 @@ def verify_energy_derivatives(
     ws: ReductionWorkspace,
     bundle: Optional[ReductionBundle] = None,
     thresholds: Optional[dict] = None,
-    fd_step: float = 1e-4,
-    hessian_step: float = 1e-3,
 ) -> IdentityReport:
     """Resolvent-calculus derivatives of the mode energy curve.
 
@@ -766,8 +760,8 @@ def verify_energy_derivatives(
         fd = np.zeros(ws.grid.d)
         for i in range(ws.grid.d):
             dk = np.zeros(ws.grid.d)
-            dk[i] = fd_step
-            fd[i] = (ws.energy_curve(k + dk) - ws.energy_curve(k - dk)) / (2.0 * fd_step)
+            dk[i] = FD_STEP
+            fd[i] = (ws.energy_curve(k + dk) - ws.energy_curve(k - dk)) / (2.0 * FD_STEP)
         # one error per probe vector: a component that vanishes by symmetry
         # carries only rounding noise and must not set the relative scale
         denom = max(float(np.linalg.norm(analytic)), 1e-12)
@@ -782,10 +776,10 @@ def verify_energy_derivatives(
         analytic = _hessian_analytic(ws, k)
         for i in range(ws.grid.d):
             dk = np.zeros(ws.grid.d)
-            dk[i] = hessian_step
+            dk[i] = HESSIAN_STEP
             fd = (
                 ws.energy_curve(k + dk) - 2.0 * ws.energy_curve(k) + ws.energy_curve(k - dk)
-            ) / hessian_step**2
+            ) / HESSIAN_STEP**2
             denom = max(abs(analytic[i, i]), 1e-12)
             hess_rel.append(abs(analytic[i, i] - fd) / denom)
     hess_rel_max = float(max(hess_rel))
@@ -812,7 +806,7 @@ def verify_energy_derivatives(
     norms_bound = {}
     sample = [np.zeros(ws.grid.d)] + [ws.grid.modes[j] for j in _mode_sample(ws, 2)]
     for k in sample:
-        weight = 1.0 + np.sqrt(ws._kinetic_diag(k))
+        weight = 1.0 + np.sqrt(ws.kinetic_diagonal(k))
         # a dense random start overlaps every tail state, so the power
         # iteration cannot get stuck on an invariant coordinate subspace
         x = ws.project_tail(start_vector(ws.basis.dim, ws.config.seed), 1)
@@ -862,27 +856,6 @@ def verify_energy_derivatives(
 # ---------------------------------------------------------------------------
 # spectral correspondence between the fiber operator and the reduced kernel
 # ---------------------------------------------------------------------------
-
-
-def _fiber_eigs_below(ws: ReductionWorkspace, threshold: float) -> np.ndarray:
-    """All fiber eigenvalues strictly below ``threshold``, ascending.
-
-    Above the dense threshold their number is the exact inertia of
-    ``H - threshold``, and one eigenpair solve of that size must land
-    every one of them below the threshold.
-    """
-    op = ws.hamiltonian
-    if op.dim <= ws.config.dense_threshold:
-        vals = sla.eigvalsh(op.toarray())
-        return vals[vals < threshold]
-    count = SymmetricFactor(op, threshold, ws.config, label="fiber Hamiltonian").negative_count
-    vals, _ = lowest_eigenpairs(op, count, ws.config)
-    if vals[-1] >= threshold:
-        raise SolverError(
-            f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "
-            f"returned {vals[-1]!r} as the {count}-th"
-        )
-    return vals
 
 
 def _below_count(eps: float, vals: np.ndarray, pole: float) -> int:
@@ -1005,28 +978,30 @@ def schur_equivalence_report(
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     if eps_grid.size == 0 or eps_grid[0] <= 0.0 or eps_grid[-1] >= 1.0:
         raise ConfigError("offset grid must lie strictly inside (0, 1)")
-    kin0 = float(ws._kinetic_diag(np.zeros(ws.grid.d))[0])
     # the vacuum block 1 + e0 - eps - |xi|^2 of O(eps) changes sign here
-    pole = 1.0 + ws.e0 - kin0
+    pole = 1.0 + ws.e0 - ws.vacuum_kinetic()
 
     def evaluate(eps: float) -> np.ndarray:
         return sla.eigvalsh(ws.one_particle_operator(float(eps)))
 
-    eigs = _fiber_eigs_below(ws, ws.e0 + 1.0)
+    eigs = eigenvalues_below(ws.hamiltonian, ws.e0 + 1.0, ws.config)
     window = [float(e) for e in eigs if e > ws.e0 + 1e-12]
 
+    # highest energy (lowest offset) first, so the X(eps) family is
+    # certified once and every later offset reuses it; rows stay ascending
     spectrum_to_kernel = []
-    for energy in window:
+    for energy in reversed(window):
         eps_star = ws.e0 + 1.0 - energy
         vals = evaluate(eps_star)
         min_abs = float(np.min(np.abs(vals)))
-        spectrum_to_kernel.append(
+        spectrum_to_kernel.insert(
+            0,
             {
                 "energy": energy,
                 "eps": eps_star,
                 "min_abs_eigenvalue": min_abs,
                 "matched": bool(min_abs <= tol),
-            }
+            },
         )
 
     grid_vals = [evaluate(e) for e in eps_grid]
@@ -1099,8 +1074,8 @@ def run_suite(
     """Run the identity suite on one instance across a truncation ladder.
 
     ``only`` filters by identity id; unknown ids are a configuration
-    error.  Workspaces and bundles may be passed in to reuse
-    factorizations and kernels.
+    error.  Workspaces and bundles may be passed in to reuse resolvent
+    handles and kernels.
     """
     wanted = set(IDENTITY_IDS) if only is None else set(only)
     unknown = wanted - set(IDENTITY_IDS)
@@ -1130,7 +1105,7 @@ def run_suite(
     if "vacuum-schur" in wanted:
         reports.append(verify_vacuum_schur(workspaces, thresholds))
     if "lambda-oneboson" in wanted:
-        reports.append(verify_lambda_identity(workspaces, bundles, thresholds))
+        reports.append(verify_lambda_identity(workspaces, bundles))
     if "c0-identity" in wanted:
         reports.append(verify_c0_identity(workspaces, bundles, thresholds))
     if "rearrangement" in wanted:

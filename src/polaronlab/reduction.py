@@ -17,7 +17,7 @@ only through diagonal blueprints, so probe momenta off the grid are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -41,7 +41,12 @@ FULL = "full"
 
 @dataclass(eq=False)
 class ResolventHandle:
-    """One factorized resolvent: restriction, momentum shift, scalar shift."""
+    """One resolvent: restriction, momentum shift, scalar shift.
+
+    The restriction is the tail of the full space from index ``start`` on.
+    ``solve`` and ``apply`` are the only ways to solve against it, and
+    ``solves`` counts every right-hand side they take.
+    """
 
     kind: str
     k: np.ndarray
@@ -50,9 +55,17 @@ class ResolventHandle:
     solver: SpdSolver
     solves: int = 0
 
-    def solve_restricted(self, rhs: np.ndarray) -> np.ndarray:
-        self.solves += 1
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve on the tail for one vector or a block of columns."""
+        self.solves += 1 if rhs.ndim == 1 else rhs.shape[1]
         return self.solver.solve(rhs)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """Full-space vector in, full-space vector out: the resolvent acts on
+        the tail and the sectors below ``start`` come back zero."""
+        out = np.zeros(len(vec))
+        out[self.start :] = self.solve(vec[self.start :])
+        return out
 
 
 @dataclass(eq=False)
@@ -159,7 +172,7 @@ class ReductionWorkspace:
     """Shared state for all reduction computations on one instance.
 
     Builds the Hamiltonian once, solves for the ground energy, and hands
-    out cached resolvent factorizations keyed by momentum shift.  All
+    out resolvent handles cached by restriction and shift.  All
     public methods treat vectors in the full Fock space; restrictions are
     handled internally through the contiguous sector layout.
     """
@@ -186,11 +199,7 @@ class ReductionWorkspace:
         self.n_diag = fock.number_diagonal(basis)
         self.p_state = basis.momentum_sums(grid)
         self.hamiltonian = SparseOperator(
-            matrix=(
-                self.phi_op.matrix
-                + sp.diags(self._kinetic_diag(np.zeros(grid.d)) + self.n_diag, format="csr")
-            ),
-            hermitian=True,
+            matrix=self.restricted_matrix(FULL, np.zeros(grid.d), 0.0), hermitian=True
         )
         self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.config)
         self.v = fock.one_boson_vector(basis, ff)
@@ -217,8 +226,9 @@ class ReductionWorkspace:
             raise ConfigError(f"momentum has shape {arr.shape}, expected ({self.grid.d},)")
         return arr
 
-    def _kinetic_diag(self, k: np.ndarray) -> np.ndarray:
-        p = self.p_state + (k - self.xi)[None, :]
+    def kinetic_diagonal(self, k: Momentum) -> np.ndarray:
+        """Diagonal of ``(P + k - xi)^2`` over the basis."""
+        p = self.p_state + (self._as_momentum(k) - self.xi)[None, :]
         return np.sum(p * p, axis=1)
 
     def vacuum_kinetic(self) -> float:
@@ -227,8 +237,7 @@ class ReductionWorkspace:
 
     def restricted_matrix(self, kind: str, k: Momentum, shift: float) -> sp.csr_matrix:
         """Matrix of ``(P+k)^2 + Phi + N + shift`` on the given restriction."""
-        k = self._as_momentum(k)
-        diag = self._kinetic_diag(k) + self.n_diag + shift
+        diag = self.kinetic_diagonal(k) + self.n_diag + shift
         mat = self.phi_op.matrix + sp.diags(diag, format="csr")
         if kind == FULL:
             return mat.tocsr()
@@ -258,10 +267,6 @@ class ReductionWorkspace:
             self._handles[key] = handle
         return handle
 
-    def y_handle(self, k: Momentum) -> ResolventHandle:
-        """Resolvent of ``(P+k)^2 + Phi + N - e0`` on the >=1 tail."""
-        return self._handle(TAIL_ONE, k, -self.e0)
-
     def z_handle(self, s: Momentum) -> ResolventHandle:
         """Full-space resolvent of ``(P+s)^2 + Phi + N + 1 - e0``."""
         return self._handle(FULL, s, 1.0 - self.e0)
@@ -272,24 +277,18 @@ class ReductionWorkspace:
             raise ConfigError(f"regularization must be >= 0, got {eps}")
         return self._handle(TAIL_TWO, np.zeros(self.grid.d), eps - 1.0 - self.e0)
 
-    def _embed(self, restricted: np.ndarray, start: int) -> np.ndarray:
-        out = np.zeros(self.basis.dim)
-        out[start:] = restricted
-        return out
-
     def apply_y(self, k: Momentum, vec: np.ndarray) -> np.ndarray:
-        """Apply ``Y(k)`` to the >=1 tail of a full-space vector."""
-        h = self.y_handle(k)
-        return self._embed(h.solve_restricted(vec[h.start :]), h.start)
+        """Apply ``Y(k)``, the resolvent of ``(P+k)^2 + Phi + N - e0``, to the
+        >=1 tail of a full-space vector."""
+        return self._handle(TAIL_ONE, k, -self.e0).apply(vec)
 
     def apply_z(self, s: Momentum, vec: np.ndarray) -> np.ndarray:
         """Apply ``Z(s)`` to a full-space vector."""
-        return self.z_handle(s).solve_restricted(vec)
+        return self.z_handle(s).apply(vec)
 
     def apply_x(self, vec: np.ndarray, eps: float = 0.0) -> np.ndarray:
         """Apply ``X(eps)`` to the >=2 tail of a full-space vector."""
-        h = self.x_handle(eps)
-        return self._embed(h.solve_restricted(vec[h.start :]), h.start)
+        return self.x_handle(eps).apply(vec)
 
     def project_tail(self, vec: np.ndarray, n: int) -> np.ndarray:
         """Zero out all sectors below ``n``."""
@@ -313,12 +312,6 @@ class ReductionWorkspace:
         """1-boson sector of a full vector as an M-vector in mode order."""
         return vec[self.mode_state]
 
-    def embed_sector1(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`sector1_components`."""
-        out = np.zeros(self.basis.dim)
-        out[self.mode_state] = np.asarray(amplitudes, dtype=float)
-        return out
-
     # -- scalar reduction objects ----------------------------------------
 
     def vacuum_schur(self, eps: float) -> float:
@@ -329,7 +322,7 @@ class ReductionWorkspace:
         """
         handle = self._handle(TAIL_ONE, np.zeros(self.grid.d), eps - 1.0 - self.e0)
         rhs = self.v[handle.start :]
-        return float(rhs @ handle.solve_restricted(rhs))
+        return float(rhs @ handle.solve(rhs))
 
     def y_on_v(self, k: Momentum) -> np.ndarray:
         """Cached ``Y(k)|v>`` as a full-space vector."""
@@ -353,11 +346,8 @@ class ReductionWorkspace:
         This is the exact Schur coupling of the truncated operator through
         the >=2 tail (no pull-through rewriting involved).
         """
-        handle = self.x_handle(eps)
         rhs = self._raised_v
-        solved = handle.solver.solve_many(rhs)
-        handle.solves += rhs.shape[1]
-        return rhs.T @ solved
+        return rhs.T @ self.x_handle(eps).solve(rhs)
 
     @cached_property
     def _raised_v(self) -> np.ndarray:
@@ -395,7 +385,7 @@ class ReductionWorkspace:
         term1 = float(w_k @ self.apply_z(k + l, w_l))
         xk = self.y_on_v(k)[self.start2 :]
         xl = self.y_on_v(l)[self.start2 :]
-        term2 = float(xk @ self.x_handle(0.0).solver.solve(xl))
+        term2 = float(xk @ self.x_handle(0.0).solve(xl))
         return 1.0 / (1.0 + self.e0) - term1 - term2
 
     def c_matrix(self) -> np.ndarray:
@@ -409,7 +399,7 @@ class ReductionWorkspace:
         w = -u
         w[0, :] += 1.0  # vacuum component
         g2 = u[self.start2 :, :]
-        x2 = self.x_handle(0.0).solver.solve_many(g2)
+        x2 = self.x_handle(0.0).solve(g2)
         term2 = g2.T @ x2
 
         term1 = np.empty((n, n))
@@ -422,10 +412,8 @@ class ReductionWorkspace:
                 groups.setdefault(key, []).append((i, j))
                 sums[key] = s
         for key, pairs in groups.items():
-            handle = self.z_handle(sums[key])
             cols = sorted({j for _, j in pairs})
-            solved = handle.solver.solve_many(w[:, cols])
-            handle.solves += len(cols)
+            solved = self.z_handle(sums[key]).solve(w[:, cols])
             pos = {j: c for c, j in enumerate(cols)}
             for i, j in pairs:
                 val = float(w[:, i] @ solved[:, pos[j]])
@@ -446,7 +434,7 @@ class ReductionWorkspace:
         term1 = float(w_k @ self.apply_z(k, w_0))
         xk = self.y_on_v(k)[self.start2 :]
         x0 = self.y_on_v(np.zeros(self.grid.d))[self.start2 :]
-        term2 = float(xk @ self.x_handle(0.0).solver.solve(x0))
+        term2 = float(xk @ self.x_handle(0.0).solve(x0))
         return term1 + term2
 
     # -- bundle assembly ---------------------------------------------------
@@ -460,7 +448,9 @@ class ReductionWorkspace:
         kinetic diagonals (one-boson and vacuum blocks alike), which keeps
         the matrix the exact Schur complement of the fiber Hamiltonian.
         """
-        kin = self._kinetic_diag(np.zeros(self.grid.d))
+        if not 0.0 <= eps <= 1.0:
+            raise ConfigError(f"spectral offset must lie in [0, 1], got {eps}")
+        kin = self.kinetic_diagonal(np.zeros(self.grid.d))
         denom = 1.0 + self.e0 - eps - float(kin[0])
         if abs(denom) < 1e-12:
             raise IndefiniteOperatorError(
@@ -528,27 +518,7 @@ class ReductionWorkspace:
             nu2=nu2,
         )
 
-    # -- spectral correspondence ------------------------------------------
-
-    def excited_eigenvalue_test(self, eps: float, tol: float = 1e-7) -> dict:
-        """Probe for a fiber eigenvalue at energy ``e0 + 1 - eps``.
-
-        Returns the smallest and the smallest-magnitude eigenvalue of the
-        one-particle Schur complement ``O(eps)``; the verdict is positive
-        when an eigenvalue of ``O(eps)`` vanishes to tolerance.
-        """
-        if not 0.0 <= eps <= 1.0:
-            raise ConfigError(f"spectral offset must lie in [0, 1], got {eps}")
-        vals = sla.eigvalsh(self.one_particle_operator(eps))
-        smallest = float(vals[0])
-        min_abs = float(np.min(np.abs(vals)))
-        return {
-            "eps": eps,
-            "energy": self.e0 + 1.0 - eps,
-            "smallest_eigenvalue": smallest,
-            "min_abs_eigenvalue": min_abs,
-            "eigenvalue_exists": bool(min_abs <= tol),
-        }
+    # -- regularized limit and standing assumptions ------------------------
 
     def bs_limit_check(
         self, bundle: ReductionBundle, eps_ladder: Iterable[float] = (1e-1, 1e-2, 1e-3)
@@ -584,13 +554,10 @@ class ReductionWorkspace:
         """Evaluate the standing assumptions on this instance."""
         if bundle is None:
             bundle = self.build_bundle()
-        nu2 = bundle.nu2
-        if nu2 is None:
-            nu2 = nu(self.hamiltonian, self.e0, 2, self.basis, self.config)
         active = self.ff.g > 0.0
         return AssumptionReport(
             e0=self.e0,
-            nu2=float(nu2),
+            nu2=float(bundle.nu2),
             c0=bundle.c0,
             a_norm=bundle.a_norm if active else None,
             coupling_active=active,

@@ -18,7 +18,7 @@ a true-residual check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -47,9 +47,6 @@ class SolverConfig:
     def buffer(self, h: float) -> float:
         """Edge buffer for eigenvalue counting: ``max(h^2, 10 * eig_tol)``."""
         return max(h * h, 10.0 * self.eig_tol)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -296,6 +293,27 @@ def count_below(
     return SymmetricFactor(mat, cut, config, label="counted operator").negative_count
 
 
+def eigenvalues_below(op: MatrixLike, threshold: float, config: SolverConfig) -> np.ndarray:
+    """All eigenvalues strictly below ``threshold``, ascending.
+
+    Above the dense threshold their number is the inertia that
+    ``count_below`` reads, and one eigenpair solve of that size must land
+    every one of them below the threshold, else ``SolverError``.
+    """
+    mat = _as_matrix(op)
+    if mat.shape[0] <= config.dense_threshold:
+        vals = sla.eigvalsh(_dense(mat))
+        return vals[vals < threshold]
+    count = count_below(mat, threshold, 0.0, config)
+    vals, _ = lowest_eigenpairs(mat, count, config)
+    if vals[-1] >= threshold:
+        raise SolverError(
+            f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "
+            f"returned {vals[-1]!r} as the {count}-th"
+        )
+    return vals
+
+
 class SpdSolver:
     """Repeated solves against one symmetric positive definite matrix.
 
@@ -339,7 +357,8 @@ class SpdSolver:
         _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A x = rhs`` to the configured linear tolerance."""
+        """Solve ``A x = rhs`` to the configured linear tolerance; ``rhs`` is
+        one vector or a block of columns."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.dim:
             raise ConfigError(f"rhs has dim {rhs.shape[0]}, operator has {self.dim}")
@@ -370,7 +389,3 @@ class SpdSolver:
                 f"at |rhs| {scale:.3e}"
             )
         return x
-
-    def solve_many(self, rhs_matrix: np.ndarray) -> np.ndarray:
-        """Batched solve with the rhs vectors as columns."""
-        return self.solve(np.asarray(rhs_matrix, dtype=float))

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import polaronlab as pl
 from polaronlab import ConfigError
@@ -20,7 +21,8 @@ from polaronlab.identities import (
     verify_energy_derivatives,
     verify_pullthrough,
 )
-from polaronlab.reduction import ReductionWorkspace
+from polaronlab.reduction import TAIL_TWO, ReductionWorkspace
+from polaronlab.spectral import SpdSolver
 
 LEVELS = (2, 3, 4)
 
@@ -151,13 +153,8 @@ def test_trend_helper_floor_semantics():
 
 
 def test_pullthrough_probe_validation(small_workspaces):
-    ws = small_workspaces[3]
-    top = np.zeros(ws.basis.dim)
-    top[-1] = 1.0  # lives in the highest sector: local form would be lossy
     with pytest.raises(ConfigError):
-        verify_pullthrough({3: ws}, "creator", probes=[top])
-    with pytest.raises(ConfigError):
-        verify_pullthrough({3: ws}, "sideways")
+        verify_pullthrough({3: small_workspaces[3]}, "sideways")
 
 
 def test_norm_identity_value_paths(ref_bundles, small_grid):
@@ -193,23 +190,34 @@ def test_weighted_resolvent_norm_free_value(ref_grid):
 
 
 def test_equivalence_report_empty_window(ref_workspaces):
-    report = pl.schur_equivalence_report(ref_workspaces[3])
+    ws = ref_workspaces[3]
+    report = pl.schur_equivalence_report(ws)
     assert report["consistent"] is True
     # the gap of this instance exceeds the window: nothing to match
     assert report["window_eigenvalues"] == []
     assert report["crossings"] == []
     assert all(row["consistent"] for row in report["grid"])
     assert all(row["predicted_below"] == 1 for row in report["grid"])
+    # away from fiber eigenvalues the Schur complement stays invertible
+    assert np.min(np.abs(sla.eigvalsh(ws.one_particle_operator(0.5)))) > 1e-4
 
 
 def test_equivalence_report_populated_window(shifted_workspace):
-    report = pl.schur_equivalence_report(shifted_workspace)
+    """At each fiber eigenvalue inside the window the one-boson Schur
+    complement is singular, and the window is the dense spectrum's."""
+    ws = shifted_workspace
+    report = pl.schur_equivalence_report(ws)
     assert report["consistent"] is True
-    assert len(report["window_eigenvalues"]) == 3
+    fiber = np.linalg.eigvalsh(ws.hamiltonian.toarray())
+    dense_window = fiber[(fiber > ws.e0 + 1e-12) & (fiber < ws.e0 + 1.0)]
+    assert len(dense_window) == 3  # this instance was tuned to have three
+    assert np.allclose(report["window_eigenvalues"], dense_window, rtol=0, atol=1e-10)
     assert len(report["crossings"]) == 3
+    energies = [probe["energy"] for probe in report["spectrum_to_kernel"]]
+    assert energies == sorted(energies)
     for probe in report["spectrum_to_kernel"]:
         assert probe["matched"]
-        assert probe["min_abs_eigenvalue"] <= 1e-7
+        assert probe["min_abs_eigenvalue"] <= 1e-8
     for crossing in report["crossings"]:
         assert crossing["matched"]
         assert crossing["nearest_fiber_gap"] <= 1e-6
@@ -322,3 +330,47 @@ def test_sparse_paths_pass_reference_suite(ref_grid, ref_ff, shifted_workspace):
     dense = pl.schur_equivalence_report(shifted)
     assert sparse["consistent"] is True
     assert np.allclose(sparse["window_eigenvalues"], dense["window_eigenvalues"], rtol=0, atol=1e-10)
+
+
+def test_window_certifies_x_family_once(monkeypatch, caplog):
+    """The window offsets are evaluated lowest first, so only the first
+    ``X(eps)`` handle of the window runs a definiteness check; every later
+    one reuses that certificate and logs ``shift``."""
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ff = pl.sample_form_factor(grid, "constant", 0.1)
+    cfg = pl.SolverConfig(dense_threshold=10)
+    ws = pl.build_workspace(grid, ff, 2, config=cfg, xi=[0.6, 0.0])
+    marks = []
+    d_kernel = ReductionWorkspace.d_kernel
+
+    def marking_d_kernel(self, eps=0.0):
+        out = d_kernel(self, eps)
+        marks.append(len(caplog.records))
+        return out
+
+    monkeypatch.setattr(ReductionWorkspace, "d_kernel", marking_d_kernel)
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        report = pl.schur_equivalence_report(ws)
+    window = len(report["window_eigenvalues"])
+    assert window >= 2
+    events = [r.getMessage() for r in caplog.records[: marks[window - 1]]]
+    certified = [e for e in events if e.startswith(TAIL_TWO) and not e.endswith(" shift")]
+    assert len(certified) == 1
+
+
+def test_handles_count_every_solved_column(ref_grid, ref_ff, monkeypatch):
+    """Every right-hand side solved against a resolvent handle is counted by
+    that handle's ``solves``, single vectors and column blocks alike."""
+    solved = [0]
+    solve = SpdSolver.solve
+
+    def counting_solve(self, rhs):
+        solved[0] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
+        return solve(self, rhs)
+
+    monkeypatch.setattr(SpdSolver, "solve", counting_solve)
+    workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in LEVELS}
+    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
+    pl.run_suite(ref_grid, ref_ff, LEVELS, workspaces=workspaces, bundles=bundles)
+    counted = sum(h.solves for ws in workspaces.values() for h in ws._handles.values())
+    assert solved[0] > 0 and counted == solved[0]

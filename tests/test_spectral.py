@@ -138,10 +138,12 @@ def test_spd_solver_dense_and_cg_agree(mid_instance):
         assert np.allclose(x_d, x_i, rtol=0, atol=1e-9)
         assert np.linalg.norm(shifted @ x_d - rhs) <= 1e-10
         assert np.linalg.norm(shifted @ x_i - rhs) <= 1e-8
-        # batched columns match one-by-one solves
+        # a block of columns matches one-by-one solves on either path
         rhs2 = np.column_stack([rhs, start_vector(basis.dim, 8)])
-        batch = dense.solve_many(rhs2)
-        assert np.allclose(batch[:, 0], x_d, rtol=0, atol=1e-12)
+        for solver, x in ((dense, x_d), (iterative, x_i)):
+            batch = solver.solve(rhs2)
+            assert batch.shape == rhs2.shape
+            assert np.allclose(batch[:, 0], x, rtol=0, atol=1e-12)
 
 
 def test_spd_solver_rejects_indefinite():
