@@ -69,6 +69,16 @@ class FockBasis:
             )
         return int(self.rank(occ[None, :])[0])
 
+    def permute_modes(self, mode_perm: np.ndarray) -> np.ndarray:
+        """Basis permutation ``U`` that moves every boson of mode ``j`` to mode
+        ``mode_perm[j]``: state ``i`` goes to state ``out[i]``.
+
+        It keeps every sector, so it also permutes each tail within itself.
+        """
+        occ = np.empty_like(self.occupations)
+        occ[:, mode_perm] = self.occupations
+        return self.rank(occ)
+
     def sector_range(self, n: int) -> range:
         """Contiguous index range of the ``n``-boson sector."""
         if not 0 <= n <= self.nmax:

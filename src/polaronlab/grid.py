@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,10 +71,27 @@ class MomentumGrid:
             raise ConfigError(f"momentum {k.tolist()} is outside the grid box")
         return int(hits[0])
 
-    def negation_table(self) -> np.ndarray:
-        """Index of ``-k`` for every mode ``k`` (the grid is symmetric)."""
-        order = {tuple(row): j for j, row in enumerate(self.index.tolist())}
-        return np.array([order[tuple((-row).tolist())] for row in self.index], dtype=np.int64)
+    def point_group(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Signed coordinate permutations and the mode permutations they induce.
+
+        Returns ``(ops, perms)``: ``ops[g]`` is one of the ``2**d * d!``
+        signed permutation matrices (the identity first, ``-I`` among them),
+        and ``perms[g, j]`` is the mode at ``ops[g] @ k_j``.  The cube grid
+        is closed under every one of them.
+        """
+        d = self.d
+        ops = []
+        for axes in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                op = np.zeros((d, d), dtype=np.int64)
+                op[np.arange(d), axes] = signs
+                ops.append(op)
+        ops = np.array(ops)
+        m = int(round(self.K / self.h))
+        lookup = np.full((2 * m + 1,) * d, -1, dtype=np.int64)
+        lookup[tuple((self.index + m).T)] = np.arange(self.size)
+        moved = np.einsum("gab,jb->agj", ops, self.index) + m
+        return ops, lookup[tuple(moved)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -749,8 +749,9 @@ def verify_energy_derivatives(
     come from central finite differences, so the report is oracle-limited
     rather than exact.  Also records the quadratic-smallness ratio
     ``|E(k) - e0| / (g^2 k^2)``, the leading small-coupling value of
-    ``c0``, and a power-iteration bound for the momentum-weighted
-    resolvent norm.
+    ``c0``, and a power-iteration estimate of the momentum-weighted
+    resolvent norm.  That estimate approaches the norm from below and is
+    not a bound: the iteration stops at a 400-step cap, converged or not.
     """
     thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     probes = _default_probe_momenta(ws)

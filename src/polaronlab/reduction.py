@@ -13,13 +13,27 @@ curve ``E(k) = -<v|Y(k)|v>``, the one-particle kernels ``D`` and ``C``,
 and the derived decomposition (``c0``, ``psi``, ``F``, ``phi``, ``A``,
 ``S``) behind the Birman-Schwinger lower bound.  Momentum arguments enter
 only through diagonal blueprints, so probe momenta off the grid are fine.
+
+The kernels on the grid are computed on orbit representatives only.  A
+signed coordinate permutation ``g`` that fixes ``xi`` and the form factor
+maps mode ``k`` to ``g k`` and the basis by a permutation ``U_g``, and
+``U_g H(k) U_g^T = H(g k)``.  So ``Y(gk)|v> = U_g Y(k)|v>``,
+``X a_{gk}^+|v> = U_g X a_k^+|v>``, ``E(gk) = E(k)`` and
+``C(gk, gl) = C(k, l)``: ``c_matrix``, ``d_kernel`` and ``build_bundle``
+solve one column per orbit and one ``Z(s)`` per orbit of sums, and move
+the solutions to the rest of each orbit exactly.  With a trivial group
+(a generic ``xi``, a non-radial profile) every orbit is one point and
+every column is solved.  ``c_kernel``, ``lambda_direct`` and the pointwise
+solves (``y_on_v`` caches only what it solved) use no symmetry, so the
+identity suite checks the symmetrized kernels against them.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +46,8 @@ from .grid import FormFactor, MomentumGrid
 from .spectral import SolverConfig, SpdSolver, ground_energy, nu
 
 Momentum = Union[float, Sequence[float], np.ndarray]
+
+_log = logging.getLogger("polaronlab")
 
 #: restriction tags for resolvent handles
 TAIL_ONE = "tail>=1"
@@ -66,6 +82,17 @@ class ResolventHandle:
         out = np.zeros(len(vec))
         out[self.start :] = self.solve(vec[self.start :])
         return out
+
+
+def _orbits(perms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Orbits of a permutation group given by its rows ``perms[g]``.
+
+    Returns, for every item ``x``, the lowest item ``rep[x]`` of its orbit
+    and the first group element ``g`` with ``perms[g, rep[x]] == x``.
+    """
+    rep = perms.min(axis=0)
+    carrier = np.argmax(perms[:, rep] == np.arange(perms.shape[1]), axis=0)
+    return rep, carrier
 
 
 @dataclass(eq=False)
@@ -175,6 +202,12 @@ class ReductionWorkspace:
     out resolvent handles cached by restriction and shift.  All
     public methods treat vectors in the full Fock space; restrictions are
     handled internally through the contiguous sector layout.
+
+    ``mode_perms`` holds the instance's point group: the mode permutation
+    of every signed coordinate permutation that fixes ``xi`` and the form
+    factor exactly (``grid.point_group`` order).  The grid kernels solve
+    only on its orbit representatives (see the module docstring), and
+    construction logs the group order and the orbit counts at DEBUG level.
     """
 
     def __init__(
@@ -208,6 +241,20 @@ class ReductionWorkspace:
         self.sector1 = basis.sector_range(1)
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
+        ops, perms = grid.point_group()
+        keep = [
+            g for g in range(len(ops))
+            if np.array_equal(ops[g] @ self.xi, self.xi)
+            and np.array_equal(ff.values[perms[g]], ff.values)
+        ]
+        self.mode_perms = perms[keep]
+        #: group element -> basis permutation, built when first needed
+        self._basis_perms: Dict[int, np.ndarray] = {}
+        n_sums, blocks = self._sum_orbits
+        _log.debug(
+            "point group of order %d: %d mode orbits, %d of %d Z(s) sums",
+            len(keep), len(np.unique(_orbits(self.mode_perms)[0])), len(blocks), n_sums,
+        )
         self._handles: Dict[Tuple, ResolventHandle] = {}
         #: (kind, k) -> lowest shift at which that family was certified definite
         self._definite_from: Dict[Tuple[str, bytes], float] = {}
@@ -338,23 +385,100 @@ class ReductionWorkspace:
         """Mode energy ``E(k) = -<v|Y(k)|v>`` (equals ``e0`` at ``k = 0``)."""
         return -float(self.v @ self.y_on_v(k))
 
+    # -- point-group orbits ------------------------------------------------
+
+    def _basis_perm(self, g: int) -> np.ndarray:
+        """Basis permutation ``U_g`` of group element ``g`` (see ``permute_modes``)."""
+        got = self._basis_perms.get(g)
+        if got is None:
+            got = self._basis_perms[g] = self.basis.permute_modes(self.mode_perms[g])
+        return got
+
+    def _covariant_columns(self, perms: np.ndarray, solve, start: int = 0) -> np.ndarray:
+        """Columns of a covariant family (``col[perms[g, x]] = U_g col[x]``).
+
+        ``solve(reps)`` returns the columns of the orbit representatives as
+        vectors on the tail from ``start``; every other column is its
+        representative's moved by ``U_g``.
+        """
+        rep, carrier = _orbits(perms)
+        own = rep == np.arange(len(rep))
+        solved = solve(np.flatnonzero(own))
+        out = np.empty((solved.shape[0], len(rep)))
+        out[:, own] = solved
+        for x in np.flatnonzero(~own):
+            out[self._basis_perm(carrier[x])[start:] - start, x] = out[:, rep[x]]
+        return out
+
+    @cached_property
+    def _point_perms(self) -> np.ndarray:
+        """Group action on the extended-kernel points (zero stays first)."""
+        fixed = np.zeros((len(self.mode_perms), 1), dtype=np.int64)
+        return np.hstack([fixed, 1 + self.mode_perms])
+
+    @cached_property
+    def _sum_orbits(self) -> Tuple[int, list]:
+        """The ``Z(s)`` solves of ``c_matrix``: one per orbit of sums.
+
+        Point pairs ``i <= j`` of the extended kernel are grouped by their
+        sum ``s = p_i + p_j``.  Returns the number of distinct sums and, for
+        each sum that represents its orbit, ``(s, first, second)``: the
+        pairs of that sum that represent their own orbits.  Every point
+        pair is the image of exactly one of them under the group.
+        """
+        points = np.vstack([np.zeros((1, self.grid.d), dtype=np.int64), self.grid.index])
+        n = len(points)
+        pair_i, pair_j = np.triu_indices(n)
+        keys, first, pair_sum = np.unique(
+            points[pair_i] + points[pair_j], axis=0, return_index=True, return_inverse=True
+        )
+        pair_sum = pair_sum.ravel()
+        perms = self._point_perms
+        lo = np.minimum(perms[:, pair_i], perms[:, pair_j])
+        hi = np.maximum(perms[:, pair_i], perms[:, pair_j])
+        pair_perms = lo * n - lo * (lo - 1) // 2 + hi - lo  # row-major index of (lo, hi)
+        # g carries a pair of sum s to a pair of sum g s
+        sum_rep, _ = _orbits(pair_sum[pair_perms[:, first]])
+        # a pair orbit is represented by its lowest pair whose sum represents its orbit
+        eligible = sum_rep[pair_sum] == pair_sum
+        lowest = np.where(eligible[pair_perms], pair_perms, len(pair_i)).min(axis=0)
+        own = lowest == np.arange(len(pair_i))
+        momenta = self._c_points()
+        blocks = []
+        for s in np.flatnonzero(sum_rep == np.arange(len(keys))):
+            pairs = np.flatnonzero(own & (pair_sum == s))
+            at = first[s]
+            blocks.append(
+                (momenta[pair_i[at]] + momenta[pair_j[at]], pair_i[pairs], pair_j[pairs])
+            )
+        return len(keys), blocks
+
     # -- kernels ---------------------------------------------------------
 
     def d_kernel(self, eps: float = 0.0) -> np.ndarray:
         """Direct kernel ``D(k,l) = <v| a_k X(eps) a_l^+ |v>`` on grid modes.
 
         This is the exact Schur coupling of the truncated operator through
-        the >=2 tail (no pull-through rewriting involved).
+        the >=2 tail (no pull-through rewriting involved).  ``X(eps)`` is
+        solved on one raised column per mode orbit.
         """
         rhs = self._raised_v
-        return rhs.T @ self.x_handle(eps).solve(rhs)
+        handle = self.x_handle(eps)
+        solved = self._covariant_columns(
+            self.mode_perms, lambda reps: handle.solve(rhs[:, reps]), start=self.start2
+        )
+        return rhs.T @ solved
 
     @cached_property
     def _raised_v(self) -> np.ndarray:
-        """Columns ``[a_j^+ |v>]`` on the >=2 tail, one per grid mode."""
-        return np.column_stack(
-            [(fock.creator(self.basis, j).matrix @ self.v)[self.start2 :]
-             for j in range(self.basis.n_modes)]
+        """Columns ``[a_j^+ |v>]`` on the >=2 tail, one per grid mode; a
+        creator is built for one mode per orbit."""
+        return self._covariant_columns(
+            self.mode_perms,
+            lambda reps: np.column_stack(
+                [(fock.creator(self.basis, j).matrix @ self.v)[self.start2 :] for j in reps]
+            ),
+            start=self.start2,
         )
 
     @cached_property
@@ -389,36 +513,39 @@ class ReductionWorkspace:
         return 1.0 / (1.0 + self.e0) - term1 - term2
 
     def c_matrix(self) -> np.ndarray:
-        """Extended kernel ``C`` on zero + all grid modes, batched solves."""
+        """Extended kernel ``C`` on zero + all grid modes, batched solves.
+
+        ``Y(p)|v>`` and ``X(0)`` are solved for one point per orbit, and
+        ``Z(s)`` for one sum per orbit of sums; every other entry is
+        ``C(gk, gl) = C(k, l)``.
+        """
         points = self._c_points()
-        n = points.shape[0]
-        dim = self.basis.dim
-        u = np.empty((dim, n))
-        for i in range(n):
-            u[:, i] = self.y_on_v(points[i])
+        perms = self._point_perms
+        u = self._covariant_columns(
+            perms, lambda reps: np.column_stack([self.y_on_v(points[r]) for r in reps])
+        )
         w = -u
         w[0, :] += 1.0  # vacuum component
         g2 = u[self.start2 :, :]
-        x2 = self.x_handle(0.0).solve(g2)
+        x0 = self.x_handle(0.0)
+        x2 = self._covariant_columns(
+            perms, lambda reps: x0.solve(g2[:, reps]), start=self.start2
+        )
         term2 = g2.T @ x2
 
-        term1 = np.empty((n, n))
-        groups: Dict[bytes, List[Tuple[int, int]]] = {}
-        sums: Dict[bytes, np.ndarray] = {}
-        for i in range(n):
-            for j in range(i, n):
-                s = points[i] + points[j]
-                key = np.round(s / self.grid.h).astype(np.int64).tobytes()
-                groups.setdefault(key, []).append((i, j))
-                sums[key] = s
-        for key, pairs in groups.items():
-            cols = sorted({j for _, j in pairs})
-            solved = self.z_handle(sums[key]).solve(w[:, cols])
-            pos = {j: c for c, j in enumerate(cols)}
-            for i, j in pairs:
-                val = float(w[:, i] @ solved[:, pos[j]])
-                term1[i, j] = val
-                term1[j, i] = val
+        first, second, vals = [], [], []
+        for s, pair_i, pair_j in self._sum_orbits[1]:
+            cols = np.unique(pair_j)
+            solved = self.z_handle(s).solve(w[:, cols])
+            for i, j in zip(pair_i, pair_j):
+                vals.append(float(w[:, i] @ solved[:, np.searchsorted(cols, j)]))
+            first.append(pair_i)
+            second.append(pair_j)
+        first, second, vals = np.concatenate(first), np.concatenate(second), np.array(vals)
+        term1 = np.empty((len(points), len(points)))
+        for perm in perms:
+            term1[perm[first], perm[second]] = vals
+            term1[perm[second], perm[first]] = vals
         return 1.0 / (1.0 + self.e0) - term1 - term2
 
     def lambda_direct(self, k: Momentum) -> float:
@@ -480,7 +607,8 @@ class ReductionWorkspace:
         c0 = float(cext[0, 0])
         psi = cext[1:, 0] - c0
         fmat = cext[1:, 1:] - c0 - psi[:, None] - psi[None, :]
-        e_k = np.array([self.energy_curve(k) for k in modes])
+        rep, _ = _orbits(self.mode_perms)
+        e_k = np.array([self.energy_curve(modes[r]) for r in rep])
         lam0 = 1.0 / (1.0 + self.e0) - c0
         lam = 1.0 / (1.0 + self.e0) - cext[1:, 0]
 

@@ -70,6 +70,23 @@ def test_sector_layout_helpers():
     assert np.array_equal(counts, np.array([0, 1, 1, 2, 2, 2, 3, 3, 3, 3]))
 
 
+def test_permute_modes_conjugates_hamiltonian():
+    """``U_g`` moves each boson of mode ``j`` to mode ``g(j)``, keeps every
+    sector, and carries ``H(k)`` to ``H(g k)`` for a radial form factor."""
+    grid = pl.build_grid(2, 1.0, 1.0)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.3)
+    basis = pl.enumerate_basis(grid.size, 3)
+    k = np.array([0.3, -0.2])
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=-k).toarray()
+    for op, mode_perm in zip(*grid.point_group()):
+        perm = basis.permute_modes(mode_perm)
+        assert np.array_equal(np.sort(perm), np.arange(basis.dim))
+        assert np.array_equal(basis.occupations[perm][:, mode_perm], basis.occupations)
+        assert np.array_equal(basis.boson_counts()[perm], basis.boson_counts())
+        moved = pl.assemble_hamiltonian(basis, grid, ff, xi=-(op @ k)).toarray()
+        assert np.allclose(moved[np.ix_(perm, perm)], ham, rtol=0, atol=1e-13)
+
+
 def test_dimension_cap():
     # sum_{n<=13} C(n+7,7) = C(21,8) = 203490 > 200000
     with pytest.raises(DimensionCapError):

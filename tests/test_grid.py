@@ -36,12 +36,30 @@ def test_mode_id_roundtrip():
 
 
 def test_negation_table():
+    """The ``-I`` element of the point group negates every mode."""
     grid = pl.build_grid(2, 1.0, 0.5)
-    neg = grid.negation_table()
+    ops, perms = grid.point_group()
+    [neg] = [perm for op, perm in zip(ops, perms) if np.array_equal(op, -np.eye(2))]
     assert np.array_equal(grid.modes[neg], -grid.modes)
     # an involution with no fixed points (origin removed)
     assert np.array_equal(neg[neg], np.arange(grid.size))
     assert np.all(neg != np.arange(grid.size))
+
+
+@pytest.mark.parametrize("d, K, h, order", [(1, 2.0, 0.5, 2), (2, 1.0, 0.5, 8), (3, 1.0, 1.0, 48)])
+def test_point_group(d, K, h, order):
+    """Every signed coordinate permutation, the identity first, with the mode
+    permutation ``k_j -> g k_j`` it induces."""
+    grid = pl.build_grid(d, K, h)
+    ops, perms = grid.point_group()
+    assert ops.shape == (order, d, d) and perms.shape == (order, grid.size)
+    assert np.array_equal(ops[0], np.eye(d)) and np.array_equal(perms[0], np.arange(grid.size))
+    assert len({op.tobytes() for op in ops}) == order
+    for op, perm in zip(ops, perms):
+        assert np.array_equal(np.abs(op).sum(axis=0), np.ones(d))
+        assert np.array_equal(np.abs(op).sum(axis=1), np.ones(d))
+        assert np.array_equal(np.sort(perm), np.arange(grid.size))
+        assert np.array_equal(grid.modes[perm], grid.modes @ op.T)
 
 
 def test_grid_validation():

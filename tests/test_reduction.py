@@ -95,7 +95,8 @@ def test_d_kernel_matches_oracle(tiny):
 
 def test_sparse_d_kernel_reuses_raised_block(monkeypatch):
     """On the sparse path the raised vectors ``a_j^+ |v>`` are built once per
-    workspace and serve every ``eps``; the kernels match the dense path."""
+    workspace, from one creator per mode orbit, and serve every ``eps``; the
+    kernels match the dense path."""
     grid = pl.build_grid(2, 1.0, 1.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.2)
     dense = pl.build_workspace(grid, ff, 4)  # dim 495, eight modes
@@ -111,7 +112,9 @@ def test_sparse_d_kernel_reuses_raised_block(monkeypatch):
     monkeypatch.setattr(pl.fock, "creator", counting_creator)
     for eps, ref in refs.items():
         assert np.allclose(sparse.d_kernel(eps), ref, rtol=0, atol=1e-10)
-    assert built == list(range(grid.size))
+    orbits = {tuple(sorted(set(perm))) for perm in sparse.mode_perms.T.tolist()}
+    assert built == sorted(min(orbit) for orbit in orbits)
+    assert len(built) == 2  # (+-1, 0) and (+-1, +-1) up to the point group
 
 
 def test_x_family_certified_once(monkeypatch, caplog):
@@ -329,3 +332,97 @@ def test_momentum_validation(ref_workspaces):
         ws.y_on_v(np.zeros(2))  # wrong dimension
     with pytest.raises(ConfigError):
         ws.x_handle(-0.5)
+
+
+def _broken_form_factor(grid, g=0.2):
+    """Gaussian amplitudes tilted so that no point-group element but the
+    identity fixes them."""
+    ff = pl.sample_form_factor(grid, "gaussian", g)
+    tilt = 1.0 + grid.modes @ np.array([0.1, 0.03])
+    return pl.FormFactor(profile="gaussian", g=g, alpha=1.0, values=ff.values * tilt)
+
+
+@pytest.mark.parametrize(
+    "d, K, h, xi, broken, order",
+    [
+        (1, 2.0, 0.5, None, False, 2),
+        (2, 1.0, 1.0, None, False, 8),
+        (3, 1.0, 1.0, None, False, 48),  # 26 modes, dense
+        (2, 1.0, 0.5, [0.6, 0.0], False, 2),
+        (2, 1.0, 0.5, [0.6, 0.3], False, 1),
+        (2, 1.0, 1.0, None, True, 1),
+    ],
+)
+def test_workspace_point_group_order(d, K, h, xi, broken, order):
+    """The workspace keeps the signed coordinate permutations that fix ``xi``
+    and the form factor exactly, and nothing else."""
+    grid = pl.build_grid(d, K, h)
+    ff = _broken_form_factor(grid) if broken else pl.sample_form_factor(grid, "gaussian", 0.2)
+    ws = pl.build_workspace(grid, ff, 2, xi=xi)
+    ops, perms = grid.point_group()
+    kept = [any(np.array_equal(perm, p) for p in ws.mode_perms) for perm in perms]
+    assert sum(kept) == len(ws.mode_perms) == order
+    for op, perm, keep in zip(ops, perms, kept):
+        fixes = np.array_equal(op @ ws.xi, ws.xi) and np.array_equal(ff.values[perm], ff.values)
+        assert keep == fixes
+
+
+def _unsymmetrized_d_kernel(ws, eps):
+    """``R^T X(eps) R`` with every raised column solved by dense numpy."""
+    raised = np.column_stack(
+        [(pl.fock.creator(ws.basis, j).matrix @ ws.v)[ws.start2 :] for j in range(ws.grid.size)]
+    )
+    shift = eps - 1.0 - ws.e0
+    tail = ws.restricted_matrix(TAIL_TWO, np.zeros(ws.grid.d), shift).toarray()
+    return raised.T @ np.linalg.solve(tail, raised)
+
+
+@pytest.mark.parametrize(
+    "h, xi, broken",
+    [(1.0, None, False), (1.0, None, True), (0.5, [0.6, 0.0], False)],
+    ids=["radial", "broken", "shifted"],
+)
+def test_orbit_kernels_match_unsymmetrized(h, xi, broken):
+    """On the sparse path, the orbit-representative kernels equal the
+    unsymmetrized ones: ``D`` against dense solves of every raised column,
+    ``C`` against ``c_kernel`` on every point pair, ``e_k`` against
+    ``energy_curve`` on every mode."""
+    grid = pl.build_grid(2, 1.0, h)
+    ff = _broken_form_factor(grid) if broken else pl.sample_form_factor(grid, "gaussian", 0.2)
+    nmax = 4 if xi is None else 2  # dims 495 and 325
+    ws = pl.build_workspace(grid, ff, nmax, config=SolverConfig(dense_threshold=10), xi=xi)
+    for eps in (0.0, 0.3):
+        assert np.allclose(ws.d_kernel(eps), _unsymmetrized_d_kernel(ws, eps), rtol=0, atol=1e-10)
+    if xi is not None:
+        return
+    cmat = ws.c_matrix()
+    points = np.vstack([np.zeros((1, 2)), grid.modes])
+    pointwise = np.array([[ws.c_kernel(k, l) for l in points] for k in points])
+    assert pointwise.shape == (9, 9)
+    assert np.allclose(cmat, pointwise, rtol=0, atol=1e-12)
+    if not broken:
+        e_k = ws.build_bundle().e_k
+        curve = np.array([ws.energy_curve(k) for k in grid.modes])
+        assert np.allclose(e_k, curve, rtol=0, atol=1e-12)
+
+
+def test_point_group_logged(caplog):
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.1)
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        pl.build_workspace(grid, ff, 2)
+        pl.build_workspace(grid, ff, 2, xi=[0.6, 0.3])
+    events = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point group")]
+    assert events == [
+        "point group of order 8: 5 mode orbits, 15 of 81 Z(s) sums",
+        "point group of order 1: 24 mode orbits, 81 of 81 Z(s) sums",
+    ]
+    assert logging.getLogger("polaronlab").handlers == []
+
+
+def test_c_matrix_builds_one_z_handle_per_sum_orbit():
+    """15 orbits of the 81 sums ``k + l`` on the 24-mode d=2 grid."""
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.1), 2)
+    ws.c_matrix()
+    assert sum(h.kind == "full" for h in ws._handles.values()) == 15
