@@ -37,8 +37,8 @@ import numpy as np
 from . import fock, grid as gridmod, identities, storage
 from .errors import CacheCorruptionError, ConfigError, SolverError
 from .grid import FormFactor, MomentumGrid, build_grid, export_form_factor_csv, sample_form_factor
-from .identities import DEFAULT_THRESHOLDS, run_suite, schur_equivalence_report
-from .reduction import build_workspace
+from .identities import DEFAULT_THRESHOLDS, EPSILON_GRID, run_suite, schur_equivalence_report
+from .reduction import BS_LADDER, build_workspace
 from .spectral import SolverConfig, count_below, spectrum_summary
 
 _REQUIRED = object()
@@ -61,11 +61,11 @@ DEFAULT_CONFIG = {
     "xi": None,
     "solver": {f.name: f.default for f in fields(SolverConfig)},
     "thresholds": dict(DEFAULT_THRESHOLDS),
-    "epsilon_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+    "epsilon_grid": list(EPSILON_GRID),
     "scan": {
         "couplings": [0.0, 0.05, 0.1, 0.2],
     },
-    "bs_ladder": [1e-1, 1e-2, 1e-3],
+    "bs_ladder": list(BS_LADDER),
     "spectrum_count": 6,
     "fock_cap": fock.DEFAULT_FOCK_CAP,
     "cache": True,
@@ -108,25 +108,25 @@ def _apply_env(config: dict, environ) -> dict:
     for name in sorted(environ):
         if not name.startswith(_ENV_PREFIX):
             continue
-        raw_path = name[len(_ENV_PREFIX) :]
-        keys = [p.lower() for p in raw_path.split("__") if p]
-        if not keys:
+        parts = [p.lower() for p in name[len(_ENV_PREFIX) :].split("__") if p]
+        if not parts:
             raise ConfigError(f"malformed override variable {name}")
-        node = config
-        for key in keys[:-1]:
-            if not isinstance(node, dict) or key not in node:
+        node, key, value = None, None, config
+        for part in parts:
+            # keys match whatever their case (``grid.K``); no two config
+            # keys differ only by case
+            match = [k for k in value if k.lower() == part] if isinstance(value, dict) else []
+            if not match:
                 raise ConfigError(f"override {name} names an unknown config entry")
-            node = node[key]
-        leaf = keys[-1]
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"override {name} names an unknown config entry")
-        if isinstance(node[leaf], dict):
+            node, key = value, match[0]
+            value = node[key]
+        if isinstance(value, dict):
             raise ConfigError(f"override {name} targets a config section, not an entry")
         raw = environ[name]
         try:
-            node[leaf] = json.loads(raw)
+            node[key] = json.loads(raw)
         except json.JSONDecodeError:
-            node[leaf] = raw
+            node[key] = raw
     return config
 
 
@@ -157,10 +157,34 @@ def load_config(path: Optional[str], environ=None) -> dict:
     return config
 
 
+def _number(value, entry: str, kind: type = float):
+    """``kind(value)``, or a ``ConfigError`` naming ``entry`` if it does not cast."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{entry} must be a number, got {value!r}") from exc
+
+
 def _validate_values(cfg: dict) -> None:
     g = cfg["grid"]
     if not isinstance(g["d"], int) or g["d"] < 1:
         raise ConfigError(f"grid.d must be a positive integer, got {g['d']!r}")
+    f = cfg["form_factor"]
+    # every entry the commands cast to a number must cast
+    numbers = [
+        ("grid.K", g["K"], float),
+        ("grid.h", g["h"], float),
+        ("grid.mode_cap", g["mode_cap"], int),
+        ("form_factor.g", f["g"], float),
+        ("form_factor.alpha", f["alpha"], float),
+        ("spectrum_count", cfg["spectrum_count"], int),
+        ("fock_cap", cfg["fock_cap"], int),
+    ]
+    numbers += [
+        (f"solver.{s.name}", cfg["solver"][s.name], type(s.default)) for s in fields(SolverConfig)
+    ]
+    for entry, value, kind in numbers:
+        _number(value, entry, kind)
     nmax = cfg["nmax"]
     if isinstance(nmax, int):
         cfg["nmax"] = [nmax]
@@ -174,16 +198,22 @@ def _validate_values(cfg: dict) -> None:
         xi = cfg["xi"]
         if not isinstance(xi, list) or len(xi) != g["d"]:
             raise ConfigError(f"xi must be a list of {g['d']} numbers")
+        for x in xi:
+            _number(x, "xi")
     eps = cfg["epsilon_grid"]
     if not isinstance(eps, list) or not eps:
         raise ConfigError("epsilon_grid must be a non-empty list")
-    if any(not (0.0 < float(e) < 1.0) for e in eps):
+    if any(not (0.0 < _number(e, "epsilon_grid") < 1.0) for e in eps):
         raise ConfigError("epsilon_grid values must lie strictly inside (0, 1)")
     couplings = cfg["scan"]["couplings"]
     if not isinstance(couplings, list) or not couplings:
         raise ConfigError("scan.couplings must be a non-empty list")
-    if any(float(c) < 0 for c in couplings):
+    if any(_number(c, "scan.couplings") < 0 for c in couplings):
         raise ConfigError("scan.couplings must be non-negative")
+    if not isinstance(cfg["bs_ladder"], list):
+        raise ConfigError("bs_ladder must be a list")
+    for e in cfg["bs_ladder"]:
+        _number(e, "bs_ladder")
     thr = cfg["thresholds"]
     for key, value in thr.items():
         if not isinstance(value, (int, float)) or value <= 0:
@@ -219,7 +249,7 @@ class RunDirectory:
         self.artifacts: Dict[str, str] = {}
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _register(self, relpath: str, data: bytes) -> None:
+    def write_bytes(self, relpath: str, data: bytes) -> None:
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
@@ -227,7 +257,7 @@ class RunDirectory:
 
     def write_json(self, relpath: str, payload) -> None:
         text = storage.json_dumps(storage.jsonable(payload)) + "\n"
-        self._register(relpath, text.encode("utf-8"))
+        self.write_bytes(relpath, text.encode("utf-8"))
 
     def write_csv(self, relpath: str, header: List[str], rows: List[List[object]]) -> None:
         import io
@@ -237,10 +267,7 @@ class RunDirectory:
         writer.writerow(header)
         for row in rows:
             writer.writerow(["" if x is None else (repr(x) if isinstance(x, float) else x) for x in row])
-        self._register(relpath, buf.getvalue().encode("utf-8"))
-
-    def write_bytes(self, relpath: str, data: bytes) -> None:
-        self._register(relpath, data)
+        self.write_bytes(relpath, buf.getvalue().encode("utf-8"))
 
     def finalize(self) -> None:
         manifest = {
@@ -282,8 +309,7 @@ def cmd_build(args) -> int:
     grid, ff = instance_from_config(cfg)
     out = RunDirectory(args.out or _default_out(cfg, "build"), cfg, "build")
 
-    csv_text = export_form_factor_csv(grid, ff)
-    out.write_bytes("tables/form_factor.csv", csv_text.encode("utf-8"))
+    out.write_bytes("tables/form_factor.csv", export_form_factor_csv(grid, ff).encode("utf-8"))
 
     levels = {}
     for nmax in cfg["nmax"]:
@@ -326,7 +352,7 @@ def cmd_spectrum(args) -> int:
         basis = fock.enumerate_basis(grid.size, nmax, cap=int(cfg["fock_cap"]))
         xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
         ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi)
-        result = spectrum_summary(ham, basis, None, int(cfg["spectrum_count"]), solver)
+        result = spectrum_summary(ham, basis, int(cfg["spectrum_count"]), solver)
         buffer = solver.buffer(grid.h)
         n_below = count_below(ham, result.e0 + 1.0, buffer, solver)
         level = result.to_json_dict()
@@ -364,30 +390,17 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
         n: build_workspace(grid, ff, n, config=solver, xi=xi, fock_cap=int(cfg["fock_cap"]))
         for n in levels
     }
-    zero_shift = xi is None or not any(float(x) != 0.0 for x in xi)
-    bundles = {n: workspaces[n].build_bundle() for n in levels} if zero_shift else None
-
-    reports = run_suite(
-        grid,
-        ff,
-        levels,
-        config=solver,
-        thresholds=cfg["thresholds"],
-        only=only,
-        xi=xi,
-        workspaces=workspaces,
-        bundles=bundles,
-    ) if zero_shift else []
-
     top = levels[-1]
+    # the bundle's weighted decomposition exists only at zero fiber shift
+    reports, bs, assumptions = [], None, None
+    if xi is None or not any(float(x) != 0.0 for x in xi):
+        bundles = {n: workspaces[n].build_bundle() for n in levels}
+        reports = run_suite(workspaces, bundles, thresholds=cfg["thresholds"], only=only)
+        bs = workspaces[top].bs_limit_check(bundles[top], eps_ladder=cfg["bs_ladder"])
+        assumptions = workspaces[top].assumptions(bundles[top]).to_json_dict()
     equivalence = schur_equivalence_report(
         workspaces[top], eps_grid=cfg["epsilon_grid"], thresholds=cfg["thresholds"]
     )
-    bs = None
-    assumptions = None
-    if zero_shift:
-        bs = workspaces[top].bs_limit_check(bundles[top], eps_ladder=cfg["bs_ladder"])
-        assumptions = workspaces[top].assumptions(bundles[top]).to_json_dict()
 
     identity_failed = any(r.passed is False for r in reports)
     passed = not identity_failed and equivalence["consistent"]
@@ -478,11 +491,6 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     }
 
 
-def _scan_worker(payload: Tuple[dict, float]) -> dict:
-    cfg, coupling = payload
-    return _scan_row(cfg, coupling)
-
-
 def _scan_jobs(jobs: int, couplings: int) -> int:
     """Worker count: the requested jobs, but no more than couplings or cores."""
     return max(1, min(jobs, couplings, os.cpu_count() or 1))
@@ -494,7 +502,7 @@ def cmd_scan(args) -> int:
     jobs = _scan_jobs(args.jobs, len(couplings))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_worker, [(cfg, c) for c in couplings]))
+            rows = list(pool.map(_scan_row, [cfg] * len(couplings), couplings))
     else:
         rows = [_scan_row(cfg, c) for c in couplings]
     rows.sort(key=lambda r: r["coupling"])
@@ -505,38 +513,14 @@ def cmd_scan(args) -> int:
         "results/scan.json",
         {"instance": _instance_summary(cfg, grid, ff), "rows": rows},
     )
-    header = [
-        "coupling",
-        "e0",
-        "nu1",
-        "nu2",
-        "count_below_window",
-        "c0",
-        "a_norm",
-        "phi_norm",
-        "norm_identity_gap",
-        "o_min_eigenvalue",
-        "assumptions_hold",
+    columns = [
+        "coupling", "e0", "nu1", "nu2", "count_below_window", "c0", "a_norm", "phi_norm",
+        "norm_identity_gap", "o_min_eigenvalue",
     ]
     out.write_csv(
         "tables/scan.csv",
-        header,
-        [
-            [
-                r["coupling"],
-                r["e0"],
-                r["nu1"],
-                r["nu2"],
-                r["count_below_window"],
-                r["c0"],
-                r["a_norm"],
-                r["phi_norm"],
-                r["norm_identity_gap"],
-                r["o_min_eigenvalue"],
-                r["assumptions"]["all_hold"],
-            ]
-            for r in rows
-        ],
+        columns + ["assumptions_hold"],
+        [[r[c] for c in columns] + [r["assumptions"]["all_hold"]] for r in rows],
     )
     out.finalize()
     for r in rows:

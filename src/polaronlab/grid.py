@@ -57,20 +57,6 @@ class MomentumGrid:
         """Euclidean norm |k| of every mode, shape ``(M,)``."""
         return np.linalg.norm(self.modes, axis=1)
 
-    def mode_id(self, k: Sequence[float]) -> int:
-        """Index of the grid mode equal to ``k``; raises if off-grid."""
-        k = np.asarray(k, dtype=float)
-        if k.shape != (self.d,):
-            raise ConfigError(f"momentum has shape {k.shape}, expected ({self.d},)")
-        steps = k / self.h
-        ints = np.rint(steps).astype(np.int64)
-        if not np.allclose(steps, ints, atol=1e-9):
-            raise ConfigError(f"momentum {k.tolist()} is not on the grid")
-        hits = np.nonzero((self.index == ints).all(axis=1))[0]
-        if hits.size == 0:
-            raise ConfigError(f"momentum {k.tolist()} is outside the grid box")
-        return int(hits[0])
-
     def point_group(self) -> Tuple[np.ndarray, np.ndarray]:
         """Signed coordinate permutations and the mode permutations they induce.
 
@@ -199,18 +185,11 @@ def triple_norm(
     return best
 
 
-def export_form_factor_csv(grid: MomentumGrid, ff: FormFactor, path=None) -> str:
-    """Render the sampled amplitudes as CSV (k components, then v_k).
-
-    Returns the CSV text; also writes it to ``path`` when one is given.
-    """
+def export_form_factor_csv(grid: MomentumGrid, ff: FormFactor) -> str:
+    """Render the sampled amplitudes as CSV text (k components, then v_k)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"k{i}" for i in range(grid.d)] + ["v"])
     for row, v in zip(grid.modes, ff.values):
         writer.writerow([repr(float(x)) for x in row] + [repr(float(v))])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

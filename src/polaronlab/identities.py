@@ -45,11 +45,8 @@ import scipy.linalg as sla
 
 from . import fock
 from .errors import ConfigError, SolverError
-from .grid import FormFactor, MomentumGrid
-from .reduction import (
-    FULL, TAIL_ONE, TAIL_TWO, ReductionBundle, ReductionWorkspace, build_workspace,
-)
-from .spectral import SolverConfig, eigenvalues_below, start_vector
+from .reduction import FULL, TAIL_ONE, TAIL_TWO, ReductionBundle, ReductionWorkspace
+from .spectral import eigenvalues_below, start_vector
 from .storage import jsonable
 
 _log = logging.getLogger("polaronlab")
@@ -63,6 +60,9 @@ HESSIAN_STEP = 1e-3
 
 #: offsets at which the vacuum Schur scalar must be strictly decreasing
 VACUUM_SCHUR_LADDER = (0.5, 1.0, 1.5)
+
+#: offset grid of the spectral correspondence
+EPSILON_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 EXACT = "exact"
 TRUNCATION_LIMITED = "truncation-limited"
@@ -736,9 +736,7 @@ def _hessian_analytic(ws: ReductionWorkspace, k: np.ndarray) -> np.ndarray:
 
 
 def verify_energy_derivatives(
-    ws: ReductionWorkspace,
-    bundle: Optional[ReductionBundle] = None,
-    thresholds: Optional[dict] = None,
+    ws: ReductionWorkspace, bundle: ReductionBundle, thresholds: Optional[dict] = None
 ) -> IdentityReport:
     """Resolvent-calculus derivatives of the mode energy curve.
 
@@ -799,10 +797,7 @@ def verify_energy_derivatives(
     if g > 0:
         ksq = np.sum(ws.grid.modes**2, axis=1)
         c0_leading = float(np.sum(ws.ff.values**2 * ksq / (ksq + 1.0 - ws.e0) ** 2))
-        c0 = bundle.c0 if bundle is not None else ws.c_kernel(
-            np.zeros(ws.grid.d), np.zeros(ws.grid.d)
-        )
-        c0_gap_ratio = abs(c0 - c0_leading) / g**4
+        c0_gap_ratio = abs(bundle.c0 - c0_leading) / g**4
 
     norms_bound = {}
     sample = [np.zeros(ws.grid.d)] + [ws.grid.modes[j] for j in _mode_sample(ws, 2)]
@@ -956,7 +951,7 @@ def _locate_crossings(
 
 def schur_equivalence_report(
     ws: ReductionWorkspace,
-    eps_grid: Optional[Sequence[float]] = None,
+    eps_grid: Sequence[float] = EPSILON_GRID,
     thresholds: Optional[dict] = None,
 ) -> dict:
     """Bidirectional spectral correspondence through the Schur complement.
@@ -974,8 +969,6 @@ def schur_equivalence_report(
     """
     thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     tol = thr["equivalence"]
-    if eps_grid is None:
-        eps_grid = np.round(np.linspace(0.1, 0.9, 9), 12)
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     if eps_grid.size == 0 or eps_grid[0] <= 0.0 or eps_grid[-1] >= 1.0:
         raise ConfigError("offset grid must lie strictly inside (0, 1)")
@@ -1062,35 +1055,26 @@ def schur_equivalence_report(
 
 
 def run_suite(
-    grid: MomentumGrid,
-    ff: FormFactor,
-    nmax_ladder: Sequence[int],
-    config: Optional[SolverConfig] = None,
+    workspaces: Dict[int, ReductionWorkspace],
+    bundles: Dict[int, ReductionBundle],
     thresholds: Optional[dict] = None,
     only: Optional[Iterable[str]] = None,
-    xi: Optional[Sequence[float]] = None,
-    workspaces: Optional[Dict[int, ReductionWorkspace]] = None,
-    bundles: Optional[Dict[int, ReductionBundle]] = None,
 ) -> List[IdentityReport]:
     """Run the identity suite on one instance across a truncation ladder.
 
-    ``only`` filters by identity id; unknown ids are a configuration
-    error.  Workspaces and bundles may be passed in to reuse resolvent
-    handles and kernels.
+    ``workspaces`` maps each truncation level to its workspace and
+    ``bundles`` to the bundle that workspace built (``build_bundle``); the
+    caller builds both, so every check shares their resolvent handles and
+    kernels.  The energy-derivative check runs on the top level.  ``only``
+    filters by identity id; unknown ids, and an empty ladder, are
+    configuration errors.
     """
     wanted = set(IDENTITY_IDS) if only is None else set(only)
     unknown = wanted - set(IDENTITY_IDS)
     if unknown:
         raise ConfigError(f"unknown identity ids: {sorted(unknown)}")
-    levels = sorted(set(int(n) for n in nmax_ladder))
-    if not levels:
+    if not workspaces:
         raise ConfigError("need at least one truncation level")
-    if workspaces is None:
-        workspaces = {
-            n: build_workspace(grid, ff, n, config=config, xi=xi) for n in levels
-        }
-    if bundles is None:
-        bundles = {n: workspaces[n].build_bundle() for n in levels}
 
     reports: List[IdentityReport] = []
     if "pullthrough-creator" in wanted:
@@ -1114,7 +1098,7 @@ def run_suite(
     if "norm-identity" in wanted:
         reports.append(verify_norm_identity(workspaces, bundles, thresholds))
     if "energy-derivatives" in wanted:
-        top = levels[-1]
+        top = max(workspaces)
         reports.append(
             verify_energy_derivatives(workspaces[top], bundles[top], thresholds)
         )

@@ -54,6 +54,9 @@ TAIL_ONE = "tail>=1"
 TAIL_TWO = "tail>=2"
 FULL = "full"
 
+#: regularizations of the Birman-Schwinger limit check, largest first
+BS_LADDER = (1e-1, 1e-2, 1e-3)
+
 
 @dataclass(eq=False)
 class ResolventHandle:
@@ -97,15 +100,16 @@ def _orbits(perms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class ReductionBundle:
-    """All reduction objects of one instance at one regularization ``eps``.
+    """The reduction objects of one instance at ``eps = 0``.
 
-    ``cmat_ext`` is the kernel ``C`` on grid modes plus the zero momentum:
-    row/column 0 is the zero-momentum point, rows/columns ``1..M`` are the
-    grid modes in grid order.  ``phi`` and ``smat`` are ``None`` when
-    ``c0 <= 0`` (free coupling); the decomposition is then reported absent.
+    Built by ``ReductionWorkspace.build_bundle``.  ``cmat_ext`` is the
+    kernel ``C`` on grid modes plus the zero momentum: row/column 0 is the
+    zero-momentum point, rows/columns ``1..M`` are the grid modes in grid
+    order.  ``dmat`` is ``D(0)`` and ``omat`` the one-particle Schur
+    complement ``O(0)``.  ``phi`` and ``smat`` are ``None`` when ``c0 <= 0``
+    (free coupling); the decomposition is then reported absent.
     """
 
-    eps: float
     e0: float
     mode_norms: np.ndarray
     v: np.ndarray
@@ -113,10 +117,6 @@ class ReductionBundle:
     dmat: np.ndarray
     cmat_ext: np.ndarray
     c0: float
-    psi: np.ndarray
-    fmat: np.ndarray
-    lam: np.ndarray
-    lam0: float
     amat: np.ndarray
     omat: np.ndarray
     phi: Optional[np.ndarray] = None
@@ -333,9 +333,9 @@ class ReductionWorkspace:
         """Apply ``Z(s)`` to a full-space vector."""
         return self.z_handle(s).apply(vec)
 
-    def apply_x(self, vec: np.ndarray, eps: float = 0.0) -> np.ndarray:
-        """Apply ``X(eps)`` to the >=2 tail of a full-space vector."""
-        return self.x_handle(eps).apply(vec)
+    def apply_x(self, vec: np.ndarray) -> np.ndarray:
+        """Apply ``X(0)`` to the >=2 tail of a full-space vector."""
+        return self.x_handle().apply(vec)
 
     def project_tail(self, vec: np.ndarray, n: int) -> np.ndarray:
         """Zero out all sectors below ``n``."""
@@ -588,8 +588,8 @@ class ReductionWorkspace:
         vvals = self.ff.values
         return np.diag(eps + kin[self.mode_state] - self.e0) - dmat + np.outer(vvals, vvals) / denom
 
-    def build_bundle(self, eps: float = 0.0) -> ReductionBundle:
-        """Assemble every reduction object of this instance at once.
+    def build_bundle(self) -> ReductionBundle:
+        """Assemble every reduction object of this instance at ``eps = 0``.
 
         The momentum-weighted decomposition (``A``, ``phi``, ``S``) is a
         zero-fiber-shift construction, so a workspace with a nonzero shift
@@ -609,8 +609,6 @@ class ReductionWorkspace:
         fmat = cext[1:, 1:] - c0 - psi[:, None] - psi[None, :]
         rep, _ = _orbits(self.mode_perms)
         e_k = np.array([self.energy_curve(modes[r]) for r in rep])
-        lam0 = 1.0 / (1.0 + self.e0) - c0
-        lam = 1.0 / (1.0 + self.e0) - cext[1:, 0]
 
         amat = np.diag((e_k - self.e0) / norms**2) + (
             (vvals / norms)[:, None] * fmat * (vvals / norms)[None, :]
@@ -621,12 +619,11 @@ class ReductionWorkspace:
             phi = vvals * psi / (np.sqrt(c0) * norms)
             smat = np.eye(len(norms)) + amat - np.outer(phi, phi)
 
-        dmat = self.d_kernel(eps)
-        omat = self.one_particle_operator(eps, dmat=dmat)
+        dmat = self.d_kernel(0.0)
+        omat = self.one_particle_operator(0.0, dmat=dmat)
         nu1 = nu(self.hamiltonian, self.e0, 1, self.basis, self.config)
         nu2 = nu(self.hamiltonian, self.e0, 2, self.basis, self.config)
         return ReductionBundle(
-            eps=eps,
             e0=self.e0,
             mode_norms=norms,
             v=vvals.copy(),
@@ -634,10 +631,6 @@ class ReductionWorkspace:
             dmat=dmat,
             cmat_ext=cext,
             c0=c0,
-            psi=psi,
-            fmat=fmat,
-            lam=lam,
-            lam0=lam0,
             amat=amat,
             omat=omat,
             phi=phi,
@@ -649,7 +642,7 @@ class ReductionWorkspace:
     # -- regularized limit and standing assumptions ------------------------
 
     def bs_limit_check(
-        self, bundle: ReductionBundle, eps_ladder: Iterable[float] = (1e-1, 1e-2, 1e-3)
+        self, bundle: ReductionBundle, eps_ladder: Iterable[float] = BS_LADDER
     ) -> dict:
         """Regularized Birman-Schwinger infima against ``min spec S``.
 
@@ -660,14 +653,13 @@ class ReductionWorkspace:
         ladder = sorted(eps_ladder, reverse=True)
         if not ladder:
             raise ConfigError("need at least one regularization value")
-        omat0 = self.one_particle_operator(0.0, dmat=bundle.dmat)
         ksq = bundle.mode_norms**2
         values = []
         for eps in ladder:
             if eps <= 0:
                 raise ConfigError(f"regularization must be positive, got {eps}")
             scale = 1.0 / np.sqrt(ksq + eps)
-            weighted = scale[:, None] * omat0 * scale[None, :]
+            weighted = scale[:, None] * bundle.omat * scale[None, :]
             values.append(float(sla.eigvalsh(weighted)[0]))
         target = bundle.s_min_eigenvalue()
         gap = None if target is None else abs(values[-1] - target)
@@ -678,10 +670,8 @@ class ReductionWorkspace:
             "final_gap": gap,
         }
 
-    def assumptions(self, bundle: Optional[ReductionBundle] = None) -> AssumptionReport:
-        """Evaluate the standing assumptions on this instance."""
-        if bundle is None:
-            bundle = self.build_bundle()
+    def assumptions(self, bundle: ReductionBundle) -> AssumptionReport:
+        """Evaluate the standing assumptions on this instance and its bundle."""
         active = self.ff.g > 0.0
         return AssumptionReport(
             e0=self.e0,

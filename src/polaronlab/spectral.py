@@ -152,7 +152,11 @@ class SymmetricFactor:
         return x
 
 
-class _Eigenpairs(NamedTuple):
+class Eigenpairs(NamedTuple):
+    """Ascending eigenpairs with their residuals ``|A x - lam x|`` and the
+    path taken: ``"dense"``, or ``"shift-invert"`` with ``iterations``
+    factor solves."""
+
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
@@ -160,9 +164,13 @@ class _Eigenpairs(NamedTuple):
     iterations: int
 
 
-def _eigenpairs(op: MatrixLike, count: int, config: SolverConfig) -> _Eigenpairs:
-    """``count`` smallest residual-certified eigenpairs plus the path taken:
-    ``"dense"``, or ``"shift-invert"`` with the number of factor solves."""
+def lowest_eigenpairs(op: MatrixLike, count: int, config: SolverConfig) -> Eigenpairs:
+    """``count`` smallest eigenpairs of a real symmetric operator.
+
+    Dense diagonalization below the fallback threshold, shift-invert
+    Lanczos on a ``SymmetricFactor`` above it.  Every returned pair is
+    certified by its residual; one above tolerance is a ``SolverError``.
+    """
     mat = _as_matrix(op)
     dim = mat.shape[0]
     if count < 1 or count > dim:
@@ -205,20 +213,7 @@ def _eigenpairs(op: MatrixLike, count: int, config: SolverConfig) -> _Eigenpairs
         raise SolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance ({method})"
         )
-    return _Eigenpairs(vals, vecs, residuals, method, iterations)
-
-
-def lowest_eigenpairs(
-    op: MatrixLike, count: int, config: SolverConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``count`` smallest eigenpairs of a real symmetric operator.
-
-    Dense diagonalization below the fallback threshold, shift-invert
-    Lanczos on a ``SymmetricFactor`` above it.  Every returned pair is
-    certified by its residual ``|A x - lam x|``.
-    """
-    pairs = _eigenpairs(op, count, config)
-    return pairs.values, pairs.vectors
+    return Eigenpairs(vals, vecs, residuals, method, iterations)
 
 
 def _signed_unit(vec: np.ndarray) -> np.ndarray:
@@ -231,15 +226,15 @@ def _signed_unit(vec: np.ndarray) -> np.ndarray:
 
 def ground_energy(op: MatrixLike, config: SolverConfig) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit ground vector."""
-    vals, vecs = lowest_eigenpairs(op, 1, config)
-    return float(vals[0]), _signed_unit(vecs[:, 0])
+    pairs = lowest_eigenpairs(op, 1, config)
+    return float(pairs.values[0]), _signed_unit(pairs.vectors[:, 0])
 
 
 def spectrum_summary(
-    op: MatrixLike, basis: FockBasis, e0_shift: Optional[float], count: int, config: SolverConfig
+    op: MatrixLike, basis: FockBasis, count: int, config: SolverConfig
 ) -> SpectralResult:
-    """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2."""
-    pairs = _eigenpairs(op, min(count, _as_matrix(op).shape[0]), config)
+    """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them."""
+    pairs = lowest_eigenpairs(op, min(count, _as_matrix(op).shape[0]), config)
     ground = _signed_unit(pairs.vectors[:, 0])
     result = SpectralResult(
         eigenvalues=pairs.values,
@@ -249,11 +244,10 @@ def spectrum_summary(
         method=pairs.method,
         iterations=pairs.iterations,
     )
-    e0 = result.e0 if e0_shift is None else e0_shift
     if basis.nmax >= 1:
-        result.nu1 = nu(op, e0, 1, basis, config)
+        result.nu1 = nu(op, result.e0, 1, basis, config)
     if basis.nmax >= 2:
-        result.nu2 = nu(op, e0, 2, basis, config)
+        result.nu2 = nu(op, result.e0, 2, basis, config)
     return result
 
 
@@ -269,8 +263,7 @@ def nu(op: MatrixLike, e0: float, n: int, basis: FockBasis, config: SolverConfig
     mat = _as_matrix(op).tocsr()
     start = basis.tail_start(n)
     sub = mat[start:, start:]
-    vals, _ = lowest_eigenpairs(sub, 1, config)
-    return float(vals[0]) - 1.0 - e0
+    return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 
 def count_below(
@@ -305,7 +298,7 @@ def eigenvalues_below(op: MatrixLike, threshold: float, config: SolverConfig) ->
         vals = sla.eigvalsh(_dense(mat))
         return vals[vals < threshold]
     count = count_below(mat, threshold, 0.0, config)
-    vals, _ = lowest_eigenpairs(mat, count, config)
+    vals = lowest_eigenpairs(mat, count, config).values
     if vals[-1] >= threshold:
         raise SolverError(
             f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "

@@ -27,13 +27,9 @@ _RECORD_DTYPE = np.dtype([("row", "<i8"), ("col", "<i8"), ("value", "<f8")])
 _FLAG_HERMITIAN = 1
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_bytes(data: bytes) -> str:
-    """Content hash used for artifact manifests."""
-    return _sha256(data)
+    """Hex SHA-256 of ``data``: the content hash of artifacts and configs."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def jsonable(value: Any) -> Any:
@@ -63,12 +59,16 @@ def json_dumps(payload: Dict[str, Any]) -> str:
 
 
 def read_json(path: Path) -> Dict[str, Any]:
-    return json.loads(Path(path).read_text())
+    """Parse a JSON artifact; one that does not parse is corrupt."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise CacheCorruptionError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def config_hash(payload: Dict[str, Any]) -> str:
     """Content hash of a JSON-serializable configuration."""
-    return _sha256(json.dumps(payload, sort_keys=True).encode())
+    return sha256_bytes(json.dumps(payload, sort_keys=True).encode())
 
 
 def operator_bytes(op: SparseOperator) -> bytes:
@@ -91,7 +91,7 @@ def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, D
         "dimension": op.dim,
         "nnz": op.nnz,
         "hermitian": op.hermitian,
-        "sha256": _sha256(blob),
+        "sha256": sha256_bytes(blob),
         "meta": meta,
     }
     return blob, sidecar
@@ -105,7 +105,7 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     bin_path = base.with_suffix(".bin")
     sidecar = read_json(base.with_suffix(".json"))
     blob = bin_path.read_bytes()
-    if _sha256(blob) != sidecar.get("sha256"):
+    if sha256_bytes(blob) != sidecar.get("sha256"):
         raise CacheCorruptionError(f"content hash mismatch for {bin_path}")
     if len(blob) < _HEADER.size:
         raise CacheCorruptionError(f"truncated operator file {bin_path}")

@@ -62,10 +62,8 @@ def bundles(workspaces):
 
 
 @pytest.fixture(scope="module")
-def suite(grid, workspaces, bundles, solver):
-    return pl.run_suite(
-        grid, workspaces[2].ff, LADDER, config=solver, workspaces=workspaces, bundles=bundles
-    )
+def suite(workspaces, bundles):
+    return pl.run_suite(workspaces, bundles)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +95,7 @@ def test_criterion_01_free_theory(grid, solver):
     ff = pl.sample_form_factor(grid, "gaussian", 0.0)
     basis = pl.enumerate_basis(grid.size, 4)
     ham = pl.assemble_hamiltonian(basis, grid, ff)
-    summary = pl.spectrum_summary(ham, basis, None, 6, solver)
+    summary = pl.spectrum_summary(ham, basis, 6, solver)
     e0 = summary.eigenvalues[0]
     below = pl.count_below(ham, e0 + 1.0, 0.1, solver)
     elapsed = time.perf_counter() - started
@@ -247,7 +245,7 @@ def test_criterion_08_coupling_scan(coupling_workspaces, coupling_bundles, solve
     rows = {}
     for g in COUPLINGS:
         ws = coupling_workspaces[g]
-        summary = pl.spectrum_summary(ws.hamiltonian, ws.basis, ws.e0, 4, solver)
+        summary = pl.spectrum_summary(ws.hamiltonian, ws.basis, 4, solver)
         rows[g] = {
             "e0": ws.e0,
             "nu2": summary.nu2,

@@ -73,6 +73,35 @@ def test_value_validation_is_fatal(tmp_path):
     assert cli.main(["build", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+NON_NUMERIC = [
+    # entry, environment value, config-file override
+    ("form_factor.g", "abc", {"form_factor": {"profile": "gaussian", "g": "abc"}}),
+    ("epsilon_grid", '["a"]', {"epsilon_grid": ["a"]}),
+    ("solver.lin_tol", "abc", {"solver": {"lin_tol": "abc"}}),
+    ("fock_cap", "abc", {"fock_cap": "abc"}),
+    ("xi", '["a"]', {"xi": ["a"]}),
+    ("bs_ladder", '["a"]', {"bs_ladder": ["a"]}),
+    ("grid.K", "abc", {"grid": {"d": 1, "K": "abc", "h": 1.0}}),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, raw, override", [pytest.param(*case, id=case[0]) for case in NON_NUMERIC]
+)
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_non_numeric_value_is_a_config_error(
+    tmp_path, monkeypatch, capsys, source, entry, raw, override
+):
+    """A value read as a number that is none exits 2 and names its entry."""
+    if source == "file":
+        cfg = _write_config(tmp_path, **override)
+    else:
+        cfg = _write_config(tmp_path)
+        monkeypatch.setenv("POLARONLAB_" + entry.upper().replace(".", "__"), raw)
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{entry} must be a number" in capsys.readouterr().err
+
+
 def test_build_artifacts(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "build"
@@ -161,7 +190,9 @@ def test_verify_nonzero_fiber_shift(tmp_path, capsys):
     out = tmp_path / "shifted"
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "results" / "verification.json").read_text())
+    jsonschema.validate(payload, _schema("verification.schema.json"))
     assert payload["identities"] == []
+    assert payload["bs_limit"] is None
     assert payload["assumptions"] is None
     eq = payload["equivalence"]
     assert eq["consistent"] is True
@@ -187,6 +218,16 @@ def test_env_overrides(tmp_path, monkeypatch):
     ][0]
     assert e0_weak > e0_base  # weaker coupling binds less
     monkeypatch.delenv("POLARONLAB_FORM_FACTOR__G")
+
+    # keys match whatever their case: ``K`` is reached through ``GRID__K``
+    monkeypatch.setenv("POLARONLAB_GRID__K", "2.0")
+    out3 = tmp_path / "wide"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out3)]) == 0
+    manifest = json.loads((out3 / "manifest.json").read_text())
+    assert manifest["config"]["grid"]["K"] == 2.0
+    instance = json.loads((out3 / "results" / "spectrum.json").read_text())["instance"]
+    assert instance["cutoff"] == 2.0 and instance["mode_count"] == 4
+    monkeypatch.delenv("POLARONLAB_GRID__K")
 
     monkeypatch.setenv("POLARONLAB_NOSUCH", "1")
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -219,6 +260,13 @@ def test_report_detects_corruption(tmp_path, capsys):
     target.unlink()
     assert cli.main(["report", "--out", str(out)]) == 4
     assert cli.main(["report", "--out", str(tmp_path / "missing")]) == 2
+
+    # a truncated manifest is corruption too, not a traceback
+    manifest = out / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:40])
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == 4
+    assert "manifest.json is not valid JSON" in capsys.readouterr().err
 
 
 def test_report_summarizes_verification(tmp_path, capsys):

@@ -27,9 +27,16 @@ from polaronlab.spectral import SpdSolver
 LEVELS = (2, 3, 4)
 
 
+def _suite(grid, ff, levels, **kwargs):
+    """The identity suite on freshly built workspaces and bundles."""
+    workspaces = {n: pl.build_workspace(grid, ff, n) for n in levels}
+    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
+    return pl.run_suite(workspaces, bundles, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def small_suite(small_grid, small_ff):
-    reports = pl.run_suite(small_grid, small_ff, LEVELS)
+    reports = _suite(small_grid, small_ff, LEVELS)
     return {r.identity: r for r in reports}
 
 
@@ -117,16 +124,16 @@ def test_report_serializes_to_json(small_suite):
 
 
 def test_suite_filter_and_unknown_id(small_grid, small_ff):
-    reports = pl.run_suite(small_grid, small_ff, LEVELS, only=["vacuum-schur"])
+    reports = _suite(small_grid, small_ff, LEVELS, only=["vacuum-schur"])
     assert [r.identity for r in reports] == ["vacuum-schur"]
     with pytest.raises(ConfigError):
-        pl.run_suite(small_grid, small_ff, LEVELS, only=["vacuum-schur", "bogus-id"])
+        _suite(small_grid, small_ff, LEVELS, only=["vacuum-schur", "bogus-id"])
     with pytest.raises(ConfigError):
-        pl.run_suite(small_grid, small_ff, ())
+        pl.run_suite({}, {})
 
 
 def test_single_level_has_no_trend(small_grid, small_ff):
-    reports = pl.run_suite(small_grid, small_ff, (3,))
+    reports = _suite(small_grid, small_ff, (3,))
     for report in reports:
         # one point is not a ladder: nothing can fail on trend alone
         assert report.passed is not False
@@ -134,7 +141,7 @@ def test_single_level_has_no_trend(small_grid, small_ff):
 
 def test_free_coupling_suite(small_grid):
     ff0 = pl.sample_form_factor(small_grid, "gaussian", 0.0)
-    reports = {r.identity: r for r in pl.run_suite(small_grid, ff0, LEVELS)}
+    reports = {r.identity: r for r in _suite(small_grid, ff0, LEVELS)}
     # residuals collapse to the numerical floor; that must count as passing
     for name in ("pullthrough-creator", "lambda-oneboson", "c0-identity"):
         assert reports[name].passed is True
@@ -287,15 +294,8 @@ def test_equivalence_grid_validation(ref_workspaces):
         pl.schur_equivalence_report(ref_workspaces[2], eps_grid=[])
 
 
-def test_suite_reuses_prebuilt_workspaces(ref_grid, ref_ff, ref_workspaces, ref_bundles):
-    reports = pl.run_suite(
-        ref_grid,
-        ref_ff,
-        LEVELS,
-        only=["vacuum-schur", "norm-identity"],
-        workspaces=ref_workspaces,
-        bundles=ref_bundles,
-    )
+def test_suite_reuses_prebuilt_workspaces(ref_workspaces, ref_bundles):
+    reports = pl.run_suite(ref_workspaces, ref_bundles, only=["vacuum-schur", "norm-identity"])
     by_name = {r.identity: r for r in reports}
     assert by_name["vacuum-schur"].passed is True
     assert by_name["norm-identity"].passed is True
@@ -310,7 +310,7 @@ def test_energy_derivatives_symmetry_zero_component():
     symmetry; its rounding noise must not fail the finite-difference check."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.05), 2)
-    report = verify_energy_derivatives(ws)
+    report = verify_energy_derivatives(ws, ws.build_bundle())
     assert report.residuals["gradient_rel"][0] <= 1e-7
     assert report.passed is True
 
@@ -321,7 +321,8 @@ def test_sparse_paths_pass_reference_suite(ref_grid, ref_ff, shifted_workspace):
     shifted instance whose window holds three fiber eigenvalues."""
     cfg = pl.SolverConfig(dense_threshold=10)
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n, config=cfg) for n in LEVELS}
-    reports = pl.run_suite(ref_grid, ref_ff, LEVELS, workspaces=workspaces)
+    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
+    reports = pl.run_suite(workspaces, bundles)
     assert [r.identity for r in reports if not r.passed] == []
     assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
     shifted = shifted_workspace
@@ -371,6 +372,6 @@ def test_handles_count_every_solved_column(ref_grid, ref_ff, monkeypatch):
     monkeypatch.setattr(SpdSolver, "solve", counting_solve)
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in LEVELS}
     bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
-    pl.run_suite(ref_grid, ref_ff, LEVELS, workspaces=workspaces, bundles=bundles)
+    pl.run_suite(workspaces, bundles)
     counted = sum(h.solves for ws in workspaces.values() for h in ws._handles.values())
     assert solved[0] > 0 and counted == solved[0]

@@ -25,8 +25,8 @@ def test_dense_and_lanczos_agree(mid_instance):
     grid, ff, basis, ham = mid_instance
     dense_cfg = SolverConfig(dense_threshold=500)
     sparse_cfg = SolverConfig(dense_threshold=10)
-    vals_d, _ = pl.lowest_eigenpairs(ham, 4, dense_cfg)
-    vals_s, _ = pl.lowest_eigenpairs(ham, 4, sparse_cfg)
+    vals_d = pl.lowest_eigenpairs(ham, 4, dense_cfg).values
+    vals_s = pl.lowest_eigenpairs(ham, 4, sparse_cfg).values
     assert np.allclose(vals_d, vals_s, rtol=0, atol=1e-9)
 
 
@@ -58,7 +58,7 @@ def test_free_theory_exact_values():
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff)
     cfg = SolverConfig()
-    result = pl.spectrum_summary(ham, basis, None, 4, cfg)
+    result = pl.spectrum_summary(ham, basis, 4, cfg)
     assert abs(result.e0) <= 1e-14
     assert result.vacuum_overlap == pytest.approx(1.0, abs=1e-12)
     assert result.nu1 == pytest.approx(grid.h**2, abs=1e-12)
@@ -100,8 +100,8 @@ def test_ground_energy_nonincreasing_in_coupling():
 
 def test_spectrum_summary_residuals_certified(mid_instance):
     grid, ff, basis, ham = mid_instance
-    dense = pl.spectrum_summary(ham, basis, None, 6, SolverConfig())
-    sparse = pl.spectrum_summary(ham, basis, None, 6, SolverConfig(dense_threshold=10))
+    dense = pl.spectrum_summary(ham, basis, 6, SolverConfig())
+    sparse = pl.spectrum_summary(ham, basis, 6, SolverConfig(dense_threshold=10))
     for result in (dense, sparse):
         assert result.eigenvalues.shape == (6,)
         assert np.all(np.diff(result.eigenvalues) >= 0)
@@ -120,7 +120,7 @@ def test_spectrum_summary_residuals_certified(mid_instance):
     tiny_ham = pl.assemble_hamiltonian(
         tiny, tiny_grid, pl.sample_form_factor(tiny_grid, "gaussian", 0.2)
     )
-    full = pl.spectrum_summary(tiny_ham, tiny, None, 10, SolverConfig(dense_threshold=5))
+    full = pl.spectrum_summary(tiny_ham, tiny, 10, SolverConfig(dense_threshold=5))
     assert (full.method, full.iterations) == ("dense", 0)
 
 
