@@ -46,12 +46,7 @@ from .identities import (
     verify_resolvent_identities,
     verify_vacuum_schur,
 )
-from .reduction import (
-    AssumptionReport,
-    ReductionBundle,
-    ReductionWorkspace,
-    build_workspace,
-)
+from .reduction import ReductionBundle, ReductionWorkspace, build_workspace
 from .spectral import (
     SolverConfig,
     SpectralResult,
@@ -65,7 +60,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
     "CacheCorruptionError",
     "ConfigError",
     "DimensionCapError",

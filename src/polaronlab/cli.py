@@ -28,7 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -158,7 +158,10 @@ def load_config(path: Optional[str], environ=None) -> dict:
 
 
 def _number(value, entry: str, kind: type = float):
-    """``kind(value)``, or a ``ConfigError`` naming ``entry`` if it does not cast."""
+    """``kind(value)``, or a ``ConfigError`` naming ``entry`` if it does not
+    cast.  A boolean is no number here, although Python casts it to one."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{entry} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -167,11 +170,10 @@ def _number(value, entry: str, kind: type = float):
 
 def _validate_values(cfg: dict) -> None:
     g = cfg["grid"]
-    if not isinstance(g["d"], int) or g["d"] < 1:
-        raise ConfigError(f"grid.d must be a positive integer, got {g['d']!r}")
     f = cfg["form_factor"]
     # every entry the commands cast to a number must cast
     numbers = [
+        ("grid.d", g["d"], int),
         ("grid.K", g["K"], float),
         ("grid.h", g["h"], float),
         ("grid.mode_cap", g["mode_cap"], int),
@@ -185,7 +187,11 @@ def _validate_values(cfg: dict) -> None:
     ]
     for entry, value, kind in numbers:
         _number(value, entry, kind)
+    if not isinstance(g["d"], int) or g["d"] < 1:
+        raise ConfigError(f"grid.d must be a positive integer, got {g['d']!r}")
     nmax = cfg["nmax"]
+    for n in nmax if isinstance(nmax, list) else [nmax]:
+        _number(n, "nmax", int)
     if isinstance(nmax, int):
         cfg["nmax"] = [nmax]
     elif isinstance(nmax, list) and nmax and all(isinstance(n, int) for n in nmax):
@@ -214,10 +220,10 @@ def _validate_values(cfg: dict) -> None:
         raise ConfigError("bs_ladder must be a list")
     for e in cfg["bs_ladder"]:
         _number(e, "bs_ladder")
-    thr = cfg["thresholds"]
-    for key, value in thr.items():
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"thresholds.{key} must be positive, got {value!r}")
+    for key, value in cfg["thresholds"].items():
+        entry = f"thresholds.{key}"
+        if isinstance(value, str) or _number(value, entry) <= 0:
+            raise ConfigError(f"{entry} must be positive, got {value!r}")
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
@@ -265,7 +271,7 @@ class RunDirectory:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
+        for row in storage.jsonable(rows):
             writer.writerow(["" if x is None else (repr(x) if isinstance(x, float) else x) for x in row])
         self.write_bytes(relpath, buf.getvalue().encode("utf-8"))
 
@@ -379,12 +385,18 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
-    grid, ff = instance_from_config(cfg)
-    solver = solver_from_config(cfg)
+def _reduction_levels(cfg: dict) -> List[int]:
+    """The truncation levels the reduction can use (``nmax >= 2``), ascending."""
     levels = [n for n in cfg["nmax"] if n >= 2]
     if not levels:
         raise ConfigError("verification needs at least one truncation level >= 2")
+    return levels
+
+
+def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
+    grid, ff = instance_from_config(cfg)
+    solver = solver_from_config(cfg)
+    levels = _reduction_levels(cfg)
     xi = cfg["xi"]
     workspaces = {
         n: build_workspace(grid, ff, n, config=solver, xi=xi, fock_cap=int(cfg["fock_cap"]))
@@ -396,8 +408,8 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     if xi is None or not any(float(x) != 0.0 for x in xi):
         bundles = {n: workspaces[n].build_bundle() for n in levels}
         reports = run_suite(workspaces, bundles, thresholds=cfg["thresholds"], only=only)
-        bs = workspaces[top].bs_limit_check(bundles[top], eps_ladder=cfg["bs_ladder"])
-        assumptions = workspaces[top].assumptions(bundles[top]).to_json_dict()
+        bs = bundles[top].bs_limit_check([float(e) for e in cfg["bs_ladder"]])
+        assumptions = bundles[top].assumptions()
     equivalence = schur_equivalence_report(
         workspaces[top], eps_grid=cfg["epsilon_grid"], thresholds=cfg["thresholds"]
     )
@@ -406,7 +418,7 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     passed = not identity_failed and equivalence["consistent"]
     return {
         "instance": _instance_summary(cfg, grid, ff),
-        "identities": [r.to_json_dict() for r in reports],
+        "identities": [asdict(r) for r in reports],
         "equivalence": equivalence,
         "bs_limit": bs,
         "assumptions": assumptions,
@@ -463,10 +475,10 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     ff = sample_form_factor(
         grid, cfg["form_factor"]["profile"], float(coupling), alpha=float(cfg["form_factor"]["alpha"])
     )
-    top = max(n for n in cfg["nmax"] if n >= 2)
+    top = _reduction_levels(cfg)[-1]
     ws = build_workspace(grid, ff, top, config=solver, fock_cap=int(cfg["fock_cap"]))
     bundle = ws.build_bundle()
-    report = ws.assumptions(bundle)
+    assumptions = bundle.assumptions()
     buffer = solver.buffer(grid.h)
     n_below = count_below(ws.hamiltonian, ws.e0 + 1.0, buffer, solver)
     o_min = min(
@@ -483,11 +495,11 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
         "nu2": bundle.nu2,
         "count_below_window": n_below,
         "c0": bundle.c0,
-        "a_norm": bundle.a_norm if report.coupling_active else None,
+        "a_norm": assumptions["a_norm"],
         "phi_norm": bundle.phi_norm,
         "norm_identity_gap": None if norm_residual is None else abs(norm_residual - 1.0),
         "o_min_eigenvalue": o_min,
-        "assumptions": report.to_json_dict(),
+        "assumptions": assumptions,
     }
 
 
@@ -498,6 +510,7 @@ def _scan_jobs(jobs: int, couplings: int) -> int:
 
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
+    _reduction_levels(cfg)  # a configuration error, raised before any worker starts
     couplings = [float(c) for c in cfg["scan"]["couplings"]]
     jobs = _scan_jobs(args.jobs, len(couplings))
     if jobs > 1:
@@ -537,8 +550,11 @@ def cmd_report(args) -> int:
     if not manifest_path.exists():
         raise ConfigError(f"no manifest found under {root}")
     manifest = storage.read_json(manifest_path)
+    artifacts = manifest.get("artifacts", {}) if isinstance(manifest, dict) else None
+    if not isinstance(artifacts, dict):
+        raise CacheCorruptionError(f"{manifest_path} is not a run manifest")
     mismatched = []
-    for relpath, digest in manifest.get("artifacts", {}).items():
+    for relpath, digest in artifacts.items():
         target = root / relpath
         if not target.exists():
             mismatched.append((relpath, "missing"))
@@ -551,7 +567,7 @@ def cmd_report(args) -> int:
             print(f"corrupt artifact: {relpath} ({why})", file=sys.stderr)
         raise CacheCorruptionError(f"{len(mismatched)} artifacts failed re-hashing under {root}")
 
-    print(f"run directory {root} is intact ({len(manifest.get('artifacts', {}))} artifacts)")
+    print(f"run directory {root} is intact ({len(artifacts)} artifacts)")
     print(f"command: {manifest.get('command')}  config hash: {manifest.get('config_sha256', '')[:12]}")
     verification = root / "results" / "verification.json"
     if verification.exists():

@@ -47,7 +47,6 @@ from . import fock
 from .errors import ConfigError, SolverError
 from .reduction import FULL, TAIL_ONE, TAIL_TWO, ReductionBundle, ReductionWorkspace
 from .spectral import eigenvalues_below, start_vector
-from .storage import jsonable
 
 _log = logging.getLogger("polaronlab")
 
@@ -81,6 +80,8 @@ IDENTITY_IDS = (
     "energy-derivatives",
 )
 
+#: bounds of the checks; each check reads a full table, and ``run_suite``
+#: is the one place that overlays a caller's entries on this one
 DEFAULT_THRESHOLDS = {
     "exact": 1e-9,
     "protected": 1e-8,
@@ -108,21 +109,6 @@ class IdentityReport:
     passed: Optional[bool] = None
     details: Dict[str, object] = field(default_factory=dict)
     notes: str = ""
-
-    def to_json_dict(self) -> dict:
-        return jsonable(
-            {
-                "identity": self.identity,
-                "classification": self.classification,
-                "nmax_levels": [int(n) for n in self.nmax_levels],
-                "residuals": self.residuals,
-                "summary": self.summary,
-                "threshold": self.threshold,
-                "passed": self.passed,
-                "details": self.details,
-                "notes": self.notes,
-            }
-        )
 
 
 TREND_FLOOR = 1e-13
@@ -257,7 +243,7 @@ def _pullthrough_resolvent_residual(
 def verify_pullthrough(
     workspaces: Dict[int, ReductionWorkspace],
     kind: str,
-    thresholds: Optional[dict] = None,
+    thresholds: dict = DEFAULT_THRESHOLDS,
 ) -> IdentityReport:
     """Check one pull-through identity across the truncation ladder.
 
@@ -269,7 +255,6 @@ def verify_pullthrough(
     """
     if kind not in ("creator", "annihilator"):
         raise ConfigError(f"unknown pull-through kind {kind!r}")
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     levels = sorted(workspaces)
     protected: List[Optional[float]] = []
     ladder: List[Optional[float]] = []
@@ -301,7 +286,7 @@ def verify_pullthrough(
         boundary.append(max(bvals))
 
     trend = _strictly_decreasing(ladder)
-    prot_ok = all(v <= thr["protected"] for v in protected if v is not None)
+    prot_ok = all(v <= thresholds["protected"] for v in protected if v is not None)
     passed = prot_ok and (trend is not False)
     notes = "local form on protected sectors; resolvent form tracked as a ladder"
     if all(v is None for v in protected):
@@ -312,7 +297,7 @@ def verify_pullthrough(
         nmax_levels=levels,
         residuals={"protected": protected, "ladder": ladder, "boundary": boundary},
         summary=ladder,
-        threshold=thr["protected"],
+        threshold=thresholds["protected"],
         passed=passed,
         details={"ladder_strictly_decreasing": trend},
         notes=notes,
@@ -333,7 +318,7 @@ def _splitting_probes(ws: ReductionWorkspace, seed: int) -> List[np.ndarray]:
 
 
 def verify_resolvent_identities(
-    workspaces: Dict[int, ReductionWorkspace], thresholds: Optional[dict] = None
+    workspaces: Dict[int, ReductionWorkspace], thresholds: dict = DEFAULT_THRESHOLDS
 ) -> Tuple[IdentityReport, IdentityReport]:
     """Check the two exact resolvent splitting identities.
 
@@ -343,7 +328,6 @@ def verify_resolvent_identities(
     Both are plain block algebra of the truncated matrices, so residuals
     must sit at solver tolerance for arbitrary probes at every level.
     """
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     levels = sorted(workspaces)
     res_vac: List[Optional[float]] = []
     res_one: List[Optional[float]] = []
@@ -381,8 +365,8 @@ def verify_resolvent_identities(
         nmax_levels=levels,
         residuals={"probe_max": res_vac},
         summary=res_vac,
-        threshold=thr["exact"],
-        passed=all(v <= thr["exact"] for v in res_vac),
+        threshold=thresholds["exact"],
+        passed=all(v <= thresholds["exact"] for v in res_vac),
     )
     r2 = IdentityReport(
         identity="resolvent-splitting-one-boson",
@@ -390,8 +374,8 @@ def verify_resolvent_identities(
         nmax_levels=levels,
         residuals={"probe_max": res_one},
         summary=res_one,
-        threshold=thr["exact"],
-        passed=all(v <= thr["exact"] for v in res_one),
+        threshold=thresholds["exact"],
+        passed=all(v <= thresholds["exact"] for v in res_one),
     )
     return r1, r2
 
@@ -402,7 +386,7 @@ def verify_resolvent_identities(
 
 
 def verify_vacuum_schur(
-    workspaces: Dict[int, ReductionWorkspace], thresholds: Optional[dict] = None
+    workspaces: Dict[int, ReductionWorkspace], thresholds: dict = DEFAULT_THRESHOLDS
 ) -> IdentityReport:
     """Ground-energy fixed point of the vacuum Schur scalar.
 
@@ -410,7 +394,6 @@ def verify_vacuum_schur(
     ladder it must be strictly decreasing, which makes the fixed point
     unique.
     """
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     levels = sorted(workspaces)
     gaps: List[Optional[float]] = []
     monotone_ok = True
@@ -424,14 +407,14 @@ def verify_vacuum_schur(
             monotone_ok = monotone_ok and all(b < a for a, b in zip(vals, vals[1:]))
         else:
             monotone_ok = monotone_ok and all(b <= a for a, b in zip(vals, vals[1:]))
-    passed = all(g <= thr["schur_fixed_point"] for g in gaps) and monotone_ok
+    passed = all(g <= thresholds["schur_fixed_point"] for g in gaps) and monotone_ok
     return IdentityReport(
         identity="vacuum-schur",
         classification=EXACT,
         nmax_levels=levels,
         residuals={"fixed_point_gap": gaps},
         summary=gaps,
-        threshold=thr["schur_fixed_point"],
+        threshold=thresholds["schur_fixed_point"],
         passed=passed,
         details={"eps_ladder": list(VACUUM_SCHUR_LADDER), "values": ladder_values,
                  "strictly_decreasing": monotone_ok},
@@ -488,7 +471,7 @@ def verify_lambda_identity(
 def verify_c0_identity(
     workspaces: Dict[int, ReductionWorkspace],
     bundles: Dict[int, ReductionBundle],
-    thresholds: Optional[dict] = None,
+    thresholds: dict = DEFAULT_THRESHOLDS,
 ) -> IdentityReport:
     """Three equivalent expressions for ``c0`` plus the ground-state relation.
 
@@ -500,7 +483,6 @@ def verify_c0_identity(
     All three are exact consequences of the splitting identities, so they
     must agree with the kernel value of ``c0`` to solver tolerance.
     """
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     levels = sorted(workspaces)
     res_one: List[Optional[float]] = []
     res_two: List[Optional[float]] = []
@@ -537,8 +519,8 @@ def verify_c0_identity(
             "ground_state_vector": res_state,
         },
         summary=worst,
-        threshold=thr["exact"],
-        passed=all(v <= thr["exact"] for v in worst),
+        threshold=thresholds["exact"],
+        passed=all(v <= thresholds["exact"] for v in worst),
     )
 
 
@@ -548,7 +530,7 @@ def verify_c0_identity(
 
 
 def verify_rearrangement(
-    bundles: Dict[int, ReductionBundle], thresholds: Optional[dict] = None
+    bundles: Dict[int, ReductionBundle], thresholds: dict = DEFAULT_THRESHOLDS
 ) -> IdentityReport:
     """Rank-one rearrangement of the weighted one-particle kernel.
 
@@ -557,7 +539,6 @@ def verify_rearrangement(
     rank-one corrections built from ``c0``, ``psi``, ``phi``.  Exact by
     construction of the decomposition, at every truncation level.
     """
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     levels = sorted(bundles)
     res: List[Optional[float]] = []
     sym: List[Optional[float]] = []
@@ -581,7 +562,7 @@ def verify_rearrangement(
         res.append(float(np.max(np.abs(lhs - rhs))))
         sym.append(float(np.max(np.abs(lhs - lhs.T))))
     vals = [v for v in res if v is not None]
-    passed = all(v <= thr["exact"] for v in vals) if vals else None
+    passed = all(v <= thresholds["exact"] for v in vals) if vals else None
     notes = ""
     if skipped:
         notes = f"decomposition absent (c0 <= 0) at levels {skipped}; skipped there"
@@ -591,7 +572,7 @@ def verify_rearrangement(
         nmax_levels=levels,
         residuals={"entry_max": res, "symmetry": sym},
         summary=res,
-        threshold=thr["exact"],
+        threshold=thresholds["exact"],
         passed=passed,
         notes=notes,
     )
@@ -615,7 +596,7 @@ def norm_identity_value(bundle: ReductionBundle) -> Optional[float]:
 def verify_norm_identity(
     workspaces: Dict[int, ReductionWorkspace],
     bundles: Dict[int, ReductionBundle],
-    thresholds: Optional[dict] = None,
+    thresholds: dict = DEFAULT_THRESHOLDS,
 ) -> IdentityReport:
     """The central norm identity and the two construction formulas under it.
 
@@ -629,7 +610,6 @@ def verify_norm_identity(
     configured bound at the top level.  At zero coupling the decomposition
     is absent and the check reports that instead of failing.
     """
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     levels = sorted(workspaces)
     res_pair: List[Optional[float]] = []
     res_vec: List[Optional[float]] = []
@@ -669,7 +649,7 @@ def verify_norm_identity(
         passed = None
         notes = f"decomposition absent (c0 <= 0) at levels {absent}; nothing to verify"
     else:
-        passed = (top is not None and top <= thr["norm_identity"]) and (trend is not False)
+        passed = (top is not None and top <= thresholds["norm_identity"]) and (trend is not False)
         notes = "pairing residual is the primary truncation ladder"
         if absent:
             notes += f"; absent at levels {absent}"
@@ -685,7 +665,7 @@ def verify_norm_identity(
             "construction_paths": res_paths,
         },
         summary=res_pair,
-        threshold=thr["norm_identity"],
+        threshold=thresholds["norm_identity"],
         passed=passed,
         details={
             "phi_norms": phi_norms,
@@ -736,7 +716,7 @@ def _hessian_analytic(ws: ReductionWorkspace, k: np.ndarray) -> np.ndarray:
 
 
 def verify_energy_derivatives(
-    ws: ReductionWorkspace, bundle: ReductionBundle, thresholds: Optional[dict] = None
+    ws: ReductionWorkspace, bundle: ReductionBundle, thresholds: dict = DEFAULT_THRESHOLDS
 ) -> IdentityReport:
     """Resolvent-calculus derivatives of the mode energy curve.
 
@@ -751,7 +731,6 @@ def verify_energy_derivatives(
     resolvent norm.  That estimate approaches the norm from below and is
     not a bound: the iteration stops at a 400-step cap, converged or not.
     """
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     probes = _default_probe_momenta(ws)
     grad_rel = []
     for k in probes:
@@ -822,9 +801,9 @@ def verify_energy_derivatives(
     weighted_norm_max = float(max(norms_bound.values()))
 
     passed = bool(
-        grad_rel_max <= thr["gradient_rel"]
-        and grad0_norm <= thr["gradient_origin"]
-        and hess_rel_max <= thr["hessian_rel"]
+        grad_rel_max <= thresholds["gradient_rel"]
+        and grad0_norm <= thresholds["gradient_origin"]
+        and hess_rel_max <= thresholds["hessian_rel"]
         and np.isfinite(weighted_norm_max)
     )
     return IdentityReport(
@@ -837,7 +816,7 @@ def verify_energy_derivatives(
             "hessian_rel": [hess_rel_max],
         },
         summary=[grad_rel_max],
-        threshold=thr["gradient_rel"],
+        threshold=thresholds["gradient_rel"],
         passed=passed,
         details={
             "quadratic_ratio": quad_ratio,
@@ -952,7 +931,7 @@ def _locate_crossings(
 def schur_equivalence_report(
     ws: ReductionWorkspace,
     eps_grid: Sequence[float] = EPSILON_GRID,
-    thresholds: Optional[dict] = None,
+    thresholds: dict = DEFAULT_THRESHOLDS,
 ) -> dict:
     """Bidirectional spectral correspondence through the Schur complement.
 
@@ -967,8 +946,7 @@ def schur_equivalence_report(
     a fiber eigenvalue.  The grid's kernel eigenvalues seed the brackets,
     so no offset is evaluated twice.
     """
-    thr = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
-    tol = thr["equivalence"]
+    tol = thresholds["equivalence"]
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     if eps_grid.size == 0 or eps_grid[0] <= 0.0 or eps_grid[-1] >= 1.0:
         raise ConfigError("offset grid must lie strictly inside (0, 1)")
@@ -1065,10 +1043,12 @@ def run_suite(
     ``workspaces`` maps each truncation level to its workspace and
     ``bundles`` to the bundle that workspace built (``build_bundle``); the
     caller builds both, so every check shares their resolvent handles and
-    kernels.  The energy-derivative check runs on the top level.  ``only``
+    kernels.  The energy-derivative check runs on the top level.
+    ``thresholds`` overrides entries of ``DEFAULT_THRESHOLDS``.  ``only``
     filters by identity id; unknown ids, and an empty ladder, are
     configuration errors.
     """
+    thresholds = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     wanted = set(IDENTITY_IDS) if only is None else set(only)
     unknown = wanted - set(IDENTITY_IDS)
     if unknown:

@@ -24,8 +24,9 @@ solve one column per orbit and one ``Z(s)`` per orbit of sums, and move
 the solutions to the rest of each orbit exactly.  With a trivial group
 (a generic ``xi``, a non-radial profile) every orbit is one point and
 every column is solved.  ``c_kernel``, ``lambda_direct`` and the pointwise
-solves (``y_on_v`` caches only what it solved) use no symmetry, so the
-identity suite checks the symmetrized kernels against them.
+solves (``y_on_v`` caches only what it solved) use no symmetry.  The tests
+check ``c_matrix`` against ``c_kernel``, and the identity suite checks the
+bundle's kernels against ``lambda_direct`` and ``y_on_v``.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class ReductionBundle:
     order.  ``dmat`` is ``D(0)`` and ``omat`` the one-particle Schur
     complement ``O(0)``.  ``phi`` and ``smat`` are ``None`` when ``c0 <= 0``
     (free coupling); the decomposition is then reported absent.
+    ``coupling_active`` records ``g > 0``: only then do ``c0 > 0`` and the
+    contraction bound enter the standing assumptions.
     """
 
     e0: float
@@ -119,6 +122,7 @@ class ReductionBundle:
     c0: float
     amat: np.ndarray
     omat: np.ndarray
+    coupling_active: bool
     phi: Optional[np.ndarray] = None
     smat: Optional[np.ndarray] = None
     nu1: Optional[float] = None
@@ -146,52 +150,54 @@ class ReductionBundle:
             return None
         return float(sla.eigvalsh(self.smat)[0])
 
-
-@dataclass
-class AssumptionReport:
-    """Standing smallness assumptions evaluated on one instance."""
-
-    e0: float
-    nu2: float
-    c0: float
-    a_norm: Optional[float]
-    #: c0 and the contraction bound only apply at non-zero coupling
-    coupling_active: bool
-
-    @property
-    def e0_above_minus_one(self) -> bool:
-        return self.e0 > -1.0
-
-    @property
-    def tail_gap_positive(self) -> bool:
-        return self.nu2 > 0.0
-
-    @property
-    def c0_positive(self) -> bool:
-        return self.c0 > 0.0
-
-    @property
-    def contraction(self) -> Optional[bool]:
-        return None if self.a_norm is None else self.a_norm < 1.0
-
-    def all_hold(self) -> bool:
-        base = self.e0_above_minus_one and self.tail_gap_positive
-        if not self.coupling_active:
-            return base
-        return base and self.c0_positive and bool(self.contraction)
-
-    def to_json_dict(self) -> dict:
+    def assumptions(self) -> dict:
+        """The standing assumptions: ``e0 > -1``, ``nu2 > 0`` and, at
+        non-zero coupling, ``c0 > 0`` and ``||A|| < 1``."""
+        a_norm = self.a_norm if self.coupling_active else None
+        checks = {
+            "e0_above_minus_one": self.e0 > -1.0,
+            "tail_gap_positive": self.nu2 > 0.0,
+            "c0_positive": self.c0_positive,
+            "contraction": None if a_norm is None else a_norm < 1.0,
+        }
+        hold = checks["e0_above_minus_one"] and checks["tail_gap_positive"]
+        if self.coupling_active:
+            hold = hold and checks["c0_positive"] and bool(checks["contraction"])
         return {
             "e0": self.e0,
             "nu2": self.nu2,
             "c0": self.c0,
-            "a_norm": self.a_norm,
+            "a_norm": a_norm,
             "coupling_active": self.coupling_active,
-            "e0_above_minus_one": self.e0_above_minus_one,
-            "tail_gap_positive": self.tail_gap_positive,
-            "c0_positive": self.c0_positive,
-            "contraction": self.contraction,
-            "all_hold": self.all_hold(),
+            **checks,
+            "all_hold": bool(hold),
+        }
+
+    def bs_limit_check(self, eps_ladder: Iterable[float] = BS_LADDER) -> dict:
+        """Regularized Birman-Schwinger infima against ``min spec S``.
+
+        For each ladder value computes the smallest eigenvalue of
+        ``(k^2 + eps)^{-1/2} O(0) (k^2 + eps)^{-1/2}`` and reports the gap
+        to the smallest eigenvalue of ``S``.
+        """
+        ladder = sorted(eps_ladder, reverse=True)
+        if not ladder:
+            raise ConfigError("need at least one regularization value")
+        ksq = self.mode_norms**2
+        values = []
+        for eps in ladder:
+            if eps <= 0:
+                raise ConfigError(f"regularization must be positive, got {eps}")
+            scale = 1.0 / np.sqrt(ksq + eps)
+            weighted = scale[:, None] * self.omat * scale[None, :]
+            values.append(float(sla.eigvalsh(weighted)[0]))
+        target = self.s_min_eigenvalue()
+        gap = None if target is None else abs(values[-1] - target)
+        return {
+            "eps_ladder": list(ladder),
+            "values": values,
+            "s_min_eigenvalue": target,
+            "final_gap": gap,
         }
 
 
@@ -238,7 +244,6 @@ class ReductionWorkspace:
         self.v = fock.one_boson_vector(basis, ff)
         self.start1 = basis.tail_start(1)
         self.start2 = basis.tail_start(2)
-        self.sector1 = basis.sector_range(1)
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
         ops, perms = grid.point_group()
@@ -633,52 +638,11 @@ class ReductionWorkspace:
             c0=c0,
             amat=amat,
             omat=omat,
+            coupling_active=self.ff.g > 0.0,
             phi=phi,
             smat=smat,
             nu1=nu1,
             nu2=nu2,
-        )
-
-    # -- regularized limit and standing assumptions ------------------------
-
-    def bs_limit_check(
-        self, bundle: ReductionBundle, eps_ladder: Iterable[float] = BS_LADDER
-    ) -> dict:
-        """Regularized Birman-Schwinger infima against ``min spec S``.
-
-        For each ladder value computes the smallest eigenvalue of
-        ``(k^2 + eps)^{-1/2} O(0) (k^2 + eps)^{-1/2}`` and reports the gap
-        to the smallest eigenvalue of ``S``.
-        """
-        ladder = sorted(eps_ladder, reverse=True)
-        if not ladder:
-            raise ConfigError("need at least one regularization value")
-        ksq = bundle.mode_norms**2
-        values = []
-        for eps in ladder:
-            if eps <= 0:
-                raise ConfigError(f"regularization must be positive, got {eps}")
-            scale = 1.0 / np.sqrt(ksq + eps)
-            weighted = scale[:, None] * bundle.omat * scale[None, :]
-            values.append(float(sla.eigvalsh(weighted)[0]))
-        target = bundle.s_min_eigenvalue()
-        gap = None if target is None else abs(values[-1] - target)
-        return {
-            "eps_ladder": list(ladder),
-            "values": values,
-            "s_min_eigenvalue": target,
-            "final_gap": gap,
-        }
-
-    def assumptions(self, bundle: ReductionBundle) -> AssumptionReport:
-        """Evaluate the standing assumptions on this instance and its bundle."""
-        active = self.ff.g > 0.0
-        return AssumptionReport(
-            e0=self.e0,
-            nu2=float(bundle.nu2),
-            c0=bundle.c0,
-            a_norm=bundle.a_norm if active else None,
-            coupling_active=active,
         )
 
 

@@ -82,6 +82,10 @@ NON_NUMERIC = [
     ("xi", '["a"]', {"xi": ["a"]}),
     ("bs_ladder", '["a"]', {"bs_ladder": ["a"]}),
     ("grid.K", "abc", {"grid": {"d": 1, "K": "abc", "h": 1.0}}),
+    # a boolean is no number, although Python's int and float take it
+    ("grid.d", "true", {"grid": {"d": True, "K": 1.0, "h": 1.0}}),
+    ("nmax", "[2, true]", {"nmax": [2, True]}),
+    ("thresholds.exact", "true", {"thresholds": {"exact": True}}),
 ]
 
 
@@ -163,6 +167,17 @@ def test_verify_passes_and_prints_summary(tmp_path, capsys):
     assert payload["assumptions"]["all_hold"] is True
     assert payload["bs_limit"]["values"]
     assert (out / "tables" / "identities.csv").exists()
+
+
+def test_verify_casts_numeric_string_bs_ladder(tmp_path):
+    """Numeric strings pass validation, so the ladder is cast where it is used."""
+    limits = []
+    for ladder in (["0.1", "0.01"], [0.1, 0.01]):
+        cfg = _write_config(tmp_path, nmax=[2], bs_ladder=ladder)
+        out = tmp_path / f"bs-{ladder[0]!r}"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        limits.append(json.loads((out / "results" / "verification.json").read_text())["bs_limit"])
+    assert limits[0] == limits[1]
 
 
 def test_verify_filter(tmp_path, capsys):
@@ -268,6 +283,12 @@ def test_report_detects_corruption(tmp_path, capsys):
     assert cli.main(["report", "--out", str(out)]) == 4
     assert "manifest.json is not valid JSON" in capsys.readouterr().err
 
+    # so is a manifest that parses but is no manifest
+    for text in ("[]", '{"artifacts": []}'):
+        manifest.write_text(text)
+        assert cli.main(["report", "--out", str(out)]) == 4
+        assert "is not a run manifest" in capsys.readouterr().err
+
 
 def test_report_summarizes_verification(tmp_path, capsys):
     cfg = _write_config(tmp_path, nmax=[2])
@@ -300,6 +321,13 @@ def test_scan_artifacts(tmp_path):
     assert free_line.split(",")[6] == ""  # a_norm column
 
 
+def test_scan_needs_a_reduction_level(tmp_path, capsys):
+    """Like ``verify``, ``scan`` rejects a ladder without nmax >= 2 up front."""
+    cfg = _write_config(tmp_path, nmax=[1])
+    assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "2"]) == 2
+    assert "at least one truncation level >= 2" in capsys.readouterr().err
+
+
 def test_scan_parallel_matches_serial(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -322,6 +350,14 @@ def test_scan_jobs_clamped_to_couplings_and_cores(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
     cfg = _write_config(tmp_path, scan={"couplings": [0.1]})
     assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "8"]) == 0
+
+
+def test_csv_cells_match_json_values(tmp_path):
+    """A numpy scalar reads as its plain value, a non-finite one as an empty
+    cell, as ``null`` does in the JSON artifacts."""
+    out = cli.RunDirectory(str(tmp_path / "run"), {}, "test")
+    out.write_csv("t.csv", ["a", "b", "c"], [[np.float64(0.1), float("nan"), np.float64(np.inf)]])
+    assert (tmp_path / "run" / "t.csv").read_text() == "a,b,c\n0.1,,\n"
 
 
 def test_default_out_name_is_config_hash(tmp_path, monkeypatch):

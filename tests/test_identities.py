@@ -1,5 +1,6 @@
 """Identity verification suite: classifications, trends, and reports."""
 
+import dataclasses
 import json
 import logging
 import re
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 import polaronlab as pl
-from polaronlab import ConfigError
+from polaronlab import ConfigError, storage
 from polaronlab.identities import (
     DEFAULT_THRESHOLDS,
     EXACT,
@@ -117,7 +118,7 @@ def test_norm_identity_families(small_suite):
 
 def test_report_serializes_to_json(small_suite):
     for report in small_suite.values():
-        payload = report.to_json_dict()
+        payload = storage.jsonable(dataclasses.asdict(report))
         text = json.dumps(payload, allow_nan=False)
         assert json.loads(text)["identity"] == report.identity
         assert payload["nmax_levels"] == list(LEVELS) or payload["nmax_levels"] == [4]

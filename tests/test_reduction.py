@@ -248,11 +248,9 @@ def test_bundle_fields_and_assumptions(ref_workspaces, ref_bundles):
     assert bundle.c0 > 0
     assert bundle.phi is not None and bundle.smat is not None
     assert bundle.nu1 > 0 and bundle.nu2 > 0
-    report = ws.assumptions(bundle)
-    assert report.all_hold()
-    assert report.contraction is True
-    payload = report.to_json_dict()
-    assert payload["all_hold"] is True
+    report = bundle.assumptions()
+    assert report["all_hold"] is True
+    assert report["contraction"] is True
     # norm of the compact part stays below 1 on this instance
     assert bundle.a_norm < 1.0
 
@@ -264,22 +262,22 @@ def test_free_coupling_bundle_degenerates(small_grid):
     assert bundle.c0 == pytest.approx(0.0, abs=1e-14)
     assert bundle.phi is None and bundle.smat is None
     assert bundle.s_min_eigenvalue() is None
-    report = ws.assumptions(bundle)
-    assert report.contraction is None  # no active coupling to contract
-    assert report.all_hold()
+    report = bundle.assumptions()
+    assert report["contraction"] is None  # no active coupling to contract
+    assert report["all_hold"]
     # Birman-Schwinger weighting at zero coupling: diag(k^2/(k^2+eps))
-    bs = ws.bs_limit_check(bundle, eps_ladder=(0.5, 0.25))
+    bs = bundle.bs_limit_check(eps_ladder=(0.5, 0.25))
     assert bs["values"][0] == pytest.approx(1.0 / 1.5, abs=1e-12)
     assert bs["values"][1] == pytest.approx(1.0 / 1.25, abs=1e-12)
     assert bs["final_gap"] is None
 
 
-def test_bs_ladder_validation(ref_workspaces, ref_bundles):
-    ws, bundle = ref_workspaces[2], ref_bundles[2]
+def test_bs_ladder_validation(ref_bundles):
+    bundle = ref_bundles[2]
     with pytest.raises(ConfigError):
-        ws.bs_limit_check(bundle, eps_ladder=())
+        bundle.bs_limit_check(eps_ladder=())
     with pytest.raises(ConfigError):
-        ws.bs_limit_check(bundle, eps_ladder=(0.1, 0.0))
+        bundle.bs_limit_check(eps_ladder=(0.1, 0.0))
 
 
 def test_weighted_lower_bound_decomposition(ref_bundles):
