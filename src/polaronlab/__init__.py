@@ -49,7 +49,6 @@ from .identities import (
 from .reduction import ReductionBundle, ReductionWorkspace, build_workspace
 from .spectral import (
     SolverConfig,
-    SpectralResult,
     count_below,
     ground_energy,
     lowest_eigenpairs,
@@ -74,7 +73,6 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "SparseOperator",
-    "SpectralResult",
     "annihilator",
     "assemble_hamiltonian",
     "build_grid",

@@ -68,7 +68,6 @@ DEFAULT_CONFIG = {
     "bs_ladder": list(BS_LADDER),
     "spectrum_count": 6,
     "fock_cap": fock.DEFAULT_FOCK_CAP,
-    "cache": True,
 }
 
 
@@ -330,12 +329,11 @@ def cmd_build(args) -> int:
                 for n in range(nmax + 1)
             ],
         }
-        if cfg["cache"]:
-            data, sidecar = storage.operator_payload(
-                ham, meta={"kind": "fiber_hamiltonian", "nmax": nmax}
-            )
-            out.write_bytes(f"matrices/hamiltonian_n{nmax}.bin", data)
-            out.write_json(f"matrices/hamiltonian_n{nmax}.json", sidecar)
+        data, sidecar = storage.operator_payload(
+            ham, meta={"kind": "fiber_hamiltonian", "nmax": nmax}
+        )
+        out.write_bytes(f"matrices/hamiltonian_n{nmax}.bin", data)
+        out.write_json(f"matrices/hamiltonian_n{nmax}.json", sidecar)
 
     out.write_json(
         "results/build.json",
@@ -357,16 +355,15 @@ def cmd_spectrum(args) -> int:
     for nmax in cfg["nmax"]:
         basis = fock.enumerate_basis(grid.size, nmax, cap=int(cfg["fock_cap"]))
         xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
-        ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi)
-        result = spectrum_summary(ham, basis, int(cfg["spectrum_count"]), solver)
-        buffer = solver.buffer(grid.h)
-        n_below = count_below(ham, result.e0 + 1.0, buffer, solver)
-        level = result.to_json_dict()
+        ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+        level = spectrum_summary(ham, basis, int(cfg["spectrum_count"]), solver)
+        e0 = float(level["eigenvalues"][0])
+        n_below = count_below(ham, e0 + 1.0, solver.buffer(grid.h), solver)
         level["dimension"] = basis.dim
         level["count_below_window"] = n_below
         payload["levels"][str(nmax)] = level
         rows.append(
-            [nmax, basis.dim, result.e0, result.nu1, result.nu2, result.vacuum_overlap, n_below]
+            [nmax, basis.dim, e0, level["nu1"], level["nu2"], level["vacuum_overlap"], n_below]
         )
         out.write_json(f"results/spectrum_n{nmax}.json", level)
 
@@ -567,12 +564,21 @@ def cmd_report(args) -> int:
             print(f"corrupt artifact: {relpath} ({why})", file=sys.stderr)
         raise CacheCorruptionError(f"{len(mismatched)} artifacts failed re-hashing under {root}")
 
+    digest = manifest.get("config_sha256", "")
+    if not isinstance(digest, str):
+        raise CacheCorruptionError(f"{manifest_path} has no config hash string")
     print(f"run directory {root} is intact ({len(artifacts)} artifacts)")
-    print(f"command: {manifest.get('command')}  config hash: {manifest.get('config_sha256', '')[:12]}")
+    print(f"command: {manifest.get('command')}  config hash: {digest[:12]}")
     verification = root / "results" / "verification.json"
     if verification.exists():
         payload = storage.read_json(verification)
-        for rep in payload.get("identities", []):
+        reports = payload.get("identities", []) if isinstance(payload, dict) else None
+        if not isinstance(reports, list) or not all(
+            isinstance(rep, dict) and "identity" in rep and rep.get("passed") in (True, False, None)
+            for rep in reports
+        ):
+            raise CacheCorruptionError(f"{verification} is not a verification record")
+        for rep in reports:
             state = {True: "ok", False: "FAIL", None: "n/a"}[rep.get("passed")]
             print(f"  [{state:>4}] {rep['identity']}")
         print(f"  overall: {'passed' if payload.get('passed') else 'FAILED'}")

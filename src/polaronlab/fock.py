@@ -9,8 +9,9 @@ number of compositions that sort below the state.  Every ladder and field
 operator is built from one vectorized helper, ``_lowering``, which lowers
 one mode on all states at once and ranks the results.  Creation operators
 annihilate the top sector: raising out of the truncation maps to zero.
-All assembled operators are real symmetric or real ladder matrices stored
-in compressed sparse row form.
+Ladder and field operators are canonical ``csr_matrix``es; the fiber
+Hamiltonian comes wrapped in a ``SparseOperator``, the form ``storage``
+persists with its symmetry flag.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
 
 @dataclass(eq=False)
 class SparseOperator:
-    """Real sparse operator on the Fock basis with a symmetry flag."""
+    """A persisted operator: its CSR matrix and its symmetry flag."""
 
     matrix: sp.csr_matrix
     hermitian: bool
@@ -153,9 +154,6 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _canonical_csr(mat: sp.spmatrix) -> sp.csr_matrix:
@@ -175,22 +173,20 @@ def _lowering(basis: FockBasis, mode: int):
     return basis.rank(lowered), cols, np.sqrt(n)
 
 
-def annihilator(basis: FockBasis, mode: int) -> SparseOperator:
+def annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Mode annihilation operator ``a_k`` (lowers every sector)."""
     if not 0 <= mode < basis.n_modes:
         raise ConfigError(f"mode {mode} outside 0..{basis.n_modes - 1}")
     rows, cols, vals = _lowering(basis, mode)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
-    return SparseOperator(matrix=_canonical_csr(mat), hermitian=False)
+    return _canonical_csr(sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)))
 
 
-def creator(basis: FockBasis, mode: int) -> SparseOperator:
+def creator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Mode creation operator ``a_k^+``; maps the top sector to zero."""
-    low = annihilator(basis, mode)
-    return SparseOperator(matrix=_canonical_csr(low.matrix.T), hermitian=False)
+    return _canonical_csr(annihilator(basis, mode).T)
 
 
-def field_operator(basis: FockBasis, ff: FormFactor) -> SparseOperator:
+def field_operator(basis: FockBasis, ff: FormFactor) -> sp.csr_matrix:
     """Coupling field ``sum_k v_k (a_k + a_k^+)``, connecting adjacent sectors."""
     if ff.values.shape[0] != basis.n_modes:
         raise ConfigError(
@@ -207,7 +203,7 @@ def field_operator(basis: FockBasis, ff: FormFactor) -> SparseOperator:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),
     )
-    return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
+    return _canonical_csr(mat)
 
 
 def number_diagonal(basis: FockBasis) -> np.ndarray:
@@ -232,13 +228,13 @@ def assemble_hamiltonian(
     ff: FormFactor,
     xi: Optional[Sequence[float]] = None,
 ) -> SparseOperator:
-    """Fiber Hamiltonian ``(P - xi)^2 + Phi(v) + N`` at total momentum ``xi``."""
+    """Fiber Hamiltonian ``(P - xi)^2 + Phi(v) + N`` at total momentum ``xi``,
+    flagged symmetric for ``storage``."""
     if xi is None:
         xi = np.zeros(grid.d)
     xi = np.asarray(xi, dtype=float)
     diag = shifted_kinetic_diagonal(basis, grid, -xi) + number_diagonal(basis)
-    phi = field_operator(basis, ff)
-    mat = phi.matrix + sp.diags(diag, format="csr")
+    mat = field_operator(basis, ff) + sp.diags(diag, format="csr")
     return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
 
 

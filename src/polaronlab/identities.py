@@ -42,6 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from . import fock
 from .errors import ConfigError, SolverError
@@ -188,54 +189,58 @@ def _top_probe(ws: ReductionWorkspace) -> np.ndarray:
 
 
 def _pullthrough_local_residual(
-    ws: ReductionWorkspace, kind: str, probe: np.ndarray, kj: int, lj: int
+    ws: ReductionWorkspace, kind: str, probe: np.ndarray, kj: int, lj: int, ladder
 ) -> float:
     """Forward-operator (local) form of the pull-through identity.
 
     creator:       X^{-1} a_k^+  =  a_k^+ Y(k)^{-1} + v_k on the >=2 tail
     annihilator:   a_l Y(k)^{-1} =  Z(k+l)^{-1} a_l + v_l on the >=1 tail
+
+    ``ladder`` is the matrix of ``a_k^+`` (creator) or ``a_l`` (annihilator).
     """
     k = ws.grid.modes[kj]
     if kind == "creator":
-        raised = fock.creator(ws.basis, kj).matrix @ probe
+        raised = ladder @ probe
         lhs = np.zeros(ws.basis.dim)
         lhs[ws.start2 :] = ws.restricted_matrix(TAIL_TWO, np.zeros(ws.grid.d), -ws.e0 - 1.0) @ (
             raised[ws.start2 :]
         )
         y_inv = np.zeros(ws.basis.dim)
         y_inv[ws.start1 :] = ws.restricted_matrix(TAIL_ONE, k, -ws.e0) @ probe[ws.start1 :]
-        rhs = fock.creator(ws.basis, kj).matrix @ y_inv
+        rhs = ladder @ y_inv
         rhs[: ws.start2] = 0.0
         rhs += float(ws.ff.values[kj]) * ws.project_tail(probe, 2)
         return float(np.linalg.norm(lhs - rhs))
     l = ws.grid.modes[lj]
     y_inv = np.zeros(ws.basis.dim)
     y_inv[ws.start1 :] = ws.restricted_matrix(TAIL_ONE, k, -ws.e0) @ probe[ws.start1 :]
-    lhs = fock.annihilator(ws.basis, lj).matrix @ y_inv
-    lowered = fock.annihilator(ws.basis, lj).matrix @ probe
+    lhs = ladder @ y_inv
+    lowered = ladder @ probe
     rhs = ws.restricted_matrix(FULL, k + l, 1.0 - ws.e0) @ lowered
     rhs += float(ws.ff.values[lj]) * ws.project_tail(probe, 1)
     return float(np.linalg.norm(lhs - rhs))
 
 
 def _pullthrough_resolvent_residual(
-    ws: ReductionWorkspace, kind: str, probe: np.ndarray, kj: int, lj: int
+    ws: ReductionWorkspace, kind: str, probe: np.ndarray, kj: int, lj: int, ladder
 ) -> float:
     """Resolvent form of the pull-through identity.
 
     creator:       X a_k^+  =  a_k^+ Y(k) - v_k X Y(k)      on the >=1 tail
     annihilator:   a_l Y(k) =  Z(k+l) a_l - v_l Z(k+l) Y(k)  on the >=1 tail
+
+    ``ladder`` is the matrix of ``a_k^+`` (creator) or ``a_l`` (annihilator).
     """
     k = ws.grid.modes[kj]
     if kind == "creator":
-        lhs = ws.apply_x(fock.creator(ws.basis, kj).matrix @ probe)
+        lhs = ws.apply_x(ladder @ probe)
         yk = ws.apply_y(k, probe)
-        rhs = fock.creator(ws.basis, kj).matrix @ yk - float(ws.ff.values[kj]) * ws.apply_x(yk)
+        rhs = ladder @ yk - float(ws.ff.values[kj]) * ws.apply_x(yk)
         return float(np.linalg.norm(lhs - rhs))
     l = ws.grid.modes[lj]
     yk = ws.apply_y(k, probe)
-    lhs = fock.annihilator(ws.basis, lj).matrix @ yk
-    rhs = ws.apply_z(k + l, fock.annihilator(ws.basis, lj).matrix @ probe)
+    lhs = ladder @ yk
+    rhs = ws.apply_z(k + l, ladder @ probe)
     rhs -= float(ws.ff.values[lj]) * ws.apply_z(k + l, yk)
     return float(np.linalg.norm(lhs - rhs))
 
@@ -251,7 +256,8 @@ def verify_pullthrough(
     on probes clear of the truncation edge; clean), ``ladder`` (resolvent
     form on fixed physical probes; shrinking with the level), and
     ``boundary`` (resolvent form on a top-sector probe; demonstrates the
-    defect instead of hiding it).
+    defect instead of hiding it).  Each level builds the ladder operator of
+    every sampled mode once.
     """
     if kind not in ("creator", "annihilator"):
         raise ConfigError(f"unknown pull-through kind {kind!r}")
@@ -264,24 +270,29 @@ def verify_pullthrough(
         prot = _protected_probes(ws, ws.config.seed)
         kjs = _mode_sample(ws)
         pairs = [(kjs[0], kjs[-1]), (kjs[len(kjs) // 2], kjs[len(kjs) // 2])]
+        # a_k^+ for the creator form, a_l for the annihilator form
+        modes = [kj if kind == "creator" else lj for kj, lj in pairs]
+        build = fock.creator if kind == "creator" else fock.annihilator
+        ops = {j: build(ws.basis, j) for j in modes}
+        cases = [(kj, lj, ops[j]) for (kj, lj), j in zip(pairs, modes)]
         if prot:
             vals = [
-                _pullthrough_local_residual(ws, kind, p, kj, lj)
+                _pullthrough_local_residual(ws, kind, p, kj, lj, op)
                 for p in prot
-                for kj, lj in pairs
+                for kj, lj, op in cases
             ]
             protected.append(max(vals))
         else:
             protected.append(None)
         lvals = [
-            _pullthrough_resolvent_residual(ws, kind, p, kj, lj)
+            _pullthrough_resolvent_residual(ws, kind, p, kj, lj, op)
             for p in _fixed_probes(ws)
-            for kj, lj in pairs
+            for kj, lj, op in cases
         ]
         ladder.append(max(lvals))
         bvals = [
-            _pullthrough_resolvent_residual(ws, kind, _top_probe(ws), kj, lj)
-            for kj, lj in pairs
+            _pullthrough_resolvent_residual(ws, kind, _top_probe(ws), kj, lj, op)
+            for kj, lj, op in cases
         ]
         boundary.append(max(bvals))
 
@@ -715,6 +726,41 @@ def _hessian_analytic(ws: ReductionWorkspace, k: np.ndarray) -> np.ndarray:
     return hess
 
 
+def _weighted_resolvent_norm(ws: ReductionWorkspace, k: np.ndarray) -> Tuple[float, float]:
+    """Norm of ``W Y(k) W`` on the >=1 tail, ``W = 1 + |P + k - xi|``.
+
+    Lanczos (ARPACK, largest algebraic, from the workspace's fixed start
+    vector) returns the top Ritz pair ``(theta, u)`` of this positive
+    definite operator.  ``theta`` is a Rayleigh quotient, so it never
+    exceeds the norm, and some eigenvalue lies within ``|W Y W u - theta u|``
+    of it: when that is the top one, ``theta + |r|`` bounds the norm from
+    above.  Returns ``(theta, theta + |r|)``.
+    """
+    start = ws.start1
+    weight = (1.0 + np.sqrt(ws.kinetic_diagonal(k)))[start:]
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        full = np.zeros(ws.basis.dim)
+        full[start:] = weight * np.ravel(x)
+        return weight * ws.apply_y(k, full)[start:]
+
+    tail = ws.basis.dim - start
+    op = spla.LinearOperator((tail, tail), matvec=matvec, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(
+            op,
+            k=1,
+            which="LA",
+            v0=start_vector(ws.basis.dim, ws.config.seed)[start:],
+            tol=0.0,
+            maxiter=ws.config.max_iterations,
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"Lanczos on the weighted resolvent failed to converge: {exc}") from exc
+    theta, u = float(vals[0]), vecs[:, 0]
+    return theta, theta + float(np.linalg.norm(matvec(u) - theta * u))
+
+
 def verify_energy_derivatives(
     ws: ReductionWorkspace, bundle: ReductionBundle, thresholds: dict = DEFAULT_THRESHOLDS
 ) -> IdentityReport:
@@ -727,9 +773,8 @@ def verify_energy_derivatives(
     come from central finite differences, so the report is oracle-limited
     rather than exact.  Also records the quadratic-smallness ratio
     ``|E(k) - e0| / (g^2 k^2)``, the leading small-coupling value of
-    ``c0``, and a power-iteration estimate of the momentum-weighted
-    resolvent norm.  That estimate approaches the norm from below and is
-    not a bound: the iteration stops at a 400-step cap, converged or not.
+    ``c0``, and the momentum-weighted resolvent norms of
+    ``_weighted_resolvent_norm`` at ``k = 0`` and two sampled modes.
     """
     probes = _default_probe_momenta(ws)
     grad_rel = []
@@ -778,27 +823,12 @@ def verify_energy_derivatives(
         c0_leading = float(np.sum(ws.ff.values**2 * ksq / (ksq + 1.0 - ws.e0) ** 2))
         c0_gap_ratio = abs(bundle.c0 - c0_leading) / g**4
 
-    norms_bound = {}
+    norms, bounds = {}, {}
     sample = [np.zeros(ws.grid.d)] + [ws.grid.modes[j] for j in _mode_sample(ws, 2)]
     for k in sample:
-        weight = 1.0 + np.sqrt(ws.kinetic_diagonal(k))
-        # a dense random start overlaps every tail state, so the power
-        # iteration cannot get stuck on an invariant coordinate subspace
-        x = ws.project_tail(start_vector(ws.basis.dim, ws.config.seed), 1)
-        x /= np.linalg.norm(x)
-        lam = 0.0
-        for _ in range(400):
-            y = weight * ws.apply_y(k, weight * x)
-            y[: ws.start1] = 0.0
-            nrm = np.linalg.norm(y)
-            lam_new = float(x @ y)
-            x = y / nrm
-            if abs(lam_new - lam) <= 1e-12 * max(1.0, abs(lam_new)):
-                lam = lam_new
-                break
-            lam = lam_new
-        norms_bound[str(np.round(k, 6).tolist())] = lam
-    weighted_norm_max = float(max(norms_bound.values()))
+        key = str(np.round(k, 6).tolist())
+        norms[key], bounds[key] = _weighted_resolvent_norm(ws, k)
+    weighted_norm_max = float(max(norms.values()))
 
     passed = bool(
         grad_rel_max <= thresholds["gradient_rel"]
@@ -822,7 +852,8 @@ def verify_energy_derivatives(
             "quadratic_ratio": quad_ratio,
             "c0_leading_order": c0_leading,
             "c0_gap_over_g4": c0_gap_ratio,
-            "weighted_resolvent_norms": norms_bound,
+            "weighted_resolvent_norms": norms,
+            "weighted_resolvent_norm_bounds": bounds,
             "weighted_resolvent_norm_max": weighted_norm_max,
         },
     )

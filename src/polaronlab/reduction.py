@@ -42,7 +42,7 @@ import scipy.sparse as sp
 
 from . import fock
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
-from .fock import FockBasis, SparseOperator
+from .fock import FockBasis
 from .grid import FormFactor, MomentumGrid
 from .spectral import SolverConfig, SpdSolver, ground_energy, nu
 
@@ -237,9 +237,7 @@ class ReductionWorkspace:
         self.phi_op = fock.field_operator(basis, ff)
         self.n_diag = fock.number_diagonal(basis)
         self.p_state = basis.momentum_sums(grid)
-        self.hamiltonian = SparseOperator(
-            matrix=self.restricted_matrix(FULL, np.zeros(grid.d), 0.0), hermitian=True
-        )
+        self.hamiltonian = self.restricted_matrix(FULL, np.zeros(grid.d), 0.0)
         self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.config)
         self.v = fock.one_boson_vector(basis, ff)
         self.start1 = basis.tail_start(1)
@@ -290,7 +288,7 @@ class ReductionWorkspace:
     def restricted_matrix(self, kind: str, k: Momentum, shift: float) -> sp.csr_matrix:
         """Matrix of ``(P+k)^2 + Phi + N + shift`` on the given restriction."""
         diag = self.kinetic_diagonal(k) + self.n_diag + shift
-        mat = self.phi_op.matrix + sp.diags(diag, format="csr")
+        mat = self.phi_op + sp.diags(diag, format="csr")
         if kind == FULL:
             return mat.tocsr()
         start = self.start1 if kind == TAIL_ONE else self.start2
@@ -481,7 +479,7 @@ class ReductionWorkspace:
         return self._covariant_columns(
             self.mode_perms,
             lambda reps: np.column_stack(
-                [(fock.creator(self.basis, j).matrix @ self.v)[self.start2 :] for j in reps]
+                [(fock.creator(self.basis, j) @ self.v)[self.start2 :] for j in reps]
             ),
             start=self.start2,
         )
@@ -489,7 +487,7 @@ class ReductionWorkspace:
     @cached_property
     def raising_part(self) -> sp.csr_matrix:
         """Raising half of the coupling field (maps sector n to n+1)."""
-        coo = self.phi_op.matrix.tocoo()
+        coo = self.phi_op.tocoo()
         counts = self.basis.boson_counts()
         mask = counts[coo.row] == counts[coo.col] + 1
         return sp.coo_matrix(

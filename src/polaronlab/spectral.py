@@ -1,4 +1,5 @@
-"""Eigenvalue and linear solvers for the assembled operators.
+"""Eigenvalue and linear solvers for real symmetric matrices, scipy sparse
+or dense ndarrays alike.
 
 Small problems (dimension at or below ``dense_threshold``) are handled by
 dense LAPACK routines, which doubles as the built-in oracle for the sparse
@@ -18,8 +19,8 @@ a true-residual check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,9 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
-from .fock import FockBasis, SparseOperator
-
-MatrixLike = Union[np.ndarray, sp.spmatrix, SparseOperator]
+from .fock import FockBasis
 
 _log = logging.getLogger("polaronlab")
 
@@ -47,40 +46,6 @@ class SolverConfig:
     def buffer(self, h: float) -> float:
         """Edge buffer for eigenvalue counting: ``max(h^2, 10 * eig_tol)``."""
         return max(h * h, 10.0 * self.eig_tol)
-
-
-@dataclass
-class SpectralResult:
-    """Low-lying spectral data of one fiber Hamiltonian instance."""
-
-    eigenvalues: np.ndarray
-    residuals: np.ndarray
-    ground_vector: np.ndarray = field(repr=False)
-    vacuum_overlap: float
-    nu1: Optional[float] = None
-    nu2: Optional[float] = None
-    method: str = "dense"
-    iterations: int = 0
-
-    @property
-    def e0(self) -> float:
-        return float(self.eigenvalues[0])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "residuals": [float(x) for x in self.residuals],
-            "vacuum_overlap": float(self.vacuum_overlap),
-            "nu1": None if self.nu1 is None else float(self.nu1),
-            "nu2": None if self.nu2 is None else float(self.nu2),
-            "diagnostics": {"method": self.method, "iterations": int(self.iterations)},
-        }
-
-
-def _as_matrix(op: MatrixLike):
-    if isinstance(op, SparseOperator):
-        return op.matrix
-    return op
 
 
 def _dense(mat) -> np.ndarray:
@@ -115,12 +80,10 @@ class SymmetricFactor:
     void the count and raise ``SolverError``.
     """
 
-    def __init__(
-        self, mat: MatrixLike, shift: float, config: SolverConfig, label: str = "operator"
-    ):
+    def __init__(self, mat, shift: float, config: SolverConfig, label: str = "operator"):
         self.config = config
         self.label = label
-        mat = sp.csc_matrix(_as_matrix(mat))
+        mat = sp.csc_matrix(mat)
         self._shifted = (mat - shift * sp.identity(mat.shape[0], format="csc")).tocsc()
         try:
             self._lu = spla.splu(
@@ -164,14 +127,14 @@ class Eigenpairs(NamedTuple):
     iterations: int
 
 
-def lowest_eigenpairs(op: MatrixLike, count: int, config: SolverConfig) -> Eigenpairs:
-    """``count`` smallest eigenpairs of a real symmetric operator.
+def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
+    """``count`` smallest eigenpairs of a real symmetric matrix, sparse or
+    dense.
 
     Dense diagonalization below the fallback threshold, shift-invert
     Lanczos on a ``SymmetricFactor`` above it.  Every returned pair is
     certified by its residual; one above tolerance is a ``SolverError``.
     """
-    mat = _as_matrix(op)
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise ConfigError(f"cannot compute {count} eigenpairs of a dim-{dim} operator")
@@ -224,34 +187,30 @@ def _signed_unit(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[pivot] < 0 else vec
 
 
-def ground_energy(op: MatrixLike, config: SolverConfig) -> Tuple[float, np.ndarray]:
+def ground_energy(mat, config: SolverConfig) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit ground vector."""
-    pairs = lowest_eigenpairs(op, 1, config)
+    pairs = lowest_eigenpairs(mat, 1, config)
     return float(pairs.values[0]), _signed_unit(pairs.vectors[:, 0])
 
 
-def spectrum_summary(
-    op: MatrixLike, basis: FockBasis, count: int, config: SolverConfig
-) -> SpectralResult:
-    """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them."""
-    pairs = lowest_eigenpairs(op, min(count, _as_matrix(op).shape[0]), config)
-    ground = _signed_unit(pairs.vectors[:, 0])
-    result = SpectralResult(
-        eigenvalues=pairs.values,
-        residuals=pairs.residuals,
-        ground_vector=ground,
-        vacuum_overlap=float(ground[0]),
-        method=pairs.method,
-        iterations=pairs.iterations,
-    )
-    if basis.nmax >= 1:
-        result.nu1 = nu(op, result.e0, 1, basis, config)
-    if basis.nmax >= 2:
-        result.nu2 = nu(op, result.e0, 2, basis, config)
-    return result
+def spectrum_summary(mat, basis: FockBasis, count: int, config: SolverConfig) -> dict:
+    """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them,
+    under the keys of the ``spectrum`` artifact; a gap whose tail lies above
+    the truncation is ``None``."""
+    pairs = lowest_eigenpairs(mat, min(count, mat.shape[0]), config)
+    e0 = float(pairs.values[0])
+    gaps = [nu(mat, e0, n, basis, config) if n <= basis.nmax else None for n in (1, 2)]
+    return {
+        "eigenvalues": pairs.values,
+        "residuals": pairs.residuals,
+        "vacuum_overlap": float(_signed_unit(pairs.vectors[:, 0])[0]),
+        "nu1": gaps[0],
+        "nu2": gaps[1],
+        "diagnostics": {"method": pairs.method, "iterations": pairs.iterations},
+    }
 
 
-def nu(op: MatrixLike, e0: float, n: int, basis: FockBasis, config: SolverConfig) -> float:
+def nu(mat, e0: float, n: int, basis: FockBasis, config: SolverConfig) -> float:
     """Spectral gap of the ``>= n`` boson tail above the one-boson line.
 
     Returns the smallest eigenvalue of the tail restriction of
@@ -260,15 +219,12 @@ def nu(op: MatrixLike, e0: float, n: int, basis: FockBasis, config: SolverConfig
     """
     if n < 1 or n > basis.nmax:
         raise ConfigError(f"tail index {n} outside 1..{basis.nmax}")
-    mat = _as_matrix(op).tocsr()
     start = basis.tail_start(n)
-    sub = mat[start:, start:]
+    sub = sp.csr_matrix(mat)[start:, start:]
     return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 
-def count_below(
-    op: MatrixLike, threshold: float, buffer: float, config: SolverConfig
-) -> int:
+def count_below(mat, threshold: float, buffer: float, config: SolverConfig) -> int:
     """Number of eigenvalues at or below ``threshold - buffer``.
 
     The buffer keeps the count stable against eigenvalues sitting right at
@@ -278,7 +234,6 @@ def count_below(
     """
     if buffer < 0:
         raise ConfigError(f"buffer must be >= 0, got {buffer}")
-    mat = _as_matrix(op)
     cut = threshold - buffer
     if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
@@ -286,14 +241,13 @@ def count_below(
     return SymmetricFactor(mat, cut, config, label="counted operator").negative_count
 
 
-def eigenvalues_below(op: MatrixLike, threshold: float, config: SolverConfig) -> np.ndarray:
+def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray:
     """All eigenvalues strictly below ``threshold``, ascending.
 
     Above the dense threshold their number is the inertia that
     ``count_below`` reads, and one eigenpair solve of that size must land
     every one of them below the threshold, else ``SolverError``.
     """
-    mat = _as_matrix(op)
     if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
         return vals[vals < threshold]
@@ -328,7 +282,7 @@ class SpdSolver:
     ):
         self.config = config
         self.label = label
-        self._mat = _as_matrix(mat)
+        self._mat = mat
         self.dim = self._mat.shape[0]
         self._dense_factor = None
         if self.dim <= config.dense_threshold:

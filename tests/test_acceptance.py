@@ -94,23 +94,23 @@ def test_criterion_01_free_theory(grid, solver):
     started = time.perf_counter()
     ff = pl.sample_form_factor(grid, "gaussian", 0.0)
     basis = pl.enumerate_basis(grid.size, 4)
-    ham = pl.assemble_hamiltonian(basis, grid, ff)
+    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
     summary = pl.spectrum_summary(ham, basis, 6, solver)
-    e0 = summary.eigenvalues[0]
+    e0 = summary["eigenvalues"][0]
     below = pl.count_below(ham, e0 + 1.0, 0.1, solver)
     elapsed = time.perf_counter() - started
     ok = (
         abs(e0) <= 1e-12
         and below == 1
-        and abs(summary.nu1 - grid.h**2) <= 1e-12
-        and abs(summary.nu2 - 1.0) <= 1e-12
+        and abs(summary["nu1"] - grid.h**2) <= 1e-12
+        and abs(summary["nu2"] - 1.0) <= 1e-12
         and elapsed < 1.0
     )
-    _announce(1, "free-theory spectrum", ok, f"e0={e0:.2e} nu2={summary.nu2:.12f} t={elapsed:.2f}s")
+    _announce(1, "free-theory spectrum", ok, f"e0={e0:.2e} nu2={summary['nu2']:.12f} t={elapsed:.2f}s")
     assert abs(e0) <= 1e-12
     assert below == 1
-    assert abs(summary.nu1 - grid.h**2) <= 1e-12
-    assert abs(summary.nu2 - 1.0) <= 1e-12
+    assert abs(summary["nu1"] - grid.h**2) <= 1e-12
+    assert abs(summary["nu2"] - 1.0) <= 1e-12
     assert elapsed < 1.0
 
 
@@ -248,7 +248,7 @@ def test_criterion_08_coupling_scan(coupling_workspaces, coupling_bundles, solve
         summary = pl.spectrum_summary(ws.hamiltonian, ws.basis, 4, solver)
         rows[g] = {
             "e0": ws.e0,
-            "nu2": summary.nu2,
+            "nu2": summary["nu2"],
             "count": pl.count_below(ws.hamiltonian, ws.e0 + 1.0, 1e-6, solver),
         }
     elapsed = time.perf_counter() - started

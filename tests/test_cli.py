@@ -53,6 +53,10 @@ def test_unknown_config_key_is_fatal(tmp_path, capsys):
     cfg = _write_config(tmp_path, thresholds={"bs_limit": 5e-2})
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
     assert "bs_limit" in capsys.readouterr().err
+    # the operator files are always written, so there is no cache switch
+    cfg = _write_config(tmp_path, cache=True)
+    assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "o3")]) == 2
+    assert "cache" in capsys.readouterr().err
 
 
 def test_missing_required_key_is_fatal(tmp_path, capsys):
@@ -140,7 +144,7 @@ def test_spectrum_artifacts_and_values(tmp_path):
     grid = pl.build_grid(1, 1.0, 1.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.2)
     basis = pl.enumerate_basis(grid.size, 3)
-    ham = pl.assemble_hamiltonian(basis, grid, ff)
+    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
     e0, _ = pl.ground_energy(ham, pl.SolverConfig())
     level = payload["levels"]["3"]
     assert level["eigenvalues"][0] == pytest.approx(e0, abs=1e-12)
@@ -298,6 +302,29 @@ def test_report_summarizes_verification(tmp_path, capsys):
     assert cli.main(["report", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "overall: passed" in text
+
+
+def test_report_rejects_malformed_records(tmp_path, capsys):
+    """Intact artifacts, but a config hash that is no string, or a
+    verification record of the wrong shape: corruption, not a traceback."""
+    cfg = _write_config(tmp_path, nmax=[2])
+    out = tmp_path / "vrun"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+
+    manifest_path.write_text(json.dumps({**manifest, "config_sha256": 5}))
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == 4
+    assert "config hash" in capsys.readouterr().err
+
+    record = "results/verification.json"
+    for text in ("[]", '{"identities": 5}', '{"identities": [1]}', '{"identities": [{}]}'):
+        (out / record).write_text(text)
+        artifacts = {**manifest["artifacts"], record: storage.sha256_bytes(text.encode())}
+        manifest_path.write_text(json.dumps({**manifest, "artifacts": artifacts}))
+        assert cli.main(["report", "--out", str(out)]) == 4, text
+        assert "is not a verification record" in capsys.readouterr().err
 
 
 def test_scan_artifacts(tmp_path):

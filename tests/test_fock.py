@@ -77,13 +77,13 @@ def test_permute_modes_conjugates_hamiltonian():
     ff = pl.sample_form_factor(grid, "gaussian", 0.3)
     basis = pl.enumerate_basis(grid.size, 3)
     k = np.array([0.3, -0.2])
-    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=-k).toarray()
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=-k).matrix.toarray()
     for op, mode_perm in zip(*grid.point_group()):
         perm = basis.permute_modes(mode_perm)
         assert np.array_equal(np.sort(perm), np.arange(basis.dim))
         assert np.array_equal(basis.occupations[perm][:, mode_perm], basis.occupations)
         assert np.array_equal(basis.boson_counts()[perm], basis.boson_counts())
-        moved = pl.assemble_hamiltonian(basis, grid, ff, xi=-(op @ k)).toarray()
+        moved = pl.assemble_hamiltonian(basis, grid, ff, xi=-(op @ k)).matrix.toarray()
         assert np.allclose(moved[np.ix_(perm, perm)], ham, rtol=0, atol=1e-13)
 
 
@@ -115,14 +115,14 @@ def test_field_operator_matches_oracle(small_setup):
 
 def test_hamiltonian_matches_oracle(small_setup):
     grid, ff, basis, occs, perm = small_setup
-    ours = pl.assemble_hamiltonian(basis, grid, ff).toarray()
+    ours = pl.assemble_hamiltonian(basis, grid, ff).matrix.toarray()
     ref = oracles.aligned(
         oracles.dense_hamiltonian(occs, grid.modes, ff.values), perm, basis.dim
     )
     assert np.allclose(ours, ref, rtol=0, atol=1e-13)
     # shifted fiber
     xi = np.array([0.3])
-    ours_xi = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).toarray()
+    ours_xi = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix.toarray()
     ref_xi = oracles.aligned(
         oracles.dense_hamiltonian(occs, grid.modes, ff.values, xi=xi), perm, basis.dim
     )
@@ -149,7 +149,7 @@ def test_hamiltonian_frozen_six_by_six():
             [0.0, 0.0, r2, 0.0, 0.0, 6.0],
         ]
     )
-    ours = pl.assemble_hamiltonian(basis, grid, ff).toarray()
+    ours = pl.assemble_hamiltonian(basis, grid, ff).matrix.toarray()
     assert np.array_equal(ours, expect)
 
 
@@ -172,7 +172,7 @@ def test_commutation_identity_and_top_sector_defect(small_setup):
     sectors below the top; on the top sector the truncation defect is
     -(a+_k a(v) + v_k) applied to the top-sector part."""
     grid, ff, basis, occs, perm = small_setup
-    ham = pl.assemble_hamiltonian(basis, grid, ff).toarray()
+    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix.toarray()
     field = pl.field_operator(basis, ff).toarray()
     counts = basis.boson_counts()
     safe = counts <= basis.nmax - 1
@@ -249,7 +249,7 @@ def test_operator_persistence_roundtrip(tmp_path, small_setup):
     assert side_loaded == sidecar
     assert loaded.hermitian == op.hermitian
     assert loaded.dim == op.dim
-    assert np.array_equal(loaded.toarray(), op.toarray())
+    assert np.array_equal(loaded.matrix.toarray(), op.matrix.toarray())
     # serialization is canonical: same operator, same bytes
     blob1, _ = storage.operator_payload(op, meta={"nmax": 3})
     blob2, _ = storage.operator_payload(op, meta={"nmax": 3})

@@ -22,7 +22,7 @@ from polaronlab.identities import (
     verify_energy_derivatives,
     verify_pullthrough,
 )
-from polaronlab.reduction import TAIL_TWO, ReductionWorkspace
+from polaronlab.reduction import TAIL_ONE, TAIL_TWO, ReductionWorkspace
 from polaronlab.spectral import SpdSolver
 
 LEVELS = (2, 3, 4)
@@ -195,6 +195,42 @@ def test_weighted_resolvent_norm_free_value(ref_grid):
     norms = report.details["weighted_resolvent_norms"]
     for value in norms.values():
         assert value == pytest.approx(2.0, abs=1e-6)
+
+
+def test_weighted_resolvent_norm_matches_dense(ref_workspaces, ref_bundles):
+    """The Lanczos norm of ``W Y(k) W`` is the top eigenvalue of the dense
+    weighted resolvent, and its residual bound lies at or above it."""
+    ws = ref_workspaces[4]
+    details = verify_energy_derivatives(ws, ref_bundles[4]).details
+    norms = details["weighted_resolvent_norms"]
+    bounds = details["weighted_resolvent_norm_bounds"]
+    assert len(norms) == len(bounds) == 3
+    for key, value in norms.items():
+        k = np.array(json.loads(key))
+        tail = ws.restricted_matrix(TAIL_ONE, k, -ws.e0).toarray()
+        weight = (1.0 + np.sqrt(ws.kinetic_diagonal(k)))[ws.start1 :]
+        dense = weight[:, None] * np.linalg.inv(tail) * weight[None, :]
+        top = float(sla.eigvalsh(dense)[-1])
+        assert abs(value - top) <= 1e-10
+        assert bounds[key] >= value
+    assert details["weighted_resolvent_norm_max"] == max(norms.values())
+
+
+def test_pullthrough_builds_each_ladder_operator_once(ref_workspaces, monkeypatch):
+    """Each level builds the ladder operator of every sampled mode once:
+    two creators, or two annihilators, per level on the reference grid."""
+    for kind in ("creator", "annihilator"):
+        built = []
+        original = getattr(pl.fock, kind)
+
+        def counting(basis, mode, original=original):
+            built.append((basis.nmax, mode))
+            return original(basis, mode)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pl.fock, kind, counting)
+            verify_pullthrough(ref_workspaces, kind)
+        assert len(built) == len(set(built)) == 6, kind
 
 
 def test_equivalence_report_empty_window(ref_workspaces):

@@ -93,6 +93,15 @@ def test_d_kernel_matches_oracle(tiny):
         assert np.allclose(ours, ours.T, rtol=0, atol=1e-13)
 
 
+def test_workspace_hamiltonian_is_the_assembled_matrix(ref_workspaces, shifted_workspace):
+    """``spectrum`` reads ``assemble_hamiltonian`` and ``verify`` the
+    workspace: both must hold the same CSR arrays, bit for bit."""
+    for ws in [*ref_workspaces.values(), shifted_workspace]:
+        ham = pl.assemble_hamiltonian(ws.basis, ws.grid, ws.ff, xi=ws.xi).matrix
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ws.hamiltonian, name), getattr(ham, name)), name
+
+
 def test_sparse_d_kernel_reuses_raised_block(monkeypatch):
     """On the sparse path the raised vectors ``a_j^+ |v>`` are built once per
     workspace, from one creator per mode orbit, and serve every ``eps``; the
@@ -366,7 +375,7 @@ def test_workspace_point_group_order(d, K, h, xi, broken, order):
 def _unsymmetrized_d_kernel(ws, eps):
     """``R^T X(eps) R`` with every raised column solved by dense numpy."""
     raised = np.column_stack(
-        [(pl.fock.creator(ws.basis, j).matrix @ ws.v)[ws.start2 :] for j in range(ws.grid.size)]
+        [(pl.fock.creator(ws.basis, j) @ ws.v)[ws.start2 :] for j in range(ws.grid.size)]
     )
     shift = eps - 1.0 - ws.e0
     tail = ws.restricted_matrix(TAIL_TWO, np.zeros(ws.grid.d), shift).toarray()
