@@ -189,34 +189,29 @@ def _top_probe(ws: ReductionWorkspace) -> np.ndarray:
 
 
 def _pullthrough_local_residual(
-    ws: ReductionWorkspace, kind: str, probe: np.ndarray, kj: int, lj: int, ladder
+    ws: ReductionWorkspace, kind: str, probe: np.ndarray, kj: int, lj: int, ladder, y_mat, outer
 ) -> float:
     """Forward-operator (local) form of the pull-through identity.
 
     creator:       X^{-1} a_k^+  =  a_k^+ Y(k)^{-1} + v_k on the >=2 tail
     annihilator:   a_l Y(k)^{-1} =  Z(k+l)^{-1} a_l + v_l on the >=1 tail
 
-    ``ladder`` is the matrix of ``a_k^+`` (creator) or ``a_l`` (annihilator).
+    ``ladder`` is the matrix of ``a_k^+`` (creator) or ``a_l`` (annihilator),
+    ``y_mat`` that of ``Y(k)^{-1}`` and ``outer`` that of ``X^{-1}``
+    (creator) or ``Z(k+l)^{-1}`` (annihilator).
     """
-    k = ws.grid.modes[kj]
+    y_inv = np.zeros(ws.basis.dim)
+    y_inv[ws.start1 :] = y_mat @ probe[ws.start1 :]
     if kind == "creator":
         raised = ladder @ probe
         lhs = np.zeros(ws.basis.dim)
-        lhs[ws.start2 :] = ws.restricted_matrix(TAIL_TWO, np.zeros(ws.grid.d), -ws.e0 - 1.0) @ (
-            raised[ws.start2 :]
-        )
-        y_inv = np.zeros(ws.basis.dim)
-        y_inv[ws.start1 :] = ws.restricted_matrix(TAIL_ONE, k, -ws.e0) @ probe[ws.start1 :]
+        lhs[ws.start2 :] = outer @ raised[ws.start2 :]
         rhs = ladder @ y_inv
         rhs[: ws.start2] = 0.0
         rhs += float(ws.ff.values[kj]) * ws.project_tail(probe, 2)
         return float(np.linalg.norm(lhs - rhs))
-    l = ws.grid.modes[lj]
-    y_inv = np.zeros(ws.basis.dim)
-    y_inv[ws.start1 :] = ws.restricted_matrix(TAIL_ONE, k, -ws.e0) @ probe[ws.start1 :]
     lhs = ladder @ y_inv
-    lowered = ladder @ probe
-    rhs = ws.restricted_matrix(FULL, k + l, 1.0 - ws.e0) @ lowered
+    rhs = outer @ (ladder @ probe)
     rhs += float(ws.ff.values[lj]) * ws.project_tail(probe, 1)
     return float(np.linalg.norm(lhs - rhs))
 
@@ -257,7 +252,7 @@ def verify_pullthrough(
     form on fixed physical probes; shrinking with the level), and
     ``boundary`` (resolvent form on a top-sector probe; demonstrates the
     defect instead of hiding it).  Each level builds the ladder operator of
-    every sampled mode once.
+    every sampled mode, and each matrix of the local form, once.
     """
     if kind not in ("creator", "annihilator"):
         raise ConfigError(f"unknown pull-through kind {kind!r}")
@@ -276,10 +271,21 @@ def verify_pullthrough(
         ops = {j: build(ws.basis, j) for j in modes}
         cases = [(kj, lj, ops[j]) for (kj, lj), j in zip(pairs, modes)]
         if prot:
+            # the local form's matrices, built once per level and case
+            momenta = ws.grid.modes
+            y_mats = {kj: ws.restricted_matrix(TAIL_ONE, momenta[kj], -ws.e0) for kj, _ in pairs}
+            if kind == "creator":
+                x_mat = ws.restricted_matrix(TAIL_TWO, np.zeros(ws.grid.d), -ws.e0 - 1.0)
+                outers = [x_mat] * len(pairs)
+            else:
+                outers = [
+                    ws.restricted_matrix(FULL, momenta[kj] + momenta[lj], 1.0 - ws.e0)
+                    for kj, lj in pairs
+                ]
             vals = [
-                _pullthrough_local_residual(ws, kind, p, kj, lj, op)
+                _pullthrough_local_residual(ws, kind, p, kj, lj, op, y_mats[kj], outer)
                 for p in prot
-                for kj, lj, op in cases
+                for (kj, lj, op), outer in zip(cases, outers)
             ]
             protected.append(max(vals))
         else:

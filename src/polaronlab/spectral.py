@@ -3,7 +3,10 @@ or dense ndarrays alike.
 
 Small problems (dimension at or below ``dense_threshold``) are handled by
 dense LAPACK routines, which doubles as the built-in oracle for the sparse
-path.  Above it one ``SymmetricFactor`` -- a minimum-degree sparse LDL^T
+path.  Dense eigenpairs come from the MRRR routine ``syevr`` (Dhillon &
+Parlett, Linear Algebra Appl. 387, 2004), asked for the lowest ``count``
+pairs only; dense eigenvalue counts still read the full spectrum.  Above
+the threshold one ``SymmetricFactor`` -- a minimum-degree sparse LDL^T
 of ``A - shift`` (George & Liu, SIAM Rev. 31, 1989) -- serves everything:
 its pivot signs give exact eigenvalue counts and definiteness (Sylvester's
 law of inertia), and its solves drive shift-invert Lanczos (Ericsson &
@@ -131,17 +134,16 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
     """``count`` smallest eigenpairs of a real symmetric matrix, sparse or
     dense.
 
-    Dense diagonalization below the fallback threshold, shift-invert
-    Lanczos on a ``SymmetricFactor`` above it.  Every returned pair is
+    Below the fallback threshold, or when nearly every pair is asked for,
+    LAPACK's ``syevr`` computes only the lowest ``count`` pairs; above it,
+    shift-invert Lanczos on a ``SymmetricFactor``.  Every returned pair is
     certified by its residual; one above tolerance is a ``SolverError``.
     """
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise ConfigError(f"cannot compute {count} eigenpairs of a dim-{dim} operator")
     if dim <= config.dense_threshold or count >= dim - 1:
-        dense = _dense(mat)
-        vals, vecs = sla.eigh(dense)
-        vals, vecs = vals[:count], vecs[:, :count]
+        vals, vecs = sla.eigh(_dense(mat), subset_by_index=[0, count - 1])
         method, iterations = "dense", 0
     else:
         # Shift-invert around a point strictly below the spectrum.  Plain

@@ -233,6 +233,27 @@ def test_pullthrough_builds_each_ladder_operator_once(ref_workspaces, monkeypatc
         assert len(built) == len(set(built)) == 6, kind
 
 
+def test_pullthrough_local_form_builds_each_matrix_once(ref_workspaces, monkeypatch):
+    """The local form builds each ``(level, restriction, k, shift)`` matrix
+    once: X and two Y(k) per protected level for the creator, two Y(k) and
+    two Z(k+l) for the annihilator, on levels 3 and 4 of the reference grid.
+    A first run caches the resolvent handles, whose own builds would
+    otherwise share these keys."""
+    for kind, distinct in (("creator", 6), ("annihilator", 8)):
+        verify_pullthrough(ref_workspaces, kind)
+        built = []
+        original = ReductionWorkspace.restricted_matrix
+
+        def counting(ws, restriction, k, shift, original=original):
+            built.append((ws.basis.nmax, restriction, np.asarray(k).tobytes(), shift))
+            return original(ws, restriction, k, shift)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ReductionWorkspace, "restricted_matrix", counting)
+            verify_pullthrough(ref_workspaces, kind)
+        assert len(built) == len(set(built)) == distinct, kind
+
+
 def test_equivalence_report_empty_window(ref_workspaces):
     ws = ref_workspaces[3]
     report = pl.schur_equivalence_report(ws)

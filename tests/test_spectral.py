@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig, SolverError
@@ -28,6 +29,73 @@ def test_dense_and_lanczos_agree(mid_instance):
     vals_d = pl.lowest_eigenpairs(ham, 4, dense_cfg).values
     vals_s = pl.lowest_eigenpairs(ham, 4, sparse_cfg).values
     assert np.allclose(vals_d, vals_s, rtol=0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def degenerate_instance():
+    """Dense d=2 instance (dim 325) with double eigenvalues at indices 2-3
+    and 6-7, from the two-dimensional irreps of the grid's point group."""
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ff = pl.sample_form_factor(grid, "constant", 0.5)
+    return pl.assemble_hamiltonian(pl.enumerate_basis(grid.size, 2), grid, ff).matrix
+
+
+def _assert_dense_pairs_exact(ham, counts):
+    truth = np.linalg.eigvalsh(ham.toarray())
+    for count in counts:
+        pairs = pl.lowest_eigenpairs(ham, count, SolverConfig())
+        assert pairs.method == "dense"
+        assert pairs.values.shape == (count,) and pairs.vectors.shape == (ham.shape[0], count)
+        assert np.allclose(pairs.values, truth[:count], rtol=0, atol=1e-12), count
+        gram = pairs.vectors.T @ pairs.vectors
+        assert np.allclose(gram, np.eye(count), rtol=0, atol=1e-12), count
+
+
+def test_dense_subset_matches_full_spectrum(mid_instance):
+    """The dense path asks LAPACK for the lowest ``count`` pairs only; they
+    are the bottom of the full spectrum, with orthonormal vectors."""
+    ham = mid_instance[3]
+    _assert_dense_pairs_exact(ham, (1, 6, ham.shape[0] - 1, ham.shape[0]))
+
+
+def test_dense_subset_keeps_degenerate_copies(degenerate_instance):
+    """A count that closes a double eigenvalue returns both copies; a count
+    that cuts through one (3 here) is legitimate and returns one."""
+    truth = np.linalg.eigvalsh(degenerate_instance.toarray())
+    assert truth[3] - truth[2] <= 1e-12 and truth[7] - truth[6] <= 1e-12
+    assert truth[2] == pytest.approx(0.63449809, abs=1e-8)
+    assert truth[6] == pytest.approx(0.85694709, abs=1e-8)
+    _assert_dense_pairs_exact(degenerate_instance, (3, 4, 8))
+
+
+#: one grid per dimension, 8 modes each, so nmax 2 and 3 stay dense (dim 45, 165)
+_DENSE_GRIDS = {1: (2.0, 0.5), 2: (1.0, 1.0)}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from(sorted(_DENSE_GRIDS)),
+    profile=st.sampled_from(pl.grid.PROFILES),
+    g=st.floats(0.0, 1.5),
+    nmax=st.sampled_from([2, 3]),
+)
+def test_dense_ground_energy_and_gaps_match_full_spectrum(d, profile, g, nmax):
+    """Dense ``ground_energy``, ``nu(1)`` and ``nu(2)`` are the minima of the
+    full spectra of H and of its tails."""
+    grid = pl.build_grid(d, *_DENSE_GRIDS[d])
+    basis = pl.enumerate_basis(grid.size, nmax)
+    # alpha (froehlich only) must lie below d; 0.5 serves both dimensions
+    ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
+    cfg = SolverConfig()
+    assert basis.dim <= cfg.dense_threshold
+    dense = ham.toarray()
+    e0, _ = pl.ground_energy(ham, cfg)
+    assert abs(e0 - np.linalg.eigvalsh(dense)[0]) <= 1e-12
+    for n in (1, 2):
+        start = basis.tail_start(n)
+        tail_min = np.linalg.eigvalsh(dense[start:, start:])[0]
+        assert abs(pl.nu(ham, e0, n, basis, cfg) - (tail_min - 1.0 - e0)) <= 1e-12
 
 
 def test_eigenpair_validation(mid_instance):
