@@ -37,13 +37,16 @@ import numpy as np
 from . import fock, grid as gridmod, identities, storage
 from .errors import CacheCorruptionError, ConfigError, SolverError
 from .grid import FormFactor, MomentumGrid, build_grid, export_form_factor_csv, sample_form_factor
-from .identities import DEFAULT_THRESHOLDS, EPSILON_GRID, run_suite, schur_equivalence_report
-from .reduction import BS_LADDER, build_workspace
+from .identities import EPSILON_GRID, run_suite, schur_equivalence_report
+from .reduction import build_workspace
 from .spectral import SolverConfig, count_below, spectrum_summary
 
 _REQUIRED = object()
 
 _ENV_PREFIX = "POLARONLAB_"
+
+#: eigenvalues ``spectrum`` lists per truncation level
+SPECTRUM_COUNT = 6
 
 DEFAULT_CONFIG = {
     "grid": {
@@ -60,13 +63,9 @@ DEFAULT_CONFIG = {
     "nmax": [2, 3, 4],
     "xi": None,
     "solver": {f.name: f.default for f in fields(SolverConfig)},
-    "thresholds": dict(DEFAULT_THRESHOLDS),
-    "epsilon_grid": list(EPSILON_GRID),
     "scan": {
         "couplings": [0.0, 0.05, 0.1, 0.2],
     },
-    "bs_ladder": list(BS_LADDER),
-    "spectrum_count": 6,
     "fock_cap": fock.DEFAULT_FOCK_CAP,
 }
 
@@ -158,13 +157,16 @@ def load_config(path: Optional[str], environ=None) -> dict:
 
 def _number(value, entry: str, kind: type = float):
     """``kind(value)``, or a ``ConfigError`` naming ``entry`` if it does not
-    cast.  A boolean is no number here, although Python casts it to one."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{entry} must be a number, got {value!r}")
+    cast.  A boolean is no number here, although Python casts it to one,
+    and an ``int`` entry takes only a JSON integer: ``int`` would truncate
+    ``7.9`` to 7."""
+    want = "a number (an integer)" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+        raise ConfigError(f"{entry} must be {want}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{entry} must be a number, got {value!r}") from exc
+        raise ConfigError(f"{entry} must be {want}, got {value!r}") from exc
 
 
 def _validate_values(cfg: dict) -> None:
@@ -178,7 +180,6 @@ def _validate_values(cfg: dict) -> None:
         ("grid.mode_cap", g["mode_cap"], int),
         ("form_factor.g", f["g"], float),
         ("form_factor.alpha", f["alpha"], float),
-        ("spectrum_count", cfg["spectrum_count"], int),
         ("fock_cap", cfg["fock_cap"], int),
     ]
     numbers += [
@@ -186,17 +187,17 @@ def _validate_values(cfg: dict) -> None:
     ]
     for entry, value, kind in numbers:
         _number(value, entry, kind)
-    if not isinstance(g["d"], int) or g["d"] < 1:
+    if g["d"] < 1:
         raise ConfigError(f"grid.d must be a positive integer, got {g['d']!r}")
+    if not 0 <= cfg["solver"]["seed"] < 2**32:
+        raise ConfigError(f"solver.seed must lie in [0, 2**32), got {cfg['solver']['seed']!r}")
     nmax = cfg["nmax"]
-    for n in nmax if isinstance(nmax, list) else [nmax]:
+    levels = nmax if isinstance(nmax, list) else [nmax]
+    if not levels:
+        raise ConfigError("nmax must be an integer or a non-empty list of integers")
+    for n in levels:
         _number(n, "nmax", int)
-    if isinstance(nmax, int):
-        cfg["nmax"] = [nmax]
-    elif isinstance(nmax, list) and nmax and all(isinstance(n, int) for n in nmax):
-        cfg["nmax"] = sorted(set(nmax))
-    else:
-        raise ConfigError(f"nmax must be an integer or a list of integers, got {nmax!r}")
+    cfg["nmax"] = sorted(set(levels))
     if any(n < 1 for n in cfg["nmax"]):
         raise ConfigError("truncation levels must be >= 1")
     if cfg["xi"] is not None:
@@ -205,30 +206,17 @@ def _validate_values(cfg: dict) -> None:
             raise ConfigError(f"xi must be a list of {g['d']} numbers")
         for x in xi:
             _number(x, "xi")
-    eps = cfg["epsilon_grid"]
-    if not isinstance(eps, list) or not eps:
-        raise ConfigError("epsilon_grid must be a non-empty list")
-    if any(not (0.0 < _number(e, "epsilon_grid") < 1.0) for e in eps):
-        raise ConfigError("epsilon_grid values must lie strictly inside (0, 1)")
     couplings = cfg["scan"]["couplings"]
     if not isinstance(couplings, list) or not couplings:
         raise ConfigError("scan.couplings must be a non-empty list")
     if any(_number(c, "scan.couplings") < 0 for c in couplings):
         raise ConfigError("scan.couplings must be non-negative")
-    if not isinstance(cfg["bs_ladder"], list):
-        raise ConfigError("bs_ladder must be a list")
-    for e in cfg["bs_ladder"]:
-        _number(e, "bs_ladder")
-    for key, value in cfg["thresholds"].items():
-        entry = f"thresholds.{key}"
-        if isinstance(value, str) or _number(value, entry) <= 0:
-            raise ConfigError(f"{entry} must be positive, got {value!r}")
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
-    """Each ``solver`` entry cast to the type of its ``SolverConfig`` default."""
-    s = cfg["solver"]
-    return SolverConfig(**{f.name: type(f.default)(s[f.name]) for f in fields(SolverConfig)})
+    """The validated ``solver`` entries, which are JSON integers like the
+    ``SolverConfig`` defaults."""
+    return SolverConfig(**cfg["solver"])
 
 
 def instance_from_config(cfg: dict) -> Tuple[MomentumGrid, FormFactor]:
@@ -356,7 +344,7 @@ def cmd_spectrum(args) -> int:
         basis = fock.enumerate_basis(grid.size, nmax, cap=int(cfg["fock_cap"]))
         xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
         ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
-        level = spectrum_summary(ham, basis, int(cfg["spectrum_count"]), solver)
+        level = spectrum_summary(ham, basis, SPECTRUM_COUNT, solver)
         e0 = float(level["eigenvalues"][0])
         n_below = count_below(ham, e0 + 1.0, solver.buffer(grid.h), solver)
         level["dimension"] = basis.dim
@@ -404,12 +392,10 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     reports, bs, assumptions = [], None, None
     if xi is None or not any(float(x) != 0.0 for x in xi):
         bundles = {n: workspaces[n].build_bundle() for n in levels}
-        reports = run_suite(workspaces, bundles, thresholds=cfg["thresholds"], only=only)
-        bs = bundles[top].bs_limit_check([float(e) for e in cfg["bs_ladder"]])
+        reports = run_suite(workspaces, bundles, only=only)
+        bs = bundles[top].bs_limit_check()
         assumptions = bundles[top].assumptions()
-    equivalence = schur_equivalence_report(
-        workspaces[top], eps_grid=cfg["epsilon_grid"], thresholds=cfg["thresholds"]
-    )
+    equivalence = schur_equivalence_report(workspaces[top])
 
     identity_failed = any(r.passed is False for r in reports)
     passed = not identity_failed and equivalence["consistent"]
@@ -479,8 +465,7 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     buffer = solver.buffer(grid.h)
     n_below = count_below(ws.hamiltonian, ws.e0 + 1.0, buffer, solver)
     o_min = min(
-        float(np.linalg.eigvalsh(ws.one_particle_operator(float(e)))[0])
-        for e in cfg["epsilon_grid"]
+        float(np.linalg.eigvalsh(ws.one_particle_operator(e))[0]) for e in EPSILON_GRID
     )
     norm_residual = identities.norm_identity_value(bundle)
     return {

@@ -47,12 +47,14 @@ import scipy.sparse.linalg as spla
 from . import fock
 from .errors import ConfigError, SolverError
 from .reduction import FULL, TAIL_ONE, TAIL_TWO, ReductionBundle, ReductionWorkspace
-from .spectral import eigenvalues_below, start_vector
+from .spectral import MAX_ITERATIONS, eigenvalues_below, start_vector
 
 _log = logging.getLogger("polaronlab")
 
 #: most kernel points one crossing may take before its bracket is reported
 MAX_CROSSING_DEPTH = 60
+#: width of the offset bracket a crossing is pinned to
+CROSSING_WIDTH = 1e-9
 
 #: central-difference steps of the energy-curve gradient and Hessian checks
 FD_STEP = 1e-4
@@ -81,9 +83,8 @@ IDENTITY_IDS = (
     "energy-derivatives",
 )
 
-#: bounds of the checks; each check reads a full table, and ``run_suite``
-#: is the one place that overlays a caller's entries on this one
-DEFAULT_THRESHOLDS = {
+#: pass/fail bounds of the checks
+THRESHOLDS = {
     "exact": 1e-9,
     "protected": 1e-8,
     "schur_fixed_point": 1e-8,
@@ -112,19 +113,18 @@ class IdentityReport:
     notes: str = ""
 
 
+#: residuals at or below this count as converged in a truncation ladder
 TREND_FLOOR = 1e-13
 
 
-def _strictly_decreasing(
-    values: Sequence[Optional[float]], floor: float = TREND_FLOOR
-) -> Optional[bool]:
+def _strictly_decreasing(values: Sequence[Optional[float]]) -> Optional[bool]:
     """True when each value beats the previous one, treating values at or
-    below the numerical floor as already converged (a residual that is zero
-    to machine precision at every truncation cannot decrease further)."""
+    below ``TREND_FLOOR`` as already converged (a residual that is zero to
+    machine precision at every truncation cannot decrease further)."""
     vals = [v for v in values if v is not None]
     if len(vals) < 2:
         return None
-    return all(b < a or b <= floor for a, b in zip(vals, vals[1:]))
+    return all(b < a or b <= TREND_FLOOR for a, b in zip(vals, vals[1:]))
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -156,9 +156,9 @@ def _fixed_probes(ws: ReductionWorkspace) -> List[np.ndarray]:
     return probes
 
 
-def _protected_probes(ws: ReductionWorkspace, seed: int) -> List[np.ndarray]:
+def _protected_probes(ws: ReductionWorkspace) -> List[np.ndarray]:
     """Probes supported in sectors 1..nmax-2, away from the truncation edge."""
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(ws.config.seed)
     probes: List[np.ndarray] = []
     for n in range(1, ws.basis.nmax - 1):
         sec = ws.basis.sector_range(n)
@@ -240,11 +240,7 @@ def _pullthrough_resolvent_residual(
     return float(np.linalg.norm(lhs - rhs))
 
 
-def verify_pullthrough(
-    workspaces: Dict[int, ReductionWorkspace],
-    kind: str,
-    thresholds: dict = DEFAULT_THRESHOLDS,
-) -> IdentityReport:
+def verify_pullthrough(workspaces: Dict[int, ReductionWorkspace], kind: str) -> IdentityReport:
     """Check one pull-through identity across the truncation ladder.
 
     Reports three residual families per level: ``protected`` (local form
@@ -262,7 +258,7 @@ def verify_pullthrough(
     boundary: List[Optional[float]] = []
     for nmax in levels:
         ws = workspaces[nmax]
-        prot = _protected_probes(ws, ws.config.seed)
+        prot = _protected_probes(ws)
         kjs = _mode_sample(ws)
         pairs = [(kjs[0], kjs[-1]), (kjs[len(kjs) // 2], kjs[len(kjs) // 2])]
         # a_k^+ for the creator form, a_l for the annihilator form
@@ -303,7 +299,7 @@ def verify_pullthrough(
         boundary.append(max(bvals))
 
     trend = _strictly_decreasing(ladder)
-    prot_ok = all(v <= thresholds["protected"] for v in protected if v is not None)
+    prot_ok = all(v <= THRESHOLDS["protected"] for v in protected if v is not None)
     passed = prot_ok and (trend is not False)
     notes = "local form on protected sectors; resolvent form tracked as a ladder"
     if all(v is None for v in protected):
@@ -314,7 +310,7 @@ def verify_pullthrough(
         nmax_levels=levels,
         residuals={"protected": protected, "ladder": ladder, "boundary": boundary},
         summary=ladder,
-        threshold=thresholds["protected"],
+        threshold=THRESHOLDS["protected"],
         passed=passed,
         details={"ladder_strictly_decreasing": trend},
         notes=notes,
@@ -326,8 +322,8 @@ def verify_pullthrough(
 # ---------------------------------------------------------------------------
 
 
-def _splitting_probes(ws: ReductionWorkspace, seed: int) -> List[np.ndarray]:
-    rng = np.random.RandomState(seed)
+def _splitting_probes(ws: ReductionWorkspace) -> List[np.ndarray]:
+    rng = np.random.RandomState(ws.config.seed)
     probes = [ws.vacuum_vector(), _unit(rng.standard_normal(ws.basis.dim)), _top_probe(ws)]
     if ws.ff.norm > 0:
         probes.append(_unit(ws.v))
@@ -335,7 +331,7 @@ def _splitting_probes(ws: ReductionWorkspace, seed: int) -> List[np.ndarray]:
 
 
 def verify_resolvent_identities(
-    workspaces: Dict[int, ReductionWorkspace], thresholds: dict = DEFAULT_THRESHOLDS
+    workspaces: Dict[int, ReductionWorkspace],
 ) -> Tuple[IdentityReport, IdentityReport]:
     """Check the two exact resolvent splitting identities.
 
@@ -351,7 +347,7 @@ def verify_resolvent_identities(
     for nmax in levels:
         ws = workspaces[nmax]
         vac = ws.vacuum_vector()
-        probes = _splitting_probes(ws, ws.config.seed)
+        probes = _splitting_probes(ws)
         ks = [np.zeros(ws.grid.d)] + [ws.grid.modes[j] for j in _mode_sample(ws, 2)]
         worst = 0.0
         for k in ks:
@@ -382,8 +378,8 @@ def verify_resolvent_identities(
         nmax_levels=levels,
         residuals={"probe_max": res_vac},
         summary=res_vac,
-        threshold=thresholds["exact"],
-        passed=all(v <= thresholds["exact"] for v in res_vac),
+        threshold=THRESHOLDS["exact"],
+        passed=all(v <= THRESHOLDS["exact"] for v in res_vac),
     )
     r2 = IdentityReport(
         identity="resolvent-splitting-one-boson",
@@ -391,8 +387,8 @@ def verify_resolvent_identities(
         nmax_levels=levels,
         residuals={"probe_max": res_one},
         summary=res_one,
-        threshold=thresholds["exact"],
-        passed=all(v <= thresholds["exact"] for v in res_one),
+        threshold=THRESHOLDS["exact"],
+        passed=all(v <= THRESHOLDS["exact"] for v in res_one),
     )
     return r1, r2
 
@@ -402,9 +398,7 @@ def verify_resolvent_identities(
 # ---------------------------------------------------------------------------
 
 
-def verify_vacuum_schur(
-    workspaces: Dict[int, ReductionWorkspace], thresholds: dict = DEFAULT_THRESHOLDS
-) -> IdentityReport:
+def verify_vacuum_schur(workspaces: Dict[int, ReductionWorkspace]) -> IdentityReport:
     """Ground-energy fixed point of the vacuum Schur scalar.
 
     At offset 1 the scalar must return ``-e0`` exactly; along the offset
@@ -424,14 +418,14 @@ def verify_vacuum_schur(
             monotone_ok = monotone_ok and all(b < a for a, b in zip(vals, vals[1:]))
         else:
             monotone_ok = monotone_ok and all(b <= a for a, b in zip(vals, vals[1:]))
-    passed = all(g <= thresholds["schur_fixed_point"] for g in gaps) and monotone_ok
+    passed = all(g <= THRESHOLDS["schur_fixed_point"] for g in gaps) and monotone_ok
     return IdentityReport(
         identity="vacuum-schur",
         classification=EXACT,
         nmax_levels=levels,
         residuals={"fixed_point_gap": gaps},
         summary=gaps,
-        threshold=thresholds["schur_fixed_point"],
+        threshold=THRESHOLDS["schur_fixed_point"],
         passed=passed,
         details={"eps_ladder": list(VACUUM_SCHUR_LADDER), "values": ladder_values,
                  "strictly_decreasing": monotone_ok},
@@ -486,9 +480,7 @@ def verify_lambda_identity(
 
 
 def verify_c0_identity(
-    workspaces: Dict[int, ReductionWorkspace],
-    bundles: Dict[int, ReductionBundle],
-    thresholds: dict = DEFAULT_THRESHOLDS,
+    workspaces: Dict[int, ReductionWorkspace], bundles: Dict[int, ReductionBundle]
 ) -> IdentityReport:
     """Three equivalent expressions for ``c0`` plus the ground-state relation.
 
@@ -536,8 +528,8 @@ def verify_c0_identity(
             "ground_state_vector": res_state,
         },
         summary=worst,
-        threshold=thresholds["exact"],
-        passed=all(v <= thresholds["exact"] for v in worst),
+        threshold=THRESHOLDS["exact"],
+        passed=all(v <= THRESHOLDS["exact"] for v in worst),
     )
 
 
@@ -546,9 +538,7 @@ def verify_c0_identity(
 # ---------------------------------------------------------------------------
 
 
-def verify_rearrangement(
-    bundles: Dict[int, ReductionBundle], thresholds: dict = DEFAULT_THRESHOLDS
-) -> IdentityReport:
+def verify_rearrangement(bundles: Dict[int, ReductionBundle]) -> IdentityReport:
     """Rank-one rearrangement of the weighted one-particle kernel.
 
     Assembles ``|k|^{-1} (k^2 - e0 - D) |l|^{-1}`` from the raw kernel
@@ -579,7 +569,7 @@ def verify_rearrangement(
         res.append(float(np.max(np.abs(lhs - rhs))))
         sym.append(float(np.max(np.abs(lhs - lhs.T))))
     vals = [v for v in res if v is not None]
-    passed = all(v <= thresholds["exact"] for v in vals) if vals else None
+    passed = all(v <= THRESHOLDS["exact"] for v in vals) if vals else None
     notes = ""
     if skipped:
         notes = f"decomposition absent (c0 <= 0) at levels {skipped}; skipped there"
@@ -589,7 +579,7 @@ def verify_rearrangement(
         nmax_levels=levels,
         residuals={"entry_max": res, "symmetry": sym},
         summary=res,
-        threshold=thresholds["exact"],
+        threshold=THRESHOLDS["exact"],
         passed=passed,
         notes=notes,
     )
@@ -611,9 +601,7 @@ def norm_identity_value(bundle: ReductionBundle) -> Optional[float]:
 
 
 def verify_norm_identity(
-    workspaces: Dict[int, ReductionWorkspace],
-    bundles: Dict[int, ReductionBundle],
-    thresholds: dict = DEFAULT_THRESHOLDS,
+    workspaces: Dict[int, ReductionWorkspace], bundles: Dict[int, ReductionBundle]
 ) -> IdentityReport:
     """The central norm identity and the two construction formulas under it.
 
@@ -623,9 +611,9 @@ def verify_norm_identity(
     (null)     S (1+A)^{-1} phi = 0
 
     Truncation-limited through the lambda transfer step; the pairing
-    residual must shrink along the truncation ladder and stay below the
-    configured bound at the top level.  At zero coupling the decomposition
-    is absent and the check reports that instead of failing.
+    residual must shrink along the truncation ladder and stay within
+    ``THRESHOLDS["norm_identity"]`` at the top level.  At zero coupling the
+    decomposition is absent and the check reports that instead of failing.
     """
     levels = sorted(workspaces)
     res_pair: List[Optional[float]] = []
@@ -666,7 +654,7 @@ def verify_norm_identity(
         passed = None
         notes = f"decomposition absent (c0 <= 0) at levels {absent}; nothing to verify"
     else:
-        passed = (top is not None and top <= thresholds["norm_identity"]) and (trend is not False)
+        passed = (top is not None and top <= THRESHOLDS["norm_identity"]) and (trend is not False)
         notes = "pairing residual is the primary truncation ladder"
         if absent:
             notes += f"; absent at levels {absent}"
@@ -682,7 +670,7 @@ def verify_norm_identity(
             "construction_paths": res_paths,
         },
         summary=res_pair,
-        threshold=thresholds["norm_identity"],
+        threshold=THRESHOLDS["norm_identity"],
         passed=passed,
         details={
             "phi_norms": phi_norms,
@@ -759,7 +747,7 @@ def _weighted_resolvent_norm(ws: ReductionWorkspace, k: np.ndarray) -> Tuple[flo
             which="LA",
             v0=start_vector(ws.basis.dim, ws.config.seed)[start:],
             tol=0.0,
-            maxiter=ws.config.max_iterations,
+            maxiter=MAX_ITERATIONS,
         )
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"Lanczos on the weighted resolvent failed to converge: {exc}") from exc
@@ -767,9 +755,7 @@ def _weighted_resolvent_norm(ws: ReductionWorkspace, k: np.ndarray) -> Tuple[flo
     return theta, theta + float(np.linalg.norm(matvec(u) - theta * u))
 
 
-def verify_energy_derivatives(
-    ws: ReductionWorkspace, bundle: ReductionBundle, thresholds: dict = DEFAULT_THRESHOLDS
-) -> IdentityReport:
+def verify_energy_derivatives(ws: ReductionWorkspace, bundle: ReductionBundle) -> IdentityReport:
     """Resolvent-calculus derivatives of the mode energy curve.
 
     gradient:   dE/dk_i = 2 <v| Y(k) (P_i + k_i) Y(k) |v>
@@ -837,9 +823,9 @@ def verify_energy_derivatives(
     weighted_norm_max = float(max(norms.values()))
 
     passed = bool(
-        grad_rel_max <= thresholds["gradient_rel"]
-        and grad0_norm <= thresholds["gradient_origin"]
-        and hess_rel_max <= thresholds["hessian_rel"]
+        grad_rel_max <= THRESHOLDS["gradient_rel"]
+        and grad0_norm <= THRESHOLDS["gradient_origin"]
+        and hess_rel_max <= THRESHOLDS["hessian_rel"]
         and np.isfinite(weighted_norm_max)
     )
     return IdentityReport(
@@ -852,7 +838,7 @@ def verify_energy_derivatives(
             "hessian_rel": [hess_rel_max],
         },
         summary=[grad_rel_max],
-        threshold=thresholds["gradient_rel"],
+        threshold=THRESHOLDS["gradient_rel"],
         passed=passed,
         details={
             "quadratic_ratio": quad_ratio,
@@ -884,7 +870,6 @@ def _false_position(
     hi: float,
     vlo: np.ndarray,
     vhi: np.ndarray,
-    width: float,
     depth: int,
 ) -> Tuple[float, float, int]:
     """Shrink a one-jump, pole-free bracket around its root by Illinois
@@ -898,11 +883,11 @@ def _false_position(
     index = int(np.sum(vlo < 0.0)) - 1
     flo, fhi = float(vlo[index]), float(vhi[index])
     side = 0
-    while hi - lo > width and depth <= MAX_CROSSING_DEPTH:
-        # kept width/2 inside the bracket, so a converged estimate still
-        # closes the bracket on its next probe
+    while hi - lo > CROSSING_WIDTH and depth <= MAX_CROSSING_DEPTH:
+        # kept CROSSING_WIDTH/2 inside the bracket, so a converged estimate
+        # still closes the bracket on its next probe
         probe = lo + (hi - lo) * flo / (flo - fhi)
-        probe = min(max(probe, lo + 0.5 * width), hi - 0.5 * width)
+        probe = min(max(probe, lo + 0.5 * CROSSING_WIDTH), hi - 0.5 * CROSSING_WIDTH)
         vals = evaluate(probe)
         depth += 1
         count = _below_count(probe, vals, pole)
@@ -932,7 +917,6 @@ def _locate_crossings(
     vlo: np.ndarray,
     vhi: np.ndarray,
     out: List[float],
-    width: float = 1e-9,
     depth: int = 0,
 ) -> None:
     """Pin every inertia jump of ``O(eps)`` between ``lo`` and ``hi``.
@@ -945,48 +929,41 @@ def _locate_crossings(
     interval holding one jump and not the pole brackets a single root,
     refined by false position (Dowell & Jarratt, BIT 11, 1971).  Several
     jumps, or the pole, are split by bisection.  Each crossing is the
-    midpoint of a bracket no wider than ``width`` (or of the bracket held
-    after more than ``MAX_CROSSING_DEPTH`` kernel points) and is logged
-    at DEBUG level.
+    midpoint of a bracket no wider than ``CROSSING_WIDTH`` (or of the
+    bracket held after more than ``MAX_CROSSING_DEPTH`` kernel points) and
+    is logged at DEBUG level.
     """
     jumps = _below_count(lo, vlo, pole) - _below_count(hi, vhi, pole)
     if jumps <= 0:
         return
     if jumps == 1 and not lo <= pole <= hi:
-        lo, hi, depth = _false_position(evaluate, pole, lo, hi, vlo, vhi, width, depth)
-    if hi - lo <= width or depth > MAX_CROSSING_DEPTH:
+        lo, hi, depth = _false_position(evaluate, pole, lo, hi, vlo, vhi, depth)
+    if hi - lo <= CROSSING_WIDTH or depth > MAX_CROSSING_DEPTH:
         for _ in range(jumps):
             _log.debug("crossing pinned to eps in [%r, %r] by %d kernel points", lo, hi, depth)
         out.extend([0.5 * (lo + hi)] * jumps)
         return
     mid = 0.5 * (lo + hi)
     vmid = evaluate(mid)
-    _locate_crossings(evaluate, pole, lo, mid, vlo, vmid, out, width, depth + 1)
-    _locate_crossings(evaluate, pole, mid, hi, vmid, vhi, out, width, depth + 1)
+    _locate_crossings(evaluate, pole, lo, mid, vlo, vmid, out, depth + 1)
+    _locate_crossings(evaluate, pole, mid, hi, vmid, vhi, out, depth + 1)
 
 
-def schur_equivalence_report(
-    ws: ReductionWorkspace,
-    eps_grid: Sequence[float] = EPSILON_GRID,
-    thresholds: dict = DEFAULT_THRESHOLDS,
-) -> dict:
+def schur_equivalence_report(ws: ReductionWorkspace) -> dict:
     """Bidirectional spectral correspondence through the Schur complement.
 
     Direction one: every fiber eigenvalue in the window ``(e0, e0+1)``
     must produce a near-zero eigenvalue of the reduced one-particle
-    operator at the matching offset.  Direction two: on an offset grid,
+    operator at the matching offset.  Direction two: on ``EPSILON_GRID``,
     the negative-inertia count of the reduced operator (plus the vacuum
     block) must equal the number of fiber eigenvalues below the matching
     energy; every inertia jump between grid points is pinned to a bracket
-    no wider than 1e-9 -- by false position where an interval holds one
-    jump and no vacuum pole, by bisection otherwise -- and matched back to
-    a fiber eigenvalue.  The grid's kernel eigenvalues seed the brackets,
+    no wider than ``CROSSING_WIDTH`` -- by false position where an interval
+    holds one jump and no vacuum pole, by bisection otherwise -- and matched
+    back to a fiber eigenvalue.  The grid's kernel eigenvalues seed the brackets,
     so no offset is evaluated twice.
     """
-    tol = thresholds["equivalence"]
-    eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
-    if eps_grid.size == 0 or eps_grid[0] <= 0.0 or eps_grid[-1] >= 1.0:
-        raise ConfigError("offset grid must lie strictly inside (0, 1)")
+    tol = THRESHOLDS["equivalence"]
     # the vacuum block 1 + e0 - eps - |xi|^2 of O(eps) changes sign here
     pole = 1.0 + ws.e0 - ws.vacuum_kinetic()
 
@@ -1013,9 +990,9 @@ def schur_equivalence_report(
             },
         )
 
-    grid_vals = [evaluate(e) for e in eps_grid]
+    grid_vals = [evaluate(e) for e in EPSILON_GRID]
     grid_rows = []
-    for e, vals in zip(eps_grid, grid_vals):
+    for e, vals in zip(EPSILON_GRID, grid_vals):
         predicted = _below_count(e, vals, pole)
         actual = int(np.sum(eigs < ws.e0 + 1.0 - e))
         grid_rows.append(
@@ -1029,9 +1006,9 @@ def schur_equivalence_report(
         )
 
     located: List[float] = []
-    for i in range(eps_grid.size - 1):
+    for i in range(len(EPSILON_GRID) - 1):
         _locate_crossings(
-            evaluate, pole, float(eps_grid[i]), float(eps_grid[i + 1]),
+            evaluate, pole, EPSILON_GRID[i], EPSILON_GRID[i + 1],
             grid_vals[i], grid_vals[i + 1], located,
         )
     crossings = []
@@ -1072,7 +1049,6 @@ def schur_equivalence_report(
 def run_suite(
     workspaces: Dict[int, ReductionWorkspace],
     bundles: Dict[int, ReductionBundle],
-    thresholds: Optional[dict] = None,
     only: Optional[Iterable[str]] = None,
 ) -> List[IdentityReport]:
     """Run the identity suite on one instance across a truncation ladder.
@@ -1080,12 +1056,10 @@ def run_suite(
     ``workspaces`` maps each truncation level to its workspace and
     ``bundles`` to the bundle that workspace built (``build_bundle``); the
     caller builds both, so every check shares their resolvent handles and
-    kernels.  The energy-derivative check runs on the top level.
-    ``thresholds`` overrides entries of ``DEFAULT_THRESHOLDS``.  ``only``
-    filters by identity id; unknown ids, and an empty ladder, are
-    configuration errors.
+    kernels.  The energy-derivative check runs on the top level.  Each
+    check judges against ``THRESHOLDS``.  ``only`` filters by identity id;
+    unknown ids, and an empty ladder, are configuration errors.
     """
-    thresholds = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     wanted = set(IDENTITY_IDS) if only is None else set(only)
     unknown = wanted - set(IDENTITY_IDS)
     if unknown:
@@ -1095,28 +1069,26 @@ def run_suite(
 
     reports: List[IdentityReport] = []
     if "pullthrough-creator" in wanted:
-        reports.append(verify_pullthrough(workspaces, "creator", thresholds))
+        reports.append(verify_pullthrough(workspaces, "creator"))
     if "pullthrough-annihilator" in wanted:
-        reports.append(verify_pullthrough(workspaces, "annihilator", thresholds))
+        reports.append(verify_pullthrough(workspaces, "annihilator"))
     if {"resolvent-splitting-vacuum", "resolvent-splitting-one-boson"} & wanted:
-        r1, r2 = verify_resolvent_identities(workspaces, thresholds)
+        r1, r2 = verify_resolvent_identities(workspaces)
         if "resolvent-splitting-vacuum" in wanted:
             reports.append(r1)
         if "resolvent-splitting-one-boson" in wanted:
             reports.append(r2)
     if "vacuum-schur" in wanted:
-        reports.append(verify_vacuum_schur(workspaces, thresholds))
+        reports.append(verify_vacuum_schur(workspaces))
     if "lambda-oneboson" in wanted:
         reports.append(verify_lambda_identity(workspaces, bundles))
     if "c0-identity" in wanted:
-        reports.append(verify_c0_identity(workspaces, bundles, thresholds))
+        reports.append(verify_c0_identity(workspaces, bundles))
     if "rearrangement" in wanted:
-        reports.append(verify_rearrangement(bundles, thresholds))
+        reports.append(verify_rearrangement(bundles))
     if "norm-identity" in wanted:
-        reports.append(verify_norm_identity(workspaces, bundles, thresholds))
+        reports.append(verify_norm_identity(workspaces, bundles))
     if "energy-derivatives" in wanted:
         top = max(workspaces)
-        reports.append(
-            verify_energy_derivatives(workspaces[top], bundles[top], thresholds)
-        )
+        reports.append(verify_energy_derivatives(workspaces[top], bundles[top]))
     return reports

@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -173,28 +173,23 @@ class ReductionBundle:
             "all_hold": bool(hold),
         }
 
-    def bs_limit_check(self, eps_ladder: Iterable[float] = BS_LADDER) -> dict:
+    def bs_limit_check(self) -> dict:
         """Regularized Birman-Schwinger infima against ``min spec S``.
 
-        For each ladder value computes the smallest eigenvalue of
-        ``(k^2 + eps)^{-1/2} O(0) (k^2 + eps)^{-1/2}`` and reports the gap
-        to the smallest eigenvalue of ``S``.
+        For each value ``eps`` of ``BS_LADDER`` computes the smallest
+        eigenvalue of ``(k^2 + eps)^{-1/2} O(0) (k^2 + eps)^{-1/2}`` and
+        reports the gap of the last one to the smallest eigenvalue of ``S``.
         """
-        ladder = sorted(eps_ladder, reverse=True)
-        if not ladder:
-            raise ConfigError("need at least one regularization value")
         ksq = self.mode_norms**2
         values = []
-        for eps in ladder:
-            if eps <= 0:
-                raise ConfigError(f"regularization must be positive, got {eps}")
+        for eps in BS_LADDER:
             scale = 1.0 / np.sqrt(ksq + eps)
             weighted = scale[:, None] * self.omat * scale[None, :]
             values.append(float(sla.eigvalsh(weighted)[0]))
         target = self.s_min_eigenvalue()
         gap = None if target is None else abs(values[-1] - target)
         return {
-            "eps_ladder": list(ladder),
+            "eps_ladder": list(BS_LADDER),
             "values": values,
             "s_min_eigenvalue": target,
             "final_gap": gap,

@@ -35,20 +35,26 @@ from .fock import FockBasis
 
 _log = logging.getLogger("polaronlab")
 
+#: Lanczos convergence tolerance and floor of the eigenpair residual check
+EIG_TOL = 1e-10
+#: relative true-residual bound of every linear solve
+LIN_TOL = 1e-12
+#: iteration cap of Lanczos and conjugate gradients
+MAX_ITERATIONS = 5000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by every solver call."""
+    """Where the dense oracle hands over to the sparse path, and the seed of
+    the iterative solvers' start vectors.  The tolerances are the module
+    constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
 
-    eig_tol: float = 1e-10
-    lin_tol: float = 1e-12
-    max_iterations: int = 5000
     dense_threshold: int = 500
     seed: int = 2024
 
     def buffer(self, h: float) -> float:
-        """Edge buffer for eigenvalue counting: ``max(h^2, 10 * eig_tol)``."""
-        return max(h * h, 10.0 * self.eig_tol)
+        """Edge buffer for eigenvalue counting: ``max(h^2, 10 * EIG_TOL)``."""
+        return max(h * h, 10.0 * EIG_TOL)
 
 
 def _dense(mat) -> np.ndarray:
@@ -83,8 +89,7 @@ class SymmetricFactor:
     void the count and raise ``SolverError``.
     """
 
-    def __init__(self, mat, shift: float, config: SolverConfig, label: str = "operator"):
-        self.config = config
+    def __init__(self, mat, shift: float, label: str = "operator"):
         self.label = label
         mat = sp.csc_matrix(mat)
         self._shifted = (mat - shift * sp.identity(mat.shape[0], format="csc")).tocsc()
@@ -111,7 +116,7 @@ class SymmetricFactor:
         x = self._lu.solve(rhs)
         self.solves += 1
         residual, scale = np.linalg.norm(self._shifted @ x - rhs), np.linalg.norm(rhs)
-        if residual > self.config.lin_tol * scale:
+        if residual > LIN_TOL * scale:
             raise SolverError(
                 f"factor solve on {self.label} left residual {residual:.3e} at |rhs| {scale:.3e}"
             )
@@ -151,7 +156,7 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
         # (nearly) annihilates, because their Krylov components never grow;
         # the inverted operator makes the low end dominant instead.
         sigma = _gershgorin_lower(mat) - 1.0
-        factor = SymmetricFactor(mat, sigma, config, label="shift-invert operator")
+        factor = SymmetricFactor(mat, sigma, label="shift-invert operator")
         opinv = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=float)
         try:
             vals, vecs = spla.eigsh(
@@ -160,8 +165,8 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
                 sigma=sigma,
                 which="LM",
                 OPinv=opinv,
-                tol=config.eig_tol,
-                maxiter=config.max_iterations,
+                tol=EIG_TOL,
+                maxiter=MAX_ITERATIONS,
                 v0=start_vector(dim, config.seed),
             )
         except spla.ArpackNoConvergence as exc:
@@ -173,7 +178,7 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
         [np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(count)]
     )
     scale = max(1.0, float(np.abs(vals).max()))
-    tol = max(config.eig_tol, 1e-12 * scale * dim)
+    tol = max(EIG_TOL, 1e-12 * scale * dim)
     if np.any(residuals > max(tol, 1e-8)):
         raise SolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance ({method})"
@@ -240,7 +245,7 @@ def count_below(mat, threshold: float, buffer: float, config: SolverConfig) -> i
     if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
         return int(np.sum(vals <= cut))
-    return SymmetricFactor(mat, cut, config, label="counted operator").negative_count
+    return SymmetricFactor(mat, cut, label="counted operator").negative_count
 
 
 def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray:
@@ -271,7 +276,7 @@ class SpdSolver:
     it, construction certifies definiteness -- by a positive Gershgorin
     lower bound, else by the inertia of a transient ``SymmetricFactor`` --
     and each solve runs Jacobi-preconditioned conjugate gradients, whose
-    answer must leave a true residual ``|A x - b| <= lin_tol |b|``.  A
+    answer must leave a true residual ``|A x - b| <= LIN_TOL |b|``.  A
     caller that has already proven the matrix positive definite passes the
     proof's name as ``certificate``; the sparse path then skips its own
     check.  Either way one DEBUG event on the ``polaronlab`` logger names
@@ -282,7 +287,6 @@ class SpdSolver:
     def __init__(
         self, mat, config: SolverConfig, label: str = "operator", certificate: Optional[str] = None
     ):
-        self.config = config
         self.label = label
         self._mat = mat
         self.dim = self._mat.shape[0]
@@ -300,13 +304,13 @@ class SpdSolver:
             certificate = "gershgorin"
             if _gershgorin_lower(self._mat) <= 0.0:
                 certificate = "inertia"
-                negative = SymmetricFactor(self._mat, 0.0, config, label).negative_count
+                negative = SymmetricFactor(self._mat, 0.0, label).negative_count
                 if negative:
                     raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
         _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A x = rhs`` to the configured linear tolerance; ``rhs`` is
+        """Solve ``A x = rhs`` to the linear tolerance ``LIN_TOL``; ``rhs`` is
         one vector or a block of columns."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.dim:
@@ -324,15 +328,15 @@ class SpdSolver:
         x, info = spla.cg(
             self._mat,
             rhs,
-            rtol=self.config.lin_tol,
+            rtol=LIN_TOL,
             atol=0.0,
-            maxiter=self.config.max_iterations,
+            maxiter=MAX_ITERATIONS,
             M=jacobi,
         )
         if info != 0:
             raise SolverError(f"conjugate gradients failed on {self.label} (info={info})")
         residual, scale = np.linalg.norm(self._mat @ x - rhs), np.linalg.norm(rhs)
-        if residual > self.config.lin_tol * scale:
+        if residual > LIN_TOL * scale:
             raise SolverError(
                 f"conjugate gradients on {self.label} left residual {residual:.3e} "
                 f"at |rhs| {scale:.3e}"

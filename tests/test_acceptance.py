@@ -278,7 +278,7 @@ def test_criterion_09_regularized_limit(workspaces, bundles, solver):
     # On a coarse grid the smallest momentum dwarfs the final regularization,
     # so the weighted infimum saturates at the rank-one-lifted bottom instead
     # of descending to the reduced operator's own infimum.
-    coarse = bundles[4].bs_limit_check(eps_ladder=(1e-1, 1e-2, 1e-3))
+    coarse = bundles[4].bs_limit_check()
     b4 = bundles[4]
     u = b4.phi + np.sqrt(b4.c0) * b4.v / b4.mode_norms
     lifted = float(np.linalg.eigvalsh(b4.smat + np.outer(u, u))[0])
@@ -291,7 +291,7 @@ def test_criterion_09_regularized_limit(workspaces, bundles, solver):
     grid = pl.build_grid(1, 0.125, 1.0 / 256.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.1)
     ws = pl.build_workspace(grid, ff, 2, config=solver)
-    check = ws.build_bundle().bs_limit_check(eps_ladder=(1e-1, 1e-2, 1e-3))
+    check = ws.build_bundle().bs_limit_check()
     elapsed = time.perf_counter() - started
 
     gap = check["final_gap"]

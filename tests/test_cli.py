@@ -23,10 +23,7 @@ def _write_config(tmp_path, **overrides):
         "grid": {"d": 1, "K": 1.0, "h": 1.0},
         "form_factor": {"profile": "gaussian", "g": 0.2},
         "nmax": [2, 3],
-        "epsilon_grid": [0.25, 0.5, 0.75],
         "scan": {"couplings": [0.0, 0.1]},
-        "bs_ladder": [0.1, 0.01],
-        "spectrum_count": 4,
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -49,10 +46,10 @@ def test_unknown_config_key_is_fatal(tmp_path, capsys):
     path.write_text(json.dumps({"grid": {"d": 1, "K": 1.0, "h": 1.0, "spacing": 0.5}}))
     assert cli.main(["build", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
-    # the bs_limit report has no pass/fail threshold, so naming one is an error
-    cfg = _write_config(tmp_path, thresholds={"bs_limit": 5e-2})
+    # the identity bounds are constants of the program, not config entries
+    cfg = _write_config(tmp_path, thresholds={"exact": 1e-9})
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
-    assert "bs_limit" in capsys.readouterr().err
+    assert "'thresholds'" in capsys.readouterr().err
     # the operator files are always written, so there is no cache switch
     cfg = _write_config(tmp_path, cache=True)
     assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "o3")]) == 2
@@ -69,8 +66,6 @@ def test_missing_required_key_is_fatal(tmp_path, capsys):
 def test_value_validation_is_fatal(tmp_path):
     cfg = _write_config(tmp_path, xi=[0.1, 0.2])  # xi length != d
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    cfg2 = _write_config(tmp_path, epsilon_grid=[0.0, 0.5])
-    assert cli.main(["verify", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 2
     path = tmp_path / "nojson.json"
     path.write_text("{not json")
     assert cli.main(["build", "--config", str(path), "--out", str(tmp_path / "o3")]) == 2
@@ -80,16 +75,12 @@ def test_value_validation_is_fatal(tmp_path):
 NON_NUMERIC = [
     # entry, environment value, config-file override
     ("form_factor.g", "abc", {"form_factor": {"profile": "gaussian", "g": "abc"}}),
-    ("epsilon_grid", '["a"]', {"epsilon_grid": ["a"]}),
-    ("solver.lin_tol", "abc", {"solver": {"lin_tol": "abc"}}),
     ("fock_cap", "abc", {"fock_cap": "abc"}),
     ("xi", '["a"]', {"xi": ["a"]}),
-    ("bs_ladder", '["a"]', {"bs_ladder": ["a"]}),
     ("grid.K", "abc", {"grid": {"d": 1, "K": "abc", "h": 1.0}}),
     # a boolean is no number, although Python's int and float take it
     ("grid.d", "true", {"grid": {"d": True, "K": 1.0, "h": 1.0}}),
     ("nmax", "[2, true]", {"nmax": [2, True]}),
-    ("thresholds.exact", "true", {"thresholds": {"exact": True}}),
 ]
 
 
@@ -108,6 +99,82 @@ def test_non_numeric_value_is_a_config_error(
         monkeypatch.setenv("POLARONLAB_" + entry.upper().replace(".", "__"), raw)
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{entry} must be a number" in capsys.readouterr().err
+
+
+BAD_INTEGERS = [
+    # entry, value: an integer entry takes a JSON integer and nothing it
+    # would truncate, and the seed must suit numpy's generator
+    ("solver.seed", -1),
+    ("solver.seed", 2**32),
+    ("solver.seed", 7.9),
+    ("solver.dense_threshold", 10.5),
+    ("fock_cap", 200000.0),
+    ("grid.mode_cap", 64.5),
+]
+
+
+def _override(entry, value):
+    """The config-file form of one ``entry = value`` override."""
+    head, _, leaf = entry.partition(".")
+    if not leaf:
+        return {head: value}
+    section = {"grid": {"d": 1, "K": 1.0, "h": 1.0}}.get(head, {})
+    return {head: {**section, leaf: value}}
+
+
+@pytest.mark.parametrize(
+    "entry, value", [pytest.param(*case, id=f"{case[0]}={case[1]}") for case in BAD_INTEGERS]
+)
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_bad_integer_value_is_a_config_error(tmp_path, monkeypatch, capsys, source, entry, value):
+    """A non-integer or out-of-range integer entry exits 2 and names its
+    entry, before any solver sees it."""
+    if source == "file":
+        cfg = _write_config(tmp_path, **{"nmax": [2], **_override(entry, value)})
+    else:
+        cfg = _write_config(tmp_path, nmax=[2])
+        monkeypatch.setenv("POLARONLAB_" + entry.upper().replace(".", "__"), json.dumps(value))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert entry in capsys.readouterr().err
+
+
+#: every config entry that became a constant of the program, with the value
+#: it used to default to
+REMOVED_ENTRIES = {
+    "thresholds.exact": 1e-9,
+    "thresholds.protected": 1e-8,
+    "thresholds.schur_fixed_point": 1e-8,
+    "thresholds.norm_identity": 1e-2,
+    "thresholds.gradient_rel": 1e-5,
+    "thresholds.gradient_origin": 1e-8,
+    "thresholds.hessian_rel": 1e-4,
+    "thresholds.equivalence": 1e-7,
+    "epsilon_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+    "bs_ladder": [0.1, 0.01, 0.001],
+    "spectrum_count": 6,
+    "solver.eig_tol": 1e-10,
+    "solver.lin_tol": 1e-12,
+    "solver.max_iterations": 5000,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REMOVED_ENTRIES))
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_removed_config_entry_is_fatal(tmp_path, monkeypatch, capsys, source, entry):
+    """A config that sets a removed entry, even to its old default, exits 2
+    and names the unknown key (file) or the variable (environment)."""
+    value = REMOVED_ENTRIES[entry]
+    if source == "file":
+        cfg = _write_config(tmp_path, nmax=[2], **_override(entry, value))
+        head, _, leaf = entry.partition(".")
+        # a removed section is unknown as a whole
+        named = repr(head if head == "thresholds" else leaf or head)
+    else:
+        cfg = _write_config(tmp_path, nmax=[2])
+        named = "POLARONLAB_" + entry.upper().replace(".", "__")
+        monkeypatch.setenv(named, json.dumps(value))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_build_artifacts(tmp_path):
@@ -171,17 +238,6 @@ def test_verify_passes_and_prints_summary(tmp_path, capsys):
     assert payload["assumptions"]["all_hold"] is True
     assert payload["bs_limit"]["values"]
     assert (out / "tables" / "identities.csv").exists()
-
-
-def test_verify_casts_numeric_string_bs_ladder(tmp_path):
-    """Numeric strings pass validation, so the ladder is cast where it is used."""
-    limits = []
-    for ladder in (["0.1", "0.01"], [0.1, 0.01]):
-        cfg = _write_config(tmp_path, nmax=[2], bs_ladder=ladder)
-        out = tmp_path / f"bs-{ladder[0]!r}"
-        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
-        limits.append(json.loads((out / "results" / "verification.json").read_text())["bs_limit"])
-    assert limits[0] == limits[1]
 
 
 def test_verify_filter(tmp_path, capsys):

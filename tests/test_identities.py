@@ -12,8 +12,8 @@ import scipy.linalg as sla
 import polaronlab as pl
 from polaronlab import ConfigError, storage
 from polaronlab.identities import (
-    DEFAULT_THRESHOLDS,
     EXACT,
+    THRESHOLDS,
     ORACLE_LIMITED,
     TRUNCATION_LIMITED,
     _locate_crossings,
@@ -180,9 +180,9 @@ def test_energy_derivatives_cross_terms():
     ws = pl.build_workspace(grid, ff, 2)
     report = verify_energy_derivatives(ws, ws.build_bundle())
     assert report.passed is True
-    assert report.residuals["gradient_rel"][0] <= DEFAULT_THRESHOLDS["gradient_rel"]
+    assert report.residuals["gradient_rel"][0] <= THRESHOLDS["gradient_rel"]
     assert report.residuals["gradient_at_origin"][0] <= 1e-10
-    assert report.residuals["hessian_rel"][0] <= DEFAULT_THRESHOLDS["hessian_rel"]
+    assert report.residuals["hessian_rel"][0] <= THRESHOLDS["hessian_rel"]
 
 
 def test_weighted_resolvent_norm_free_value(ref_grid):
@@ -343,13 +343,6 @@ def test_crossings_pinned_by_few_kernel_points(
     for (lo, hi), eps in zip(sorted(brackets), located):
         assert lo <= eps <= hi and hi - lo <= 1e-9
     assert logging.getLogger("polaronlab").handlers == []
-
-
-def test_equivalence_grid_validation(ref_workspaces):
-    with pytest.raises(ConfigError):
-        pl.schur_equivalence_report(ref_workspaces[2], eps_grid=[0.0, 0.5])
-    with pytest.raises(ConfigError):
-        pl.schur_equivalence_report(ref_workspaces[2], eps_grid=[])
 
 
 def test_suite_reuses_prebuilt_workspaces(ref_workspaces, ref_bundles):

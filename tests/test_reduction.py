@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig
-from polaronlab.reduction import TAIL_TWO
+from polaronlab.reduction import BS_LADDER, TAIL_TWO
 
 import oracles
 
@@ -276,19 +276,13 @@ def test_free_coupling_bundle_degenerates(small_grid):
     report = bundle.assumptions()
     assert report["contraction"] is None  # no active coupling to contract
     assert report["all_hold"]
-    # Birman-Schwinger weighting at zero coupling: diag(k^2/(k^2+eps))
-    bs = bundle.bs_limit_check(eps_ladder=(0.5, 0.25))
-    assert bs["values"][0] == pytest.approx(1.0 / 1.5, abs=1e-12)
-    assert bs["values"][1] == pytest.approx(1.0 / 1.25, abs=1e-12)
+    # Birman-Schwinger weighting at zero coupling: diag(k^2/(k^2+eps)),
+    # whose smallest entry is 1/(1 + eps) at |k| = 1
+    bs = bundle.bs_limit_check()
+    assert bs["eps_ladder"] == list(BS_LADDER)
+    for eps, value in zip(BS_LADDER, bs["values"]):
+        assert value == pytest.approx(1.0 / (1.0 + eps), abs=1e-12)
     assert bs["final_gap"] is None
-
-
-def test_bs_ladder_validation(ref_bundles):
-    bundle = ref_bundles[2]
-    with pytest.raises(ConfigError):
-        bundle.bs_limit_check(eps_ladder=())
-    with pytest.raises(ConfigError):
-        bundle.bs_limit_check(eps_ladder=(0.1, 0.0))
 
 
 def test_weighted_lower_bound_decomposition(ref_bundles):

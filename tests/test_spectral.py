@@ -290,7 +290,7 @@ def test_count_below_refuses_uncertified_inertia():
     swap = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]])] * 10, format="csr")
     cfg = SolverConfig(dense_threshold=10)
     assert pl.count_below(swap, 0.0, 0.0, SolverConfig()) == 10
-    assert SymmetricFactor(swap, 0.5, cfg).negative_count == 10
+    assert SymmetricFactor(swap, 0.5).negative_count == 10
     with pytest.raises(SolverError):
         pl.count_below(swap, 0.0, 0.0, cfg)
     with pytest.raises(SolverError):
