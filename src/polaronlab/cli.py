@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -157,16 +158,19 @@ def load_config(path: Optional[str], environ=None) -> dict:
 
 def _number(value, entry: str, kind: type = float):
     """``kind(value)``, or a ``ConfigError`` naming ``entry`` if it does not
-    cast.  A boolean is no number here, although Python casts it to one,
-    and an ``int`` entry takes only a JSON integer: ``int`` would truncate
-    ``7.9`` to 7."""
+    cast or casts to a NaN or an infinity.  A boolean is no number here,
+    although Python casts it to one, and an ``int`` entry takes only a JSON
+    integer: ``int`` would truncate ``7.9`` to 7."""
     want = "a number (an integer)" if kind is int else "a number"
     if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
         raise ConfigError(f"{entry} must be {want}, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{entry} must be {want}, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{entry} must be {want}, got {value!r}, which is not finite")
+    return number
 
 
 def _validate_values(cfg: dict) -> None:
@@ -340,11 +344,13 @@ def cmd_spectrum(args) -> int:
 
     rows = []
     payload = {"instance": _instance_summary(cfg, grid, ff), "levels": {}}
+    xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
+    mode_perms = gridmod.stabilizer(grid, ff, xi)
     for nmax in cfg["nmax"]:
         basis = fock.enumerate_basis(grid.size, nmax, cap=int(cfg["fock_cap"]))
-        xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
         ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
-        level = spectrum_summary(ham, basis, SPECTRUM_COUNT, solver)
+        sector = fock.invariant_sector(np.array([basis.permute_modes(p) for p in mode_perms]))
+        level = spectrum_summary(ham, basis, sector, SPECTRUM_COUNT, solver)
         e0 = float(level["eigenvalues"][0])
         n_below = count_below(ham, e0 + 1.0, solver.buffer(grid.h), solver)
         level["dimension"] = basis.dim
@@ -378,6 +384,11 @@ def _reduction_levels(cfg: dict) -> List[int]:
     return levels
 
 
+def _shifted(cfg: dict) -> bool:
+    """Whether the configured fiber shift ``xi`` is nonzero."""
+    return cfg["xi"] is not None and any(float(x) != 0.0 for x in cfg["xi"])
+
+
 def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     grid, ff = instance_from_config(cfg)
     solver = solver_from_config(cfg)
@@ -390,7 +401,7 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     top = levels[-1]
     # the bundle's weighted decomposition exists only at zero fiber shift
     reports, bs, assumptions = [], None, None
-    if xi is None or not any(float(x) != 0.0 for x in xi):
+    if not _shifted(cfg):
         bundles = {n: workspaces[n].build_bundle() for n in levels}
         reports = run_suite(workspaces, bundles, only=only)
         bs = bundles[top].bs_limit_check()
@@ -492,7 +503,13 @@ def _scan_jobs(jobs: int, couplings: int) -> int:
 
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
-    _reduction_levels(cfg)  # a configuration error, raised before any worker starts
+    # configuration errors, raised before any worker starts
+    _reduction_levels(cfg)
+    if _shifted(cfg):
+        raise ConfigError(
+            "scan builds reduction bundles, which need a zero fiber shift; "
+            f"xi must be zero or absent, got {cfg['xi']!r}"
+        )
     couplings = [float(c) for c in cfg["scan"]["couplings"]]
     jobs = _scan_jobs(args.jobs, len(couplings))
     if jobs > 1:

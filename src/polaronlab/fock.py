@@ -11,7 +11,9 @@ one mode on all states at once and ranks the results.  Creation operators
 annihilate the top sector: raising out of the truncation maps to zero.
 Ladder and field operators are canonical ``csr_matrix``es; the fiber
 Hamiltonian comes wrapped in a ``SparseOperator``, the form ``storage``
-persists with its symmetry flag.
+persists with its symmetry flag.  ``invariant_sector`` turns the basis
+permutations of a mode symmetry group into the isometry onto the vectors
+they all fix.
 """
 
 from __future__ import annotations
@@ -236,6 +238,26 @@ def assemble_hamiltonian(
     diag = shifted_kinetic_diagonal(basis, grid, -xi) + number_diagonal(basis)
     mat = field_operator(basis, ff) + sp.diags(diag, format="csr")
     return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
+
+
+def invariant_sector(basis_perms: np.ndarray) -> sp.csr_matrix:
+    """Isometry ``B`` onto the vectors that a group of basis permutations fixes.
+
+    ``basis_perms[g]`` is the basis permutation of group element ``g`` (see
+    ``FockBasis.permute_modes``), for every element of the group.  Column
+    ``j`` of the ``dim x orbits`` result is the normalized sum of the states
+    of one orbit; columns are ordered by each orbit's lowest state.  The
+    permutations keep every sector, so the columns of the ``>= n`` tail are
+    the trailing ones from ``B.indices[basis.tail_start(n)]`` on.  A group of
+    the identity alone gives the identity matrix.
+    """
+    dim = basis_perms.shape[1]
+    lowest = basis_perms.min(axis=0)
+    _, column, size = np.unique(lowest, return_inverse=True, return_counts=True)
+    column = column.ravel()
+    return sp.csr_matrix(
+        (1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)), shape=(dim, len(size))
+    )
 
 
 def one_boson_vector(basis: FockBasis, ff: FormFactor) -> np.ndarray:

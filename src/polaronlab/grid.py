@@ -4,7 +4,9 @@ The single-boson momenta live on the lattice ``h * Z^d`` intersected with
 the cube ``[-K, K]^d``, with the origin removed.  A form factor attaches a
 real, even amplitude ``v_k = g * w(k) * h**(d/2)`` to every mode; the
 ``h**(d/2)`` quadrature weight is folded in once here so that all
-downstream operators are plain weighted sums over modes.
+downstream operators are plain weighted sums over modes.  ``stabilizer``
+picks the signed coordinate permutations of the grid that fix a fiber
+momentum and a form factor: the symmetry group of one instance.
 """
 
 from __future__ import annotations
@@ -156,6 +158,21 @@ def sample_form_factor(
     if not np.all(np.isfinite(values)):
         raise ConfigError("form factor produced non-finite amplitudes")
     return FormFactor(profile=profile, g=float(g), alpha=float(alpha), values=values)
+
+
+def stabilizer(
+    grid: MomentumGrid, ff: FormFactor, xi: Optional[Sequence[float]] = None
+) -> np.ndarray:
+    """Mode permutations of the point-group elements that fix ``xi`` and the
+    form factor exactly, in ``MomentumGrid.point_group`` order (the identity
+    first); shape ``(order, M)``.  ``xi`` defaults to zero."""
+    xi = np.zeros(grid.d) if xi is None else np.asarray(xi, dtype=float)
+    ops, perms = grid.point_group()
+    keep = [
+        g for g in range(len(ops))
+        if np.array_equal(ops[g] @ xi, xi) and np.array_equal(ff.values[perms[g]], ff.values)
+    ]
+    return perms[keep]
 
 
 def triple_norm(

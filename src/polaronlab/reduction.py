@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from . import fock
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
 from .fock import FockBasis
-from .grid import FormFactor, MomentumGrid
+from .grid import FormFactor, MomentumGrid, stabilizer
 from .spectral import SolverConfig, SpdSolver, ground_energy, nu
 
 Momentum = Union[float, Sequence[float], np.ndarray]
@@ -206,9 +206,13 @@ class ReductionWorkspace:
 
     ``mode_perms`` holds the instance's point group: the mode permutation
     of every signed coordinate permutation that fixes ``xi`` and the form
-    factor exactly (``grid.point_group`` order).  The grid kernels solve
-    only on its orbit representatives (see the module docstring), and
-    construction logs the group order and the orbit counts at DEBUG level.
+    factor exactly (``grid.stabilizer``), and ``basis_perms`` the basis
+    permutation ``U_g`` of each.  The ground energy, its vector and the
+    bundle's ``nu1``/``nu2`` are solved on the group-invariant ``sector``
+    (see the ``spectral`` module docstring), and the grid kernels only on
+    the orbit representatives (see the module docstring).  Construction
+    logs the group order with the sector and full dimensions, and the
+    orbit counts, at DEBUG level.
     """
 
     def __init__(
@@ -233,25 +237,26 @@ class ReductionWorkspace:
         self.n_diag = fock.number_diagonal(basis)
         self.p_state = basis.momentum_sums(grid)
         self.hamiltonian = self.restricted_matrix(FULL, np.zeros(grid.d), 0.0)
-        self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.config)
+        self.mode_perms = stabilizer(grid, ff, self.xi)
+        #: basis permutation ``U_g`` of every group element
+        self.basis_perms = np.array([basis.permute_modes(p) for p in self.mode_perms])
+        #: isometry onto the group-invariant sector, where e0, nu1 and nu2 lie
+        self.sector = fock.invariant_sector(self.basis_perms)
+        _log.debug(
+            "invariant sector of the order-%d group: dim %d of %d",
+            len(self.mode_perms), self.sector.shape[1], basis.dim,
+        )
+        self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.sector, self.config)
         self.v = fock.one_boson_vector(basis, ff)
         self.start1 = basis.tail_start(1)
         self.start2 = basis.tail_start(2)
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
-        ops, perms = grid.point_group()
-        keep = [
-            g for g in range(len(ops))
-            if np.array_equal(ops[g] @ self.xi, self.xi)
-            and np.array_equal(ff.values[perms[g]], ff.values)
-        ]
-        self.mode_perms = perms[keep]
-        #: group element -> basis permutation, built when first needed
-        self._basis_perms: Dict[int, np.ndarray] = {}
         n_sums, blocks = self._sum_orbits
         _log.debug(
             "point group of order %d: %d mode orbits, %d of %d Z(s) sums",
-            len(keep), len(np.unique(_orbits(self.mode_perms)[0])), len(blocks), n_sums,
+            len(self.mode_perms), len(np.unique(_orbits(self.mode_perms)[0])),
+            len(blocks), n_sums,
         )
         self._handles: Dict[Tuple, ResolventHandle] = {}
         #: (kind, k) -> lowest shift at which that family was certified definite
@@ -385,13 +390,6 @@ class ReductionWorkspace:
 
     # -- point-group orbits ------------------------------------------------
 
-    def _basis_perm(self, g: int) -> np.ndarray:
-        """Basis permutation ``U_g`` of group element ``g`` (see ``permute_modes``)."""
-        got = self._basis_perms.get(g)
-        if got is None:
-            got = self._basis_perms[g] = self.basis.permute_modes(self.mode_perms[g])
-        return got
-
     def _covariant_columns(self, perms: np.ndarray, solve, start: int = 0) -> np.ndarray:
         """Columns of a covariant family (``col[perms[g, x]] = U_g col[x]``).
 
@@ -405,7 +403,7 @@ class ReductionWorkspace:
         out = np.empty((solved.shape[0], len(rep)))
         out[:, own] = solved
         for x in np.flatnonzero(~own):
-            out[self._basis_perm(carrier[x])[start:] - start, x] = out[:, rep[x]]
+            out[self.basis_perms[carrier[x]][start:] - start, x] = out[:, rep[x]]
         return out
 
     @cached_property
@@ -619,8 +617,8 @@ class ReductionWorkspace:
 
         dmat = self.d_kernel(0.0)
         omat = self.one_particle_operator(0.0, dmat=dmat)
-        nu1 = nu(self.hamiltonian, self.e0, 1, self.basis, self.config)
-        nu2 = nu(self.hamiltonian, self.e0, 2, self.basis, self.config)
+        nu1 = nu(self.hamiltonian, self.e0, 1, self.basis, self.sector, self.config)
+        nu2 = nu(self.hamiltonian, self.e0, 2, self.basis, self.sector, self.config)
         return ReductionBundle(
             e0=self.e0,
             mode_norms=norms,

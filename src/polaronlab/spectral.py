@@ -17,6 +17,24 @@ unless the caller hands it a certificate of its own, such as a definite
 member of the same ``A + shift * I`` family at a lower shift -- and solves
 by Jacobi-preconditioned conjugate gradients whose every answer must pass
 a true-residual check.
+
+The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
+point-group-invariant sector only: the range of the isometry ``B`` of
+``fock.invariant_sector``, whose columns are the normalized orbit sums of
+the group that fixes ``xi`` and the form factor (``grid.stabilizer``).
+That sector holds the bottom of H and of each of its ``>= n`` tails.  In
+the sign gauge ``s(n) = (-1)^N(n) prod_k sign(v_k)^{n_k}`` (sign(0) = +1)
+every off-diagonal entry of the fiber Hamiltonian is ``-|v_k| sqrt(m) <= 0``,
+so H and each tail, a principal submatrix, are symmetric Z-matrices.  By
+Perron-Frobenius the lowest eigenvalue of such a matrix has an eigenvector
+``x >= 0`` (Berman & Plemmons, *Nonnegative Matrices in the Mathematical
+Sciences*, SIAM 1994, ch. 6; for polarons, Gerlach & Löwen, Rev. Mod.
+Phys. 63, 63, 1991).  The group keeps ``N``, the tails and ``sign(v)``, so
+it commutes with the gauge; the group average of ``s x`` is then ``s``
+times the average of ``x >= 0``, which is nonzero, and it is an invariant
+eigenvector at the lowest eigenvalue.  So ``B^T H B`` and its trailing
+blocks have the same minima as H and its tails, on a space smaller by up
+to the group order.  A trivial group makes ``B`` the identity.
 """
 
 from __future__ import annotations
@@ -53,8 +71,11 @@ class SolverConfig:
     seed: int = 2024
 
     def buffer(self, h: float) -> float:
-        """Edge buffer for eigenvalue counting: ``max(h^2, 10 * EIG_TOL)``."""
-        return max(h * h, 10.0 * EIG_TOL)
+        """Edge buffer for eigenvalue counting: ``max(min(h^2, 1/2), 10 * EIG_TOL)``.
+
+        Capped below the window width 1, so the count cut ``e0 + 1 - buffer``
+        stays above ``e0`` on coarse grids too."""
+        return max(min(h * h, 0.5), 10.0 * EIG_TOL)
 
 
 def _dense(mat) -> np.ndarray:
@@ -174,8 +195,16 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         method, iterations = "shift-invert", factor.solves
+    residuals = _certified_residuals(mat, vals, vecs, method)
+    return Eigenpairs(vals, vecs, residuals, method, iterations)
+
+
+def _certified_residuals(mat, vals: np.ndarray, vecs: np.ndarray, method: str) -> np.ndarray:
+    """Residuals ``|A x - lam x|`` of eigenpairs; one above tolerance is a
+    ``SolverError``."""
+    dim = mat.shape[0]
     residuals = np.array(
-        [np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(count)]
+        [np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(len(vals))]
     )
     scale = max(1.0, float(np.abs(vals).max()))
     tol = max(EIG_TOL, 1e-12 * scale * dim)
@@ -183,7 +212,7 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
         raise SolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance ({method})"
         )
-    return Eigenpairs(vals, vecs, residuals, method, iterations)
+    return residuals
 
 
 def _signed_unit(vec: np.ndarray) -> np.ndarray:
@@ -194,19 +223,37 @@ def _signed_unit(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[pivot] < 0 else vec
 
 
-def ground_energy(mat, config: SolverConfig) -> Tuple[float, np.ndarray]:
-    """Smallest eigenvalue and unit ground vector."""
-    pairs = lowest_eigenpairs(mat, 1, config)
-    return float(pairs.values[0]), _signed_unit(pairs.vectors[:, 0])
+def _restrict(mat, sector: sp.csr_matrix) -> sp.csr_matrix:
+    """``B^T A B`` for the isometry ``B`` of an invariant sector."""
+    return (sector.T @ sp.csr_matrix(mat) @ sector).tocsr()
 
 
-def spectrum_summary(mat, basis: FockBasis, count: int, config: SolverConfig) -> dict:
+def ground_energy(mat, sector: sp.csr_matrix, config: SolverConfig) -> Tuple[float, np.ndarray]:
+    """Smallest eigenvalue and unit ground vector of a fiber Hamiltonian.
+
+    Solved on the invariant sector ``B^T H B`` (see the module docstring),
+    with the pair certified by its residual there; the ground vector is
+    lifted to ``B y``, certified again by its residual against the full
+    ``H``, and normalized with its largest entry positive.
+    """
+    pairs = lowest_eigenpairs(_restrict(mat, sector), 1, config)
+    lifted = sector @ pairs.vectors
+    _certified_residuals(mat, pairs.values, lifted, f"lifted {pairs.method}")
+    return float(pairs.values[0]), _signed_unit(lifted[:, 0])
+
+
+def spectrum_summary(
+    mat, basis: FockBasis, sector: sp.csr_matrix, count: int, config: SolverConfig
+) -> dict:
     """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them,
     under the keys of the ``spectrum`` artifact; a gap whose tail lies above
-    the truncation is ``None``."""
+    the truncation is ``None``.  The eigenvalues come from the full space,
+    the gaps from the invariant ``sector`` (see ``nu``)."""
     pairs = lowest_eigenpairs(mat, min(count, mat.shape[0]), config)
     e0 = float(pairs.values[0])
-    gaps = [nu(mat, e0, n, basis, config) if n <= basis.nmax else None for n in (1, 2)]
+    gaps = [
+        nu(mat, e0, n, basis, sector, config) if n <= basis.nmax else None for n in (1, 2)
+    ]
     return {
         "eigenvalues": pairs.values,
         "residuals": pairs.residuals,
@@ -217,17 +264,22 @@ def spectrum_summary(mat, basis: FockBasis, count: int, config: SolverConfig) ->
     }
 
 
-def nu(mat, e0: float, n: int, basis: FockBasis, config: SolverConfig) -> float:
+def nu(
+    mat, e0: float, n: int, basis: FockBasis, sector: sp.csr_matrix, config: SolverConfig
+) -> float:
     """Spectral gap of the ``>= n`` boson tail above the one-boson line.
 
     Returns the smallest eigenvalue of the tail restriction of
     ``H - 1 - e0``; positivity of ``nu(2)`` is the standing assumption
-    behind the two-boson resolvent.
+    behind the two-boson resolvent.  The minimum is taken on the tail's
+    invariant sector, the trailing block of ``B^T H B`` from the column of
+    the tail's first state on (see ``fock.invariant_sector``), with its
+    residual certified there.
     """
     if n < 1 or n > basis.nmax:
         raise ConfigError(f"tail index {n} outside 1..{basis.nmax}")
-    start = basis.tail_start(n)
-    sub = sp.csr_matrix(mat)[start:, start:]
+    column = int(sector.indices[basis.tail_start(n)])
+    sub = _restrict(mat, sector)[column:, column:]
     return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 

@@ -1,8 +1,15 @@
 """Shared fixtures: one mid-size reference instance and one tiny instance.
 
 Everything heavy is session-scoped so the workspaces (and their cached
-factorizations) are built once per pytest run.
+resolvent handles) are built once per pytest run.  BLAS runs on one
+thread, set before numpy loads: the timed acceptance criteria measure the
+code, not thread contention with whatever else the machine runs.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest
@@ -61,3 +68,15 @@ def shifted_workspace():
 @pytest.fixture(scope="session")
 def solver_config():
     return pl.SolverConfig()
+
+
+@pytest.fixture(scope="session")
+def invariant_sector():
+    """``invariant_sector(grid, ff, basis, xi=None)``: the isometry onto the
+    sector that the instance's point group fixes, as the CLI builds it."""
+
+    def build(grid, ff, basis, xi=None):
+        perms = pl.grid.stabilizer(grid, ff, xi)
+        return pl.fock.invariant_sector(np.array([basis.permute_modes(p) for p in perms]))
+
+    return build

@@ -83,15 +83,28 @@ NON_NUMERIC = [
     ("nmax", "[2, true]", {"nmax": [2, True]}),
 ]
 
+NON_FINITE = [
+    # id, entry, environment value, config-file override: a string that
+    # casts to NaN or infinity, and JSON's NaN and Infinity
+    ("grid.K=nan", "grid.K", "nan", {"grid": {"d": 1, "K": "nan", "h": 1.0}}),
+    ("xi=inf", "xi", '["inf"]', {"xi": ["inf"]}),
+    ("form_factor.g=NaN", "form_factor.g", "NaN",
+     {"form_factor": {"profile": "gaussian", "g": float("nan")}}),
+    ("grid.h=Infinity", "grid.h", "Infinity", {"grid": {"d": 1, "K": 1.0, "h": float("inf")}}),
+]
+
 
 @pytest.mark.parametrize(
-    "entry, raw, override", [pytest.param(*case, id=case[0]) for case in NON_NUMERIC]
+    "entry, raw, override",
+    [pytest.param(*case, id=case[0]) for case in NON_NUMERIC]
+    + [pytest.param(*case[1:], id=case[0]) for case in NON_FINITE],
 )
 @pytest.mark.parametrize("source", ["file", "env"])
 def test_non_numeric_value_is_a_config_error(
     tmp_path, monkeypatch, capsys, source, entry, raw, override
 ):
-    """A value read as a number that is none exits 2 and names its entry."""
+    """A value read as a number that is none, or that is not finite, exits 2
+    and names its entry."""
     if source == "file":
         cfg = _write_config(tmp_path, **override)
     else:
@@ -201,7 +214,7 @@ def test_build_artifacts(tmp_path):
     assert build_info["levels"]["3"]["sector_dimensions"] == [1, 2, 3, 4]
 
 
-def test_spectrum_artifacts_and_values(tmp_path):
+def test_spectrum_artifacts_and_values(tmp_path, invariant_sector):
     cfg = _write_config(tmp_path)
     out = tmp_path / "spec"
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
@@ -212,7 +225,7 @@ def test_spectrum_artifacts_and_values(tmp_path):
     ff = pl.sample_form_factor(grid, "gaussian", 0.2)
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    e0, _ = pl.ground_energy(ham, pl.SolverConfig())
+    e0, _ = pl.ground_energy(ham, invariant_sector(grid, ff, basis), pl.SolverConfig())
     level = payload["levels"]["3"]
     assert level["eigenvalues"][0] == pytest.approx(e0, abs=1e-12)
     assert level["count_below_window"] == 1
@@ -409,6 +422,42 @@ def test_scan_needs_a_reduction_level(tmp_path, capsys):
     cfg = _write_config(tmp_path, nmax=[1])
     assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "2"]) == 2
     assert "at least one truncation level >= 2" in capsys.readouterr().err
+
+
+def test_scan_rejects_a_fiber_shift(tmp_path, monkeypatch, capsys):
+    """``scan`` builds reduction bundles, which need ``xi = 0``: a nonzero
+    ``xi`` exits 2 and names it before any worker starts, and a zero one
+    runs."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected scan must not start a pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    shifted = dict(
+        grid={"d": 1, "K": 1.0, "h": 0.25},
+        form_factor={"profile": "gaussian", "g": 0.05},
+        nmax=[2],
+        scan={"couplings": [0.05]},
+    )
+    cfg = _write_config(tmp_path, xi=[0.45], **shifted)
+    assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "2"]) == 2
+    assert "xi" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    cfg = _write_config(tmp_path, xi=[0.0], **shifted)
+    assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "z")]) == 0
+
+
+def test_scan_window_cut_stays_above_e0(tmp_path):
+    """At h = 1 the count buffer stays below the window width, so the sparse
+    count cut ``e0 + 1 - buffer`` never falls on ``e0`` (at coupling 0 it
+    did, and the counted operator was singular)."""
+    cfg = _write_config(
+        tmp_path, nmax=[4], solver={"dense_threshold": 10}, scan={"couplings": [0.0, 0.2]}
+    )
+    out = tmp_path / "scan"
+    assert cli.main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads((out / "results" / "scan.json").read_text())["rows"]
+    assert [r["count_below_window"] for r in rows] == [1, 1]
 
 
 def test_scan_parallel_matches_serial(tmp_path):

@@ -87,6 +87,32 @@ def test_permute_modes_conjugates_hamiltonian():
         assert np.allclose(moved[np.ix_(perm, perm)], ham, rtol=0, atol=1e-13)
 
 
+def test_invariant_sector_isometry():
+    """``B`` has orthonormal orbit-sum columns ordered by lowest state, each
+    ``>= n`` tail is a trailing block of columns, every ``U_g`` fixes the
+    range, and the identity group gives the identity."""
+    grid = pl.build_grid(2, 1.0, 1.0)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.3)
+    basis = pl.enumerate_basis(grid.size, 3)
+    perms = np.array([basis.permute_modes(p) for p in pl.grid.stabilizer(grid, ff)])
+    sector = pl.fock.invariant_sector(perms)
+    dense = sector.toarray()
+    # one column per orbit; Burnside: the orbits number the mean fixed states
+    fixed = [np.count_nonzero(perm == np.arange(basis.dim)) for perm in perms]
+    assert sector.shape == (basis.dim, np.mean(fixed)) == (165, 31)
+    assert np.allclose(dense.T @ dense, np.eye(sector.shape[1]), rtol=0, atol=1e-14)
+    lowest = np.argmax(dense != 0, axis=0)
+    assert np.all(np.diff(lowest) > 0)
+    for n in range(basis.nmax + 1):
+        start = basis.tail_start(n)
+        column = sector.indices[start]
+        assert not dense[:start, column:].any() and not dense[start:, :column].any()
+    for perm in perms:
+        assert np.array_equal(dense[perm], dense)
+    plain = pl.fock.invariant_sector(np.arange(basis.dim)[None, :])
+    assert (plain != pl.fock.sp.identity(basis.dim)).nnz == 0
+
+
 def test_dimension_cap():
     # sum_{n<=13} C(n+7,7) = C(21,8) = 203490 > 200000
     with pytest.raises(DimensionCapError):

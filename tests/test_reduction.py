@@ -418,6 +418,11 @@ def test_point_group_logged(caplog):
         "point group of order 8: 5 mode orbits, 15 of 81 Z(s) sums",
         "point group of order 1: 24 mode orbits, 81 of 81 Z(s) sums",
     ]
+    sectors = [r.getMessage() for r in caplog.records if r.getMessage().startswith("invariant")]
+    assert sectors == [
+        "invariant sector of the order-8 group: dim 55 of 325",
+        "invariant sector of the order-1 group: dim 325 of 325",
+    ]
     assert logging.getLogger("polaronlab").handlers == []
 
 
@@ -427,3 +432,33 @@ def test_c_matrix_builds_one_z_handle_per_sum_orbit():
     ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.1), 2)
     ws.c_matrix()
     assert sum(h.kind == "full" for h in ws._handles.values()) == 15
+
+
+def test_spectral_solves_factor_only_the_invariant_sector(monkeypatch):
+    """``e0``, ``nu1`` and ``nu2`` are solved on the order-8 invariant sector
+    (dim 410 of 2925, dense), so building the workspace and the bundle
+    factors nothing of the full dimension; the values equal the full-space
+    minima."""
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.1)
+    factored = []
+
+    class CountingFactor(pl.spectral.SymmetricFactor):
+        def __init__(self, mat, shift, label="operator"):
+            factored.append(mat.shape[0])
+            super().__init__(mat, shift, label)
+
+    monkeypatch.setattr(pl.spectral, "SymmetricFactor", CountingFactor)
+    ws = pl.build_workspace(grid, ff, 3)
+    bundle = ws.build_bundle()
+    assert not [dim for dim in factored if dim > ws.config.dense_threshold]
+    assert (ws.basis.dim, ws.sector.shape[1], len(ws.mode_perms)) == (2925, 410, 8)
+    # against the full-space Lanczos minima of H and its tails
+    starts = {n: ws.basis.tail_start(n) for n in (0, 1, 2)}
+    lowest = {
+        n: pl.lowest_eigenpairs(ws.hamiltonian[at:, at:], 1, ws.config).values[0]
+        for n, at in starts.items()
+    }
+    assert ws.e0 == pytest.approx(lowest[0], abs=1e-11)
+    assert bundle.nu1 == pytest.approx(lowest[1] - 1.0 - ws.e0, abs=1e-11)
+    assert bundle.nu2 == pytest.approx(lowest[2] - 1.0 - ws.e0, abs=1e-11)

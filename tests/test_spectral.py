@@ -68,34 +68,59 @@ def test_dense_subset_keeps_degenerate_copies(degenerate_instance):
     _assert_dense_pairs_exact(degenerate_instance, (3, 4, 8))
 
 
-#: one grid per dimension, 8 modes each, so nmax 2 and 3 stay dense (dim 45, 165)
+#: one grid per dimension, 8 modes each: dims 45 and 165 at nmax 2 and 3, so
+#: dense eigvalsh gives the reference
 _DENSE_GRIDS = {1: (2.0, 0.5), 2: (1.0, 1.0)}
+
+
+def _assert_sector_minima(ham, basis, sector, cfg):
+    """``ground_energy``, ``nu(1)`` and ``nu(2)`` on the sector are the
+    minima of the full spectra of H and of its tails, and the lifted ground
+    vector is an eigenvector of the full H."""
+    dense = ham.toarray()
+    e0, vec = pl.ground_energy(ham, sector, cfg)
+    assert abs(e0 - np.linalg.eigvalsh(dense)[0]) <= 1e-12
+    assert np.linalg.norm(ham @ vec - e0 * vec) <= 1e-10
+    for n in (1, 2):
+        start = basis.tail_start(n)
+        tail_min = np.linalg.eigvalsh(dense[start:, start:])[0]
+        assert abs(pl.nu(ham, e0, n, basis, sector, cfg) - (tail_min - 1.0 - e0)) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    d=st.sampled_from(sorted(_DENSE_GRIDS)),
+    shape=st.sampled_from([(1, None), (2, None), (2, (0.6, 0.0))]),
     profile=st.sampled_from(pl.grid.PROFILES),
     g=st.floats(0.0, 1.5),
     nmax=st.sampled_from([2, 3]),
+    dense_threshold=st.sampled_from([10, 500]),
 )
-def test_dense_ground_energy_and_gaps_match_full_spectrum(d, profile, g, nmax):
-    """Dense ``ground_energy``, ``nu(1)`` and ``nu(2)`` are the minima of the
-    full spectra of H and of its tails."""
+def test_dense_ground_energy_and_gaps_match_full_spectrum(
+    invariant_sector, shape, profile, g, nmax, dense_threshold
+):
+    """The sector's minima are the full-space ones (d=1, 2, with and
+    without a fiber shift), on the dense and on the sparse path."""
+    d, xi = shape
     grid = pl.build_grid(d, *_DENSE_GRIDS[d])
     basis = pl.enumerate_basis(grid.size, nmax)
     # alpha (froehlich only) must lie below d; 0.5 serves both dimensions
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    sector = invariant_sector(grid, ff, basis, xi)
+    _assert_sector_minima(ham, basis, sector, SolverConfig(dense_threshold=dense_threshold))
+
+
+@pytest.mark.parametrize("profile, g", [("froehlich", 0.1), ("constant", 0.3)])
+def test_sector_minima_in_three_dimensions(invariant_sector, profile, g):
+    """On the 26-mode d=3 grid the order-48 sector gives the full-space
+    minima of H and its tails on the sparse path."""
+    grid = pl.build_grid(3, 1.0, 1.0)
+    basis = pl.enumerate_basis(grid.size, 2)  # dim 378
+    ff = pl.sample_form_factor(grid, profile, g, alpha=1.0)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    cfg = SolverConfig()
-    assert basis.dim <= cfg.dense_threshold
-    dense = ham.toarray()
-    e0, _ = pl.ground_energy(ham, cfg)
-    assert abs(e0 - np.linalg.eigvalsh(dense)[0]) <= 1e-12
-    for n in (1, 2):
-        start = basis.tail_start(n)
-        tail_min = np.linalg.eigvalsh(dense[start:, start:])[0]
-        assert abs(pl.nu(ham, e0, n, basis, cfg) - (tail_min - 1.0 - e0)) <= 1e-12
+    sector = invariant_sector(grid, ff, basis)
+    assert sector.shape[1] < basis.dim // 10
+    _assert_sector_minima(ham, basis, sector, SolverConfig(dense_threshold=10))
 
 
 def test_eigenpair_validation(mid_instance):
@@ -107,18 +132,19 @@ def test_eigenpair_validation(mid_instance):
         pl.lowest_eigenpairs(ham, basis.dim + 1, cfg)
 
 
-def test_ground_vector_sign_deterministic(mid_instance):
+def test_ground_vector_sign_deterministic(mid_instance, invariant_sector):
     grid, ff, basis, ham = mid_instance
     cfg = SolverConfig()
-    e1, v1 = pl.ground_energy(ham, cfg)
-    e2, v2 = pl.ground_energy(ham, cfg)
+    sector = invariant_sector(grid, ff, basis)
+    e1, v1 = pl.ground_energy(ham, sector, cfg)
+    e2, v2 = pl.ground_energy(ham, sector, cfg)
     assert e1 == e2
     assert np.array_equal(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
     assert v1[int(np.argmax(np.abs(v1)))] > 0
 
 
-def test_free_theory_exact_values():
+def test_free_theory_exact_values(invariant_sector):
     """With the coupling off the spectrum is the free one: ground energy 0,
     one-boson gap h^2 above the line shift, two-boson gap exactly 1."""
     grid = pl.build_grid(1, 2.0, 0.5)
@@ -126,14 +152,15 @@ def test_free_theory_exact_values():
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
     cfg = SolverConfig()
-    result = pl.spectrum_summary(ham, basis, 4, cfg)
+    sector = invariant_sector(grid, ff, basis)
+    result = pl.spectrum_summary(ham, basis, sector, 4, cfg)
     assert abs(result["eigenvalues"][0]) <= 1e-14
     assert result["vacuum_overlap"] == pytest.approx(1.0, abs=1e-12)
     assert result["nu1"] == pytest.approx(grid.h**2, abs=1e-12)
     assert result["nu2"] == pytest.approx(1.0, abs=1e-12)
     # direct calls agree with the summary
-    assert pl.nu(ham, 0.0, 1, basis, cfg) == pytest.approx(result["nu1"], abs=1e-13)
-    assert pl.nu(ham, 0.0, 2, basis, cfg) == pytest.approx(result["nu2"], abs=1e-13)
+    assert pl.nu(ham, 0.0, 1, basis, sector, cfg) == pytest.approx(result["nu1"], abs=1e-13)
+    assert pl.nu(ham, 0.0, 2, basis, sector, cfg) == pytest.approx(result["nu2"], abs=1e-13)
 
 
 def test_count_below_free_theory():
@@ -150,7 +177,7 @@ def test_count_below_free_theory():
         pl.count_below(ham, 1.0, -0.1, cfg)
 
 
-def test_ground_energy_nonincreasing_in_coupling():
+def test_ground_energy_nonincreasing_in_coupling(invariant_sector):
     """e0(g) is a minimum of functions affine in g and symmetric under
     g -> -g, hence non-increasing for g >= 0."""
     grid = pl.build_grid(1, 1.0, 1.0)
@@ -160,23 +187,24 @@ def test_ground_energy_nonincreasing_in_coupling():
     for g in (0.0, 0.05, 0.1, 0.2):
         ff = pl.sample_form_factor(grid, "gaussian", g)
         ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-        energies.append(pl.ground_energy(ham, cfg)[0])
+        energies.append(pl.ground_energy(ham, invariant_sector(grid, ff, basis), cfg)[0])
     assert energies[0] == pytest.approx(0.0, abs=1e-14)
     for a, b in zip(energies, energies[1:]):
         assert b < a + 1e-14
 
 
-def test_spectrum_summary_residuals_certified(mid_instance):
+def test_spectrum_summary_residuals_certified(mid_instance, invariant_sector):
     grid, ff, basis, ham = mid_instance
-    dense = pl.spectrum_summary(ham, basis, 6, SolverConfig())
-    sparse = pl.spectrum_summary(ham, basis, 6, SolverConfig(dense_threshold=10))
+    sector = invariant_sector(grid, ff, basis)
+    dense = pl.spectrum_summary(ham, basis, sector, 6, SolverConfig())
+    sparse = pl.spectrum_summary(ham, basis, sector, 6, SolverConfig(dense_threshold=10))
     for result in (dense, sparse):
         assert result["eigenvalues"].shape == (6,)
         assert np.all(np.diff(result["eigenvalues"]) >= 0)
         assert np.all(result["residuals"] <= 1e-8)
         assert 0.9 < result["vacuum_overlap"] <= 1.0
         e0 = result["eigenvalues"][0]
-        assert result["nu2"] == pytest.approx(pl.nu(ham, e0, 2, basis, SolverConfig()))
+        assert result["nu2"] == pytest.approx(pl.nu(ham, e0, 2, basis, sector, SolverConfig()))
     assert np.allclose(sparse["eigenvalues"], dense["eigenvalues"], rtol=0, atol=1e-9)
     # the diagnostics name the path that ran and count its factor solves
     assert dense["diagnostics"] == {"method": "dense", "iterations": 0}
@@ -185,16 +213,16 @@ def test_spectrum_summary_residuals_certified(mid_instance):
     # asking for (almost) every eigenvalue takes the dense path at any size
     tiny_grid = pl.build_grid(1, 1.0, 1.0)
     tiny = pl.enumerate_basis(tiny_grid.size, 3)  # dim 10
-    tiny_ham = pl.assemble_hamiltonian(
-        tiny, tiny_grid, pl.sample_form_factor(tiny_grid, "gaussian", 0.2)
-    ).matrix
-    full = pl.spectrum_summary(tiny_ham, tiny, 10, SolverConfig(dense_threshold=5))
+    tiny_ff = pl.sample_form_factor(tiny_grid, "gaussian", 0.2)
+    tiny_ham = pl.assemble_hamiltonian(tiny, tiny_grid, tiny_ff).matrix
+    tiny_sector = invariant_sector(tiny_grid, tiny_ff, tiny)
+    full = pl.spectrum_summary(tiny_ham, tiny, tiny_sector, 10, SolverConfig(dense_threshold=5))
     assert full["diagnostics"] == {"method": "dense", "iterations": 0}
 
 
-def test_spd_solver_dense_and_cg_agree(mid_instance):
+def test_spd_solver_dense_and_cg_agree(mid_instance, invariant_sector):
     grid, ff, basis, ham = mid_instance
-    e0, _ = pl.ground_energy(ham, SolverConfig())
+    e0, _ = pl.ground_energy(ham, invariant_sector(grid, ff, basis), SolverConfig())
     identity = sp.identity(basis.dim, format="csr")
     rhs = start_vector(basis.dim, 7)
     # a diagonal offset, and the Hamiltonian shifted to half a unit below e0
