@@ -5,99 +5,76 @@ The package assembles the truncated operators on a momentum grid, computes
 low-lying spectra, builds the Schur-complement reduction onto the vacuum
 and one-boson sectors, and verifies the operator identities behind that
 reduction with explicit residual reports.
+
+Every public name, and every layer module (``pl.grid``, ``pl.fock``, ...),
+loads on first use (PEP 562), so ``import polaronlab`` itself imports
+nothing beyond the standard library.
 """
 
-from .errors import (
-    CacheCorruptionError,
-    ConfigError,
-    DimensionCapError,
-    IndefiniteOperatorError,
-    SolverError,
-)
-from .fock import (
-    FockBasis,
-    SparseOperator,
-    annihilator,
-    assemble_hamiltonian,
-    creator,
-    enumerate_basis,
-    field_operator,
-    fock_dimension,
-    one_boson_vector,
-)
-from .grid import (
-    FormFactor,
-    MomentumGrid,
-    build_grid,
-    sample_form_factor,
-    triple_norm,
-)
-from .identities import (
-    IDENTITY_IDS,
-    IdentityReport,
-    run_suite,
-    schur_equivalence_report,
-    verify_c0_identity,
-    verify_energy_derivatives,
-    verify_lambda_identity,
-    verify_norm_identity,
-    verify_pullthrough,
-    verify_rearrangement,
-    verify_resolvent_identities,
-    verify_vacuum_schur,
-)
-from .reduction import ReductionBundle, ReductionWorkspace, build_workspace
-from .spectral import (
-    SolverConfig,
-    count_below,
-    ground_energy,
-    lowest_eigenpairs,
-    nu,
-    spectrum_summary,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CacheCorruptionError",
-    "ConfigError",
-    "DimensionCapError",
-    "FockBasis",
-    "FormFactor",
-    "IDENTITY_IDS",
-    "IdentityReport",
-    "IndefiniteOperatorError",
-    "MomentumGrid",
-    "ReductionBundle",
-    "ReductionWorkspace",
-    "SolverConfig",
-    "SolverError",
-    "SparseOperator",
-    "annihilator",
-    "assemble_hamiltonian",
-    "build_grid",
-    "build_workspace",
-    "count_below",
-    "creator",
-    "enumerate_basis",
-    "field_operator",
-    "fock_dimension",
-    "ground_energy",
-    "lowest_eigenpairs",
-    "nu",
-    "one_boson_vector",
-    "run_suite",
-    "sample_form_factor",
-    "schur_equivalence_report",
-    "spectrum_summary",
-    "triple_norm",
-    "verify_c0_identity",
-    "verify_energy_derivatives",
-    "verify_lambda_identity",
-    "verify_norm_identity",
-    "verify_pullthrough",
-    "verify_rearrangement",
-    "verify_resolvent_identities",
-    "verify_vacuum_schur",
-    "__version__",
-]
+#: layer module -> the public names it defines
+_EXPORTS = {
+    "errors": (
+        "CacheCorruptionError",
+        "ConfigError",
+        "DimensionCapError",
+        "IndefiniteOperatorError",
+        "SolverError",
+    ),
+    "fock": (
+        "FockBasis",
+        "SparseOperator",
+        "annihilator",
+        "assemble_hamiltonian",
+        "creator",
+        "enumerate_basis",
+        "field_operator",
+        "fock_dimension",
+        "one_boson_vector",
+    ),
+    "grid": ("FormFactor", "MomentumGrid", "build_grid", "sample_form_factor", "triple_norm"),
+    "identities": (
+        "IDENTITY_IDS",
+        "IdentityReport",
+        "run_suite",
+        "schur_equivalence_report",
+        "verify_c0_identity",
+        "verify_energy_derivatives",
+        "verify_lambda_identity",
+        "verify_norm_identity",
+        "verify_pullthrough",
+        "verify_rearrangement",
+        "verify_resolvent_identities",
+        "verify_vacuum_schur",
+    ),
+    "reduction": ("ReductionBundle", "ReductionWorkspace", "build_workspace"),
+    "spectral": (
+        "SolverConfig",
+        "count_below",
+        "ground_energy",
+        "lowest_eigenpairs",
+        "nu",
+        "spectrum_summary",
+    ),
+}
+_SUBMODULES = ("cli", "storage", *_EXPORTS)
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_ORIGIN), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -8,6 +8,13 @@ Subcommands:
 * ``scan``      sweep the coupling and tabulate spectra, kernels, assumptions
 * ``report``    re-hash a finished run directory and summarize it
 
+At module level this file imports only the standard library, ``errors``
+and ``storage``; each command imports the layers it runs in its own body.
+So ``report`` needs neither numpy nor scipy, ``build`` loads neither the
+reduction nor the identity suite, and ``scan`` loads the full stack before
+its worker pool forks.  The config defaults are read from the layers that
+own them (``grid``, ``fock``, ``SolverConfig``) when a config is loaded.
+
 Configuration is a JSON file; unknown keys anywhere in it are fatal.
 Environment variables with the ``POLARONLAB_`` prefix override single
 entries, with ``__`` separating nesting levels (for example
@@ -31,16 +38,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from . import fock, grid as gridmod, identities, storage
+from . import storage
 from .errors import CacheCorruptionError, ConfigError, SolverError
-from .grid import FormFactor, MomentumGrid, build_grid, export_form_factor_csv, sample_form_factor
-from .identities import EPSILON_GRID, run_suite, schur_equivalence_report
-from .reduction import build_workspace
-from .spectral import SolverConfig, count_below, spectrum_summary
+
+if TYPE_CHECKING:
+    from .grid import FormFactor, MomentumGrid
+    from .spectral import SolverConfig
 
 _REQUIRED = object()
 
@@ -48,27 +53,6 @@ _ENV_PREFIX = "POLARONLAB_"
 
 #: eigenvalues ``spectrum`` lists per truncation level
 SPECTRUM_COUNT = 6
-
-DEFAULT_CONFIG = {
-    "grid": {
-        "d": _REQUIRED,
-        "K": _REQUIRED,
-        "h": _REQUIRED,
-        "mode_cap": gridmod.DEFAULT_MODE_CAP,
-    },
-    "form_factor": {
-        "profile": _REQUIRED,
-        "g": 0.1,
-        "alpha": 1.0,
-    },
-    "nmax": [2, 3, 4],
-    "xi": None,
-    "solver": {f.name: f.default for f in fields(SolverConfig)},
-    "scan": {
-        "couplings": [0.0, 0.05, 0.1, 0.2],
-    },
-    "fock_cap": fock.DEFAULT_FOCK_CAP,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +122,35 @@ def _check_required(config, path: str = "") -> None:
             _check_required(value, sub)
 
 
+def _default_config() -> dict:
+    """Every config entry with its default; ``_REQUIRED`` marks the ones a
+    config must give.  The layers that read an entry own its default."""
+    from .fock import DEFAULT_FOCK_CAP
+    from .grid import DEFAULT_MODE_CAP
+    from .spectral import SolverConfig
+
+    return {
+        "grid": {
+            "d": _REQUIRED,
+            "K": _REQUIRED,
+            "h": _REQUIRED,
+            "mode_cap": DEFAULT_MODE_CAP,
+        },
+        "form_factor": {
+            "profile": _REQUIRED,
+            "g": 0.1,
+            "alpha": 1.0,
+        },
+        "nmax": [2, 3, 4],
+        "xi": None,
+        "solver": {f.name: f.default for f in fields(SolverConfig)},
+        "scan": {
+            "couplings": [0.0, 0.05, 0.1, 0.2],
+        },
+        "fock_cap": DEFAULT_FOCK_CAP,
+    }
+
+
 def load_config(path: Optional[str], environ=None) -> dict:
     """Load, default-fill, override, and validate a run configuration."""
     given = {}
@@ -149,7 +162,7 @@ def load_config(path: Optional[str], environ=None) -> dict:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    config = _merge(DEFAULT_CONFIG, given, "")
+    config = _merge(_default_config(), given, "")
     config = _apply_env(config, os.environ if environ is None else environ)
     _check_required(config)
     _validate_values(config)
@@ -174,6 +187,8 @@ def _number(value, entry: str, kind: type = float):
 
 
 def _validate_values(cfg: dict) -> None:
+    from .spectral import SolverConfig
+
     g = cfg["grid"]
     f = cfg["form_factor"]
     # every entry the commands cast to a number must cast
@@ -220,10 +235,14 @@ def _validate_values(cfg: dict) -> None:
 def solver_from_config(cfg: dict) -> SolverConfig:
     """The validated ``solver`` entries, which are JSON integers like the
     ``SolverConfig`` defaults."""
+    from .spectral import SolverConfig
+
     return SolverConfig(**cfg["solver"])
 
 
 def instance_from_config(cfg: dict) -> Tuple[MomentumGrid, FormFactor]:
+    from .grid import build_grid, sample_form_factor
+
     g = cfg["grid"]
     f = cfg["form_factor"]
     grid = build_grid(g["d"], float(g["K"]), float(g["h"]), mode_cap=int(g["mode_cap"]))
@@ -302,6 +321,11 @@ def _instance_summary(cfg: dict, grid: MomentumGrid, ff: FormFactor) -> dict:
 
 
 def cmd_build(args) -> int:
+    import numpy as np
+
+    from . import fock
+    from .grid import export_form_factor_csv
+
     cfg = load_config(args.config)
     grid, ff = instance_from_config(cfg)
     out = RunDirectory(args.out or _default_out(cfg, "build"), cfg, "build")
@@ -337,6 +361,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from . import fock
+    from .grid import stabilizer
+    from .spectral import count_below, spectrum_summary
+
     cfg = load_config(args.config)
     grid, ff = instance_from_config(cfg)
     solver = solver_from_config(cfg)
@@ -345,7 +375,7 @@ def cmd_spectrum(args) -> int:
     rows = []
     payload = {"instance": _instance_summary(cfg, grid, ff), "levels": {}}
     xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
-    mode_perms = gridmod.stabilizer(grid, ff, xi)
+    mode_perms = stabilizer(grid, ff, xi)
     for nmax in cfg["nmax"]:
         basis = fock.enumerate_basis(grid.size, nmax, cap=int(cfg["fock_cap"]))
         ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
@@ -390,6 +420,9 @@ def _shifted(cfg: dict) -> bool:
 
 
 def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
+    from .identities import run_suite, schur_equivalence_report
+    from .reduction import build_workspace
+
     grid, ff = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     levels = _reduction_levels(cfg)
@@ -464,6 +497,13 @@ def cmd_verify(args) -> int:
 
 
 def _scan_row(cfg: dict, coupling: float) -> dict:
+    import numpy as np
+
+    from .grid import sample_form_factor
+    from .identities import EPSILON_GRID, norm_identity_value
+    from .reduction import build_workspace
+    from .spectral import count_below
+
     grid, _ = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     ff = sample_form_factor(
@@ -478,7 +518,7 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     o_min = min(
         float(np.linalg.eigvalsh(ws.one_particle_operator(e))[0]) for e in EPSILON_GRID
     )
-    norm_residual = identities.norm_identity_value(bundle)
+    norm_residual = norm_identity_value(bundle)
     return {
         "coupling": float(coupling),
         "nmax": top,
@@ -512,6 +552,10 @@ def cmd_scan(args) -> int:
         )
     couplings = [float(c) for c in cfg["scan"]["couplings"]]
     jobs = _scan_jobs(args.jobs, len(couplings))
+    # the layers _scan_row runs, loaded before the pool forks, so that its
+    # workers inherit them instead of importing numpy and scipy each
+    from . import identities  # noqa: F401
+
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_row, [cfg] * len(couplings), couplings))
@@ -554,9 +598,17 @@ def cmd_report(args) -> int:
         raise CacheCorruptionError(f"{manifest_path} is not a run manifest")
     mismatched = []
     for relpath, digest in artifacts.items():
-        target = root / relpath
+        rel = Path(relpath)
+        # an entry names a file under the run directory, never one outside
+        if rel.is_absolute() or ".." in rel.parts:
+            mismatched.append((relpath, "outside the run directory"))
+            continue
+        target = root / rel
         if not target.exists():
             mismatched.append((relpath, "missing"))
+            continue
+        if not target.is_file():
+            mismatched.append((relpath, "not a file"))
             continue
         actual = storage.sha256_bytes(target.read_bytes())
         if actual != digest:

@@ -14,16 +14,18 @@ import json
 import math
 import struct
 from pathlib import Path
-from typing import Any, Dict, Tuple
-
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from .errors import CacheCorruptionError
-from .fock import SparseOperator, _canonical_csr
+
+# numpy, scipy and the Fock layer load only in the functions that touch
+# array or operator data, so hashing and JSON need the standard library only
+if TYPE_CHECKING:
+    from .fock import SparseOperator
 
 _HEADER = struct.Struct("<QQQ")
-_RECORD_DTYPE = np.dtype([("row", "<i8"), ("col", "<i8"), ("value", "<f8")])
+#: numpy dtype fields of one stored entry
+_RECORD_FIELDS = [("row", "<i8"), ("col", "<i8"), ("value", "<f8")]
 _FLAG_HERMITIAN = 1
 
 
@@ -38,19 +40,24 @@ def jsonable(value: Any) -> Any:
     Keys become strings and non-finite floats become ``None``, so the result
     always passes ``json.dumps(..., allow_nan=False)``.
     """
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, float):
-        return float(value) if math.isfinite(value) else None
-    return value
+    import numpy as np
+
+    def walk(value):
+        if isinstance(value, dict):
+            return {str(k): walk(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [walk(v) for v in value]
+        if isinstance(value, np.ndarray):
+            return [walk(v) for v in value.tolist()]
+        if isinstance(value, np.bool_):
+            return bool(value)
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, float):
+            return float(value) if math.isfinite(value) else None
+        return value
+
+    return walk(value)
 
 
 def json_dumps(payload: Dict[str, Any]) -> str:
@@ -73,9 +80,13 @@ def config_hash(payload: Dict[str, Any]) -> str:
 
 def operator_bytes(op: SparseOperator) -> bytes:
     """Serialize an operator to the binary triplet format."""
+    import numpy as np
+
+    from .fock import _canonical_csr
+
     mat = _canonical_csr(op.matrix)
     coo = mat.tocoo()
-    records = np.empty(coo.nnz, dtype=_RECORD_DTYPE)
+    records = np.empty(coo.nnz, dtype=_RECORD_FIELDS)
     records["row"] = coo.row
     records["col"] = coo.col
     records["value"] = coo.data
@@ -101,6 +112,11 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     """Load an operator, verifying its content hash and its layout: the
     header must match the sidecar and hold exactly ``nnz`` records.  Any
     mismatch raises ``CacheCorruptionError``."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    from .fock import SparseOperator, _canonical_csr
+
     base = Path(base)
     bin_path = base.with_suffix(".bin")
     sidecar = read_json(base.with_suffix(".json"))
@@ -112,9 +128,10 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     dim, nnz, flags = _HEADER.unpack_from(blob)
     if (dim, nnz) != (sidecar.get("dimension"), sidecar.get("nnz")):
         raise CacheCorruptionError(f"header of {bin_path} disagrees with its sidecar")
-    if len(blob) - _HEADER.size != nnz * _RECORD_DTYPE.itemsize:
+    record = np.dtype(_RECORD_FIELDS)
+    if len(blob) - _HEADER.size != nnz * record.itemsize:
         raise CacheCorruptionError(f"record count mismatch in {bin_path}")
-    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
+    records = np.frombuffer(blob, dtype=record, offset=_HEADER.size)
     mat = sp.coo_matrix(
         (records["value"], (records["row"], records["col"])), shape=(int(dim), int(dim))
     )

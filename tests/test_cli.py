@@ -396,6 +396,41 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
         assert "is not a verification record" in capsys.readouterr().err
 
 
+def test_report_rejects_a_directory_artifact(tmp_path, capsys):
+    """A manifest entry that names a directory is corruption that names the
+    entry, not an ``IsADirectoryError`` traceback."""
+    cfg = _write_config(tmp_path, nmax=[2])
+    out = tmp_path / "vrun"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    artifacts = {**manifest["artifacts"], "results": "00"}
+    manifest_path.write_text(json.dumps({**manifest, "artifacts": artifacts}))
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == 4
+    assert "corrupt artifact: results (not a file)" in capsys.readouterr().err
+
+
+def test_report_rejects_artifacts_outside_the_run(tmp_path, capsys):
+    """An absolute path, or one that climbs out through ``..``, is
+    corruption even when the file it names carries its true hash."""
+    cfg = _write_config(tmp_path, nmax=[2])
+    out, other = tmp_path / "run", tmp_path / "other"
+    for root in (out, other):
+        assert cli.main(["build", "--config", cfg, "--out", str(root)]) == 0
+    foreign = other / "manifest.json"
+    digest = storage.sha256_bytes(foreign.read_bytes())
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for relpath in ("../other/manifest.json", str(foreign), "tables/../../other/manifest.json"):
+        artifacts = {**manifest["artifacts"], relpath: digest}
+        manifest_path.write_text(json.dumps({**manifest, "artifacts": artifacts}))
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == 4, relpath
+        err = capsys.readouterr().err
+        assert f"corrupt artifact: {relpath} (outside the run directory)" in err
+
+
 def test_scan_artifacts(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "scan"

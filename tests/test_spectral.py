@@ -110,6 +110,35 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     _assert_sector_minima(ham, basis, sector, SolverConfig(dense_threshold=dense_threshold))
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, None), (2, None), (2, (0.6, 0.0))]),
+    profile=st.sampled_from(pl.grid.PROFILES),
+    g=st.floats(0.0, 1.5),
+    nmax=st.sampled_from([2, 3]),
+)
+def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, nmax):
+    """The assembled H equals its transpose exactly, and the sparse inertia
+    count equals the dense count at the window cut ``e0 + 1 - buffer`` and
+    at a cut inside the spectrum."""
+    d, xi = shape
+    grid = pl.build_grid(d, *_DENSE_GRIDS[d])
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    assert (ham != ham.T).nnz == 0
+    vals = np.linalg.eigvalsh(ham.toarray())
+    cfg = SolverConfig(dense_threshold=10)
+    buffer = cfg.buffer(grid.h)
+    window = vals[0] + 1.0 - buffer
+    assert pl.count_below(ham, vals[0] + 1.0, buffer, cfg) == int(np.sum(vals <= window))
+    # the midpoint of the spectral gap nearest the middle of the spectrum
+    gaps = np.flatnonzero(np.diff(vals) > 1e-6)
+    j = gaps[np.argmin(np.abs(gaps - basis.dim // 2))]
+    cut = 0.5 * (vals[j] + vals[j + 1])
+    assert pl.count_below(ham, cut, 0.0, cfg) == j + 1
+
+
 @pytest.mark.parametrize("profile, g", [("froehlich", 0.1), ("constant", 0.3)])
 def test_sector_minima_in_three_dimensions(invariant_sector, profile, g):
     """On the 26-mode d=3 grid the order-48 sector gives the full-space
