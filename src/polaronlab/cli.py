@@ -12,14 +12,14 @@ At module level this file imports only the standard library, ``errors``
 and ``storage``; each command imports the layers it runs in its own body.
 So ``report`` needs neither numpy nor scipy, ``build`` loads neither the
 reduction nor the identity suite, and ``scan`` loads the full stack before
-its worker pool forks.  The config defaults are read from the layers that
-own them (``grid``, ``fock``, ``SolverConfig``) when a config is loaded.
+its worker pool forks (``concurrent.futures`` loads only for a pool).
 
-Configuration is a JSON file; unknown keys anywhere in it are fatal.
-Environment variables with the ``POLARONLAB_`` prefix override single
-entries, with ``__`` separating nesting levels (for example
-``POLARONLAB_GRID__H=0.25``).  Values are parsed as JSON when possible
-and taken as strings otherwise.
+Configuration is a JSON file; unknown keys anywhere in it are fatal.  The
+table ``_entries`` gives each entry's dotted name, kind and default, and
+``load_config`` casts every entry to its kind: the commands and the
+manifest read ``"K": 1`` as ``1.0``.  A ``POLARONLAB_`` variable overrides
+one entry, ``__`` standing for the dot in any case (``POLARONLAB_GRID__H``);
+its value is parsed as JSON when possible and taken as a string otherwise.
 
 Every artifact is deterministic: reruns with the same configuration
 produce byte-identical JSON, CSV, and operator files (no timestamps, no
@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -60,99 +59,56 @@ SPECTRUM_COUNT = 6
 # ---------------------------------------------------------------------------
 
 
-def _merge(defaults, given, path: str):
-    """Overlay ``given`` onto ``defaults``, rejecting unknown keys."""
-    if isinstance(defaults, dict):
-        if not isinstance(given, dict):
-            raise ConfigError(f"config entry {path or '<root>'} must be an object")
-        unknown = set(given) - set(defaults)
-        if unknown:
-            where = path or "<root>"
-            raise ConfigError(f"unknown config keys at {where}: {sorted(unknown)}")
-        merged = {}
-        for key, default_value in defaults.items():
-            sub = f"{path}.{key}" if path else key
-            if key in given:
-                if isinstance(default_value, dict):
-                    merged[key] = _merge(default_value, given[key], sub)
-                else:
-                    merged[key] = given[key]
-            else:
-                merged[key] = (
-                    _merge(default_value, {}, sub)
-                    if isinstance(default_value, dict)
-                    else default_value
-                )
-        return merged
-    return given
-
-
-def _apply_env(config: dict, environ) -> dict:
-    for name in sorted(environ):
-        if not name.startswith(_ENV_PREFIX):
-            continue
-        parts = [p.lower() for p in name[len(_ENV_PREFIX) :].split("__") if p]
-        if not parts:
-            raise ConfigError(f"malformed override variable {name}")
-        node, key, value = None, None, config
-        for part in parts:
-            # keys match whatever their case (``grid.K``); no two config
-            # keys differ only by case
-            match = [k for k in value if k.lower() == part] if isinstance(value, dict) else []
-            if not match:
-                raise ConfigError(f"override {name} names an unknown config entry")
-            node, key = value, match[0]
-            value = node[key]
-        if isinstance(value, dict):
-            raise ConfigError(f"override {name} targets a config section, not an entry")
-        raw = environ[name]
-        try:
-            node[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            node[key] = raw
-    return config
-
-
-def _check_required(config, path: str = "") -> None:
-    if isinstance(config, dict):
-        for key, value in config.items():
-            sub = f"{path}.{key}" if path else key
-            if value is _REQUIRED:
-                raise ConfigError(f"missing required config entry: {sub}")
-            _check_required(value, sub)
-
-
-def _default_config() -> dict:
-    """Every config entry with its default; ``_REQUIRED`` marks the ones a
-    config must give.  The layers that read an entry own its default."""
+def _entries() -> Dict[str, Tuple[object, object]]:
+    """Every config entry by dotted name, with its kind and its default;
+    ``_REQUIRED`` marks an entry a config must give.  A kind is ``int``,
+    ``float``, ``str``, or a one-item list for a list of that kind.  The
+    layers that read an entry own its default, read from them when a config
+    is loaded."""
     from .fock import DEFAULT_FOCK_CAP
     from .grid import DEFAULT_MODE_CAP
     from .spectral import SolverConfig
 
     return {
-        "grid": {
-            "d": _REQUIRED,
-            "K": _REQUIRED,
-            "h": _REQUIRED,
-            "mode_cap": DEFAULT_MODE_CAP,
-        },
-        "form_factor": {
-            "profile": _REQUIRED,
-            "g": 0.1,
-            "alpha": 1.0,
-        },
-        "nmax": [2, 3, 4],
-        "xi": None,
-        "solver": {f.name: f.default for f in fields(SolverConfig)},
-        "scan": {
-            "couplings": [0.0, 0.05, 0.1, 0.2],
-        },
-        "fock_cap": DEFAULT_FOCK_CAP,
+        "grid.d": (int, _REQUIRED),
+        "grid.K": (float, _REQUIRED),
+        "grid.h": (float, _REQUIRED),
+        "grid.mode_cap": (int, DEFAULT_MODE_CAP),
+        "form_factor.profile": (str, _REQUIRED),
+        "form_factor.g": (float, 0.1),
+        "form_factor.alpha": (float, 1.0),
+        "nmax": ([int], [2, 3, 4]),
+        "xi": ([float], None),
+        **{f"solver.{f.name}": (type(f.default), f.default) for f in fields(SolverConfig)},
+        "scan.couplings": ([float], [0.0, 0.05, 0.1, 0.2]),
+        "fock_cap": (int, DEFAULT_FOCK_CAP),
     }
 
 
+def _flatten(given, entries) -> dict:
+    """The file's values by dotted entry name; an unknown key is fatal."""
+    sections = {name.partition(".")[0] for name in entries if "." in name}
+    known = entries.keys() | sections
+    flat, nodes = {}, [("<root>", given)]
+    for where, node in nodes:
+        if not isinstance(node, dict):
+            raise ConfigError(f"config entry {where} must be an object")
+        prefix = "" if where == "<root>" else where + "."
+        unknown = sorted(key for key in node if prefix + key not in known)
+        if unknown:
+            raise ConfigError(f"unknown config keys at {where}: {unknown}")
+        for key, value in node.items():
+            if prefix + key in sections:
+                nodes.append((key, value))
+            else:
+                flat[prefix + key] = value
+    return flat
+
+
 def load_config(path: Optional[str], environ=None) -> dict:
-    """Load, default-fill, override, and validate a run configuration."""
+    """Load a run configuration: the file's entries over the defaults, the
+    ``POLARONLAB_`` overrides over both, and each entry cast to its kind.
+    Returns the nested config, as the manifest records it."""
     given = {}
     if path is not None:
         try:
@@ -162,10 +118,48 @@ def load_config(path: Optional[str], environ=None) -> dict:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    config = _merge(_default_config(), given, "")
-    config = _apply_env(config, os.environ if environ is None else environ)
-    _check_required(config)
-    _validate_values(config)
+    entries = _entries()
+    values = {name: default for name, (_, default) in entries.items()}
+    values.update(_flatten(given, entries))
+    environ = os.environ if environ is None else environ
+    # variable names match entries whatever their case (``GRID__K``); no two
+    # entries differ only by case
+    by_variable = {name.upper().replace(".", "__"): name for name in entries}
+    for variable in sorted(v for v in environ if v.startswith(_ENV_PREFIX)):
+        name = by_variable.get(variable[len(_ENV_PREFIX) :].upper())
+        if name is None:
+            raise ConfigError(f"override {variable} names an unknown config entry")
+        try:
+            values[name] = json.loads(environ[variable])
+        except json.JSONDecodeError:
+            values[name] = environ[variable]
+    # a bare level is a one-level ladder
+    if not isinstance(values["nmax"], list):
+        values["nmax"] = [values["nmax"]]
+    typed = {}
+    for name, (kind, default) in entries.items():
+        value = values[name]
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required config entry: {name}")
+        # an entry that defaults to None (``xi``) may be None
+        typed[name] = None if value is None and default is None else _cast(value, name, kind)
+
+    if typed["grid.d"] < 1:
+        raise ConfigError(f"grid.d must be a positive integer, got {typed['grid.d']!r}")
+    if not 0 <= typed["solver.seed"] < 2**32:
+        raise ConfigError(f"solver.seed must lie in [0, 2**32), got {typed['solver.seed']!r}")
+    typed["nmax"] = sorted(set(typed["nmax"]))
+    if typed["nmax"][0] < 1:
+        raise ConfigError("truncation levels must be >= 1")
+    if typed["xi"] is not None and len(typed["xi"]) != typed["grid.d"]:
+        raise ConfigError(f"xi must be a list of {typed['grid.d']} numbers")
+    if min(typed["scan.couplings"]) < 0:
+        raise ConfigError("scan.couplings must be non-negative")
+
+    config: dict = {}
+    for name, value in typed.items():
+        section, _, leaf = name.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[leaf] = value
     return config
 
 
@@ -186,55 +180,22 @@ def _number(value, entry: str, kind: type = float):
     return number
 
 
-def _validate_values(cfg: dict) -> None:
-    from .spectral import SolverConfig
-
-    g = cfg["grid"]
-    f = cfg["form_factor"]
-    # every entry the commands cast to a number must cast
-    numbers = [
-        ("grid.d", g["d"], int),
-        ("grid.K", g["K"], float),
-        ("grid.h", g["h"], float),
-        ("grid.mode_cap", g["mode_cap"], int),
-        ("form_factor.g", f["g"], float),
-        ("form_factor.alpha", f["alpha"], float),
-        ("fock_cap", cfg["fock_cap"], int),
-    ]
-    numbers += [
-        (f"solver.{s.name}", cfg["solver"][s.name], type(s.default)) for s in fields(SolverConfig)
-    ]
-    for entry, value, kind in numbers:
-        _number(value, entry, kind)
-    if g["d"] < 1:
-        raise ConfigError(f"grid.d must be a positive integer, got {g['d']!r}")
-    if not 0 <= cfg["solver"]["seed"] < 2**32:
-        raise ConfigError(f"solver.seed must lie in [0, 2**32), got {cfg['solver']['seed']!r}")
-    nmax = cfg["nmax"]
-    levels = nmax if isinstance(nmax, list) else [nmax]
-    if not levels:
-        raise ConfigError("nmax must be an integer or a non-empty list of integers")
-    for n in levels:
-        _number(n, "nmax", int)
-    cfg["nmax"] = sorted(set(levels))
-    if any(n < 1 for n in cfg["nmax"]):
-        raise ConfigError("truncation levels must be >= 1")
-    if cfg["xi"] is not None:
-        xi = cfg["xi"]
-        if not isinstance(xi, list) or len(xi) != g["d"]:
-            raise ConfigError(f"xi must be a list of {g['d']} numbers")
-        for x in xi:
-            _number(x, "xi")
-    couplings = cfg["scan"]["couplings"]
-    if not isinstance(couplings, list) or not couplings:
-        raise ConfigError("scan.couplings must be a non-empty list")
-    if any(_number(c, "scan.couplings") < 0 for c in couplings):
-        raise ConfigError("scan.couplings must be non-negative")
+def _cast(value, entry: str, kind):
+    """``value`` as an entry of ``kind`` (see ``_entries``), or a
+    ``ConfigError`` naming ``entry``."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{entry} must be a non-empty list, got {value!r}")
+        return [_number(item, entry, kind[0]) for item in value]
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{entry} must be a string, got {value!r}")
+        return value
+    return _number(value, entry, kind)
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
-    """The validated ``solver`` entries, which are JSON integers like the
-    ``SolverConfig`` defaults."""
+    """The ``SolverConfig`` of the loaded ``solver`` entries."""
     from .spectral import SolverConfig
 
     return SolverConfig(**cfg["solver"])
@@ -245,8 +206,8 @@ def instance_from_config(cfg: dict) -> Tuple[MomentumGrid, FormFactor]:
 
     g = cfg["grid"]
     f = cfg["form_factor"]
-    grid = build_grid(g["d"], float(g["K"]), float(g["h"]), mode_cap=int(g["mode_cap"]))
-    ff = sample_form_factor(grid, f["profile"], float(f["g"]), alpha=float(f["alpha"]))
+    grid = build_grid(g["d"], g["K"], g["h"], mode_cap=g["mode_cap"])
+    ff = sample_form_factor(grid, f["profile"], f["g"], alpha=f["alpha"])
     return grid, ff
 
 
@@ -321,8 +282,6 @@ def _instance_summary(cfg: dict, grid: MomentumGrid, ff: FormFactor) -> dict:
 
 
 def cmd_build(args) -> int:
-    import numpy as np
-
     from . import fock
     from .grid import export_form_factor_csv
 
@@ -334,9 +293,8 @@ def cmd_build(args) -> int:
 
     levels = {}
     for nmax in cfg["nmax"]:
-        basis = fock.enumerate_basis(grid.size, nmax, cap=int(cfg["fock_cap"]))
-        xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
-        ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi)
+        basis = fock.enumerate_basis(grid.size, nmax, cap=cfg["fock_cap"])
+        ham = fock.assemble_hamiltonian(basis, grid, ff, xi=cfg["xi"])
         levels[str(nmax)] = {
             "dimension": basis.dim,
             "nonzeros": ham.nnz,
@@ -374,11 +332,10 @@ def cmd_spectrum(args) -> int:
 
     rows = []
     payload = {"instance": _instance_summary(cfg, grid, ff), "levels": {}}
-    xi = None if cfg["xi"] is None else np.asarray(cfg["xi"], dtype=float)
-    mode_perms = stabilizer(grid, ff, xi)
+    mode_perms = stabilizer(grid, ff, cfg["xi"])
     for nmax in cfg["nmax"]:
-        basis = fock.enumerate_basis(grid.size, nmax, cap=int(cfg["fock_cap"]))
-        ham = fock.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+        basis = fock.enumerate_basis(grid.size, nmax, cap=cfg["fock_cap"])
+        ham = fock.assemble_hamiltonian(basis, grid, ff, xi=cfg["xi"]).matrix
         sector = fock.invariant_sector(np.array([basis.permute_modes(p) for p in mode_perms]))
         level = spectrum_summary(ham, basis, sector, SPECTRUM_COUNT, solver)
         e0 = float(level["eigenvalues"][0])
@@ -399,10 +356,11 @@ def cmd_spectrum(args) -> int:
     )
     out.finalize()
     top = payload["levels"][str(cfg["nmax"][-1])]
-    print(
-        f"spectrum over levels {cfg['nmax']}: top-level e0={top['eigenvalues'][0]:.12f} "
-        f"nu1={top['nu1']:.6f} nu2={top['nu2']:.6f}"
+    # a level below 2 has no two-boson tail, so no nu2
+    gaps = " ".join(
+        f"{nu}={'n/a' if top[nu] is None else format(top[nu], '.6f')}" for nu in ("nu1", "nu2")
     )
+    print(f"spectrum over levels {cfg['nmax']}: top-level e0={top['eigenvalues'][0]:.12f} {gaps}")
     return 0
 
 
@@ -416,7 +374,7 @@ def _reduction_levels(cfg: dict) -> List[int]:
 
 def _shifted(cfg: dict) -> bool:
     """Whether the configured fiber shift ``xi`` is nonzero."""
-    return cfg["xi"] is not None and any(float(x) != 0.0 for x in cfg["xi"])
+    return cfg["xi"] is not None and any(x != 0.0 for x in cfg["xi"])
 
 
 def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
@@ -426,9 +384,8 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     grid, ff = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     levels = _reduction_levels(cfg)
-    xi = cfg["xi"]
     workspaces = {
-        n: build_workspace(grid, ff, n, config=solver, xi=xi, fock_cap=int(cfg["fock_cap"]))
+        n: build_workspace(grid, ff, n, config=solver, xi=cfg["xi"], fock_cap=cfg["fock_cap"])
         for n in levels
     }
     top = levels[-1]
@@ -507,10 +464,10 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     grid, _ = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     ff = sample_form_factor(
-        grid, cfg["form_factor"]["profile"], float(coupling), alpha=float(cfg["form_factor"]["alpha"])
+        grid, cfg["form_factor"]["profile"], coupling, alpha=cfg["form_factor"]["alpha"]
     )
     top = _reduction_levels(cfg)[-1]
-    ws = build_workspace(grid, ff, top, config=solver, fock_cap=int(cfg["fock_cap"]))
+    ws = build_workspace(grid, ff, top, config=solver, fock_cap=cfg["fock_cap"])
     bundle = ws.build_bundle()
     assumptions = bundle.assumptions()
     buffer = solver.buffer(grid.h)
@@ -520,7 +477,7 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     )
     norm_residual = norm_identity_value(bundle)
     return {
-        "coupling": float(coupling),
+        "coupling": coupling,
         "nmax": top,
         "dimension": ws.basis.dim,
         "e0": ws.e0,
@@ -550,13 +507,15 @@ def cmd_scan(args) -> int:
             "scan builds reduction bundles, which need a zero fiber shift; "
             f"xi must be zero or absent, got {cfg['xi']!r}"
         )
-    couplings = [float(c) for c in cfg["scan"]["couplings"]]
+    couplings = cfg["scan"]["couplings"]
     jobs = _scan_jobs(args.jobs, len(couplings))
     # the layers _scan_row runs, loaded before the pool forks, so that its
     # workers inherit them instead of importing numpy and scipy each
     from . import identities  # noqa: F401
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_row, [cfg] * len(couplings), couplings))
     else:

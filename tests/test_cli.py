@@ -18,14 +18,17 @@ def _schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
 
 
+#: the two-mode instance most tests run
+BASE_CONFIG = {
+    "grid": {"d": 1, "K": 1.0, "h": 1.0},
+    "form_factor": {"profile": "gaussian", "g": 0.2},
+    "nmax": [2, 3],
+    "scan": {"couplings": [0.0, 0.1]},
+}
+
+
 def _write_config(tmp_path, **overrides):
-    cfg = {
-        "grid": {"d": 1, "K": 1.0, "h": 1.0},
-        "form_factor": {"profile": "gaussian", "g": 0.2},
-        "nmax": [2, 3],
-        "scan": {"couplings": [0.0, 0.1]},
-    }
-    cfg.update(overrides)
+    cfg = {**BASE_CONFIG, **overrides}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -131,8 +134,7 @@ def _override(entry, value):
     head, _, leaf = entry.partition(".")
     if not leaf:
         return {head: value}
-    section = {"grid": {"d": 1, "K": 1.0, "h": 1.0}}.get(head, {})
-    return {head: {**section, leaf: value}}
+    return {head: {**BASE_CONFIG.get(head, {}), leaf: value}}
 
 
 @pytest.mark.parametrize(
@@ -149,6 +151,58 @@ def test_bad_integer_value_is_a_config_error(tmp_path, monkeypatch, capsys, sour
         monkeypatch.setenv("POLARONLAB_" + entry.upper().replace(".", "__"), json.dumps(value))
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert entry in capsys.readouterr().err
+
+
+#: per config entry: a value in a form that casts to the entry's kind, and
+#: the value it reads back as
+ENTRY_SAMPLES = {
+    "grid.d": (1, 1),
+    "grid.K": (1, 1.0),
+    "grid.h": ("1.0", 1.0),
+    "grid.mode_cap": (64, 64),
+    "form_factor.profile": ("constant", "constant"),
+    "form_factor.g": (0, 0.0),
+    "form_factor.alpha": ("0.5", 0.5),
+    "nmax": (2, [2]),
+    "xi": ([0], [0.0]),
+    "solver.dense_threshold": (10, 10),
+    "solver.seed": (7, 7),
+    "scan.couplings": ([0, "0.5"], [0.0, 0.5]),
+    "fock_cap": (1000, 1000),
+}
+
+
+@pytest.mark.parametrize("entry", list(cli._entries()))
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_entry_reads_back_as_its_kind(tmp_path, monkeypatch, source, entry):
+    """Each entry, set from the file or the environment, is its kind in the
+    loaded config and in the manifest: ``"K": 1`` is recorded as ``1.0``."""
+    given, expected = ENTRY_SAMPLES[entry]
+    if source == "file":
+        cfg = _write_config(tmp_path, **_override(entry, given))
+    else:
+        cfg = _write_config(tmp_path)
+        monkeypatch.setenv("POLARONLAB_" + entry.upper().replace(".", "__"), json.dumps(given))
+    out = tmp_path / "o"
+    assert cli.main(["build", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())["config"]
+    section, _, leaf = entry.rpartition(".")
+    for config in (cli.load_config(cfg), manifest):
+        value = (config[section] if section else config)[leaf]
+        assert value == expected
+        assert type(value) is type(expected)
+        if isinstance(value, list):
+            assert [type(v) for v in value] == [type(v) for v in expected]
+
+
+@pytest.mark.parametrize("variable", ["POLARONLAB___", "POLARONLAB_", "POLARONLAB_GRID"])
+def test_override_naming_no_entry_is_fatal(tmp_path, monkeypatch, capsys, variable):
+    """A ``POLARONLAB_`` variable that names no entry, or names a section,
+    exits 2 and names the variable."""
+    monkeypatch.setenv(variable, "1")
+    cfg = _write_config(tmp_path)
+    assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert variable in capsys.readouterr().err
 
 
 #: every config entry that became a constant of the program, with the value
@@ -232,6 +286,19 @@ def test_spectrum_artifacts_and_values(tmp_path, invariant_sector):
     csv_text = (out / "tables" / "spectrum.csv").read_text()
     assert csv_text.splitlines()[0] == "nmax,dimension,e0,nu1,nu2,vacuum_overlap,count_below_window"
     assert len(csv_text.splitlines()) == 3
+
+
+def test_spectrum_top_level_one_has_no_nu2(tmp_path, capsys):
+    """At ``nmax = 1`` there is no two-boson tail: ``nu2`` is null in the
+    artifact and ``n/a`` in the summary line, and the command succeeds."""
+    cfg = _write_config(tmp_path, nmax=[1])
+    out = tmp_path / "spec"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert "nu2=n/a" in capsys.readouterr().out
+    level = json.loads((out / "results" / "spectrum_n1.json").read_text())
+    definitions = _schema("spectrum.schema.json")["definitions"]
+    jsonschema.validate(level, {"definitions": definitions, "$ref": "#/definitions/level"})
+    assert level["nu2"] is None
 
 
 def test_verify_passes_and_prints_summary(tmp_path, capsys):
@@ -467,7 +534,7 @@ def test_scan_rejects_a_fiber_shift(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a rejected scan must not start a pool")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     shifted = dict(
         grid={"d": 1, "K": 1.0, "h": 0.25},
         form_factor={"profile": "gaussian", "g": 0.05},
@@ -514,7 +581,7 @@ def test_scan_jobs_clamped_to_couplings_and_cores(tmp_path, monkeypatch):
         raise AssertionError("a clamped single-worker scan must not start a pool")
 
     # one coupling: --jobs 8 runs serially, in this process
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfg = _write_config(tmp_path, scan={"couplings": [0.1]})
     assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "8"]) == 0
 

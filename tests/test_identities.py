@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 import polaronlab as pl
 from polaronlab import ConfigError, storage
@@ -67,16 +68,46 @@ def test_everything_passes_on_small_instance(small_suite):
         assert report.passed is True, report.identity
 
 
+EXACT_IDS = (
+    "resolvent-splitting-vacuum",
+    "resolvent-splitting-one-boson",
+    "vacuum-schur",
+    "c0-identity",
+    "rearrangement",
+)
+
+
 def test_exact_identities_at_machine_precision(small_suite):
-    for name in (
-        "resolvent-splitting-vacuum",
-        "resolvent-splitting-one-boson",
-        "vacuum-schur",
-        "c0-identity",
-        "rearrangement",
-    ):
+    for name in EXACT_IDS:
         for value in small_suite[name].summary:
             assert value <= 1e-12, name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, 2.0, 0.5), (1, 1.0, 0.5), (2, 1.0, 1.0)]),
+    profile=st.sampled_from(pl.grid.PROFILES),
+    g=st.floats(0.0, 1.5),
+    dense_threshold=st.sampled_from([10, 500]),
+)
+def test_exact_identities_hold_on_random_instances(shape, profile, g, dense_threshold):
+    """The exact identities pass, each within its ``THRESHOLDS`` bound, on
+    levels (2, 3) of small d=1 and d=2 instances, on the dense and on the
+    sparse path."""
+    grid = pl.build_grid(*shape)
+    # alpha (froehlich only) must lie below d; 0.5 serves both dimensions
+    ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    config = pl.SolverConfig(dense_threshold=dense_threshold)
+    workspaces = {n: pl.build_workspace(grid, ff, n, config=config) for n in (2, 3)}
+    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
+    for report in pl.run_suite(workspaces, bundles, only=EXACT_IDS):
+        assert report.passed is not False, (report.identity, report.summary)
+        for nmax, value in zip(report.nmax_levels, report.summary):
+            if value is None:
+                # only the rearrangement needs the decomposition, which c0 <= 0 rules out
+                assert report.identity == "rearrangement" and not bundles[nmax].c0_positive
+            else:
+                assert value <= report.threshold, (report.identity, nmax, value)
 
 
 def test_truncation_ladders_strictly_decrease(small_suite):

@@ -16,7 +16,7 @@ from polaronlab import cli
 SRC = str(Path(pl.__file__).resolve().parent.parent)
 
 #: prints the exit code of ``cli.main(ARGV)`` (or None) and the loaded
-#: modules of interest as one JSON line
+#: modules of interest (the package, numerics, process pools) as one JSON line
 _PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -26,7 +26,7 @@ if argv is not None:
     code = cli.main(argv)
 else:
     import polaronlab.cli
-wanted = ("numpy", "scipy", "polaronlab")
+wanted = ("numpy", "scipy", "polaronlab", "concurrent", "multiprocessing")
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in wanted)]))
 """
 
@@ -42,7 +42,7 @@ def _fresh(script: str, *args: str) -> str:
 
 
 def _loaded_by(argv):
-    """Exit code and loaded numpy/scipy/polaronlab modules of one fresh
+    """Exit code and loaded modules of interest of one fresh
     ``cli.main(argv)`` (``argv=None``: a plain ``import polaronlab.cli``)."""
     code, modules = json.loads(_fresh(_PROBE, json.dumps(argv)))
     return code, set(modules)
@@ -66,6 +66,8 @@ def test_cli_import_loads_no_numerics():
     code, modules = _loaded_by(None)
     assert code is None
     assert not _numerics(modules)
+    # only ``scan --jobs`` above 1 opens a process pool
+    assert not {m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
     assert modules == {"polaronlab", "polaronlab.cli", "polaronlab.errors", "polaronlab.storage"}
 
 
