@@ -6,17 +6,23 @@ dense LAPACK routines, which doubles as the built-in oracle for the sparse
 path.  Dense eigenpairs come from the MRRR routine ``syevr`` (Dhillon &
 Parlett, Linear Algebra Appl. 387, 2004), asked for the lowest ``count``
 pairs only; dense eigenvalue counts still read the full spectrum.  Above
-the threshold one ``SymmetricFactor`` -- a minimum-degree sparse LDL^T
-of ``A - shift`` (George & Liu, SIAM Rev. 31, 1989) -- serves everything:
-its pivot signs give exact eigenvalue counts and definiteness (Sylvester's
+the threshold one ``SymmetricFactor`` of ``A - shift`` serves everything:
+its inertia gives exact eigenvalue counts and definiteness (Sylvester's
 law of inertia), and its solves drive shift-invert Lanczos (Ericsson &
-Ruhe, Math. Comp. 35, 1980).  A count the factor cannot certify is a
-``SolverError``.  ``SpdSolver`` solves by Cholesky when dense.  Sparse, it
-certifies definiteness by Gershgorin's theorem, else by that inertia --
-unless the caller hands it a certificate of its own, such as a definite
-member of the same ``A + shift * I`` family at a lower shift -- and solves
-by Jacobi-preconditioned conjugate gradients whose every answer must pass
-a true-residual check.
+Ruhe, Math. Comp. 35, 1980).  ``Phi`` changes the boson number by one, so
+the factor eliminates an uncoupled set of rows by their diagonal and
+factors the dense Schur complement on the rest with Bunch-Kaufman
+pivoting; inertia is additive over a Schur complement (Haynsworth, Linear
+Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
+complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
+a ``SolverError``, and so is a singular factor.  Sparse eigenvalue lists are
+certified by that inertia too, so no copy of a multiple eigenvalue goes
+missing (``lowest_eigenpairs``).  ``SpdSolver`` solves by Cholesky when
+dense.  Sparse, it certifies definiteness by Gershgorin's theorem, else by
+that inertia -- unless the caller hands it a certificate of its own, such
+as a definite member of the same ``A + shift * I`` family at a lower shift
+-- and solves by Jacobi-preconditioned conjugate gradients whose every
+answer must pass a true-residual check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
 point-group-invariant sector only: the range of the isometry ``B`` of
@@ -40,6 +46,7 @@ to the group order.  A trivial group makes ``B`` the identity.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -47,11 +54,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
 from .fock import FockBasis
 
 _log = logging.getLogger("polaronlab")
+_factor_log = logging.getLogger("polaronlab.factor")
 
 #: Lanczos convergence tolerance and floor of the eigenpair residual check
 EIG_TOL = 1e-10
@@ -59,6 +68,15 @@ EIG_TOL = 1e-10
 LIN_TOL = 1e-12
 #: iteration cap of Lanczos and conjugate gradients
 MAX_ITERATIONS = 5000
+#: most kept rows whose Schur complement ``SymmetricFactor`` holds densely:
+#: 16384^2 doubles are 2.1 GB; more is a ``SolverError``
+SCHUR_CAP = 16384
+#: deflated Lanczos runs a sparse eigenvalue list may take to find the copies
+#: of multiple eigenvalues that its inertia check says are missing
+LIST_TRIES = 8
+#: Bunch-Kaufman's 1x1 pivot bound ``(1 + sqrt 17) / 8``: a row is eliminated
+#: by its diagonal only if that is this large against its other entries
+_PIVOT_RATIO = (1.0 + 17.0**0.5) / 8.0
 
 
 @dataclass(frozen=True)
@@ -99,42 +117,109 @@ def start_vector(dim: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-class SymmetricFactor:
-    """Sparse symmetric LDL^T factorization of ``A - shift * I``.
+def _eliminated_rows(shifted: sp.csr_matrix) -> np.ndarray:
+    """Mask of the rows that ``SymmetricFactor`` eliminates by their own
+    diagonal: an independent set of the sparsity pattern, chosen greedily by
+    descending index among the rows whose diagonal passes Bunch-Kaufman's
+    1x1 pivot test.
 
-    SuperLU with a minimum-degree ordering of ``A + A^T`` applied to rows
-    and columns alike, and no threshold pivoting.  While the row and column
-    permutations agree, ``P (A - shift) P^T = L D L^T`` with ``D = diag(U)``,
-    so the negative pivots count the eigenvalues below ``shift`` exactly.
-    A zero pivot forces an off-diagonal pivot or a singular factor; both
-    void the count and raise ``SolverError``.
+    The greedy pass runs in rounds: a row joins once every higher row it is
+    coupled to has been decided, and none of them joined.  On a basis ordered
+    by boson number, where ``Phi`` only couples adjacent sectors, that takes
+    about ``nmax / 2`` rounds and picks the parity class of the top sector.
+    """
+    diag = shifted.diagonal()
+    off = abs(shifted - sp.diags(diag)).tocsr()
+    off.eliminate_zeros()
+    largest = off.max(axis=1).toarray().ravel()
+    undecided = (diag != 0.0) & (np.abs(diag) >= _PIVOT_RATIO * largest)
+    higher = sp.triu(off, k=1, format="csr")
+    higher.data[:] = 1.0
+    chosen = np.zeros(shifted.shape[0], dtype=bool)
+    while undecided.any():
+        undecided &= higher @ chosen.astype(float) == 0.0
+        ready = undecided & (higher @ undecided.astype(float) == 0.0)
+        chosen |= ready
+        undecided &= ~ready
+    return chosen
+
+
+class SymmetricFactor:
+    """Symmetric indefinite factorization of ``A - shift * I`` that gives its
+    exact inertia and solves against it.
+
+    Every matrix this package factors is a diagonal plus ``Phi``, or its
+    restriction to a tail or to the invariant sector, and ``Phi`` changes
+    the boson number by one; so many rows couple to none of each other
+    (``_eliminated_rows``).  Those rows E are eliminated by their diagonal
+    ``D_E``, which leaves the dense Schur complement
+    ``S = A_KK - A_KE D_E^-1 A_EK`` on the kept rows K.
+    Inertia is additive over a Schur complement (Haynsworth, Linear Algebra
+    Appl. 1, 1968), so the eigenvalues below ``shift`` number the negative
+    entries of ``D_E`` plus the negative eigenvalues of ``S``.  LAPACK's
+    ``sytrf`` factors ``S = U D U^T`` with Bunch-Kaufman pivoting, whose
+    block diagonal ``D`` has the inertia of ``S`` (Bunch & Kaufman, Math.
+    Comp. 31, 1977): each 1x1 block counts by its sign, each 2x2 block has
+    one negative eigenvalue.  Solves eliminate E, then run ``sytrs``.
+
+    The dense ``S`` takes ``8 K^2`` bytes, so more than ``SCHUR_CAP`` kept
+    rows are refused before it is formed.  That, a zero pivot, and a solve
+    that fails its true-residual check are ``SolverError``.  Each build
+    emits one DEBUG event on the ``polaronlab.factor`` logger, a child of
+    ``polaronlab``: the label, dimension and shift, the eliminated and kept
+    row counts, the negative count and the seconds taken.
     """
 
     def __init__(self, mat, shift: float, label: str = "operator"):
+        started = time.perf_counter()
         self.label = label
-        mat = sp.csc_matrix(mat)
-        self._shifted = (mat - shift * sp.identity(mat.shape[0], format="csc")).tocsc()
-        try:
-            self._lu = spla.splu(
-                self._shifted,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise SolverError(f"{label} is singular at shift {shift!r}: {exc}") from exc
-        if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
+        dim = mat.shape[0]
+        shifted = (sp.csr_matrix(mat) - shift * sp.identity(dim, format="csr")).tocsr()
+        self._shifted = shifted
+        eliminated = _eliminated_rows(shifted)
+        rows_e, rows_k = np.flatnonzero(eliminated), np.flatnonzero(~eliminated)
+        if rows_k.size > SCHUR_CAP:
             raise SolverError(
-                f"{label} needed off-diagonal pivots at shift {shift!r}; "
-                "its inertia is not certified"
+                f"{label} keeps {rows_k.size} of {dim} rows for its dense Schur complement "
+                f"({8e-9 * rows_k.size**2:.1f} GB), above SCHUR_CAP = {SCHUR_CAP}"
             )
-        self.negative_count = int(np.count_nonzero(self._lu.U.diagonal() < 0))
+        self._rows_e, self._rows_k = rows_e, rows_k
+        by_k = shifted[rows_k]
+        pivots = shifted.diagonal()[rows_e]
+        self._inverse = 1.0 / pivots
+        self._a_ke = by_k[:, rows_e]
+        self._a_ek = self._a_ke.T.tocsr()
+        schur = by_k[:, rows_k] - self._a_ke @ sp.diags(self._inverse) @ self._a_ek
+        # S is symmetric, so its C-ordered array read in Fortran order is S
+        # again, and LAPACK factors it in place
+        lwork = max(int(dsytrf_lwork(rows_k.size)[0]), 1)
+        self._ldu, self._ipiv, info = dsytrf(schur.toarray().T, lwork=lwork, overwrite_a=True)
+        if info > 0:
+            raise SolverError(f"{label} is singular at shift {shift!r}: zero pivot")
+        blocks = self._ldu.diagonal()[self._ipiv > 0]
+        self.negative_count = int(
+            np.count_nonzero(pivots < 0)
+            + np.count_nonzero(blocks < 0)
+            + np.count_nonzero(self._ipiv < 0) // 2
+        )
         self.solves = 0
+        _factor_log.debug(
+            "factor %s: dim %d at shift %r, %d eliminated, %d kept, %d negative, %.4f s",
+            label, dim, float(shift), rows_e.size, rows_k.size, self.negative_count,
+            time.perf_counter() - started,
+        )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A - shift) x = rhs``, certified by the true residual."""
         rhs = np.asarray(rhs, dtype=float)
-        x = self._lu.solve(rhs)
+        inverse = self._inverse.reshape((-1,) + (1,) * (rhs.ndim - 1))
+        scaled = inverse * rhs[self._rows_e]
+        kept = rhs[self._rows_k] - self._a_ke @ scaled
+        if kept.shape[0]:
+            kept = dsytrs(self._ldu, self._ipiv, kept)[0]
+        x = np.empty_like(rhs)
+        x[self._rows_k] = kept
+        x[self._rows_e] = scaled - inverse * (self._a_ek @ kept)
         self.solves += 1
         residual, scale = np.linalg.norm(self._shifted @ x - rhs), np.linalg.norm(rhs)
         if residual > LIN_TOL * scale:
@@ -164,39 +249,117 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
     LAPACK's ``syevr`` computes only the lowest ``count`` pairs; above it,
     shift-invert Lanczos on a ``SymmetricFactor``.  Every returned pair is
     certified by its residual; one above tolerance is a ``SolverError``.
+
+    Lanczos from one start vector finds the extra copies of a multiple
+    eigenvalue only through rounding, so a sparse list is also certified by
+    inertia (``_missing_copies``): below a clear gap of the list, the
+    eigenvalues must number exactly the listed ones.  Missing copies are
+    asked for again from Lanczos on the factor's inverse deflated by the
+    pairs already found, whose start vector then has a component along each
+    of them; up to ``LIST_TRIES`` such runs, else ``SolverError``.  A
+    multiple eigenvalue that ``count`` cuts through at the top of the list
+    lies above every gap, and is legitimate.
     """
+    return _lowest(mat, count, config, None)
+
+
+def _lowest(
+    mat, count: int, config: SolverConfig, inertia: Optional[Tuple[float, int]]
+) -> Eigenpairs:
+    """``lowest_eigenpairs``, whose sparse list is certified by ``inertia``,
+    a known ``(cut, eigenvalues below cut)``, if given, instead of by a
+    factor at one of its own gaps."""
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise ConfigError(f"cannot compute {count} eigenpairs of a dim-{dim} operator")
     if dim <= config.dense_threshold or count >= dim - 1:
         vals, vecs = sla.eigh(_dense(mat), subset_by_index=[0, count - 1])
-        method, iterations = "dense", 0
-    else:
-        # Shift-invert around a point strictly below the spectrum.  Plain
-        # smallest-algebraic Lanczos silently loses eigenvectors the matrix
-        # (nearly) annihilates, because their Krylov components never grow;
-        # the inverted operator makes the low end dominant instead.
-        sigma = _gershgorin_lower(mat) - 1.0
-        factor = SymmetricFactor(mat, sigma, label="shift-invert operator")
-        opinv = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=float)
-        try:
-            vals, vecs = spla.eigsh(
-                mat,
-                k=count,
-                sigma=sigma,
-                which="LM",
-                OPinv=opinv,
-                tol=EIG_TOL,
-                maxiter=MAX_ITERATIONS,
-                v0=start_vector(dim, config.seed),
+        residuals = _certified_residuals(mat, vals, vecs, "dense")
+        return Eigenpairs(vals, vecs, residuals, "dense", 0)
+    # Shift-invert around a point strictly below the spectrum.  Plain
+    # smallest-algebraic Lanczos silently loses eigenvectors the matrix
+    # (nearly) annihilates, because their Krylov components never grow;
+    # the inverted operator makes the low end dominant instead.
+    sigma = _gershgorin_lower(mat) - 1.0
+    factor = SymmetricFactor(mat, sigma, label="shift-invert operator")
+    start = start_vector(dim, config.seed)
+    vals, vecs = _lanczos(mat, count, sigma, factor.solve, start)
+    runs = 0
+    while True:
+        residuals = _certified_residuals(mat, vals, vecs, "shift-invert")
+        missing = _missing_copies(mat, vals, residuals, count, inertia)
+        if not missing:
+            return Eigenpairs(
+                vals[:count], vecs[:, :count], residuals[:count], "shift-invert", factor.solves
             )
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"shift-invert Lanczos failed to converge: {exc}") from exc
-        order = np.argsort(vals)
+        if runs == LIST_TRIES:
+            raise SolverError(
+                f"shift-invert Lanczos still misses {missing} eigenvalue copies "
+                f"after {LIST_TRIES} deflated runs"
+            )
+        runs += 1
+        found = vecs
+
+        def deflated(x: np.ndarray) -> np.ndarray:
+            y = factor.solve(x - found @ (found.T @ x))
+            return y - found @ (found.T @ y)
+
+        more_vals, more_vecs = _lanczos(mat, missing, sigma, deflated, deflated(start))
+        vals, vecs = np.concatenate([vals, more_vals]), np.hstack([vecs, more_vecs])
+        order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
-        method, iterations = "shift-invert", factor.solves
-    residuals = _certified_residuals(mat, vals, vecs, method)
-    return Eigenpairs(vals, vecs, residuals, method, iterations)
+
+
+def _lanczos(mat, count: int, sigma: float, solve, start: np.ndarray):
+    """Ascending ``count`` eigenpairs of ``mat`` nearest ``sigma`` from
+    shift-invert Lanczos, with ``solve`` applying ``(mat - sigma)^-1``."""
+    dim = mat.shape[0]
+    opinv = spla.LinearOperator((dim, dim), matvec=solve, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(
+            mat,
+            k=count,
+            sigma=sigma,
+            which="LM",
+            OPinv=opinv,
+            tol=EIG_TOL,
+            maxiter=MAX_ITERATIONS,
+            v0=start,
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"shift-invert Lanczos failed to converge: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _missing_copies(
+    mat, vals: np.ndarray, residuals: np.ndarray, count: int,
+    inertia: Optional[Tuple[float, int]],
+) -> int:
+    """How many eigenvalues below a cut an ascending list lacks, by inertia.
+
+    Given a known ``inertia = (cut, below)``, the cut is that one.  Else it
+    is the midpoint of a clear gap of the list, one wider than twice the
+    largest residual, so no eigenvalue a listed pair stands for crosses it:
+    the first such gap at or above the ``count``-th value, else the last
+    one below it, since values above it are a tie at the top of the list;
+    a list without a clear gap lacks nothing.  Fewer eigenvalues below the
+    cut than listed is a ``SolverError``.
+    """
+    if inertia is not None:
+        cut, below = inertia
+        listed = int(np.count_nonzero(vals < cut))
+    else:
+        gaps = np.flatnonzero(np.diff(vals) > 2.0 * residuals.max())
+        if not gaps.size:
+            return 0
+        above = gaps[gaps >= count - 1]
+        listed = int(above[0] if above.size else gaps[-1]) + 1
+        cut = 0.5 * (vals[listed - 1] + vals[listed])
+        below = SymmetricFactor(mat, cut, label="eigenvalue list").negative_count
+    if below < listed:
+        raise SolverError(f"{listed} eigenvalues listed below {cut!r}, but its inertia is {below}")
+    return below - listed
 
 
 def _certified_residuals(mat, vals: np.ndarray, vecs: np.ndarray, method: str) -> np.ndarray:
@@ -304,14 +467,15 @@ def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray
     """All eigenvalues strictly below ``threshold``, ascending.
 
     Above the dense threshold their number is the inertia that
-    ``count_below`` reads, and one eigenpair solve of that size must land
-    every one of them below the threshold, else ``SolverError``.
+    ``count_below`` reads.  That inertia also certifies the eigenpair list
+    of that size, which must land every one of them below the threshold,
+    else ``SolverError``; no further factor is built for the check.
     """
     if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
         return vals[vals < threshold]
     count = count_below(mat, threshold, 0.0, config)
-    vals = lowest_eigenpairs(mat, count, config).values
+    vals = _lowest(mat, count, config, (threshold, count)).values
     if vals[-1] >= threshold:
         raise SolverError(
             f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "

@@ -603,3 +603,22 @@ def test_default_out_name_is_config_hash(tmp_path, monkeypatch):
     # the directory name embeds the config hash: rerunning reuses it
     assert cli.main(["build", "--config", cfg]) == 0
     assert list(tmp_path.glob("run-build-*")) == candidates
+
+
+def test_spectrum_lists_both_copies_of_a_double_eigenvalue(tmp_path):
+    """On d=2, K=1, h=0.5, nmax 3 (dim 2925, sparse path) the eigenvalue
+    0.4394721 is double; the ``spectrum`` artifact lists it twice, as dense
+    ``eigvalsh`` does."""
+    cfg = _write_config(
+        tmp_path,
+        grid={"d": 2, "K": 1.0, "h": 0.5},
+        form_factor={"profile": "constant", "g": 0.5},
+        nmax=[3],
+    )
+    out = tmp_path / "spec"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    level = json.loads((out / "results" / "spectrum.json").read_text())["levels"]["3"]
+    assert level["diagnostics"]["method"] == "shift-invert"
+    listed = np.round(level["eigenvalues"], 7)
+    assert np.count_nonzero(listed == 0.4394721) == 2
+    assert listed[:5].tolist() == [-0.8163776, 0.4110231, 0.4394721, 0.4394721, 0.4403373]

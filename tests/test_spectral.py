@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig, SolverError
@@ -118,9 +118,10 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     nmax=st.sampled_from([2, 3]),
 )
 def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, nmax):
-    """The assembled H equals its transpose exactly, and the sparse inertia
+    """The assembled H equals its transpose exactly, the sparse inertia
     count equals the dense count at the window cut ``e0 + 1 - buffer`` and
-    at a cut inside the spectrum."""
+    at a cut inside the spectrum, and the factor's solve there is the dense
+    solve."""
     d, xi = shape
     grid = pl.build_grid(d, *_DENSE_GRIDS[d])
     basis = pl.enumerate_basis(grid.size, nmax)
@@ -137,6 +138,10 @@ def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, 
     j = gaps[np.argmin(np.abs(gaps - basis.dim // 2))]
     cut = 0.5 * (vals[j] + vals[j + 1])
     assert pl.count_below(ham, cut, 0.0, cfg) == j + 1
+    rhs = start_vector(basis.dim, 5)
+    exact = np.linalg.solve(ham.toarray() - cut * np.eye(basis.dim), rhs)
+    solved = SymmetricFactor(ham, cut).solve(rhs)
+    assert np.allclose(solved, exact, rtol=0, atol=1e-9 * np.abs(exact).max())
 
 
 @pytest.mark.parametrize("profile, g", [("froehlich", 0.1), ("constant", 0.3)])
@@ -342,13 +347,214 @@ def test_count_below_inertia_matches_dense(d2_instance):
 
 
 def test_count_below_refuses_uncertified_inertia():
-    """A zero diagonal forces SuperLU off the diagonal, where the pivot signs
-    no longer give the inertia; a cut on an eigenvalue is singular."""
+    """A row with a zero shifted diagonal is kept for the Schur complement,
+    where Bunch-Kaufman pivots it in a 2x2 block, so its count is certified
+    and equals the dense one; a cut on an eigenvalue is singular."""
     swap = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]])] * 10, format="csr")
     cfg = SolverConfig(dense_threshold=10)
     assert pl.count_below(swap, 0.0, 0.0, SolverConfig()) == 10
     assert SymmetricFactor(swap, 0.5).negative_count == 10
-    with pytest.raises(SolverError):
-        pl.count_below(swap, 0.0, 0.0, cfg)
+    assert pl.count_below(swap, 0.0, 0.0, cfg) == 10
     with pytest.raises(SolverError):
         pl.count_below(swap, 1.0, 0.0, cfg)
+
+
+#: instances (d, K, h, nmax, profile, g, alpha) with a double
+#: eigenvalue among the lowest six, and their lowest six eigenvalues from
+#: dense ``eigvalsh``, frozen: diagonalizing the three larger ones takes ~10 s
+_DEGENERATE_ROWS = [
+    (
+        (2, 1.0, 0.5, 3, "constant", 0.5, 1.0),
+        [-0.816377611026, 0.411023088283, 0.439472101434, 0.439472101434,
+         0.440337270437, 0.567610747390],
+    ),
+    (
+        (2, 1.0, 0.5, 3, "froehlich", 0.5, 0.5),
+        [-1.026619916442, 0.228058786043, 0.276688873839, 0.276688873839,
+         0.289396620051, 0.389575672811],
+    ),
+    (
+        (2, 1.5, 0.5, 2, "gaussian", 0.5, 1.0),
+        [-0.220208160408, 1.034719223559, 1.057708270882, 1.057708270882,
+         1.061223672049, 1.261479360672],
+    ),
+    (
+        # the sixth value cuts through a triple eigenvalue: a legitimate tie
+        (3, 1.0, 1.0, 3, "constant", 0.1, 1.0),
+        [-0.090502822906, 1.760595750557, 1.760644916038, 1.760644916038,
+         1.886059405569, 1.886059405569],
+    ),
+]
+
+
+def _instance(d, K, h, nmax, profile, g, alpha):
+    grid = pl.build_grid(d, K, h)
+    ff = pl.sample_form_factor(grid, profile, g, alpha=alpha)
+    basis = pl.enumerate_basis(grid.size, nmax)
+    return grid, ff, basis, pl.assemble_hamiltonian(basis, grid, ff).matrix
+
+
+@pytest.mark.parametrize("row, truth", _DEGENERATE_ROWS)
+def test_sparse_lists_keep_degenerate_copies(row, truth, invariant_sector):
+    """Shift-invert Lanczos alone lists each of these double eigenvalues
+    once; the inertia check at the list's gaps finds the missing copies."""
+    grid, ff, basis, ham = _instance(*row)
+    if basis.dim == 1225:
+        assert np.allclose(np.linalg.eigvalsh(ham.toarray())[:6], truth, rtol=0, atol=1e-11)
+    pairs = pl.lowest_eigenpairs(ham, 6, SolverConfig())
+    assert pairs.method == "shift-invert"
+    assert np.allclose(pairs.values, truth, rtol=0, atol=1e-10)
+    gram = pairs.vectors.T @ pairs.vectors
+    assert np.allclose(gram, np.eye(6), rtol=0, atol=1e-8)
+    summary = pl.spectrum_summary(ham, basis, invariant_sector(grid, ff, basis), 6, SolverConfig())
+    assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
+
+
+def test_eigenvalues_below_certifies_its_list_by_its_count(caplog):
+    """``eigenvalues_below`` lists both copies of the double eigenvalue
+    below its threshold, and its count at the threshold certifies that
+    list: one factor counts, one drives Lanczos, and no third is built."""
+    row, truth = _DEGENERATE_ROWS[0]
+    ham = _instance(*row)[3]
+    with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
+        vals = pl.spectral.eigenvalues_below(ham, 0.5, SolverConfig())
+    assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
+    labels = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "polaronlab.factor"]
+    assert labels == ["factor counted operator", "factor shift-invert operator"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    profile=st.sampled_from(pl.grid.PROFILES),
+    g=st.just(0.0) | st.floats(0.05, 1.5),
+    nmax=st.sampled_from([2, 3]),
+    count=st.integers(2, 9),
+)
+def test_sparse_lists_match_dense_on_degenerate_draws(profile, g, nmax, count):
+    """On the d=2 grid, whose point group gives double eigenvalues, the
+    sparse list (``dense_threshold=10``) is the dense one, every copy
+    included; a count that cuts through a multiple eigenvalue is fine.  At
+    g = 0, H is diagonal: the factor eliminates every row, and the free
+    spectrum's fourfold eigenvalues need several deflated runs."""
+    grid = pl.build_grid(2, *_DENSE_GRIDS[2])
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
+    truth = np.linalg.eigvalsh(ham.toarray())[:count]
+    pairs = pl.lowest_eigenpairs(ham, count, SolverConfig(dense_threshold=10))
+    assert pairs.method == "shift-invert"
+    assert np.allclose(pairs.values, truth, rtol=0, atol=1e-9)
+
+
+def _factored_matrix(invariant_sector, d, xi, profile, g, nmax, which, tail, k):
+    """One matrix of the kinds ``SymmetricFactor`` serves besides H itself
+    (see ``test_hamiltonian_symmetric_and_sparse_counts_match_dense``): a
+    ``restricted_matrix`` tail at momentum ``k``, or ``B^T H B`` and one of
+    its trailing blocks."""
+    grid = pl.build_grid(d, *_DENSE_GRIDS[d])
+    ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    if which == "tail":
+        ws = pl.build_workspace(grid, ff, nmax, xi=xi)
+        kind = (pl.reduction.TAIL_ONE, pl.reduction.TAIL_TWO)[tail - 1]
+        return ws.restricted_matrix(kind, np.full(d, k), 0.3)
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    sector = invariant_sector(grid, ff, basis, xi)
+    column = int(sector.indices[basis.tail_start(tail)]) if tail else 0
+    return pl.spectral._restrict(ham, sector)[column:, column:]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, None), (2, None), (2, (0.6, 0.0))]),
+    profile=st.sampled_from(pl.grid.PROFILES),
+    g=st.floats(0.05, 1.5),
+    nmax=st.sampled_from([2, 3]),
+    which=st.sampled_from(["tail", "sector"]),
+    tail=st.sampled_from([0, 1, 2]),
+    k=st.floats(-0.7, 0.7),
+    position=st.floats(-0.1, 1.1),
+)
+def test_factor_inertia_and_solve_match_dense(
+    invariant_sector, shape, profile, g, nmax, which, tail, k, position
+):
+    """The Schur-complement factor's negative count is the dense count of
+    eigenvalues below the shift, and its solve is the dense solve, on the
+    tails and the sector blocks the package factors besides H (d=1, 2, with
+    and without a fiber shift); the shift stays at least 1e-8 from every
+    eigenvalue."""
+    d, xi = shape
+    tail = max(tail, 1) if which == "tail" else tail
+    mat = _factored_matrix(invariant_sector, d, xi, profile, g, nmax, which, tail, k)
+    dense = mat.toarray()
+    vals = np.linalg.eigvalsh(dense)
+    shift = vals[0] + position * (vals[-1] - vals[0])
+    distance = np.min(np.abs(vals - shift))
+    assume(distance >= 1e-8)
+    factor = SymmetricFactor(mat, shift)
+    assert factor.negative_count == int(np.sum(vals < shift))
+    if distance >= 1e-2:  # well conditioned enough for the residual bound
+        rhs = start_vector(mat.shape[0], 11)
+        exact = np.linalg.solve(dense - shift * np.eye(mat.shape[0]), rhs)
+        assert np.allclose(factor.solve(rhs), exact, rtol=0, atol=1e-9 * np.abs(exact).max())
+
+
+def test_factor_on_a_generic_sparse_matrix():
+    """A random sparse symmetric matrix whose pattern has odd cycles, so it
+    is not bipartite: counts at cuts between its eigenvalues, and a solve,
+    match the dense ones."""
+    rng = np.random.RandomState(3)
+    upper = sp.random(60, 60, density=0.08, random_state=rng, format="csr")
+    mat = (upper + upper.T + sp.diags(rng.uniform(-2.0, 2.0, 60))).tocsr()
+    dense = mat.toarray()
+    triangle = (dense != 0) & (np.linalg.matrix_power((dense != 0).astype(int), 2) > 0)
+    assert np.any(triangle & ~np.eye(60, dtype=bool))  # a closed walk of length 3
+    vals = np.linalg.eigvalsh(dense)
+    for j in range(0, 59, 7):
+        cut = 0.5 * (vals[j] + vals[j + 1])
+        assert SymmetricFactor(mat, cut).negative_count == j + 1
+    cut = 0.5 * (vals[29] + vals[30])
+    rhs = start_vector(60, 4)
+    exact = np.linalg.solve(dense - cut * np.eye(60), rhs)
+    assert np.allclose(SymmetricFactor(mat, cut).solve(rhs), exact, rtol=0, atol=1e-10)
+
+
+def test_factor_eliminates_the_top_parity_class(d2_instance):
+    """On H, ordered by boson number, the eliminated rows are exactly the
+    sectors of the top sector's boson-number parity."""
+    basis = pl.enumerate_basis(24, 3)
+    parity = basis.boson_counts() % 2 == basis.nmax % 2
+    assert np.array_equal(pl.spectral._eliminated_rows(d2_instance.tocsr()), parity)
+
+
+def test_factor_logs_one_event_per_build(d2_instance, caplog):
+    """Each build emits one DEBUG event on ``polaronlab.factor``, a child of
+    the ``polaronlab`` logger: label, dimension and shift, eliminated and
+    kept rows, negative count and seconds."""
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        factor = SymmetricFactor(d2_instance, 0.5, label="probe")
+    [event] = [r for r in caplog.records if r.name == "polaronlab.factor"]
+    assert event.levelno == logging.DEBUG
+    kept = int(np.sum(pl.enumerate_basis(24, 3).boson_counts() % 2 == 0))
+    message = event.getMessage()
+    assert message.startswith(
+        f"factor probe: dim 2925 at shift 0.5, {2925 - kept} eliminated, {kept} kept, "
+        f"{factor.negative_count} negative, "
+    )
+    assert message.endswith(" s")
+    assert logging.getLogger("polaronlab").handlers == []
+
+
+def test_factor_above_the_cap_is_refused(degenerate_instance, monkeypatch):
+    """More kept rows than ``SCHUR_CAP`` is a ``SolverError`` raised before
+    the dense Schur complement is formed; at the cap the factor still runs."""
+    mat = degenerate_instance
+    kept = int(np.count_nonzero(~pl.spectral._eliminated_rows(mat.tocsr())))
+    monkeypatch.setattr(pl.spectral, "SCHUR_CAP", kept - 1)
+    with pytest.raises(SolverError, match=f"keeps {kept} of 325 rows .* above SCHUR_CAP"):
+        SymmetricFactor(mat, 0.0)
+    with pytest.raises(SolverError, match="SCHUR_CAP"):
+        pl.count_below(mat, 0.0, 0.0, SolverConfig(dense_threshold=10))
+    monkeypatch.setattr(pl.spectral, "SCHUR_CAP", kept)
+    below = int(np.sum(np.linalg.eigvalsh(mat.toarray()) < 0.0))
+    assert SymmetricFactor(mat, 0.0).negative_count == below
