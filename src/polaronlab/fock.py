@@ -13,7 +13,8 @@ Ladder and field operators are canonical ``csr_matrix``es; the fiber
 Hamiltonian comes wrapped in a ``SparseOperator``, the form ``storage``
 persists with its symmetry flag.  ``invariant_sector`` turns the basis
 permutations of a mode symmetry group into the isometry onto the vectors
-they all fix.
+they all fix; ``sign_gauge`` gives the basis signs under which the fiber
+Hamiltonian has no positive off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -258,6 +259,13 @@ def invariant_sector(basis_perms: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix(
         (1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)), shape=(dim, len(size))
     )
+
+
+def sign_gauge(basis: FockBasis, ff: FormFactor) -> np.ndarray:
+    """Signs ``s(n) = (-1)^N(n) prod_k sign(v_k)^{n_k}`` (sign(0) = +1) of the
+    basis states, under which every off-diagonal entry of the fiber
+    Hamiltonian and of its tails is ``-|v_k| sqrt(m) <= 0``."""
+    return (-1.0) ** (basis.boson_counts() + basis.occupations @ (ff.values < 0))
 
 
 def one_boson_vector(basis: FockBasis, ff: FormFactor) -> np.ndarray:

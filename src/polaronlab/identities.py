@@ -973,21 +973,17 @@ def schur_equivalence_report(ws: ReductionWorkspace) -> dict:
     eigs = eigenvalues_below(ws.hamiltonian, ws.e0 + 1.0, ws.config)
     window = [float(e) for e in eigs if e > ws.e0 + 1e-12]
 
-    # highest energy (lowest offset) first, so the X(eps) family is
-    # certified once and every later offset reuses it; rows stay ascending
     spectrum_to_kernel = []
-    for energy in reversed(window):
+    for energy in window:
         eps_star = ws.e0 + 1.0 - energy
-        vals = evaluate(eps_star)
-        min_abs = float(np.min(np.abs(vals)))
-        spectrum_to_kernel.insert(
-            0,
+        min_abs = float(np.min(np.abs(evaluate(eps_star))))
+        spectrum_to_kernel.append(
             {
                 "energy": energy,
                 "eps": eps_star,
                 "min_abs_eigenvalue": min_abs,
                 "matched": bool(min_abs <= tol),
-            },
+            }
         )
 
     grid_vals = [evaluate(e) for e in EPSILON_GRID]

@@ -200,7 +200,9 @@ class ReductionWorkspace:
     """Shared state for all reduction computations on one instance.
 
     Builds the Hamiltonian once, solves for the ground energy, and hands
-    out resolvent handles cached by restriction and shift.  All
+    out resolvent handles cached by restriction and shift.  Each handle's
+    ``SpdSolver`` certifies that handle on its own, in the sign gauge
+    ``signs`` (``fock.sign_gauge``) sliced to its tail.  All
     public methods treat vectors in the full Fock space; restrictions are
     handled internally through the contiguous sector layout.
 
@@ -259,8 +261,8 @@ class ReductionWorkspace:
             len(blocks), n_sums,
         )
         self._handles: Dict[Tuple, ResolventHandle] = {}
-        #: (kind, k) -> lowest shift at which that family was certified definite
-        self._definite_from: Dict[Tuple[str, bytes], float] = {}
+        #: sign gauge in which every handle matrix is a Z-matrix (a tail's is its slice)
+        self.signs = fock.sign_gauge(basis, ff)
         self._u_cache: Dict[bytes, np.ndarray] = {}
         self.schur_gap = abs(self.e0 - self.vacuum_kinetic() + self.vacuum_schur(1.0))
         if self.schur_gap > 1e-6:
@@ -300,19 +302,10 @@ class ReductionWorkspace:
         handle = self._handles.get(key)
         if handle is None:
             start = {FULL: 0, TAIL_ONE: self.start1, TAIL_TWO: self.start2}[kind]
-            mat = self.restricted_matrix(kind, k, shift)
-            # Members of one (kind, k) family differ by shift * I, added to the
-            # diagonal with monotone rounding, so a definite member certifies
-            # every member at a higher shift.
-            family = key[:2]
-            floor = self._definite_from.get(family)
-            certificate = "shift" if floor is not None and shift >= floor else None
             solver = SpdSolver(
-                mat, self.config, label=f"{kind} resolvent at k={k.tolist()}",
-                certificate=certificate,
+                self.restricted_matrix(kind, k, shift), self.config,
+                label=f"{kind} resolvent at k={k.tolist()}", signs=self.signs[start:],
             )
-            if certificate is None:
-                self._definite_from[family] = shift
             handle = ResolventHandle(kind=kind, k=k, shift=shift, start=start, solver=solver)
             self._handles[key] = handle
         return handle

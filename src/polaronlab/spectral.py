@@ -18,11 +18,10 @@ complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
 a ``SolverError``, and so is a singular factor.  Sparse eigenvalue lists are
 certified by that inertia too, so no copy of a multiple eigenvalue goes
 missing (``lowest_eigenpairs``).  ``SpdSolver`` solves by Cholesky when
-dense.  Sparse, it certifies definiteness by Gershgorin's theorem, else by
-that inertia -- unless the caller hands it a certificate of its own, such
-as a definite member of the same ``A + shift * I`` family at a lower shift
--- and solves by Jacobi-preconditioned conjugate gradients whose every
-answer must pass a true-residual check.
+dense.  Sparse, it certifies definiteness itself, as an M-matrix in the
+sign gauge below (a vector ``x > 0`` with ``G x > 0``, checked against its
+rounding error), else by that inertia, and solves by Jacobi-preconditioned
+conjugate gradients whose every answer must pass a true-residual check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
 point-group-invariant sector only: the range of the isometry ``B`` of
@@ -484,24 +483,55 @@ def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray
     return vals
 
 
+def _m_matrix(mat, signs: np.ndarray) -> bool:
+    """Whether ``mat`` is proven positive definite as an M-matrix in the
+    gauge ``signs``.
+
+    ``G = diag(s) A diag(s)`` must have a positive diagonal and no positive
+    off-diagonal entry, and some ``x > 0`` must have ``G x > 0`` (Berman &
+    Plemmons, ch. 6).  The tries are ``x = 1``, Gershgorin's test in the
+    gauge, then ``x = s y`` for the Jacobi CG solution ``y`` of
+    ``A y = s``.  ``G x = s (A y)`` must clear its rounding error
+    ``4 u nnz_row (|A| |y|)`` in every row, so the vector computed is what
+    is proven, however accurate the solve.
+    """
+    mat = sp.csr_matrix(mat)
+    per_row, diag = np.diff(mat.indptr), mat.diagonal()
+    gauged = mat.data * np.repeat(signs, per_row) * signs[mat.indices]
+    # each of the n rows stores a positive diagonal entry, so a positive entry
+    # beyond n is off the diagonal
+    if np.any(diag <= 0.0) or np.count_nonzero(gauged > 0.0) > mat.shape[0]:
+        return False
+
+    def proves(y: np.ndarray) -> bool:
+        # 4 u nnz_row (|A| |y|), with the unit roundoff u = eps / 2
+        slack = 2.0 * np.finfo(float).eps * per_row * (abs(mat) @ np.abs(y))
+        return bool(np.all(signs * y > 0.0) and np.all(signs * (mat @ y) > slack))
+
+    return proves(signs) or proves(
+        spla.cg(mat, signs, rtol=LIN_TOL, maxiter=MAX_ITERATIONS, M=sp.diags(1.0 / diag))[0]
+    )
+
+
 class SpdSolver:
     """Repeated solves against one symmetric positive definite matrix.
 
     Below the dense threshold the matrix is Cholesky-factored once and
     reused (the factorization doubles as the definiteness check).  Above
-    it, construction certifies definiteness -- by a positive Gershgorin
-    lower bound, else by the inertia of a transient ``SymmetricFactor`` --
-    and each solve runs Jacobi-preconditioned conjugate gradients, whose
-    answer must leave a true residual ``|A x - b| <= LIN_TOL |b|``.  A
-    caller that has already proven the matrix positive definite passes the
-    proof's name as ``certificate``; the sparse path then skips its own
-    check.  Either way one DEBUG event on the ``polaronlab`` logger names
-    the certificate.  A cached solver holds no factor.  Instances are
-    immutable after construction and safe to share across threads.
+    it, construction certifies definiteness as an M-matrix in the sign
+    gauge ``signs`` (``_m_matrix``; all ``+1`` when not given), else by
+    the inertia of a transient ``SymmetricFactor``, and an indefinite
+    matrix raises ``IndefiniteOperatorError`` naming its negative count.
+    One DEBUG event on the ``polaronlab`` logger names the certificate,
+    ``m-matrix`` or ``inertia``.  Each solve runs Jacobi-preconditioned
+    conjugate gradients, whose answer must leave a true residual
+    ``|A x - b| <= LIN_TOL |b|``.  A cached solver holds no factor.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     def __init__(
-        self, mat, config: SolverConfig, label: str = "operator", certificate: Optional[str] = None
+        self, mat, config: SolverConfig, label: str = "operator", signs: Optional[np.ndarray] = None
     ):
         self.label = label
         self._mat = mat
@@ -516,13 +546,12 @@ class SpdSolver:
                     f"{label} is not positive definite (Cholesky failed)"
                 ) from exc
             return
-        if certificate is None:
-            certificate = "gershgorin"
-            if _gershgorin_lower(self._mat) <= 0.0:
-                certificate = "inertia"
-                negative = SymmetricFactor(self._mat, 0.0, label).negative_count
-                if negative:
-                    raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
+        certificate = "m-matrix"
+        if not _m_matrix(self._mat, np.ones(self.dim) if signs is None else signs):
+            certificate = "inertia"
+            negative = SymmetricFactor(self._mat, 0.0, label).negative_count
+            if negative:
+                raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
         _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -415,30 +415,21 @@ def test_sparse_paths_pass_reference_suite(ref_grid, ref_ff, shifted_workspace):
     assert np.allclose(sparse["window_eigenvalues"], dense["window_eigenvalues"], rtol=0, atol=1e-10)
 
 
-def test_window_certifies_x_family_once(monkeypatch, caplog):
-    """The window offsets are evaluated lowest first, so only the first
-    ``X(eps)`` handle of the window runs a definiteness check; every later
-    one reuses that certificate and logs ``shift``."""
+def test_window_builds_no_handle_factor(caplog):
+    """Every X(eps) handle of the spectral correspondence, the window's and
+    the grid's alike, is certified as an M-matrix in the sign gauge, so the
+    report builds no factor for a resolvent handle."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "constant", 0.1)
     cfg = pl.SolverConfig(dense_threshold=10)
     ws = pl.build_workspace(grid, ff, 2, config=cfg, xi=[0.6, 0.0])
-    marks = []
-    d_kernel = ReductionWorkspace.d_kernel
-
-    def marking_d_kernel(self, eps=0.0):
-        out = d_kernel(self, eps)
-        marks.append(len(caplog.records))
-        return out
-
-    monkeypatch.setattr(ReductionWorkspace, "d_kernel", marking_d_kernel)
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         report = pl.schur_equivalence_report(ws)
-    window = len(report["window_eigenvalues"])
-    assert window >= 2
-    events = [r.getMessage() for r in caplog.records[: marks[window - 1]]]
-    certified = [e for e in events if e.startswith(TAIL_TWO) and not e.endswith(" shift")]
-    assert len(certified) == 1
+    assert len(report["window_eigenvalues"]) >= 2
+    events = [r.getMessage() for r in caplog.records]
+    handles = [e for e in events if e.startswith(TAIL_TWO)]
+    assert handles and all(e.endswith(" by m-matrix") for e in handles)
+    assert [e for e in events if e.startswith("factor ") and " resolvent " in e] == []
 
 
 def test_handles_count_every_solved_column(ref_grid, ref_ff, monkeypatch):

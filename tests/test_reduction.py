@@ -5,10 +5,13 @@ import logging
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig
-from polaronlab.reduction import BS_LADDER, TAIL_TWO
+from polaronlab.reduction import BS_LADDER, FULL, TAIL_ONE, TAIL_TWO
+from polaronlab.spectral import _gershgorin_lower
 
 import oracles
 
@@ -126,11 +129,12 @@ def test_sparse_d_kernel_reuses_raised_block(monkeypatch):
     assert len(built) == 2  # (+-1, 0) and (+-1, +-1) up to the point group
 
 
-def test_x_family_certified_once(monkeypatch, caplog):
-    """X(eps) handles differ by a multiple of the identity: once one is
-    certified, handles at larger eps skip the check and log ``shift``, while
-    a lower member is certified on its own and an indefinite one still
-    raises.  Gershgorin fails on this tail, so certification factors."""
+def test_x_handles_certified_as_m_matrices(monkeypatch, caplog):
+    """Every X(eps) handle is certified on its own, as an M-matrix in the
+    workspace's sign gauge, whatever handles came before it: no factor is
+    built, although Gershgorin fails on this tail.  Its solve is the dense
+    solve, and an indefinite handle still raises naming its negative
+    count."""
     grid = pl.build_grid(1, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "constant", 0.4)
     ws = pl.build_workspace(grid, ff, 3, config=SolverConfig(dense_threshold=10), xi=[0.45])
@@ -151,17 +155,95 @@ def test_x_family_certified_once(monkeypatch, caplog):
         [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
         return handle, event.rsplit(" ", 1)[1], len(factors)
 
-    assert certify(0.1)[1:] == ("inertia", 1)
-    handle, certificate, built = certify(0.3)
-    assert (certificate, built) == ("shift", 0)
+    for eps in (0.1, 0.3, 0.05, 0.07):
+        handle, certificate, built = certify(eps)
+        assert (certificate, built) == ("m-matrix", 0)
+        assert _gershgorin_lower(ws.restricted_matrix(TAIL_TWO, np.zeros(1), handle.shift)) <= 0
     tail = ws.restricted_matrix(TAIL_TWO, np.zeros(1), handle.shift).toarray()
     rhs = np.linspace(-1.0, 1.0, tail.shape[0])
     assert np.allclose(handle.solve(rhs), np.linalg.solve(tail, rhs), rtol=0, atol=1e-10)
-    assert certify(0.05)[1:] == ("inertia", 1)
-    assert certify(0.07)[1:] == ("shift", 0)
-    lowest = np.linalg.eigvalsh(ws.restricted_matrix(TAIL_TWO, np.zeros(1), 0.0).toarray())[0]
-    with pytest.raises(IndefiniteOperatorError):
-        ws._handle(TAIL_TWO, np.zeros(1), -lowest - 0.1)
+    vals = np.linalg.eigvalsh(ws.restricted_matrix(TAIL_TWO, np.zeros(1), 0.0).toarray())
+    shift = -0.5 * (vals[1] + vals[2])
+    with pytest.raises(IndefiniteOperatorError, match=" has 2 negative eigenvalues$"):
+        ws._handle(TAIL_TWO, np.zeros(1), shift)
+
+
+def _signed_instance(d, magnitudes, flips, nmax, xi=None, config=None):
+    """Workspace on a small d=1 or d=2 grid whose form factor, built
+    directly, has the drawn magnitudes with the drawn signs."""
+    grid = pl.build_grid(d, 1.0, 0.5 if d == 1 else 1.0)
+    values = np.array(magnitudes[: grid.size]) * np.where(flips[: grid.size], -1.0, 1.0)
+    ff = pl.FormFactor(profile="constant", g=1.0, alpha=0.0, values=values)
+    return pl.build_workspace(grid, ff, nmax, config=config, xi=xi)
+
+
+_SIGNED = dict(
+    shape=st.sampled_from([(1, None), (2, None), (2, (0.6, 0.0))]),
+    magnitudes=st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.4]), min_size=8, max_size=8),
+    flips=st.lists(st.booleans(), min_size=8, max_size=8),
+    kind=st.sampled_from([FULL, TAIL_ONE, TAIL_TWO]),
+    k=st.floats(-1.5, 1.5),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**_SIGNED, nmax=st.sampled_from([2, 3]), shift=st.floats(-5.0, 5.0))
+def test_sign_gauge_makes_every_handle_matrix_a_z_matrix(
+    shape, magnitudes, flips, kind, k, nmax, shift
+):
+    """Under ``fock.sign_gauge`` the fiber Hamiltonian and every restricted
+    matrix, at any momentum and shift, have no positive off-diagonal entry
+    (d=1, 2, mixed-sign amplitudes, with and without a fiber shift)."""
+    d, xi = shape
+    ws = _signed_instance(d, magnitudes, flips, nmax, xi=xi)
+    signs = pl.fock.sign_gauge(ws.basis, ws.ff)
+    start = {FULL: 0, TAIL_ONE: ws.start1, TAIL_TWO: ws.start2}[kind]
+    ham = pl.assemble_hamiltonian(ws.basis, ws.grid, ws.ff, xi=xi).matrix
+    restricted = ws.restricted_matrix(kind, np.full(d, k), shift)
+    for mat, s in ((ham, signs), (restricted, signs[start:])):
+        gauged = (sp.diags(s) @ mat @ sp.diags(s)).toarray()
+        np.fill_diagonal(gauged, 0.0)
+        assert gauged.max() <= 0.0
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    **_SIGNED,
+    margin=st.one_of(st.floats(-0.5, 0.5), st.sampled_from([1e-6, 2e-6, -1e-6])),
+)
+def test_handle_built_exactly_when_dense_definite(
+    caplog, shape, magnitudes, flips, kind, k, margin
+):
+    """A sparse resolvent handle is built exactly when its matrix is
+    positive definite by dense ``eigvalsh``; an indefinite one raises with
+    the dense negative count, and one with a margin of at least 1e-6 is
+    certified as an M-matrix.  Draws within 1e-8 of singular are skipped."""
+    d, xi = shape
+    ws = _signed_instance(
+        d, magnitudes, flips, 3 if d == 1 else 2, xi=xi, config=SolverConfig(dense_threshold=10)
+    )
+    momentum = np.full(d, k)
+    # the drawn margin is the lowest eigenvalue of the handle matrix
+    shift = margin - np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, 0.0).toarray())[0]
+    vals = np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, shift).toarray())
+    assume(np.min(np.abs(vals)) >= 1e-8)
+    assert len(vals) > 10
+    negative = int(np.sum(vals < 0.0))
+    if negative:
+        with pytest.raises(IndefiniteOperatorError, match=f" has {negative} negative eigenvalues$"):
+            ws._handle(kind, momentum, shift)
+        return
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        ws._handle(kind, momentum, shift)
+    [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+    if margin >= 1e-6:
+        assert event.endswith(" by m-matrix")
 
 
 def test_c_kernel_matches_oracle(tiny):

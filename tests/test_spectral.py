@@ -282,28 +282,45 @@ def test_spd_solver_rejects_indefinite():
         SpdSolver(mat, SolverConfig())
     diagonal = sp.diags([1.0, -0.5] + [2.0] * 48, format="csr")
     coupled = sp.block_diag([np.array([[1.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
+    # as many positive entries as rows, and positive row sums, but on a
+    # negative diagonal: eigenvalues 1 and -3 per block
+    flipped = sp.block_diag([np.array([[-1.0, 2.0], [2.0, -1.0]])] * 10, format="csr")
     # the sparse path certifies definiteness at construction
-    for sparse_mat in (diagonal, coupled):
-        with pytest.raises(IndefiniteOperatorError):
+    for sparse_mat, negative in ((diagonal, 1), (coupled, 10), (flipped, 10)):
+        with pytest.raises(IndefiniteOperatorError, match=f" has {negative} negative eigenvalues$"):
             SpdSolver(sparse_mat, SolverConfig(dense_threshold=10))
 
 
-def test_spd_solver_certificate_gershgorin_else_inertia(mid_instance, caplog):
-    """A positive Gershgorin bound certifies a sparse solver outright; a
-    definite matrix without one is certified by its inertia.  Either way the
-    Jacobi CG solve matches the dense Cholesky answer."""
+def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog):
+    """In its sign gauge a shifted H is certified as an M-matrix with no
+    factor built: by ``x = 1`` (Gershgorin in the gauge) when the shift is
+    large, by the CG solution of ``A y = s`` when Gershgorin fails.  A
+    definite matrix under signs that do not gauge it is certified by its
+    inertia.  Every way the Jacobi CG solve matches the dense Cholesky
+    answer."""
     grid, ff, basis, ham = mid_instance
-    dominant = ham + 2.0 * sp.identity(basis.dim, format="csr")
-    # eigenvalues 0.197 and 3.803, Gershgorin bound 1 - 1.5 < 0
+    signs = pl.fock.sign_gauge(basis, ff)
+    e0 = np.linalg.eigvalsh(ham.toarray())[0]
+    identity = sp.identity(basis.dim, format="csr")
+    dominant = ham + 2.0 * identity
+    tight = ham - (e0 - 0.1) * identity
+    # eigenvalues 0.197 and 3.803, a positive off-diagonal entry
     skewed = sp.block_diag([np.array([[3.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
-    assert _gershgorin_lower(dominant) > 0 >= _gershgorin_lower(skewed)
+    assert _gershgorin_lower(dominant) > 0 >= _gershgorin_lower(tight)
+    cases = (
+        (dominant, signs, "m-matrix"),
+        (tight, signs, "m-matrix"),
+        (skewed, np.ones(20), "inertia"),
+    )
     logger = logging.getLogger("polaronlab")
-    for mat, certificate in ((dominant, "gershgorin"), (skewed, "inertia")):
+    for mat, gauge, certificate in cases:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polaronlab"):
-            solver = SpdSolver(mat, SolverConfig(dense_threshold=10), label="probe")
+            solver = SpdSolver(mat, SolverConfig(dense_threshold=10), label="probe", signs=gauge)
         events = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
         assert events == [f"probe: dim {mat.shape[0]} certified positive definite by {certificate}"]
+        factors = [r for r in caplog.records if r.name == "polaronlab.factor"]
+        assert len(factors) == (certificate == "inertia")
         rhs = start_vector(mat.shape[0], 5)
         exact = sla.cho_solve(sla.cho_factor(mat.toarray()), rhs)
         assert np.allclose(solver.solve(rhs), exact, rtol=0, atol=1e-10)
