@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -63,11 +63,11 @@ def _entries() -> Dict[str, Tuple[object, object]]:
     """Every config entry by dotted name, with its kind and its default;
     ``_REQUIRED`` marks an entry a config must give.  A kind is ``int``,
     ``float``, ``str``, or a one-item list for a list of that kind.  The
-    layers that read an entry own its default, read from them when a config
-    is loaded."""
-    from .fock import DEFAULT_FOCK_CAP
+    layers own the defaults, read from them when a config is loaded; the
+    ``solver`` defaults live in ``fock``, so loading a config loads no
+    solver."""
+    from .fock import DEFAULT_DENSE_THRESHOLD, DEFAULT_FOCK_CAP, DEFAULT_SEED
     from .grid import DEFAULT_MODE_CAP
-    from .spectral import SolverConfig
 
     return {
         "grid.d": (int, _REQUIRED),
@@ -79,7 +79,8 @@ def _entries() -> Dict[str, Tuple[object, object]]:
         "form_factor.alpha": (float, 1.0),
         "nmax": ([int], [2, 3, 4]),
         "xi": ([float], None),
-        **{f"solver.{f.name}": (type(f.default), f.default) for f in fields(SolverConfig)},
+        "solver.dense_threshold": (int, DEFAULT_DENSE_THRESHOLD),
+        "solver.seed": (int, DEFAULT_SEED),
         "scan.couplings": ([float], [0.0, 0.05, 0.1, 0.2]),
         "fock_cap": (int, DEFAULT_FOCK_CAP),
     }

@@ -30,6 +30,10 @@ from .errors import ConfigError, DimensionCapError
 from .grid import FormFactor, MomentumGrid
 
 DEFAULT_FOCK_CAP = 200_000
+#: defaults of ``spectral.SolverConfig``, kept here so that loading a config
+#: reads them without loading the solvers
+DEFAULT_DENSE_THRESHOLD = 500
+DEFAULT_SEED = 2024
 
 
 def fock_dimension(n_modes: int, nmax: int) -> int:

@@ -17,11 +17,13 @@ Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
 complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
 a ``SolverError``, and so is a singular factor.  Sparse eigenvalue lists are
 certified by that inertia too, so no copy of a multiple eigenvalue goes
-missing (``lowest_eigenpairs``).  ``SpdSolver`` solves by Cholesky when
-dense.  Sparse, it certifies definiteness itself, as an M-matrix in the
-sign gauge below (a vector ``x > 0`` with ``G x > 0``, checked against its
-rounding error), else by that inertia, and solves by Jacobi-preconditioned
-conjugate gradients whose every answer must pass a true-residual check.
+missing (``lowest_eigenpairs``).  ``SpdSolver`` keeps that factor at shift 0
+when dense: its inertia certifies definiteness and its solves serve every
+right-hand side.  Sparse, it certifies definiteness itself, as an
+M-matrix in the sign gauge below (a vector ``x > 0`` with ``G x > 0``,
+checked against its rounding error), else by that inertia, and solves by
+Jacobi-preconditioned conjugate gradients.  Every solve, by factor or by
+conjugate gradients, must pass a true-residual check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
 point-group-invariant sector only: the range of the isometry ``B`` of
@@ -56,7 +58,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
-from .fock import FockBasis
+from .fock import DEFAULT_DENSE_THRESHOLD, DEFAULT_SEED, FockBasis
 
 _log = logging.getLogger("polaronlab")
 _factor_log = logging.getLogger("polaronlab.factor")
@@ -81,11 +83,12 @@ _PIVOT_RATIO = (1.0 + 17.0**0.5) / 8.0
 @dataclass(frozen=True)
 class SolverConfig:
     """Where the dense oracle hands over to the sparse path, and the seed of
-    the iterative solvers' start vectors.  The tolerances are the module
-    constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
+    the iterative solvers' start vectors, defaulting to ``fock``'s
+    ``DEFAULT_DENSE_THRESHOLD`` and ``DEFAULT_SEED``.  The tolerances are
+    the module constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
 
-    dense_threshold: int = 500
-    seed: int = 2024
+    dense_threshold: int = DEFAULT_DENSE_THRESHOLD
+    seed: int = DEFAULT_SEED
 
     def buffer(self, h: float) -> float:
         """Edge buffer for eigenvalue counting: ``max(min(h^2, 1/2), 10 * EIG_TOL)``.
@@ -127,17 +130,24 @@ def _eliminated_rows(shifted: sp.csr_matrix) -> np.ndarray:
     by boson number, where ``Phi`` only couples adjacent sectors, that takes
     about ``nmax / 2`` rounds and picks the parity class of the top sector.
     """
-    diag = shifted.diagonal()
-    off = abs(shifted - sp.diags(diag)).tocsr()
-    off.eliminate_zeros()
-    largest = off.max(axis=1).toarray().ravel()
+    dim, diag = shifted.shape[0], shifted.diagonal()
+    rows = np.repeat(np.arange(dim), np.diff(shifted.indptr))
+    off = (rows != shifted.indices) & (shifted.data != 0.0)
+    rows, cols = rows[off], shifted.indices[off]
+    largest = np.zeros(dim)
+    np.maximum.at(largest, rows, np.abs(shifted.data[off]))
     undecided = (diag != 0.0) & (np.abs(diag) >= _PIVOT_RATIO * largest)
-    higher = sp.triu(off, k=1, format="csr")
-    higher.data[:] = 1.0
-    chosen = np.zeros(shifted.shape[0], dtype=bool)
+    higher = cols > rows
+    rows, cols = rows[higher], cols[higher]
+    chosen = np.zeros(dim, dtype=bool)
     while undecided.any():
-        undecided &= higher @ chosen.astype(float) == 0.0
-        ready = undecided & (higher @ undecided.astype(float) == 0.0)
+        # rows coupled to a chosen higher row, then to an undecided one
+        blocked = np.zeros(dim, dtype=bool)
+        blocked[rows[chosen[cols]]] = True
+        undecided &= ~blocked
+        waiting = np.zeros(dim, dtype=bool)
+        waiting[rows[undecided[cols]]] = True
+        ready = undecided & ~waiting
         chosen |= ready
         undecided &= ~ready
     return chosen
@@ -516,18 +526,19 @@ def _m_matrix(mat, signs: np.ndarray) -> bool:
 class SpdSolver:
     """Repeated solves against one symmetric positive definite matrix.
 
-    Below the dense threshold the matrix is Cholesky-factored once and
-    reused (the factorization doubles as the definiteness check).  Above
-    it, construction certifies definiteness as an M-matrix in the sign
-    gauge ``signs`` (``_m_matrix``; all ``+1`` when not given), else by
-    the inertia of a transient ``SymmetricFactor``, and an indefinite
-    matrix raises ``IndefiniteOperatorError`` naming its negative count.
-    One DEBUG event on the ``polaronlab`` logger names the certificate,
-    ``m-matrix`` or ``inertia``.  Each solve runs Jacobi-preconditioned
-    conjugate gradients, whose answer must leave a true residual
-    ``|A x - b| <= LIN_TOL |b|``.  A cached solver holds no factor.
-    Instances are immutable after construction and safe to share across
-    threads.
+    At or below the dense threshold one ``SymmetricFactor`` of the matrix
+    is built and kept: its inertia certifies definiteness, and every solve
+    runs through it.  Above it, construction certifies definiteness as an
+    M-matrix in the sign gauge ``signs`` (``_m_matrix``; all ``+1`` when
+    not given), else by the inertia of a transient ``SymmetricFactor``,
+    and each solve runs Jacobi-preconditioned conjugate gradients; such a
+    solver holds no factor.  An indefinite matrix raises
+    ``IndefiniteOperatorError`` naming its negative count, a singular one
+    ``SolverError``.  One DEBUG event on the ``polaronlab`` logger names
+    the certificate, ``m-matrix`` or ``inertia``.  Every answer, on either
+    path, must leave a true residual ``|A x - b| <= LIN_TOL |b|``.
+    Instances are safe to share across threads, though concurrent solves
+    may undercount the kept factor's ``solves``.
     """
 
     def __init__(
@@ -536,23 +547,19 @@ class SpdSolver:
         self.label = label
         self._mat = mat
         self.dim = self._mat.shape[0]
-        self._dense_factor = None
-        if self.dim <= config.dense_threshold:
-            dense = _dense(self._mat)
-            try:
-                self._dense_factor = sla.cho_factor(dense, lower=True)
-            except np.linalg.LinAlgError as exc:
+        dense = self.dim <= config.dense_threshold
+        factor = None
+        if dense or not _m_matrix(self._mat, np.ones(self.dim) if signs is None else signs):
+            factor = SymmetricFactor(self._mat, 0.0, label)
+            if factor.negative_count:
                 raise IndefiniteOperatorError(
-                    f"{label} is not positive definite (Cholesky failed)"
-                ) from exc
-            return
-        certificate = "m-matrix"
-        if not _m_matrix(self._mat, np.ones(self.dim) if signs is None else signs):
-            certificate = "inertia"
-            negative = SymmetricFactor(self._mat, 0.0, label).negative_count
-            if negative:
-                raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
-        _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)
+                    f"{label} has {factor.negative_count} negative eigenvalues"
+                )
+        self._factor = factor if dense else None
+        _log.debug(
+            "%s: dim %d certified positive definite by %s",
+            label, self.dim, "m-matrix" if factor is None else "inertia",
+        )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` to the linear tolerance ``LIN_TOL``; ``rhs`` is
@@ -560,8 +567,8 @@ class SpdSolver:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.dim:
             raise ConfigError(f"rhs has dim {rhs.shape[0]}, operator has {self.dim}")
-        if self._dense_factor is not None:
-            return sla.cho_solve(self._dense_factor, rhs)
+        if self._factor is not None:
+            return self._factor.solve(rhs)
         # Built per call, not kept, so a cached solver holds only its matrix;
         # positive, since a positive definite matrix has a positive diagonal.
         jacobi = sp.diags(1.0 / self._mat.diagonal())

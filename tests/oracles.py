@@ -100,3 +100,19 @@ def aligned(dense_oracle_matrix, perm, dim):
     out = np.zeros((dim, dim))
     out[np.ix_(perm, perm)] = dense_oracle_matrix
     return out
+
+
+def eliminated_rows(mat, ratio=(1.0 + 17.0**0.5) / 8.0):
+    """The rows a Schur-complement factor eliminates by their own diagonal,
+    by the greedy rule read literally off a dense symmetric ``mat`` (nested
+    lists): walk the rows from the last to the first, and take a row when
+    its diagonal is nonzero and at least ``ratio`` (Bunch-Kaufman's 1x1
+    pivot bound) times each of its other entries in size, and no higher row
+    it is coupled to was taken."""
+    dim = len(mat)
+    taken = [False] * dim
+    for i in reversed(range(dim)):
+        largest = max((abs(mat[i][j]) for j in range(dim) if j != i), default=0.0)
+        pivot = mat[i][i] != 0.0 and abs(mat[i][i]) >= ratio * largest
+        taken[i] = pivot and not any(taken[j] for j in range(i + 1, dim) if mat[i][j] != 0.0)
+    return np.array(taken, dtype=bool)

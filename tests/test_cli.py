@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -193,6 +194,14 @@ def test_entry_reads_back_as_its_kind(tmp_path, monkeypatch, source, entry):
         assert type(value) is type(expected)
         if isinstance(value, list):
             assert [type(v) for v in value] == [type(v) for v in expected]
+
+
+def test_solver_entries_are_the_solver_config_defaults(tmp_path):
+    """The ``solver`` entries and their defaults are ``SolverConfig``'s
+    fields and defaults, which ``fock`` holds so that ``build`` need not
+    load ``spectral``."""
+    loaded = cli.load_config(_write_config(tmp_path), environ={})
+    assert loaded["solver"] == asdict(pl.SolverConfig())
 
 
 @pytest.mark.parametrize("variable", ["POLARONLAB___", "POLARONLAB_", "POLARONLAB_GRID"])

@@ -84,7 +84,10 @@ def test_build_loads_neither_reduction_nor_identities(tmp_path):
     code, modules = _loaded_by(["build", "--config", _config(tmp_path), "--out", str(out)])
     assert code == 0 and (out / "manifest.json").is_file()
     assert "polaronlab.fock" in modules
-    assert not {"polaronlab.reduction", "polaronlab.identities"} & modules
+    # the solver defaults come from ``fock``, so no solver layer loads
+    assert not {
+        "polaronlab.reduction", "polaronlab.identities", "polaronlab.spectral", "scipy.linalg"
+    } & modules
 
 
 def test_public_names_resolve_on_first_use():

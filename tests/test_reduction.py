@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig
 from polaronlab.reduction import BS_LADDER, FULL, TAIL_ONE, TAIL_TWO
-from polaronlab.spectral import _gershgorin_lower
+from polaronlab.spectral import LIN_TOL, _gershgorin_lower
 
 import oracles
 
@@ -244,6 +244,59 @@ def test_handle_built_exactly_when_dense_definite(
     [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
     if margin >= 1e-6:
         assert event.endswith(" by m-matrix")
+
+
+def test_dense_handle_keeps_a_schur_factor(ref_grid, ref_ff, caplog):
+    """At the default threshold a ``Y(k)`` handle on the reference ``nmax`` 4
+    tail (dim 494) is certified by the inertia of the ``SymmetricFactor`` it
+    keeps, which holds 128 rows densely; its vector and block solves are the
+    dense solves."""
+    ws = pl.build_workspace(ref_grid, ref_ff, 4)
+    k = np.array([0.25])
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        handle = ws._handle(TAIL_ONE, k, -ws.e0)
+    [certificate] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+    [factor] = [r.getMessage() for r in caplog.records if r.name == "polaronlab.factor"]
+    assert certificate.endswith(" dim 494 certified positive definite by inertia")
+    assert ", 366 eliminated, 128 kept, 0 negative, " in factor
+    dense = ws.restricted_matrix(TAIL_ONE, k, -ws.e0).toarray()
+    rhs = np.column_stack([np.linspace(-1.0, 1.0, 494), ws.v[ws.start1 :]])
+    for b in (rhs[:, 1], rhs):
+        exact = np.linalg.solve(dense, b)
+        assert np.linalg.norm(handle.solve(b) - exact) <= LIN_TOL * np.linalg.norm(exact)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(**_SIGNED, margin=st.floats(-0.5, 0.5))
+def test_dense_handle_built_exactly_when_dense_definite(
+    caplog, shape, magnitudes, flips, kind, k, margin
+):
+    """At the default threshold a resolvent handle is built exactly when its
+    matrix is positive definite by dense ``eigvalsh``, and is certified by
+    inertia; an indefinite one raises with the dense negative count.  Draws
+    within 1e-8 of singular are skipped."""
+    d, xi = shape
+    ws = _signed_instance(d, magnitudes, flips, 3 if d == 1 else 2, xi=xi)
+    momentum = np.full(d, k)
+    shift = margin - np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, 0.0).toarray())[0]
+    vals = np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, shift).toarray())
+    assume(np.min(np.abs(vals)) >= 1e-8)
+    assert len(vals) <= ws.config.dense_threshold
+    negative = int(np.sum(vals < 0.0))
+    if negative:
+        with pytest.raises(IndefiniteOperatorError, match=f" has {negative} negative eigenvalues$"):
+            ws._handle(kind, momentum, shift)
+        return
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        ws._handle(kind, momentum, shift)
+    [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+    assert event.endswith(" by inertia")
 
 
 def test_c_kernel_matches_oracle(tiny):

@@ -12,6 +12,8 @@ import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig, SolverError
 from polaronlab.spectral import SpdSolver, SymmetricFactor, _gershgorin_lower, start_vector
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def mid_instance():
@@ -278,8 +280,11 @@ def test_spd_solver_dense_and_cg_agree(mid_instance, invariant_sector):
 
 def test_spd_solver_rejects_indefinite():
     mat = np.diag([1.0, -0.5, 2.0])
-    with pytest.raises(IndefiniteOperatorError):
+    with pytest.raises(IndefiniteOperatorError, match=" has 1 negative eigenvalues$"):
         SpdSolver(mat, SolverConfig())
+    # a singular dense matrix has a zero pivot, a plain ``SolverError``
+    with pytest.raises(SolverError, match="singular"):
+        SpdSolver(np.diag([1.0, 0.0, 2.0]), SolverConfig())
     diagonal = sp.diags([1.0, -0.5] + [2.0] * 48, format="csr")
     coupled = sp.block_diag([np.array([[1.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
     # as many positive entries as rows, and positive row sums, but on a
@@ -542,6 +547,28 @@ def test_factor_eliminates_the_top_parity_class(d2_instance):
     basis = pl.enumerate_basis(24, 3)
     parity = basis.boson_counts() % 2 == basis.nmax % 2
     assert np.array_equal(pl.spectral._eliminated_rows(d2_instance.tocsr()), parity)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 14), data=st.data())
+def test_eliminated_rows_match_the_greedy_oracle(dim, data):
+    """The rows ``SymmetricFactor`` eliminates are those of the descending
+    greedy walk of ``oracles.eliminated_rows``, on symmetric matrices with
+    zero, tiny and mixed-sign diagonals, whether their zeros are stored or
+    not."""
+    diagonal = data.draw(st.lists(
+        st.sampled_from([0.0, 1e-300, -1e-12, 0.5, -1.0, 3.0, -4.5]), min_size=dim, max_size=dim
+    ))
+    entries = data.draw(st.lists(
+        st.sampled_from([0.0, 0.0, 0.0, 1e-3, -0.7, 1.0, 2.5]), min_size=dim**2, max_size=dim**2
+    ))
+    upper = np.triu(np.reshape(entries, (dim, dim)), 1)
+    dense = upper + upper.T + np.diag(diagonal)
+    expected = oracles.eliminated_rows(dense.tolist())
+    stored = sp.csr_matrix((dense.ravel(), np.indices(dense.shape).reshape(2, -1)), shape=dense.shape)
+    assert stored.nnz == dim**2
+    for mat in (sp.csr_matrix(dense), stored):
+        assert np.array_equal(pl.spectral._eliminated_rows(mat), expected)
 
 
 def test_factor_logs_one_event_per_build(d2_instance, caplog):
