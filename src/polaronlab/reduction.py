@@ -64,8 +64,10 @@ class ResolventHandle:
     """One resolvent: restriction, momentum shift, scalar shift.
 
     The restriction is the tail of the full space from index ``start`` on.
-    ``solve`` and ``apply`` are the only ways to solve against it, and
-    ``solves`` counts every right-hand side they take.
+    Its matrix is the workspace's one ``Phi`` on that tail plus the
+    handle's own diagonal ``(P+k)^2 + N + shift``, and that pair is all a
+    sparse ``solver`` holds.  ``solve`` and ``apply`` are the only ways to
+    solve against it, and ``solves`` counts every right-hand side they take.
     """
 
     kind: str
@@ -200,9 +202,13 @@ class ReductionWorkspace:
     """Shared state for all reduction computations on one instance.
 
     Builds the Hamiltonian once, solves for the ground energy, and hands
-    out resolvent handles cached by restriction and shift.  Each handle's
-    ``SpdSolver`` certifies that handle on its own, in the sign gauge
-    ``signs`` (``fock.sign_gauge``) sliced to its tail.  All
+    out resolvent handles cached by restriction and shift.  ``Phi``
+    restricted to each of ``FULL``, ``TAIL_ONE`` and ``TAIL_TWO`` is built
+    once, when first asked for, and every handle on that restriction gets
+    the same matrix: the handles differ only in their diagonals, and
+    ``restricted_matrix`` is that shared part plus a diagonal.  Each
+    handle's ``SpdSolver`` certifies that handle on its own, in the sign
+    gauge ``signs`` (``fock.sign_gauge``) sliced to its tail.  All
     public methods treat vectors in the full Fock space; restrictions are
     handled internally through the contiguous sector layout.
 
@@ -238,6 +244,9 @@ class ReductionWorkspace:
         self.phi_op = fock.field_operator(basis, ff)
         self.n_diag = fock.number_diagonal(basis)
         self.p_state = basis.momentum_sums(grid)
+        self.start1 = basis.tail_start(1)
+        self.start2 = basis.tail_start(2)
+        self._offs: Dict[str, sp.csr_matrix] = {}
         self.hamiltonian = self.restricted_matrix(FULL, np.zeros(grid.d), 0.0)
         self.mode_perms = stabilizer(grid, ff, self.xi)
         #: basis permutation ``U_g`` of every group element
@@ -250,8 +259,6 @@ class ReductionWorkspace:
         )
         self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.sector, self.config)
         self.v = fock.one_boson_vector(basis, ff)
-        self.start1 = basis.tail_start(1)
-        self.start2 = basis.tail_start(2)
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
         n_sums, blocks = self._sum_orbits
@@ -287,23 +294,35 @@ class ReductionWorkspace:
         """Kinetic energy of the vacuum state (``|xi|^2``)."""
         return float(self.xi @ self.xi)
 
+    def _start(self, kind: str) -> int:
+        return {FULL: 0, TAIL_ONE: self.start1, TAIL_TWO: self.start2}[kind]
+
+    def _off_diagonal(self, kind: str) -> sp.csr_matrix:
+        """``Phi`` on the given restriction, built on first use and shared by
+        every handle there."""
+        off = self._offs.get(kind)
+        if off is None:
+            start = self._start(kind)
+            off = self._offs[kind] = self.phi_op[start:, start:] if start else self.phi_op
+        return off
+
+    def _diagonal(self, kind: str, k: Momentum, shift: float) -> np.ndarray:
+        """Diagonal of ``(P+k)^2 + N + shift`` on the given restriction."""
+        start = self._start(kind)
+        return self.kinetic_diagonal(k)[start:] + self.n_diag[start:] + shift
+
     def restricted_matrix(self, kind: str, k: Momentum, shift: float) -> sp.csr_matrix:
         """Matrix of ``(P+k)^2 + Phi + N + shift`` on the given restriction."""
-        diag = self.kinetic_diagonal(k) + self.n_diag + shift
-        mat = self.phi_op + sp.diags(diag, format="csr")
-        if kind == FULL:
-            return mat.tocsr()
-        start = self.start1 if kind == TAIL_ONE else self.start2
-        return mat.tocsr()[start:, start:]
+        return self._off_diagonal(kind) + sp.diags(self._diagonal(kind, k, shift), format="csr")
 
     def _handle(self, kind: str, k: Momentum, shift: float) -> ResolventHandle:
         k = self._as_momentum(k)
         key = (kind, k.tobytes(), round(shift, 14))
         handle = self._handles.get(key)
         if handle is None:
-            start = {FULL: 0, TAIL_ONE: self.start1, TAIL_TWO: self.start2}[kind]
+            start = self._start(kind)
             solver = SpdSolver(
-                self.restricted_matrix(kind, k, shift), self.config,
+                self._off_diagonal(kind), self._diagonal(kind, k, shift), self.config,
                 label=f"{kind} resolvent at k={k.tolist()}", signs=self.signs[start:],
             )
             handle = ResolventHandle(kind=kind, k=k, shift=shift, start=start, solver=solver)

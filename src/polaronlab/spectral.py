@@ -17,12 +17,15 @@ Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
 complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
 a ``SolverError``, and so is a singular factor.  Sparse eigenvalue lists are
 certified by that inertia too, so no copy of a multiple eigenvalue goes
-missing (``lowest_eigenpairs``).  ``SpdSolver`` keeps that factor at shift 0
-when dense: its inertia certifies definiteness and its solves serve every
-right-hand side.  Sparse, it certifies definiteness itself, as an
-M-matrix in the sign gauge below (a vector ``x > 0`` with ``G x > 0``,
-checked against its rounding error), else by that inertia, and solves by
-Jacobi-preconditioned conjugate gradients.  Every solve, by factor or by
+missing (``lowest_eigenpairs``).  ``SpdSolver`` takes a matrix as its
+off-diagonal part and its diagonal, the form in which every resolvent of
+``reduction`` is one shared restriction of ``Phi`` plus a diagonal of its
+own.  Dense, it keeps one such factor at shift 0: its inertia certifies
+definiteness and its solves serve every right-hand side.  Sparse, it
+certifies definiteness itself, as an M-matrix in the sign gauge below (a
+vector ``x > 0`` with ``G x > 0``, checked against its rounding error),
+else by that inertia, and solves by Jacobi-preconditioned conjugate
+gradients that apply the pair, matrix-free.  Every solve, by factor or by
 conjugate gradients, must pass a true-residual check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
@@ -493,69 +496,99 @@ def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray
     return vals
 
 
-def _m_matrix(mat, signs: np.ndarray) -> bool:
-    """Whether ``mat`` is proven positive definite as an M-matrix in the
-    gauge ``signs``.
+def _jacobi_cg(off, diag: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int, bool]:
+    """Jacobi-preconditioned conjugate gradients on ``off + diag(diag)``
+    from ``x = 0``, applying the pair without forming the matrix.
+
+    scipy's ``cg`` stopping rule: a recursive residual of at most
+    ``LIN_TOL |rhs|``, or ``MAX_ITERATIONS`` iterations; a zero ``rhs``
+    stops at once with ``x = 0``.  Returns the iterate, the iterations run
+    and whether the residual rule was met.
+    """
+    x, r, p = np.zeros_like(rhs), rhs.copy(), np.zeros_like(rhs)
+    tol, rho_prev = LIN_TOL * np.linalg.norm(rhs), 1.0
+    for iteration in range(MAX_ITERATIONS):
+        if np.linalg.norm(r) <= tol:
+            return x, iteration, True
+        z = r / diag
+        rho = r @ z
+        p = z + (rho / rho_prev) * p
+        q = off @ p + diag * p
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, MAX_ITERATIONS, bool(np.linalg.norm(r) <= tol)
+
+
+def _m_matrix(off, diag: np.ndarray, signs: np.ndarray) -> bool:
+    """Whether ``A = off + diag(diag)`` is proven positive definite as an
+    M-matrix in the gauge ``signs``; ``off`` is CSR with an empty diagonal.
 
     ``G = diag(s) A diag(s)`` must have a positive diagonal and no positive
     off-diagonal entry, and some ``x > 0`` must have ``G x > 0`` (Berman &
     Plemmons, ch. 6).  The tries are ``x = 1``, Gershgorin's test in the
-    gauge, then ``x = s y`` for the Jacobi CG solution ``y`` of
-    ``A y = s``.  ``G x = s (A y)`` must clear its rounding error
+    gauge, then ``x = s y`` for the Jacobi CG iterate ``y`` of ``A y = s``,
+    converged or not.  ``G x = s (A y)`` must clear its rounding error
     ``4 u nnz_row (|A| |y|)`` in every row, so the vector computed is what
     is proven, however accurate the solve.
     """
-    mat = sp.csr_matrix(mat)
-    per_row, diag = np.diff(mat.indptr), mat.diagonal()
-    gauged = mat.data * np.repeat(signs, per_row) * signs[mat.indices]
-    # each of the n rows stores a positive diagonal entry, so a positive entry
-    # beyond n is off the diagonal
-    if np.any(diag <= 0.0) or np.count_nonzero(gauged > 0.0) > mat.shape[0]:
+    per_row = np.diff(off.indptr)
+    gauged = off.data * np.repeat(signs, per_row) * signs[off.indices]
+    if np.any(diag <= 0.0) or np.any(gauged > 0.0):
         return False
+    magnitude = abs(off)
 
     def proves(y: np.ndarray) -> bool:
-        # 4 u nnz_row (|A| |y|), with the unit roundoff u = eps / 2
-        slack = 2.0 * np.finfo(float).eps * per_row * (abs(mat) @ np.abs(y))
-        return bool(np.all(signs * y > 0.0) and np.all(signs * (mat @ y) > slack))
+        # 4 u nnz_row (|A| |y|), with the unit roundoff u = eps / 2 and the
+        # diagonal entry counted in each row
+        size = np.abs(y)
+        slack = 2.0 * np.finfo(float).eps * (per_row + 1) * (magnitude @ size + diag * size)
+        return bool(np.all(signs * y > 0.0) and np.all(signs * (off @ y + diag * y) > slack))
 
-    return proves(signs) or proves(
-        spla.cg(mat, signs, rtol=LIN_TOL, maxiter=MAX_ITERATIONS, M=sp.diags(1.0 / diag))[0]
-    )
+    return proves(signs) or proves(_jacobi_cg(off, diag, signs)[0])
 
 
 class SpdSolver:
-    """Repeated solves against one symmetric positive definite matrix.
+    """Repeated solves against one symmetric positive definite matrix
+    ``A = off + diag(diag)``, given as that pair: ``off`` CSR with an empty
+    diagonal, ``diag`` its own.  A caller holding a whole matrix
+    splits it.
 
-    At or below the dense threshold one ``SymmetricFactor`` of the matrix
-    is built and kept: its inertia certifies definiteness, and every solve
-    runs through it.  Above it, construction certifies definiteness as an
-    M-matrix in the sign gauge ``signs`` (``_m_matrix``; all ``+1`` when
-    not given), else by the inertia of a transient ``SymmetricFactor``,
-    and each solve runs Jacobi-preconditioned conjugate gradients; such a
-    solver holds no factor.  An indefinite matrix raises
-    ``IndefiniteOperatorError`` naming its negative count, a singular one
-    ``SolverError``.  One DEBUG event on the ``polaronlab`` logger names
-    the certificate, ``m-matrix`` or ``inertia``.  Every answer, on either
-    path, must leave a true residual ``|A x - b| <= LIN_TOL |b|``.
-    Instances are safe to share across threads, though concurrent solves
-    may undercount the kept factor's ``solves``.
+    At or below the dense threshold the pair is assembled once for one
+    ``SymmetricFactor``, which is kept: its inertia certifies definiteness,
+    and every solve runs through it.  Above it, construction certifies
+    definiteness as an M-matrix in the sign gauge ``signs`` (``_m_matrix``;
+    all ``+1`` when not given), else by the inertia of a transient
+    ``SymmetricFactor``, and each solve runs Jacobi-preconditioned
+    conjugate gradients on the pair (``_jacobi_cg``); such a solver holds
+    no factor and no matrix, only ``off``, which its caller may share, and
+    ``diag``.  An indefinite matrix raises ``IndefiniteOperatorError``
+    naming its negative count, a singular one ``SolverError``.  One DEBUG
+    event on the ``polaronlab`` logger names the certificate, ``m-matrix``
+    or ``inertia``, and each sparse solve logs another with its column and
+    iteration counts.  Every answer, on either path, must leave a true
+    residual ``|A x - b| <= LIN_TOL |b|``.  Instances are safe to share
+    across threads, though concurrent solves may undercount the kept
+    factor's ``solves``.
     """
 
     def __init__(
-        self, mat, config: SolverConfig, label: str = "operator", signs: Optional[np.ndarray] = None
+        self, off, diag: np.ndarray, config: SolverConfig, label: str = "operator",
+        signs: Optional[np.ndarray] = None,
     ):
         self.label = label
-        self._mat = mat
-        self.dim = self._mat.shape[0]
+        self.dim = len(diag)
         dense = self.dim <= config.dense_threshold
         factor = None
-        if dense or not _m_matrix(self._mat, np.ones(self.dim) if signs is None else signs):
-            factor = SymmetricFactor(self._mat, 0.0, label)
+        if dense or not _m_matrix(off, diag, np.ones(self.dim) if signs is None else signs):
+            factor = SymmetricFactor(off + sp.diags(diag, format="csr"), 0.0, label)
             if factor.negative_count:
                 raise IndefiniteOperatorError(
                     f"{label} has {factor.negative_count} negative eigenvalues"
                 )
         self._factor = factor if dense else None
+        self._off, self._diag = (None, None) if dense else (off, diag)
         _log.debug(
             "%s: dim %d certified positive definite by %s",
             label, self.dim, "m-matrix" if factor is None else "inertia",
@@ -569,28 +602,27 @@ class SpdSolver:
             raise ConfigError(f"rhs has dim {rhs.shape[0]}, operator has {self.dim}")
         if self._factor is not None:
             return self._factor.solve(rhs)
-        # Built per call, not kept, so a cached solver holds only its matrix;
-        # positive, since a positive definite matrix has a positive diagonal.
-        jacobi = sp.diags(1.0 / self._mat.diagonal())
-        if rhs.ndim == 2:
-            return np.column_stack([self._cg(rhs[:, j], jacobi) for j in range(rhs.shape[1])])
-        return self._cg(rhs, jacobi)
-
-    def _cg(self, rhs: np.ndarray, jacobi) -> np.ndarray:
-        x, info = spla.cg(
-            self._mat,
-            rhs,
-            rtol=LIN_TOL,
-            atol=0.0,
-            maxiter=MAX_ITERATIONS,
-            M=jacobi,
+        columns = rhs.reshape(self.dim, -1)
+        out, iterations = np.empty_like(columns), 0
+        for j in range(columns.shape[1]):
+            out[:, j], used = self._cg(columns[:, j])
+            iterations += used
+        _log.debug(
+            "solve %s: %d columns in %d PCG iterations", self.label, columns.shape[1], iterations
         )
-        if info != 0:
-            raise SolverError(f"conjugate gradients failed on {self.label} (info={info})")
-        residual, scale = np.linalg.norm(self._mat @ x - rhs), np.linalg.norm(rhs)
+        return out.reshape(rhs.shape)
+
+    def _cg(self, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
+        x, iterations, converged = _jacobi_cg(self._off, self._diag, rhs)
+        if not converged:
+            raise SolverError(
+                f"conjugate gradients on {self.label} did not converge in {iterations} iterations"
+            )
+        residual = np.linalg.norm(self._off @ x + self._diag * x - rhs)
+        scale = np.linalg.norm(rhs)
         if residual > LIN_TOL * scale:
             raise SolverError(
                 f"conjugate gradients on {self.label} left residual {residual:.3e} "
                 f"at |rhs| {scale:.3e}"
             )
-        return x
+        return x, iterations

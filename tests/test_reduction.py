@@ -246,6 +246,27 @@ def test_handle_built_exactly_when_dense_definite(
         assert event.endswith(" by m-matrix")
 
 
+@pytest.mark.parametrize("d, K, k", [(1, 1.0, [0.25]), (2, 0.5, [0.25, -0.5])])
+def test_handles_share_one_off_diagonal_per_restriction(d, K, k):
+    """A sparse handle holds the workspace's one ``Phi`` on its restriction,
+    shared by every handle there, and its own diagonal; together they are
+    ``restricted_matrix`` entry for entry.  A solve matches the dense one."""
+    grid = pl.build_grid(d, K, 0.5)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.2)
+    ws = pl.build_workspace(grid, ff, 3, config=SolverConfig(dense_threshold=10))
+    k = np.array(k)
+    for kind, shift in ((FULL, 1.5 - ws.e0), (TAIL_ONE, 0.5 - ws.e0), (TAIL_TWO, -0.5 - ws.e0)):
+        handles = [ws._handle(kind, k, shift), ws._handle(kind, -k, shift + 0.25)]
+        assert handles[0].solver._off is handles[1].solver._off
+        solver = handles[0].solver
+        shared = solver._off + sp.diags(solver._diag, format="csr")
+        assert (shared != ws.restricted_matrix(kind, k, shift)).nnz == 0
+        dense = shared.toarray()
+        rhs = np.linspace(-1.0, 1.0, solver.dim)
+        exact = np.linalg.solve(dense, rhs)
+        assert np.linalg.norm(handles[0].solve(rhs) - exact) <= LIN_TOL * np.linalg.norm(exact)
+
+
 def test_dense_handle_keeps_a_schur_factor(ref_grid, ref_ff, caplog):
     """At the default threshold a ``Y(k)`` handle on the reference ``nmax`` 4
     tail (dim 494) is certified by the inertia of the ``SymmetricFactor`` it

@@ -1,6 +1,7 @@
 """Eigenvalue solvers, sector gaps, and counting."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,14 @@ from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig, Solve
 from polaronlab.spectral import SpdSolver, SymmetricFactor, _gershgorin_lower, start_vector
 
 import oracles
+
+
+def _split(mat):
+    """A whole matrix as ``SpdSolver``'s pair: its off-diagonal part (CSR)
+    and its diagonal."""
+    mat = sp.csr_matrix(mat)
+    diag = mat.diagonal()
+    return (mat - sp.diags(diag, format="csr")).tocsr(), diag
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +272,8 @@ def test_spd_solver_dense_and_cg_agree(mid_instance, invariant_sector):
     rhs = start_vector(basis.dim, 7)
     # a diagonal offset, and the Hamiltonian shifted to half a unit below e0
     for shifted in (ham + 2.0 * identity, ham - (e0 - 0.5) * identity):
-        dense = SpdSolver(shifted, SolverConfig(dense_threshold=500))
-        iterative = SpdSolver(shifted, SolverConfig(dense_threshold=10))
+        dense = SpdSolver(*_split(shifted), SolverConfig(dense_threshold=500))
+        iterative = SpdSolver(*_split(shifted), SolverConfig(dense_threshold=10))
         x_d = dense.solve(rhs)
         x_i = iterative.solve(rhs)
         assert np.allclose(x_d, x_i, rtol=0, atol=1e-9)
@@ -281,10 +290,10 @@ def test_spd_solver_dense_and_cg_agree(mid_instance, invariant_sector):
 def test_spd_solver_rejects_indefinite():
     mat = np.diag([1.0, -0.5, 2.0])
     with pytest.raises(IndefiniteOperatorError, match=" has 1 negative eigenvalues$"):
-        SpdSolver(mat, SolverConfig())
+        SpdSolver(*_split(mat), SolverConfig())
     # a singular dense matrix has a zero pivot, a plain ``SolverError``
     with pytest.raises(SolverError, match="singular"):
-        SpdSolver(np.diag([1.0, 0.0, 2.0]), SolverConfig())
+        SpdSolver(*_split(np.diag([1.0, 0.0, 2.0])), SolverConfig())
     diagonal = sp.diags([1.0, -0.5] + [2.0] * 48, format="csr")
     coupled = sp.block_diag([np.array([[1.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
     # as many positive entries as rows, and positive row sums, but on a
@@ -293,7 +302,7 @@ def test_spd_solver_rejects_indefinite():
     # the sparse path certifies definiteness at construction
     for sparse_mat, negative in ((diagonal, 1), (coupled, 10), (flipped, 10)):
         with pytest.raises(IndefiniteOperatorError, match=f" has {negative} negative eigenvalues$"):
-            SpdSolver(sparse_mat, SolverConfig(dense_threshold=10))
+            SpdSolver(*_split(sparse_mat), SolverConfig(dense_threshold=10))
 
 
 def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog):
@@ -321,7 +330,9 @@ def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog):
     for mat, gauge, certificate in cases:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polaronlab"):
-            solver = SpdSolver(mat, SolverConfig(dense_threshold=10), label="probe", signs=gauge)
+            solver = SpdSolver(
+                *_split(mat), SolverConfig(dense_threshold=10), label="probe", signs=gauge
+            )
         events = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
         assert events == [f"probe: dim {mat.shape[0]} certified positive definite by {certificate}"]
         factors = [r for r in caplog.records if r.name == "polaronlab.factor"]
@@ -332,8 +343,62 @@ def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog):
     assert logger.handlers == []
 
 
+def test_sparse_solve_logs_its_columns_and_iterations(mid_instance, caplog):
+    """Each sparse ``solve`` logs one DEBUG event with the label, the column
+    count and the PCG iterations of all its columns; a zero column is
+    solved by zero in no iteration.  A dense solve logs none."""
+    grid, ff, basis, ham = mid_instance
+    shifted = ham + 2.0 * sp.identity(basis.dim, format="csr")
+    sparse = SpdSolver(*_split(shifted), SolverConfig(dense_threshold=10), label="probe")
+    dense = SpdSolver(*_split(shifted), SolverConfig(), label="dense probe")
+    rhs = start_vector(basis.dim, 3)
+
+    def solve_events(solver, b):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+            x = solver.solve(b)
+        return x, [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+
+    _, [one] = solve_events(sparse, rhs)
+    match = re.fullmatch(r"solve probe: 1 columns in (\d+) PCG iterations", one)
+    assert match and int(match.group(1)) > 0
+    block, [two] = solve_events(sparse, np.column_stack([rhs, np.zeros(basis.dim)]))
+    assert two == f"solve probe: 2 columns in {match.group(1)} PCG iterations"
+    assert np.array_equal(block[:, 1], np.zeros(basis.dim))
+    assert solve_events(dense, rhs)[1] == []
+
+
+def test_pcg_failure_paths(mid_instance, monkeypatch, caplog):
+    """With one PCG iteration allowed, a sparse solve raises ``SolverError``
+    naming its label, while the certificate's CG try, which stops as early,
+    never raises: its iterate still proves definiteness with the spectrum
+    0.1 above zero, and hands over to inertia at 0.01, where the full run
+    proves it."""
+    grid, ff, basis, ham = mid_instance
+    signs = pl.fock.sign_gauge(basis, ff)
+    e0 = np.linalg.eigvalsh(ham.toarray())[0]
+    identity = sp.identity(basis.dim, format="csr")
+    config = SolverConfig(dense_threshold=10)
+    # x = 1 fails on both matrices, so their certificates rest on the CG try
+    margins = {0.1: ham - (e0 - 0.1) * identity, 0.01: ham - (e0 - 0.01) * identity}
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        solver = SpdSolver(*_split(margins[0.01]), config, label="tight probe", signs=signs)
+    assert caplog.messages[-1].endswith(" by m-matrix")
+    monkeypatch.setattr(pl.spectral, "MAX_ITERATIONS", 1)
+    with pytest.raises(SolverError, match="^conjugate gradients on tight probe did not converge"):
+        solver.solve(start_vector(basis.dim, 4))
+    for margin, certificate in ((0.1, "m-matrix"), (0.01, "inertia")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+            SpdSolver(*_split(margins[margin]), config, label="early probe", signs=signs)
+        events = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+        assert events == [f"early probe: dim {basis.dim} certified positive definite by {certificate}"]
+        factors = [r for r in caplog.records if r.name == "polaronlab.factor"]
+        assert len(factors) == (certificate == "inertia")
+
+
 def test_spd_solver_shape_validation():
-    solver = SpdSolver(np.eye(3), SolverConfig())
+    solver = SpdSolver(*_split(np.eye(3)), SolverConfig())
     with pytest.raises(ConfigError):
         solver.solve(np.ones(4))
 
