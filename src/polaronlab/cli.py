@@ -10,9 +10,10 @@ Subcommands:
 
 At module level this file imports only the standard library, ``errors``
 and ``storage``; each command imports the layers it runs in its own body.
-So ``report`` needs neither numpy nor scipy, ``build`` loads neither the
-reduction nor the identity suite, and ``scan`` loads the full stack before
-its worker pool forks (``concurrent.futures`` loads only for a pool).
+So ``report`` needs neither numpy nor scipy, ``build`` loads numpy but no
+scipy module, nor the reduction or the identity suite, and ``scan`` loads
+the full stack before its worker pool forks (``concurrent.futures`` loads
+only for a pool).
 
 Configuration is a JSON file; unknown keys anywhere in it are fatal.  The
 table ``_entries`` gives each entry's dotted name, kind and default, and

@@ -9,25 +9,33 @@ number of compositions that sort below the state.  Every ladder and field
 operator is built from one vectorized helper, ``_lowering``, which lowers
 one mode on all states at once and ranks the results.  Creation operators
 annihilate the top sector: raising out of the truncation maps to zero.
-Ladder and field operators are canonical ``csr_matrix``es; the fiber
-Hamiltonian comes wrapped in a ``SparseOperator``, the form ``storage``
-persists with its symmetry flag.  ``invariant_sector`` turns the basis
-permutations of a mode symmetry group into the isometry onto the vectors
-they all fix; ``sign_gauge`` gives the basis signs under which the fiber
-Hamiltonian has no positive off-diagonal entry.
+Every operator is first a set of canonical triplets: ``_canonical`` sorts
+the entries by row, then column, and drops zero values.  Ladder and field
+operators come back as ``csr_matrix``es built from them; the fiber
+Hamiltonian comes as a ``SparseOperator``, the triplets that ``storage``
+persists with their symmetry flag, whose CSR form is built on first use.
+This module loads numpy alone: scipy loads only in the functions that
+return a CSR matrix, so ``build``, which assembles and persists triplets,
+runs without it.  ``invariant_sector`` turns the basis permutations of a
+mode symmetry group into the isometry onto the vectors they all fix;
+``sign_gauge`` gives the basis signs under which the fiber Hamiltonian has
+no positive off-diagonal entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionCapError
 from .grid import FormFactor, MomentumGrid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_FOCK_CAP = 200_000
 #: defaults of ``spectral.SolverConfig``, kept here so that loading a config
@@ -149,30 +157,51 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
 
 @dataclass(eq=False)
 class SparseOperator:
-    """A persisted operator: its CSR matrix and its symmetry flag."""
+    """A persisted operator: the canonical triplets of a ``dim x dim``
+    matrix (see ``_canonical``) and its symmetry flag.
 
-    matrix: sp.csr_matrix
+    Building and persisting it needs numpy alone; ``matrix``, its CSR form,
+    loads scipy on first use.
+    """
+
+    dim: int
+    rows: np.ndarray = field(repr=False)  # (nnz,) int64
+    cols: np.ndarray = field(repr=False)  # (nnz,) int64
+    values: np.ndarray = field(repr=False)  # (nnz,) float64
     hermitian: bool
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def nnz(self) -> int:
-        return int(self.matrix.nnz)
+        return len(self.values)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return _csr(self.dim, self.rows, self.cols, self.values)
 
 
-def _canonical_csr(mat: sp.spmatrix) -> sp.csr_matrix:
-    out = mat.tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    out.eliminate_zeros()
-    return out
+def _canonical(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """Triplets of distinct entries, sorted by row, then column, with the
+    zero values dropped: the order of a canonical CSR matrix."""
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.argsort(rows * dim + cols, kind="stable")
+    return rows[order], cols[order], vals[order]
+
+
+def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of canonical triplets."""
+    import scipy.sparse as sp
+
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
 
 
 def _lowering(basis: FockBasis, mode: int):
-    """Triplets (row, col, sqrt(n_mode)) of the annihilator ``a_mode``."""
+    """Triplets (row, col, sqrt(n_mode)) of the annihilator ``a_mode``; no
+    two share a column, so they are distinct."""
+    if not 0 <= mode < basis.n_modes:
+        raise ConfigError(f"mode {mode} outside 0..{basis.n_modes - 1}")
     cols = np.flatnonzero(basis.occupations[:, mode])
     lowered = basis.occupations[cols]
     n = lowered[:, mode].astype(float)
@@ -182,19 +211,20 @@ def _lowering(basis: FockBasis, mode: int):
 
 def annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Mode annihilation operator ``a_k`` (lowers every sector)."""
-    if not 0 <= mode < basis.n_modes:
-        raise ConfigError(f"mode {mode} outside 0..{basis.n_modes - 1}")
     rows, cols, vals = _lowering(basis, mode)
-    return _canonical_csr(sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)))
+    return _csr(basis.dim, *_canonical(basis.dim, rows, cols, vals))
 
 
 def creator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Mode creation operator ``a_k^+``; maps the top sector to zero."""
-    return _canonical_csr(annihilator(basis, mode).T)
+    rows, cols, vals = _lowering(basis, mode)
+    return _csr(basis.dim, *_canonical(basis.dim, cols, rows, vals))
 
 
-def field_operator(basis: FockBasis, ff: FormFactor) -> sp.csr_matrix:
-    """Coupling field ``sum_k v_k (a_k + a_k^+)``, connecting adjacent sectors."""
+def _field_triplets(basis: FockBasis, ff: FormFactor):
+    """Triplets of ``sum_k v_k (a_k + a_k^+)``: each mode's lowering
+    triplets and their transposes.  They are all distinct, since ``a_k``
+    lowers a state to a different state for every ``k``."""
     if ff.values.shape[0] != basis.n_modes:
         raise ConfigError(
             f"form factor has {ff.values.shape[0]} amplitudes, basis has {basis.n_modes} modes"
@@ -206,11 +236,12 @@ def field_operator(basis: FockBasis, ff: FormFactor) -> sp.csr_matrix:
         rows += [low_rows, low_cols]
         cols += [low_cols, low_rows]
         vals += [amp, amp]
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    )
-    return _canonical_csr(mat)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def field_operator(basis: FockBasis, ff: FormFactor) -> sp.csr_matrix:
+    """Coupling field ``sum_k v_k (a_k + a_k^+)``, connecting adjacent sectors."""
+    return _csr(basis.dim, *_canonical(basis.dim, *_field_triplets(basis, ff)))
 
 
 def number_diagonal(basis: FockBasis) -> np.ndarray:
@@ -241,8 +272,15 @@ def assemble_hamiltonian(
         xi = np.zeros(grid.d)
     xi = np.asarray(xi, dtype=float)
     diag = shifted_kinetic_diagonal(basis, grid, -xi) + number_diagonal(basis)
-    mat = field_operator(basis, ff) + sp.diags(diag, format="csr")
-    return SparseOperator(matrix=_canonical_csr(mat), hermitian=True)
+    rows, cols, vals = _field_triplets(basis, ff)
+    states = np.arange(basis.dim)
+    rows, cols, vals = _canonical(
+        basis.dim,
+        np.concatenate([rows, states]),
+        np.concatenate([cols, states]),
+        np.concatenate([vals, diag]),
+    )
+    return SparseOperator(dim=basis.dim, rows=rows, cols=cols, values=vals, hermitian=True)
 
 
 def invariant_sector(basis_perms: np.ndarray) -> sp.csr_matrix:
@@ -256,6 +294,8 @@ def invariant_sector(basis_perms: np.ndarray) -> sp.csr_matrix:
     the trailing ones from ``B.indices[basis.tail_start(n)]`` on.  A group of
     the identity alone gives the identity matrix.
     """
+    import scipy.sparse as sp
+
     dim = basis_perms.shape[1]
     lowest = basis_perms.min(axis=0)
     _, column, size = np.unique(lowest, return_inverse=True, return_counts=True)

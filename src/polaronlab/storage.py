@@ -2,9 +2,11 @@
 
 An operator file is a little-endian header ``(dimension, nnz, flags)`` as
 three unsigned 64-bit words, followed by one record per stored entry:
-``(row: int64, col: int64, value: float64)``.  A JSON sidecar carries the
-assembly parameters and the SHA-256 of the binary payload; every load
-re-hashes and refuses corrupted files.
+``(row: int64, col: int64, value: float64)``.  The records are the
+canonical triplets of a ``SparseOperator``: strictly ascending by row, then
+column, with no zero value.  A JSON sidecar carries the assembly parameters
+and the SHA-256 of the binary payload; every load re-hashes and refuses
+corrupted files.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from .errors import CacheCorruptionError
 
-# numpy, scipy and the Fock layer load only in the functions that touch
-# array or operator data, so hashing and JSON need the standard library only
+# numpy and the Fock layer load only in the functions that touch array or
+# operator data, so hashing and JSON need the standard library only; no
+# function here loads scipy
 if TYPE_CHECKING:
     from .fock import SparseOperator
 
@@ -79,20 +82,15 @@ def config_hash(payload: Dict[str, Any]) -> str:
 
 
 def operator_bytes(op: SparseOperator) -> bytes:
-    """Serialize an operator to the binary triplet format."""
+    """Serialize an operator's canonical triplets to the binary format."""
     import numpy as np
 
-    from .fock import _canonical_csr
-
-    mat = _canonical_csr(op.matrix)
-    coo = mat.tocoo()
-    records = np.empty(coo.nnz, dtype=_RECORD_FIELDS)
-    records["row"] = coo.row
-    records["col"] = coo.col
-    records["value"] = coo.data
+    records = np.empty(op.nnz, dtype=_RECORD_FIELDS)
+    records["row"] = op.rows
+    records["col"] = op.cols
+    records["value"] = op.values
     flags = _FLAG_HERMITIAN if op.hermitian else 0
-    header = _HEADER.pack(mat.shape[0], coo.nnz, flags)
-    return header + records.tobytes()
+    return _HEADER.pack(op.dim, op.nnz, flags) + records.tobytes()
 
 
 def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, Dict[str, Any]]:
@@ -110,12 +108,13 @@ def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, D
 
 def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     """Load an operator, verifying its content hash and its layout: the
-    header must match the sidecar and hold exactly ``nnz`` records.  Any
-    mismatch raises ``CacheCorruptionError``."""
+    header must match the sidecar and hold exactly ``nnz`` records, and the
+    records must be canonical triplets, strictly ascending by row, then
+    column, inside ``[0, dim)``, with no zero value.  Any mismatch raises
+    ``CacheCorruptionError``."""
     import numpy as np
-    import scipy.sparse as sp
 
-    from .fock import SparseOperator, _canonical_csr
+    from .fock import SparseOperator
 
     base = Path(base)
     bin_path = base.with_suffix(".bin")
@@ -132,8 +131,12 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     if len(blob) - _HEADER.size != nnz * record.itemsize:
         raise CacheCorruptionError(f"record count mismatch in {bin_path}")
     records = np.frombuffer(blob, dtype=record, offset=_HEADER.size)
-    mat = sp.coo_matrix(
-        (records["value"], (records["row"], records["col"])), shape=(int(dim), int(dim))
-    )
-    op = SparseOperator(matrix=_canonical_csr(mat), hermitian=bool(flags & _FLAG_HERMITIAN))
+    rows, cols = records["row"].astype(np.int64), records["col"].astype(np.int64)
+    values = records["value"].astype(np.float64)
+    step_row, step_col = np.diff(rows), np.diff(cols)
+    ascending = np.all((step_row > 0) | ((step_row == 0) & (step_col > 0)))
+    inside = np.all((rows >= 0) & (rows < dim) & (cols >= 0) & (cols < dim))
+    if not (ascending and inside and np.all(values != 0)):
+        raise CacheCorruptionError(f"records of {bin_path} are not canonical triplets")
+    op = SparseOperator(int(dim), rows, cols, values, bool(flags & _FLAG_HERMITIAN))
     return op, sidecar

@@ -277,6 +277,40 @@ def test_build_artifacts(tmp_path):
     assert build_info["levels"]["3"]["sector_dimensions"] == [1, 2, 3, 4]
 
 
+#: sha256 of the operator files ``build`` writes, recorded when the
+#: Hamiltonian was still assembled through scipy's CSR canonicalization:
+#: the reference instance (d=1, K=2, h=0.5, gaussian g=0.1) and a d=2
+#: instance at a nonzero fiber momentum
+FROZEN_OPERATORS = {
+    "reference": (
+        {"grid": {"d": 1, "K": 2.0, "h": 0.5}, "form_factor": {"profile": "gaussian", "g": 0.1},
+         "nmax": [2, 3, 4]},
+        {
+            2: "13d94686845a4ba4ea0f3d48d55f6db7097ec20e3e8fab64f089998f3b4b9a6e",
+            3: "030f28716862e9e4f59c24b46ff77eb6dd104c20730acf7657b76e7d89e04526",
+            4: "fffd7c2adfcefb869056bece7caa3936e308ce30e978b18cb270f72c7be90c5f",
+        },
+    ),
+    "d2-shifted": (
+        {"grid": {"d": 2, "K": 1.0, "h": 0.5}, "form_factor": {"profile": "gaussian", "g": 0.1},
+         "nmax": [2], "xi": [0.6, 0.0]},
+        {2: "74610e8bb903d4600fc629d173acbfaef0ca4e4add8fdc040659906c3814dff7"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_OPERATORS))
+def test_persisted_operators_are_frozen(tmp_path, name):
+    cfg, digests = FROZEN_OPERATORS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "build"
+    assert cli.main(["build", "--config", str(path), "--out", str(out)]) == 0
+    for nmax, digest in digests.items():
+        blob = (out / "matrices" / f"hamiltonian_n{nmax}.bin").read_bytes()
+        assert storage.sha256_bytes(blob) == digest, nmax
+
+
 def test_spectrum_artifacts_and_values(tmp_path, invariant_sector):
     cfg = _write_config(tmp_path)
     out = tmp_path / "spec"

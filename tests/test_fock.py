@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import polaronlab as pl
@@ -110,7 +111,7 @@ def test_invariant_sector_isometry():
     for perm in perms:
         assert np.array_equal(dense[perm], dense)
     plain = pl.fock.invariant_sector(np.arange(basis.dim)[None, :])
-    assert (plain != pl.fock.sp.identity(basis.dim)).nnz == 0
+    assert (plain != sp.identity(basis.dim)).nnz == 0
 
 
 def test_dimension_cap():
@@ -303,8 +304,10 @@ def test_operator_corruption_detected(tmp_path, small_setup):
 
 def test_operator_layout_checked_behind_matching_hash(tmp_path, small_setup):
     """Blobs whose sidecar hash matches but whose layout is broken: a short
-    header, a partial record, a missing record, and a self-consistent blob
-    whose header disagrees with the sidecar's nnz."""
+    header, a partial record, a missing record, a self-consistent blob
+    whose header disagrees with the sidecar's nnz, and full-size blobs whose
+    records are not canonical triplets: an index past ``dim``, a negative
+    index, a zero value, two records swapped, one record repeated."""
     grid, ff, basis, occs, perm = small_setup
     op = pl.assemble_hamiltonian(basis, grid, ff)
     base = tmp_path / "ham"
@@ -313,7 +316,30 @@ def test_operator_layout_checked_behind_matching_hash(tmp_path, small_setup):
     header, record = 24, 24
     dim, nnz, flags = struct.unpack_from("<QQQ", good)
     fewer = struct.pack("<QQQ", dim, nnz - 1, flags) + good[header : -record]
-    for blob in (good[:10], good[: header + 5], good[:-record], fewer):
+
+    def with_records(edit):
+        records = np.frombuffer(good, dtype=[("row", "<i8"), ("col", "<i8"), ("value", "<f8")],
+                                offset=header).copy()
+        edit(records)
+        return good[:header] + records.tobytes()
+
+    def out_of_range(r):
+        r["col"][-1] = dim + 5
+
+    def negative(r):
+        r["row"][0] = -1
+
+    def zero(r):
+        r["value"][3] = 0.0
+
+    def swapped(r):
+        r[[1, 2]] = r[[2, 1]]
+
+    def repeated(r):
+        r[2] = r[1]
+
+    broken = [with_records(edit) for edit in (out_of_range, negative, zero, swapped, repeated)]
+    for blob in (good[:10], good[: header + 5], good[:-record], fewer, *broken):
         base.with_suffix(".bin").write_bytes(blob)
         base.with_suffix(".json").write_text(
             json.dumps({**sidecar, "sha256": storage.sha256_bytes(blob)})
@@ -339,3 +365,36 @@ def test_ladder_and_field_match_oracle_property(n_modes, nmax, amps):
     for mode in range(n_modes):
         ref = oracles.aligned(oracles.dense_annihilator(occs, mode), perm, basis.dim)
         assert np.array_equal(pl.annihilator(basis, mode).toarray(), ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_modes=st.integers(1, 5),
+    nmax=st.integers(0, 4),
+    amps=st.lists(
+        st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False)), min_size=5, max_size=5
+    ),
+    xi=st.floats(-2.0, 2.0, allow_nan=False),
+)
+def test_hamiltonian_triplets_canonical_property(tmp_path_factory, n_modes, nmax, amps, xi):
+    """The Hamiltonian's triplets are canonical, give the dense oracle's
+    matrix, and survive ``storage`` unchanged."""
+    full = pl.build_grid(1, 1.5, 0.5)  # six modes: -1.5 .. 1.5 without 0
+    grid = pl.MomentumGrid(d=1, K=full.K, h=full.h, index=full.index[:n_modes])
+    basis = pl.enumerate_basis(n_modes, nmax)
+    occs = oracles.occupations(n_modes, nmax)
+    perm = oracles.permutation_into(occs, basis)
+    values = np.array(amps[:n_modes])
+    ff = pl.FormFactor(profile="constant", g=1.0, alpha=0.0, values=values)
+    op = pl.assemble_hamiltonian(basis, grid, ff, xi=[xi])
+    key = op.rows * op.dim + op.cols
+    assert np.all(np.diff(key) > 0) and np.all(op.values != 0)
+    assert op.nnz == op.matrix.nnz
+    dense = oracles.dense_hamiltonian(occs, grid.modes, values, xi=[xi])
+    assert np.array_equal(op.matrix.toarray(), oracles.aligned(dense, perm, basis.dim))
+    base = tmp_path_factory.mktemp("triplets") / "ham"
+    _write_operator(op, base, meta={})
+    loaded, _ = storage.load_operator(base)
+    assert loaded.dim == op.dim and loaded.hermitian == op.hermitian
+    for name in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(loaded, name), getattr(op, name))
