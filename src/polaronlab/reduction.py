@@ -65,9 +65,10 @@ class ResolventHandle:
 
     The restriction is the tail of the full space from index ``start`` on.
     Its matrix is the workspace's one ``Phi`` on that tail plus the
-    handle's own diagonal ``(P+k)^2 + N + shift``, and that pair is all a
-    sparse ``solver`` holds.  ``solve`` and ``apply`` are the only ways to
-    solve against it, and ``solves`` counts every right-hand side they take.
+    handle's own diagonal ``(P+k)^2 + N + shift``, and that pair is all its
+    ``solver`` holds, at every dimension: no handle keeps a factor.
+    ``solve`` and ``apply`` are the only ways to solve against it, and
+    ``solves`` counts every right-hand side they take.
     """
 
     kind: str
@@ -208,9 +209,11 @@ class ReductionWorkspace:
     the same matrix: the handles differ only in their diagonals, and
     ``restricted_matrix`` is that shared part plus a diagonal.  Each
     handle's ``SpdSolver`` certifies that handle on its own, in the sign
-    gauge ``signs`` (``fock.sign_gauge``) sliced to its tail.  All
-    public methods treat vectors in the full Fock space; restrictions are
-    handled internally through the contiguous sector layout.
+    gauge ``signs`` (``fock.sign_gauge``) sliced to its tail, and solves
+    it by Jacobi PCG on the shared pair; ``config.dense_threshold`` reaches
+    only the eigenvalue solves.  All public methods treat vectors in the
+    full Fock space; restrictions are handled internally through the
+    contiguous sector layout.
 
     ``mode_perms`` holds the instance's point group: the mode permutation
     of every signed coordinate permutation that fixes ``xi`` and the form
@@ -322,7 +325,7 @@ class ReductionWorkspace:
         if handle is None:
             start = self._start(kind)
             solver = SpdSolver(
-                self._off_diagonal(kind), self._diagonal(kind, k, shift), self.config,
+                self._off_diagonal(kind), self._diagonal(kind, k, shift),
                 label=f"{kind} resolvent at k={k.tolist()}", signs=self.signs[start:],
             )
             handle = ResolventHandle(kind=kind, k=k, shift=shift, start=start, solver=solver)

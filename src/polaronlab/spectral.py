@@ -17,16 +17,19 @@ Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
 complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
 a ``SolverError``, and so is a singular factor.  Sparse eigenvalue lists are
 certified by that inertia too, so no copy of a multiple eigenvalue goes
-missing (``lowest_eigenpairs``).  ``SpdSolver`` takes a matrix as its
+missing (``lowest_eigenpairs``).  No factor outlives its use: a list
+drops its shift-invert factor before the check factors at a gap of the
+list, and builds it again only if copies are missing, so at most one
+factor is alive at a time.  ``SpdSolver`` takes a matrix as its
 off-diagonal part and its diagonal, the form in which every resolvent of
 ``reduction`` is one shared restriction of ``Phi`` plus a diagonal of its
-own.  Dense, it keeps one such factor at shift 0: its inertia certifies
-definiteness and its solves serve every right-hand side.  Sparse, it
-certifies definiteness itself, as an M-matrix in the sign gauge below (a
-vector ``x > 0`` with ``G x > 0``, checked against its rounding error),
-else by that inertia, and solves by Jacobi-preconditioned conjugate
-gradients that apply the pair, matrix-free.  Every solve, by factor or by
-conjugate gradients, must pass a true-residual check.
+own.  At every dimension it certifies definiteness itself, as an M-matrix
+in the sign gauge below (a vector ``x > 0`` with ``G x > 0``, checked
+against its rounding error), else by the inertia of a transient factor,
+and solves by Jacobi-preconditioned conjugate gradients that apply the
+pair, matrix-free; ``dense_threshold`` governs the eigenvalue paths only.
+Every solve, by factor or by conjugate gradients, must pass a
+true-residual check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
 point-group-invariant sector only: the range of the isometry ``B`` of
@@ -85,8 +88,9 @@ _PIVOT_RATIO = (1.0 + 17.0**0.5) / 8.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Where the dense oracle hands over to the sparse path, and the seed of
-    the iterative solvers' start vectors, defaulting to ``fock``'s
+    """Where the dense oracle hands over to the sparse eigenvalue paths
+    (``SpdSolver`` does not read it), and the seed of the iterative
+    solvers' start vectors, defaulting to ``fock``'s
     ``DEFAULT_DENSE_THRESHOLD`` and ``DEFAULT_SEED``.  The tolerances are
     the module constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
 
@@ -173,6 +177,13 @@ class SymmetricFactor:
     block diagonal ``D`` has the inertia of ``S`` (Bunch & Kaufman, Math.
     Comp. 31, 1977): each 1x1 block counts by its sign, each 2x2 block has
     one negative eigenvalue.  Solves eliminate E, then run ``sytrs``.
+    Besides the factor of ``S`` it keeps the blocks of ``A - shift`` that
+    the solve and its true residual read: ``D_E`` (and its inverse),
+    ``A_KE``, through whose transpose (a view on the same arrays) it
+    back-substitutes, and the sparse ``A_KK``.  The whole shifted matrix
+    is transient.  The residual is taken on those blocks rather than as
+    ``A x - shift x``, which would cancel ``shift x`` against the diagonal
+    in rounding.
 
     The dense ``S`` takes ``8 K^2`` bytes, so more than ``SCHUR_CAP`` kept
     rows are refused before it is formed.  That, a zero pivot, and a solve
@@ -187,7 +198,6 @@ class SymmetricFactor:
         self.label = label
         dim = mat.shape[0]
         shifted = (sp.csr_matrix(mat) - shift * sp.identity(dim, format="csr")).tocsr()
-        self._shifted = shifted
         eliminated = _eliminated_rows(shifted)
         rows_e, rows_k = np.flatnonzero(eliminated), np.flatnonzero(~eliminated)
         if rows_k.size > SCHUR_CAP:
@@ -197,11 +207,13 @@ class SymmetricFactor:
             )
         self._rows_e, self._rows_k = rows_e, rows_k
         by_k = shifted[rows_k]
-        pivots = shifted.diagonal()[rows_e]
+        self._pivots = pivots = shifted.diagonal()[rows_e]
         self._inverse = 1.0 / pivots
-        self._a_ke = by_k[:, rows_e]
-        self._a_ek = self._a_ke.T.tocsr()
-        schur = by_k[:, rows_k] - self._a_ke @ sp.diags(self._inverse) @ self._a_ek
+        self._a_ke, self._a_kk = by_k[:, rows_e], by_k[:, rows_k]
+        # a CSC view on the arrays of A_KE, made once: building it per solve
+        # costs about as much as the product through it
+        self._a_ek = self._a_ke.T
+        schur = self._a_kk - self._a_ke @ sp.diags(self._inverse) @ self._a_ek.tocsr()
         # S is symmetric, so its C-ordered array read in Fortran order is S
         # again, and LAPACK factors it in place
         lwork = max(int(dsytrf_lwork(rows_k.size)[0]), 1)
@@ -214,7 +226,6 @@ class SymmetricFactor:
             + np.count_nonzero(blocks < 0)
             + np.count_nonzero(self._ipiv < 0) // 2
         )
-        self.solves = 0
         _factor_log.debug(
             "factor %s: dim %d at shift %r, %d eliminated, %d kept, %d negative, %.4f s",
             label, dim, float(shift), rows_e.size, rows_k.size, self.negative_count,
@@ -224,16 +235,23 @@ class SymmetricFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A - shift) x = rhs``, certified by the true residual."""
         rhs = np.asarray(rhs, dtype=float)
-        inverse = self._inverse.reshape((-1,) + (1,) * (rhs.ndim - 1))
-        scaled = inverse * rhs[self._rows_e]
-        kept = rhs[self._rows_k] - self._a_ke @ scaled
+        column = (-1,) + (1,) * (rhs.ndim - 1)
+        inverse, pivots = self._inverse.reshape(column), self._pivots.reshape(column)
+        rhs_e, rhs_k = rhs[self._rows_e], rhs[self._rows_k]
+        scaled = inverse * rhs_e
+        kept = rhs_k - self._a_ke @ scaled
         if kept.shape[0]:
             kept = dsytrs(self._ldu, self._ipiv, kept)[0]
+        coupled = self._a_ek @ kept
         x = np.empty_like(rhs)
         x[self._rows_k] = kept
-        x[self._rows_e] = scaled - inverse * (self._a_ek @ kept)
-        self.solves += 1
-        residual, scale = np.linalg.norm(self._shifted @ x - rhs), np.linalg.norm(rhs)
+        x[self._rows_e] = x_e = scaled - inverse * coupled
+        # the rows E and K of (A - shift) x - rhs, from the blocks kept
+        residual = np.hypot(
+            np.linalg.norm(pivots * x_e + coupled - rhs_e),
+            np.linalg.norm(self._a_ke @ x_e + self._a_kk @ kept - rhs_k),
+        )
+        scale = np.linalg.norm(rhs)
         if residual > LIN_TOL * scale:
             raise SolverError(
                 f"factor solve on {self.label} left residual {residual:.3e} at |rhs| {scale:.3e}"
@@ -270,7 +288,10 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
     pairs already found, whose start vector then has a component along each
     of them; up to ``LIST_TRIES`` such runs, else ``SolverError``.  A
     multiple eigenvalue that ``count`` cuts through at the top of the list
-    lies above every gap, and is legitimate.
+    lies above every gap, and is legitimate.  The shift-invert factor is
+    dropped before each such check builds its own, and built again for a
+    deflated run, so the two are never alive together; ``iterations``
+    counts the solves of every build.
     """
     return _lowest(mat, count, config, None)
 
@@ -280,7 +301,8 @@ def _lowest(
 ) -> Eigenpairs:
     """``lowest_eigenpairs``, whose sparse list is certified by ``inertia``,
     a known ``(cut, eigenvalues below cut)``, if given, instead of by a
-    factor at one of its own gaps."""
+    factor at one of its own gaps; the shift-invert factor then serves
+    every deflated run without a rebuild."""
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise ConfigError(f"cannot compute {count} eigenpairs of a dim-{dim} operator")
@@ -294,15 +316,26 @@ def _lowest(
     # the inverted operator makes the low end dominant instead.
     sigma = _gershgorin_lower(mat) - 1.0
     factor = SymmetricFactor(mat, sigma, label="shift-invert operator")
+    solves = 0
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        solves += 1
+        return factor.solve(x)
+
     start = start_vector(dim, config.seed)
-    vals, vecs = _lanczos(mat, count, sigma, factor.solve, start)
+    vals, vecs = _lanczos(mat, count, sigma, solve, start)
     runs = 0
     while True:
         residuals = _certified_residuals(mat, vals, vecs, "shift-invert")
+        if inertia is None:
+            # the check factors at a gap of the list, so this factor goes
+            # first, and is built again only if copies are missing
+            factor = None
         missing = _missing_copies(mat, vals, residuals, count, inertia)
         if not missing:
             return Eigenpairs(
-                vals[:count], vecs[:, :count], residuals[:count], "shift-invert", factor.solves
+                vals[:count], vecs[:, :count], residuals[:count], "shift-invert", solves
             )
         if runs == LIST_TRIES:
             raise SolverError(
@@ -310,10 +343,12 @@ def _lowest(
                 f"after {LIST_TRIES} deflated runs"
             )
         runs += 1
+        if factor is None:
+            factor = SymmetricFactor(mat, sigma, label="shift-invert operator")
         found = vecs
 
         def deflated(x: np.ndarray) -> np.ndarray:
-            y = factor.solve(x - found @ (found.T @ x))
+            y = solve(x - found @ (found.T @ x))
             return y - found @ (found.T @ y)
 
         more_vals, more_vecs = _lanczos(mat, missing, sigma, deflated, deflated(start))
@@ -481,7 +516,8 @@ def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray
     Above the dense threshold their number is the inertia that
     ``count_below`` reads.  That inertia also certifies the eigenpair list
     of that size, which must land every one of them below the threshold,
-    else ``SolverError``; no further factor is built for the check.
+    else ``SolverError``; no further factor is built for the check, and the
+    count's factor is gone before the list builds its own.
     """
     if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
@@ -555,44 +591,35 @@ class SpdSolver:
     diagonal, ``diag`` its own.  A caller holding a whole matrix
     splits it.
 
-    At or below the dense threshold the pair is assembled once for one
-    ``SymmetricFactor``, which is kept: its inertia certifies definiteness,
-    and every solve runs through it.  Above it, construction certifies
-    definiteness as an M-matrix in the sign gauge ``signs`` (``_m_matrix``;
-    all ``+1`` when not given), else by the inertia of a transient
-    ``SymmetricFactor``, and each solve runs Jacobi-preconditioned
-    conjugate gradients on the pair (``_jacobi_cg``); such a solver holds
-    no factor and no matrix, only ``off``, which its caller may share, and
-    ``diag``.  An indefinite matrix raises ``IndefiniteOperatorError``
-    naming its negative count, a singular one ``SolverError``.  One DEBUG
-    event on the ``polaronlab`` logger names the certificate, ``m-matrix``
-    or ``inertia``, and each sparse solve logs another with its column and
-    iteration counts.  Every answer, on either path, must leave a true
-    residual ``|A x - b| <= LIN_TOL |b|``.  Instances are safe to share
-    across threads, though concurrent solves may undercount the kept
-    factor's ``solves``.
+    Construction certifies definiteness as an M-matrix in the sign gauge
+    ``signs`` (``_m_matrix``; all ``+1`` when not given), else by the
+    inertia of a transient ``SymmetricFactor``, at every dimension; each
+    solve runs Jacobi-preconditioned conjugate gradients on the pair
+    (``_jacobi_cg``).  So a solver holds no factor and no matrix, only
+    ``off``, which its caller may share, and ``diag``.  An indefinite
+    matrix raises ``IndefiniteOperatorError`` naming its negative count, a
+    singular one ``SolverError``.  One DEBUG event on the ``polaronlab``
+    logger names the certificate, ``m-matrix`` or ``inertia``, and each
+    solve logs another with its column and iteration counts.  Every answer
+    must leave a true residual ``|A x - b| <= LIN_TOL |b|``.  Instances are
+    safe to share across threads.
     """
 
     def __init__(
-        self, off, diag: np.ndarray, config: SolverConfig, label: str = "operator",
+        self, off, diag: np.ndarray, label: str = "operator",
         signs: Optional[np.ndarray] = None,
     ):
         self.label = label
         self.dim = len(diag)
-        dense = self.dim <= config.dense_threshold
-        factor = None
-        if dense or not _m_matrix(off, diag, np.ones(self.dim) if signs is None else signs):
-            factor = SymmetricFactor(off + sp.diags(diag, format="csr"), 0.0, label)
-            if factor.negative_count:
-                raise IndefiniteOperatorError(
-                    f"{label} has {factor.negative_count} negative eigenvalues"
-                )
-        self._factor = factor if dense else None
-        self._off, self._diag = (None, None) if dense else (off, diag)
-        _log.debug(
-            "%s: dim %d certified positive definite by %s",
-            label, self.dim, "m-matrix" if factor is None else "inertia",
-        )
+        self._off, self._diag = off, diag
+        certificate = "m-matrix"
+        if not _m_matrix(off, diag, np.ones(self.dim) if signs is None else signs):
+            certificate = "inertia"
+            whole = off + sp.diags(diag, format="csr")
+            negative = SymmetricFactor(whole, 0.0, label).negative_count
+            if negative:
+                raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
+        _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` to the linear tolerance ``LIN_TOL``; ``rhs`` is
@@ -600,8 +627,6 @@ class SpdSolver:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.dim:
             raise ConfigError(f"rhs has dim {rhs.shape[0]}, operator has {self.dim}")
-        if self._factor is not None:
-            return self._factor.solve(rhs)
         columns = rhs.reshape(self.dim, -1)
         out, iterations = np.empty_like(columns), 0
         for j in range(columns.shape[1]):

@@ -7,6 +7,8 @@ code, not thread contention with whatever else the machine runs.
 """
 
 import os
+import types
+import weakref
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -80,3 +82,23 @@ def invariant_sector():
         return pl.fock.invariant_sector(np.array([basis.permute_modes(p) for p in perms]))
 
     return build
+
+
+@pytest.fixture
+def live_factors(monkeypatch):
+    """Swaps ``spectral.SymmetricFactor`` for a subclass that tracks its
+    instances by weakref and fails any build made while another instance is
+    alive.  Returns ``built``, the labels in build order, and ``live``, the
+    instances still alive."""
+    tracked = types.SimpleNamespace(built=[], live=weakref.WeakSet())
+
+    class TrackedFactor(pl.spectral.SymmetricFactor):
+        def __init__(self, mat, shift, label="operator"):
+            alive = sorted(f.label for f in tracked.live)
+            assert not alive, f"{label} built while {alive} alive"
+            super().__init__(mat, shift, label)
+            tracked.live.add(self)
+            tracked.built.append(label)
+
+    monkeypatch.setattr(pl.spectral, "SymmetricFactor", TrackedFactor)
+    return tracked

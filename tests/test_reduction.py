@@ -1,6 +1,8 @@
 """Schur reduction workspace against dense numpy oracles."""
 
+import gc
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -219,10 +221,11 @@ def test_sign_gauge_makes_every_handle_matrix_a_z_matrix(
 def test_handle_built_exactly_when_dense_definite(
     caplog, shape, magnitudes, flips, kind, k, margin
 ):
-    """A sparse resolvent handle is built exactly when its matrix is
-    positive definite by dense ``eigvalsh``; an indefinite one raises with
-    the dense negative count, and one with a margin of at least 1e-6 is
-    certified as an M-matrix.  Draws within 1e-8 of singular are skipped."""
+    """A resolvent handle above the dense threshold is built exactly when
+    its matrix is positive definite by dense ``eigvalsh``; an indefinite one
+    raises with the dense negative count, and one with a margin of at least
+    1e-6 is certified as an M-matrix.  Draws within 1e-8 of singular are
+    skipped."""
     d, xi = shape
     ws = _signed_instance(
         d, magnitudes, flips, 3 if d == 1 else 2, xi=xi, config=SolverConfig(dense_threshold=10)
@@ -242,6 +245,42 @@ def test_handle_built_exactly_when_dense_definite(
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         ws._handle(kind, momentum, shift)
     [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+    if margin >= 1e-6:
+        assert event.endswith(" by m-matrix")
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(**_SIGNED, margin=st.floats(-0.5, 0.5))
+def test_dense_handle_built_exactly_when_dense_definite(
+    caplog, shape, magnitudes, flips, kind, k, margin
+):
+    """At the default threshold, below which the eigenvalue paths go dense,
+    a resolvent handle is built exactly when its matrix is positive definite
+    by dense ``eigvalsh``, and is certified as above the threshold: as an
+    M-matrix when its margin is at least 1e-6; an indefinite one raises with
+    the dense negative count.  Draws within 1e-8 of singular are skipped."""
+    d, xi = shape
+    ws = _signed_instance(d, magnitudes, flips, 3 if d == 1 else 2, xi=xi)
+    momentum = np.full(d, k)
+    shift = margin - np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, 0.0).toarray())[0]
+    vals = np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, shift).toarray())
+    assume(np.min(np.abs(vals)) >= 1e-8)
+    assert len(vals) <= ws.config.dense_threshold
+    negative = int(np.sum(vals < 0.0))
+    if negative:
+        with pytest.raises(IndefiniteOperatorError, match=f" has {negative} negative eigenvalues$"):
+            ws._handle(kind, momentum, shift)
+        return
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        ws._handle(kind, momentum, shift)
+    [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
+    assert re.search(f" dim {len(vals)} certified positive definite by (m-matrix|inertia)$", event)
     if margin >= 1e-6:
         assert event.endswith(" by m-matrix")
 
@@ -267,19 +306,19 @@ def test_handles_share_one_off_diagonal_per_restriction(d, K, k):
         assert np.linalg.norm(handles[0].solve(rhs) - exact) <= LIN_TOL * np.linalg.norm(exact)
 
 
-def test_dense_handle_keeps_a_schur_factor(ref_grid, ref_ff, caplog):
+def test_reference_handle_certified_without_a_factor(ref_grid, ref_ff, caplog, live_factors):
     """At the default threshold a ``Y(k)`` handle on the reference ``nmax`` 4
-    tail (dim 494) is certified by the inertia of the ``SymmetricFactor`` it
-    keeps, which holds 128 rows densely; its vector and block solves are the
-    dense solves."""
+    tail (dim 494) is certified as an M-matrix with no factor built, and
+    holds only the workspace's shared ``Phi`` and its own diagonal; its
+    vector and block solves are the dense solves."""
     ws = pl.build_workspace(ref_grid, ref_ff, 4)
     k = np.array([0.25])
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         handle = ws._handle(TAIL_ONE, k, -ws.e0)
     [certificate] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
-    [factor] = [r.getMessage() for r in caplog.records if r.name == "polaronlab.factor"]
-    assert certificate.endswith(" dim 494 certified positive definite by inertia")
-    assert ", 366 eliminated, 128 kept, 0 negative, " in factor
+    assert certificate.endswith(" dim 494 certified positive definite by m-matrix")
+    assert live_factors.built == []
+    assert handle.solver._off is ws._off_diagonal(TAIL_ONE)
     dense = ws.restricted_matrix(TAIL_ONE, k, -ws.e0).toarray()
     rhs = np.column_stack([np.linspace(-1.0, 1.0, 494), ws.v[ws.start1 :]])
     for b in (rhs[:, 1], rhs):
@@ -287,37 +326,22 @@ def test_dense_handle_keeps_a_schur_factor(ref_grid, ref_ff, caplog):
         assert np.linalg.norm(handle.solve(b) - exact) <= LIN_TOL * np.linalg.norm(exact)
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(**_SIGNED, margin=st.floats(-0.5, 0.5))
-def test_dense_handle_built_exactly_when_dense_definite(
-    caplog, shape, magnitudes, flips, kind, k, margin
-):
-    """At the default threshold a resolvent handle is built exactly when its
-    matrix is positive definite by dense ``eigvalsh``, and is certified by
-    inertia; an indefinite one raises with the dense negative count.  Draws
-    within 1e-8 of singular are skipped."""
-    d, xi = shape
-    ws = _signed_instance(d, magnitudes, flips, 3 if d == 1 else 2, xi=xi)
-    momentum = np.full(d, k)
-    shift = margin - np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, 0.0).toarray())[0]
-    vals = np.linalg.eigvalsh(ws.restricted_matrix(kind, momentum, shift).toarray())
-    assume(np.min(np.abs(vals)) >= 1e-8)
-    assert len(vals) <= ws.config.dense_threshold
-    negative = int(np.sum(vals < 0.0))
-    if negative:
-        with pytest.raises(IndefiniteOperatorError, match=f" has {negative} negative eigenvalues$"):
-            ws._handle(kind, momentum, shift)
-        return
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
-        ws._handle(kind, momentum, shift)
-    [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
-    assert event.endswith(" by inertia")
+def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
+    """After ``build_bundle``, ``run_suite`` and ``schur_equivalence_report``
+    on the reference ladder, no resolvent handle's solver references a
+    ``SymmetricFactor``: every one of the 92 handles is certified as an
+    M-matrix, so no factor is even built."""
+    workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in (2, 3, 4)}
+    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
+    assert [r.identity for r in pl.run_suite(workspaces, bundles) if not r.passed] == []
+    assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
+    handles = [h for ws in workspaces.values() for h in ws._handles.values()]
+    assert len(handles) == 92
+    for handle in handles:
+        held = list(vars(handle.solver).values())
+        held += gc.get_referents(*held)
+        assert not [x for x in held if isinstance(x, pl.spectral.SymmetricFactor)]
+    assert live_factors.built == []
 
 
 def test_c_kernel_matches_oracle(tiny):

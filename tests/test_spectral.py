@@ -266,52 +266,53 @@ def test_spectrum_summary_residuals_certified(mid_instance, invariant_sector):
 
 
 def test_spd_solver_dense_and_cg_agree(mid_instance, invariant_sector):
+    """``SpdSolver`` solves by Jacobi PCG at every dimension (here 165, at the
+    default threshold 500), and its answers are the dense
+    ``np.linalg.solve`` ones, for one vector or a block of columns."""
     grid, ff, basis, ham = mid_instance
     e0, _ = pl.ground_energy(ham, invariant_sector(grid, ff, basis), SolverConfig())
     identity = sp.identity(basis.dim, format="csr")
-    rhs = start_vector(basis.dim, 7)
+    rhs = np.column_stack([start_vector(basis.dim, 7), start_vector(basis.dim, 8)])
     # a diagonal offset, and the Hamiltonian shifted to half a unit below e0
     for shifted in (ham + 2.0 * identity, ham - (e0 - 0.5) * identity):
-        dense = SpdSolver(*_split(shifted), SolverConfig(dense_threshold=500))
-        iterative = SpdSolver(*_split(shifted), SolverConfig(dense_threshold=10))
-        x_d = dense.solve(rhs)
-        x_i = iterative.solve(rhs)
-        assert np.allclose(x_d, x_i, rtol=0, atol=1e-9)
-        assert np.linalg.norm(shifted @ x_d - rhs) <= 1e-10
-        assert np.linalg.norm(shifted @ x_i - rhs) <= 1e-8
-        # a block of columns matches one-by-one solves on either path
-        rhs2 = np.column_stack([rhs, start_vector(basis.dim, 8)])
-        for solver, x in ((dense, x_d), (iterative, x_i)):
-            batch = solver.solve(rhs2)
-            assert batch.shape == rhs2.shape
-            assert np.allclose(batch[:, 0], x, rtol=0, atol=1e-12)
+        solver = SpdSolver(*_split(shifted))
+        exact = np.linalg.solve(shifted.toarray(), rhs)
+        x = solver.solve(rhs[:, 0])
+        assert np.allclose(x, exact[:, 0], rtol=0, atol=1e-9)
+        assert np.linalg.norm(shifted @ x - rhs[:, 0]) <= 1e-10
+        # a block of columns matches one-by-one solves
+        batch = solver.solve(rhs)
+        assert batch.shape == rhs.shape
+        assert np.allclose(batch[:, 0], x, rtol=0, atol=1e-12)
+        assert np.allclose(batch, exact, rtol=0, atol=1e-9)
 
 
 def test_spd_solver_rejects_indefinite():
     mat = np.diag([1.0, -0.5, 2.0])
     with pytest.raises(IndefiniteOperatorError, match=" has 1 negative eigenvalues$"):
-        SpdSolver(*_split(mat), SolverConfig())
-    # a singular dense matrix has a zero pivot, a plain ``SolverError``
+        SpdSolver(*_split(mat))
+    # a singular matrix is no M-matrix, and its factor has a zero pivot, a
+    # plain ``SolverError``
     with pytest.raises(SolverError, match="singular"):
-        SpdSolver(*_split(np.diag([1.0, 0.0, 2.0])), SolverConfig())
+        SpdSolver(*_split(np.diag([1.0, 0.0, 2.0])))
     diagonal = sp.diags([1.0, -0.5] + [2.0] * 48, format="csr")
     coupled = sp.block_diag([np.array([[1.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
     # as many positive entries as rows, and positive row sums, but on a
     # negative diagonal: eigenvalues 1 and -3 per block
     flipped = sp.block_diag([np.array([[-1.0, 2.0], [2.0, -1.0]])] * 10, format="csr")
-    # the sparse path certifies definiteness at construction
+    # definiteness is certified at construction
     for sparse_mat, negative in ((diagonal, 1), (coupled, 10), (flipped, 10)):
         with pytest.raises(IndefiniteOperatorError, match=f" has {negative} negative eigenvalues$"):
-            SpdSolver(*_split(sparse_mat), SolverConfig(dense_threshold=10))
+            SpdSolver(*_split(sparse_mat))
 
 
-def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog):
+def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog, live_factors):
     """In its sign gauge a shifted H is certified as an M-matrix with no
     factor built: by ``x = 1`` (Gershgorin in the gauge) when the shift is
     large, by the CG solution of ``A y = s`` when Gershgorin fails.  A
     definite matrix under signs that do not gauge it is certified by its
-    inertia.  Every way the Jacobi CG solve matches the dense Cholesky
-    answer."""
+    inertia, and that factor is gone once the solver is built.  Every way
+    the Jacobi CG solve matches the dense Cholesky answer."""
     grid, ff, basis, ham = mid_instance
     signs = pl.fock.sign_gauge(basis, ff)
     e0 = np.linalg.eigvalsh(ham.toarray())[0]
@@ -330,42 +331,40 @@ def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog):
     for mat, gauge, certificate in cases:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polaronlab"):
-            solver = SpdSolver(
-                *_split(mat), SolverConfig(dense_threshold=10), label="probe", signs=gauge
-            )
+            solver = SpdSolver(*_split(mat), label="probe", signs=gauge)
         events = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
         assert events == [f"probe: dim {mat.shape[0]} certified positive definite by {certificate}"]
         factors = [r for r in caplog.records if r.name == "polaronlab.factor"]
         assert len(factors) == (certificate == "inertia")
+        assert len(live_factors.live) == 0
         rhs = start_vector(mat.shape[0], 5)
         exact = sla.cho_solve(sla.cho_factor(mat.toarray()), rhs)
         assert np.allclose(solver.solve(rhs), exact, rtol=0, atol=1e-10)
+    assert live_factors.built == ["probe"]
     assert logger.handlers == []
 
 
 def test_sparse_solve_logs_its_columns_and_iterations(mid_instance, caplog):
-    """Each sparse ``solve`` logs one DEBUG event with the label, the column
-    count and the PCG iterations of all its columns; a zero column is
-    solved by zero in no iteration.  A dense solve logs none."""
+    """Each ``solve`` logs one DEBUG event with the label, the column count
+    and the PCG iterations of all its columns; a zero column is solved by
+    zero in no iteration."""
     grid, ff, basis, ham = mid_instance
     shifted = ham + 2.0 * sp.identity(basis.dim, format="csr")
-    sparse = SpdSolver(*_split(shifted), SolverConfig(dense_threshold=10), label="probe")
-    dense = SpdSolver(*_split(shifted), SolverConfig(), label="dense probe")
+    solver = SpdSolver(*_split(shifted), label="probe")
     rhs = start_vector(basis.dim, 3)
 
-    def solve_events(solver, b):
+    def solve_events(b):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polaronlab"):
             x = solver.solve(b)
         return x, [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
 
-    _, [one] = solve_events(sparse, rhs)
+    _, [one] = solve_events(rhs)
     match = re.fullmatch(r"solve probe: 1 columns in (\d+) PCG iterations", one)
     assert match and int(match.group(1)) > 0
-    block, [two] = solve_events(sparse, np.column_stack([rhs, np.zeros(basis.dim)]))
+    block, [two] = solve_events(np.column_stack([rhs, np.zeros(basis.dim)]))
     assert two == f"solve probe: 2 columns in {match.group(1)} PCG iterations"
     assert np.array_equal(block[:, 1], np.zeros(basis.dim))
-    assert solve_events(dense, rhs)[1] == []
 
 
 def test_pcg_failure_paths(mid_instance, monkeypatch, caplog):
@@ -378,11 +377,10 @@ def test_pcg_failure_paths(mid_instance, monkeypatch, caplog):
     signs = pl.fock.sign_gauge(basis, ff)
     e0 = np.linalg.eigvalsh(ham.toarray())[0]
     identity = sp.identity(basis.dim, format="csr")
-    config = SolverConfig(dense_threshold=10)
     # x = 1 fails on both matrices, so their certificates rest on the CG try
     margins = {0.1: ham - (e0 - 0.1) * identity, 0.01: ham - (e0 - 0.01) * identity}
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
-        solver = SpdSolver(*_split(margins[0.01]), config, label="tight probe", signs=signs)
+        solver = SpdSolver(*_split(margins[0.01]), label="tight probe", signs=signs)
     assert caplog.messages[-1].endswith(" by m-matrix")
     monkeypatch.setattr(pl.spectral, "MAX_ITERATIONS", 1)
     with pytest.raises(SolverError, match="^conjugate gradients on tight probe did not converge"):
@@ -390,7 +388,7 @@ def test_pcg_failure_paths(mid_instance, monkeypatch, caplog):
     for margin, certificate in ((0.1, "m-matrix"), (0.01, "inertia")):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polaronlab"):
-            SpdSolver(*_split(margins[margin]), config, label="early probe", signs=signs)
+            SpdSolver(*_split(margins[margin]), label="early probe", signs=signs)
         events = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
         assert events == [f"early probe: dim {basis.dim} certified positive definite by {certificate}"]
         factors = [r for r in caplog.records if r.name == "polaronlab.factor"]
@@ -398,7 +396,7 @@ def test_pcg_failure_paths(mid_instance, monkeypatch, caplog):
 
 
 def test_spd_solver_shape_validation():
-    solver = SpdSolver(*_split(np.eye(3)), SolverConfig())
+    solver = SpdSolver(*_split(np.eye(3)))
     with pytest.raises(ConfigError):
         solver.solve(np.ones(4))
 
@@ -508,6 +506,31 @@ def test_eigenvalues_below_certifies_its_list_by_its_count(caplog):
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
     labels = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "polaronlab.factor"]
     assert labels == ["factor counted operator", "factor shift-invert operator"]
+
+
+def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors, invariant_sector):
+    """No ``SymmetricFactor`` is built while another is alive.  On the first
+    degenerate instance the list drops its shift-invert factor before each
+    inertia check at a gap, and builds it again for each of the two
+    deflated runs that find the missing copies; on a d=1 instance at
+    ``dense_threshold=10``, the list and both sector gaps factor in turn.
+    ``eigenvalues_below`` keeps its two factors, one after the other."""
+    row, truth = _DEGENERATE_ROWS[0]
+    grid, ff, basis, ham = _instance(*row)
+    summary = pl.spectrum_summary(ham, basis, invariant_sector(grid, ff, basis), 6, SolverConfig())
+    assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
+    assert live_factors.built == ["shift-invert operator", "eigenvalue list"] * 3
+    live_factors.built.clear()
+    vals = pl.spectral.eigenvalues_below(ham, 0.5, SolverConfig())
+    assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
+    assert live_factors.built == ["counted operator", "shift-invert operator"]
+    grid, ff, basis, ham = _instance(1, 2.0, 0.5, 3, "gaussian", 0.1, 1.0)
+    live_factors.built.clear()
+    cfg = SolverConfig(dense_threshold=10)
+    summary = pl.spectrum_summary(ham, basis, invariant_sector(grid, ff, basis), 6, cfg)
+    assert summary["diagnostics"]["method"] == "shift-invert"
+    assert live_factors.built.count("shift-invert operator") == 3
+    assert len(live_factors.live) == 0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
