@@ -321,10 +321,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-
     from . import fock
-    from .grid import stabilizer
     from .spectral import count_below, spectrum_summary
 
     cfg = load_config(args.config)
@@ -334,12 +331,11 @@ def cmd_spectrum(args) -> int:
 
     rows = []
     payload = {"instance": _instance_summary(cfg, grid, ff), "levels": {}}
-    mode_perms = stabilizer(grid, ff, cfg["xi"])
     for nmax in cfg["nmax"]:
         basis = fock.enumerate_basis(grid.size, nmax, cap=cfg["fock_cap"])
         ham = fock.assemble_hamiltonian(basis, grid, ff, xi=cfg["xi"]).matrix
-        sector = fock.invariant_sector(np.array([basis.permute_modes(p) for p in mode_perms]))
-        level = spectrum_summary(ham, basis, sector, SPECTRUM_COUNT, solver)
+        symmetry = fock.symmetry(basis, grid, ff, cfg["xi"])
+        level = spectrum_summary(ham, symmetry, SPECTRUM_COUNT, solver)
         e0 = float(level["eigenvalues"][0])
         n_below = count_below(ham, e0 + 1.0, solver.buffer(grid.h), solver)
         level["dimension"] = basis.dim

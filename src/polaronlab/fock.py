@@ -16,23 +16,24 @@ Hamiltonian comes as a ``SparseOperator``, the triplets that ``storage``
 persists with their symmetry flag, whose CSR form is built on first use.
 This module loads numpy alone: scipy loads only in the functions that
 return a CSR matrix, so ``build``, which assembles and persists triplets,
-runs without it.  ``invariant_sector`` turns the basis permutations of a
-mode symmetry group into the isometry onto the vectors they all fix;
+runs without it.  ``symmetry`` gives an instance's point group as one
+``Symmetry`` value, and ``orbits`` the orbits of a permutation group;
 ``sign_gauge`` gives the basis signs under which the fiber Hamiltonian has
 no positive off-diagonal entry.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionCapError
-from .grid import FormFactor, MomentumGrid
+from .grid import FormFactor, MomentumGrid, stabilizer
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -42,6 +43,8 @@ DEFAULT_FOCK_CAP = 200_000
 #: reads them without loading the solvers
 DEFAULT_DENSE_THRESHOLD = 500
 DEFAULT_SEED = 2024
+
+_log = logging.getLogger("polaronlab")
 
 
 def fock_dimension(n_modes: int, nmax: int) -> int:
@@ -283,26 +286,66 @@ def assemble_hamiltonian(
     return SparseOperator(dim=basis.dim, rows=rows, cols=cols, values=vals, hermitian=True)
 
 
-def invariant_sector(basis_perms: np.ndarray) -> sp.csr_matrix:
-    """Isometry ``B`` onto the vectors that a group of basis permutations fixes.
+def orbits(perms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Orbits of a permutation group given by its rows ``perms[g]``.
 
-    ``basis_perms[g]`` is the basis permutation of group element ``g`` (see
-    ``FockBasis.permute_modes``), for every element of the group.  Column
-    ``j`` of the ``dim x orbits`` result is the normalized sum of the states
-    of one orbit; columns are ordered by each orbit's lowest state.  The
-    permutations keep every sector, so the columns of the ``>= n`` tail are
-    the trailing ones from ``B.indices[basis.tail_start(n)]`` on.  A group of
-    the identity alone gives the identity matrix.
+    Returns, for every item ``x``, the lowest item ``rep[x]`` of its orbit
+    and the first group element ``g`` with ``perms[g, rep[x]] == x``.
     """
-    import scipy.sparse as sp
+    rep = perms.min(axis=0)
+    carrier = np.argmax(perms[:, rep] == np.arange(perms.shape[1]), axis=0)
+    return rep, carrier
 
-    dim = basis_perms.shape[1]
-    lowest = basis_perms.min(axis=0)
-    _, column, size = np.unique(lowest, return_inverse=True, return_counts=True)
-    column = column.ravel()
-    return sp.csr_matrix(
-        (1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)), shape=(dim, len(size))
-    )
+
+@dataclass(eq=False)
+class Symmetry:
+    """A group of mode permutations, the identity first, acting on a basis;
+    the stack of its ``U_g`` (``basis_perms``) and its invariant ``sector``
+    are built on first use."""
+
+    basis: FockBasis
+    mode_perms: np.ndarray = field(repr=False)  # (order, n_modes) int64
+
+    @cached_property
+    def basis_perms(self) -> np.ndarray:
+        return np.array([self.basis.permute_modes(p) for p in self.mode_perms])
+
+    @cached_property
+    def sector(self) -> sp.csr_matrix:
+        """``B``, whose columns are the normalized orbit sums ordered by
+        lowest state, so each ``>= n`` tail is a trailing block of columns
+        (``tail_column``); the identity group gives the identity.  Logs the
+        group order, sector and full dimensions at DEBUG level."""
+        import scipy.sparse as sp
+
+        dim = self.basis.dim
+        _, column, size = np.unique(
+            self.basis_perms.min(axis=0), return_inverse=True, return_counts=True
+        )
+        column = column.ravel()
+        sector = sp.csr_matrix(
+            (1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)), shape=(dim, len(size))
+        )
+        _log.debug(
+            "invariant sector of the order-%d group: dim %d of %d",
+            len(self.mode_perms), len(size), dim,
+        )
+        return sector
+
+    def restrict(self, mat) -> sp.csr_matrix:
+        """``B^T A B``."""
+        import scipy.sparse as sp
+
+        return (self.sector.T @ sp.csr_matrix(mat) @ self.sector).tocsr()
+
+    def tail_column(self, n: int) -> int:
+        """First column of ``B`` in the ``>= n`` boson tail."""
+        return int(self.sector.indices[self.basis.tail_start(n)])
+
+
+def symmetry(basis: FockBasis, grid: MomentumGrid, ff: FormFactor, xi=None) -> Symmetry:
+    """The point group of an instance on ``basis`` (``grid.stabilizer``)."""
+    return Symmetry(basis, stabilizer(grid, ff, xi))
 
 
 def sign_gauge(basis: FockBasis, ff: FormFactor) -> np.ndarray:

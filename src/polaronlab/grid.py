@@ -56,8 +56,9 @@ class MomentumGrid:
         return self.index.shape[0]
 
     def norms(self) -> np.ndarray:
-        """Euclidean norm |k| of every mode, shape ``(M,)``."""
-        return np.linalg.norm(self.modes, axis=1)
+        """Euclidean norm |k| of every mode, shape ``(M,)``, from the exact
+        integer sum of squares, so the point group keeps it to the last bit."""
+        return self.h * np.sqrt(np.sum(self.index**2, axis=1))
 
     def point_group(self) -> Tuple[np.ndarray, np.ndarray]:
         """Signed coordinate permutations and the mode permutations they induce.

@@ -14,9 +14,9 @@ and the derived decomposition (``c0``, ``psi``, ``F``, ``phi``, ``A``,
 ``S``) behind the Birman-Schwinger lower bound.  Momentum arguments enter
 only through diagonal blueprints, so probe momenta off the grid are fine.
 
-The kernels on the grid are computed on orbit representatives only.  A
-signed coordinate permutation ``g`` that fixes ``xi`` and the form factor
-maps mode ``k`` to ``g k`` and the basis by a permutation ``U_g``, and
+The kernels on the grid are computed on orbit representatives only.  An
+element ``g`` of the instance's point group (``fock.Symmetry``) maps mode
+``k`` to ``g k`` and the basis by a permutation ``U_g``, and
 ``U_g H(k) U_g^T = H(g k)``.  So ``Y(gk)|v> = U_g Y(k)|v>``,
 ``X a_{gk}^+|v> = U_g X a_k^+|v>``, ``E(gk) = E(k)`` and
 ``C(gk, gl) = C(k, l)``: ``c_matrix``, ``d_kernel`` and ``build_bundle``
@@ -42,8 +42,8 @@ import scipy.sparse as sp
 
 from . import fock
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
-from .fock import FockBasis
-from .grid import FormFactor, MomentumGrid, stabilizer
+from .fock import FockBasis, orbits
+from .grid import FormFactor, MomentumGrid
 from .spectral import SolverConfig, SpdSolver, ground_energy, nu
 
 Momentum = Union[float, Sequence[float], np.ndarray]
@@ -89,17 +89,6 @@ class ResolventHandle:
         out = np.zeros(len(vec))
         out[self.start :] = self.solve(vec[self.start :])
         return out
-
-
-def _orbits(perms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Orbits of a permutation group given by its rows ``perms[g]``.
-
-    Returns, for every item ``x``, the lowest item ``rep[x]`` of its orbit
-    and the first group element ``g`` with ``perms[g, rep[x]] == x``.
-    """
-    rep = perms.min(axis=0)
-    carrier = np.argmax(perms[:, rep] == np.arange(perms.shape[1]), axis=0)
-    return rep, carrier
 
 
 @dataclass(eq=False)
@@ -215,15 +204,11 @@ class ReductionWorkspace:
     full Fock space; restrictions are handled internally through the
     contiguous sector layout.
 
-    ``mode_perms`` holds the instance's point group: the mode permutation
-    of every signed coordinate permutation that fixes ``xi`` and the form
-    factor exactly (``grid.stabilizer``), and ``basis_perms`` the basis
-    permutation ``U_g`` of each.  The ground energy, its vector and the
-    bundle's ``nu1``/``nu2`` are solved on the group-invariant ``sector``
-    (see the ``spectral`` module docstring), and the grid kernels only on
-    the orbit representatives (see the module docstring).  Construction
-    logs the group order with the sector and full dimensions, and the
-    orbit counts, at DEBUG level.
+    ``symmetry`` is the instance's point group (``fock.symmetry``).  The
+    ground energy, its vector and the bundle's ``nu1``/``nu2`` are solved
+    on its invariant sector (see the ``spectral`` module docstring), and
+    the grid kernels only on the orbit representatives (see the module
+    docstring).  Construction logs the orbit counts at DEBUG level.
     """
 
     def __init__(
@@ -251,24 +236,16 @@ class ReductionWorkspace:
         self.start2 = basis.tail_start(2)
         self._offs: Dict[str, sp.csr_matrix] = {}
         self.hamiltonian = self.restricted_matrix(FULL, np.zeros(grid.d), 0.0)
-        self.mode_perms = stabilizer(grid, ff, self.xi)
-        #: basis permutation ``U_g`` of every group element
-        self.basis_perms = np.array([basis.permute_modes(p) for p in self.mode_perms])
-        #: isometry onto the group-invariant sector, where e0, nu1 and nu2 lie
-        self.sector = fock.invariant_sector(self.basis_perms)
-        _log.debug(
-            "invariant sector of the order-%d group: dim %d of %d",
-            len(self.mode_perms), self.sector.shape[1], basis.dim,
-        )
-        self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.sector, self.config)
+        self.symmetry = fock.symmetry(basis, grid, ff, self.xi)
+        self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.symmetry, self.config)
         self.v = fock.one_boson_vector(basis, ff)
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
         n_sums, blocks = self._sum_orbits
+        perms = self.symmetry.mode_perms
         _log.debug(
             "point group of order %d: %d mode orbits, %d of %d Z(s) sums",
-            len(self.mode_perms), len(np.unique(_orbits(self.mode_perms)[0])),
-            len(blocks), n_sums,
+            len(perms), len(np.unique(orbits(perms)[0])), len(blocks), n_sums,
         )
         self._handles: Dict[Tuple, ResolventHandle] = {}
         #: sign gauge in which every handle matrix is a Z-matrix (a tail's is its slice)
@@ -412,20 +389,20 @@ class ReductionWorkspace:
         vectors on the tail from ``start``; every other column is its
         representative's moved by ``U_g``.
         """
-        rep, carrier = _orbits(perms)
+        rep, carrier = orbits(perms)
         own = rep == np.arange(len(rep))
         solved = solve(np.flatnonzero(own))
         out = np.empty((solved.shape[0], len(rep)))
         out[:, own] = solved
         for x in np.flatnonzero(~own):
-            out[self.basis_perms[carrier[x]][start:] - start, x] = out[:, rep[x]]
+            out[self.symmetry.basis_perms[carrier[x]][start:] - start, x] = out[:, rep[x]]
         return out
 
     @cached_property
     def _point_perms(self) -> np.ndarray:
         """Group action on the extended-kernel points (zero stays first)."""
-        fixed = np.zeros((len(self.mode_perms), 1), dtype=np.int64)
-        return np.hstack([fixed, 1 + self.mode_perms])
+        fixed = np.zeros((len(self.symmetry.mode_perms), 1), dtype=np.int64)
+        return np.hstack([fixed, 1 + self.symmetry.mode_perms])
 
     @cached_property
     def _sum_orbits(self) -> Tuple[int, list]:
@@ -449,7 +426,7 @@ class ReductionWorkspace:
         hi = np.maximum(perms[:, pair_i], perms[:, pair_j])
         pair_perms = lo * n - lo * (lo - 1) // 2 + hi - lo  # row-major index of (lo, hi)
         # g carries a pair of sum s to a pair of sum g s
-        sum_rep, _ = _orbits(pair_sum[pair_perms[:, first]])
+        sum_rep, _ = orbits(pair_sum[pair_perms[:, first]])
         # a pair orbit is represented by its lowest pair whose sum represents its orbit
         eligible = sum_rep[pair_sum] == pair_sum
         lowest = np.where(eligible[pair_perms], pair_perms, len(pair_i)).min(axis=0)
@@ -476,7 +453,7 @@ class ReductionWorkspace:
         rhs = self._raised_v
         handle = self.x_handle(eps)
         solved = self._covariant_columns(
-            self.mode_perms, lambda reps: handle.solve(rhs[:, reps]), start=self.start2
+            self.symmetry.mode_perms, lambda reps: handle.solve(rhs[:, reps]), start=self.start2
         )
         return rhs.T @ solved
 
@@ -485,7 +462,7 @@ class ReductionWorkspace:
         """Columns ``[a_j^+ |v>]`` on the >=2 tail, one per grid mode; a
         creator is built for one mode per orbit."""
         return self._covariant_columns(
-            self.mode_perms,
+            self.symmetry.mode_perms,
             lambda reps: np.column_stack(
                 [(fock.creator(self.basis, j) @ self.v)[self.start2 :] for j in reps]
             ),
@@ -612,13 +589,13 @@ class ReductionWorkspace:
                 "spectra and Schur complements remain available"
             )
         modes = self.grid.modes
-        norms = np.linalg.norm(modes, axis=1)
+        norms = self.grid.norms()
         vvals = self.ff.values
         cext = self.c_matrix()
         c0 = float(cext[0, 0])
         psi = cext[1:, 0] - c0
         fmat = cext[1:, 1:] - c0 - psi[:, None] - psi[None, :]
-        rep, _ = _orbits(self.mode_perms)
+        rep, _ = orbits(self.symmetry.mode_perms)
         e_k = np.array([self.energy_curve(modes[r]) for r in rep])
 
         amat = np.diag((e_k - self.e0) / norms**2) + (
@@ -632,8 +609,8 @@ class ReductionWorkspace:
 
         dmat = self.d_kernel(0.0)
         omat = self.one_particle_operator(0.0, dmat=dmat)
-        nu1 = nu(self.hamiltonian, self.e0, 1, self.basis, self.sector, self.config)
-        nu2 = nu(self.hamiltonian, self.e0, 2, self.basis, self.sector, self.config)
+        nu1 = nu(self.hamiltonian, self.e0, 1, self.symmetry, self.config)
+        nu2 = nu(self.hamiltonian, self.e0, 2, self.symmetry, self.config)
         return ReductionBundle(
             e0=self.e0,
             mode_norms=norms,

@@ -15,7 +15,8 @@ factors the dense Schur complement on the rest with Bunch-Kaufman
 pivoting; inertia is additive over a Schur complement (Haynsworth, Linear
 Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
 complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
-a ``SolverError``, and so is a singular factor.  Sparse eigenvalue lists are
+a ``SolverError``; a singular factor counts its zero pivots, the
+eigenvalues at its shift, but refuses to solve.  Sparse eigenvalue lists are
 certified by that inertia too, so no copy of a multiple eigenvalue goes
 missing (``lowest_eigenpairs``).  No factor outlives its use: a list
 drops its shift-invert factor before the check factors at a gap of the
@@ -31,10 +32,10 @@ pair, matrix-free; ``dense_threshold`` governs the eigenvalue paths only.
 Every solve, by factor or by conjugate gradients, must pass a
 true-residual check.
 
-The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
-point-group-invariant sector only: the range of the isometry ``B`` of
-``fock.invariant_sector``, whose columns are the normalized orbit sums of
-the group that fixes ``xi`` and the form factor (``grid.stabilizer``).
+The ground energy ``e0`` and the tail gaps ``nu(n)`` take an instance's
+point group, a ``fock.Symmetry``, and are solved on its invariant sector
+only: the range of its isometry ``B``, whose columns are the normalized
+orbit sums of the group that fixes ``xi`` and the form factor.
 That sector holds the bottom of H and of each of its ``>= n`` tails.  In
 the sign gauge ``s(n) = (-1)^N(n) prod_k sign(v_k)^{n_k}`` (sign(0) = +1)
 every off-diagonal entry of the fiber Hamiltonian is ``-|v_k| sqrt(m) <= 0``,
@@ -64,7 +65,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
-from .fock import DEFAULT_DENSE_THRESHOLD, DEFAULT_SEED, FockBasis
+from .fock import DEFAULT_DENSE_THRESHOLD, DEFAULT_SEED, Symmetry
 
 _log = logging.getLogger("polaronlab")
 _factor_log = logging.getLogger("polaronlab.factor")
@@ -176,7 +177,10 @@ class SymmetricFactor:
     ``sytrf`` factors ``S = U D U^T`` with Bunch-Kaufman pivoting, whose
     block diagonal ``D`` has the inertia of ``S`` (Bunch & Kaufman, Math.
     Comp. 31, 1977): each 1x1 block counts by its sign, each 2x2 block has
-    one negative eigenvalue.  Solves eliminate E, then run ``sytrs``.
+    one negative eigenvalue.  An exactly zero 1x1 block, after which
+    ``sytrf`` still completes the factor, is an eigenvalue at ``shift``:
+    ``zero_count`` counts them, and ``negative_count`` leaves them out.
+    Solves eliminate E, then run ``sytrs``.
     Besides the factor of ``S`` it keeps the blocks of ``A - shift`` that
     the solve and its true residual read: ``D_E`` (and its inverse),
     ``A_KE``, through whose transpose (a view on the same arrays) it
@@ -186,8 +190,9 @@ class SymmetricFactor:
     in rounding.
 
     The dense ``S`` takes ``8 K^2`` bytes, so more than ``SCHUR_CAP`` kept
-    rows are refused before it is formed.  That, a zero pivot, and a solve
-    that fails its true-residual check are ``SolverError``.  Each build
+    rows are refused before it is formed.  That, a solve on a factor with
+    a zero pivot, and a solve that fails its true-residual check are
+    ``SolverError``.  Each build
     emits one DEBUG event on the ``polaronlab.factor`` logger, a child of
     ``polaronlab``: the label, dimension and shift, the eliminated and kept
     row counts, the negative count and the seconds taken.
@@ -217,10 +222,9 @@ class SymmetricFactor:
         # S is symmetric, so its C-ordered array read in Fortran order is S
         # again, and LAPACK factors it in place
         lwork = max(int(dsytrf_lwork(rows_k.size)[0]), 1)
-        self._ldu, self._ipiv, info = dsytrf(schur.toarray().T, lwork=lwork, overwrite_a=True)
-        if info > 0:
-            raise SolverError(f"{label} is singular at shift {shift!r}: zero pivot")
+        self._ldu, self._ipiv, _ = dsytrf(schur.toarray().T, lwork=lwork, overwrite_a=True)
         blocks = self._ldu.diagonal()[self._ipiv > 0]
+        self.zero_count = int(np.count_nonzero(blocks == 0.0))
         self.negative_count = int(
             np.count_nonzero(pivots < 0)
             + np.count_nonzero(blocks < 0)
@@ -234,6 +238,8 @@ class SymmetricFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A - shift) x = rhs``, certified by the true residual."""
+        if self.zero_count:
+            raise SolverError(f"{self.label} is singular: {self.zero_count} zero pivots")
         rhs = np.asarray(rhs, dtype=float)
         column = (-1,) + (1,) * (rhs.ndim - 1)
         inverse, pivots = self._inverse.reshape(column), self._pivots.reshape(column)
@@ -252,7 +258,7 @@ class SymmetricFactor:
             np.linalg.norm(self._a_ke @ x_e + self._a_kk @ kept - rhs_k),
         )
         scale = np.linalg.norm(rhs)
-        if residual > LIN_TOL * scale:
+        if not residual <= LIN_TOL * scale:
             raise SolverError(
                 f"factor solve on {self.label} left residual {residual:.3e} at |rhs| {scale:.3e}"
             )
@@ -433,37 +439,29 @@ def _signed_unit(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[pivot] < 0 else vec
 
 
-def _restrict(mat, sector: sp.csr_matrix) -> sp.csr_matrix:
-    """``B^T A B`` for the isometry ``B`` of an invariant sector."""
-    return (sector.T @ sp.csr_matrix(mat) @ sector).tocsr()
-
-
-def ground_energy(mat, sector: sp.csr_matrix, config: SolverConfig) -> Tuple[float, np.ndarray]:
+def ground_energy(mat, symmetry: Symmetry, config: SolverConfig) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit ground vector of a fiber Hamiltonian.
 
-    Solved on the invariant sector ``B^T H B`` (see the module docstring),
-    with the pair certified by its residual there; the ground vector is
-    lifted to ``B y``, certified again by its residual against the full
-    ``H``, and normalized with its largest entry positive.
+    Solved on the invariant sector ``B^T H B`` of ``symmetry`` (see the
+    module docstring), with the pair certified by its residual there; the
+    ground vector is lifted to ``B y``, certified again by its residual
+    against the full ``H``, and normalized with its largest entry positive.
     """
-    pairs = lowest_eigenpairs(_restrict(mat, sector), 1, config)
-    lifted = sector @ pairs.vectors
+    pairs = lowest_eigenpairs(symmetry.restrict(mat), 1, config)
+    lifted = symmetry.sector @ pairs.vectors
     _certified_residuals(mat, pairs.values, lifted, f"lifted {pairs.method}")
     return float(pairs.values[0]), _signed_unit(lifted[:, 0])
 
 
-def spectrum_summary(
-    mat, basis: FockBasis, sector: sp.csr_matrix, count: int, config: SolverConfig
-) -> dict:
+def spectrum_summary(mat, symmetry: Symmetry, count: int, config: SolverConfig) -> dict:
     """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them,
     under the keys of the ``spectrum`` artifact; a gap whose tail lies above
     the truncation is ``None``.  The eigenvalues come from the full space,
-    the gaps from the invariant ``sector`` (see ``nu``)."""
+    the gaps from the invariant sector of ``symmetry`` (see ``nu``)."""
     pairs = lowest_eigenpairs(mat, min(count, mat.shape[0]), config)
     e0 = float(pairs.values[0])
-    gaps = [
-        nu(mat, e0, n, basis, sector, config) if n <= basis.nmax else None for n in (1, 2)
-    ]
+    nmax = symmetry.basis.nmax
+    gaps = [nu(mat, e0, n, symmetry, config) if n <= nmax else None for n in (1, 2)]
     return {
         "eigenvalues": pairs.values,
         "residuals": pairs.residuals,
@@ -474,22 +472,20 @@ def spectrum_summary(
     }
 
 
-def nu(
-    mat, e0: float, n: int, basis: FockBasis, sector: sp.csr_matrix, config: SolverConfig
-) -> float:
+def nu(mat, e0: float, n: int, symmetry: Symmetry, config: SolverConfig) -> float:
     """Spectral gap of the ``>= n`` boson tail above the one-boson line.
 
     Returns the smallest eigenvalue of the tail restriction of
     ``H - 1 - e0``; positivity of ``nu(2)`` is the standing assumption
     behind the two-boson resolvent.  The minimum is taken on the tail's
-    invariant sector, the trailing block of ``B^T H B`` from the column of
-    the tail's first state on (see ``fock.invariant_sector``), with its
-    residual certified there.
+    invariant sector, the trailing block of ``B^T H B`` from
+    ``symmetry.tail_column(n)`` on, with its residual certified there.
     """
-    if n < 1 or n > basis.nmax:
-        raise ConfigError(f"tail index {n} outside 1..{basis.nmax}")
-    column = int(sector.indices[basis.tail_start(n)])
-    sub = _restrict(mat, sector)[column:, column:]
+    nmax = symmetry.basis.nmax
+    if n < 1 or n > nmax:
+        raise ConfigError(f"tail index {n} outside 1..{nmax}")
+    column = symmetry.tail_column(n)
+    sub = symmetry.restrict(mat)[column:, column:]
     return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 
@@ -498,8 +494,8 @@ def count_below(mat, threshold: float, buffer: float, config: SolverConfig) -> i
 
     The buffer keeps the count stable against eigenvalues sitting right at
     the threshold.  Above the dense threshold the count is the inertia of
-    ``A - (threshold - buffer)``; a cut exactly on an eigenvalue, or one
-    the factorization cannot certify, raises ``SolverError``.
+    ``A - (threshold - buffer)``: its negative count plus its zero pivots,
+    so a cut exactly on an eigenvalue counts it, as the dense path does.
     """
     if buffer < 0:
         raise ConfigError(f"buffer must be >= 0, got {buffer}")
@@ -507,14 +503,15 @@ def count_below(mat, threshold: float, buffer: float, config: SolverConfig) -> i
     if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
         return int(np.sum(vals <= cut))
-    return SymmetricFactor(mat, cut, label="counted operator").negative_count
+    factor = SymmetricFactor(mat, cut, label="counted operator")
+    return factor.negative_count + factor.zero_count
 
 
 def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray:
     """All eigenvalues strictly below ``threshold``, ascending.
 
-    Above the dense threshold their number is the inertia that
-    ``count_below`` reads.  That inertia also certifies the eigenpair list
+    Above the dense threshold their number is the negative count of a
+    factor at the threshold.  That count also certifies the eigenpair list
     of that size, which must land every one of them below the threshold,
     else ``SolverError``; no further factor is built for the check, and the
     count's factor is gone before the list builds its own.
@@ -522,7 +519,7 @@ def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray
     if mat.shape[0] <= config.dense_threshold:
         vals = sla.eigvalsh(_dense(mat))
         return vals[vals < threshold]
-    count = count_below(mat, threshold, 0.0, config)
+    count = SymmetricFactor(mat, threshold, label="counted operator").negative_count
     vals = _lowest(mat, count, config, (threshold, count)).values
     if vals[-1] >= threshold:
         raise SolverError(
@@ -615,8 +612,10 @@ class SpdSolver:
         certificate = "m-matrix"
         if not _m_matrix(off, diag, np.ones(self.dim) if signs is None else signs):
             certificate = "inertia"
-            whole = off + sp.diags(diag, format="csr")
-            negative = SymmetricFactor(whole, 0.0, label).negative_count
+            factor = SymmetricFactor(off + sp.diags(diag, format="csr"), 0.0, label)
+            if factor.zero_count:
+                raise SolverError(f"{label} is singular: {factor.zero_count} zero pivots")
+            negative = factor.negative_count
             if negative:
                 raise IndefiniteOperatorError(f"{label} has {negative} negative eigenvalues")
         _log.debug("%s: dim %d certified positive definite by %s", label, self.dim, certificate)

@@ -72,18 +72,6 @@ def solver_config():
     return pl.SolverConfig()
 
 
-@pytest.fixture(scope="session")
-def invariant_sector():
-    """``invariant_sector(grid, ff, basis, xi=None)``: the isometry onto the
-    sector that the instance's point group fixes, as the CLI builds it."""
-
-    def build(grid, ff, basis, xi=None):
-        perms = pl.grid.stabilizer(grid, ff, xi)
-        return pl.fock.invariant_sector(np.array([basis.permute_modes(p) for p in perms]))
-
-    return build
-
-
 @pytest.fixture
 def live_factors(monkeypatch):
     """Swaps ``spectral.SymmetricFactor`` for a subclass that tracks its

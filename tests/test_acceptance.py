@@ -90,12 +90,12 @@ def _report(suite, identity):
     return matches[0]
 
 
-def test_criterion_01_free_theory(grid, solver, invariant_sector):
+def test_criterion_01_free_theory(grid, solver):
     started = time.perf_counter()
     ff = pl.sample_form_factor(grid, "gaussian", 0.0)
     basis = pl.enumerate_basis(grid.size, 4)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    summary = pl.spectrum_summary(ham, basis, invariant_sector(grid, ff, basis), 6, solver)
+    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, solver)
     e0 = summary["eigenvalues"][0]
     below = pl.count_below(ham, e0 + 1.0, 0.1, solver)
     elapsed = time.perf_counter() - started
@@ -245,7 +245,7 @@ def test_criterion_08_coupling_scan(coupling_workspaces, coupling_bundles, solve
     rows = {}
     for g in COUPLINGS:
         ws = coupling_workspaces[g]
-        summary = pl.spectrum_summary(ws.hamiltonian, ws.basis, ws.sector, 4, solver)
+        summary = pl.spectrum_summary(ws.hamiltonian, ws.symmetry, 4, solver)
         rows[g] = {
             "e0": ws.e0,
             "nu2": summary["nu2"],

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 from dataclasses import asdict
 from pathlib import Path
 
@@ -311,7 +312,7 @@ def test_persisted_operators_are_frozen(tmp_path, name):
         assert storage.sha256_bytes(blob) == digest, nmax
 
 
-def test_spectrum_artifacts_and_values(tmp_path, invariant_sector):
+def test_spectrum_artifacts_and_values(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "spec"
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
@@ -322,13 +323,28 @@ def test_spectrum_artifacts_and_values(tmp_path, invariant_sector):
     ff = pl.sample_form_factor(grid, "gaussian", 0.2)
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    e0, _ = pl.ground_energy(ham, invariant_sector(grid, ff, basis), pl.SolverConfig())
+    e0, _ = pl.ground_energy(ham, pl.fock.symmetry(basis, grid, ff), pl.SolverConfig())
     level = payload["levels"]["3"]
     assert level["eigenvalues"][0] == pytest.approx(e0, abs=1e-12)
     assert level["count_below_window"] == 1
     csv_text = (out / "tables" / "spectrum.csv").read_text()
     assert csv_text.splitlines()[0] == "nmax,dimension,e0,nu1,nu2,vacuum_overlap,count_below_window"
     assert len(csv_text.splitlines()) == 3
+
+
+def test_spectrum_logs_its_sector_once_per_level(tmp_path, caplog):
+    """``spectrum`` builds one point group per level and logs its invariant
+    sector once there."""
+    cfg = _write_config(
+        tmp_path, grid={"d": 2, "K": 1.0, "h": 0.5}, form_factor={"profile": "gaussian", "g": 0.1}
+    )
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec")]) == 0
+    sectors = [r.getMessage() for r in caplog.records if r.getMessage().startswith("invariant")]
+    assert sectors == [
+        "invariant sector of the order-8 group: dim 55 of 325",
+        "invariant sector of the order-8 group: dim 410 of 2925",
+    ]
 
 
 def test_spectrum_top_level_one_has_no_nu2(tmp_path, capsys):

@@ -95,8 +95,8 @@ def test_invariant_sector_isometry():
     grid = pl.build_grid(2, 1.0, 1.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.3)
     basis = pl.enumerate_basis(grid.size, 3)
-    perms = np.array([basis.permute_modes(p) for p in pl.grid.stabilizer(grid, ff)])
-    sector = pl.fock.invariant_sector(perms)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    perms, sector = symmetry.basis_perms, symmetry.sector
     dense = sector.toarray()
     # one column per orbit; Burnside: the orbits number the mean fixed states
     fixed = [np.count_nonzero(perm == np.arange(basis.dim)) for perm in perms]
@@ -106,11 +106,11 @@ def test_invariant_sector_isometry():
     assert np.all(np.diff(lowest) > 0)
     for n in range(basis.nmax + 1):
         start = basis.tail_start(n)
-        column = sector.indices[start]
+        column = symmetry.tail_column(n)
         assert not dense[:start, column:].any() and not dense[start:, :column].any()
     for perm in perms:
         assert np.array_equal(dense[perm], dense)
-    plain = pl.fock.invariant_sector(np.arange(basis.dim)[None, :])
+    plain = pl.fock.Symmetry(basis, np.arange(basis.n_modes)[None, :]).sector
     assert (plain != sp.identity(basis.dim)).nnz == 0
 
 

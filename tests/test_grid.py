@@ -50,6 +50,16 @@ def test_point_group(d, K, h, order):
         assert np.array_equal(grid.modes[perm], grid.modes @ op.T)
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "froehlich"])
+def test_radial_profile_keeps_the_whole_point_group(profile):
+    """At spacing 0.3 the float sum of squares of ``index * h`` depends on
+    the coordinate order; norms from the integer index do not, so a radial
+    profile keeps all 48 elements of the d=3 point group."""
+    grid = pl.build_grid(3, 0.9, 0.3)
+    ff = pl.sample_form_factor(grid, profile, 0.2)
+    assert len(pl.grid.stabilizer(grid, ff)) == 48
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         pl.build_grid(0, 1.0, 1.0)

@@ -126,7 +126,7 @@ def test_sparse_d_kernel_reuses_raised_block(monkeypatch):
     monkeypatch.setattr(pl.fock, "creator", counting_creator)
     for eps, ref in refs.items():
         assert np.allclose(sparse.d_kernel(eps), ref, rtol=0, atol=1e-10)
-    orbits = {tuple(sorted(set(perm))) for perm in sparse.mode_perms.T.tolist()}
+    orbits = {tuple(sorted(set(perm))) for perm in sparse.symmetry.mode_perms.T.tolist()}
     assert built == sorted(min(orbit) for orbit in orbits)
     assert len(built) == 2  # (+-1, 0) and (+-1, +-1) up to the point group
 
@@ -541,8 +541,8 @@ def test_workspace_point_group_order(d, K, h, xi, broken, order):
     ff = _broken_form_factor(grid) if broken else pl.sample_form_factor(grid, "gaussian", 0.2)
     ws = pl.build_workspace(grid, ff, 2, xi=xi)
     ops, perms = grid.point_group()
-    kept = [any(np.array_equal(perm, p) for p in ws.mode_perms) for perm in perms]
-    assert sum(kept) == len(ws.mode_perms) == order
+    kept = [any(np.array_equal(perm, p) for p in ws.symmetry.mode_perms) for perm in perms]
+    assert sum(kept) == len(ws.symmetry.mode_perms) == order
     for op, perm, keep in zip(ops, perms, kept):
         fixes = np.array_equal(op @ ws.xi, ws.xi) and np.array_equal(ff.values[perm], ff.values)
         assert keep == fixes
@@ -632,7 +632,8 @@ def test_spectral_solves_factor_only_the_invariant_sector(monkeypatch):
     ws = pl.build_workspace(grid, ff, 3)
     bundle = ws.build_bundle()
     assert not [dim for dim in factored if dim > ws.config.dense_threshold]
-    assert (ws.basis.dim, ws.sector.shape[1], len(ws.mode_perms)) == (2925, 410, 8)
+    symmetry = ws.symmetry
+    assert (ws.basis.dim, symmetry.sector.shape[1], len(symmetry.mode_perms)) == (2925, 410, 8)
     # against the full-space Lanczos minima of H and its tails
     starts = {n: ws.basis.tail_start(n) for n in (0, 1, 2)}
     lowest = {

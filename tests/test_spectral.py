@@ -84,18 +84,18 @@ def test_dense_subset_keeps_degenerate_copies(degenerate_instance):
 _DENSE_GRIDS = {1: (2.0, 0.5), 2: (1.0, 1.0)}
 
 
-def _assert_sector_minima(ham, basis, sector, cfg):
+def _assert_sector_minima(ham, basis, symmetry, cfg):
     """``ground_energy``, ``nu(1)`` and ``nu(2)`` on the sector are the
     minima of the full spectra of H and of its tails, and the lifted ground
     vector is an eigenvector of the full H."""
     dense = ham.toarray()
-    e0, vec = pl.ground_energy(ham, sector, cfg)
+    e0, vec = pl.ground_energy(ham, symmetry, cfg)
     assert abs(e0 - np.linalg.eigvalsh(dense)[0]) <= 1e-12
     assert np.linalg.norm(ham @ vec - e0 * vec) <= 1e-10
     for n in (1, 2):
         start = basis.tail_start(n)
         tail_min = np.linalg.eigvalsh(dense[start:, start:])[0]
-        assert abs(pl.nu(ham, e0, n, basis, sector, cfg) - (tail_min - 1.0 - e0)) <= 1e-12
+        assert abs(pl.nu(ham, e0, n, symmetry, cfg) - (tail_min - 1.0 - e0)) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -107,7 +107,7 @@ def _assert_sector_minima(ham, basis, sector, cfg):
     dense_threshold=st.sampled_from([10, 500]),
 )
 def test_dense_ground_energy_and_gaps_match_full_spectrum(
-    invariant_sector, shape, profile, g, nmax, dense_threshold
+    shape, profile, g, nmax, dense_threshold
 ):
     """The sector's minima are the full-space ones (d=1, 2, with and
     without a fiber shift), on the dense and on the sparse path."""
@@ -117,8 +117,8 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     # alpha (froehlich only) must lie below d; 0.5 serves both dimensions
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
-    sector = invariant_sector(grid, ff, basis, xi)
-    _assert_sector_minima(ham, basis, sector, SolverConfig(dense_threshold=dense_threshold))
+    symmetry = pl.fock.symmetry(basis, grid, ff, xi)
+    _assert_sector_minima(ham, basis, symmetry, SolverConfig(dense_threshold=dense_threshold))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -156,16 +156,16 @@ def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, 
 
 
 @pytest.mark.parametrize("profile, g", [("froehlich", 0.1), ("constant", 0.3)])
-def test_sector_minima_in_three_dimensions(invariant_sector, profile, g):
+def test_sector_minima_in_three_dimensions(profile, g):
     """On the 26-mode d=3 grid the order-48 sector gives the full-space
     minima of H and its tails on the sparse path."""
     grid = pl.build_grid(3, 1.0, 1.0)
     basis = pl.enumerate_basis(grid.size, 2)  # dim 378
     ff = pl.sample_form_factor(grid, profile, g, alpha=1.0)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    sector = invariant_sector(grid, ff, basis)
-    assert sector.shape[1] < basis.dim // 10
-    _assert_sector_minima(ham, basis, sector, SolverConfig(dense_threshold=10))
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    assert symmetry.sector.shape[1] < basis.dim // 10
+    _assert_sector_minima(ham, basis, symmetry, SolverConfig(dense_threshold=10))
 
 
 def test_eigenpair_validation(mid_instance):
@@ -177,19 +177,19 @@ def test_eigenpair_validation(mid_instance):
         pl.lowest_eigenpairs(ham, basis.dim + 1, cfg)
 
 
-def test_ground_vector_sign_deterministic(mid_instance, invariant_sector):
+def test_ground_vector_sign_deterministic(mid_instance):
     grid, ff, basis, ham = mid_instance
     cfg = SolverConfig()
-    sector = invariant_sector(grid, ff, basis)
-    e1, v1 = pl.ground_energy(ham, sector, cfg)
-    e2, v2 = pl.ground_energy(ham, sector, cfg)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    e1, v1 = pl.ground_energy(ham, symmetry, cfg)
+    e2, v2 = pl.ground_energy(ham, symmetry, cfg)
     assert e1 == e2
     assert np.array_equal(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
     assert v1[int(np.argmax(np.abs(v1)))] > 0
 
 
-def test_free_theory_exact_values(invariant_sector):
+def test_free_theory_exact_values():
     """With the coupling off the spectrum is the free one: ground energy 0,
     one-boson gap h^2 above the line shift, two-boson gap exactly 1."""
     grid = pl.build_grid(1, 2.0, 0.5)
@@ -197,15 +197,15 @@ def test_free_theory_exact_values(invariant_sector):
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
     cfg = SolverConfig()
-    sector = invariant_sector(grid, ff, basis)
-    result = pl.spectrum_summary(ham, basis, sector, 4, cfg)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    result = pl.spectrum_summary(ham, symmetry, 4, cfg)
     assert abs(result["eigenvalues"][0]) <= 1e-14
     assert result["vacuum_overlap"] == pytest.approx(1.0, abs=1e-12)
     assert result["nu1"] == pytest.approx(grid.h**2, abs=1e-12)
     assert result["nu2"] == pytest.approx(1.0, abs=1e-12)
     # direct calls agree with the summary
-    assert pl.nu(ham, 0.0, 1, basis, sector, cfg) == pytest.approx(result["nu1"], abs=1e-13)
-    assert pl.nu(ham, 0.0, 2, basis, sector, cfg) == pytest.approx(result["nu2"], abs=1e-13)
+    assert pl.nu(ham, 0.0, 1, symmetry, cfg) == pytest.approx(result["nu1"], abs=1e-13)
+    assert pl.nu(ham, 0.0, 2, symmetry, cfg) == pytest.approx(result["nu2"], abs=1e-13)
 
 
 def test_count_below_free_theory():
@@ -222,7 +222,7 @@ def test_count_below_free_theory():
         pl.count_below(ham, 1.0, -0.1, cfg)
 
 
-def test_ground_energy_nonincreasing_in_coupling(invariant_sector):
+def test_ground_energy_nonincreasing_in_coupling():
     """e0(g) is a minimum of functions affine in g and symmetric under
     g -> -g, hence non-increasing for g >= 0."""
     grid = pl.build_grid(1, 1.0, 1.0)
@@ -232,24 +232,24 @@ def test_ground_energy_nonincreasing_in_coupling(invariant_sector):
     for g in (0.0, 0.05, 0.1, 0.2):
         ff = pl.sample_form_factor(grid, "gaussian", g)
         ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-        energies.append(pl.ground_energy(ham, invariant_sector(grid, ff, basis), cfg)[0])
+        energies.append(pl.ground_energy(ham, pl.fock.symmetry(basis, grid, ff), cfg)[0])
     assert energies[0] == pytest.approx(0.0, abs=1e-14)
     for a, b in zip(energies, energies[1:]):
         assert b < a + 1e-14
 
 
-def test_spectrum_summary_residuals_certified(mid_instance, invariant_sector):
+def test_spectrum_summary_residuals_certified(mid_instance):
     grid, ff, basis, ham = mid_instance
-    sector = invariant_sector(grid, ff, basis)
-    dense = pl.spectrum_summary(ham, basis, sector, 6, SolverConfig())
-    sparse = pl.spectrum_summary(ham, basis, sector, 6, SolverConfig(dense_threshold=10))
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    dense = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    sparse = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(dense_threshold=10))
     for result in (dense, sparse):
         assert result["eigenvalues"].shape == (6,)
         assert np.all(np.diff(result["eigenvalues"]) >= 0)
         assert np.all(result["residuals"] <= 1e-8)
         assert 0.9 < result["vacuum_overlap"] <= 1.0
         e0 = result["eigenvalues"][0]
-        assert result["nu2"] == pytest.approx(pl.nu(ham, e0, 2, basis, sector, SolverConfig()))
+        assert result["nu2"] == pytest.approx(pl.nu(ham, e0, 2, symmetry, SolverConfig()))
     assert np.allclose(sparse["eigenvalues"], dense["eigenvalues"], rtol=0, atol=1e-9)
     # the diagnostics name the path that ran and count its factor solves
     assert dense["diagnostics"] == {"method": "dense", "iterations": 0}
@@ -260,17 +260,17 @@ def test_spectrum_summary_residuals_certified(mid_instance, invariant_sector):
     tiny = pl.enumerate_basis(tiny_grid.size, 3)  # dim 10
     tiny_ff = pl.sample_form_factor(tiny_grid, "gaussian", 0.2)
     tiny_ham = pl.assemble_hamiltonian(tiny, tiny_grid, tiny_ff).matrix
-    tiny_sector = invariant_sector(tiny_grid, tiny_ff, tiny)
-    full = pl.spectrum_summary(tiny_ham, tiny, tiny_sector, 10, SolverConfig(dense_threshold=5))
+    tiny_symmetry = pl.fock.symmetry(tiny, tiny_grid, tiny_ff)
+    full = pl.spectrum_summary(tiny_ham, tiny_symmetry, 10, SolverConfig(dense_threshold=5))
     assert full["diagnostics"] == {"method": "dense", "iterations": 0}
 
 
-def test_spd_solver_dense_and_cg_agree(mid_instance, invariant_sector):
+def test_spd_solver_dense_and_cg_agree(mid_instance):
     """``SpdSolver`` solves by Jacobi PCG at every dimension (here 165, at the
     default threshold 500), and its answers are the dense
     ``np.linalg.solve`` ones, for one vector or a block of columns."""
     grid, ff, basis, ham = mid_instance
-    e0, _ = pl.ground_energy(ham, invariant_sector(grid, ff, basis), SolverConfig())
+    e0, _ = pl.ground_energy(ham, pl.fock.symmetry(basis, grid, ff), SolverConfig())
     identity = sp.identity(basis.dim, format="csr")
     rhs = np.column_stack([start_vector(basis.dim, 7), start_vector(basis.dim, 8)])
     # a diagonal offset, and the Hamiltonian shifted to half a unit below e0
@@ -434,14 +434,39 @@ def test_count_below_inertia_matches_dense(d2_instance):
 def test_count_below_refuses_uncertified_inertia():
     """A row with a zero shifted diagonal is kept for the Schur complement,
     where Bunch-Kaufman pivots it in a 2x2 block, so its count is certified
-    and equals the dense one; a cut on an eigenvalue is singular."""
+    and equals the dense one; a cut on an eigenvalue counts it, as the dense
+    path does."""
     swap = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]])] * 10, format="csr")
     cfg = SolverConfig(dense_threshold=10)
     assert pl.count_below(swap, 0.0, 0.0, SolverConfig()) == 10
     assert SymmetricFactor(swap, 0.5).negative_count == 10
     assert pl.count_below(swap, 0.0, 0.0, cfg) == 10
-    with pytest.raises(SolverError):
-        pl.count_below(swap, 1.0, 0.0, cfg)
+    assert pl.count_below(swap, 1.0, 0.0, cfg) == pl.count_below(swap, 1.0, 0.0, SolverConfig())
+
+
+def test_count_below_on_an_eigenvalue_matches_dense():
+    """A cut exactly on an eigenvalue leaves zero pivots in the factor,
+    which the sparse count adds as the dense ``vals <= cut`` does; the
+    singular factor still refuses to solve, ``SpdSolver`` still refuses the
+    singular matrix, and ``eigenvalues_below`` still counts strictly."""
+    grid = pl.build_grid(1, 2.0, 0.5)
+    basis = pl.enumerate_basis(grid.size, 3)
+    free = pl.assemble_hamiltonian(basis, grid, pl.sample_form_factor(grid, "gaussian", 0.0))
+    cases = [(sp.diags([0.0, 1.0, 2.0, 3.0]), 1.0, 0), (free.matrix, 1.25, 10)]
+    for mat, cut, threshold in cases:
+        dense = pl.count_below(mat, cut, 0.0, SolverConfig())
+        assert dense == int(np.sum(np.linalg.eigvalsh(mat.toarray()) <= cut))
+        sparse = SolverConfig(dense_threshold=threshold)
+        assert pl.count_below(mat, cut, 0.0, sparse) == dense
+        factor = SymmetricFactor(mat, cut)
+        assert factor.zero_count > 0
+        with pytest.raises(SolverError, match="singular"):
+            factor.solve(np.ones(mat.shape[0]))
+        strict = pl.spectral.eigenvalues_below(mat, cut, sparse)
+        assert len(strict) == dense - factor.zero_count
+        shifted = sp.csr_matrix(mat - cut * sp.identity(mat.shape[0]))
+        with pytest.raises(SolverError, match="singular"):
+            SpdSolver(*_split(shifted))
 
 
 #: instances (d, K, h, nmax, profile, g, alpha) with a double
@@ -480,7 +505,7 @@ def _instance(d, K, h, nmax, profile, g, alpha):
 
 
 @pytest.mark.parametrize("row, truth", _DEGENERATE_ROWS)
-def test_sparse_lists_keep_degenerate_copies(row, truth, invariant_sector):
+def test_sparse_lists_keep_degenerate_copies(row, truth):
     """Shift-invert Lanczos alone lists each of these double eigenvalues
     once; the inertia check at the list's gaps finds the missing copies."""
     grid, ff, basis, ham = _instance(*row)
@@ -491,7 +516,7 @@ def test_sparse_lists_keep_degenerate_copies(row, truth, invariant_sector):
     assert np.allclose(pairs.values, truth, rtol=0, atol=1e-10)
     gram = pairs.vectors.T @ pairs.vectors
     assert np.allclose(gram, np.eye(6), rtol=0, atol=1e-8)
-    summary = pl.spectrum_summary(ham, basis, invariant_sector(grid, ff, basis), 6, SolverConfig())
+    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, SolverConfig())
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
 
 
@@ -508,7 +533,7 @@ def test_eigenvalues_below_certifies_its_list_by_its_count(caplog):
     assert labels == ["factor counted operator", "factor shift-invert operator"]
 
 
-def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors, invariant_sector):
+def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors):
     """No ``SymmetricFactor`` is built while another is alive.  On the first
     degenerate instance the list drops its shift-invert factor before each
     inertia check at a gap, and builds it again for each of the two
@@ -517,7 +542,7 @@ def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors, invariant_sect
     ``eigenvalues_below`` keeps its two factors, one after the other."""
     row, truth = _DEGENERATE_ROWS[0]
     grid, ff, basis, ham = _instance(*row)
-    summary = pl.spectrum_summary(ham, basis, invariant_sector(grid, ff, basis), 6, SolverConfig())
+    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, SolverConfig())
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
     assert live_factors.built == ["shift-invert operator", "eigenvalue list"] * 3
     live_factors.built.clear()
@@ -527,7 +552,7 @@ def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors, invariant_sect
     grid, ff, basis, ham = _instance(1, 2.0, 0.5, 3, "gaussian", 0.1, 1.0)
     live_factors.built.clear()
     cfg = SolverConfig(dense_threshold=10)
-    summary = pl.spectrum_summary(ham, basis, invariant_sector(grid, ff, basis), 6, cfg)
+    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, cfg)
     assert summary["diagnostics"]["method"] == "shift-invert"
     assert live_factors.built.count("shift-invert operator") == 3
     assert len(live_factors.live) == 0
@@ -556,7 +581,7 @@ def test_sparse_lists_match_dense_on_degenerate_draws(profile, g, nmax, count):
     assert np.allclose(pairs.values, truth, rtol=0, atol=1e-9)
 
 
-def _factored_matrix(invariant_sector, d, xi, profile, g, nmax, which, tail, k):
+def _factored_matrix(d, xi, profile, g, nmax, which, tail, k):
     """One matrix of the kinds ``SymmetricFactor`` serves besides H itself
     (see ``test_hamiltonian_symmetric_and_sparse_counts_match_dense``): a
     ``restricted_matrix`` tail at momentum ``k``, or ``B^T H B`` and one of
@@ -569,9 +594,9 @@ def _factored_matrix(invariant_sector, d, xi, profile, g, nmax, which, tail, k):
         return ws.restricted_matrix(kind, np.full(d, k), 0.3)
     basis = pl.enumerate_basis(grid.size, nmax)
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
-    sector = invariant_sector(grid, ff, basis, xi)
-    column = int(sector.indices[basis.tail_start(tail)]) if tail else 0
-    return pl.spectral._restrict(ham, sector)[column:, column:]
+    symmetry = pl.fock.symmetry(basis, grid, ff, xi)
+    column = symmetry.tail_column(tail) if tail else 0
+    return symmetry.restrict(ham)[column:, column:]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -586,7 +611,7 @@ def _factored_matrix(invariant_sector, d, xi, profile, g, nmax, which, tail, k):
     position=st.floats(-0.1, 1.1),
 )
 def test_factor_inertia_and_solve_match_dense(
-    invariant_sector, shape, profile, g, nmax, which, tail, k, position
+    shape, profile, g, nmax, which, tail, k, position
 ):
     """The Schur-complement factor's negative count is the dense count of
     eigenvalues below the shift, and its solve is the dense solve, on the
@@ -595,7 +620,7 @@ def test_factor_inertia_and_solve_match_dense(
     eigenvalue."""
     d, xi = shape
     tail = max(tail, 1) if which == "tail" else tail
-    mat = _factored_matrix(invariant_sector, d, xi, profile, g, nmax, which, tail, k)
+    mat = _factored_matrix(d, xi, profile, g, nmax, which, tail, k)
     dense = mat.toarray()
     vals = np.linalg.eigvalsh(dense)
     shift = vals[0] + position * (vals[-1] - vals[0])
