@@ -65,9 +65,9 @@ def _entries() -> Dict[str, Tuple[object, object]]:
     ``_REQUIRED`` marks an entry a config must give.  A kind is ``int``,
     ``float``, ``str``, or a one-item list for a list of that kind.  The
     layers own the defaults, read from them when a config is loaded; the
-    ``solver`` defaults live in ``fock``, so loading a config loads no
+    ``solver.seed`` default lives in ``fock``, so loading a config loads no
     solver."""
-    from .fock import DEFAULT_DENSE_THRESHOLD, DEFAULT_FOCK_CAP, DEFAULT_SEED
+    from .fock import DEFAULT_FOCK_CAP, DEFAULT_SEED
     from .grid import DEFAULT_MODE_CAP
 
     return {
@@ -80,7 +80,6 @@ def _entries() -> Dict[str, Tuple[object, object]]:
         "form_factor.alpha": (float, 1.0),
         "nmax": ([int], [2, 3, 4]),
         "xi": ([float], None),
-        "solver.dense_threshold": (int, DEFAULT_DENSE_THRESHOLD),
         "solver.seed": (int, DEFAULT_SEED),
         "scan.couplings": ([float], [0.0, 0.05, 0.1, 0.2]),
         "fock_cap": (int, DEFAULT_FOCK_CAP),
@@ -337,7 +336,7 @@ def cmd_spectrum(args) -> int:
         symmetry = fock.symmetry(basis, grid, ff, cfg["xi"])
         level = spectrum_summary(ham, symmetry, SPECTRUM_COUNT, solver)
         e0 = float(level["eigenvalues"][0])
-        n_below = count_below(ham, e0 + 1.0, solver.buffer(grid.h), solver)
+        n_below = count_below(ham, e0 + 1.0, solver.buffer(grid.h))
         level["dimension"] = basis.dim
         level["count_below_window"] = n_below
         payload["levels"][str(nmax)] = level
@@ -469,7 +468,7 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     bundle = ws.build_bundle()
     assumptions = bundle.assumptions()
     buffer = solver.buffer(grid.h)
-    n_below = count_below(ws.hamiltonian, ws.e0 + 1.0, buffer, solver)
+    n_below = count_below(ws.hamiltonian, ws.e0 + 1.0, buffer)
     o_min = min(
         float(np.linalg.eigvalsh(ws.one_particle_operator(e))[0]) for e in EPSILON_GRID
     )

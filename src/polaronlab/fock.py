@@ -39,9 +39,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEFAULT_FOCK_CAP = 200_000
-#: defaults of ``spectral.SolverConfig``, kept here so that loading a config
-#: reads them without loading the solvers
-DEFAULT_DENSE_THRESHOLD = 500
+#: default seed of ``spectral.SolverConfig``, kept here so that loading a
+#: config reads it without loading the solvers
 DEFAULT_SEED = 2024
 
 _log = logging.getLogger("polaronlab")

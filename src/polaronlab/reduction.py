@@ -200,7 +200,7 @@ class ReductionWorkspace:
     handle's ``SpdSolver`` certifies that handle on its own, in the sign
     gauge ``signs`` (``fock.sign_gauge``) sliced to its tail, and solves
     it by Jacobi PCG on the shared pair; ``config.dense_threshold`` reaches
-    only the eigenvalue solves.  All public methods treat vectors in the
+    only the eigenpair lists.  All public methods treat vectors in the
     full Fock space; restrictions are handled internally through the
     contiguous sector layout.
 

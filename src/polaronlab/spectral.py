@@ -1,15 +1,15 @@
 """Eigenvalue and linear solvers for real symmetric matrices, scipy sparse
 or dense ndarrays alike.
 
-Small problems (dimension at or below ``dense_threshold``) are handled by
-dense LAPACK routines, which doubles as the built-in oracle for the sparse
-path.  Dense eigenpairs come from the MRRR routine ``syevr`` (Dhillon &
-Parlett, Linear Algebra Appl. 387, 2004), asked for the lowest ``count``
-pairs only; dense eigenvalue counts still read the full spectrum.  Above
-the threshold one ``SymmetricFactor`` of ``A - shift`` serves everything:
-its inertia gives exact eigenvalue counts and definiteness (Sylvester's
-law of inertia), and its solves drive shift-invert Lanczos (Ericsson &
-Ruhe, Math. Comp. 35, 1980).  ``Phi`` changes the boson number by one, so
+Every eigenvalue count, at every dimension, is the inertia of one
+``SymmetricFactor`` of ``A - shift``, which also gives definiteness
+(Sylvester's law of inertia).  Eigenpair lists of small problems
+(dimension at or below ``dense_threshold``) come from the MRRR routine
+``syevr`` (Dhillon & Parlett, Linear Algebra Appl. 387, 2004), asked for
+the lowest ``count`` pairs only, which doubles as the built-in oracle for
+the sparse path; above the threshold the factor's solves drive
+shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980).  ``Phi``
+changes the boson number by one, so
 the factor eliminates an uncoupled set of rows by their diagonal and
 factors the dense Schur complement on the rest with Bunch-Kaufman
 pivoting; inertia is additive over a Schur complement (Haynsworth, Linear
@@ -28,7 +28,7 @@ own.  At every dimension it certifies definiteness itself, as an M-matrix
 in the sign gauge below (a vector ``x > 0`` with ``G x > 0``, checked
 against its rounding error), else by the inertia of a transient factor,
 and solves by Jacobi-preconditioned conjugate gradients that apply the
-pair, matrix-free; ``dense_threshold`` governs the eigenvalue paths only.
+pair, matrix-free; ``dense_threshold`` governs the eigenpair lists only.
 Every solve, by factor or by conjugate gradients, must pass a
 true-residual check.
 
@@ -65,7 +65,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
-from .fock import DEFAULT_DENSE_THRESHOLD, DEFAULT_SEED, Symmetry
+from .fock import DEFAULT_SEED, Symmetry
 
 _log = logging.getLogger("polaronlab")
 _factor_log = logging.getLogger("polaronlab.factor")
@@ -89,13 +89,13 @@ _PIVOT_RATIO = (1.0 + 17.0**0.5) / 8.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Where the dense oracle hands over to the sparse eigenvalue paths
-    (``SpdSolver`` does not read it), and the seed of the iterative
-    solvers' start vectors, defaulting to ``fock``'s
-    ``DEFAULT_DENSE_THRESHOLD`` and ``DEFAULT_SEED``.  The tolerances are
-    the module constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
+    """The dimension above which an eigenpair list leaves dense ``syevr``
+    for shift-invert Lanczos (only ``lowest_eigenpairs`` reads it; no config
+    entry sets it), and the seed of the iterative solvers' start vectors,
+    defaulting to ``fock.DEFAULT_SEED``.  The tolerances are the module
+    constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
 
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD
+    dense_threshold: int = 500
     seed: int = DEFAULT_SEED
 
     def buffer(self, h: float) -> float:
@@ -489,37 +489,33 @@ def nu(mat, e0: float, n: int, symmetry: Symmetry, config: SolverConfig) -> floa
     return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 
-def count_below(mat, threshold: float, buffer: float, config: SolverConfig) -> int:
+def count_below(mat, threshold: float, buffer: float) -> int:
     """Number of eigenvalues at or below ``threshold - buffer``.
 
     The buffer keeps the count stable against eigenvalues sitting right at
-    the threshold.  Above the dense threshold the count is the inertia of
-    ``A - (threshold - buffer)``: its negative count plus its zero pivots,
-    so a cut exactly on an eigenvalue counts it, as the dense path does.
+    the threshold.  The count is the inertia of ``A - (threshold - buffer)``:
+    its negative count plus its zero pivots, so a cut exactly on an
+    eigenvalue counts it.
     """
     if buffer < 0:
         raise ConfigError(f"buffer must be >= 0, got {buffer}")
-    cut = threshold - buffer
-    if mat.shape[0] <= config.dense_threshold:
-        vals = sla.eigvalsh(_dense(mat))
-        return int(np.sum(vals <= cut))
-    factor = SymmetricFactor(mat, cut, label="counted operator")
+    factor = SymmetricFactor(mat, threshold - buffer, label="counted operator")
     return factor.negative_count + factor.zero_count
 
 
 def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray:
-    """All eigenvalues strictly below ``threshold``, ascending.
+    """All eigenvalues strictly below ``threshold``, ascending; empty if
+    there are none.
 
-    Above the dense threshold their number is the negative count of a
-    factor at the threshold.  That count also certifies the eigenpair list
-    of that size, which must land every one of them below the threshold,
-    else ``SolverError``; no further factor is built for the check, and the
-    count's factor is gone before the list builds its own.
+    Their number is the negative count of a factor at the threshold.  That
+    count also certifies the eigenpair list of that size, which must land
+    every one of them below the threshold, else ``SolverError``; no further
+    factor is built for the check, and the count's factor is gone before
+    the list builds its own.
     """
-    if mat.shape[0] <= config.dense_threshold:
-        vals = sla.eigvalsh(_dense(mat))
-        return vals[vals < threshold]
     count = SymmetricFactor(mat, threshold, label="counted operator").negative_count
+    if not count:
+        return np.empty(0)
     vals = _lowest(mat, count, config, (threshold, count)).values
     if vals[-1] >= threshold:
         raise SolverError(

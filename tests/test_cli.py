@@ -3,7 +3,6 @@
 import hashlib
 import json
 import logging
-from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -125,7 +124,6 @@ BAD_INTEGERS = [
     ("solver.seed", -1),
     ("solver.seed", 2**32),
     ("solver.seed", 7.9),
-    ("solver.dense_threshold", 10.5),
     ("fock_cap", 200000.0),
     ("grid.mode_cap", 64.5),
 ]
@@ -167,7 +165,6 @@ ENTRY_SAMPLES = {
     "form_factor.alpha": ("0.5", 0.5),
     "nmax": (2, [2]),
     "xi": ([0], [0.0]),
-    "solver.dense_threshold": (10, 10),
     "solver.seed": (7, 7),
     "scan.couplings": ([0, "0.5"], [0.0, 0.5]),
     "fock_cap": (1000, 1000),
@@ -198,11 +195,11 @@ def test_entry_reads_back_as_its_kind(tmp_path, monkeypatch, source, entry):
 
 
 def test_solver_entries_are_the_solver_config_defaults(tmp_path):
-    """The ``solver`` entries and their defaults are ``SolverConfig``'s
-    fields and defaults, which ``fock`` holds so that ``build`` need not
-    load ``spectral``."""
+    """The one ``solver`` entry and its default are ``SolverConfig``'s
+    seed, which ``fock`` holds so that ``build`` need not load
+    ``spectral``."""
     loaded = cli.load_config(_write_config(tmp_path), environ={})
-    assert loaded["solver"] == asdict(pl.SolverConfig())
+    assert loaded["solver"] == {"seed": pl.SolverConfig().seed}
 
 
 @pytest.mark.parametrize("variable", ["POLARONLAB___", "POLARONLAB_", "POLARONLAB_GRID"])
@@ -232,6 +229,7 @@ REMOVED_ENTRIES = {
     "solver.eig_tol": 1e-10,
     "solver.lin_tol": 1e-12,
     "solver.max_iterations": 5000,
+    "solver.dense_threshold": 500,
 }
 
 
@@ -609,12 +607,10 @@ def test_scan_rejects_a_fiber_shift(tmp_path, monkeypatch, capsys):
 
 
 def test_scan_window_cut_stays_above_e0(tmp_path):
-    """At h = 1 the count buffer stays below the window width, so the sparse
-    count cut ``e0 + 1 - buffer`` never falls on ``e0`` (at coupling 0 it
-    did, and the counted operator was singular)."""
-    cfg = _write_config(
-        tmp_path, nmax=[4], solver={"dense_threshold": 10}, scan={"couplings": [0.0, 0.2]}
-    )
+    """At h = 1 the count buffer stays below the window width, so the count
+    cut ``e0 + 1 - buffer`` never falls on ``e0`` (at coupling 0 it did, and
+    the counted operator was singular)."""
+    cfg = _write_config(tmp_path, nmax=[4], scan={"couplings": [0.0, 0.2]})
     out = tmp_path / "scan"
     assert cli.main(["scan", "--config", cfg, "--out", str(out)]) == 0
     rows = json.loads((out / "results" / "scan.json").read_text())["rows"]

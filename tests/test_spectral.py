@@ -129,9 +129,9 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     nmax=st.sampled_from([2, 3]),
 )
 def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, nmax):
-    """The assembled H equals its transpose exactly, the sparse inertia
-    count equals the dense count at the window cut ``e0 + 1 - buffer`` and
-    at a cut inside the spectrum, and the factor's solve there is the dense
+    """The assembled H equals its transpose exactly, the inertia count
+    equals the dense count at the window cut ``e0 + 1 - buffer`` and at a
+    cut inside the spectrum, and the factor's solve there is the dense
     solve."""
     d, xi = shape
     grid = pl.build_grid(d, *_DENSE_GRIDS[d])
@@ -140,15 +140,14 @@ def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, 
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
     assert (ham != ham.T).nnz == 0
     vals = np.linalg.eigvalsh(ham.toarray())
-    cfg = SolverConfig(dense_threshold=10)
-    buffer = cfg.buffer(grid.h)
+    buffer = SolverConfig().buffer(grid.h)
     window = vals[0] + 1.0 - buffer
-    assert pl.count_below(ham, vals[0] + 1.0, buffer, cfg) == int(np.sum(vals <= window))
+    assert pl.count_below(ham, vals[0] + 1.0, buffer) == int(np.sum(vals <= window))
     # the midpoint of the spectral gap nearest the middle of the spectrum
     gaps = np.flatnonzero(np.diff(vals) > 1e-6)
     j = gaps[np.argmin(np.abs(gaps - basis.dim // 2))]
     cut = 0.5 * (vals[j] + vals[j + 1])
-    assert pl.count_below(ham, cut, 0.0, cfg) == j + 1
+    assert pl.count_below(ham, cut, 0.0) == j + 1
     rhs = start_vector(basis.dim, 5)
     exact = np.linalg.solve(ham.toarray() - cut * np.eye(basis.dim), rhs)
     solved = SymmetricFactor(ham, cut).solve(rhs)
@@ -213,13 +212,10 @@ def test_count_below_free_theory():
     ff = pl.sample_form_factor(grid, "gaussian", 0.0)
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    cfg = SolverConfig()
     # exactly the vacuum sits below the one-boson line minus the buffer
-    assert pl.count_below(ham, 1.0, cfg.buffer(grid.h), cfg) == 1
-    # forcing the iterative branch gives the same count
-    assert pl.count_below(ham, 1.0, cfg.buffer(grid.h), SolverConfig(dense_threshold=10)) == 1
+    assert pl.count_below(ham, 1.0, SolverConfig().buffer(grid.h)) == 1
     with pytest.raises(ConfigError):
-        pl.count_below(ham, 1.0, -0.1, cfg)
+        pl.count_below(ham, 1.0, -0.1)
 
 
 def test_ground_energy_nonincreasing_in_coupling():
@@ -425,48 +421,48 @@ def test_count_below_inertia_matches_dense(d2_instance):
     low = vals[vals < vals[0] + 1.5]
     distinct = low[np.concatenate([[True], np.diff(low) > 1e-9])]
     assert distinct.size < low.size  # the window holds degenerate doublets
-    sparse_cfg = SolverConfig(dense_threshold=10)
     for a, b in zip(distinct, distinct[1:]):
         cut = 0.5 * (a + b)
-        assert pl.count_below(d2_instance, cut, 0.0, sparse_cfg) == int(np.sum(vals <= cut))
+        assert pl.count_below(d2_instance, cut, 0.0) == int(np.sum(vals <= cut))
 
 
 def test_count_below_refuses_uncertified_inertia():
     """A row with a zero shifted diagonal is kept for the Schur complement,
-    where Bunch-Kaufman pivots it in a 2x2 block, so its count is certified
-    and equals the dense one; a cut on an eigenvalue counts it, as the dense
-    path does."""
+    where Bunch-Kaufman pivots it in a 2x2 block, so its count is certified:
+    the ten eigenvalues -1 lie below 0; a cut on the eigenvalue 1 counts all
+    twenty."""
     swap = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]])] * 10, format="csr")
-    cfg = SolverConfig(dense_threshold=10)
-    assert pl.count_below(swap, 0.0, 0.0, SolverConfig()) == 10
     assert SymmetricFactor(swap, 0.5).negative_count == 10
-    assert pl.count_below(swap, 0.0, 0.0, cfg) == 10
-    assert pl.count_below(swap, 1.0, 0.0, cfg) == pl.count_below(swap, 1.0, 0.0, SolverConfig())
+    assert pl.count_below(swap, 0.0, 0.0) == 10
+    assert pl.count_below(swap, 1.0, 0.0) == 20
 
 
 def test_count_below_on_an_eigenvalue_matches_dense():
     """A cut exactly on an eigenvalue leaves zero pivots in the factor,
-    which the sparse count adds as the dense ``vals <= cut`` does; the
-    singular factor still refuses to solve, ``SpdSolver`` still refuses the
-    singular matrix, and ``eigenvalues_below`` still counts strictly."""
+    which the count adds as the dense ``vals <= cut`` does; the singular
+    factor still refuses to solve, ``SpdSolver`` still refuses the singular
+    matrix, and ``eigenvalues_below`` still counts strictly.  A cut below
+    the whole spectrum lists nothing, on the sparse list path too."""
     grid = pl.build_grid(1, 2.0, 0.5)
     basis = pl.enumerate_basis(grid.size, 3)
     free = pl.assemble_hamiltonian(basis, grid, pl.sample_form_factor(grid, "gaussian", 0.0))
     cases = [(sp.diags([0.0, 1.0, 2.0, 3.0]), 1.0, 0), (free.matrix, 1.25, 10)]
     for mat, cut, threshold in cases:
-        dense = pl.count_below(mat, cut, 0.0, SolverConfig())
-        assert dense == int(np.sum(np.linalg.eigvalsh(mat.toarray()) <= cut))
-        sparse = SolverConfig(dense_threshold=threshold)
-        assert pl.count_below(mat, cut, 0.0, sparse) == dense
+        dense = int(np.sum(np.linalg.eigvalsh(mat.toarray()) <= cut))
+        assert pl.count_below(mat, cut, 0.0) == dense
         factor = SymmetricFactor(mat, cut)
         assert factor.zero_count > 0
         with pytest.raises(SolverError, match="singular"):
             factor.solve(np.ones(mat.shape[0]))
-        strict = pl.spectral.eigenvalues_below(mat, cut, sparse)
+        strict = pl.spectral.eigenvalues_below(mat, cut, SolverConfig(dense_threshold=threshold))
         assert len(strict) == dense - factor.zero_count
         shifted = sp.csr_matrix(mat - cut * sp.identity(mat.shape[0]))
         with pytest.raises(SolverError, match="singular"):
             SpdSolver(*_split(shifted))
+    sparse = SolverConfig(dense_threshold=10)
+    for mat, cut in [(sp.diags(np.arange(1.0, 21.0)), 0.5), (free.matrix, -0.5)]:
+        assert pl.count_below(mat, cut, 0.0) == 0
+        assert pl.spectral.eigenvalues_below(mat, cut, sparse).shape == (0,)
 
 
 #: instances (d, K, h, nmax, profile, g, alpha) with a double
@@ -711,7 +707,7 @@ def test_factor_above_the_cap_is_refused(degenerate_instance, monkeypatch):
     with pytest.raises(SolverError, match=f"keeps {kept} of 325 rows .* above SCHUR_CAP"):
         SymmetricFactor(mat, 0.0)
     with pytest.raises(SolverError, match="SCHUR_CAP"):
-        pl.count_below(mat, 0.0, 0.0, SolverConfig(dense_threshold=10))
+        pl.count_below(mat, 0.0, 0.0)
     monkeypatch.setattr(pl.spectral, "SCHUR_CAP", kept)
     below = int(np.sum(np.linalg.eigvalsh(mat.toarray()) < 0.0))
     assert SymmetricFactor(mat, 0.0).negative_count == below
