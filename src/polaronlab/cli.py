@@ -381,19 +381,20 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     grid, ff = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     levels = _reduction_levels(cfg)
+    # the bundle's weighted decomposition exists only at zero fiber shift, so
+    # a shifted run has no identity suite and reads only its top level
+    shifted = _shifted(cfg)
     workspaces = {
         n: build_workspace(grid, ff, n, config=solver, xi=cfg["xi"], fock_cap=cfg["fock_cap"])
-        for n in levels
+        for n in (levels[-1:] if shifted else levels)
     }
-    top = levels[-1]
-    # the bundle's weighted decomposition exists only at zero fiber shift
+    top = workspaces[levels[-1]]
     reports, bs, assumptions = [], None, None
-    if not _shifted(cfg):
-        bundles = {n: workspaces[n].build_bundle() for n in levels}
-        reports = run_suite(workspaces, bundles, only=only)
-        bs = bundles[top].bs_limit_check()
-        assumptions = bundles[top].assumptions()
-    equivalence = schur_equivalence_report(workspaces[top])
+    if not shifted:
+        reports = run_suite(workspaces, only=only)
+        bundle = top.build_bundle()
+        bs, assumptions = bundle.bs_limit_check(), bundle.assumptions()
+    equivalence = schur_equivalence_report(top)
 
     identity_failed = any(r.passed is False for r in reports)
     passed = not identity_failed and equivalence["consistent"]

@@ -401,9 +401,9 @@ def verify_resolvent_identities(
 def verify_vacuum_schur(workspaces: Dict[int, ReductionWorkspace]) -> IdentityReport:
     """Ground-energy fixed point of the vacuum Schur scalar.
 
-    At offset 1 the scalar must return ``-e0`` exactly; along the offset
-    ladder it must be strictly decreasing, which makes the fixed point
-    unique.
+    At offset 1 the scalar must return ``-e0`` exactly (the workspace's
+    ``schur_gap``); along the offset ladder it must be strictly
+    decreasing, which makes the fixed point unique.
     """
     levels = sorted(workspaces)
     gaps: List[Optional[float]] = []
@@ -411,7 +411,7 @@ def verify_vacuum_schur(workspaces: Dict[int, ReductionWorkspace]) -> IdentityRe
     ladder_values = {}
     for nmax in levels:
         ws = workspaces[nmax]
-        gaps.append(abs(ws.e0 - ws.vacuum_kinetic() + ws.vacuum_schur(1.0)))
+        gaps.append(ws.schur_gap)
         vals = [ws.vacuum_schur(e) for e in VACUUM_SCHUR_LADDER]
         ladder_values[str(nmax)] = vals
         if ws.ff.norm > 0:
@@ -437,9 +437,7 @@ def verify_vacuum_schur(workspaces: Dict[int, ReductionWorkspace]) -> IdentityRe
 # ---------------------------------------------------------------------------
 
 
-def verify_lambda_identity(
-    workspaces: Dict[int, ReductionWorkspace], bundles: Dict[int, ReductionBundle]
-) -> IdentityReport:
+def verify_lambda_identity(workspaces: Dict[int, ReductionWorkspace]) -> IdentityReport:
     """Transfer of the lambda scalars to a one-boson matrix element.
 
     Checks ``v_k lam(k) = <vac| a_k (1 + a(v) + D) Y(0) |v>`` mode by
@@ -451,7 +449,7 @@ def verify_lambda_identity(
     res: List[Optional[float]] = []
     for nmax in levels:
         ws = workspaces[nmax]
-        dmat = bundles[nmax].dmat
+        dmat = ws.build_bundle().dmat
         u = ws.y_on_v(np.zeros(ws.grid.d))
         u1 = ws.sector1_components(u)
         av_u = ws.raising_part.T.tocsr() @ u
@@ -479,9 +477,7 @@ def verify_lambda_identity(
 # ---------------------------------------------------------------------------
 
 
-def verify_c0_identity(
-    workspaces: Dict[int, ReductionWorkspace], bundles: Dict[int, ReductionBundle]
-) -> IdentityReport:
+def verify_c0_identity(workspaces: Dict[int, ReductionWorkspace]) -> IdentityReport:
     """Three equivalent expressions for ``c0`` plus the ground-state relation.
 
     (one-boson)   c0 = -e0/(1+e0) - <v|Y(0) (1 + a^+(v) + D) P1 Y(0)|v>
@@ -499,7 +495,7 @@ def verify_c0_identity(
     res_state: List[Optional[float]] = []
     for nmax in levels:
         ws = workspaces[nmax]
-        b = bundles[nmax]
+        b = ws.build_bundle()
         u = ws.y_on_v(np.zeros(ws.grid.d))
         u_sec1 = ws.project_sector(u, 1)
         u1 = ws.sector1_components(u)
@@ -538,7 +534,7 @@ def verify_c0_identity(
 # ---------------------------------------------------------------------------
 
 
-def verify_rearrangement(bundles: Dict[int, ReductionBundle]) -> IdentityReport:
+def verify_rearrangement(workspaces: Dict[int, ReductionWorkspace]) -> IdentityReport:
     """Rank-one rearrangement of the weighted one-particle kernel.
 
     Assembles ``|k|^{-1} (k^2 - e0 - D) |l|^{-1}`` from the raw kernel
@@ -546,12 +542,12 @@ def verify_rearrangement(bundles: Dict[int, ReductionBundle]) -> IdentityReport:
     rank-one corrections built from ``c0``, ``psi``, ``phi``.  Exact by
     construction of the decomposition, at every truncation level.
     """
-    levels = sorted(bundles)
+    levels = sorted(workspaces)
     res: List[Optional[float]] = []
     sym: List[Optional[float]] = []
     skipped = []
     for nmax in levels:
-        b = bundles[nmax]
+        b = workspaces[nmax].build_bundle()
         if not b.c0_positive:
             res.append(None)
             sym.append(None)
@@ -600,9 +596,7 @@ def norm_identity_value(bundle: ReductionBundle) -> Optional[float]:
     return float(bundle.phi @ sla.solve(one_a, bundle.phi, assume_a="sym"))
 
 
-def verify_norm_identity(
-    workspaces: Dict[int, ReductionWorkspace], bundles: Dict[int, ReductionBundle]
-) -> IdentityReport:
+def verify_norm_identity(workspaces: Dict[int, ReductionWorkspace]) -> IdentityReport:
     """The central norm identity and the two construction formulas under it.
 
     (pairing)  <phi| (1+A)^{-1} |phi> = 1
@@ -625,7 +619,7 @@ def verify_norm_identity(
     absent = []
     for nmax in levels:
         ws = workspaces[nmax]
-        b = bundles[nmax]
+        b = ws.build_bundle()
         if b.phi is None:
             absent.append(nmax)
             for lst in (res_pair, res_vec, res_scal, res_null, res_paths, phi_norms):
@@ -755,7 +749,7 @@ def _weighted_resolvent_norm(ws: ReductionWorkspace, k: np.ndarray) -> Tuple[flo
     return theta, theta + float(np.linalg.norm(matvec(u) - theta * u))
 
 
-def verify_energy_derivatives(ws: ReductionWorkspace, bundle: ReductionBundle) -> IdentityReport:
+def verify_energy_derivatives(ws: ReductionWorkspace) -> IdentityReport:
     """Resolvent-calculus derivatives of the mode energy curve.
 
     gradient:   dE/dk_i = 2 <v| Y(k) (P_i + k_i) Y(k) |v>
@@ -813,7 +807,7 @@ def verify_energy_derivatives(ws: ReductionWorkspace, bundle: ReductionBundle) -
     if g > 0:
         ksq = np.sum(ws.grid.modes**2, axis=1)
         c0_leading = float(np.sum(ws.ff.values**2 * ksq / (ksq + 1.0 - ws.e0) ** 2))
-        c0_gap_ratio = abs(bundle.c0 - c0_leading) / g**4
+        c0_gap_ratio = abs(ws.build_bundle().c0 - c0_leading) / g**4
 
     norms, bounds = {}, {}
     sample = [np.zeros(ws.grid.d)] + [ws.grid.modes[j] for j in _mode_sample(ws, 2)]
@@ -1043,18 +1037,16 @@ def schur_equivalence_report(ws: ReductionWorkspace) -> dict:
 
 
 def run_suite(
-    workspaces: Dict[int, ReductionWorkspace],
-    bundles: Dict[int, ReductionBundle],
-    only: Optional[Iterable[str]] = None,
+    workspaces: Dict[int, ReductionWorkspace], *, only: Optional[Iterable[str]] = None
 ) -> List[IdentityReport]:
     """Run the identity suite on one instance across a truncation ladder.
 
-    ``workspaces`` maps each truncation level to its workspace and
-    ``bundles`` to the bundle that workspace built (``build_bundle``); the
-    caller builds both, so every check shares their resolvent handles and
-    kernels.  The energy-derivative check runs on the top level.  Each
-    check judges against ``THRESHOLDS``.  ``only`` filters by identity id;
-    unknown ids, and an empty ladder, are configuration errors.
+    ``workspaces`` maps each truncation level to its workspace, which the
+    caller builds, so every check shares its resolvent handles and reads
+    kernels from the level's own ``build_bundle()``, built on first use.
+    The energy-derivative check runs on the top level.  Each check judges
+    against ``THRESHOLDS``.  ``only`` filters by identity id; unknown ids,
+    and an empty ladder, are configuration errors.
     """
     wanted = set(IDENTITY_IDS) if only is None else set(only)
     unknown = wanted - set(IDENTITY_IDS)
@@ -1077,14 +1069,13 @@ def run_suite(
     if "vacuum-schur" in wanted:
         reports.append(verify_vacuum_schur(workspaces))
     if "lambda-oneboson" in wanted:
-        reports.append(verify_lambda_identity(workspaces, bundles))
+        reports.append(verify_lambda_identity(workspaces))
     if "c0-identity" in wanted:
-        reports.append(verify_c0_identity(workspaces, bundles))
+        reports.append(verify_c0_identity(workspaces))
     if "rearrangement" in wanted:
-        reports.append(verify_rearrangement(bundles))
+        reports.append(verify_rearrangement(workspaces))
     if "norm-identity" in wanted:
-        reports.append(verify_norm_identity(workspaces, bundles))
+        reports.append(verify_norm_identity(workspaces))
     if "energy-derivatives" in wanted:
-        top = max(workspaces)
-        reports.append(verify_energy_derivatives(workspaces[top], bundles[top]))
+        reports.append(verify_energy_derivatives(workspaces[max(workspaces)]))
     return reports

@@ -191,8 +191,9 @@ class ReductionBundle:
 class ReductionWorkspace:
     """Shared state for all reduction computations on one instance.
 
-    Builds the Hamiltonian once, solves for the ground energy, and hands
-    out resolvent handles cached by restriction and shift.  ``Phi``
+    Builds the Hamiltonian once, solves for the ground energy, hands out
+    resolvent handles cached by restriction and shift, and owns the one
+    ``ReductionBundle`` of its level (``build_bundle``).  ``Phi``
     restricted to each of ``FULL``, ``TAIL_ONE`` and ``TAIL_TWO`` is built
     once, when first asked for, and every handle on that restriction gets
     the same matrix: the handles differ only in their diagonals, and
@@ -251,6 +252,7 @@ class ReductionWorkspace:
         #: sign gauge in which every handle matrix is a Z-matrix (a tail's is its slice)
         self.signs = fock.sign_gauge(basis, ff)
         self._u_cache: Dict[bytes, np.ndarray] = {}
+        self._bundle: Optional[ReductionBundle] = None
         self.schur_gap = abs(self.e0 - self.vacuum_kinetic() + self.vacuum_schur(1.0))
         if self.schur_gap > 1e-6:
             raise SolverError(
@@ -471,13 +473,13 @@ class ReductionWorkspace:
 
     @cached_property
     def raising_part(self) -> sp.csr_matrix:
-        """Raising half of the coupling field (maps sector n to n+1)."""
-        coo = self.phi_op.tocoo()
-        counts = self.basis.boson_counts()
-        mask = counts[coo.row] == counts[coo.col] + 1
-        return sp.coo_matrix(
-            (coo.data[mask], (coo.row[mask], coo.col[mask])), shape=coo.shape
-        ).tocsr()
+        """Raising half of the coupling field (maps sector n to n+1).
+
+        The basis is sector-major and ``Phi`` couples only adjacent
+        sectors, so the entries that raise ``N`` are exactly those below
+        the diagonal.
+        """
+        return sp.tril(self.phi_op, k=-1, format="csr")
 
     def _c_points(self) -> np.ndarray:
         """Momentum points of the extended kernel: zero first, then modes."""
@@ -577,12 +579,15 @@ class ReductionWorkspace:
         return np.diag(eps + kin[self.mode_state] - self.e0) - dmat + np.outer(vvals, vvals) / denom
 
     def build_bundle(self) -> ReductionBundle:
-        """Assemble every reduction object of this instance at ``eps = 0``.
+        """Every reduction object of this instance at ``eps = 0``.
 
-        The momentum-weighted decomposition (``A``, ``phi``, ``S``) is a
-        zero-fiber-shift construction, so a workspace with a nonzero shift
-        cannot build a bundle.
+        Assembled on the first call; every later call returns that same
+        object.  The momentum-weighted decomposition (``A``, ``phi``,
+        ``S``) is a zero-fiber-shift construction, so a workspace with a
+        nonzero shift cannot build a bundle.
         """
+        if self._bundle is not None:
+            return self._bundle
         if float(np.linalg.norm(self.xi)) != 0.0:
             raise ConfigError(
                 "the weighted decomposition requires a zero fiber shift; "
@@ -611,7 +616,7 @@ class ReductionWorkspace:
         omat = self.one_particle_operator(0.0, dmat=dmat)
         nu1 = nu(self.hamiltonian, self.e0, 1, self.symmetry, self.config)
         nu2 = nu(self.hamiltonian, self.e0, 2, self.symmetry, self.config)
-        return ReductionBundle(
+        self._bundle = ReductionBundle(
             e0=self.e0,
             mode_norms=norms,
             v=vvals.copy(),
@@ -627,6 +632,7 @@ class ReductionWorkspace:
             nu1=nu1,
             nu2=nu2,
         )
+        return self._bundle
 
 
 def build_workspace(

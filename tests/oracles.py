@@ -54,6 +54,13 @@ def dense_field(occs, v):
     return phi
 
 
+def dense_raising(occs, v):
+    """Raising half of ``dense_field``: the entries from a state with ``n``
+    quanta to one with ``n + 1``, picked out by boson count."""
+    counts = boson_counts(occs)
+    return np.where(counts[:, None] == counts[None, :] + 1, dense_field(occs, v), 0.0)
+
+
 def total_momenta(occs, modes):
     occ_arr = np.asarray(occs, dtype=float)
     return occ_arr @ np.asarray(modes, dtype=float)

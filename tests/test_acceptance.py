@@ -62,8 +62,8 @@ def bundles(workspaces):
 
 
 @pytest.fixture(scope="module")
-def suite(workspaces, bundles):
-    return pl.run_suite(workspaces, bundles)
+def suite(workspaces):
+    return pl.run_suite(workspaces)
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +77,8 @@ def coupling_workspaces(grid, workspaces, solver):
 
 
 @pytest.fixture(scope="module")
-def coupling_bundles(coupling_workspaces, bundles):
-    out = {0.1: bundles[4]}
-    for g in (0.0, 0.05, 0.2):
-        out[g] = coupling_workspaces[g].build_bundle()
-    return out
+def coupling_bundles(coupling_workspaces):
+    return {g: ws.build_bundle() for g, ws in coupling_workspaces.items()}
 
 
 def _report(suite, identity):
@@ -208,7 +205,7 @@ def test_criterion_06_norm_identity(suite, coupling_bundles):
     assert gaps[0.2] > gaps[0.1] > gaps[0.05], gaps
 
 
-def test_criterion_07_energy_derivatives(suite, coupling_workspaces, coupling_bundles):
+def test_criterion_07_energy_derivatives(suite, coupling_workspaces):
     report = _report(suite, "energy-derivatives")
     grad = report.residuals["gradient_rel"][0]
     origin = report.residuals["gradient_at_origin"][0]
@@ -216,7 +213,7 @@ def test_criterion_07_energy_derivatives(suite, coupling_workspaces, coupling_bu
 
     details = {0.1: report.details}
     for g in (0.05, 0.2):
-        extra = pl.verify_energy_derivatives(coupling_workspaces[g], coupling_bundles[g])
+        extra = pl.verify_energy_derivatives(coupling_workspaces[g])
         assert extra.passed is True
         details[g] = extra.details
     quad = {g: d["quadratic_ratio"] for g, d in details.items()}

@@ -412,6 +412,44 @@ def test_verify_nonzero_fiber_shift(tmp_path, capsys):
     assert all(m["matched"] for m in eq["spectrum_to_kernel"])
 
 
+def test_verify_builds_only_the_bundles_it_reads(tmp_path, monkeypatch):
+    """A filter that selects only bundle-free checks builds one bundle, the
+    top level's, which the assumptions and the regularized limit read."""
+    built = []
+
+    class CountingBundle(pl.reduction.ReductionBundle):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pl.reduction, "ReductionBundle", CountingBundle)
+    cfg = _write_config(tmp_path, nmax=[2, 3, 4])
+    out = str(tmp_path / "vacuum")
+    assert cli.main(["verify", "--config", cfg, "--out", out, "--filter", "vacuum-schur"]) == 0
+    assert len(built) == 1
+
+
+def test_shifted_verify_builds_only_its_top_level(tmp_path, monkeypatch):
+    """At a nonzero fiber shift the equivalence report reads only the top
+    level, so that is the one workspace ``verify`` builds."""
+    built = []
+
+    class CountingWorkspace(pl.reduction.ReductionWorkspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.basis.nmax)
+
+    monkeypatch.setattr(pl.reduction, "ReductionWorkspace", CountingWorkspace)
+    cfg = _write_config(
+        tmp_path,
+        grid={"d": 1, "K": 1.0, "h": 0.25},
+        form_factor={"profile": "gaussian", "g": 0.05},
+        xi=[0.45],
+    )
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "shifted")]) == 0
+    assert built == [3]
+
+
 def test_env_overrides(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     out1 = tmp_path / "base"

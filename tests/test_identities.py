@@ -30,10 +30,9 @@ LEVELS = (2, 3, 4)
 
 
 def _suite(grid, ff, levels, **kwargs):
-    """The identity suite on freshly built workspaces and bundles."""
+    """The identity suite on freshly built workspaces."""
     workspaces = {n: pl.build_workspace(grid, ff, n) for n in levels}
-    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
-    return pl.run_suite(workspaces, bundles, **kwargs)
+    return pl.run_suite(workspaces, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +98,13 @@ def test_exact_identities_hold_on_random_instances(shape, profile, g, dense_thre
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
     config = pl.SolverConfig(dense_threshold=dense_threshold)
     workspaces = {n: pl.build_workspace(grid, ff, n, config=config) for n in (2, 3)}
-    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
-    for report in pl.run_suite(workspaces, bundles, only=EXACT_IDS):
+    for report in pl.run_suite(workspaces, only=EXACT_IDS):
         assert report.passed is not False, (report.identity, report.summary)
         for nmax, value in zip(report.nmax_levels, report.summary):
             if value is None:
                 # only the rearrangement needs the decomposition, which c0 <= 0 rules out
-                assert report.identity == "rearrangement" and not bundles[nmax].c0_positive
+                bundle = workspaces[nmax].build_bundle()
+                assert report.identity == "rearrangement" and not bundle.c0_positive
             else:
                 assert value <= report.threshold, (report.identity, nmax, value)
 
@@ -161,7 +160,10 @@ def test_suite_filter_and_unknown_id(small_grid, small_ff):
     with pytest.raises(ConfigError):
         _suite(small_grid, small_ff, LEVELS, only=["vacuum-schur", "bogus-id"])
     with pytest.raises(ConfigError):
-        pl.run_suite({}, {})
+        pl.run_suite({})
+    # ``only`` is keyword-only: a second positional argument is no filter
+    with pytest.raises(TypeError):
+        pl.run_suite({}, ["vacuum-schur"])
 
 
 def test_single_level_has_no_trend(small_grid, small_ff):
@@ -209,7 +211,7 @@ def test_energy_derivatives_cross_terms():
     grid = pl.build_grid(2, 1.0, 1.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.15)
     ws = pl.build_workspace(grid, ff, 2)
-    report = verify_energy_derivatives(ws, ws.build_bundle())
+    report = verify_energy_derivatives(ws)
     assert report.passed is True
     assert report.residuals["gradient_rel"][0] <= THRESHOLDS["gradient_rel"]
     assert report.residuals["gradient_at_origin"][0] <= 1e-10
@@ -222,17 +224,17 @@ def test_weighted_resolvent_norm_free_value(ref_grid):
     a single boson at |p| = 1."""
     ff0 = pl.sample_form_factor(ref_grid, "gaussian", 0.0)
     ws = pl.build_workspace(ref_grid, ff0, 3)
-    report = verify_energy_derivatives(ws, ws.build_bundle())
+    report = verify_energy_derivatives(ws)
     norms = report.details["weighted_resolvent_norms"]
     for value in norms.values():
         assert value == pytest.approx(2.0, abs=1e-6)
 
 
-def test_weighted_resolvent_norm_matches_dense(ref_workspaces, ref_bundles):
+def test_weighted_resolvent_norm_matches_dense(ref_workspaces):
     """The Lanczos norm of ``W Y(k) W`` is the top eigenvalue of the dense
     weighted resolvent, and its residual bound lies at or above it."""
     ws = ref_workspaces[4]
-    details = verify_energy_derivatives(ws, ref_bundles[4]).details
+    details = verify_energy_derivatives(ws).details
     norms = details["weighted_resolvent_norms"]
     bounds = details["weighted_resolvent_norm_bounds"]
     assert len(norms) == len(bounds) == 3
@@ -375,8 +377,8 @@ def test_crossings_pinned_by_few_kernel_points(
     assert logging.getLogger("polaronlab").handlers == []
 
 
-def test_suite_reuses_prebuilt_workspaces(ref_workspaces, ref_bundles):
-    reports = pl.run_suite(ref_workspaces, ref_bundles, only=["vacuum-schur", "norm-identity"])
+def test_suite_reuses_prebuilt_workspaces(ref_workspaces):
+    reports = pl.run_suite(ref_workspaces, only=["vacuum-schur", "norm-identity"])
     by_name = {r.identity: r for r in reports}
     assert by_name["vacuum-schur"].passed is True
     assert by_name["norm-identity"].passed is True
@@ -391,7 +393,7 @@ def test_energy_derivatives_symmetry_zero_component():
     symmetry; its rounding noise must not fail the finite-difference check."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.05), 2)
-    report = verify_energy_derivatives(ws, ws.build_bundle())
+    report = verify_energy_derivatives(ws)
     assert report.residuals["gradient_rel"][0] <= 1e-7
     assert report.passed is True
 
@@ -402,8 +404,7 @@ def test_sparse_paths_pass_reference_suite(ref_grid, ref_ff, shifted_workspace):
     shifted instance whose window holds three fiber eigenvalues."""
     cfg = pl.SolverConfig(dense_threshold=10)
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n, config=cfg) for n in LEVELS}
-    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
-    reports = pl.run_suite(workspaces, bundles)
+    reports = pl.run_suite(workspaces)
     assert [r.identity for r in reports if not r.passed] == []
     assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
     shifted = shifted_workspace
@@ -443,7 +444,6 @@ def test_handles_count_every_solved_column(ref_grid, ref_ff, monkeypatch):
 
     monkeypatch.setattr(SpdSolver, "solve", counting_solve)
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in LEVELS}
-    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
-    pl.run_suite(workspaces, bundles)
+    pl.run_suite(workspaces)
     counted = sum(h.solves for ws in workspaces.values() for h in ws._handles.values())
     assert solved[0] > 0 and counted == solved[0]

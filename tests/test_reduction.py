@@ -333,8 +333,7 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
     M-matrix, so no handle builds a factor.  The one factor built is the
     equivalence report's count of the eigenvalues below ``e0 + 1``."""
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in (2, 3, 4)}
-    bundles = {n: ws.build_bundle() for n, ws in workspaces.items()}
-    assert [r.identity for r in pl.run_suite(workspaces, bundles) if not r.passed] == []
+    assert [r.identity for r in pl.run_suite(workspaces) if not r.passed] == []
     assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
     handles = [h for ws in workspaces.values() for h in ws._handles.values()]
     assert len(handles) == 92
@@ -430,6 +429,41 @@ def test_excited_probe_negative_away_from_eigenvalues(ref_workspaces):
 def test_bundle_rejects_nonzero_fiber_shift(shifted_workspace):
     with pytest.raises(ConfigError):
         shifted_workspace.build_bundle()
+
+
+def test_build_bundle_builds_once(small_grid, small_ff):
+    """A second ``build_bundle`` returns the first call's object and solves
+    nothing more."""
+    ws = pl.build_workspace(small_grid, small_ff, 3)
+    bundle = ws.build_bundle()
+    solves = sum(h.solves for h in ws._handles.values())
+    assert ws.build_bundle() is bundle
+    assert sum(h.solves for h in ws._handles.values()) == solves
+
+
+@pytest.mark.parametrize(
+    "d, K, h, nmax, xi",
+    [
+        (1, 2.0, 0.5, 3, None),
+        (1, 2.0, 0.5, 4, None),
+        (2, 1.0, 0.5, 2, [0.6, 0.0]),
+        (3, 1.0, 1.0, 2, None),  # 26 modes
+    ],
+)
+def test_raising_part_matches_oracle(d, K, h, nmax, xi):
+    """The strictly lower triangle of ``Phi`` is its raising half, as the
+    oracle picks it out by boson count, and the two halves make up ``Phi``."""
+    grid = pl.build_grid(d, K, h)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.2)
+    ws = pl.build_workspace(grid, ff, nmax, xi=xi)
+    occs = oracles.occupations(grid.size, nmax)
+    perm = oracles.permutation_into(occs, ws.basis)
+    expected = oracles.aligned(oracles.dense_raising(occs, ff.values), perm, ws.basis.dim)
+    raising = ws.raising_part
+    assert raising.format == "csr"
+    assert np.allclose(raising.toarray(), expected, rtol=1e-15, atol=0)
+    assert np.array_equal((raising != 0).toarray(), expected != 0)
+    assert abs(raising + raising.T - ws.phi_op).max() == 0.0
 
 
 def test_bundle_fields_and_assumptions(ref_workspaces, ref_bundles):
