@@ -375,9 +375,13 @@ def _shifted(cfg: dict) -> bool:
 
 
 def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
-    from .identities import run_suite, schur_equivalence_report
+    from .identities import IDENTITY_IDS, run_suite, schur_equivalence_report
     from .reduction import build_workspace
 
+    # checked here, not only in run_suite, which a shifted run never calls
+    unknown = sorted(set(only or ()) - set(IDENTITY_IDS))
+    if unknown:
+        raise ConfigError(f"unknown identity ids: {unknown}")
     grid, ff = instance_from_config(cfg)
     solver = solver_from_config(cfg)
     levels = _reduction_levels(cfg)

@@ -28,10 +28,12 @@ and is tracked as a decreasing ladder instead.
 
 The spectral correspondence (``schur_equivalence_report``) matches fiber
 eigenvalues in ``(e0, e0 + 1)`` with zeros of the one-particle Schur
-complement ``O(eps)`` in both directions.  Inertia jumps of ``O(eps)`` are
-pinned by Illinois false position on the one eigenvalue that crosses,
-which is valid because every ordered eigenvalue of ``O(eps)`` rises with
-slope at least one away from the vacuum pole.
+complement ``O(eps)`` in both directions.  Each fiber eigenvalue's offset
+gets a bracket of half-width ``BRACKET_DELTA``, and the kernel's inertia
+counts at the two ends must drop by the number of fiber eigenvalues inside.
+That decides the match because the count is nonincreasing in ``eps``:
+every ordered eigenvalue of ``O(eps)`` rises with slope at least one away
+from the vacuum pole.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ from .spectral import MAX_ITERATIONS, eigenvalues_below, start_vector
 
 _log = logging.getLogger("polaronlab")
 
-#: most kernel points one crossing may take before its bracket is reported
-MAX_CROSSING_DEPTH = 60
-#: width of the offset bracket a crossing is pinned to
-CROSSING_WIDTH = 1e-9
+#: half-width of the offset bracket around a fiber eigenvalue's offset;
+#: offsets closer than twice this share one bracket
+BRACKET_DELTA = 1e-6
 
 #: central-difference steps of the energy-curve gradient and Hessian checks
 FD_STEP = 1e-4
@@ -761,6 +762,12 @@ def verify_energy_derivatives(ws: ReductionWorkspace) -> IdentityReport:
     ``|E(k) - e0| / (g^2 k^2)``, the leading small-coupling value of
     ``c0``, and the momentum-weighted resolvent norms of
     ``_weighted_resolvent_norm`` at ``k = 0`` and two sampled modes.
+
+    ``hessian_rel`` is written, and gated, rounded to 6 decimal places.
+    The energies behind its second difference carry solve rounding up to
+    ``LIN_TOL = 1e-12`` relative, and the difference divides by
+    ``HESSIAN_STEP**2 = 1e-6``, so no digit below ``1e-6`` is resolved:
+    dense, factor and PCG solves move it in the eighth.
     """
     probes = _default_probe_momenta(ws)
     grad_rel = []
@@ -791,7 +798,7 @@ def verify_energy_derivatives(ws: ReductionWorkspace) -> IdentityReport:
             ) / HESSIAN_STEP**2
             denom = max(abs(analytic[i, i]), 1e-12)
             hess_rel.append(abs(analytic[i, i] - fd) / denom)
-    hess_rel_max = float(max(hess_rel))
+    hess_rel_max = round(float(max(hess_rel)), 6)
 
     g = ws.ff.g
     quad_ratio = None
@@ -857,90 +864,41 @@ def _below_count(eps: float, vals: np.ndarray, pole: float) -> int:
     return int(np.sum(vals < 0.0)) + int(eps < pole)
 
 
-def _false_position(
-    evaluate: Callable[[float], np.ndarray],
-    pole: float,
-    lo: float,
-    hi: float,
-    vlo: np.ndarray,
-    vhi: np.ndarray,
-    depth: int,
-) -> Tuple[float, float, int]:
-    """Shrink a one-jump, pole-free bracket around its root by Illinois
-    false position; returns the final bracket and the kernel points taken.
+def _bracket_crossings(
+    evaluate: Callable[[float], np.ndarray], pole: float, offsets: Sequence[float]
+) -> List[dict]:
+    """Check each fiber offset against the inertia counts of ``O(eps)``.
 
-    The root is that of eigenvalue ``kneg(lo) - 1`` of ``O(eps)``, negative
-    at ``lo`` and not at ``hi``.  Each probe replaces the end whose inertia
-    count it shares; a count equal to neither raises ``SolverError``.
+    ``evaluate(eps)`` returns the eigenvalues of ``O(eps)``, ``pole`` is the
+    offset where its vacuum block changes sign, and ``offsets`` are the
+    fiber eigenvalues' ``eps* = e0 + 1 - E``.  Offsets closer than
+    ``2 * BRACKET_DELTA`` form one group (copies of a degenerate
+    eigenvalue); a group gets the bracket ``[min - BRACKET_DELTA, max +
+    BRACKET_DELTA]`` and is matched when ``_below_count`` drops across it by
+    the group's size.  Each bracket takes two kernel points and logs one
+    DEBUG event with its ends and its drop.
     """
-    clo, chi = _below_count(lo, vlo, pole), _below_count(hi, vhi, pole)
-    index = int(np.sum(vlo < 0.0)) - 1
-    flo, fhi = float(vlo[index]), float(vhi[index])
-    side = 0
-    while hi - lo > CROSSING_WIDTH and depth <= MAX_CROSSING_DEPTH:
-        # kept CROSSING_WIDTH/2 inside the bracket, so a converged estimate
-        # still closes the bracket on its next probe
-        probe = lo + (hi - lo) * flo / (flo - fhi)
-        probe = min(max(probe, lo + 0.5 * CROSSING_WIDTH), hi - 0.5 * CROSSING_WIDTH)
-        vals = evaluate(probe)
-        depth += 1
-        count = _below_count(probe, vals, pole)
-        if count == clo:
-            lo, flo = probe, float(vals[index])
-            if side < 0:
-                fhi *= 0.5
-            side = -1
-        elif count == chi:
-            hi, fhi = probe, float(vals[index])
-            if side > 0:
-                flo *= 0.5
-            side = 1
+    groups: List[List[float]] = []
+    for eps in sorted(offsets):
+        if groups and eps - groups[-1][-1] < 2.0 * BRACKET_DELTA:
+            groups[-1].append(eps)
         else:
-            raise SolverError(
-                f"inertia count {count} at offset {probe!r} leaves the bracket "
-                f"[{lo!r}, {hi!r}] with counts {clo} and {chi}"
-            )
-    return lo, hi, depth
-
-
-def _locate_crossings(
-    evaluate: Callable[[float], np.ndarray],
-    pole: float,
-    lo: float,
-    hi: float,
-    vlo: np.ndarray,
-    vhi: np.ndarray,
-    out: List[float],
-    depth: int = 0,
-) -> None:
-    """Pin every inertia jump of ``O(eps)`` between ``lo`` and ``hi``.
-
-    ``evaluate(eps)`` returns the ascending eigenvalues of ``O(eps)``, and
-    ``vlo``/``vhi`` are those at the ends; ``pole`` is the offset where the
-    vacuum block changes sign.  For ``eps >= 0``,
-    ``dO/deps = I + B^T X(eps)^2 B + v v^T / denom^2 >= I``, so away from
-    the pole every ordered eigenvalue rises with slope at least one: an
-    interval holding one jump and not the pole brackets a single root,
-    refined by false position (Dowell & Jarratt, BIT 11, 1971).  Several
-    jumps, or the pole, are split by bisection.  Each crossing is the
-    midpoint of a bracket no wider than ``CROSSING_WIDTH`` (or of the
-    bracket held after more than ``MAX_CROSSING_DEPTH`` kernel points) and
-    is logged at DEBUG level.
-    """
-    jumps = _below_count(lo, vlo, pole) - _below_count(hi, vhi, pole)
-    if jumps <= 0:
-        return
-    if jumps == 1 and not lo <= pole <= hi:
-        lo, hi, depth = _false_position(evaluate, pole, lo, hi, vlo, vhi, depth)
-    if hi - lo <= CROSSING_WIDTH or depth > MAX_CROSSING_DEPTH:
-        for _ in range(jumps):
-            _log.debug("crossing pinned to eps in [%r, %r] by %d kernel points", lo, hi, depth)
-        out.extend([0.5 * (lo + hi)] * jumps)
-        return
-    mid = 0.5 * (lo + hi)
-    vmid = evaluate(mid)
-    _locate_crossings(evaluate, pole, lo, mid, vlo, vmid, out, depth + 1)
-    _locate_crossings(evaluate, pole, mid, hi, vmid, vhi, out, depth + 1)
+            groups.append([eps])
+    crossings = []
+    for group in groups:
+        lo, hi = group[0] - BRACKET_DELTA, group[-1] + BRACKET_DELTA
+        drop = _below_count(lo, evaluate(lo), pole) - _below_count(hi, evaluate(hi), pole)
+        _log.debug("crossing bracket eps in [%r, %r]: kernel count drops by %d", lo, hi, drop)
+        crossings.append(
+            {
+                "eps_lo": lo,
+                "eps_hi": hi,
+                "fiber_count": len(group),
+                "kernel_drop": drop,
+                "matched": drop == len(group),
+            }
+        )
+    return crossings
 
 
 def schur_equivalence_report(ws: ReductionWorkspace) -> dict:
@@ -951,11 +909,25 @@ def schur_equivalence_report(ws: ReductionWorkspace) -> dict:
     operator at the matching offset.  Direction two: on ``EPSILON_GRID``,
     the negative-inertia count of the reduced operator (plus the vacuum
     block) must equal the number of fiber eigenvalues below the matching
-    energy; every inertia jump between grid points is pinned to a bracket
-    no wider than ``CROSSING_WIDTH`` -- by false position where an interval
-    holds one jump and no vacuum pole, by bisection otherwise -- and matched
-    back to a fiber eigenvalue.  The grid's kernel eigenvalues seed the brackets,
-    so no offset is evaluated twice.
+    energy, and every fiber offset inside the grid's span must sit in a
+    bracket (``_bracket_crossings``) across which that count drops by
+    exactly the number of fiber offsets it holds.
+
+    The brackets see every inertia jump of ``O(eps)`` in the span:
+
+    * for ``eps >= 0``, ``dO/deps = I + B^T X(eps)^2 B + v v^T / denom^2
+      >= I`` away from the vacuum pole, so every ordered eigenvalue of
+      ``O(eps)`` rises and the count can only drop;
+    * across the pole the count is continuous: as the vacuum term leaves
+      it, one eigenvalue of ``O(eps)`` rises to ``+inf`` and returns from
+      ``-inf``, joining the negative inertia;
+    * so the count is nonincreasing, the grid rows fix its total drop
+      between grid points, and when every bracket drops by exactly its
+      fiber count, no jump lies outside a bracket.
+
+    Each ``crossings`` entry holds the bracket ends ``eps_lo`` and
+    ``eps_hi``, its ``fiber_count``, the ``kernel_drop`` and ``matched``;
+    the ends derive from ``e0`` and the window eigenvalues alone.
     """
     tol = THRESHOLDS["equivalence"]
     # the vacuum block 1 + e0 - eps - |xi|^2 of O(eps) changes sign here
@@ -995,24 +967,10 @@ def schur_equivalence_report(ws: ReductionWorkspace) -> dict:
             }
         )
 
-    located: List[float] = []
-    for i in range(len(EPSILON_GRID) - 1):
-        _locate_crossings(
-            evaluate, pole, EPSILON_GRID[i], EPSILON_GRID[i + 1],
-            grid_vals[i], grid_vals[i + 1], located,
-        )
-    crossings = []
-    for eps_star in sorted(located):
-        energy = ws.e0 + 1.0 - eps_star
-        gap = min((abs(energy - e) for e in window), default=np.inf)
-        crossings.append(
-            {
-                "eps": eps_star,
-                "energy": energy,
-                "nearest_fiber_gap": float(gap),
-                "matched": bool(gap <= 1e-6),
-            }
-        )
+    lo, hi = EPSILON_GRID[0], EPSILON_GRID[-1]
+    crossings = _bracket_crossings(
+        evaluate, pole, [p["eps"] for p in spectrum_to_kernel if lo <= p["eps"] <= hi]
+    )
 
     consistent = (
         all(r["consistent"] for r in grid_rows)

@@ -410,6 +410,23 @@ def test_verify_nonzero_fiber_shift(tmp_path, capsys):
     assert eq["consistent"] is True
     assert len(eq["window_eigenvalues"]) == 3
     assert all(m["matched"] for m in eq["spectrum_to_kernel"])
+    assert all(c["matched"] and c["eps_lo"] < c["eps_hi"] for c in eq["crossings"])
+
+
+def test_shifted_verify_rejects_unknown_filter(tmp_path, capsys):
+    """An unknown identity id exits 2 at a nonzero fiber shift too, where no
+    ``run_suite`` runs to check it (``test_verify_filter`` covers xi = 0)."""
+    cfg = _write_config(
+        tmp_path,
+        grid={"d": 1, "K": 1.0, "h": 0.25},
+        form_factor={"profile": "gaussian", "g": 0.05},
+        nmax=[2],
+        xi=[0.45],
+    )
+    out = tmp_path / "filtered"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out), "--filter", "no-such-id"]) == 2
+    assert "no-such-id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_builds_only_the_bundles_it_reads(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import polaronlab as pl
@@ -17,7 +18,9 @@ from polaronlab.identities import (
     THRESHOLDS,
     ORACLE_LIMITED,
     TRUNCATION_LIMITED,
-    _locate_crossings,
+    BRACKET_DELTA,
+    EPSILON_GRID,
+    _bracket_crossings,
     _strictly_decreasing,
     norm_identity_value,
     verify_energy_derivatives,
@@ -315,39 +318,61 @@ def test_equivalence_report_populated_window(shifted_workspace):
     for probe in report["spectrum_to_kernel"]:
         assert probe["matched"]
         assert probe["min_abs_eigenvalue"] <= 1e-8
-    for crossing in report["crossings"]:
-        assert crossing["matched"]
-        assert crossing["nearest_fiber_gap"] <= 1e-6
-    # bisected offsets and direct offsets describe the same energies
-    direct = sorted(p["eps"] for p in report["spectrum_to_kernel"])
-    located = sorted(c["eps"] for c in report["crossings"])
-    assert np.allclose(direct, located, rtol=0, atol=1e-6)
+    _assert_offsets_bracketed(report)
+
+
+def _assert_offsets_bracketed(report):
+    """Every direct offset lies inside a matched bracket."""
+    direct = [p["eps"] for p in report["spectrum_to_kernel"]]
+    for eps in direct:
+        (bracket,) = [c for c in report["crossings"] if c["eps_lo"] < eps < c["eps_hi"]]
+        assert bracket["matched"] and bracket["kernel_drop"] == bracket["fiber_count"]
+    assert sum(c["fiber_count"] for c in report["crossings"]) == len(direct)
 
 
 def test_crossing_locator_on_synthetic_kernel():
     """``O(eps) = diag(eps - r_i)`` plus a vacuum-pole eigenvalue that turns
-    negative past the pole, so the count drops only at the roots: a simple
-    root, a double root, and a root beside the pole in one grid interval."""
-    roots = np.array([0.23, 0.47, 0.61, 0.61])
+    negative past the pole, so the count drops only at the roots.  A simple
+    root, a double root (offsets 5e-7 apart), a root beside the pole and one
+    whose bracket holds the pole are matched; a second root inside the
+    bracket of 0.33, and the offset 0.75 with no root, are not."""
     pole = 0.43
+    beside = pole + 0.5 * BRACKET_DELTA
+    roots = np.array([0.23, 0.33, 0.33 + 0.4 * BRACKET_DELTA, beside, 0.47, 0.61, 0.61])
+    offsets = [0.61, 0.23, 0.47, 0.33, beside, 0.75, 0.61 + 0.5 * BRACKET_DELTA]
+    points = []
 
     def evaluate(eps):
+        points.append(eps)
         return np.sort(np.append(eps - roots, 0.01 / (pole - eps)))
 
-    grid = np.round(np.linspace(0.1, 0.9, 9), 12)
-    vals = [evaluate(e) for e in grid]
-    located = []
-    for i in range(grid.size - 1):
-        _locate_crossings(evaluate, pole, grid[i], grid[i + 1], vals[i], vals[i + 1], located)
-    assert np.allclose(sorted(located), roots, rtol=0, atol=1e-9)
+    crossings = _bracket_crossings(evaluate, pole, offsets)
+    assert len(points) == 2 * len(crossings)
+    expected = [  # (lowest offset, fiber count, kernel drop, matched)
+        (0.23, 1, 1, True),
+        (0.33, 1, 2, False),
+        (beside, 1, 1, True),
+        (0.47, 1, 1, True),
+        (0.61, 2, 2, True),
+        (0.75, 1, 0, False),
+    ]
+    assert [(c["fiber_count"], c["kernel_drop"], c["matched"]) for c in crossings] == [
+        row[1:] for row in expected
+    ]
+    for c, (low, *_) in zip(crossings, expected):
+        assert c["eps_lo"] == pytest.approx(low - BRACKET_DELTA, rel=0, abs=1e-15)
+    assert crossings[2]["eps_lo"] < pole < crossings[2]["eps_hi"]
+    assert crossings[4]["eps_hi"] == pytest.approx(0.61 + 1.5 * BRACKET_DELTA, rel=0, abs=1e-15)
+    assert _bracket_crossings(evaluate, pole, []) == []
 
 
 @pytest.mark.parametrize("dense_threshold", [500, 10])
 def test_crossings_pinned_by_few_kernel_points(
     shifted_workspace, dense_threshold, monkeypatch, caplog
 ):
-    """Each crossing is pinned within 1e-9 of its direct offset from at most
-    30 kernel evaluations, and logs one DEBUG event with its bracket."""
+    """The kernel is evaluated at the 9 grid points, once per window
+    eigenvalue and twice per bracket; each bracket logs one DEBUG event with
+    its ends and its drop."""
     shifted = shifted_workspace
     cfg = pl.SolverConfig(dense_threshold=dense_threshold)
     ws = pl.build_workspace(shifted.grid, shifted.ff, 2, config=cfg, xi=shifted.xi)
@@ -361,20 +386,41 @@ def test_crossings_pinned_by_few_kernel_points(
     monkeypatch.setattr(ReductionWorkspace, "d_kernel", counting_d_kernel)
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         report = pl.schur_equivalence_report(ws)
-    direct = sorted(p["eps"] for p in report["spectrum_to_kernel"])
-    located = sorted(c["eps"] for c in report["crossings"])
-    assert len(located) == 3
-    assert np.allclose(direct, located, rtol=0, atol=1e-9)
-    assert len(calls) <= 30
-    brackets = [
-        [float(x) for x in re.search(r"\[(.*), (.*)\]", r.getMessage()).groups()]
+    crossings = report["crossings"]
+    assert len(crossings) == 3
+    assert len(calls) == len(EPSILON_GRID) + len(report["window_eigenvalues"]) + 2 * len(crossings)
+    _assert_offsets_bracketed(report)
+    logged = [
+        re.search(r"\[(.*), (.*)\]: kernel count drops by (\d+)", r.getMessage()).groups()
         for r in caplog.records
-        if r.name == "polaronlab" and r.getMessage().startswith("crossing")
+        if r.name == "polaronlab" and r.getMessage().startswith("crossing bracket")
     ]
-    assert len(brackets) == 3
-    for (lo, hi), eps in zip(sorted(brackets), located):
-        assert lo <= eps <= hi and hi - lo <= 1e-9
+    assert [(float(lo), float(hi), int(drop)) for lo, hi, drop in logged] == [
+        (c["eps_lo"], c["eps_hi"], c["kernel_drop"]) for c in crossings
+    ]
     assert logging.getLogger("polaronlab").handlers == []
+
+
+def _dense_solve(self, rhs):
+    """``SpdSolver.solve`` by a dense LU of the handle's matrix."""
+    return np.linalg.solve((self._off + sp.diags(self._diag)).toarray(), np.asarray(rhs, float))
+
+
+def test_artifacts_survive_a_solver_change(shifted_workspace, ref_grid, monkeypatch):
+    """Dense solves in place of PCG leave the shifted report's crossings and
+    the written ``hessian_rel`` of the froehlich reference config exact."""
+    shifted = shifted_workspace
+    froehlich = pl.sample_form_factor(ref_grid, "froehlich", 0.1, alpha=0.5)
+
+    def outputs():
+        ws = pl.build_workspace(shifted.grid, shifted.ff, 2, xi=shifted.xi)
+        report = verify_energy_derivatives(pl.build_workspace(ref_grid, froehlich, 4))
+        return pl.schur_equivalence_report(ws)["crossings"], report.residuals["hessian_rel"]
+
+    pcg = outputs()
+    monkeypatch.setattr(SpdSolver, "solve", _dense_solve)
+    assert outputs() == pcg
+    assert pcg[0] and pcg[1][0] > 0
 
 
 def test_suite_reuses_prebuilt_workspaces(ref_workspaces):
