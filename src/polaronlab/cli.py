@@ -379,6 +379,8 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
     from .reduction import build_workspace
 
     # checked here, not only in run_suite, which a shifted run never calls
+    if only is not None and not only:
+        raise ConfigError("--filter names no identity id")
     unknown = sorted(set(only or ()) - set(IDENTITY_IDS))
     if unknown:
         raise ConfigError(f"unknown identity ids: {unknown}")
@@ -415,7 +417,7 @@ def _verify_payload(cfg: dict, only: Optional[List[str]]) -> dict:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     only = None
-    if args.filter:
+    if args.filter is not None:
         only = [tok.strip() for tok in args.filter.split(",") if tok.strip()]
     payload = _verify_payload(cfg, only)
     out = RunDirectory(args.out or _default_out(cfg, "verify"), cfg, "verify")

@@ -99,10 +99,12 @@ class ReductionBundle:
     kernel ``C`` on grid modes plus the zero momentum: row/column 0 is the
     zero-momentum point, rows/columns ``1..M`` are the grid modes in grid
     order.  ``dmat`` is ``D(0)`` and ``omat`` the one-particle Schur
-    complement ``O(0)``.  ``phi`` and ``smat`` are ``None`` when ``c0 <= 0``
-    (free coupling); the decomposition is then reported absent.
-    ``coupling_active`` records ``g > 0``: only then do ``c0 > 0`` and the
-    contraction bound enter the standing assumptions.
+    complement ``O(0)``.  ``coupling_active`` records ``g > 0``: only then
+    do ``c0 > 0`` and the contraction bound enter the standing assumptions.
+    At free coupling ``c0`` is ``1/(1+e0) - 1/(1-e0)`` with ``e0 = 0``, zero
+    but for the rounding of ``e0``, so ``c0_positive`` is false there
+    whatever that rounding; ``phi`` and ``smat`` are ``None`` unless
+    ``c0_positive``, and the decomposition is then reported absent.
     """
 
     e0: float
@@ -122,7 +124,7 @@ class ReductionBundle:
 
     @property
     def c0_positive(self) -> bool:
-        return self.c0 > 0.0
+        return self.coupling_active and self.c0 > 0.0
 
     @property
     def cmat(self) -> np.ndarray:
@@ -608,7 +610,8 @@ class ReductionWorkspace:
         )
         phi = None
         smat = None
-        if c0 > 0.0:
+        coupling_active = self.ff.g > 0.0
+        if coupling_active and c0 > 0.0:
             phi = vvals * psi / (np.sqrt(c0) * norms)
             smat = np.eye(len(norms)) + amat - np.outer(phi, phi)
 
@@ -626,7 +629,7 @@ class ReductionWorkspace:
             c0=c0,
             amat=amat,
             omat=omat,
-            coupling_active=self.ff.g > 0.0,
+            coupling_active=coupling_active,
             phi=phi,
             smat=smat,
             nu1=nu1,

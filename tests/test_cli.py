@@ -429,6 +429,18 @@ def test_shifted_verify_rejects_unknown_filter(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("xi", [None, [0.45]])
+@pytest.mark.parametrize("ids", [",", " ", ""])
+def test_verify_rejects_an_empty_filter(tmp_path, capsys, ids, xi):
+    """A filter that names no id after stripping exits 2, at zero and at a
+    nonzero fiber shift, rather than passing with no identity run."""
+    cfg = _write_config(tmp_path, nmax=[2], xi=xi)
+    out = tmp_path / "empty"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out), "--filter", ids]) == 2
+    assert "--filter names no identity id" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_builds_only_the_bundles_it_reads(tmp_path, monkeypatch):
     """A filter that selects only bundle-free checks builds one bundle, the
     top level's, which the assumptions and the regularized limit read."""

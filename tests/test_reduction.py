@@ -307,11 +307,13 @@ def test_handles_share_one_off_diagonal_per_restriction(d, K, k):
 
 
 def test_reference_handle_certified_without_a_factor(ref_grid, ref_ff, caplog, live_factors):
-    """At the default threshold a ``Y(k)`` handle on the reference ``nmax`` 4
-    tail (dim 494) is certified as an M-matrix with no factor built, and
-    holds only the workspace's shared ``Phi`` and its own diagonal; its
-    vector and block solves are the dense solves."""
+    """A ``Y(k)`` handle on the reference ``nmax`` 4 tail (dim 494) is
+    certified as an M-matrix with no factor built, and holds only the
+    workspace's shared ``Phi`` and its own diagonal; its vector and block
+    solves are the dense solves.  The workspace's own sector lists (dim
+    about 250) may factor; the count starts after them."""
     ws = pl.build_workspace(ref_grid, ref_ff, 4)
+    live_factors.built.clear()
     k = np.array([0.25])
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         handle = ws._handle(TAIL_ONE, k, -ws.e0)
@@ -330,9 +332,13 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
     """After ``build_bundle``, ``run_suite`` and ``schur_equivalence_report``
     on the reference ladder, no resolvent handle's solver references a
     ``SymmetricFactor``: every one of the 92 handles is certified as an
-    M-matrix, so no handle builds a factor.  The one factor built is the
-    equivalence report's count of the eigenvalues below ``e0 + 1``."""
+    M-matrix, so no handle builds a factor.  After the workspaces, whose
+    sector lists may factor, the factors built are the shift-invert lists
+    of the ``nmax`` 4 bundle's two sector gaps (dims 254 and 250), then the
+    equivalence report's count of the eigenvalues below ``e0 + 1`` and its
+    list of them (dim 495)."""
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in (2, 3, 4)}
+    live_factors.built.clear()
     assert [r.identity for r in pl.run_suite(workspaces) if not r.passed] == []
     assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
     handles = [h for ws in workspaces.values() for h in ws._handles.values()]
@@ -341,7 +347,10 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
         held = list(vars(handle.solver).values())
         held += gc.get_referents(*held)
         assert not [x for x in held if isinstance(x, pl.spectral.SymmetricFactor)]
-    assert live_factors.built == ["counted operator"]
+    assert live_factors.built == ["shift-invert operator"] * 2 + [
+        "counted operator",
+        "shift-invert operator",
+    ]
 
 
 def test_c_kernel_matches_oracle(tiny):
@@ -500,6 +509,22 @@ def test_free_coupling_bundle_degenerates(small_grid):
     assert bs["final_gap"] is None
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_free_coupling_c0_is_not_positive_by_rounding(ref_grid, seed):
+    """At g = 0 on the reference ``nmax`` 4 grid the sector lists (dims
+    250-255) run shift-invert, whose ground energy rounds to either side of
+    0 with the start vector (seed 2 rounds it below, so ``c0`` above 0);
+    the free bundle still reports ``c0`` not positive and no
+    decomposition."""
+    ff0 = pl.sample_form_factor(ref_grid, "gaussian", 0.0)
+    ws = pl.build_workspace(ref_grid, ff0, 4, config=SolverConfig(seed=seed))
+    bundle = ws.build_bundle()
+    assert bundle.c0 == pytest.approx(0.0, abs=1e-14)
+    assert bundle.c0_positive is False
+    assert bundle.phi is None and bundle.smat is None
+    assert bundle.assumptions()["c0_positive"] is False
+
+
 def test_weighted_lower_bound_decomposition(ref_bundles):
     """Dividing the decomposed Schur complement by |k| |l| gives exactly
     S + u u^T with u = phi + sqrt(c0) v / |k|; in particular it is bounded
@@ -651,9 +676,9 @@ def test_c_matrix_builds_one_z_handle_per_sum_orbit():
 
 def test_spectral_solves_factor_only_the_invariant_sector(monkeypatch):
     """``e0``, ``nu1`` and ``nu2`` are solved on the order-8 invariant sector
-    (dim 410 of 2925, dense), so building the workspace and the bundle
-    factors nothing of the full dimension; the values equal the full-space
-    minima."""
+    (dim 410 of 2925), so building the workspace and the bundle factors
+    nothing of the full dimension, and nothing larger than the sector; the
+    values equal the full-space minima."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "gaussian", 0.1)
     factored = []
@@ -666,9 +691,10 @@ def test_spectral_solves_factor_only_the_invariant_sector(monkeypatch):
     monkeypatch.setattr(pl.spectral, "SymmetricFactor", CountingFactor)
     ws = pl.build_workspace(grid, ff, 3)
     bundle = ws.build_bundle()
-    assert not [dim for dim in factored if dim > ws.config.dense_threshold]
     symmetry = ws.symmetry
     assert (ws.basis.dim, symmetry.sector.shape[1], len(symmetry.mode_perms)) == (2925, 410, 8)
+    assert 2925 not in factored
+    assert max(factored, default=0) <= 410
     # against the full-space Lanczos minima of H and its tails
     starts = {n: ws.basis.tail_start(n) for n in (0, 1, 2)}
     lowest = {

@@ -2,6 +2,7 @@
 
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,17 +45,17 @@ def test_dense_and_lanczos_agree(mid_instance):
 
 @pytest.fixture(scope="module")
 def degenerate_instance():
-    """Dense d=2 instance (dim 325) with double eigenvalues at indices 2-3
+    """d=2 instance (dim 325) with double eigenvalues at indices 2-3
     and 6-7, from the two-dimensional irreps of the grid's point group."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "constant", 0.5)
     return pl.assemble_hamiltonian(pl.enumerate_basis(grid.size, 2), grid, ff).matrix
 
 
-def _assert_dense_pairs_exact(ham, counts):
+def _assert_dense_pairs_exact(ham, counts, config):
     truth = np.linalg.eigvalsh(ham.toarray())
     for count in counts:
-        pairs = pl.lowest_eigenpairs(ham, count, SolverConfig())
+        pairs = pl.lowest_eigenpairs(ham, count, config)
         assert pairs.method == "dense"
         assert pairs.values.shape == (count,) and pairs.vectors.shape == (ham.shape[0], count)
         assert np.allclose(pairs.values, truth[:count], rtol=0, atol=1e-12), count
@@ -66,17 +67,70 @@ def test_dense_subset_matches_full_spectrum(mid_instance):
     """The dense path asks LAPACK for the lowest ``count`` pairs only; they
     are the bottom of the full spectrum, with orthonormal vectors."""
     ham = mid_instance[3]
-    _assert_dense_pairs_exact(ham, (1, 6, ham.shape[0] - 1, ham.shape[0]))
+    _assert_dense_pairs_exact(ham, (1, 6, ham.shape[0] - 1, ham.shape[0]), SolverConfig())
 
 
 def test_dense_subset_keeps_degenerate_copies(degenerate_instance):
     """A count that closes a double eigenvalue returns both copies; a count
-    that cuts through one (3 here) is legitimate and returns one."""
+    that cuts through one (3 here) is legitimate and returns one.  At dim
+    325, above the default threshold, the dense path is asked for."""
     truth = np.linalg.eigvalsh(degenerate_instance.toarray())
     assert truth[3] - truth[2] <= 1e-12 and truth[7] - truth[6] <= 1e-12
     assert truth[2] == pytest.approx(0.63449809, abs=1e-8)
     assert truth[6] == pytest.approx(0.85694709, abs=1e-8)
-    _assert_dense_pairs_exact(degenerate_instance, (3, 4, 8))
+    _assert_dense_pairs_exact(degenerate_instance, (3, 4, 8), SolverConfig(dense_threshold=500))
+
+
+@pytest.fixture(scope="module")
+def crossover_matrices(ref_grid, ref_ff):
+    """The reference ladder's H at ``nmax`` 2, 3 and 4 (dims 45, 165, 495),
+    the d=2 instance's invariant sector ``B^T H B`` at ``nmax`` 3 (dim 410),
+    and the leading blocks of the reference ``nmax`` 4 H at dims 200 and
+    201, either side of the default threshold."""
+    mats = []
+    for nmax in (2, 3, 4):
+        basis = pl.enumerate_basis(ref_grid.size, nmax)
+        mats.append(pl.assemble_hamiltonian(basis, ref_grid, ref_ff).matrix)
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.1)
+    basis = pl.enumerate_basis(grid.size, 3)
+    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
+    mats.append(pl.fock.symmetry(basis, grid, ff).restrict(ham))
+    mats += [mats[2][:dim, :dim] for dim in (200, 201)]
+    return mats
+
+
+def test_default_threshold_sends_large_lists_to_shift_invert(crossover_matrices):
+    """At the default threshold a list is dense exactly when its dimension
+    is at most 200 or it asks for all pairs but at most one; the values are
+    those of the dense path within 1e-12."""
+    assert [m.shape[0] for m in crossover_matrices] == [45, 165, 495, 410, 200, 201]
+    dense = SolverConfig(dense_threshold=500)
+    for mat in crossover_matrices:
+        dim = mat.shape[0]
+        for count in (1, 6, dim - 1):
+            pairs = pl.lowest_eigenpairs(mat, count, SolverConfig())
+            expected = "dense" if dim <= 200 or count >= dim - 1 else "shift-invert"
+            assert pairs.method == expected, (dim, count)
+            reference = pl.lowest_eigenpairs(mat, count, dense)
+            assert reference.method == "dense"
+            assert np.allclose(pairs.values, reference.values, rtol=0, atol=1e-12), (dim, count)
+
+
+def test_largest_reference_list_holds_no_dense_copy(crossover_matrices):
+    """The reference ``nmax`` 4 list of 6 pairs (dim 495) allocates less
+    than one dense copy of its matrix, ``8 dim^2`` bytes, at its peak; dense
+    ``syevr`` holds two."""
+    ham = crossover_matrices[2]
+    dim = ham.shape[0]
+    tracemalloc.start()
+    try:
+        pairs = pl.lowest_eigenpairs(ham, 6, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.method == "shift-invert"
+    assert peak < 8 * dim * dim
 
 
 #: one grid per dimension, 8 modes each: dims 45 and 165 at nmax 2 and 3, so
@@ -533,14 +587,18 @@ def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors):
     """No ``SymmetricFactor`` is built while another is alive.  On the first
     degenerate instance the list drops its shift-invert factor before each
     inertia check at a gap, and builds it again for each of the two
-    deflated runs that find the missing copies; on a d=1 instance at
-    ``dense_threshold=10``, the list and both sector gaps factor in turn.
-    ``eigenvalues_below`` keeps its two factors, one after the other."""
+    deflated runs that find the missing copies; then each sector gap (dims
+    409 and 404, above the default threshold) factors once, a one-pair list
+    with no gap to check.  On a d=1 instance at ``dense_threshold=10``, the
+    list and both sector gaps factor in turn.  ``eigenvalues_below`` keeps
+    its two factors, one after the other."""
     row, truth = _DEGENERATE_ROWS[0]
     grid, ff, basis, ham = _instance(*row)
     summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, SolverConfig())
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
-    assert live_factors.built == ["shift-invert operator", "eigenvalue list"] * 3
+    assert live_factors.built == ["shift-invert operator", "eigenvalue list"] * 3 + [
+        "shift-invert operator"
+    ] * 2
     live_factors.built.clear()
     vals = pl.spectral.eigenvalues_below(ham, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
