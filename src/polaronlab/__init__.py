@@ -33,7 +33,6 @@ _EXPORTS = {
         "enumerate_basis",
         "field_operator",
         "fock_dimension",
-        "one_boson_vector",
     ),
     "grid": ("FormFactor", "MomentumGrid", "build_grid", "sample_form_factor", "triple_norm"),
     "identities": (

@@ -284,13 +284,16 @@ def _instance_summary(cfg: dict, grid: MomentumGrid, ff: FormFactor) -> dict:
 
 def cmd_build(args) -> int:
     from . import fock
-    from .grid import export_form_factor_csv
 
     cfg = load_config(args.config)
     grid, ff = instance_from_config(cfg)
     out = RunDirectory(args.out or _default_out(cfg, "build"), cfg, "build")
 
-    out.write_bytes("tables/form_factor.csv", export_form_factor_csv(grid, ff).encode("utf-8"))
+    out.write_csv(
+        "tables/form_factor.csv",
+        [f"k{i}" for i in range(grid.d)] + ["v"],
+        [[*k, v] for k, v in zip(grid.modes, ff.values)],
+    )
 
     levels = {}
     for nmax in cfg["nmax"]:
@@ -343,7 +346,6 @@ def cmd_spectrum(args) -> int:
         rows.append(
             [nmax, basis.dim, e0, level["nu1"], level["nu2"], level["vacuum_overlap"], n_below]
         )
-        out.write_json(f"results/spectrum_n{nmax}.json", level)
 
     out.write_json("results/spectrum.json", payload)
     out.write_csv(

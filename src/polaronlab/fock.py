@@ -13,13 +13,13 @@ Every operator is first a set of canonical triplets: ``_canonical`` sorts
 the entries by row, then column, and drops zero values.  Ladder and field
 operators come back as ``csr_matrix``es built from them; the fiber
 Hamiltonian comes as a ``SparseOperator``, the triplets that ``storage``
-persists with their symmetry flag, whose CSR form is built on first use.
-This module loads numpy alone: scipy loads only in the functions that
-return a CSR matrix, so ``build``, which assembles and persists triplets,
-runs without it.  ``symmetry`` gives an instance's point group as one
-``Symmetry`` value, and ``orbits`` the orbits of a permutation group;
-``sign_gauge`` gives the basis signs under which the fiber Hamiltonian has
-no positive off-diagonal entry.
+persists, whose CSR form is built on first use.  This module loads numpy
+alone: scipy loads only in the functions that return a CSR matrix, so
+``build``, which assembles and persists triplets, runs without it.
+``symmetry`` gives an instance's point group as one ``Symmetry`` value,
+and ``orbits`` the orbits of a permutation group; ``sign_gauge`` gives the
+basis signs under which the fiber Hamiltonian has no positive
+off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
 
 @dataclass(eq=False)
 class SparseOperator:
-    """A persisted operator: the canonical triplets of a ``dim x dim``
-    matrix (see ``_canonical``) and its symmetry flag.
+    """A persisted operator: the canonical triplets of a symmetric
+    ``dim x dim`` matrix (see ``_canonical``).
 
     Building and persisting it needs numpy alone; ``matrix``, its CSR form,
     loads scipy on first use.
@@ -170,7 +170,6 @@ class SparseOperator:
     rows: np.ndarray = field(repr=False)  # (nnz,) int64
     cols: np.ndarray = field(repr=False)  # (nnz,) int64
     values: np.ndarray = field(repr=False)  # (nnz,) float64
-    hermitian: bool
 
     @property
     def nnz(self) -> int:
@@ -246,22 +245,6 @@ def field_operator(basis: FockBasis, ff: FormFactor) -> sp.csr_matrix:
     return _csr(basis.dim, *_canonical(basis.dim, *_field_triplets(basis, ff)))
 
 
-def number_diagonal(basis: FockBasis) -> np.ndarray:
-    """Diagonal of the boson number operator."""
-    return basis.boson_counts().astype(float)
-
-
-def shifted_kinetic_diagonal(
-    basis: FockBasis, grid: MomentumGrid, k0: Sequence[float]
-) -> np.ndarray:
-    """Diagonal of ``(P + k0)^2``; ``k0`` may be any point of ``R^d``."""
-    k0 = np.asarray(k0, dtype=float)
-    if k0.shape != (grid.d,):
-        raise ConfigError(f"shift has shape {k0.shape}, expected ({grid.d},)")
-    p = basis.momentum_sums(grid) + k0[None, :]
-    return np.sum(p * p, axis=1)
-
-
 def assemble_hamiltonian(
     basis: FockBasis,
     grid: MomentumGrid,
@@ -269,11 +252,12 @@ def assemble_hamiltonian(
     xi: Optional[Sequence[float]] = None,
 ) -> SparseOperator:
     """Fiber Hamiltonian ``(P - xi)^2 + Phi(v) + N`` at total momentum ``xi``,
-    flagged symmetric for ``storage``."""
-    if xi is None:
-        xi = np.zeros(grid.d)
-    xi = np.asarray(xi, dtype=float)
-    diag = shifted_kinetic_diagonal(basis, grid, -xi) + number_diagonal(basis)
+    any point of ``R^d``."""
+    xi = np.zeros(grid.d) if xi is None else np.asarray(xi, dtype=float)
+    if xi.shape != (grid.d,):
+        raise ConfigError(f"xi has shape {xi.shape}, expected ({grid.d},)")
+    p = basis.momentum_sums(grid) - xi[None, :]
+    diag = np.sum(p * p, axis=1) + basis.boson_counts()
     rows, cols, vals = _field_triplets(basis, ff)
     states = np.arange(basis.dim)
     rows, cols, vals = _canonical(
@@ -282,7 +266,7 @@ def assemble_hamiltonian(
         np.concatenate([cols, states]),
         np.concatenate([vals, diag]),
     )
-    return SparseOperator(dim=basis.dim, rows=rows, cols=cols, values=vals, hermitian=True)
+    return SparseOperator(dim=basis.dim, rows=rows, cols=cols, values=vals)
 
 
 def orbits(perms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -352,15 +336,3 @@ def sign_gauge(basis: FockBasis, ff: FormFactor) -> np.ndarray:
     basis states, under which every off-diagonal entry of the fiber
     Hamiltonian and of its tails is ``-|v_k| sqrt(m) <= 0``."""
     return (-1.0) ** (basis.boson_counts() + basis.occupations @ (ff.values < 0))
-
-
-def one_boson_vector(basis: FockBasis, ff: FormFactor) -> np.ndarray:
-    """Full-space vector with the coupling amplitudes in the 1-boson sector.
-
-    This is the state obtained by applying the raising part of the field
-    to the vacuum; it seeds every reduction object.
-    """
-    vec = np.zeros(basis.dim)
-    if basis.nmax >= 1:
-        vec[basis.rank(np.eye(basis.n_modes, dtype=np.int32))] = ff.values
-    return vec

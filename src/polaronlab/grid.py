@@ -6,14 +6,14 @@ real, even amplitude ``v_k = g * w(k) * h**(d/2)`` to every mode; the
 ``h**(d/2)`` quadrature weight is folded in once here so that all
 downstream operators are plain weighted sums over modes.  ``stabilizer``
 picks the signed coordinate permutations of the grid that fix a fiber
-momentum and a form factor: the symmetry group of one instance.
+momentum and a form factor: the symmetry group of one instance;
+``point_group`` refuses a group table over ``POINT_GROUP_CAP`` entries.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -25,6 +25,10 @@ from .errors import ConfigError, DimensionCapError
 PROFILES = ("froehlich", "gaussian", "constant")
 
 DEFAULT_MODE_CAP = 16384
+#: most entries ``d * 2**d * d! * M`` that ``MomentumGrid.point_group`` may
+#: hold in its int64 table of moved modes (0.5 GB); passes every d <= 3 grid
+#: under the mode cap and refuses d >= 6 at K = h = 1
+POINT_GROUP_CAP = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +70,17 @@ class MomentumGrid:
         Returns ``(ops, perms)``: ``ops[g]`` is one of the ``2**d * d!``
         signed permutation matrices (the identity first, ``-I`` among them),
         and ``perms[g, j]`` is the mode at ``ops[g] @ k_j``.  The cube grid
-        is closed under every one of them.
+        is closed under every one of them.  A group table over
+        ``POINT_GROUP_CAP`` entries is a ``DimensionCapError``, raised before
+        anything is built.
         """
         d = self.d
+        entries = d * 2**d * math.factorial(d) * self.size
+        if entries > POINT_GROUP_CAP:
+            raise DimensionCapError(
+                f"point group of d={d} on {self.size} modes needs {entries} table entries, "
+                f"cap is {POINT_GROUP_CAP}"
+            )
         ops = []
         for axes in itertools.permutations(range(d)):
             for signs in itertools.product((1, -1), repeat=d):
@@ -201,13 +213,3 @@ def triple_norm(
         val = float(np.sqrt(np.sum((ff.values / (1.0 + dist)) ** 2)))
         best = max(best, val)
     return best
-
-
-def export_form_factor_csv(grid: MomentumGrid, ff: FormFactor) -> str:
-    """Render the sampled amplitudes as CSV text (k components, then v_k)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"k{i}" for i in range(grid.d)] + ["v"])
-    for row, v in zip(grid.modes, ff.values):
-        writer.writerow([repr(float(x)) for x in row] + [repr(float(v))])
-    return buf.getvalue()

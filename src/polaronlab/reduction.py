@@ -233,7 +233,7 @@ class ReductionWorkspace:
             raise ConfigError(f"xi has shape {self.xi.shape}, expected ({grid.d},)")
 
         self.phi_op = fock.field_operator(basis, ff)
-        self.n_diag = fock.number_diagonal(basis)
+        self.n_diag = basis.boson_counts()
         self.p_state = basis.momentum_sums(grid)
         self.start1 = basis.tail_start(1)
         self.start2 = basis.tail_start(2)
@@ -241,9 +241,11 @@ class ReductionWorkspace:
         self.hamiltonian = self.restricted_matrix(FULL, np.zeros(grid.d), 0.0)
         self.symmetry = fock.symmetry(basis, grid, ff, self.xi)
         self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.symmetry, self.config)
-        self.v = fock.one_boson_vector(basis, ff)
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
+        #: the coupling amplitudes in the 1-boson sector: the field's raising part on the vacuum
+        self.v = np.zeros(basis.dim)
+        self.v[self.mode_state] = ff.values
         n_sums, blocks = self._sum_orbits
         perms = self.symmetry.mode_perms
         _log.debug(

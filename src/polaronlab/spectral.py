@@ -9,16 +9,11 @@ MRRR routine ``syevr`` (Dhillon & Parlett, Linear Algebra Appl. 387,
 2004), asked for the lowest ``count`` pairs only, which doubles as the
 built-in oracle for the sparse path; above the threshold the factor's
 solves drive shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35,
-1980), which holds no dense copy of the matrix.  The default sits at the
-measured crossover (one BLAS thread, lists of 6 pairs or fewer): dense
-wins at dim 165 (2.3 against 13.4 ms), still leads at dims 250-255
-(3.7-4.0 against 5.7-8.1 ms) and loses from dim 404 on (10.6-11.4
-against 4.7-7.5 ms at 404-410, 19.8 against 12.6 ms at 495); every cut
-from 165 to 249 routes the benchmark's lists alike.  ``Phi``
-changes the boson number by one, so
-the factor eliminates an uncoupled set of rows by their diagonal and
-factors the dense Schur complement on the rest with Bunch-Kaufman
-pivoting; inertia is additive over a Schur complement (Haynsworth, Linear
+1980), which holds no dense copy of the matrix.  The default is 200, the
+measured crossover (the timings are in ROADMAP, "After PR 28").  ``Phi``
+changes the boson number by one, so the factor eliminates an uncoupled
+set of rows by their diagonal and factors the dense Schur complement on
+the rest with Bunch-Kaufman pivoting; inertia is additive over a Schur complement (Haynsworth, Linear
 Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
 complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
 a ``SolverError``; a singular factor counts its zero pivots, the
@@ -97,10 +92,9 @@ _PIVOT_RATIO = (1.0 + 17.0**0.5) / 8.0
 class SolverConfig:
     """The dimension above which an eigenpair list leaves dense ``syevr``
     for shift-invert Lanczos (only ``lowest_eigenpairs`` reads it; no config
-    entry sets it), 200 by default: the measured crossover of the module
-    docstring, above which a list holds no dense n x n copy; and the seed
-    of the iterative solvers' start vectors, defaulting to
-    ``fock.DEFAULT_SEED``.  The tolerances are the module constants
+    entry sets it), 200 by default, the measured crossover, above which a
+    list holds no dense n x n copy; and the seed of the iterative solvers'
+    start vectors, defaulting to ``fock.DEFAULT_SEED``.  The tolerances are the module constants
     ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
 
     dense_threshold: int = 200

@@ -4,9 +4,10 @@ An operator file is a little-endian header ``(dimension, nnz, flags)`` as
 three unsigned 64-bit words, followed by one record per stored entry:
 ``(row: int64, col: int64, value: float64)``.  The records are the
 canonical triplets of a ``SparseOperator``: strictly ascending by row, then
-column, with no zero value.  A JSON sidecar carries the assembly parameters
-and the SHA-256 of the binary payload; every load re-hashes and refuses
-corrupted files.
+column, with no zero value.  Every operator is symmetric, so ``flags`` is
+always 1 and the sidecar always says ``"hermitian": true``.  The JSON
+sidecar also carries the assembly parameters and the SHA-256 of the binary
+payload; every load re-hashes and refuses corrupted files.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ def operator_bytes(op: SparseOperator) -> bytes:
     records["row"] = op.rows
     records["col"] = op.cols
     records["value"] = op.values
-    flags = _FLAG_HERMITIAN if op.hermitian else 0
-    return _HEADER.pack(op.dim, op.nnz, flags) + records.tobytes()
+    return _HEADER.pack(op.dim, op.nnz, _FLAG_HERMITIAN) + records.tobytes()
 
 
 def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, Dict[str, Any]]:
@@ -99,7 +99,7 @@ def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, D
     sidecar = {
         "dimension": op.dim,
         "nnz": op.nnz,
-        "hermitian": op.hermitian,
+        "hermitian": True,
         "sha256": sha256_bytes(blob),
         "meta": meta,
     }
@@ -108,10 +108,10 @@ def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, D
 
 def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     """Load an operator, verifying its content hash and its layout: the
-    header must match the sidecar and hold exactly ``nnz`` records, and the
-    records must be canonical triplets, strictly ascending by row, then
-    column, inside ``[0, dim)``, with no zero value.  Any mismatch raises
-    ``CacheCorruptionError``."""
+    header must match the sidecar, carry the flag word 1 and hold exactly
+    ``nnz`` records, and the records must be canonical triplets, strictly
+    ascending by row, then column, inside ``[0, dim)``, with no zero value.
+    Any mismatch raises ``CacheCorruptionError``."""
     import numpy as np
 
     from .fock import SparseOperator
@@ -127,6 +127,8 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     dim, nnz, flags = _HEADER.unpack_from(blob)
     if (dim, nnz) != (sidecar.get("dimension"), sidecar.get("nnz")):
         raise CacheCorruptionError(f"header of {bin_path} disagrees with its sidecar")
+    if flags != _FLAG_HERMITIAN:
+        raise CacheCorruptionError(f"flag word of {bin_path} is {flags}, not {_FLAG_HERMITIAN}")
     record = np.dtype(_RECORD_FIELDS)
     if len(blob) - _HEADER.size != nnz * record.itemsize:
         raise CacheCorruptionError(f"record count mismatch in {bin_path}")
@@ -138,5 +140,5 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     inside = np.all((rows >= 0) & (rows < dim) & (cols >= 0) & (cols < dim))
     if not (ascending and inside and np.all(values != 0)):
         raise CacheCorruptionError(f"records of {bin_path} are not canonical triplets")
-    op = SparseOperator(int(dim), rows, cols, values, bool(flags & _FLAG_HERMITIAN))
+    op = SparseOperator(int(dim), rows, cols, values)
     return op, sidecar

@@ -310,6 +310,32 @@ def test_persisted_operators_are_frozen(tmp_path, name):
         assert storage.sha256_bytes(blob) == digest, nmax
 
 
+#: sha256 of ``tables/form_factor.csv`` as ``build`` wrote it through its
+#: own CSV writer, before ``RunDirectory.write_csv`` took the table over
+FROZEN_FORM_FACTORS = {
+    "d1": (
+        {"grid": {"d": 1, "K": 2.0, "h": 0.5}, "form_factor": {"profile": "gaussian", "g": 0.1},
+         "nmax": [2]},
+        "495abaaddc6dc1cf3472fd86d64e02928c0d0ac5d3732de87f99fc6793875a45",
+    ),
+    "d3": (
+        {"grid": {"d": 3, "K": 1.0, "h": 1.0}, "form_factor": {"profile": "froehlich", "g": 0.1},
+         "nmax": [2]},
+        "8acfda8163c1a19ae315127b58f102cb1503590a8752e8c1f34b1a1d01d2ad48",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FORM_FACTORS))
+def test_form_factor_table_is_frozen(tmp_path, name):
+    cfg, digest = FROZEN_FORM_FACTORS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "build"
+    assert cli.main(["build", "--config", str(path), "--out", str(out)]) == 0
+    assert storage.sha256_bytes((out / "tables" / "form_factor.csv").read_bytes()) == digest
+
+
 def test_spectrum_artifacts_and_values(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "spec"
@@ -352,7 +378,7 @@ def test_spectrum_top_level_one_has_no_nu2(tmp_path, capsys):
     out = tmp_path / "spec"
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     assert "nu2=n/a" in capsys.readouterr().out
-    level = json.loads((out / "results" / "spectrum_n1.json").read_text())
+    level = json.loads((out / "results" / "spectrum.json").read_text())["levels"]["1"]
     definitions = _schema("spectrum.schema.json")["definitions"]
     jsonschema.validate(level, {"definitions": definitions, "$ref": "#/definitions/level"})
     assert level["nu2"] is None

@@ -210,7 +210,8 @@ def test_commutation_identity_and_top_sector_defect(small_setup):
     for k_id in range(grid.size):
         k = grid.modes[k_id]
         ck = pl.creator(basis, k_id).toarray()
-        shifted = np.diag(pl.fock.shifted_kinetic_diagonal(basis, grid, k))
+        p = basis.momentum_sums(grid) + k
+        shifted = np.diag(np.sum(p * p, axis=1))
         n_op = np.diag(basis.boson_counts().astype(float))
         rhs = ck @ (shifted + field + n_op + np.eye(basis.dim)) + ff.values[k_id] * np.eye(
             basis.dim
@@ -223,21 +224,25 @@ def test_commutation_identity_and_top_sector_defect(small_setup):
 
 
 def test_diagonal_operators(small_setup):
+    """``N``, ``P`` and the Hamiltonian's diagonal ``(P - xi)^2 + N`` at an
+    off-grid ``xi`` match the oracle; ``xi`` must live in ``R^d``."""
     grid, ff, basis, occs, perm = small_setup
     momenta = oracles.total_momenta(occs, grid.modes)
     n_ref = oracles.boson_counts(occs)
-    assert np.array_equal(pl.fock.number_diagonal(basis)[perm], n_ref.astype(float))
+    assert np.array_equal(basis.boson_counts()[perm], n_ref)
     assert np.allclose(basis.momentum_sums(grid)[perm, 0], momenta[:, 0], rtol=0, atol=1e-15)
-    k0 = np.array([0.5])
-    ours_sq = pl.fock.shifted_kinetic_diagonal(basis, grid, k0)[perm]
-    assert np.allclose(ours_sq, (momenta[:, 0] + 0.5) ** 2, rtol=0, atol=1e-14)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=[-0.5])
+    ours = ham.matrix.diagonal()[perm]
+    assert np.allclose(ours, (momenta[:, 0] + 0.5) ** 2 + n_ref, rtol=0, atol=1e-14)
     with pytest.raises(ConfigError):
-        pl.fock.shifted_kinetic_diagonal(basis, grid, [0.5, 0.5])  # shift must live in R^d
+        pl.assemble_hamiltonian(basis, grid, ff, xi=[0.5, 0.5])  # xi must live in R^d
 
 
 def test_one_boson_vector(small_setup):
+    """A workspace's ``v`` holds the coupling amplitudes in the 1-boson
+    sector and nothing else."""
     grid, ff, basis, occs, perm = small_setup
-    vec = pl.one_boson_vector(basis, ff)
+    vec = pl.ReductionWorkspace(grid, ff, basis).v
     assert vec.shape == (basis.dim,)
     assert vec[0] == 0.0
     for j in range(grid.size):
@@ -274,7 +279,6 @@ def test_operator_persistence_roundtrip(tmp_path, small_setup):
     sidecar = _write_operator(op, base, meta={"nmax": 3})
     loaded, side_loaded = storage.load_operator(base)
     assert side_loaded == sidecar
-    assert loaded.hermitian == op.hermitian
     assert loaded.dim == op.dim
     assert np.array_equal(loaded.matrix.toarray(), op.matrix.toarray())
     # serialization is canonical: same operator, same bytes
@@ -305,7 +309,8 @@ def test_operator_corruption_detected(tmp_path, small_setup):
 def test_operator_layout_checked_behind_matching_hash(tmp_path, small_setup):
     """Blobs whose sidecar hash matches but whose layout is broken: a short
     header, a partial record, a missing record, a self-consistent blob
-    whose header disagrees with the sidecar's nnz, and full-size blobs whose
+    whose header disagrees with the sidecar's nnz, a flag word of 0 where
+    every operator is symmetric and has 1, and full-size blobs whose
     records are not canonical triplets: an index past ``dim``, a negative
     index, a zero value, two records swapped, one record repeated."""
     grid, ff, basis, occs, perm = small_setup
@@ -316,6 +321,7 @@ def test_operator_layout_checked_behind_matching_hash(tmp_path, small_setup):
     header, record = 24, 24
     dim, nnz, flags = struct.unpack_from("<QQQ", good)
     fewer = struct.pack("<QQQ", dim, nnz - 1, flags) + good[header : -record]
+    unflagged = struct.pack("<QQQ", dim, nnz, 0) + good[header:]
 
     def with_records(edit):
         records = np.frombuffer(good, dtype=[("row", "<i8"), ("col", "<i8"), ("value", "<f8")],
@@ -339,7 +345,7 @@ def test_operator_layout_checked_behind_matching_hash(tmp_path, small_setup):
         r[2] = r[1]
 
     broken = [with_records(edit) for edit in (out_of_range, negative, zero, swapped, repeated)]
-    for blob in (good[:10], good[: header + 5], good[:-record], fewer, *broken):
+    for blob in (good[:10], good[: header + 5], good[:-record], fewer, unflagged, *broken):
         base.with_suffix(".bin").write_bytes(blob)
         base.with_suffix(".json").write_text(
             json.dumps({**sidecar, "sha256": storage.sha256_bytes(blob)})
@@ -395,6 +401,6 @@ def test_hamiltonian_triplets_canonical_property(tmp_path_factory, n_modes, nmax
     base = tmp_path_factory.mktemp("triplets") / "ham"
     _write_operator(op, base, meta={})
     loaded, _ = storage.load_operator(base)
-    assert loaded.dim == op.dim and loaded.hermitian == op.hermitian
+    assert loaded.dim == op.dim
     for name in ("rows", "cols", "values"):
         assert np.array_equal(getattr(loaded, name), getattr(op, name))

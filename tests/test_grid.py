@@ -1,10 +1,12 @@
 """Momentum grid and form-factor sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
 import polaronlab as pl
-from polaronlab import ConfigError, DimensionCapError
+from polaronlab import ConfigError, DimensionCapError, cli
 
 
 def test_grid_modes_1d():
@@ -48,6 +50,14 @@ def test_point_group(d, K, h, order):
         assert np.array_equal(np.abs(op).sum(axis=1), np.ones(d))
         assert np.array_equal(np.sort(perm), np.arange(grid.size))
         assert np.array_equal(grid.modes[perm], grid.modes @ op.T)
+
+
+def test_point_group_cap(monkeypatch):
+    """A group table over ``POINT_GROUP_CAP`` entries is refused before the
+    group is built: d=4 at K=h=1 needs 4 * 384 * 80 entries."""
+    monkeypatch.setattr(pl.grid, "POINT_GROUP_CAP", 10_000)
+    with pytest.raises(DimensionCapError, match="point group"):
+        pl.build_grid(4, 1.0, 1.0).point_group()
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "froehlich"])
@@ -145,17 +155,21 @@ def test_triple_norm_refinement_settles():
     assert diffs[2] < diffs[1]
 
 
-def test_form_factor_csv_roundtrip():
+def test_form_factor_csv_roundtrip(tmp_path):
+    """``build`` writes the sampled amplitudes as ``tables/form_factor.csv``;
+    parsing the table gives back the grid's momenta and amplitudes exactly."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"grid": {"d": 1, "K": 1.0, "h": 0.5}, "form_factor": {"profile": "gaussian", "g": 0.3},
+         "nmax": [1]}
+    ))
+    assert cli.main(["build", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
     grid = pl.build_grid(1, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "gaussian", 0.3)
-    from polaronlab.grid import export_form_factor_csv
-
-    text = export_form_factor_csv(grid, ff)
-    lines = text.strip().split("\n")
+    lines = (tmp_path / "b" / "tables" / "form_factor.csv").read_text().strip().split("\n")
     assert lines[0] == "k0,v"
     assert len(lines) == grid.size + 1
     # repr round-trip: parsing the text reproduces the floats exactly
-    parsed = [[float(x) for x in line.split(",")] for line in lines[1:]]
-    parsed = np.array(parsed)
+    parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed[:, 0], grid.modes[:, 0])
     assert np.array_equal(parsed[:, 1], ff.values)
