@@ -339,7 +339,7 @@ def cmd_spectrum(args) -> int:
         symmetry = fock.symmetry(basis, grid, ff, cfg["xi"])
         level = spectrum_summary(ham, symmetry, SPECTRUM_COUNT, solver)
         e0 = float(level["eigenvalues"][0])
-        n_below = count_below(ham, e0 + 1.0, solver.buffer(grid.h))
+        n_below = count_below(ham, symmetry, e0 + 1.0, solver.buffer(grid.h))
         level["dimension"] = basis.dim
         level["count_below_window"] = n_below
         payload["levels"][str(nmax)] = level
@@ -477,7 +477,7 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
     bundle = ws.build_bundle()
     assumptions = bundle.assumptions()
     buffer = solver.buffer(grid.h)
-    n_below = count_below(ws.hamiltonian, ws.e0 + 1.0, buffer)
+    n_below = count_below(ws.hamiltonian, ws.symmetry, ws.e0 + 1.0, buffer)
     o_min = min(
         float(np.linalg.eigvalsh(ws.one_particle_operator(e))[0]) for e in EPSILON_GRID
     )

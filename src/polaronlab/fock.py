@@ -17,9 +17,11 @@ persists, whose CSR form is built on first use.  This module loads numpy
 alone: scipy loads only in the functions that return a CSR matrix, so
 ``build``, which assembles and persists triplets, runs without it.
 ``symmetry`` gives an instance's point group as one ``Symmetry`` value,
-and ``orbits`` the orbits of a permutation group; ``sign_gauge`` gives the
-basis signs under which the fiber Hamiltonian has no positive
-off-diagonal entry.
+whose sign-flip subgroup splits the basis into character blocks (Weisse &
+Fehske, Lect. Notes Phys. 739, 529, 2008; Sandvik, AIP Conf. Proc. 1297,
+135, 2010), and ``orbits`` the orbits of a permutation group;
+``sign_gauge`` gives the basis signs under which the fiber Hamiltonian has
+no positive off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -282,29 +284,41 @@ def orbits(perms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class Symmetry:
-    """A group of mode permutations, the identity first, acting on a basis;
-    the stack of its ``U_g`` (``basis_perms``) and its invariant ``sector``
+    """A group of mode permutations, the identity first, acting on a basis.
+
+    ``flips`` indexes its sign-flip subgroup, the elements that flip
+    coordinate axes and permute none, the identity first.  Each ``U_g``
+    (``basis_perm``) is built on first use and kept per element; the
+    invariant ``sector``, the sign-flip ``characters`` and their ``blocks``
     are built on first use."""
 
     basis: FockBasis
     mode_perms: np.ndarray = field(repr=False)  # (order, n_modes) int64
+    flips: np.ndarray = field(repr=False)  # (flip order,) int64 rows of mode_perms
+    _basis_perms: Dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def basis_perms(self) -> np.ndarray:
-        return np.array([self.basis.permute_modes(p) for p in self.mode_perms])
+    def basis_perm(self, g: int) -> np.ndarray:
+        """``U_g`` of element ``g``, a basis permutation (``FockBasis.permute_modes``)."""
+        perm = self._basis_perms.get(g)
+        if perm is None:
+            perm = self._basis_perms[g] = self.basis.permute_modes(self.mode_perms[g])
+        return perm
 
     @cached_property
     def sector(self) -> sp.csr_matrix:
         """``B``, whose columns are the normalized orbit sums ordered by
         lowest state, so each ``>= n`` tail is a trailing block of columns
-        (``tail_column``); the identity group gives the identity.  Logs the
-        group order, sector and full dimensions at DEBUG level."""
+        (``tail_column``); the identity group gives the identity.  The orbit
+        minima are a running minimum over the ``U_g``, one at a time and
+        none kept.  Logs the group order, sector and full dimensions at
+        DEBUG level."""
         import scipy.sparse as sp
 
         dim = self.basis.dim
-        _, column, size = np.unique(
-            self.basis_perms.min(axis=0), return_inverse=True, return_counts=True
-        )
+        lowest = np.arange(dim)
+        for perm in self.mode_perms[1:]:
+            np.minimum(lowest, self.basis.permute_modes(perm), out=lowest)
+        _, column, size = np.unique(lowest, return_inverse=True, return_counts=True)
         column = column.ravel()
         sector = sp.csr_matrix(
             (1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)), shape=(dim, len(size))
@@ -325,10 +339,90 @@ class Symmetry:
         """First column of ``B`` in the ``>= n`` boson tail."""
         return int(self.sector.indices[self.basis.tail_start(n)])
 
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """Character table of the sign-flip subgroup, float ``+-1`` of shape
+        ``(len(flips), len(flips))``: row ``c`` is one character on the
+        elements ``flips``, the trivial character first.
+
+        The subgroup is ``Z_2^r``: each element not yet a product of the
+        generators found so far becomes the next one, so every element gets
+        the bit mask of its generators, and character ``c`` is
+        ``(-1)^popcount(c & mask)``."""
+        perms = self.mode_perms[self.flips]
+        row = {perm.tobytes(): i for i, perm in enumerate(perms)}
+        masks = np.full(len(perms), -1, dtype=np.int64)
+        masks[0], rank = 0, 0
+        for i in range(len(perms)):
+            if masks[i] < 0:
+                for j in np.flatnonzero(masks >= 0):
+                    masks[row[perms[j][perms[i]].tobytes()]] = masks[j] | 1 << rank
+                rank += 1
+        parity = [[bin(c & int(m)).count("1") & 1 for m in masks] for c in range(2**rank)]
+        return 1.0 - 2.0 * np.array(parity)
+
+    @cached_property
+    def blocks(self) -> List[sp.csr_matrix]:
+        """The isometries ``Q_chi``, one per row of ``characters``: for each
+        sign-flip orbit (``orbits``), ordered by its lowest state ``r``,
+        whose stabilizer ``chi`` is trivial on, the normalized column
+        ``sum_a chi(a) e_{U_a r}``, ``chi(a) / sqrt(orbit size)`` on each
+        state ``U_a r``.  Their columns
+        together are an orthonormal basis, and a matrix that commutes with
+        the sign flips is block diagonal in it; the trivial group gives the
+        identity alone.  Each state lies in at most one column of a block,
+        so each ``Q_chi`` is built row by row."""
+        import scipy.sparse as sp
+
+        dim = self.basis.dim
+        moved = np.array([np.arange(dim)] + [self.basis_perm(int(g)) for g in self.flips[1:]])
+        lowest, carrier = orbits(moved)
+        reps = np.flatnonzero(lowest == np.arange(dim))
+        orbit = np.searchsorted(reps, lowest)
+        size = np.bincount(orbit)[orbit].astype(float)
+        fixes = np.array([perm[reps] == reps for perm in moved])  # (flips, orbits)
+        blocks = []
+        for chi in self.characters:
+            # sum_a chi(a) e_{U_a r} cancels unless chi is trivial on r's stabilizer
+            admitted = ~(fixes & (chi < 0)[:, None]).any(axis=0)
+            rows = admitted[orbit]
+            indptr = np.concatenate([[0], np.cumsum(rows)])
+            column = (np.cumsum(admitted) - 1)[orbit[rows]]
+            value = chi[carrier[rows]] / np.sqrt(size[rows])
+            blocks.append(sp.csr_matrix((value, column, indptr), shape=(dim, int(admitted.sum()))))
+        return blocks
+
+    def block_matrices(self, mat) -> List[sp.csr_matrix]:
+        """``Q_chi^T A Q_chi`` for every block, in the order of ``blocks``.
+
+        Each is ``S^T A S`` for the signs ``S`` of ``Q_chi``, scaled by
+        ``1 / sqrt(m_i m_j)`` for the orbit sizes ``m``: a power of 2, so a
+        diagonal entry that sums ``m`` copies of one value keeps it
+        exactly, as the free spectrum does."""
+        import scipy.sparse as sp
+
+        mat = sp.csr_matrix(mat)
+        out = []
+        for q in self.blocks:
+            signs = q.sign()
+            block = (signs.T @ mat @ signs).tocsr()
+            size = np.bincount(q.indices, minlength=q.shape[1]).astype(float)
+            rows = np.repeat(np.arange(q.shape[1]), np.diff(block.indptr))
+            block.data /= np.sqrt(size[rows] * size[block.indices])
+            out.append(block)
+        return out
+
 
 def symmetry(basis: FockBasis, grid: MomentumGrid, ff: FormFactor, xi=None) -> Symmetry:
-    """The point group of an instance on ``basis`` (``grid.stabilizer``)."""
-    return Symmetry(basis, stabilizer(grid, ff, xi))
+    """The point group of an instance on ``basis`` (``grid.stabilizer``).
+
+    Its sign flips are the elements that keep every ``|k_j|`` coordinate by
+    coordinate; each other element moves some axis mode ``e_i`` onto
+    another axis."""
+    perms = stabilizer(grid, ff, xi)
+    size = np.abs(grid.index)
+    flips = np.flatnonzero([np.array_equal(size[perm], size) for perm in perms])
+    return Symmetry(basis, perms, flips)
 
 
 def sign_gauge(basis: FockBasis, ff: FormFactor) -> np.ndarray:

@@ -936,7 +936,7 @@ def schur_equivalence_report(ws: ReductionWorkspace) -> dict:
     def evaluate(eps: float) -> np.ndarray:
         return sla.eigvalsh(ws.one_particle_operator(float(eps)))
 
-    eigs = eigenvalues_below(ws.hamiltonian, ws.e0 + 1.0, ws.config)
+    eigs = eigenvalues_below(ws.hamiltonian, ws.symmetry, ws.e0 + 1.0, ws.config)
     window = [float(e) for e in eigs if e > ws.e0 + 1e-12]
 
     spectrum_to_kernel = []

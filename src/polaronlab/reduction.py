@@ -401,7 +401,7 @@ class ReductionWorkspace:
         out = np.empty((solved.shape[0], len(rep)))
         out[:, own] = solved
         for x in np.flatnonzero(~own):
-            out[self.symmetry.basis_perms[carrier[x]][start:] - start, x] = out[:, rep[x]]
+            out[self.symmetry.basis_perm(carrier[x])[start:] - start, x] = out[:, rep[x]]
         return out
 
     @cached_property

@@ -1,12 +1,17 @@
 """Eigenvalue and linear solvers for real symmetric matrices, scipy sparse
 or dense ndarrays alike.
 
-Every eigenvalue count, at every dimension, is the inertia of one
-``SymmetricFactor`` of ``A - shift``, which also gives definiteness
-(Sylvester's law of inertia).  Eigenpair lists of small problems
-(dimension at or below ``dense_threshold``, 200 by default) come from the
-MRRR routine ``syevr`` (Dhillon & Parlett, Linear Algebra Appl. 387,
-2004), asked for the lowest ``count`` pairs only, which doubles as the
+Every eigenvalue count is a sum of inertias, one ``SymmetricFactor`` of
+``Q^T A Q - shift`` per character block of the instance's sign-flip
+subgroup (``fock.Symmetry.blocks``): ``A`` commutes with the group, so it
+is block diagonal in the blocks and the sum is exact (Sylvester's law of
+inertia); the inertia of one factor also gives definiteness.  An
+eigenvalue list is the merge of the blocks' lists, each certified by its
+block's inertia; a trivial group gives one block, the whole space.
+Eigenpair lists of small problems (dimension at or below
+``dense_threshold``, 200 by default) come from the MRRR routine
+``syevr`` (Dhillon & Parlett, Linear Algebra Appl. 387, 2004), asked for
+the lowest ``count`` pairs only, which doubles as the
 built-in oracle for the sparse path; above the threshold the factor's
 solves drive shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35,
 1980), which holds no dense copy of the matrix.  The default is 200, the
@@ -270,12 +275,12 @@ class SymmetricFactor:
 class Eigenpairs(NamedTuple):
     """Ascending eigenpairs with their residuals ``|A x - lam x|`` and the
     path taken: ``"dense"``, or ``"shift-invert"`` with ``iterations``
-    factor solves."""
+    factor solves (``None`` for a block list of no pairs)."""
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    method: str
+    method: Optional[str]
     iterations: int
 
 
@@ -455,22 +460,93 @@ def ground_energy(mat, symmetry: Symmetry, config: SolverConfig) -> Tuple[float,
     return float(pairs.values[0]), _signed_unit(lifted[:, 0])
 
 
+def _counted(mat, cut: float) -> int:
+    """Eigenvalues of ``mat`` at or below ``cut``: the negative and zero
+    pivots of one factor, gone before the caller builds the next."""
+    factor = SymmetricFactor(mat, cut, label="counted operator")
+    return factor.negative_count + factor.zero_count
+
+
+def _block_lists(blocks, count: int, config: SolverConfig) -> list:
+    """Eigenpairs of each block that together hold the lowest ``count``
+    eigenvalues of their direct sum, each list certified by its block's
+    inertia at one cut; a block that lists none has an empty list whose
+    ``method`` is ``None``.
+
+    The first round asks each block for its share of the lowest ``count``
+    values of the free part, the block diagonals (ties in block order), and
+    the trivial block, which holds the ground state, for at least one; its
+    lists are checked by their residuals alone.  The cut lies just above
+    every value listed, beyond its residual, so each listed value stands
+    for an eigenvalue below it, and ``count`` eigenvalues lie below it.
+    Every block factors there; one whose inertia shows more eigenvalues
+    than it listed is asked again for all of them, certified by that
+    inertia (``_lowest``), and its ``iterations`` count the solves of both
+    rounds.
+    """
+    free = np.concatenate([block.diagonal() for block in blocks])
+    owner = np.repeat(np.arange(len(blocks)), [block.shape[0] for block in blocks])
+    shares = np.bincount(owner[np.argsort(free, kind="stable")[:count]], minlength=len(blocks))
+    shares[0] = max(shares[0], 1)
+    # no eigenvalue lies below -inf, so that inertia adds no check to the
+    # residuals': each list is certified at the cut instead
+    lists = [
+        _lowest(block, int(share), config, (-np.inf, 0)) if share
+        else Eigenpairs(np.empty(0), np.empty((block.shape[0], 0)), np.empty(0), None, 0)
+        for block, share in zip(blocks, shares)
+    ]
+    values = np.concatenate([pairs.values for pairs in lists])
+    residuals = np.concatenate([pairs.residuals for pairs in lists])
+    cut = float(values.max()) + 2.0 * max(EIG_TOL, float(residuals.max()))
+    for b, block in enumerate(blocks):
+        below = SymmetricFactor(block, cut, label="eigenvalue list").negative_count
+        pairs = lists[b]
+        if _missing_copies(block, pairs.values, pairs.residuals, len(pairs.values), (cut, below)):
+            more = _lowest(block, below, config, (cut, below))
+            lists[b] = more._replace(iterations=more.iterations + pairs.iterations)
+    return lists
+
+
 def spectrum_summary(mat, symmetry: Symmetry, count: int, config: SolverConfig) -> dict:
     """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them,
     under the keys of the ``spectrum`` artifact; a gap whose tail lies above
-    the truncation is ``None``.  The eigenvalues come from the full space,
-    the gaps from the invariant sector of ``symmetry`` (see ``nu``)."""
-    pairs = lowest_eigenpairs(mat, min(count, mat.shape[0]), config)
-    e0 = float(pairs.values[0])
+    the truncation is ``None``.
+
+    The eigenvalues are the lowest ``count`` of the character blocks of
+    ``symmetry`` (``_block_lists``), ties in block order; ``diagnostics``
+    gives each block's dimension, its share of the list, and the method and
+    solves of its own list.  The vacuum overlap is read from the trivial
+    block's lowest vector, lifted by its ``Q``, and the gaps come from the
+    invariant sector (see ``nu``)."""
+    blocks = symmetry.block_matrices(mat)
+    count = min(count, mat.shape[0])
+    lists = _block_lists(blocks, count, config)
+    values = np.concatenate([pairs.values for pairs in lists])
+    residuals = np.concatenate([pairs.residuals for pairs in lists])
+    owner = np.repeat(np.arange(len(lists)), [len(pairs.values) for pairs in lists])
+    lowest = np.argsort(values, kind="stable")[:count]
+    shares = np.bincount(owner[lowest], minlength=len(blocks))
+    e0 = float(values[lowest[0]])
     nmax = symmetry.basis.nmax
     gaps = [nu(mat, e0, n, symmetry, config) if n <= nmax else None for n in (1, 2)]
+    ground = symmetry.blocks[0] @ lists[0].vectors[:, 0]
     return {
-        "eigenvalues": pairs.values,
-        "residuals": pairs.residuals,
-        "vacuum_overlap": float(_signed_unit(pairs.vectors[:, 0])[0]),
+        "eigenvalues": values[lowest],
+        "residuals": residuals[lowest],
+        "vacuum_overlap": float(_signed_unit(ground)[0]),
         "nu1": gaps[0],
         "nu2": gaps[1],
-        "diagnostics": {"method": pairs.method, "iterations": pairs.iterations},
+        "diagnostics": {
+            "blocks": [
+                {
+                    "dim": block.shape[0],
+                    "share": int(share),
+                    "method": pairs.method,
+                    "iterations": pairs.iterations,
+                }
+                for block, share, pairs in zip(blocks, shares, lists)
+            ]
+        },
     }
 
 
@@ -491,40 +567,47 @@ def nu(mat, e0: float, n: int, symmetry: Symmetry, config: SolverConfig) -> floa
     return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 
-def count_below(mat, threshold: float, buffer: float) -> int:
+def count_below(mat, symmetry: Symmetry, threshold: float, buffer: float) -> int:
     """Number of eigenvalues at or below ``threshold - buffer``.
 
     The buffer keeps the count stable against eigenvalues sitting right at
-    the threshold.  The count is the inertia of ``A - (threshold - buffer)``:
-    its negative count plus its zero pivots, so a cut exactly on an
-    eigenvalue counts it.
+    the threshold.  The count is the sum over the character blocks of
+    ``symmetry`` of the inertia of ``Q^T A Q - (threshold - buffer)``: its
+    negative count plus its zero pivots, so a cut exactly on an eigenvalue
+    counts it.  It is exact, since ``A`` is block diagonal in the blocks.
     """
     if buffer < 0:
         raise ConfigError(f"buffer must be >= 0, got {buffer}")
-    factor = SymmetricFactor(mat, threshold - buffer, label="counted operator")
-    return factor.negative_count + factor.zero_count
+    return sum(_counted(block, threshold - buffer) for block in symmetry.block_matrices(mat))
 
 
-def eigenvalues_below(mat, threshold: float, config: SolverConfig) -> np.ndarray:
+def eigenvalues_below(
+    mat, symmetry: Symmetry, threshold: float, config: SolverConfig
+) -> np.ndarray:
     """All eigenvalues strictly below ``threshold``, ascending; empty if
     there are none.
 
-    Their number is the negative count of a factor at the threshold.  That
-    count also certifies the eigenpair list of that size, which must land
+    They are the merged lists of the character blocks of ``symmetry``.  A
+    block's number of them is the negative count of a factor at the
+    threshold; a block with none runs no eigensolver.  That count also
+    certifies the block's eigenpair list of that size, which must land
     every one of them below the threshold, else ``SolverError``; no further
     factor is built for the check, and the count's factor is gone before
     the list builds its own.
     """
-    count = SymmetricFactor(mat, threshold, label="counted operator").negative_count
-    if not count:
-        return np.empty(0)
-    vals = _lowest(mat, count, config, (threshold, count)).values
-    if vals[-1] >= threshold:
-        raise SolverError(
-            f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "
-            f"returned {vals[-1]!r} as the {count}-th"
-        )
-    return vals
+    found = [np.empty(0)]
+    for block in symmetry.block_matrices(mat):
+        count = SymmetricFactor(block, threshold, label="counted operator").negative_count
+        if not count:
+            continue
+        vals = _lowest(block, count, config, (threshold, count)).values
+        if vals[-1] >= threshold:
+            raise SolverError(
+                f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "
+                f"returned {vals[-1]!r} as the {count}-th"
+            )
+        found.append(vals)
+    return np.sort(np.concatenate(found))
 
 
 def _jacobi_cg(off, diag: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int, bool]:

@@ -92,9 +92,10 @@ def test_criterion_01_free_theory(grid, solver):
     ff = pl.sample_form_factor(grid, "gaussian", 0.0)
     basis = pl.enumerate_basis(grid.size, 4)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, solver)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    summary = pl.spectrum_summary(ham, symmetry, 6, solver)
     e0 = summary["eigenvalues"][0]
-    below = pl.count_below(ham, e0 + 1.0, 0.1)
+    below = pl.count_below(ham, symmetry, e0 + 1.0, 0.1)
     elapsed = time.perf_counter() - started
     ok = (
         abs(e0) <= 1e-12
@@ -246,7 +247,7 @@ def test_criterion_08_coupling_scan(coupling_workspaces, coupling_bundles, solve
         rows[g] = {
             "e0": ws.e0,
             "nu2": summary["nu2"],
-            "count": pl.count_below(ws.hamiltonian, ws.e0 + 1.0, 1e-6),
+            "count": pl.count_below(ws.hamiltonian, ws.symmetry, ws.e0 + 1.0, 1e-6),
         }
     elapsed = time.perf_counter() - started
     energies = [rows[g]["e0"] for g in COUPLINGS]

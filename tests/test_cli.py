@@ -766,7 +766,9 @@ def test_spectrum_lists_both_copies_of_a_double_eigenvalue(tmp_path):
     out = tmp_path / "spec"
     assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     level = json.loads((out / "results" / "spectrum.json").read_text())["levels"]["3"]
-    assert level["diagnostics"]["method"] == "shift-invert"
+    blocks = level["diagnostics"]["blocks"]
+    assert [b["dim"] for b in blocks] == [777, 728, 728, 692]
+    assert all(b["method"] == "shift-invert" for b in blocks)
     listed = np.round(level["eigenvalues"], 7)
     assert np.count_nonzero(listed == 0.4394721) == 2
     assert listed[:5].tolist() == [-0.8163776, 0.4110231, 0.4394721, 0.4394721, 0.4403373]

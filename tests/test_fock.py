@@ -96,7 +96,8 @@ def test_invariant_sector_isometry():
     ff = pl.sample_form_factor(grid, "gaussian", 0.3)
     basis = pl.enumerate_basis(grid.size, 3)
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    perms, sector = symmetry.basis_perms, symmetry.sector
+    perms = np.array([basis.permute_modes(p) for p in symmetry.mode_perms])
+    sector = symmetry.sector
     dense = sector.toarray()
     # one column per orbit; Burnside: the orbits number the mean fixed states
     fixed = [np.count_nonzero(perm == np.arange(basis.dim)) for perm in perms]
@@ -110,8 +111,123 @@ def test_invariant_sector_isometry():
         assert not dense[:start, column:].any() and not dense[start:, :column].any()
     for perm in perms:
         assert np.array_equal(dense[perm], dense)
-    plain = pl.fock.Symmetry(basis, np.arange(basis.n_modes)[None, :]).sector
-    assert (plain != sp.identity(basis.dim)).nnz == 0
+    plain = pl.fock.Symmetry(basis, np.arange(basis.n_modes)[None, :], np.zeros(1, dtype=np.int64))
+    assert (plain.sector != sp.identity(basis.dim)).nnz == 0
+    [block] = plain.blocks
+    assert (block != sp.identity(basis.dim)).nnz == 0
+
+
+def _stacked_sector(symmetry):
+    """The sector's CSR arrays from the minimum over the stack of every
+    ``U_g``, ``order x dim`` entries: the oracle of the running minimum."""
+    basis = symmetry.basis
+    stack = np.array([basis.permute_modes(p) for p in symmetry.mode_perms])
+    _, column, size = np.unique(stack.min(axis=0), return_inverse=True, return_counts=True)
+    column = column.ravel()
+    return sp.csr_matrix(
+        (1.0 / np.sqrt(size[column]), column, np.arange(basis.dim + 1)),
+        shape=(basis.dim, len(size)),
+    )
+
+
+#: instances (d, K, h, nmax, xi) of the symmetry tests: orders 2, 8, 2 and 48
+_SYMMETRY_CASES = [
+    (1, 2.0, 0.5, 3, None),
+    (2, 1.0, 0.5, 2, None),
+    (2, 1.0, 0.5, 2, (0.6, 0.0)),
+    (3, 1.0, 1.0, 2, None),
+]
+
+
+def _symmetry_case(d, K, h, nmax, xi, profile="gaussian", g=0.3):
+    grid = pl.build_grid(d, K, h)
+    ff = pl.sample_form_factor(grid, profile, g)
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    return ham, pl.fock.symmetry(basis, grid, ff, xi)
+
+
+@pytest.mark.parametrize("case", _SYMMETRY_CASES)
+def test_sector_running_minimum_matches_the_stack(case):
+    """The running minimum over one ``U_g`` at a time gives the sector's CSR
+    arrays bit for bit as the minimum over the whole stack did."""
+    _, symmetry = _symmetry_case(*case)
+    sector, oracle = symmetry.sector, _stacked_sector(symmetry)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(sector, name), getattr(oracle, name)), name
+    assert sector.shape == oracle.shape
+
+
+def test_sector_holds_no_stack_of_basis_permutations():
+    """At d=4, K=h=1, ``nmax`` 2 (order 384, dim 3321) the traced peak of
+    the sector stays below the ``8 order dim`` bytes of the stack of every
+    ``U_g``, and no ``U_g`` is kept."""
+    import tracemalloc
+
+    grid = pl.build_grid(4, 1.0, 1.0)
+    ff = pl.sample_form_factor(grid, "gaussian", 0.3)
+    basis = pl.enumerate_basis(grid.size, 2)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    order = len(symmetry.mode_perms)
+    assert (order, basis.dim) == (384, 3321)
+    tracemalloc.start()
+    try:
+        sector = symmetry.sector
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sector.shape[0] == basis.dim
+    assert peak < 8 * order * basis.dim
+    assert symmetry._basis_perms == {}
+
+
+@pytest.mark.parametrize("case", _SYMMETRY_CASES)
+def test_character_blocks_split_the_hamiltonian(case):
+    """The sign flips are the elements that keep every coordinate's size,
+    and their characters are orthogonal, the trivial one first.  The blocks
+    ``Q_chi`` together are orthogonal (``Q^T Q = I``), their dimensions sum
+    to the basis dimension, and ``Q^T H Q`` has no entry above
+    ``1e-14 |H|`` off its diagonal blocks."""
+    ham, symmetry = _symmetry_case(*case)
+    d, xi = case[0], case[4]
+    flips = 2 ** (d - (xi is not None))
+    chars = symmetry.characters
+    assert chars.shape == (flips, flips) and symmetry.flips[0] == 0
+    assert np.array_equal(chars @ chars.T, flips * np.eye(flips))
+    assert np.all(chars[0] == 1.0)
+    grid_sizes = np.abs(pl.build_grid(d, case[1], case[2]).index)
+    for g in symmetry.flips:
+        assert np.array_equal(grid_sizes[symmetry.mode_perms[g]], grid_sizes)
+    dims = [q.shape[1] for q in symmetry.blocks]
+    assert sum(dims) == ham.shape[0] and len(dims) == flips
+    q = sp.hstack(symmetry.blocks).tocsr()
+    assert abs(q.T @ q - sp.identity(ham.shape[0])).max() <= 1e-15
+    split = (q.T @ ham @ q).toarray()
+    ends = np.cumsum([0] + dims)
+    for a, b in zip(ends, ends[1:]):
+        split[a:b, a:b] = 0.0
+    assert np.abs(split).max() <= 1e-14 * abs(ham).max()
+    for q_chi, block in zip(symmetry.blocks, symmetry.block_matrices(ham)):
+        assert abs(block - (q_chi.T @ ham @ q_chi)).max() <= 1e-14 * abs(ham).max()
+    # the free spectrum sums equal diagonal entries over each orbit: the
+    # blocks keep them exactly
+    free = sp.diags(ham.diagonal())
+    assert np.array_equal(
+        np.sort(np.concatenate([b.diagonal() for b in symmetry.block_matrices(free)])),
+        np.sort(ham.diagonal()),
+    )
+
+
+def test_characters_need_nothing_past_numpy_1_24(monkeypatch):
+    """The package declares ``numpy>=1.24``: without ``np.bitwise_count``
+    (new in numpy 2.0) the d=3 sign flips still give the character table
+    of ``Z_2^3``, the trivial character first, and its eight blocks."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    ham, symmetry = _symmetry_case(*_SYMMETRY_CASES[3])
+    chars = symmetry.characters
+    assert chars.shape == (8, 8) and np.all(chars[0] == 1.0)
+    assert np.array_equal(chars @ chars.T, 8 * np.eye(8))
+    assert sum(q.shape[1] for q in symmetry.blocks) == ham.shape[0]
 
 
 def test_dimension_cap():

@@ -25,6 +25,15 @@ def _split(mat):
     return (mat - sp.diags(diag, format="csr")).tocsr(), diag
 
 
+def _trivial(dim):
+    """The identity group on a basis of ``dim`` states (``dim - 1`` modes,
+    one boson), whose one character block is the identity: the symmetry
+    with which a count or a list runs on a matrix that is no fiber
+    Hamiltonian, on the whole space as one block."""
+    basis = pl.enumerate_basis(dim - 1, 1)
+    return pl.fock.Symmetry(basis, np.arange(dim - 1)[None, :], np.zeros(1, dtype=np.int64))
+
+
 @pytest.fixture(scope="module")
 def mid_instance():
     grid = pl.build_grid(1, 2.0, 0.5)
@@ -175,6 +184,34 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     _assert_sector_minima(ham, basis, symmetry, SolverConfig(dense_threshold=dense_threshold))
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, None), (1, (0.3,)), (2, None), (2, (0.6, 0.0))]),
+    profile=st.sampled_from(pl.grid.PROFILES),
+    g=st.floats(0.0, 1.5),
+    nmax=st.sampled_from([2, 3]),
+    count=st.integers(1, 8),
+)
+def test_block_lists_match_full_spectrum(shape, profile, g, nmax, count):
+    """On the sparse path (``dense_threshold=10``) the character-block list
+    of ``count`` pairs is the bottom of the dense spectrum, at xi = 0 and at
+    a shift that leaves one block (d=1) or two (d=2), and its vacuum
+    overlap is the dense ground vector's."""
+    d, xi = shape
+    grid = pl.build_grid(d, *_DENSE_GRIDS[d])
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    symmetry = pl.fock.symmetry(basis, grid, ff, xi)
+    assert len(symmetry.blocks) == 2 ** (d - (xi is not None))
+    vals, vecs = np.linalg.eigh(ham.toarray())
+    summary = pl.spectrum_summary(ham, symmetry, count, SolverConfig(dense_threshold=10))
+    assert np.allclose(summary["eigenvalues"], vals[:count], rtol=0, atol=1e-9)
+    assert sum(b["share"] for b in summary["diagnostics"]["blocks"]) == count
+    ground = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
+    assert summary["vacuum_overlap"] == pytest.approx(ground[0], abs=1e-8)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     shape=st.sampled_from([(1, None), (2, None), (2, (0.6, 0.0))]),
@@ -192,16 +229,17 @@ def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, 
     basis = pl.enumerate_basis(grid.size, nmax)
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    symmetry = pl.fock.symmetry(basis, grid, ff, xi)
     assert (ham != ham.T).nnz == 0
     vals = np.linalg.eigvalsh(ham.toarray())
     buffer = SolverConfig().buffer(grid.h)
     window = vals[0] + 1.0 - buffer
-    assert pl.count_below(ham, vals[0] + 1.0, buffer) == int(np.sum(vals <= window))
+    assert pl.count_below(ham, symmetry, vals[0] + 1.0, buffer) == int(np.sum(vals <= window))
     # the midpoint of the spectral gap nearest the middle of the spectrum
     gaps = np.flatnonzero(np.diff(vals) > 1e-6)
     j = gaps[np.argmin(np.abs(gaps - basis.dim // 2))]
     cut = 0.5 * (vals[j] + vals[j + 1])
-    assert pl.count_below(ham, cut, 0.0) == j + 1
+    assert pl.count_below(ham, symmetry, cut, 0.0) == j + 1
     rhs = start_vector(basis.dim, 5)
     exact = np.linalg.solve(ham.toarray() - cut * np.eye(basis.dim), rhs)
     solved = SymmetricFactor(ham, cut).solve(rhs)
@@ -266,10 +304,11 @@ def test_count_below_free_theory():
     ff = pl.sample_form_factor(grid, "gaussian", 0.0)
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
+    symmetry = pl.fock.symmetry(basis, grid, ff)
     # exactly the vacuum sits below the one-boson line minus the buffer
-    assert pl.count_below(ham, 1.0, SolverConfig().buffer(grid.h)) == 1
+    assert pl.count_below(ham, symmetry, 1.0, SolverConfig().buffer(grid.h)) == 1
     with pytest.raises(ConfigError):
-        pl.count_below(ham, 1.0, -0.1)
+        pl.count_below(ham, symmetry, 1.0, -0.1)
 
 
 def test_ground_energy_nonincreasing_in_coupling():
@@ -301,10 +340,15 @@ def test_spectrum_summary_residuals_certified(mid_instance):
         e0 = result["eigenvalues"][0]
         assert result["nu2"] == pytest.approx(pl.nu(ham, e0, 2, symmetry, SolverConfig()))
     assert np.allclose(sparse["eigenvalues"], dense["eigenvalues"], rtol=0, atol=1e-9)
-    # the diagnostics name the path that ran and count its factor solves
-    assert dense["diagnostics"] == {"method": "dense", "iterations": 0}
-    assert sparse["diagnostics"]["method"] == "shift-invert"
-    assert sparse["diagnostics"]["iterations"] > 0
+    # the diagnostics name each block's dimension, its share of the list,
+    # the path its list took and its factor solves
+    halves = [(85, 4), (80, 2)]
+    assert [(b["dim"], b["share"]) for b in dense["diagnostics"]["blocks"]] == halves
+    assert [(b["dim"], b["share"]) for b in sparse["diagnostics"]["blocks"]] == halves
+    assert all(b["method"] == "dense" and b["iterations"] == 0
+               for b in dense["diagnostics"]["blocks"])
+    assert all(b["method"] == "shift-invert" and b["iterations"] > 0
+               for b in sparse["diagnostics"]["blocks"])
     # asking for (almost) every eigenvalue takes the dense path at any size
     tiny_grid = pl.build_grid(1, 1.0, 1.0)
     tiny = pl.enumerate_basis(tiny_grid.size, 3)  # dim 10
@@ -312,7 +356,8 @@ def test_spectrum_summary_residuals_certified(mid_instance):
     tiny_ham = pl.assemble_hamiltonian(tiny, tiny_grid, tiny_ff).matrix
     tiny_symmetry = pl.fock.symmetry(tiny, tiny_grid, tiny_ff)
     full = pl.spectrum_summary(tiny_ham, tiny_symmetry, 10, SolverConfig(dense_threshold=5))
-    assert full["diagnostics"] == {"method": "dense", "iterations": 0}
+    assert [b["share"] for b in full["diagnostics"]["blocks"]] == [6, 4]
+    assert all(b["method"] == "dense" for b in full["diagnostics"]["blocks"])
 
 
 def test_spd_solver_dense_and_cg_agree(mid_instance):
@@ -461,23 +506,47 @@ def test_start_vector_deterministic():
 
 
 @pytest.fixture(scope="module")
-def d2_instance():
+def d2_case():
+    """H of d=2, K=1, h=0.5, gaussian g=0.1, ``nmax`` 3 (dim 2925) and its
+    point group."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "gaussian", 0.1)
-    basis = pl.enumerate_basis(grid.size, 3)  # dim 2925
-    return pl.assemble_hamiltonian(basis, grid, ff).matrix
+    basis = pl.enumerate_basis(grid.size, 3)
+    return pl.assemble_hamiltonian(basis, grid, ff).matrix, pl.fock.symmetry(basis, grid, ff)
 
 
-def test_count_below_inertia_matches_dense(d2_instance):
+@pytest.fixture(scope="module")
+def d2_instance(d2_case):
+    return d2_case[0]
+
+
+def test_count_below_inertia_matches_dense(d2_case):
     """Exact inertia counts every copy of a degenerate eigenvalue, for cuts
     between each pair of neighbouring distinct eigenvalues."""
-    vals = np.linalg.eigvalsh(d2_instance.toarray())
+    ham, symmetry = d2_case
+    vals = np.linalg.eigvalsh(ham.toarray())
     low = vals[vals < vals[0] + 1.5]
     distinct = low[np.concatenate([[True], np.diff(low) > 1e-9])]
     assert distinct.size < low.size  # the window holds degenerate doublets
     for a, b in zip(distinct, distinct[1:]):
         cut = 0.5 * (a + b)
-        assert pl.count_below(d2_instance, cut, 0.0) == int(np.sum(vals <= cut))
+        assert pl.count_below(ham, symmetry, cut, 0.0) == int(np.sum(vals <= cut))
+
+
+def test_near_doublet_stays_in_the_trivial_block(d2_case):
+    """The near-doublet 1.239772/1.239773 of the d=2 gaussian instance lies
+    in the trivial block: two eigenvalues 8e-7 apart in one block, both of
+    which the block's list must hold for its inertia check to pass, in
+    ``spectrum_summary`` and in ``eigenvalues_below``."""
+    ham, symmetry = d2_case
+    trivial = np.linalg.eigvalsh(symmetry.block_matrices(ham)[0].toarray())
+    assert np.allclose(trivial[1:3], [1.2397718, 1.2397726], rtol=0, atol=1e-7)
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    listed = summary["eigenvalues"]
+    assert np.allclose(listed[:3], trivial[:3], rtol=0, atol=1e-10)
+    assert summary["diagnostics"]["blocks"][0]["share"] == 3
+    below = pl.spectral.eigenvalues_below(ham, symmetry, 1.24, SolverConfig())
+    assert np.allclose(below, trivial[:3], rtol=0, atol=1e-10)
 
 
 def test_count_below_refuses_uncertified_inertia():
@@ -487,8 +556,8 @@ def test_count_below_refuses_uncertified_inertia():
     twenty."""
     swap = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]])] * 10, format="csr")
     assert SymmetricFactor(swap, 0.5).negative_count == 10
-    assert pl.count_below(swap, 0.0, 0.0) == 10
-    assert pl.count_below(swap, 1.0, 0.0) == 20
+    assert pl.count_below(swap, _trivial(20), 0.0, 0.0) == 10
+    assert pl.count_below(swap, _trivial(20), 1.0, 0.0) == 20
 
 
 def test_count_below_on_an_eigenvalue_matches_dense():
@@ -499,24 +568,29 @@ def test_count_below_on_an_eigenvalue_matches_dense():
     the whole spectrum lists nothing, on the sparse list path too."""
     grid = pl.build_grid(1, 2.0, 0.5)
     basis = pl.enumerate_basis(grid.size, 3)
-    free = pl.assemble_hamiltonian(basis, grid, pl.sample_form_factor(grid, "gaussian", 0.0))
-    cases = [(sp.diags([0.0, 1.0, 2.0, 3.0]), 1.0, 0), (free.matrix, 1.25, 10)]
-    for mat, cut, threshold in cases:
+    zero = pl.sample_form_factor(grid, "gaussian", 0.0)
+    free = pl.assemble_hamiltonian(basis, grid, zero).matrix
+    blocks = pl.fock.symmetry(basis, grid, zero)
+    cases = [(sp.diags([0.0, 1.0, 2.0, 3.0]), _trivial(4), 1.0, 0), (free, blocks, 1.25, 10)]
+    for mat, symmetry, cut, threshold in cases:
         dense = int(np.sum(np.linalg.eigvalsh(mat.toarray()) <= cut))
-        assert pl.count_below(mat, cut, 0.0) == dense
+        assert pl.count_below(mat, symmetry, cut, 0.0) == dense
         factor = SymmetricFactor(mat, cut)
         assert factor.zero_count > 0
         with pytest.raises(SolverError, match="singular"):
             factor.solve(np.ones(mat.shape[0]))
-        strict = pl.spectral.eigenvalues_below(mat, cut, SolverConfig(dense_threshold=threshold))
+        config = SolverConfig(dense_threshold=threshold)
+        strict = pl.spectral.eigenvalues_below(mat, symmetry, cut, config)
         assert len(strict) == dense - factor.zero_count
         shifted = sp.csr_matrix(mat - cut * sp.identity(mat.shape[0]))
         with pytest.raises(SolverError, match="singular"):
             SpdSolver(*_split(shifted))
     sparse = SolverConfig(dense_threshold=10)
-    for mat, cut in [(sp.diags(np.arange(1.0, 21.0)), 0.5), (free.matrix, -0.5)]:
-        assert pl.count_below(mat, cut, 0.0) == 0
-        assert pl.spectral.eigenvalues_below(mat, cut, sparse).shape == (0,)
+    for mat, symmetry, cut in [
+        (sp.diags(np.arange(1.0, 21.0)), _trivial(20), 0.5), (free, blocks, -0.5)
+    ]:
+        assert pl.count_below(mat, symmetry, cut, 0.0) == 0
+        assert pl.spectral.eigenvalues_below(mat, symmetry, cut, sparse).shape == (0,)
 
 
 #: instances (d, K, h, nmax, profile, g, alpha) with a double
@@ -557,7 +631,9 @@ def _instance(d, K, h, nmax, profile, g, alpha):
 @pytest.mark.parametrize("row, truth", _DEGENERATE_ROWS)
 def test_sparse_lists_keep_degenerate_copies(row, truth):
     """Shift-invert Lanczos alone lists each of these double eigenvalues
-    once; the inertia check at the list's gaps finds the missing copies."""
+    once; the inertia check at the list's gaps finds the missing copies.
+    The block lists, the block counts at each cut between distinct values,
+    and the eigenvalues below those cuts are the dense ones too."""
     grid, ff, basis, ham = _instance(*row)
     if basis.dim == 1225:
         assert np.allclose(np.linalg.eigvalsh(ham.toarray())[:6], truth, rtol=0, atol=1e-11)
@@ -566,49 +642,97 @@ def test_sparse_lists_keep_degenerate_copies(row, truth):
     assert np.allclose(pairs.values, truth, rtol=0, atol=1e-10)
     gram = pairs.vectors.T @ pairs.vectors
     assert np.allclose(gram, np.eye(6), rtol=0, atol=1e-8)
-    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, SolverConfig())
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
+    for j in np.flatnonzero(np.diff(truth) > 1e-9):
+        cut = 0.5 * (truth[j] + truth[j + 1])
+        assert pl.count_below(ham, symmetry, cut, 0.0) == j + 1
+    below = pl.spectral.eigenvalues_below(ham, symmetry, cut, SolverConfig())
+    assert np.allclose(below, truth[: j + 1], rtol=0, atol=1e-10)
 
 
-def test_eigenvalues_below_certifies_its_list_by_its_count(caplog):
+def test_doublet_splits_across_two_blocks(degenerate_blocks):
+    """At d=2, constant g=0.5, ``nmax`` 3 the double eigenvalue 0.439472 is
+    one copy in each block odd under exactly one axis flip, and no other
+    block holds it; the ``spectrum`` list still holds both copies."""
+    ham, symmetry = degenerate_blocks
+    # each element's flipped axes, from the moved mode of the first grid mode
+    # (-K, -K): axis i is flipped where that mode's coordinate i changes sign
+    first = pl.build_grid(2, 1.0, 0.5).index
+    flipped = np.array([first[symmetry.mode_perms[g][0]] > 0 for g in symmetry.flips])
+    holding = []
+    for chi, block in zip(symmetry.characters, symmetry.block_matrices(ham)):
+        vals = np.linalg.eigvalsh(block.toarray())
+        if np.any(np.abs(vals - 0.439472101434) < 1e-9):
+            # the character's sign under the flip of each single axis
+            holding.append(tuple(int(chi[np.flatnonzero((flipped == axes).all(axis=1))[0]])
+                                 for axes in ([True, False], [False, True])))
+    assert sorted(holding) == [(-1, 1), (1, -1)]
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    assert np.count_nonzero(np.abs(summary["eigenvalues"] - 0.439472101434) < 1e-9) == 2
+    assert [b["share"] for b in summary["diagnostics"]["blocks"]] == [3, 1, 1, 1]
+
+
+@pytest.fixture(scope="module")
+def degenerate_blocks():
+    """H of the first degenerate row (d=2, constant g=0.5, ``nmax`` 3, dim
+    2925) and its point group."""
+    grid, ff, basis, ham = _instance(*_DEGENERATE_ROWS[0][0])
+    return ham, pl.fock.symmetry(basis, grid, ff)
+
+
+def test_eigenvalues_below_certifies_its_list_by_its_count(degenerate_blocks, caplog):
     """``eigenvalues_below`` lists both copies of the double eigenvalue
-    below its threshold, and its count at the threshold certifies that
-    list: one factor counts, one drives Lanczos, and no third is built."""
-    row, truth = _DEGENERATE_ROWS[0]
-    ham = _instance(*row)[3]
+    below its threshold, and each block's count at the threshold certifies
+    that block's list: in each block one factor counts, one drives Lanczos
+    if the count is not 0, and no third is built."""
+    ham, symmetry = degenerate_blocks
+    truth = _DEGENERATE_ROWS[0][1]
     with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
-        vals = pl.spectral.eigenvalues_below(ham, 0.5, SolverConfig())
+        vals = pl.spectral.eigenvalues_below(ham, symmetry, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
     labels = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "polaronlab.factor"]
-    assert labels == ["factor counted operator", "factor shift-invert operator"]
+    counted, lanczos = "factor counted operator", "factor shift-invert operator"
+    # the trivial block holds three values below 0.5, the two blocks odd
+    # under one flip a copy of the doublet each, the fourth block none
+    assert labels == [counted, lanczos] * 3 + [counted]
 
 
-def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors):
+def test_eigenvalue_lists_hold_one_factor_at_a_time(degenerate_blocks, live_factors):
     """No ``SymmetricFactor`` is built while another is alive.  On the first
-    degenerate instance the list drops its shift-invert factor before each
-    inertia check at a gap, and builds it again for each of the two
-    deflated runs that find the missing copies; then each sector gap (dims
-    409 and 404, above the default threshold) factors once, a one-pair list
-    with no gap to check.  On a d=1 instance at ``dense_threshold=10``, the
-    list and both sector gaps factor in turn.  ``eigenvalues_below`` keeps
-    its two factors, one after the other."""
-    row, truth = _DEGENERATE_ROWS[0]
-    grid, ff, basis, ham = _instance(*row)
-    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, SolverConfig())
-    assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
-    assert live_factors.built == ["shift-invert operator", "eigenvalue list"] * 3 + [
-        "shift-invert operator"
-    ] * 2
+    degenerate instance, ``lowest_eigenpairs`` on the whole space drops its
+    shift-invert factor before each inertia check at a gap, and builds it
+    again for each of the two deflated runs that find the missing copies.
+    ``spectrum_summary`` has the three blocks that hold free values among
+    the lowest six list their shares on a shift-invert factor, dropped
+    before the next is built, then each block factors at the cut, where the
+    fourth block's inertia shows a value it did not list, so it lists it;
+    then each sector gap (dims 409 and 404, above the default threshold)
+    factors once.  On a d=1 instance at ``dense_threshold=10``, the two
+    block lists, their cut factors, the second block asked again, and both
+    sector gaps factor in turn.  ``eigenvalues_below`` keeps each block's
+    two factors, one after the other."""
+    ham, symmetry = degenerate_blocks
+    truth = _DEGENERATE_ROWS[0][1]
+    lanczos, cut = "shift-invert operator", "eigenvalue list"
+    pairs = pl.lowest_eigenpairs(ham, 6, SolverConfig())
+    assert np.allclose(pairs.values, truth, rtol=0, atol=1e-10)
+    assert live_factors.built == [lanczos, cut] * 3
     live_factors.built.clear()
-    vals = pl.spectral.eigenvalues_below(ham, 0.5, SolverConfig())
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
+    assert live_factors.built == [lanczos] * 3 + [cut] * 4 + [lanczos] * 3
+    live_factors.built.clear()
+    vals = pl.spectral.eigenvalues_below(ham, symmetry, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
-    assert live_factors.built == ["counted operator", "shift-invert operator"]
+    assert live_factors.built == ["counted operator", lanczos] * 3 + ["counted operator"]
     grid, ff, basis, ham = _instance(1, 2.0, 0.5, 3, "gaussian", 0.1, 1.0)
     live_factors.built.clear()
     cfg = SolverConfig(dense_threshold=10)
     summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, cfg)
-    assert summary["diagnostics"]["method"] == "shift-invert"
-    assert live_factors.built.count("shift-invert operator") == 3
+    assert [b["method"] for b in summary["diagnostics"]["blocks"]] == ["shift-invert"] * 2
+    assert live_factors.built == [lanczos] * 2 + [cut] * 2 + [lanczos] * 3
     assert len(live_factors.live) == 0
 
 
@@ -618,21 +742,37 @@ def test_eigenvalue_lists_hold_one_factor_at_a_time(live_factors):
     g=st.just(0.0) | st.floats(0.05, 1.5),
     nmax=st.sampled_from([2, 3]),
     count=st.integers(2, 9),
+    xi=st.sampled_from([None, (0.6, 0.0)]),
 )
-def test_sparse_lists_match_dense_on_degenerate_draws(profile, g, nmax, count):
+def test_sparse_lists_match_dense_on_degenerate_draws(profile, g, nmax, count, xi):
     """On the d=2 grid, whose point group gives double eigenvalues, the
     sparse list (``dense_threshold=10``) is the dense one, every copy
     included; a count that cuts through a multiple eigenvalue is fine.  At
     g = 0, H is diagonal: the factor eliminates every row, and the free
-    spectrum's fourfold eigenvalues need several deflated runs."""
+    spectrum's fourfold eigenvalues need several deflated runs.  The
+    character-block list, count and eigenvalues below a cut are the dense
+    ones too, at xi = 0 (four blocks) and at xi = (0.6, 0) (two)."""
     grid = pl.build_grid(2, *_DENSE_GRIDS[2])
     basis = pl.enumerate_basis(grid.size, nmax)
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
-    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    truth = np.linalg.eigvalsh(ham.toarray())[:count]
-    pairs = pl.lowest_eigenpairs(ham, count, SolverConfig(dense_threshold=10))
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    vals = np.linalg.eigvalsh(ham.toarray())
+    truth = vals[:count]
+    config = SolverConfig(dense_threshold=10)
+    pairs = pl.lowest_eigenpairs(ham, count, config)
     assert pairs.method == "shift-invert"
     assert np.allclose(pairs.values, truth, rtol=0, atol=1e-9)
+    symmetry = pl.fock.symmetry(basis, grid, ff, xi)
+    assert len(symmetry.blocks) == (4 if xi is None else 2)
+    summary = pl.spectrum_summary(ham, symmetry, count, config)
+    assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-9)
+    # the first clear gap at or above the count-th eigenvalue
+    gaps = np.flatnonzero(np.diff(vals) > 1e-6)
+    j = gaps[gaps >= count - 1][0]
+    cut = 0.5 * (vals[j] + vals[j + 1])
+    assert pl.count_below(ham, symmetry, cut, 0.0) == j + 1
+    below = pl.spectral.eigenvalues_below(ham, symmetry, cut, config)
+    assert np.allclose(below, vals[: j + 1], rtol=0, atol=1e-9)
 
 
 def _factored_matrix(d, xi, profile, g, nmax, which, tail, k):
@@ -765,7 +905,67 @@ def test_factor_above_the_cap_is_refused(degenerate_instance, monkeypatch):
     with pytest.raises(SolverError, match=f"keeps {kept} of 325 rows .* above SCHUR_CAP"):
         SymmetricFactor(mat, 0.0)
     with pytest.raises(SolverError, match="SCHUR_CAP"):
-        pl.count_below(mat, 0.0, 0.0)
+        pl.count_below(mat, _trivial(325), 0.0, 0.0)
     monkeypatch.setattr(pl.spectral, "SCHUR_CAP", kept)
     below = int(np.sum(np.linalg.eigvalsh(mat.toarray()) < 0.0))
     assert SymmetricFactor(mat, 0.0).negative_count == below
+
+
+def _factor_events(caplog):
+    """``(label, dim, shift, kept)`` of each ``polaronlab.factor`` event."""
+    pattern = r"factor (.+): dim (\d+) at shift (\S+), \d+ eliminated, (\d+) kept, .*"
+    events = []
+    for record in caplog.records:
+        if record.name == "polaronlab.factor":
+            label, dim, shift, kept = re.fullmatch(pattern, record.getMessage()).groups()
+            events.append((label, int(dim), float(shift), int(kept)))
+    return events
+
+
+def _list_and_count(ham, symmetry, caplog):
+    """The ``spectrum`` level's list of six, its window count and the
+    equivalence report's eigenvalues below ``e0 + 1``, with their factor
+    events."""
+    config = SolverConfig()
+    with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
+        summary = pl.spectrum_summary(ham, symmetry, 6, config)
+        e0 = summary["eigenvalues"][0]
+        pl.count_below(ham, symmetry, e0 + 1.0, config.buffer(0.25))
+        pl.spectral.eigenvalues_below(ham, symmetry, e0 + 1.0, config)
+    return _factor_events(caplog)
+
+
+def test_fine_lists_and_counts_keep_half_the_rows(caplog):
+    """On the fine d=1 instance (K=2, h=0.25, gaussian g=0.065295) at
+    ``nmax`` 4 (dim 4845, blocks 2445 and 2400), no factor of the list, the
+    count or the eigenvalues below keeps more than 416 rows; a factor of
+    the whole space keeps 832."""
+    grid, ff, basis, ham = _instance(1, 2.0, 0.25, 4, "gaussian", 0.065295, 1.0)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    assert [q.shape[1] for q in symmetry.blocks] == [2445, 2400]
+    events = _list_and_count(ham, symmetry, caplog)
+    assert {label for label, *_ in events} == {
+        "counted operator", "eigenvalue list", "shift-invert operator"
+    }
+    assert max(kept for *_, kept in events) == 416
+    assert SymmetricFactor(ham, 0.5)._rows_k.size == 832
+
+
+def test_paper_model_factors_keep_at_most_a_block(caplog):
+    """On the paper's model (d=3, K=h=1, froehlich alpha=1, g=0.1) at
+    ``nmax`` 3 (dim 3654, eight blocks), no factor of the list, the count or
+    the eigenvalues below keeps more rows than the largest block keeps at
+    the same shift, far fewer than a factor of the whole space there."""
+    grid, ff, basis, ham = _instance(3, 1.0, 1.0, 3, "froehlich", 0.1, 1.0)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    blocks = symmetry.block_matrices(ham)
+    assert len(blocks) == 8 and sum(b.shape[0] for b in blocks) == basis.dim
+    events = _list_and_count(ham, symmetry, caplog)
+
+    def kept(mat, shift):
+        shifted = (mat - shift * sp.identity(mat.shape[0], format="csr")).tocsr()
+        return int(np.count_nonzero(~pl.spectral._eliminated_rows(shifted)))
+
+    for label, dim, shift, rows in events:
+        largest = max(kept(block, shift) for block in blocks)
+        assert rows <= largest < kept(ham, shift) / 4, (label, dim, shift)
