@@ -324,7 +324,7 @@ def cmd_build(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from . import fock
-    from .spectral import count_below, spectrum_summary
+    from .spectral import spectrum_summary
 
     cfg = load_config(args.config)
     grid, ff = instance_from_config(cfg)
@@ -337,15 +337,12 @@ def cmd_spectrum(args) -> int:
         basis = fock.enumerate_basis(grid.size, nmax, cap=cfg["fock_cap"])
         ham = fock.assemble_hamiltonian(basis, grid, ff, xi=cfg["xi"]).matrix
         symmetry = fock.symmetry(basis, grid, ff, cfg["xi"])
-        level = spectrum_summary(ham, symmetry, SPECTRUM_COUNT, solver)
-        e0 = float(level["eigenvalues"][0])
-        n_below = count_below(ham, symmetry, e0 + 1.0, solver.buffer(grid.h))
+        level = spectrum_summary(ham, symmetry, SPECTRUM_COUNT, solver, solver.buffer(grid.h))
         level["dimension"] = basis.dim
-        level["count_below_window"] = n_below
         payload["levels"][str(nmax)] = level
-        rows.append(
-            [nmax, basis.dim, e0, level["nu1"], level["nu2"], level["vacuum_overlap"], n_below]
-        )
+        e0 = float(level["eigenvalues"][0])
+        rows.append([nmax, basis.dim, e0, level["nu1"], level["nu2"], level["vacuum_overlap"],
+                     level["count_below_window"]])
 
     out.write_json("results/spectrum.json", payload)
     out.write_csv(

@@ -22,12 +22,13 @@ the rest with Bunch-Kaufman pivoting; inertia is additive over a Schur complemen
 Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
 complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
 a ``SolverError``; a singular factor counts its zero pivots, the
-eigenvalues at its shift, but refuses to solve.  Sparse eigenvalue lists are
-certified by that inertia too, so no copy of a multiple eigenvalue goes
-missing (``lowest_eigenpairs``).  No factor outlives its use: a list
-drops its shift-invert factor before the check factors at a gap of the
-list, and builds it again only if copies are missing, so at most one
-factor is alive at a time.  ``SpdSolver`` takes a matrix as its
+eigenvalues at its shift, but refuses to solve.  Each block list, and
+each sparse list of several pairs, is certified by that inertia too, at a
+cut known before any Lanczos run from Cauchy interlacing
+(``_interlacing_cut``), so no copy of a multiple eigenvalue goes missing.
+No factor outlives its use: the cut's factor serves inertia only and is
+gone before the list builds its shift-invert factor, which then serves
+every deflated run, so at most one factor is alive at a time.  ``SpdSolver`` takes a matrix as its
 off-diagonal part and its diagonal, the form in which every resolvent of
 ``reduction`` is one shared restriction of ``Phi`` plus a diagonal of its
 own.  At every dimension it certifies definiteness itself, as an M-matrix
@@ -76,7 +77,7 @@ from .fock import DEFAULT_SEED, Symmetry
 _log = logging.getLogger("polaronlab")
 _factor_log = logging.getLogger("polaronlab.factor")
 
-#: Lanczos convergence tolerance and floor of the eigenpair residual check
+#: Lanczos convergence tolerance
 EIG_TOL = 1e-10
 #: relative true-residual bound of every linear solve
 LIN_TOL = 1e-12
@@ -95,12 +96,14 @@ _PIVOT_RATIO = (1.0 + 17.0**0.5) / 8.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The dimension above which an eigenpair list leaves dense ``syevr``
-    for shift-invert Lanczos (only ``lowest_eigenpairs`` reads it; no config
-    entry sets it), 200 by default, the measured crossover, above which a
-    list holds no dense n x n copy; and the seed of the iterative solvers'
-    start vectors, defaulting to ``fock.DEFAULT_SEED``.  The tolerances are the module constants
-    ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
+    """The largest matrix solved densely, 200 by default, the measured
+    crossover (no config entry sets it): an eigenpair list of a larger one
+    leaves dense ``syevr`` for shift-invert Lanczos, which holds no dense
+    n x n copy, and a list's interlacing cut reads the leading
+    ``max(count, dense_threshold)`` rows of each block densely
+    (``_interlacing_cut``); and the seed of the iterative solvers' start
+    vectors, defaulting to ``fock.DEFAULT_SEED``.  The tolerances are the
+    module constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
 
     dense_threshold: int = 200
     seed: int = DEFAULT_SEED
@@ -288,37 +291,46 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
     """``count`` smallest eigenpairs of a real symmetric matrix, sparse or
     dense.
 
-    Below the fallback threshold, or when nearly every pair is asked for,
-    LAPACK's ``syevr`` computes only the lowest ``count`` pairs; above it,
-    shift-invert Lanczos on a ``SymmetricFactor``.  Every returned pair is
-    certified by its residual; one above tolerance is a ``SolverError``.
+    At or below ``dense_threshold``, or when nearly every pair is asked
+    for, LAPACK's ``syevr`` computes only the lowest ``count`` pairs; above
+    it, shift-invert Lanczos on a ``SymmetricFactor``.  Every returned pair
+    is certified by its residual; one above tolerance is a ``SolverError``.
 
     Lanczos from one start vector finds the extra copies of a multiple
-    eigenvalue only through rounding, so a sparse list is also certified by
-    inertia (``_missing_copies``): below a clear gap of the list, the
-    eigenvalues must number exactly the listed ones.  Missing copies are
-    asked for again from Lanczos on the factor's inverse deflated by the
-    pairs already found, whose start vector then has a component along each
-    of them; up to ``LIST_TRIES`` such runs, else ``SolverError``.  A
+    eigenvalue only through rounding, so a sparse list of several pairs is
+    also certified by inertia: ``_interlacing_cut`` gives a cut with at
+    least ``count`` eigenvalues below it before any Lanczos run, a
+    transient factor there counts them, and that many pairs are listed
+    (``_lists_below``), of which the lowest ``count`` are returned.  A
     multiple eigenvalue that ``count`` cuts through at the top of the list
-    lies above every gap, and is legitimate.  The shift-invert factor is
-    dropped before each such check builds its own, and built again for a
-    deflated run, so the two are never alive together; ``iterations``
-    counts the solves of every build.
+    is legitimate.  A single pair has no copies to miss and is certified
+    by its residual alone.
     """
-    return _lowest(mat, count, config, None)
-
-
-def _lowest(
-    mat, count: int, config: SolverConfig, inertia: Optional[Tuple[float, int]]
-) -> Eigenpairs:
-    """``lowest_eigenpairs``, whose sparse list is certified by ``inertia``,
-    a known ``(cut, eigenvalues below cut)``, if given, instead of by a
-    factor at one of its own gaps; the shift-invert factor then serves
-    every deflated run without a rebuild."""
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise ConfigError(f"cannot compute {count} eigenpairs of a dim-{dim} operator")
+    if count == 1 or dim <= config.dense_threshold or count >= dim - 1:
+        return _lowest(mat, count, config, None)
+    [pairs] = _lists_below([mat], _interlacing_cut([mat], count, config), config)
+    return Eigenpairs(
+        pairs.values[:count], pairs.vectors[:, :count], pairs.residuals[:count],
+        pairs.method, pairs.iterations,
+    )
+
+
+def _lowest(mat, count: int, config: SolverConfig, cut: Optional[float]) -> Eigenpairs:
+    """The lowest ``count`` eigenpairs, dense or by shift-invert Lanczos as
+    in ``lowest_eigenpairs``; a sparse list is certified by the inertia
+    ``count`` at ``cut``, or, for one pair (``cut`` None), by its residual
+    alone.
+
+    Values the list lacks below the cut are asked for again from Lanczos
+    on the factor's inverse deflated by the pairs already found, whose
+    start vector then has a component along each of them; up to
+    ``LIST_TRIES`` such runs, all on the one shift-invert factor, else
+    ``SolverError``, as are more listed values below the cut than its
+    inertia.  ``iterations`` counts the solves of every run."""
+    dim = mat.shape[0]
     if dim <= config.dense_threshold or count >= dim - 1:
         vals, vecs = sla.eigh(_dense(mat), subset_by_index=[0, count - 1])
         residuals = _certified_residuals(mat, vals, vecs, "dense")
@@ -340,31 +352,30 @@ def _lowest(
     vals, vecs = _lanczos(mat, count, sigma, solve, start)
     runs = 0
     while True:
-        residuals = _certified_residuals(mat, vals, vecs, "shift-invert")
-        if inertia is None:
-            # the check factors at a gap of the list, so this factor goes
-            # first, and is built again only if copies are missing
-            factor = None
-        missing = _missing_copies(mat, vals, residuals, count, inertia)
-        if not missing:
-            return Eigenpairs(
-                vals[:count], vecs[:, :count], residuals[:count], "shift-invert", solves
+        # a value at or above the cut stands for no eigenvalue of the list,
+        # but its vector still deflates the next run
+        kept = np.full(len(vals), True) if cut is None else vals < cut
+        residuals = _certified_residuals(mat, vals[kept], vecs[:, kept], "shift-invert")
+        listed = len(residuals)
+        if listed > count:
+            raise SolverError(
+                f"{listed} eigenvalues listed below {cut!r}, but its inertia is {count}"
             )
+        if listed == count:
+            return Eigenpairs(vals[kept], vecs[:, kept], residuals, "shift-invert", solves)
         if runs == LIST_TRIES:
             raise SolverError(
-                f"shift-invert Lanczos still misses {missing} eigenvalue copies "
+                f"shift-invert Lanczos still misses {count - listed} eigenvalue copies "
                 f"after {LIST_TRIES} deflated runs"
             )
         runs += 1
-        if factor is None:
-            factor = SymmetricFactor(mat, sigma, label="shift-invert operator")
         found = vecs
 
         def deflated(x: np.ndarray) -> np.ndarray:
             y = solve(x - found @ (found.T @ x))
             return y - found @ (found.T @ y)
 
-        more_vals, more_vecs = _lanczos(mat, missing, sigma, deflated, deflated(start))
+        more_vals, more_vecs = _lanczos(mat, count - listed, sigma, deflated, deflated(start))
         vals, vecs = np.concatenate([vals, more_vals]), np.hstack([vecs, more_vecs])
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
@@ -392,46 +403,19 @@ def _lanczos(mat, count: int, sigma: float, solve, start: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def _missing_copies(
-    mat, vals: np.ndarray, residuals: np.ndarray, count: int,
-    inertia: Optional[Tuple[float, int]],
-) -> int:
-    """How many eigenvalues below a cut an ascending list lacks, by inertia.
-
-    Given a known ``inertia = (cut, below)``, the cut is that one.  Else it
-    is the midpoint of a clear gap of the list, one wider than twice the
-    largest residual, so no eigenvalue a listed pair stands for crosses it:
-    the first such gap at or above the ``count``-th value, else the last
-    one below it, since values above it are a tie at the top of the list;
-    a list without a clear gap lacks nothing.  Fewer eigenvalues below the
-    cut than listed is a ``SolverError``.
-    """
-    if inertia is not None:
-        cut, below = inertia
-        listed = int(np.count_nonzero(vals < cut))
-    else:
-        gaps = np.flatnonzero(np.diff(vals) > 2.0 * residuals.max())
-        if not gaps.size:
-            return 0
-        above = gaps[gaps >= count - 1]
-        listed = int(above[0] if above.size else gaps[-1]) + 1
-        cut = 0.5 * (vals[listed - 1] + vals[listed])
-        below = SymmetricFactor(mat, cut, label="eigenvalue list").negative_count
-    if below < listed:
-        raise SolverError(f"{listed} eigenvalues listed below {cut!r}, but its inertia is {below}")
-    return below - listed
+def _residual_bound(vals: np.ndarray, dim: int) -> float:
+    """Largest residual ``|A x - lam x|`` an eigenpair of a dim-``dim``
+    matrix may leave: ``max(1e-8, 1e-12 max(1, |lam|) dim)`` over ``vals``."""
+    return max(1e-8, 1e-12 * max(1.0, float(np.abs(vals).max())) * dim)
 
 
 def _certified_residuals(mat, vals: np.ndarray, vecs: np.ndarray, method: str) -> np.ndarray:
-    """Residuals ``|A x - lam x|`` of eigenpairs; one above tolerance is a
-    ``SolverError``."""
-    dim = mat.shape[0]
+    """Residuals ``|A x - lam x|`` of eigenpairs; one above
+    ``_residual_bound`` is a ``SolverError``."""
     residuals = np.array(
         [np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(len(vals))]
     )
-    scale = max(1.0, float(np.abs(vals).max()))
-    tol = max(EIG_TOL, 1e-12 * scale * dim)
-    if np.any(residuals > max(tol, 1e-8)):
+    if np.any(residuals > _residual_bound(vals, mat.shape[0])):
         raise SolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance ({method})"
         )
@@ -467,60 +451,79 @@ def _counted(mat, cut: float) -> int:
     return factor.negative_count + factor.zero_count
 
 
-def _block_lists(blocks, count: int, config: SolverConfig) -> list:
-    """Eigenpairs of each block that together hold the lowest ``count``
-    eigenvalues of their direct sum, each list certified by its block's
-    inertia at one cut; a block that lists none has an empty list whose
-    ``method`` is ``None``.
+def _interlacing_cut(blocks, count: int, config: SolverConfig) -> float:
+    """A cut with at least ``count`` eigenvalues of the direct sum of
+    ``blocks`` below it, known before any Lanczos run.
 
-    The first round asks each block for its share of the lowest ``count``
-    values of the free part, the block diagonals (ties in block order), and
-    the trivial block, which holds the ground state, for at least one; its
-    lists are checked by their residuals alone.  The cut lies just above
-    every value listed, beyond its residual, so each listed value stands
-    for an eigenvalue below it, and ``count`` eigenvalues lie below it.
-    Every block factors there; one whose inertia shows more eigenvalues
-    than it listed is asked again for all of them, certified by that
-    inertia (``_lowest``), and its ``iterations`` count the solves of both
-    rounds.
-    """
-    free = np.concatenate([block.diagonal() for block in blocks])
-    owner = np.repeat(np.arange(len(blocks)), [block.shape[0] for block in blocks])
-    shares = np.bincount(owner[np.argsort(free, kind="stable")[:count]], minlength=len(blocks))
-    shares[0] = max(shares[0], 1)
-    # no eigenvalue lies below -inf, so that inertia adds no check to the
-    # residuals': each list is certified at the cut instead
-    lists = [
-        _lowest(block, int(share), config, (-np.inf, 0)) if share
-        else Eigenpairs(np.empty(0), np.empty((block.shape[0], 0)), np.empty(0), None, 0)
-        for block, share in zip(blocks, shares)
-    ]
-    values = np.concatenate([pairs.values for pairs in lists])
-    residuals = np.concatenate([pairs.residuals for pairs in lists])
-    cut = float(values.max()) + 2.0 * max(EIG_TOL, float(residuals.max()))
-    for b, block in enumerate(blocks):
+    Each block's leading ``min(dim, max(count, dense_threshold))`` rows, its
+    lowest-boson states (``Symmetry.blocks`` orders its columns by each
+    orbit's lowest state, and an orbit stays inside a boson-number sector),
+    span a principal submatrix, whose lowest ``count`` eigenvalues dense
+    ``syevr`` gives: the size keeps ``dense_threshold`` the largest matrix
+    solved densely unless ``count`` asks for more.  By Cauchy interlacing a
+    principal submatrix's ``j``-th eigenvalue bounds its block's ``j``-th
+    from above (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch.
+    10), so at least ``count`` eigenvalues lie at or below ``v``, the
+    ``count``-th smallest of the merged values.  The cut is
+    ``v + 2 EIG_TOL max(1, |v|)``: the margin, far above the rounding of
+    ``v`` and of a factor's inertia, puts those eigenvalues strictly below
+    it."""
+    leading = []
+    for block in blocks:
+        size = min(block.shape[0], max(count, config.dense_threshold))
+        head = _dense(block[:size, :size])
+        top = min(count, size) - 1
+        leading.append(sla.eigh(head, eigvals_only=True, subset_by_index=[0, top]))
+    v = float(np.sort(np.concatenate(leading))[count - 1])
+    return v + 2.0 * EIG_TOL * max(1.0, abs(v))
+
+
+def _lists_below(blocks, cut: float, config: SolverConfig) -> list:
+    """Each block's eigenpairs below ``cut``, certified by its inertia there.
+
+    A transient factor at the cut counts a block's eigenvalues below it,
+    and ``_lowest`` lists that many, certified by that count; a listed value
+    at or above the cut is a ``SolverError``.  A block with none runs no
+    eigensolver and has an empty list whose ``method`` is ``None``.  The
+    cut's factor is gone before the list builds its own."""
+    lists = []
+    for block in blocks:
         below = SymmetricFactor(block, cut, label="eigenvalue list").negative_count
-        pairs = lists[b]
-        if _missing_copies(block, pairs.values, pairs.residuals, len(pairs.values), (cut, below)):
-            more = _lowest(block, below, config, (cut, below))
-            lists[b] = more._replace(iterations=more.iterations + pairs.iterations)
+        if not below:
+            lists.append(
+                Eigenpairs(np.empty(0), np.empty((block.shape[0], 0)), np.empty(0), None, 0)
+            )
+            continue
+        pairs = _lowest(block, below, config, cut)
+        if pairs.values[-1] >= cut:
+            raise SolverError(
+                f"{below} eigenvalues lie below {cut!r}, but the eigensolver "
+                f"returned {pairs.values[-1]!r} as the {below}-th"
+            )
+        lists.append(pairs)
     return lists
 
 
-def spectrum_summary(mat, symmetry: Symmetry, count: int, config: SolverConfig) -> dict:
-    """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them,
-    under the keys of the ``spectrum`` artifact; a gap whose tail lies above
-    the truncation is ``None``.
+def spectrum_summary(
+    mat, symmetry: Symmetry, count: int, config: SolverConfig, buffer: float
+) -> dict:
+    """Low-lying eigenvalues plus the sector gaps nu_1 and nu_2 above them
+    and the window count, under the keys of the ``spectrum`` artifact; a
+    gap whose tail lies above the truncation is ``None``.
 
     The eigenvalues are the lowest ``count`` of the character blocks of
-    ``symmetry`` (``_block_lists``), ties in block order; ``diagnostics``
-    gives each block's dimension, its share of the list, and the method and
+    ``symmetry``, listed below one cut (``_interlacing_cut``,
+    ``_lists_below``), ties in block order; ``diagnostics`` gives that cut
+    and each block's dimension, its share of the list, and the method and
     solves of its own list.  The vacuum overlap is read from the trivial
     block's lowest vector, lifted by its ``Q``, and the gaps come from the
-    invariant sector (see ``nu``)."""
+    invariant sector (see ``nu``).  ``count_below_window`` counts the
+    eigenvalues at or below ``e0 + 1 - buffer`` on the same blocks (see
+    ``count_below``)."""
     blocks = symmetry.block_matrices(mat)
     count = min(count, mat.shape[0])
-    lists = _block_lists(blocks, count, config)
+    cut = _interlacing_cut(blocks, count, config)
+    lists = _lists_below(blocks, cut, config)
     values = np.concatenate([pairs.values for pairs in lists])
     residuals = np.concatenate([pairs.residuals for pairs in lists])
     owner = np.repeat(np.arange(len(lists)), [len(pairs.values) for pairs in lists])
@@ -536,7 +539,9 @@ def spectrum_summary(mat, symmetry: Symmetry, count: int, config: SolverConfig) 
         "vacuum_overlap": float(_signed_unit(ground)[0]),
         "nu1": gaps[0],
         "nu2": gaps[1],
+        "count_below_window": _count_below(blocks, e0 + 1.0, buffer),
         "diagnostics": {
+            "cut": cut,
             "blocks": [
                 {
                     "dim": block.shape[0],
@@ -545,7 +550,7 @@ def spectrum_summary(mat, symmetry: Symmetry, count: int, config: SolverConfig) 
                     "iterations": pairs.iterations,
                 }
                 for block, share, pairs in zip(blocks, shares, lists)
-            ]
+            ],
         },
     }
 
@@ -576,9 +581,14 @@ def count_below(mat, symmetry: Symmetry, threshold: float, buffer: float) -> int
     negative count plus its zero pivots, so a cut exactly on an eigenvalue
     counts it.  It is exact, since ``A`` is block diagonal in the blocks.
     """
+    return _count_below(symmetry.block_matrices(mat), threshold, buffer)
+
+
+def _count_below(blocks, threshold: float, buffer: float) -> int:
+    """``count_below`` on character blocks already built."""
     if buffer < 0:
         raise ConfigError(f"buffer must be >= 0, got {buffer}")
-    return sum(_counted(block, threshold - buffer) for block in symmetry.block_matrices(mat))
+    return sum(_counted(block, threshold - buffer) for block in blocks)
 
 
 def eigenvalues_below(
@@ -587,27 +597,12 @@ def eigenvalues_below(
     """All eigenvalues strictly below ``threshold``, ascending; empty if
     there are none.
 
-    They are the merged lists of the character blocks of ``symmetry``.  A
-    block's number of them is the negative count of a factor at the
-    threshold; a block with none runs no eigensolver.  That count also
-    certifies the block's eigenpair list of that size, which must land
-    every one of them below the threshold, else ``SolverError``; no further
-    factor is built for the check, and the count's factor is gone before
-    the list builds its own.
+    They are the merged lists of the character blocks of ``symmetry`` below
+    the threshold (``_lists_below``): each block's count there certifies
+    its list, and a block with none runs no eigensolver.
     """
-    found = [np.empty(0)]
-    for block in symmetry.block_matrices(mat):
-        count = SymmetricFactor(block, threshold, label="counted operator").negative_count
-        if not count:
-            continue
-        vals = _lowest(block, count, config, (threshold, count)).values
-        if vals[-1] >= threshold:
-            raise SolverError(
-                f"{count} eigenvalues lie below {threshold!r}, but the eigensolver "
-                f"returned {vals[-1]!r} as the {count}-th"
-            )
-        found.append(vals)
-    return np.sort(np.concatenate(found))
+    lists = _lists_below(symmetry.block_matrices(mat), threshold, config)
+    return np.sort(np.concatenate([pairs.values for pairs in lists]))
 
 
 def _jacobi_cg(off, diag: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int, bool]:

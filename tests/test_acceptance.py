@@ -93,9 +93,9 @@ def test_criterion_01_free_theory(grid, solver):
     basis = pl.enumerate_basis(grid.size, 4)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    summary = pl.spectrum_summary(ham, symmetry, 6, solver)
+    summary = pl.spectrum_summary(ham, symmetry, 6, solver, 0.1)
     e0 = summary["eigenvalues"][0]
-    below = pl.count_below(ham, symmetry, e0 + 1.0, 0.1)
+    below = summary["count_below_window"]
     elapsed = time.perf_counter() - started
     ok = (
         abs(e0) <= 1e-12
@@ -243,12 +243,8 @@ def test_criterion_08_coupling_scan(coupling_workspaces, coupling_bundles, solve
     rows = {}
     for g in COUPLINGS:
         ws = coupling_workspaces[g]
-        summary = pl.spectrum_summary(ws.hamiltonian, ws.symmetry, 4, solver)
-        rows[g] = {
-            "e0": ws.e0,
-            "nu2": summary["nu2"],
-            "count": pl.count_below(ws.hamiltonian, ws.symmetry, ws.e0 + 1.0, 1e-6),
-        }
+        summary = pl.spectrum_summary(ws.hamiltonian, ws.symmetry, 4, solver, 1e-6)
+        rows[g] = {"e0": ws.e0, "nu2": summary["nu2"], "count": summary["count_below_window"]}
     elapsed = time.perf_counter() - started
     energies = [rows[g]["e0"] for g in COUPLINGS]
     ok = (

@@ -335,9 +335,9 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
     M-matrix, so no handle builds a factor.  After the workspaces, whose
     sector lists may factor, the factors built are the shift-invert lists
     of the ``nmax`` 4 bundle's two sector gaps (dims 254 and 250), then the
-    equivalence report's count of the eigenvalues below ``e0 + 1`` in each
-    character block and the list of the one below it, in the trivial block
-    (dims 255 and 240)."""
+    equivalence report's list of the eigenvalues below ``e0 + 1``: each
+    character block's count there, and the list of the one below it, in the
+    trivial block (dims 255 and 240)."""
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in (2, 3, 4)}
     live_factors.built.clear()
     assert [r.identity for r in pl.run_suite(workspaces) if not r.passed] == []
@@ -349,9 +349,9 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
         held += gc.get_referents(*held)
         assert not [x for x in held if isinstance(x, pl.spectral.SymmetricFactor)]
     assert live_factors.built == ["shift-invert operator"] * 2 + [
-        "counted operator",
+        "eigenvalue list",
         "shift-invert operator",
-        "counted operator",
+        "eigenvalue list",
     ]
 
 

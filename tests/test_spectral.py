@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polaronlab as pl
 from polaronlab import ConfigError, IndefiniteOperatorError, SolverConfig, SolverError
@@ -150,11 +150,13 @@ _DENSE_GRIDS = {1: (2.0, 0.5), 2: (1.0, 1.0)}
 def _assert_sector_minima(ham, basis, symmetry, cfg):
     """``ground_energy``, ``nu(1)`` and ``nu(2)`` on the sector are the
     minima of the full spectra of H and of its tails, and the lifted ground
-    vector is an eigenvector of the full H."""
+    vector is an eigenvector of the full H within the residual bound that
+    ``ground_energy`` certifies."""
     dense = ham.toarray()
     e0, vec = pl.ground_energy(ham, symmetry, cfg)
     assert abs(e0 - np.linalg.eigvalsh(dense)[0]) <= 1e-12
-    assert np.linalg.norm(ham @ vec - e0 * vec) <= 1e-10
+    bound = pl.spectral._residual_bound(np.array([e0]), ham.shape[0])
+    assert np.linalg.norm(ham @ vec - e0 * vec) <= bound
     for n in (1, 2):
         start = basis.tail_start(n)
         tail_min = np.linalg.eigvalsh(dense[start:, start:])[0]
@@ -169,6 +171,8 @@ def _assert_sector_minima(ham, basis, symmetry, cfg):
     nmax=st.sampled_from([2, 3]),
     dense_threshold=st.sampled_from([10, 500]),
 )
+# its lifted ground vector leaves a residual of 3.0e-10, above 1e-10
+@example(shape=(1, None), profile="froehlich", g=1.0, nmax=3, dense_threshold=10)
 def test_dense_ground_energy_and_gaps_match_full_spectrum(
     shape, profile, g, nmax, dense_threshold
 ):
@@ -182,6 +186,34 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
     symmetry = pl.fock.symmetry(basis, grid, ff, xi)
     _assert_sector_minima(ham, basis, symmetry, SolverConfig(dense_threshold=dense_threshold))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, None), (2, None), (2, (0.6, 0.0))]),
+    profile=st.sampled_from(pl.grid.PROFILES),
+    g=st.floats(0.0, 1.5),
+    nmax=st.sampled_from([2, 3]),
+    count=st.integers(1, 8),
+)
+def test_interlacing_cut_lists_each_block_below_it(shape, profile, g, nmax, count):
+    """At ``dense_threshold=10`` the interlacing cut lies above the
+    ``count``-th eigenvalue, and each character block lists exactly its
+    dense eigenvalues below the cut (d=1, 2, with and without a fiber
+    shift)."""
+    d, xi = shape
+    grid = pl.build_grid(d, *_DENSE_GRIDS[d])
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    blocks = pl.fock.symmetry(basis, grid, ff, xi).block_matrices(ham)
+    config = SolverConfig(dense_threshold=10)
+    cut = pl.spectral._interlacing_cut(blocks, count, config)
+    assert cut > np.linalg.eigvalsh(ham.toarray())[count - 1]
+    for block, pairs in zip(blocks, pl.spectral._lists_below(blocks, cut, config)):
+        dense = np.linalg.eigvalsh(block.toarray())
+        assert len(pairs.values) == np.count_nonzero(dense < cut)
+        assert np.allclose(pairs.values, dense[dense < cut], rtol=0, atol=1e-9)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -205,7 +237,7 @@ def test_block_lists_match_full_spectrum(shape, profile, g, nmax, count):
     symmetry = pl.fock.symmetry(basis, grid, ff, xi)
     assert len(symmetry.blocks) == 2 ** (d - (xi is not None))
     vals, vecs = np.linalg.eigh(ham.toarray())
-    summary = pl.spectrum_summary(ham, symmetry, count, SolverConfig(dense_threshold=10))
+    summary = pl.spectrum_summary(ham, symmetry, count, SolverConfig(dense_threshold=10), 0.1)
     assert np.allclose(summary["eigenvalues"], vals[:count], rtol=0, atol=1e-9)
     assert sum(b["share"] for b in summary["diagnostics"]["blocks"]) == count
     ground = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
@@ -289,7 +321,7 @@ def test_free_theory_exact_values():
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
     cfg = SolverConfig()
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    result = pl.spectrum_summary(ham, symmetry, 4, cfg)
+    result = pl.spectrum_summary(ham, symmetry, 4, cfg, 0.1)
     assert abs(result["eigenvalues"][0]) <= 1e-14
     assert result["vacuum_overlap"] == pytest.approx(1.0, abs=1e-12)
     assert result["nu1"] == pytest.approx(grid.h**2, abs=1e-12)
@@ -330,8 +362,8 @@ def test_ground_energy_nonincreasing_in_coupling():
 def test_spectrum_summary_residuals_certified(mid_instance):
     grid, ff, basis, ham = mid_instance
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    dense = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
-    sparse = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(dense_threshold=10))
+    dense = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(), 0.1)
+    sparse = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(dense_threshold=10), 0.1)
     for result in (dense, sparse):
         assert result["eigenvalues"].shape == (6,)
         assert np.all(np.diff(result["eigenvalues"]) >= 0)
@@ -355,7 +387,7 @@ def test_spectrum_summary_residuals_certified(mid_instance):
     tiny_ff = pl.sample_form_factor(tiny_grid, "gaussian", 0.2)
     tiny_ham = pl.assemble_hamiltonian(tiny, tiny_grid, tiny_ff).matrix
     tiny_symmetry = pl.fock.symmetry(tiny, tiny_grid, tiny_ff)
-    full = pl.spectrum_summary(tiny_ham, tiny_symmetry, 10, SolverConfig(dense_threshold=5))
+    full = pl.spectrum_summary(tiny_ham, tiny_symmetry, 10, SolverConfig(dense_threshold=5), 0.1)
     assert [b["share"] for b in full["diagnostics"]["blocks"]] == [6, 4]
     assert all(b["method"] == "dense" for b in full["diagnostics"]["blocks"])
 
@@ -541,7 +573,7 @@ def test_near_doublet_stays_in_the_trivial_block(d2_case):
     ham, symmetry = d2_case
     trivial = np.linalg.eigvalsh(symmetry.block_matrices(ham)[0].toarray())
     assert np.allclose(trivial[1:3], [1.2397718, 1.2397726], rtol=0, atol=1e-7)
-    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(), 0.1)
     listed = summary["eigenvalues"]
     assert np.allclose(listed[:3], trivial[:3], rtol=0, atol=1e-10)
     assert summary["diagnostics"]["blocks"][0]["share"] == 3
@@ -631,7 +663,8 @@ def _instance(d, K, h, nmax, profile, g, alpha):
 @pytest.mark.parametrize("row, truth", _DEGENERATE_ROWS)
 def test_sparse_lists_keep_degenerate_copies(row, truth):
     """Shift-invert Lanczos alone lists each of these double eigenvalues
-    once; the inertia check at the list's gaps finds the missing copies.
+    once; the inertia at the list's interlacing cut finds the missing
+    copies.
     The block lists, the block counts at each cut between distinct values,
     and the eigenvalues below those cuts are the dense ones too."""
     grid, ff, basis, ham = _instance(*row)
@@ -643,7 +676,7 @@ def test_sparse_lists_keep_degenerate_copies(row, truth):
     gram = pairs.vectors.T @ pairs.vectors
     assert np.allclose(gram, np.eye(6), rtol=0, atol=1e-8)
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(), 0.1)
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
     for j in np.flatnonzero(np.diff(truth) > 1e-9):
         cut = 0.5 * (truth[j] + truth[j + 1])
@@ -669,7 +702,7 @@ def test_doublet_splits_across_two_blocks(degenerate_blocks):
             holding.append(tuple(int(chi[np.flatnonzero((flipped == axes).all(axis=1))[0]])
                                  for axes in ([True, False], [False, True])))
     assert sorted(holding) == [(-1, 1), (1, -1)]
-    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(), 0.1)
     assert np.count_nonzero(np.abs(summary["eigenvalues"] - 0.439472101434) < 1e-9) == 2
     assert [b["share"] for b in summary["diagnostics"]["blocks"]] == [3, 1, 1, 1]
 
@@ -693,46 +726,68 @@ def test_eigenvalues_below_certifies_its_list_by_its_count(degenerate_blocks, ca
         vals = pl.spectral.eigenvalues_below(ham, symmetry, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
     labels = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "polaronlab.factor"]
-    counted, lanczos = "factor counted operator", "factor shift-invert operator"
+    counted, lanczos = "factor eigenvalue list", "factor shift-invert operator"
     # the trivial block holds three values below 0.5, the two blocks odd
     # under one flip a copy of the doublet each, the fourth block none
     assert labels == [counted, lanczos] * 3 + [counted]
 
 
+def test_list_factors_at_its_cut_then_once_for_lanczos(
+    degenerate_blocks, live_factors, monkeypatch
+):
+    """``lowest_eigenpairs`` with several pairs factors once at its
+    interlacing cut, then once for shift-invert Lanczos, and never again:
+    on the first degenerate instance, whose list of six holds the double
+    eigenvalue, and on the free d=2 ``nmax`` 3 instance at
+    ``dense_threshold=10``, whose cut above a 16-fold eigenvalue takes
+    deflated runs, all on that one factor."""
+    cut, lanczos = "eigenvalue list", "shift-invert operator"
+    pairs = pl.lowest_eigenpairs(degenerate_blocks[0], 6, SolverConfig())
+    assert np.allclose(pairs.values, _DEGENERATE_ROWS[0][1], rtol=0, atol=1e-10)
+    assert live_factors.built == [cut, lanczos]
+    runs = []
+    lanczos_run = pl.spectral._lanczos
+
+    def counted_run(mat, count, *args):
+        runs.append(count)
+        return lanczos_run(mat, count, *args)
+
+    monkeypatch.setattr(pl.spectral, "_lanczos", counted_run)
+    grid = pl.build_grid(2, *_DENSE_GRIDS[2])
+    ff = pl.sample_form_factor(grid, "gaussian", 0.0)
+    ham = pl.assemble_hamiltonian(pl.enumerate_basis(grid.size, 3), grid, ff).matrix
+    live_factors.built.clear()
+    pairs = pl.lowest_eigenpairs(ham, 6, SolverConfig(dense_threshold=10))
+    assert np.allclose(pairs.values, [0.0] + [2.0] * 5, rtol=0, atol=1e-12)
+    assert live_factors.built == [cut, lanczos]
+    assert len(runs) > 1 and runs[0] == 25
+
+
 def test_eigenvalue_lists_hold_one_factor_at_a_time(degenerate_blocks, live_factors):
     """No ``SymmetricFactor`` is built while another is alive.  On the first
-    degenerate instance, ``lowest_eigenpairs`` on the whole space drops its
-    shift-invert factor before each inertia check at a gap, and builds it
-    again for each of the two deflated runs that find the missing copies.
-    ``spectrum_summary`` has the three blocks that hold free values among
-    the lowest six list their shares on a shift-invert factor, dropped
-    before the next is built, then each block factors at the cut, where the
-    fourth block's inertia shows a value it did not list, so it lists it;
-    then each sector gap (dims 409 and 404, above the default threshold)
-    factors once.  On a d=1 instance at ``dense_threshold=10``, the two
-    block lists, their cut factors, the second block asked again, and both
-    sector gaps factor in turn.  ``eigenvalues_below`` keeps each block's
-    two factors, one after the other."""
+    degenerate instance ``spectrum_summary`` has each of the four blocks
+    factor at the cut and then for Lanczos, each sector gap
+    (dims 409 and 404, above the default threshold) factor once, and each
+    block factor once more for the window count.  On a d=1 instance at
+    ``dense_threshold=10``, the two block lists, both sector gaps and the
+    two window counts factor in turn.  ``eigenvalues_below`` factors each
+    block at its threshold, then for Lanczos where that count is not 0."""
     ham, symmetry = degenerate_blocks
     truth = _DEGENERATE_ROWS[0][1]
-    lanczos, cut = "shift-invert operator", "eigenvalue list"
-    pairs = pl.lowest_eigenpairs(ham, 6, SolverConfig())
-    assert np.allclose(pairs.values, truth, rtol=0, atol=1e-10)
-    assert live_factors.built == [lanczos, cut] * 3
-    live_factors.built.clear()
-    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig())
+    lanczos, cut, counted = "shift-invert operator", "eigenvalue list", "counted operator"
+    summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(), 0.1)
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
-    assert live_factors.built == [lanczos] * 3 + [cut] * 4 + [lanczos] * 3
+    assert live_factors.built == [cut, lanczos] * 4 + [lanczos] * 2 + [counted] * 4
     live_factors.built.clear()
     vals = pl.spectral.eigenvalues_below(ham, symmetry, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
-    assert live_factors.built == ["counted operator", lanczos] * 3 + ["counted operator"]
+    assert live_factors.built == [cut, lanczos] * 3 + [cut]
     grid, ff, basis, ham = _instance(1, 2.0, 0.5, 3, "gaussian", 0.1, 1.0)
     live_factors.built.clear()
     cfg = SolverConfig(dense_threshold=10)
-    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, cfg)
+    summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, cfg, 0.1)
     assert [b["method"] for b in summary["diagnostics"]["blocks"]] == ["shift-invert"] * 2
-    assert live_factors.built == [lanczos] * 2 + [cut] * 2 + [lanczos] * 3
+    assert live_factors.built == [cut, lanczos] * 2 + [lanczos] * 2 + [counted] * 2
     assert len(live_factors.live) == 0
 
 
@@ -764,7 +819,7 @@ def test_sparse_lists_match_dense_on_degenerate_draws(profile, g, nmax, count, x
     assert np.allclose(pairs.values, truth, rtol=0, atol=1e-9)
     symmetry = pl.fock.symmetry(basis, grid, ff, xi)
     assert len(symmetry.blocks) == (4 if xi is None else 2)
-    summary = pl.spectrum_summary(ham, symmetry, count, config)
+    summary = pl.spectrum_summary(ham, symmetry, count, config, 0.1)
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-9)
     # the first clear gap at or above the count-th eigenvalue
     gaps = np.flatnonzero(np.diff(vals) > 1e-6)
@@ -923,14 +978,13 @@ def _factor_events(caplog):
 
 
 def _list_and_count(ham, symmetry, caplog):
-    """The ``spectrum`` level's list of six, its window count and the
+    """The ``spectrum`` level's list of six with its window count, and the
     equivalence report's eigenvalues below ``e0 + 1``, with their factor
     events."""
     config = SolverConfig()
     with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
-        summary = pl.spectrum_summary(ham, symmetry, 6, config)
+        summary = pl.spectrum_summary(ham, symmetry, 6, config, config.buffer(0.25))
         e0 = summary["eigenvalues"][0]
-        pl.count_below(ham, symmetry, e0 + 1.0, config.buffer(0.25))
         pl.spectral.eigenvalues_below(ham, symmetry, e0 + 1.0, config)
     return _factor_events(caplog)
 
