@@ -5,9 +5,14 @@ ordered by total boson number and lexicographically inside each sector, so
 the vacuum always has index 0 and every sector is one contiguous index
 range.  ``FockBasis.rank`` maps occupation vectors to indices with the
 combinatorial number system: the sector offset plus, mode by mode, the
-number of compositions that sort below the state.  Every ladder and field
-operator is built from one vectorized helper, ``_lowering``, which lowers
-one mode on all states at once and ranks the results.  Creation operators
+number of compositions that sort below the state.  It reads the occupation
+columns in place, one mode at a time, in any column order, so
+``permute_modes`` ranks the moved states without a moved copy.
+``enumerate_basis`` is its inverse: it unranks every index into the one
+``int32`` array, one mode column at a time.  Neither forms a ``(dim, M)``
+temporary.  Every ladder and field operator is built from one vectorized
+helper, ``_lowering``, which lowers one mode on all states at once and
+ranks the results.  Creation operators
 annihilate the top sector: raising out of the truncation maps to zero.
 Every operator is first a set of canonical triplets: ``_canonical`` sorts
 the entries by row, then column, and drops zero values.  Ladder and field
@@ -69,16 +74,22 @@ class FockBasis:
     def dim(self) -> int:
         return self.occupations.shape[0]
 
-    def rank(self, occupations: np.ndarray) -> np.ndarray:
+    def rank(self, occupations: np.ndarray, modes: Optional[np.ndarray] = None) -> np.ndarray:
         """Basis index of every row of a ``(k, n_modes)`` array of basis states.
 
-        Rows are not validated; ``index_of`` does that for a single state.
+        Column ``modes[i]`` holds the occupation of mode ``i`` (column ``i``
+        when ``modes`` is not given).  The columns are read in place, one at
+        a time.  Rows are not validated; ``index_of`` does that for a single
+        state.
         """
         occ = np.asarray(occupations)
-        total = occ.sum(axis=1)
-        left = total[:, None] - np.cumsum(occ, axis=1) + occ
-        lex = self.below[np.arange(self.n_modes), left, occ].sum(axis=1)
-        return self.sector_offsets[total] + lex
+        left = occ.sum(axis=1)  # bosons in this mode and the ones after it
+        index = self.sector_offsets[left]
+        for i in range(self.n_modes):
+            count = occ[:, i if modes is None else modes[i]]
+            index += self.below[i][left, count]
+            left -= count
+        return index
 
     def index_of(self, occupation: Sequence[int]) -> int:
         """Index of an occupation vector; raises ConfigError if absent."""
@@ -94,10 +105,11 @@ class FockBasis:
         ``mode_perm[j]``: state ``i`` goes to state ``out[i]``.
 
         It keeps every sector, so it also permutes each tail within itself.
+        Mode ``m`` of a moved state holds the bosons of the mode ``j`` with
+        ``mode_perm[j] = m``, so ``rank`` reads the columns of
+        ``occupations`` through the inverse permutation: no moved copy.
         """
-        occ = np.empty_like(self.occupations)
-        occ[:, mode_perm] = self.occupations
-        return self.rank(occ)
+        return self.rank(self.occupations, modes=np.argsort(mode_perm))
 
     def sector_range(self, n: int) -> range:
         """Contiguous index range of the ``n``-boson sector."""
@@ -124,6 +136,8 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
     """Enumerate the truncated occupation basis, sector-major.
 
     The dimension ``sum_{n<=nmax} C(M+n-1, n)`` must stay below ``cap``.
+    Each index is unranked against the ``below`` table that ``rank`` sums,
+    one mode column at a time, straight into the ``int32`` array.
     """
     if n_modes < 1:
         raise ConfigError(f"need at least one mode, got {n_modes}")
@@ -132,18 +146,6 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
     dim = fock_dimension(n_modes, nmax)
     if dim > cap:
         raise DimensionCapError(f"Fock dimension {dim} exceeds cap {cap}")
-    # every vector with sum <= nmax in lexicographic order, one mode at a time
-    occ = np.zeros((1, 0), dtype=np.int32)
-    used = np.zeros(1, dtype=np.int64)
-    for _ in range(n_modes):
-        counts = nmax + 1 - used
-        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        occ = np.hstack([np.repeat(occ, counts, axis=0), value[:, None].astype(np.int32)])
-        used = np.repeat(used, counts) + value
-    # a stable sort by total keeps each sector lexicographic
-    occ = occ[np.argsort(used, kind="stable")]
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(used, minlength=nmax + 1))])
-    assert offsets[-1] == dim
     # ways[i, s]: compositions of s bosons into the modes after i
     ways = np.zeros((n_modes, nmax + 1), dtype=np.int64)
     ways[-1, 0] = 1
@@ -154,6 +156,21 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
     terms = np.where(rest >= 0, ways[:, np.maximum(rest, 0)], 0)
     below = np.zeros((n_modes, nmax + 1, nmax + 2), dtype=np.int64)
     np.cumsum(terms, axis=2, out=below[:, :, 1:])
+    offsets = np.zeros(nmax + 2, dtype=np.int64)
+    offsets[1:] = np.cumsum([comb(n_modes + n - 1, n) for n in range(nmax + 1)])
+    # unrank every index, the inverse of ``FockBasis.rank``: mode i takes the
+    # most bosons c whose ``below[i, left, c]`` still fits the lexicographic rest
+    left = np.repeat(s, np.diff(offsets))
+    lex = np.arange(dim) - offsets[left]
+    occ = np.empty((dim, n_modes), dtype=np.int32)
+    count = np.empty(dim, dtype=np.int64)
+    for i in range(n_modes):
+        count[:] = 0
+        for c in range(1, nmax + 1):
+            count += np.take(below[i, :, c], left) <= lex
+        occ[:, i] = count
+        lex -= below[i][left, count]
+        left -= count
     return FockBasis(
         n_modes=n_modes, nmax=nmax, occupations=occ, sector_offsets=offsets, below=below
     )
@@ -247,6 +264,18 @@ def field_operator(basis: FockBasis, ff: FormFactor) -> sp.csr_matrix:
     return _csr(basis.dim, *_canonical(basis.dim, *_field_triplets(basis, ff)))
 
 
+def squared_momenta(p_state: np.ndarray, momentum: np.ndarray, start: int = 0) -> np.ndarray:
+    """``|p + momentum|^2`` of every row ``p`` of the ``(dim, d)`` state
+    momenta ``p_state`` from ``start`` on, summed one axis at a time: no
+    ``(dim, d)`` temporary."""
+    out = np.zeros(len(p_state) - start)
+    for axis, q in enumerate(momentum):
+        p = p_state[start:, axis] + q
+        p *= p
+        out += p
+    return out
+
+
 def assemble_hamiltonian(
     basis: FockBasis,
     grid: MomentumGrid,
@@ -258,8 +287,7 @@ def assemble_hamiltonian(
     xi = np.zeros(grid.d) if xi is None else np.asarray(xi, dtype=float)
     if xi.shape != (grid.d,):
         raise ConfigError(f"xi has shape {xi.shape}, expected ({grid.d},)")
-    p = basis.momentum_sums(grid) - xi[None, :]
-    diag = np.sum(p * p, axis=1) + basis.boson_counts()
+    diag = squared_momenta(basis.momentum_sums(grid), -xi) + basis.boson_counts()
     rows, cols, vals = _field_triplets(basis, ff)
     states = np.arange(basis.dim)
     rows, cols, vals = _canonical(

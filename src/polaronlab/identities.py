@@ -726,7 +726,7 @@ def _weighted_resolvent_norm(ws: ReductionWorkspace, k: np.ndarray) -> Tuple[flo
     above.  Returns ``(theta, theta + |r|)``.
     """
     start = ws.start1
-    weight = (1.0 + np.sqrt(ws.kinetic_diagonal(k)))[start:]
+    weight = 1.0 + np.sqrt(ws.kinetic_diagonal(k, start))
 
     def matvec(x: np.ndarray) -> np.ndarray:
         full = np.zeros(ws.basis.dim)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -59,16 +59,32 @@ FULL = "full"
 BS_LADDER = (1e-1, 1e-2, 1e-3)
 
 
+def _handle_diagonal(
+    p_state: np.ndarray, offsets: np.ndarray, momentum: np.ndarray, shift: float, start: int
+) -> np.ndarray:
+    """``(P + momentum)^2 + N + shift`` on the tail from ``start``: the
+    kinetic part, then each sector's boson number (``offsets`` are the
+    basis's sector offsets), then the shift, added in place."""
+    out = fock.squared_momenta(p_state, momentum, start)
+    bounds = np.maximum(offsets - start, 0)
+    for n in range(len(bounds) - 1):
+        out[bounds[n] : bounds[n + 1]] += n
+    out += shift
+    return out
+
+
 @dataclass(eq=False)
 class ResolventHandle:
     """One resolvent: restriction, momentum shift, scalar shift.
 
     The restriction is the tail of the full space from index ``start`` on.
     Its matrix is the workspace's one ``Phi`` on that tail plus the
-    handle's own diagonal ``(P+k)^2 + N + shift``, and that pair is all its
-    ``solver`` holds, at every dimension: no handle keeps a factor.
-    ``solve`` and ``apply`` are the only ways to solve against it, and
-    ``solves`` counts every right-hand side they take.
+    diagonal ``(P+k)^2 + N + shift``.  Its ``solver`` holds that ``Phi`` and
+    the call that derives the diagonal from ``k`` and ``shift`` on each
+    solve (``_handle_diagonal``), at every dimension: no handle keeps a
+    factor or a tail-length vector.  ``solve`` and ``apply`` are the only
+    ways to solve against it, and ``solves`` counts every right-hand side
+    they take.
     """
 
     kind: str
@@ -198,14 +214,15 @@ class ReductionWorkspace:
     ``ReductionBundle`` of its level (``build_bundle``).  ``Phi``
     restricted to each of ``FULL``, ``TAIL_ONE`` and ``TAIL_TWO`` is built
     once, when first asked for, and every handle on that restriction gets
-    the same matrix: the handles differ only in their diagonals, and
-    ``restricted_matrix`` is that shared part plus a diagonal.  Each
-    handle's ``SpdSolver`` certifies that handle on its own, in the sign
-    gauge ``signs`` (``fock.sign_gauge``) sliced to its tail, and solves
-    it by Jacobi PCG on the shared pair; ``config.dense_threshold`` reaches
-    only the eigenpair lists.  All public methods treat vectors in the
-    full Fock space; restrictions are handled internally through the
-    contiguous sector layout.
+    the same matrix: the handles differ only in their diagonals, which each
+    solve derives from the state momenta ``p_state`` and the sector layout,
+    and ``restricted_matrix`` is that shared part plus the same diagonal.
+    Each handle's ``SpdSolver`` certifies that handle on its own, in the
+    sign gauge ``signs`` (``fock.sign_gauge``) sliced to its tail, and
+    solves it by Jacobi PCG on ``Phi`` and the derived diagonal;
+    ``config.dense_threshold`` reaches only the eigenpair lists.  All
+    public methods treat vectors in the full Fock space; restrictions are
+    handled internally through the contiguous sector layout.
 
     ``symmetry`` is the instance's point group (``fock.symmetry``).  The
     ground energy, its vector and the bundle's ``nu1``/``nu2`` are solved
@@ -233,7 +250,6 @@ class ReductionWorkspace:
             raise ConfigError(f"xi has shape {self.xi.shape}, expected ({grid.d},)")
 
         self.phi_op = fock.field_operator(basis, ff)
-        self.n_diag = basis.boson_counts()
         self.p_state = basis.momentum_sums(grid)
         self.start1 = basis.tail_start(1)
         self.start2 = basis.tail_start(2)
@@ -271,10 +287,9 @@ class ReductionWorkspace:
             raise ConfigError(f"momentum has shape {arr.shape}, expected ({self.grid.d},)")
         return arr
 
-    def kinetic_diagonal(self, k: Momentum) -> np.ndarray:
-        """Diagonal of ``(P + k - xi)^2`` over the basis."""
-        p = self.p_state + (self._as_momentum(k) - self.xi)[None, :]
-        return np.sum(p * p, axis=1)
+    def kinetic_diagonal(self, k: Momentum, start: int = 0) -> np.ndarray:
+        """Diagonal of ``(P + k - xi)^2`` on the tail from ``start``."""
+        return fock.squared_momenta(self.p_state, self._as_momentum(k) - self.xi, start)
 
     def vacuum_kinetic(self) -> float:
         """Kinetic energy of the vacuum state (``|xi|^2``)."""
@@ -292,14 +307,20 @@ class ReductionWorkspace:
             off = self._offs[kind] = self.phi_op[start:, start:] if start else self.phi_op
         return off
 
-    def _diagonal(self, kind: str, k: Momentum, shift: float) -> np.ndarray:
-        """Diagonal of ``(P+k)^2 + N + shift`` on the given restriction."""
-        start = self._start(kind)
-        return self.kinetic_diagonal(k)[start:] + self.n_diag[start:] + shift
+    def _diagonal(self, kind: str, k: Momentum, shift: float) -> partial:
+        """The call that derives the diagonal of ``(P+k)^2 + N + shift`` on
+        the given restriction (``_handle_diagonal``).  It holds the
+        workspace's shared arrays, not the workspace, so no handle keeps
+        its workspace alive."""
+        momentum = self._as_momentum(k) - self.xi
+        return partial(
+            _handle_diagonal, self.p_state, self.basis.sector_offsets, momentum, shift,
+            self._start(kind),
+        )
 
     def restricted_matrix(self, kind: str, k: Momentum, shift: float) -> sp.csr_matrix:
         """Matrix of ``(P+k)^2 + Phi + N + shift`` on the given restriction."""
-        return self._off_diagonal(kind) + sp.diags(self._diagonal(kind, k, shift), format="csr")
+        return self._off_diagonal(kind) + sp.diags(self._diagonal(kind, k, shift)(), format="csr")
 
     def _handle(self, kind: str, k: Momentum, shift: float) -> ResolventHandle:
         k = self._as_momentum(k)

@@ -28,10 +28,11 @@ cut known before any Lanczos run from Cauchy interlacing
 (``_interlacing_cut``), so no copy of a multiple eigenvalue goes missing.
 No factor outlives its use: the cut's factor serves inertia only and is
 gone before the list builds its shift-invert factor, which then serves
-every deflated run, so at most one factor is alive at a time.  ``SpdSolver`` takes a matrix as its
-off-diagonal part and its diagonal, the form in which every resolvent of
-``reduction`` is one shared restriction of ``Phi`` plus a diagonal of its
-own.  At every dimension it certifies definiteness itself, as an M-matrix
+every deflated run, so at most one factor is alive at a time.
+``SpdSolver`` takes a matrix as its off-diagonal part and a call that
+returns its diagonal, the form in which every resolvent of ``reduction``
+is one shared restriction of ``Phi`` plus a diagonal derived on each
+solve.  At every dimension it certifies definiteness itself, as an M-matrix
 in the sign gauge below (a vector ``x > 0`` with ``G x > 0``, checked
 against its rounding error), else by the inertia of a transient factor,
 and solves by Jacobi-preconditioned conjugate gradients that apply the
@@ -63,7 +64,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -660,16 +661,17 @@ def _m_matrix(off, diag: np.ndarray, signs: np.ndarray) -> bool:
 
 class SpdSolver:
     """Repeated solves against one symmetric positive definite matrix
-    ``A = off + diag(diag)``, given as that pair: ``off`` CSR with an empty
-    diagonal, ``diag`` its own.  A caller holding a whole matrix
-    splits it.
+    ``A = off + diag(d)``, given as ``off``, CSR with an empty diagonal, and
+    ``diagonal``, a call that returns ``d``.  A caller holding a whole
+    matrix splits it.
 
     Construction certifies definiteness as an M-matrix in the sign gauge
     ``signs`` (``_m_matrix``; all ``+1`` when not given), else by the
     inertia of a transient ``SymmetricFactor``, at every dimension; each
     solve runs Jacobi-preconditioned conjugate gradients on the pair
-    (``_jacobi_cg``).  So a solver holds no factor and no matrix, only
-    ``off``, which its caller may share, and ``diag``.  An indefinite
+    (``_jacobi_cg``).  So a solver holds no factor, no matrix and no
+    diagonal: only ``off``, which its caller may share, and ``diagonal``,
+    called once at construction and once per ``solve``.  An indefinite
     matrix raises ``IndefiniteOperatorError`` naming its negative count, a
     singular one ``SolverError``.  One DEBUG event on the ``polaronlab``
     logger names the certificate, ``m-matrix`` or ``inertia``, and each
@@ -679,12 +681,13 @@ class SpdSolver:
     """
 
     def __init__(
-        self, off, diag: np.ndarray, label: str = "operator",
+        self, off, diagonal: Callable[[], np.ndarray], label: str = "operator",
         signs: Optional[np.ndarray] = None,
     ):
         self.label = label
+        self._off, self._diagonal = off, diagonal
+        diag = diagonal()
         self.dim = len(diag)
-        self._off, self._diag = off, diag
         certificate = "m-matrix"
         if not _m_matrix(off, diag, np.ones(self.dim) if signs is None else signs):
             certificate = "inertia"
@@ -703,22 +706,23 @@ class SpdSolver:
         if rhs.shape[0] != self.dim:
             raise ConfigError(f"rhs has dim {rhs.shape[0]}, operator has {self.dim}")
         columns = rhs.reshape(self.dim, -1)
+        diag = self._diagonal()
         out, iterations = np.empty_like(columns), 0
         for j in range(columns.shape[1]):
-            out[:, j], used = self._cg(columns[:, j])
+            out[:, j], used = self._cg(columns[:, j], diag)
             iterations += used
         _log.debug(
             "solve %s: %d columns in %d PCG iterations", self.label, columns.shape[1], iterations
         )
         return out.reshape(rhs.shape)
 
-    def _cg(self, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
-        x, iterations, converged = _jacobi_cg(self._off, self._diag, rhs)
+    def _cg(self, rhs: np.ndarray, diag: np.ndarray) -> Tuple[np.ndarray, int]:
+        x, iterations, converged = _jacobi_cg(self._off, diag, rhs)
         if not converged:
             raise SolverError(
                 f"conjugate gradients on {self.label} did not converge in {iterations} iterations"
             )
-        residual = np.linalg.norm(self._off @ x + self._diag * x - rhs)
+        residual = np.linalg.norm(self._off @ x + diag * x - rhs)
         scale = np.linalg.norm(rhs)
         if residual > LIN_TOL * scale:
             raise SolverError(

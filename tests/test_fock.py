@@ -1,7 +1,9 @@
 """Truncated boson-space operators against an independent dense oracle."""
 
+import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,12 +160,73 @@ def test_sector_running_minimum_matches_the_stack(case):
     assert sector.shape == oracle.shape
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 5])
+@pytest.mark.parametrize("nmax", range(5))
+def test_enumeration_matches_brute_force(n_modes, nmax):
+    """The unranked basis is every occupation tuple with at most ``nmax``
+    bosons, sector-major and lexicographic inside each sector, as a sort of
+    the full ``itertools`` product gives it; ``rank`` inverts it."""
+    tuples = [t for t in itertools.product(range(nmax + 1), repeat=n_modes) if sum(t) <= nmax]
+    tuples.sort(key=lambda t: (sum(t), t))
+    basis = pl.enumerate_basis(n_modes, nmax)
+    assert basis.occupations.dtype == np.int32
+    assert np.array_equal(basis.occupations, np.array(tuples, dtype=np.int32))
+    assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("case", _SYMMETRY_CASES)
+def test_permute_modes_matches_a_lookup(case):
+    """Each stabilizer element's ``U_g`` equals the index, looked up in a
+    dict of the basis states, of every state with its bosons moved from
+    mode ``j`` to mode ``g(j)``."""
+    _, symmetry = _symmetry_case(*case)
+    basis = symmetry.basis
+    index = {tuple(occ): i for i, occ in enumerate(basis.occupations.tolist())}
+    for mode_perm in symmetry.mode_perms:
+        moved = np.empty_like(basis.occupations)
+        moved[:, mode_perm] = basis.occupations
+        expected = [index[tuple(occ)] for occ in moved.tolist()]
+        assert np.array_equal(basis.permute_modes(mode_perm), expected)
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
+#: (d, K, h, nmax): a d=2 instance (dim 2925) and the paper's model at ``nmax``
+#: 4 (dim 27405)
+_MEMORY_CASES = [(2, 1.0, 0.5, 3), (3, 1.0, 1.0, 4)]
+
+
+@pytest.mark.parametrize("d, K, h, nmax", _MEMORY_CASES)
+def test_fock_layer_forms_no_mode_wide_temporary(d, K, h, nmax):
+    """Enumerating the basis costs its ``(dim, M)`` int32 array and fewer
+    than 8 int64 dim-vectors beside it, and a ``U_g`` costs fewer than 8
+    int64 dim-vectors: no ``(dim, M)`` temporary, which at ``M`` 24 or 26
+    would be 12 or 13 of them."""
+    grid = pl.build_grid(d, K, h)
+    basis, peak = _traced_peak(lambda: pl.enumerate_basis(grid.size, nmax))
+    vector = 8 * basis.dim
+    assert peak < basis.occupations.nbytes + 8 * vector
+    ff = pl.sample_form_factor(grid, "froehlich", 0.1, alpha=1.0)
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    for mode_perm in symmetry.mode_perms[1::8]:
+        _, peak = _traced_peak(lambda: basis.permute_modes(mode_perm))
+        assert peak < 8 * vector
+
+
 def test_sector_holds_no_stack_of_basis_permutations():
     """At d=4, K=h=1, ``nmax`` 2 (order 384, dim 3321) the traced peak of
     the sector stays below the ``8 order dim`` bytes of the stack of every
     ``U_g``, and no ``U_g`` is kept."""
-    import tracemalloc
-
     grid = pl.build_grid(4, 1.0, 1.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.3)
     basis = pl.enumerate_basis(grid.size, 2)

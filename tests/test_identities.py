@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import polaronlab as pl
@@ -273,8 +272,9 @@ def test_pullthrough_local_form_builds_each_matrix_once(ref_workspaces, monkeypa
     """The local form builds each ``(level, restriction, k, shift)`` matrix
     once: X and two Y(k) per protected level for the creator, two Y(k) and
     two Z(k+l) for the annihilator, on levels 3 and 4 of the reference grid.
-    Resolvent handles take their shared ``Phi`` and their own diagonal, not
-    this matrix, so the count holds on a first run as on a rerun."""
+    Resolvent handles take their shared ``Phi`` and derive their diagonal on
+    each solve, not from this matrix, so the count holds on a first run as
+    on a rerun."""
     for kind, distinct in (("creator", 6), ("annihilator", 8)):
         built = []
         original = ReductionWorkspace.restricted_matrix
@@ -401,9 +401,19 @@ def test_crossings_pinned_by_few_kernel_points(
     assert logging.getLogger("polaronlab").handlers == []
 
 
-def _dense_solve(self, rhs):
-    """``SpdSolver.solve`` by a dense LU of the handle's matrix."""
-    return np.linalg.solve((self._off + sp.diags(self._diag)).toarray(), np.asarray(rhs, float))
+def _dense_handles(monkeypatch):
+    """Every resolvent handle solves by a dense LU of its matrix, built from
+    ``restricted_matrix``, in place of PCG."""
+    handle = ReductionWorkspace._handle
+
+    def dense_handle(ws, kind, k, shift):
+        h = handle(ws, kind, k, shift)
+        if "solve" not in vars(h.solver):
+            dense = ws.restricted_matrix(h.kind, h.k, h.shift).toarray()
+            h.solver.solve = lambda rhs: np.linalg.solve(dense, np.asarray(rhs, float))
+        return h
+
+    monkeypatch.setattr(ReductionWorkspace, "_handle", dense_handle)
 
 
 def test_artifacts_survive_a_solver_change(shifted_workspace, ref_grid, monkeypatch):
@@ -418,7 +428,7 @@ def test_artifacts_survive_a_solver_change(shifted_workspace, ref_grid, monkeypa
         return pl.schur_equivalence_report(ws)["crossings"], report.residuals["hessian_rel"]
 
     pcg = outputs()
-    monkeypatch.setattr(SpdSolver, "solve", _dense_solve)
+    _dense_handles(monkeypatch)
     assert outputs() == pcg
     assert pcg[0] and pcg[1][0] > 0
 

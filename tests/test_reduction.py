@@ -288,22 +288,45 @@ def test_dense_handle_built_exactly_when_dense_definite(
 @pytest.mark.parametrize("d, K, k", [(1, 1.0, [0.25]), (2, 0.5, [0.25, -0.5])])
 def test_handles_share_one_off_diagonal_per_restriction(d, K, k):
     """A sparse handle holds the workspace's one ``Phi`` on its restriction,
-    shared by every handle there, and its own diagonal; together they are
-    ``restricted_matrix`` entry for entry.  A solve matches the dense one."""
+    shared by every handle there; ``restricted_matrix`` is that ``Phi`` plus
+    a diagonal equal, bit for bit, to ``(P+k-xi)^2 + N + shift`` summed over
+    the whole ``(dim, d)`` momentum array and sliced to the tail.  A solve
+    matches the dense one."""
     grid = pl.build_grid(d, K, 0.5)
     ff = pl.sample_form_factor(grid, "gaussian", 0.2)
     ws = pl.build_workspace(grid, ff, 3, config=SolverConfig(dense_threshold=10))
     k = np.array(k)
+    p = ws.p_state + (k - ws.xi)[None, :]
+    kinetic = np.sum(p * p, axis=1)
     for kind, shift in ((FULL, 1.5 - ws.e0), (TAIL_ONE, 0.5 - ws.e0), (TAIL_TWO, -0.5 - ws.e0)):
         handles = [ws._handle(kind, k, shift), ws._handle(kind, -k, shift + 0.25)]
         assert handles[0].solver._off is handles[1].solver._off
-        solver = handles[0].solver
-        shared = solver._off + sp.diags(solver._diag, format="csr")
-        assert (shared != ws.restricted_matrix(kind, k, shift)).nnz == 0
-        dense = shared.toarray()
-        rhs = np.linspace(-1.0, 1.0, solver.dim)
-        exact = np.linalg.solve(dense, rhs)
-        assert np.linalg.norm(handles[0].solve(rhs) - exact) <= LIN_TOL * np.linalg.norm(exact)
+        h = handles[0]
+        matrix = ws.restricted_matrix(h.kind, h.k, h.shift)
+        diag = kinetic[h.start :] + ws.basis.boson_counts()[h.start :] + shift
+        assert np.array_equal(matrix.diagonal(), diag)
+        assert (matrix - sp.diags(diag) != h.solver._off).nnz == 0
+        rhs = np.linspace(-1.0, 1.0, h.solver.dim)
+        exact = np.linalg.solve(matrix.toarray(), rhs)
+        assert np.linalg.norm(h.solve(rhs) - exact) <= LIN_TOL * np.linalg.norm(exact)
+
+
+def test_handles_hold_no_tail_vector(ref_workspaces, ref_bundles):
+    """After the bundle and the whole suite on the reference workspaces, no
+    handle and no handle's solver holds a vector of its tail's length: a
+    solver keeps the workspace's shared ``Phi`` restriction and a call that
+    derives the diagonal on each solve, from the workspace's own arrays
+    and the handle's momentum."""
+    pl.run_suite(ref_workspaces)
+    for ws in ref_workspaces.values():
+        assert ws._handles
+        for h in ws._handles.values():
+            assert h.solver._off is ws._off_diagonal(h.kind)
+            held = [*vars(h).values(), *vars(h.solver).values(), *h.solver._diagonal.args]
+            for value in held:
+                if isinstance(value, np.ndarray):
+                    shared = value is ws.p_state or value is ws.basis.sector_offsets
+                    assert shared or value.shape == (ws.grid.d,)
 
 
 def test_reference_handle_certified_without_a_factor(ref_grid, ref_ff, caplog, live_factors):

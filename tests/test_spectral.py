@@ -19,10 +19,10 @@ import oracles
 
 def _split(mat):
     """A whole matrix as ``SpdSolver``'s pair: its off-diagonal part (CSR)
-    and its diagonal."""
+    and a call that returns its diagonal."""
     mat = sp.csr_matrix(mat)
     diag = mat.diagonal()
-    return (mat - sp.diags(diag, format="csr")).tocsr(), diag
+    return (mat - sp.diags(diag, format="csr")).tocsr(), lambda: diag
 
 
 def _trivial(dim):
