@@ -34,7 +34,7 @@ _EXPORTS = {
         "field_operator",
         "fock_dimension",
     ),
-    "grid": ("FormFactor", "MomentumGrid", "build_grid", "sample_form_factor", "triple_norm"),
+    "grid": ("FormFactor", "MomentumGrid", "build_grid", "sample_form_factor"),
     "identities": (
         "IDENTITY_IDS",
         "IdentityReport",

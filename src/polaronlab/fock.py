@@ -10,17 +10,18 @@ columns in place, one mode at a time, in any column order, so
 ``permute_modes`` ranks the moved states without a moved copy.
 ``enumerate_basis`` is its inverse: it unranks every index into the one
 ``int32`` array, one mode column at a time.  Neither forms a ``(dim, M)``
-temporary.  Every ladder and field operator is built from one vectorized
-helper, ``_lowering``, which lowers one mode on all states at once and
-ranks the results.  Creation operators
-annihilate the top sector: raising out of the truncation maps to zero.
-Every operator is first a set of canonical triplets: ``_canonical`` sorts
-the entries by row, then column, and drops zero values.  Ladder and field
-operators come back as ``csr_matrix``es built from them; the fiber
-Hamiltonian comes as a ``SparseOperator``, the triplets that ``storage``
-persists, whose CSR form is built on first use.  This module loads numpy
-alone: scipy loads only in the functions that return a CSR matrix, so
-``build``, which assembles and persists triplets, runs without it.
+temporary.  Every ladder and field operator and the fiber Hamiltonian are
+filled by one helper, ``_assemble``, straight into canonical CSR arrays:
+row counts first, then one pass over the modes that lowers each mode on
+all states at once, ranks the results and writes every entry into its
+slot, with no triplets and no sort.  Creation operators annihilate the top
+sector: raising out of the truncation maps to zero.  Ladder and field
+operators come back as ``csr_matrix``es wrapping those arrays; the fiber
+Hamiltonian comes as a ``SparseOperator``, the arrays themselves, which
+``storage`` persists and which wraps them in a ``csr_matrix`` on first
+use.  This module loads numpy alone: scipy loads only in the functions
+that return a CSR matrix, so ``build``, which assembles and persists
+operators, runs without it.
 ``symmetry`` gives an instance's point group as one ``Symmetry`` value,
 whose sign-flip subgroup splits the basis into character blocks (Weisse &
 Fehske, Lect. Notes Phys. 739, 529, 2008; Sandvik, AIP Conf. Proc. 1297,
@@ -128,8 +129,20 @@ class FockBasis:
         return self.occupations.sum(axis=1).astype(np.int64)
 
     def momentum_sums(self, grid: MomentumGrid) -> np.ndarray:
-        """Total momentum ``sum_j n_j k_j`` of every state, shape ``(dim, d)``."""
-        return self.occupations.astype(float) @ grid.modes
+        """Total momentum ``sum_j n_j k_j`` of every state, shape ``(dim, d)``.
+
+        Each mode adds ``n_j k_j`` to the states that occupy it, in mode
+        order: no ``(dim, M)`` float copy.  On a dyadic grid (every benchmark
+        grid, and the paper's h = 1 and h = 1/2) every partial sum is exact,
+        so any summation order gives the same bits; elsewhere this order can
+        differ from a matrix product by round-off (8.9e-16 at d=1, K=2.1,
+        h=0.3, ``nmax`` 4).
+        """
+        out = np.zeros((self.dim, grid.d))
+        for j, k in enumerate(grid.modes):
+            states = np.flatnonzero(self.occupations[:, j])
+            out[states] += self.occupations[states, j, None] * k
+        return out
 
 
 def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> FockBasis:
@@ -176,92 +189,109 @@ def enumerate_basis(n_modes: int, nmax: int, cap: int = DEFAULT_FOCK_CAP) -> Foc
     )
 
 
+def _index_dtype(dim: int, nnz: int):
+    """scipy's own CSR index dtype: int32 unless ``dim`` or ``nnz`` needs int64."""
+    return np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(eq=False)
 class SparseOperator:
-    """A persisted operator: the canonical triplets of a symmetric
-    ``dim x dim`` matrix (see ``_canonical``).
+    """A persisted operator: the canonical CSR arrays of a symmetric
+    ``dim x dim`` matrix, column indices ascending in every row and no
+    stored zero (see ``_assemble``), indices in ``_index_dtype``.
 
-    Building and persisting it needs numpy alone; ``matrix``, its CSR form,
-    loads scipy on first use.
+    Building and persisting it needs numpy alone; ``matrix`` wraps the
+    arrays, without a copy, and loads scipy on first use.
     """
 
     dim: int
-    rows: np.ndarray = field(repr=False)  # (nnz,) int64
-    cols: np.ndarray = field(repr=False)  # (nnz,) int64
-    values: np.ndarray = field(repr=False)  # (nnz,) float64
+    indptr: np.ndarray = field(repr=False)  # (dim + 1,)
+    indices: np.ndarray = field(repr=False)  # (nnz,)
+    data: np.ndarray = field(repr=False)  # (nnz,) float64
+
+    def __post_init__(self):
+        idx = _index_dtype(self.dim, len(self.data))
+        self.indptr = self.indptr.astype(idx, copy=False)
+        self.indices = self.indices.astype(idx, copy=False)
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        return len(self.data)
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return _csr(self.dim, self.rows, self.cols, self.values)
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
 
 
-def _canonical(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """Triplets of distinct entries, sorted by row, then column, with the
-    zero values dropped: the order of a canonical CSR matrix."""
-    keep = vals != 0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.argsort(rows * dim + cols, kind="stable")
-    return rows[order], cols[order], vals[order]
+def _assemble(basis: FockBasis, amps: np.ndarray, creation=True, annihilation=True, diag=None):
+    """``sum_j amps_j (a_j^+ + a_j) + diag(diag)`` as a ``SparseOperator``,
+    filled in one pass over the modes with no sort; ``creation`` and
+    ``annihilation`` keep the ``a_j^+`` and the ``a_j`` terms.
+
+    Row ``s`` holds, in column order: ``(s, s - e_j)`` for every occupied
+    mode with ``amps_j != 0``, then its diagonal entry, then, below the top
+    sector, ``(s, s + e_j)`` for every such mode; zero amplitudes and zero
+    diagonal entries are left out.  ``rank(s - e_j)`` rises with ``j``, so
+    the first kind fills its row in mode order; ``rank(s + e_j)`` falls with
+    ``j``, so the ``a``-th active mode's entry of the last kind sits ``a + 1``
+    slots before the row's end.  Each entry is ``amps_j sqrt(n_j)`` for the
+    higher state's ``n_j``.
+    """
+    if len(amps) != basis.n_modes:
+        raise ConfigError(f"{len(amps)} amplitudes for a basis of {basis.n_modes} modes")
+    occ, active = basis.occupations, np.flatnonzero(amps)
+    occupied = [np.flatnonzero(occ[:, j]).astype(np.int32) for j in active]  # states per mode
+    counts = np.zeros(basis.dim + 1, dtype=np.int32)  # of every row, from index 1 on
+    if creation:
+        for states in occupied:
+            counts[states + 1] += 1
+    if diag is not None:
+        counts[1:] += diag != 0
+    if annihilation:
+        counts[1 : basis.sector_offsets[basis.nmax] + 1] += len(active)
+    indptr = np.cumsum(counts, dtype=_index_dtype(basis.dim, int(counts.sum())))
+    indices, data = np.empty(indptr[-1], dtype=indptr.dtype), np.empty(indptr[-1])
+    fill = indptr[:-1].copy()  # next free slot of every row
+    for a, (j, states) in enumerate(zip(active, occupied)):
+        lowered = occ[states]
+        amp = amps[j] * np.sqrt(lowered[:, j].astype(float))
+        lowered[:, j] -= 1
+        low = basis.rank(lowered)
+        if creation:
+            slot = fill[states]
+            indices[slot], data[slot] = low, amp
+            fill[states] += 1
+        if annihilation:
+            slot = indptr[low + 1] - (a + 1)
+            indices[slot], data[slot] = states, amp
+    if diag is not None:
+        states = np.flatnonzero(diag)
+        indices[fill[states]], data[fill[states]] = states, diag[states]
+    return SparseOperator(basis.dim, indptr, indices, data)
 
 
-def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of canonical triplets."""
-    import scipy.sparse as sp
-
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
-
-
-def _lowering(basis: FockBasis, mode: int):
-    """Triplets (row, col, sqrt(n_mode)) of the annihilator ``a_mode``; no
-    two share a column, so they are distinct."""
+def _unit(basis: FockBasis, mode: int) -> np.ndarray:
+    """Amplitude 1 on ``mode`` and 0 on every other mode."""
     if not 0 <= mode < basis.n_modes:
         raise ConfigError(f"mode {mode} outside 0..{basis.n_modes - 1}")
-    cols = np.flatnonzero(basis.occupations[:, mode])
-    lowered = basis.occupations[cols]
-    n = lowered[:, mode].astype(float)
-    lowered[:, mode] -= 1
-    return basis.rank(lowered), cols, np.sqrt(n)
+    return np.eye(basis.n_modes)[mode]
 
 
 def annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Mode annihilation operator ``a_k`` (lowers every sector)."""
-    rows, cols, vals = _lowering(basis, mode)
-    return _csr(basis.dim, *_canonical(basis.dim, rows, cols, vals))
+    return _assemble(basis, _unit(basis, mode), creation=False).matrix
 
 
 def creator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Mode creation operator ``a_k^+``; maps the top sector to zero."""
-    rows, cols, vals = _lowering(basis, mode)
-    return _csr(basis.dim, *_canonical(basis.dim, cols, rows, vals))
-
-
-def _field_triplets(basis: FockBasis, ff: FormFactor):
-    """Triplets of ``sum_k v_k (a_k + a_k^+)``: each mode's lowering
-    triplets and their transposes.  They are all distinct, since ``a_k``
-    lowers a state to a different state for every ``k``."""
-    if ff.values.shape[0] != basis.n_modes:
-        raise ConfigError(
-            f"form factor has {ff.values.shape[0]} amplitudes, basis has {basis.n_modes} modes"
-        )
-    rows, cols, vals = [], [], []
-    for mode in range(basis.n_modes):
-        low_rows, low_cols, sqrt_n = _lowering(basis, mode)
-        amp = ff.values[mode] * sqrt_n
-        rows += [low_rows, low_cols]
-        cols += [low_cols, low_rows]
-        vals += [amp, amp]
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return _assemble(basis, _unit(basis, mode), annihilation=False).matrix
 
 
 def field_operator(basis: FockBasis, ff: FormFactor) -> sp.csr_matrix:
     """Coupling field ``sum_k v_k (a_k + a_k^+)``, connecting adjacent sectors."""
-    return _csr(basis.dim, *_canonical(basis.dim, *_field_triplets(basis, ff)))
+    return _assemble(basis, ff.values).matrix
 
 
 def squared_momenta(p_state: np.ndarray, momentum: np.ndarray, start: int = 0) -> np.ndarray:
@@ -288,15 +318,7 @@ def assemble_hamiltonian(
     if xi.shape != (grid.d,):
         raise ConfigError(f"xi has shape {xi.shape}, expected ({grid.d},)")
     diag = squared_momenta(basis.momentum_sums(grid), -xi) + basis.boson_counts()
-    rows, cols, vals = _field_triplets(basis, ff)
-    states = np.arange(basis.dim)
-    rows, cols, vals = _canonical(
-        basis.dim,
-        np.concatenate([rows, states]),
-        np.concatenate([cols, states]),
-        np.concatenate([vals, diag]),
-    )
-    return SparseOperator(dim=basis.dim, rows=rows, cols=cols, values=vals)
+    return _assemble(basis, ff.values, diag=diag)
 
 
 def orbits(perms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -186,30 +186,3 @@ def stabilizer(
         if np.array_equal(ops[g] @ xi, xi) and np.array_equal(ff.values[perms[g]], ff.values)
     ]
     return perms[keep]
-
-
-def triple_norm(
-    grid: MomentumGrid,
-    ff: FormFactor,
-    probes: Optional[Iterable[Sequence[float]]] = None,
-) -> float:
-    """Probe-sampled lower bound for ``sup_p ||(1 + |. - p|)^{-1} v||``.
-
-    Evaluates the weighted l2 norm ``(sum_j v_j^2 / (1 + |k_j - p|)^2)^{1/2}``
-    at every probe point ``p`` and returns the maximum.  The default probe
-    set is all grid modes plus the origin.
-    """
-    if probes is None:
-        probe_arr = np.vstack([grid.modes, np.zeros((1, grid.d))])
-    else:
-        probe_arr = np.asarray(list(probes), dtype=float)
-        if probe_arr.size == 0:
-            raise ConfigError("triple_norm needs at least one probe point")
-        probe_arr = probe_arr.reshape(len(probe_arr), grid.d)
-    modes = grid.modes
-    best = 0.0
-    for p in probe_arr:
-        dist = np.linalg.norm(modes - p[None, :], axis=1)
-        val = float(np.sqrt(np.sum((ff.values / (1.0 + dist)) ** 2)))
-        best = max(best, val)
-    return best

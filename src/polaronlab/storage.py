@@ -2,9 +2,10 @@
 
 An operator file is a little-endian header ``(dimension, nnz, flags)`` as
 three unsigned 64-bit words, followed by one record per stored entry:
-``(row: int64, col: int64, value: float64)``.  The records are the
-canonical triplets of a ``SparseOperator``: strictly ascending by row, then
-column, with no zero value.  Every operator is symmetric, so ``flags`` is
+``(row: int64, col: int64, value: float64)``.  The records are the stored
+entries of a ``SparseOperator``'s canonical CSR arrays in storage order,
+each row index read off ``indptr``: strictly ascending by row, then column,
+with no zero value.  Every operator is symmetric, so ``flags`` is
 always 1 and the sidecar always says ``"hermitian": true``.  The JSON
 sidecar also carries the assembly parameters and the SHA-256 of the binary
 payload; every load re-hashes and refuses corrupted files.
@@ -83,13 +84,14 @@ def config_hash(payload: Dict[str, Any]) -> str:
 
 
 def operator_bytes(op: SparseOperator) -> bytes:
-    """Serialize an operator's canonical triplets to the binary format."""
+    """Serialize an operator's CSR arrays to the binary format, one record
+    per stored entry, its row taken from ``indptr``."""
     import numpy as np
 
     records = np.empty(op.nnz, dtype=_RECORD_FIELDS)
-    records["row"] = op.rows
-    records["col"] = op.cols
-    records["value"] = op.values
+    records["row"] = np.repeat(np.arange(op.dim), np.diff(op.indptr))
+    records["col"] = op.indices
+    records["value"] = op.data
     return _HEADER.pack(op.dim, op.nnz, _FLAG_HERMITIAN) + records.tobytes()
 
 
@@ -109,9 +111,10 @@ def operator_payload(op: SparseOperator, meta: Dict[str, Any]) -> Tuple[bytes, D
 def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     """Load an operator, verifying its content hash and its layout: the
     header must match the sidecar, carry the flag word 1 and hold exactly
-    ``nnz`` records, and the records must be canonical triplets, strictly
-    ascending by row, then column, inside ``[0, dim)``, with no zero value.
-    Any mismatch raises ``CacheCorruptionError``."""
+    ``nnz`` records, and the records must be strictly ascending by row,
+    then column, inside ``[0, dim)``, with no zero value: a canonical CSR
+    matrix, whose ``indptr`` they give.  Any mismatch raises
+    ``CacheCorruptionError``."""
     import numpy as np
 
     from .fock import SparseOperator
@@ -139,6 +142,6 @@ def load_operator(base: Path) -> Tuple[SparseOperator, Dict[str, Any]]:
     ascending = np.all((step_row > 0) | ((step_row == 0) & (step_col > 0)))
     inside = np.all((rows >= 0) & (rows < dim) & (cols >= 0) & (cols < dim))
     if not (ascending and inside and np.all(values != 0)):
-        raise CacheCorruptionError(f"records of {bin_path} are not canonical triplets")
-    op = SparseOperator(int(dim), rows, cols, values)
+        raise CacheCorruptionError(f"records of {bin_path} are not a canonical CSR matrix")
+    op = SparseOperator(int(dim), np.searchsorted(rows, np.arange(dim + 1)), cols, values)
     return op, sidecar

@@ -119,42 +119,6 @@ def test_form_factor_validation():
         pl.sample_form_factor(grid, "lorentzian", 1.0)
 
 
-def test_triple_norm_frozen_values():
-    # singular profile on the 26-mode 3d grid; value frozen from a
-    # double-loop reference evaluation
-    grid = pl.build_grid(3, 1.0, 1.0)
-    ff = pl.sample_form_factor(grid, "froehlich", 1.0, alpha=1.0)
-    assert pl.triple_norm(grid, ff) == pytest.approx(1.7598730270365346, abs=1e-12)
-
-    # flat profile, origin probe only: sqrt(2 * (1/2)^2) = 1/sqrt(2)
-    grid1 = pl.build_grid(1, 1.0, 1.0)
-    const = pl.sample_form_factor(grid1, "constant", 1.0)
-    assert pl.triple_norm(grid1, const, probes=[[0.0]]) == pytest.approx(
-        1.0 / np.sqrt(2.0), abs=1e-14
-    )
-    # default probes also visit the modes, where the weight is larger
-    assert pl.triple_norm(grid1, const) == pytest.approx(1.0540925533894598, abs=1e-12)
-
-
-def test_triple_norm_probe_validation():
-    grid = pl.build_grid(1, 1.0, 1.0)
-    ff = pl.sample_form_factor(grid, "constant", 1.0)
-    with pytest.raises(ConfigError):
-        pl.triple_norm(grid, ff, probes=[])
-
-
-def test_triple_norm_refinement_settles():
-    # halving the spacing changes the value less and less
-    values = []
-    for h in (1.0, 0.5, 0.25, 0.125):
-        grid = pl.build_grid(1, 2.0, h)
-        ff = pl.sample_form_factor(grid, "gaussian", 0.3)
-        values.append(pl.triple_norm(grid, ff))
-    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    assert diffs[1] < diffs[0]
-    assert diffs[2] < diffs[1]
-
-
 def test_form_factor_csv_roundtrip(tmp_path):
     """``build`` writes the sampled amplitudes as ``tables/form_factor.csv``;
     parsing the table gives back the grid's momenta and amplitudes exactly."""
