@@ -22,12 +22,14 @@ Hamiltonian comes as a ``SparseOperator``, the arrays themselves, which
 use.  This module loads numpy alone: scipy loads only in the functions
 that return a CSR matrix, so ``build``, which assembles and persists
 operators, runs without it.
-``symmetry`` gives an instance's point group as one ``Symmetry`` value,
-whose sign-flip subgroup splits the basis into character blocks (Weisse &
+``symmetry`` gives an instance's point group as one ``Symmetry`` value.
+Its sign-flip subgroup splits the basis into character blocks (Weisse &
 Fehske, Lect. Notes Phys. 739, 529, 2008; Sandvik, AIP Conf. Proc. 1297,
-135, 2010), and ``orbits`` the orbits of a permutation group;
-``sign_gauge`` gives the basis signs under which the fiber Hamiltonian has
-no positive off-diagonal entry.
+135, 2010), the one symmetry reduction of the spectral solvers; the
+trivial block also holds the bottom of H and of its tails.  ``orbits``
+gives the orbits of a permutation group, and ``sign_gauge`` the basis
+signs under which the fiber Hamiltonian has no positive off-diagonal
+entry.
 """
 
 from __future__ import annotations
@@ -339,8 +341,11 @@ class Symmetry:
     ``flips`` indexes its sign-flip subgroup, the elements that flip
     coordinate axes and permute none, the identity first.  Each ``U_g``
     (``basis_perm``) is built on first use and kept per element; the
-    invariant ``sector``, the sign-flip ``characters`` and their ``blocks``
-    are built on first use."""
+    sign-flip ``characters`` and their ``blocks``, which need the ``U_a``
+    of the flips alone, are built on first use.  The trivial block
+    ``blocks[0]`` spans the vectors every flip fixes; it holds the bottom
+    of H and of its tails (see the ``spectral`` module docstring), and
+    ``tail_column`` cuts it into those tails."""
 
     basis: FockBasis
     mode_perms: np.ndarray = field(repr=False)  # (order, n_modes) int64
@@ -354,40 +359,12 @@ class Symmetry:
             perm = self._basis_perms[g] = self.basis.permute_modes(self.mode_perms[g])
         return perm
 
-    @cached_property
-    def sector(self) -> sp.csr_matrix:
-        """``B``, whose columns are the normalized orbit sums ordered by
-        lowest state, so each ``>= n`` tail is a trailing block of columns
-        (``tail_column``); the identity group gives the identity.  The orbit
-        minima are a running minimum over the ``U_g``, one at a time and
-        none kept.  Logs the group order, sector and full dimensions at
-        DEBUG level."""
-        import scipy.sparse as sp
-
-        dim = self.basis.dim
-        lowest = np.arange(dim)
-        for perm in self.mode_perms[1:]:
-            np.minimum(lowest, self.basis.permute_modes(perm), out=lowest)
-        _, column, size = np.unique(lowest, return_inverse=True, return_counts=True)
-        column = column.ravel()
-        sector = sp.csr_matrix(
-            (1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)), shape=(dim, len(size))
-        )
-        _log.debug(
-            "invariant sector of the order-%d group: dim %d of %d",
-            len(self.mode_perms), len(size), dim,
-        )
-        return sector
-
-    def restrict(self, mat) -> sp.csr_matrix:
-        """``B^T A B``."""
-        import scipy.sparse as sp
-
-        return (self.sector.T @ sp.csr_matrix(mat) @ self.sector).tocsr()
-
     def tail_column(self, n: int) -> int:
-        """First column of ``B`` in the ``>= n`` boson tail."""
-        return int(self.sector.indices[self.basis.tail_start(n)])
+        """First column of the trivial block ``blocks[0]`` in the ``>= n``
+        boson tail.  That block has a column for every sign-flip orbit,
+        ordered by its lowest state, and a flip keeps the boson number, so
+        each tail is a trailing range of its columns."""
+        return int(self.blocks[0].indices[self.basis.tail_start(n)])
 
     @cached_property
     def characters(self) -> np.ndarray:
@@ -421,7 +398,9 @@ class Symmetry:
         together are an orthonormal basis, and a matrix that commutes with
         the sign flips is block diagonal in it; the trivial group gives the
         identity alone.  Each state lies in at most one column of a block,
-        so each ``Q_chi`` is built row by row."""
+        so each ``Q_chi`` is built row by row.  Logs the group order, the
+        flip order, each block's dimension and the basis dimension at DEBUG
+        level, once."""
         import scipy.sparse as sp
 
         dim = self.basis.dim
@@ -440,27 +419,32 @@ class Symmetry:
             column = (np.cumsum(admitted) - 1)[orbit[rows]]
             value = chi[carrier[rows]] / np.sqrt(size[rows])
             blocks.append(sp.csr_matrix((value, column, indptr), shape=(dim, int(admitted.sum()))))
+        _log.debug(
+            "character blocks of the order-%d group (flip order %d): dims %s of %d",
+            len(self.mode_perms), len(self.flips), [q.shape[1] for q in blocks], dim,
+        )
         return blocks
 
-    def block_matrices(self, mat) -> List[sp.csr_matrix]:
-        """``Q_chi^T A Q_chi`` for every block, in the order of ``blocks``.
+    def block_matrix(self, mat, c: int) -> sp.csr_matrix:
+        """``Q_chi^T A Q_chi`` for block ``c`` of ``blocks``.
 
-        Each is ``S^T A S`` for the signs ``S`` of ``Q_chi``, scaled by
+        It is ``S^T A S`` for the signs ``S`` of ``Q_chi``, scaled by
         ``1 / sqrt(m_i m_j)`` for the orbit sizes ``m``: a power of 2, so a
         diagonal entry that sums ``m`` copies of one value keeps it
         exactly, as the free spectrum does."""
         import scipy.sparse as sp
 
-        mat = sp.csr_matrix(mat)
-        out = []
-        for q in self.blocks:
-            signs = q.sign()
-            block = (signs.T @ mat @ signs).tocsr()
-            size = np.bincount(q.indices, minlength=q.shape[1]).astype(float)
-            rows = np.repeat(np.arange(q.shape[1]), np.diff(block.indptr))
-            block.data /= np.sqrt(size[rows] * size[block.indices])
-            out.append(block)
-        return out
+        q = self.blocks[c]
+        signs = q.sign()
+        block = (signs.T @ sp.csr_matrix(mat) @ signs).tocsr()
+        size = np.bincount(q.indices, minlength=q.shape[1]).astype(float)
+        rows = np.repeat(np.arange(q.shape[1]), np.diff(block.indptr))
+        block.data /= np.sqrt(size[rows] * size[block.indices])
+        return block
+
+    def block_matrices(self, mat) -> List[sp.csr_matrix]:
+        """``block_matrix`` of every block, in the order of ``blocks``."""
+        return [self.block_matrix(mat, c) for c in range(len(self.blocks))]
 
 
 def symmetry(basis: FockBasis, grid: MomentumGrid, ff: FormFactor, xi=None) -> Symmetry:

@@ -21,7 +21,9 @@ element ``g`` of the instance's point group (``fock.Symmetry``) maps mode
 ``X a_{gk}^+|v> = U_g X a_k^+|v>``, ``E(gk) = E(k)`` and
 ``C(gk, gl) = C(k, l)``: ``c_matrix``, ``d_kernel`` and ``build_bundle``
 solve one column per orbit and one ``Z(s)`` per orbit of sums, and move
-the solutions to the rest of each orbit exactly.  With a trivial group
+the solutions to the rest of each orbit exactly.  These mode orbits need
+the whole group; the ground energy and the tail gaps need only its sign
+flips (``fock.Symmetry.blocks``).  With a trivial group
 (a generic ``xi``, a non-radial profile) every orbit is one point and
 every column is solved.  ``c_kernel``, ``lambda_direct`` and the pointwise
 solves (``y_on_v`` caches only what it solved) use no symmetry.  The tests
@@ -226,9 +228,10 @@ class ReductionWorkspace:
 
     ``symmetry`` is the instance's point group (``fock.symmetry``).  The
     ground energy, its vector and the bundle's ``nu1``/``nu2`` are solved
-    on its invariant sector (see the ``spectral`` module docstring), and
-    the grid kernels only on the orbit representatives (see the module
-    docstring).  Construction logs the orbit counts at DEBUG level.
+    on the trivial block of its sign flips (see the ``spectral`` module
+    docstring), and the grid kernels only on the orbit representatives of
+    the whole group (see the module docstring).  Construction logs the
+    orbit counts at DEBUG level, and the blocks log their dimensions.
     """
 
     def __init__(

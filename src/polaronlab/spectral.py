@@ -40,23 +40,24 @@ pair, matrix-free; ``dense_threshold`` governs the eigenpair lists only.
 Every solve, by factor or by conjugate gradients, must pass a
 true-residual check.
 
-The ground energy ``e0`` and the tail gaps ``nu(n)`` take an instance's
-point group, a ``fock.Symmetry``, and are solved on its invariant sector
-only: the range of its isometry ``B``, whose columns are the normalized
-orbit sums of the group that fixes ``xi`` and the form factor.
-That sector holds the bottom of H and of each of its ``>= n`` tails.  In
-the sign gauge ``s(n) = (-1)^N(n) prod_k sign(v_k)^{n_k}`` (sign(0) = +1)
-every off-diagonal entry of the fiber Hamiltonian is ``-|v_k| sqrt(m) <= 0``,
+The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
+trivial character block alone: the range of ``Q_0 = Symmetry.blocks[0]``,
+whose columns are the normalized orbit sums of the sign flips that fix
+``xi`` and the form factor, ordered by lowest state.  That block holds
+the bottom of H and of each of its ``>= n`` tails.  In the sign gauge
+``s(n) = (-1)^N(n) prod_k sign(v_k)^{n_k}`` (sign(0) = +1) every
+off-diagonal entry of the fiber Hamiltonian is ``-|v_k| sqrt(m) <= 0``,
 so H and each tail, a principal submatrix, are symmetric Z-matrices.  By
 Perron-Frobenius the lowest eigenvalue of such a matrix has an eigenvector
 ``x >= 0`` (Berman & Plemmons, *Nonnegative Matrices in the Mathematical
 Sciences*, SIAM 1994, ch. 6; for polarons, Gerlach & Löwen, Rev. Mod.
-Phys. 63, 63, 1991).  The group keeps ``N``, the tails and ``sign(v)``, so
-it commutes with the gauge; the group average of ``s x`` is then ``s``
-times the average of ``x >= 0``, which is nonzero, and it is an invariant
-eigenvector at the lowest eigenvalue.  So ``B^T H B`` and its trailing
-blocks have the same minima as H and its tails, on a space smaller by up
-to the group order.  A trivial group makes ``B`` the identity.
+Phys. 63, 63, 1991).  A sign flip keeps ``N``, the tails and ``sign(v)``,
+so it commutes with the gauge; the flip average of ``s x`` is then ``s``
+times the average of ``x >= 0``, which is nonzero, and it is a
+flip-invariant eigenvector at the lowest eigenvalue.  So ``Q_0^T H Q_0``
+and its trailing blocks (``Symmetry.tail_column``) have the same minima
+as H and its tails, on a space smaller by up to the flip order.  A
+trivial group makes ``Q_0`` the identity.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class SymmetricFactor:
     exact inertia and solves against it.
 
     Every matrix this package factors is a diagonal plus ``Phi``, or its
-    restriction to a tail or to the invariant sector, and ``Phi`` changes
+    restriction to a character block or a tail, and ``Phi`` changes
     the boson number by one; so many rows couple to none of each other
     (``_eliminated_rows``).  Those rows E are eliminated by their diagonal
     ``D_E``, which leaves the dense Schur complement
@@ -434,13 +435,13 @@ def _signed_unit(vec: np.ndarray) -> np.ndarray:
 def ground_energy(mat, symmetry: Symmetry, config: SolverConfig) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit ground vector of a fiber Hamiltonian.
 
-    Solved on the invariant sector ``B^T H B`` of ``symmetry`` (see the
+    Solved on the trivial block ``Q_0^T H Q_0`` of ``symmetry`` (see the
     module docstring), with the pair certified by its residual there; the
-    ground vector is lifted to ``B y``, certified again by its residual
+    ground vector is lifted to ``Q_0 y``, certified again by its residual
     against the full ``H``, and normalized with its largest entry positive.
     """
-    pairs = lowest_eigenpairs(symmetry.restrict(mat), 1, config)
-    lifted = symmetry.sector @ pairs.vectors
+    pairs = lowest_eigenpairs(symmetry.block_matrix(mat, 0), 1, config)
+    lifted = symmetry.blocks[0] @ pairs.vectors
     _certified_residuals(mat, pairs.values, lifted, f"lifted {pairs.method}")
     return float(pairs.values[0]), _signed_unit(lifted[:, 0])
 
@@ -517,8 +518,8 @@ def spectrum_summary(
     ``_lists_below``), ties in block order; ``diagnostics`` gives that cut
     and each block's dimension, its share of the list, and the method and
     solves of its own list.  The vacuum overlap is read from the trivial
-    block's lowest vector, lifted by its ``Q``, and the gaps come from the
-    invariant sector (see ``nu``).  ``count_below_window`` counts the
+    block's lowest vector, lifted by its ``Q``, and the gaps from that
+    block's tails (see ``nu``).  ``count_below_window`` counts the
     eigenvalues at or below ``e0 + 1 - buffer`` on the same blocks (see
     ``count_below``)."""
     blocks = symmetry.block_matrices(mat)
@@ -561,15 +562,15 @@ def nu(mat, e0: float, n: int, symmetry: Symmetry, config: SolverConfig) -> floa
 
     Returns the smallest eigenvalue of the tail restriction of
     ``H - 1 - e0``; positivity of ``nu(2)`` is the standing assumption
-    behind the two-boson resolvent.  The minimum is taken on the tail's
-    invariant sector, the trailing block of ``B^T H B`` from
+    behind the two-boson resolvent.  The minimum is taken on the tail of
+    the trivial block, the trailing block of ``Q_0^T H Q_0`` from
     ``symmetry.tail_column(n)`` on, with its residual certified there.
     """
     nmax = symmetry.basis.nmax
     if n < 1 or n > nmax:
         raise ConfigError(f"tail index {n} outside 1..{nmax}")
     column = symmetry.tail_column(n)
-    sub = symmetry.restrict(mat)[column:, column:]
+    sub = symmetry.block_matrix(mat, 0)[column:, column:]
     return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 

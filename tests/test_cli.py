@@ -357,17 +357,17 @@ def test_spectrum_artifacts_and_values(tmp_path):
 
 
 def test_spectrum_logs_its_sector_once_per_level(tmp_path, caplog):
-    """``spectrum`` builds one point group per level and logs its invariant
-    sector once there."""
+    """``spectrum`` builds one point group per level and logs its character
+    blocks once there."""
     cfg = _write_config(
         tmp_path, grid={"d": 2, "K": 1.0, "h": 0.5}, form_factor={"profile": "gaussian", "g": 0.1}
     )
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec")]) == 0
-    sectors = [r.getMessage() for r in caplog.records if r.getMessage().startswith("invariant")]
-    assert sectors == [
-        "invariant sector of the order-8 group: dim 55 of 325",
-        "invariant sector of the order-8 group: dim 410 of 2925",
+    blocks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("character")]
+    assert blocks == [
+        "character blocks of the order-8 group (flip order 4): dims [97, 78, 78, 72] of 325",
+        "character blocks of the order-8 group (flip order 4): dims [777, 728, 728, 692] of 2925",
     ]
 
 

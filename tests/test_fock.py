@@ -91,45 +91,37 @@ def test_permute_modes_conjugates_hamiltonian():
 
 
 def test_invariant_sector_isometry():
-    """``B`` has orthonormal orbit-sum columns ordered by lowest state, each
-    ``>= n`` tail is a trailing block of columns, every ``U_g`` fixes the
-    range, and the identity group gives the identity."""
+    """The trivial block ``Q_0``, the flip-invariant sector, has orthonormal
+    orbit-sum columns ordered by lowest state, one per sign-flip orbit;
+    each ``>= n`` tail is a trailing block of its columns from
+    ``tail_column(n)`` on, every flip's ``U_a`` fixes its range, and the
+    identity group gives the identity."""
     grid = pl.build_grid(2, 1.0, 1.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.3)
     basis = pl.enumerate_basis(grid.size, 3)
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    perms = np.array([basis.permute_modes(p) for p in symmetry.mode_perms])
-    sector = symmetry.sector
-    dense = sector.toarray()
+    perms = np.array([basis.permute_modes(symmetry.mode_perms[a]) for a in symmetry.flips])
+    trivial = symmetry.blocks[0]
+    dense = trivial.toarray()
     # one column per orbit; Burnside: the orbits number the mean fixed states
     fixed = [np.count_nonzero(perm == np.arange(basis.dim)) for perm in perms]
-    assert sector.shape == (basis.dim, np.mean(fixed)) == (165, 31)
-    assert np.allclose(dense.T @ dense, np.eye(sector.shape[1]), rtol=0, atol=1e-14)
+    assert trivial.shape == (basis.dim, np.mean(fixed)) == (165, 52)
+    assert np.allclose(dense.T @ dense, np.eye(trivial.shape[1]), rtol=0, atol=1e-14)
     lowest = np.argmax(dense != 0, axis=0)
     assert np.all(np.diff(lowest) > 0)
     for n in range(basis.nmax + 1):
         start = basis.tail_start(n)
         column = symmetry.tail_column(n)
+        assert lowest[column] == start
         assert not dense[:start, column:].any() and not dense[start:, :column].any()
     for perm in perms:
         assert np.array_equal(dense[perm], dense)
     plain = pl.fock.Symmetry(basis, np.arange(basis.n_modes)[None, :], np.zeros(1, dtype=np.int64))
-    assert (plain.sector != sp.identity(basis.dim)).nnz == 0
     [block] = plain.blocks
     assert (block != sp.identity(basis.dim)).nnz == 0
-
-
-def _stacked_sector(symmetry):
-    """The sector's CSR arrays from the minimum over the stack of every
-    ``U_g``, ``order x dim`` entries: the oracle of the running minimum."""
-    basis = symmetry.basis
-    stack = np.array([basis.permute_modes(p) for p in symmetry.mode_perms])
-    _, column, size = np.unique(stack.min(axis=0), return_inverse=True, return_counts=True)
-    column = column.ravel()
-    return sp.csr_matrix(
-        (1.0 / np.sqrt(size[column]), column, np.arange(basis.dim + 1)),
-        shape=(basis.dim, len(size)),
-    )
+    assert [plain.tail_column(n) for n in range(basis.nmax + 1)] == [
+        basis.tail_start(n) for n in range(basis.nmax + 1)
+    ]
 
 
 #: instances (d, K, h, nmax, xi) of the symmetry tests: orders 2, 8, 2 and 48
@@ -147,17 +139,6 @@ def _symmetry_case(d, K, h, nmax, xi, profile="gaussian", g=0.3):
     basis = pl.enumerate_basis(grid.size, nmax)
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
     return ham, pl.fock.symmetry(basis, grid, ff, xi)
-
-
-@pytest.mark.parametrize("case", _SYMMETRY_CASES)
-def test_sector_running_minimum_matches_the_stack(case):
-    """The running minimum over one ``U_g`` at a time gives the sector's CSR
-    arrays bit for bit as the minimum over the whole stack did."""
-    _, symmetry = _symmetry_case(*case)
-    sector, oracle = symmetry.sector, _stacked_sector(symmetry)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(sector, name), getattr(oracle, name)), name
-    assert sector.shape == oracle.shape
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 5])
@@ -221,27 +202,6 @@ def test_fock_layer_forms_no_mode_wide_temporary(d, K, h, nmax):
     for mode_perm in symmetry.mode_perms[1::8]:
         _, peak = _traced_peak(lambda: basis.permute_modes(mode_perm))
         assert peak < 8 * vector
-
-
-def test_sector_holds_no_stack_of_basis_permutations():
-    """At d=4, K=h=1, ``nmax`` 2 (order 384, dim 3321) the traced peak of
-    the sector stays below the ``8 order dim`` bytes of the stack of every
-    ``U_g``, and no ``U_g`` is kept."""
-    grid = pl.build_grid(4, 1.0, 1.0)
-    ff = pl.sample_form_factor(grid, "gaussian", 0.3)
-    basis = pl.enumerate_basis(grid.size, 2)
-    symmetry = pl.fock.symmetry(basis, grid, ff)
-    order = len(symmetry.mode_perms)
-    assert (order, basis.dim) == (384, 3321)
-    tracemalloc.start()
-    try:
-        sector = symmetry.sector
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sector.shape[0] == basis.dim
-    assert peak < 8 * order * basis.dim
-    assert symmetry._basis_perms == {}
 
 
 @pytest.mark.parametrize("case", _SYMMETRY_CASES)

@@ -333,8 +333,8 @@ def test_reference_handle_certified_without_a_factor(ref_grid, ref_ff, caplog, l
     """A ``Y(k)`` handle on the reference ``nmax`` 4 tail (dim 494) is
     certified as an M-matrix with no factor built, and holds only the
     workspace's shared ``Phi`` and its own diagonal; its vector and block
-    solves are the dense solves.  The workspace's own sector lists (dim
-    about 250) may factor; the count starts after them."""
+    solves are the dense solves.  The workspace's own trivial-block lists
+    (dim about 250) may factor; the count starts after them."""
     ws = pl.build_workspace(ref_grid, ref_ff, 4)
     live_factors.built.clear()
     k = np.array([0.25])
@@ -356,9 +356,9 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
     on the reference ladder, no resolvent handle's solver references a
     ``SymmetricFactor``: every one of the 92 handles is certified as an
     M-matrix, so no handle builds a factor.  After the workspaces, whose
-    sector lists may factor, the factors built are the shift-invert lists
-    of the ``nmax`` 4 bundle's two sector gaps (dims 254 and 250), then the
-    equivalence report's list of the eigenvalues below ``e0 + 1``: each
+    trivial-block lists may factor, the factors built are the shift-invert
+    lists of the ``nmax`` 4 bundle's two tail gaps (dims 254 and 250), then
+    the equivalence report's list of the eigenvalues below ``e0 + 1``: each
     character block's count there, and the list of the one below it, in the
     trivial block (dims 255 and 240)."""
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in (2, 3, 4)}
@@ -536,9 +536,9 @@ def test_free_coupling_bundle_degenerates(small_grid):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_free_coupling_c0_is_not_positive_by_rounding(ref_grid, seed):
-    """At g = 0 on the reference ``nmax`` 4 grid the sector lists (dims
-    250-255) run shift-invert, whose ground energy rounds to either side of
-    0 with the start vector (seed 2 rounds it below, so ``c0`` above 0);
+    """At g = 0 on the reference ``nmax`` 4 grid the trivial-block lists
+    (dims 250-255) run shift-invert, whose ground energy rounds to either
+    side of 0 with the start vector (seed 2 rounds it below, so ``c0`` above 0);
     the free bundle still reports ``c0`` not positive and no
     decomposition."""
     ff0 = pl.sample_form_factor(ref_grid, "gaussian", 0.0)
@@ -683,10 +683,10 @@ def test_point_group_logged(caplog):
         "point group of order 8: 5 mode orbits, 15 of 81 Z(s) sums",
         "point group of order 1: 24 mode orbits, 81 of 81 Z(s) sums",
     ]
-    sectors = [r.getMessage() for r in caplog.records if r.getMessage().startswith("invariant")]
-    assert sectors == [
-        "invariant sector of the order-8 group: dim 55 of 325",
-        "invariant sector of the order-1 group: dim 325 of 325",
+    blocks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("character")]
+    assert blocks == [
+        "character blocks of the order-8 group (flip order 4): dims [97, 78, 78, 72] of 325",
+        "character blocks of the order-1 group (flip order 1): dims [325] of 325",
     ]
     assert logging.getLogger("polaronlab").handlers == []
 
@@ -700,10 +700,11 @@ def test_c_matrix_builds_one_z_handle_per_sum_orbit():
 
 
 def test_spectral_solves_factor_only_the_invariant_sector(monkeypatch):
-    """``e0``, ``nu1`` and ``nu2`` are solved on the order-8 invariant sector
-    (dim 410 of 2925), so building the workspace and the bundle factors
-    nothing of the full dimension, and nothing larger than the sector; the
-    values equal the full-space minima."""
+    """``e0``, ``nu1`` and ``nu2`` are solved on the trivial block of the 4
+    sign flips, the flip-invariant sector (dim 777 of 2925), so building
+    the workspace and the bundle factors nothing of the full dimension,
+    and nothing larger than that block; the values equal the full-space
+    minima."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "gaussian", 0.1)
     factored = []
@@ -717,9 +718,9 @@ def test_spectral_solves_factor_only_the_invariant_sector(monkeypatch):
     ws = pl.build_workspace(grid, ff, 3)
     bundle = ws.build_bundle()
     symmetry = ws.symmetry
-    assert (ws.basis.dim, symmetry.sector.shape[1], len(symmetry.mode_perms)) == (2925, 410, 8)
+    assert (ws.basis.dim, symmetry.blocks[0].shape[1], len(symmetry.flips)) == (2925, 777, 4)
     assert 2925 not in factored
-    assert max(factored, default=0) <= 410
+    assert max(factored, default=0) <= 777
     # against the full-space Lanczos minima of H and its tails
     starts = {n: ws.basis.tail_start(n) for n in (0, 1, 2)}
     lowest = {

@@ -93,9 +93,9 @@ def test_dense_subset_keeps_degenerate_copies(degenerate_instance):
 @pytest.fixture(scope="module")
 def crossover_matrices(ref_grid, ref_ff):
     """The reference ladder's H at ``nmax`` 2, 3 and 4 (dims 45, 165, 495),
-    the d=2 instance's invariant sector ``B^T H B`` at ``nmax`` 3 (dim 410),
-    and the leading blocks of the reference ``nmax`` 4 H at dims 200 and
-    201, either side of the default threshold."""
+    the d=2 instance's trivial block ``Q_0^T H Q_0`` at ``nmax`` 3 (dim
+    777), and the leading blocks of the reference ``nmax`` 4 H at dims 200
+    and 201, either side of the default threshold."""
     mats = []
     for nmax in (2, 3, 4):
         basis = pl.enumerate_basis(ref_grid.size, nmax)
@@ -104,7 +104,7 @@ def crossover_matrices(ref_grid, ref_ff):
     ff = pl.sample_form_factor(grid, "gaussian", 0.1)
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    mats.append(pl.fock.symmetry(basis, grid, ff).restrict(ham))
+    mats.append(pl.fock.symmetry(basis, grid, ff).block_matrix(ham, 0))
     mats += [mats[2][:dim, :dim] for dim in (200, 201)]
     return mats
 
@@ -113,8 +113,8 @@ def test_default_threshold_sends_large_lists_to_shift_invert(crossover_matrices)
     """At the default threshold a list is dense exactly when its dimension
     is at most 200 or it asks for all pairs but at most one; the values are
     those of the dense path within 1e-12."""
-    assert [m.shape[0] for m in crossover_matrices] == [45, 165, 495, 410, 200, 201]
-    dense = SolverConfig(dense_threshold=500)
+    assert [m.shape[0] for m in crossover_matrices] == [45, 165, 495, 777, 200, 201]
+    dense = SolverConfig(dense_threshold=1000)
     for mat in crossover_matrices:
         dim = mat.shape[0]
         for count in (1, 6, dim - 1):
@@ -147,9 +147,9 @@ def test_largest_reference_list_holds_no_dense_copy(crossover_matrices):
 _DENSE_GRIDS = {1: (2.0, 0.5), 2: (1.0, 1.0)}
 
 
-def _assert_sector_minima(ham, basis, symmetry, cfg):
-    """``ground_energy``, ``nu(1)`` and ``nu(2)`` on the sector are the
-    minima of the full spectra of H and of its tails, and the lifted ground
+def _assert_trivial_block_minima(ham, basis, symmetry, cfg):
+    """``ground_energy``, ``nu(1)`` and ``nu(2)`` on the trivial block are
+    the minima of the full spectra of H and of its tails, and the lifted ground
     vector is an eigenvector of the full H within the residual bound that
     ``ground_energy`` certifies."""
     dense = ham.toarray()
@@ -176,7 +176,7 @@ def _assert_sector_minima(ham, basis, symmetry, cfg):
 def test_dense_ground_energy_and_gaps_match_full_spectrum(
     shape, profile, g, nmax, dense_threshold
 ):
-    """The sector's minima are the full-space ones (d=1, 2, with and
+    """The trivial block's minima are the full-space ones (d=1, 2, with and
     without a fiber shift), on the dense and on the sparse path."""
     d, xi = shape
     grid = pl.build_grid(d, *_DENSE_GRIDS[d])
@@ -185,7 +185,9 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
     symmetry = pl.fock.symmetry(basis, grid, ff, xi)
-    _assert_sector_minima(ham, basis, symmetry, SolverConfig(dense_threshold=dense_threshold))
+    _assert_trivial_block_minima(
+        ham, basis, symmetry, SolverConfig(dense_threshold=dense_threshold)
+    )
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -280,15 +282,43 @@ def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, 
 
 @pytest.mark.parametrize("profile, g", [("froehlich", 0.1), ("constant", 0.3)])
 def test_sector_minima_in_three_dimensions(profile, g):
-    """On the 26-mode d=3 grid the order-48 sector gives the full-space
-    minima of H and its tails on the sparse path."""
+    """On the 26-mode d=3 grid the trivial block of the 8 sign flips (dim
+    76 of 378), and at xi = (0.5, 0, 0) that of the 4 left (dim 126), give
+    the full-space minima of H and its tails on the sparse path."""
     grid = pl.build_grid(3, 1.0, 1.0)
     basis = pl.enumerate_basis(grid.size, 2)  # dim 378
     ff = pl.sample_form_factor(grid, profile, g, alpha=1.0)
-    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    symmetry = pl.fock.symmetry(basis, grid, ff)
-    assert symmetry.sector.shape[1] < basis.dim // 10
-    _assert_sector_minima(ham, basis, symmetry, SolverConfig(dense_threshold=10))
+    for xi, flips, dim in ((None, 8, 76), ((0.5, 0.0, 0.0), 4, 126)):
+        ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+        symmetry = pl.fock.symmetry(basis, grid, ff, xi)
+        assert (len(symmetry.flips), symmetry.blocks[0].shape[1]) == (flips, dim)
+        _assert_trivial_block_minima(ham, basis, symmetry, SolverConfig(dense_threshold=10))
+
+
+@pytest.mark.parametrize("xi, calls", [(None, 7), ((0.5, 0.0, 0.0), 3)])
+def test_spectral_solves_permute_the_sign_flips_alone(monkeypatch, xi, calls):
+    """``ground_energy`` then ``spectrum_summary`` on the d=3 grid at
+    ``nmax`` 2 build one ``U_a`` per sign flip but the identity, once: 7 of
+    the order-48 group's 8 flips, and at xi = (0.5, 0, 0) 3 of the order-8
+    group's 4.  None of the other elements' ``U_g`` is built."""
+    grid = pl.build_grid(3, 1.0, 1.0)
+    ff = pl.sample_form_factor(grid, "froehlich", 0.1, alpha=1.0)
+    basis = pl.enumerate_basis(grid.size, 2)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    symmetry = pl.fock.symmetry(basis, grid, ff, xi)
+    assert len(symmetry.flips) == calls + 1
+    moved = []
+    permute_modes = pl.FockBasis.permute_modes
+
+    def counting(self, mode_perm):
+        moved.append(mode_perm)
+        return permute_modes(self, mode_perm)
+
+    monkeypatch.setattr(pl.FockBasis, "permute_modes", counting)
+    config = SolverConfig()
+    pl.ground_energy(ham, symmetry, config)
+    pl.spectrum_summary(ham, symmetry, 6, config, config.buffer(grid.h))
+    assert len(moved) == calls
 
 
 def test_eigenpair_validation(mid_instance):
@@ -766,10 +796,10 @@ def test_list_factors_at_its_cut_then_once_for_lanczos(
 def test_eigenvalue_lists_hold_one_factor_at_a_time(degenerate_blocks, live_factors):
     """No ``SymmetricFactor`` is built while another is alive.  On the first
     degenerate instance ``spectrum_summary`` has each of the four blocks
-    factor at the cut and then for Lanczos, each sector gap
-    (dims 409 and 404, above the default threshold) factor once, and each
-    block factor once more for the window count.  On a d=1 instance at
-    ``dense_threshold=10``, the two block lists, both sector gaps and the
+    factor at the cut and then for Lanczos, each tail gap on the trivial
+    block (dims 776 and 768, above the default threshold) factor once, and
+    each block factor once more for the window count.  On a d=1 instance at
+    ``dense_threshold=10``, the two block lists, both tail gaps and the
     two window counts factor in turn.  ``eigenvalues_below`` factors each
     block at its threshold, then for Lanczos where that count is not 0."""
     ham, symmetry = degenerate_blocks
@@ -833,8 +863,9 @@ def test_sparse_lists_match_dense_on_degenerate_draws(profile, g, nmax, count, x
 def _factored_matrix(d, xi, profile, g, nmax, which, tail, k):
     """One matrix of the kinds ``SymmetricFactor`` serves besides H itself
     (see ``test_hamiltonian_symmetric_and_sparse_counts_match_dense``): a
-    ``restricted_matrix`` tail at momentum ``k``, or ``B^T H B`` and one of
-    its trailing blocks."""
+    ``restricted_matrix`` tail at momentum ``k``, or the trivial block
+    ``Q_0^T H Q_0``, the flip-invariant sector, and one of its trailing
+    blocks."""
     grid = pl.build_grid(d, *_DENSE_GRIDS[d])
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
     if which == "tail":
@@ -845,7 +876,7 @@ def _factored_matrix(d, xi, profile, g, nmax, which, tail, k):
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
     symmetry = pl.fock.symmetry(basis, grid, ff, xi)
     column = symmetry.tail_column(tail) if tail else 0
-    return symmetry.restrict(ham)[column:, column:]
+    return symmetry.block_matrix(ham, 0)[column:, column:]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -864,9 +895,9 @@ def test_factor_inertia_and_solve_match_dense(
 ):
     """The Schur-complement factor's negative count is the dense count of
     eigenvalues below the shift, and its solve is the dense solve, on the
-    tails and the sector blocks the package factors besides H (d=1, 2, with
-    and without a fiber shift); the shift stays at least 1e-8 from every
-    eigenvalue."""
+    tails and the trivial-block matrices the package factors besides H
+    (d=1, 2, with and without a fiber shift); the shift stays at least 1e-8
+    from every eigenvalue."""
     d, xi = shape
     tail = max(tail, 1) if which == "tail" else tail
     mat = _factored_matrix(d, xi, profile, g, nmax, which, tail, k)
