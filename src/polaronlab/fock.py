@@ -340,17 +340,20 @@ class Symmetry:
 
     ``flips`` indexes its sign-flip subgroup, the elements that flip
     coordinate axes and permute none, the identity first.  Each ``U_g``
-    (``basis_perm``) is built on first use and kept per element; the
-    sign-flip ``characters`` and their ``blocks``, which need the ``U_a``
-    of the flips alone, are built on first use.  The trivial block
-    ``blocks[0]`` spans the vectors every flip fixes; it holds the bottom
-    of H and of its tails (see the ``spectral`` module docstring), and
-    ``tail_column`` cuts it into those tails."""
+    (``basis_perm``) and each character block ``Q_chi`` (``block``) is
+    built on first use and kept per element or character, so a level that
+    asks for the trivial block alone builds no other.  The sign-flip
+    ``characters`` and the flip orbits behind every block, which need the
+    ``U_a`` of the flips alone, are built once, on first use.  The trivial
+    block ``block(0)`` spans the vectors every flip fixes; it holds the
+    bottom of H and of its tails (see the ``spectral`` module docstring),
+    and ``tail_column`` cuts it into those tails."""
 
     basis: FockBasis
     mode_perms: np.ndarray = field(repr=False)  # (order, n_modes) int64
     flips: np.ndarray = field(repr=False)  # (flip order,) int64 rows of mode_perms
     _basis_perms: Dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _blocks: Dict[int, sp.csr_matrix] = field(default_factory=dict, init=False, repr=False)
 
     def basis_perm(self, g: int) -> np.ndarray:
         """``U_g`` of element ``g``, a basis permutation (``FockBasis.permute_modes``)."""
@@ -360,11 +363,11 @@ class Symmetry:
         return perm
 
     def tail_column(self, n: int) -> int:
-        """First column of the trivial block ``blocks[0]`` in the ``>= n``
+        """First column of the trivial block ``block(0)`` in the ``>= n``
         boson tail.  That block has a column for every sign-flip orbit,
         ordered by its lowest state, and a flip keeps the boson number, so
         each tail is a trailing range of its columns."""
-        return int(self.blocks[0].indices[self.basis.tail_start(n)])
+        return int(self.block(0).indices[self.basis.tail_start(n)])
 
     @cached_property
     def characters(self) -> np.ndarray:
@@ -389,44 +392,53 @@ class Symmetry:
         return 1.0 - 2.0 * np.array(parity)
 
     @cached_property
-    def blocks(self) -> List[sp.csr_matrix]:
-        """The isometries ``Q_chi``, one per row of ``characters``: for each
-        sign-flip orbit (``orbits``), ordered by its lowest state ``r``,
-        whose stabilizer ``chi`` is trivial on, the normalized column
-        ``sum_a chi(a) e_{U_a r}``, ``chi(a) / sqrt(orbit size)`` on each
-        state ``U_a r``.  Their columns
-        together are an orthonormal basis, and a matrix that commutes with
-        the sign flips is block diagonal in it; the trivial group gives the
-        identity alone.  Each state lies in at most one column of a block,
-        so each ``Q_chi`` is built row by row.  Logs the group order, the
-        flip order, each block's dimension and the basis dimension at DEBUG
-        level, once."""
-        import scipy.sparse as sp
-
+    def _flip_orbits(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sign-flip orbits (``orbits``) behind every block: each
+        state's orbit, numbered by lowest state; the first flip that carries
+        the orbit's lowest state to it; and, one row per character, the
+        orbits that character admits.  Logs the group order, the flip
+        order, each block's dimension (its admitted orbits) and the basis
+        dimension at DEBUG level, once."""
         dim = self.basis.dim
         moved = np.array([np.arange(dim)] + [self.basis_perm(int(g)) for g in self.flips[1:]])
         lowest, carrier = orbits(moved)
         reps = np.flatnonzero(lowest == np.arange(dim))
-        orbit = np.searchsorted(reps, lowest)
-        size = np.bincount(orbit)[orbit].astype(float)
         fixes = np.array([perm[reps] == reps for perm in moved])  # (flips, orbits)
-        blocks = []
-        for chi in self.characters:
-            # sum_a chi(a) e_{U_a r} cancels unless chi is trivial on r's stabilizer
-            admitted = ~(fixes & (chi < 0)[:, None]).any(axis=0)
-            rows = admitted[orbit]
-            indptr = np.concatenate([[0], np.cumsum(rows)])
-            column = (np.cumsum(admitted) - 1)[orbit[rows]]
-            value = chi[carrier[rows]] / np.sqrt(size[rows])
-            blocks.append(sp.csr_matrix((value, column, indptr), shape=(dim, int(admitted.sum()))))
+        # sum_a chi(a) e_{U_a r} cancels unless chi is trivial on r's stabilizer
+        admitted = np.array([~(fixes & (chi < 0)[:, None]).any(axis=0) for chi in self.characters])
         _log.debug(
             "character blocks of the order-%d group (flip order %d): dims %s of %d",
-            len(self.mode_perms), len(self.flips), [q.shape[1] for q in blocks], dim,
+            len(self.mode_perms), len(self.flips), admitted.sum(axis=1).tolist(), dim,
         )
-        return blocks
+        return np.searchsorted(reps, lowest), carrier, admitted
+
+    def block(self, c: int) -> sp.csr_matrix:
+        """The isometry ``Q_chi`` of row ``c`` of ``characters``, built on
+        first use and kept: for each sign-flip orbit that ``chi`` admits
+        (``_flip_orbits``), ordered by its lowest state ``r``, the
+        normalized column ``sum_a chi(a) e_{U_a r}``, ``chi(a) / sqrt(orbit
+        size)`` on each state ``U_a r``.  The columns of all blocks together
+        are an orthonormal basis, and a matrix that commutes with the sign
+        flips is block diagonal in it; the trivial group gives the identity
+        alone.  Each state lies in at most one column of a block, so each
+        ``Q_chi`` is built row by row."""
+        q = self._blocks.get(c)
+        if q is None:
+            import scipy.sparse as sp
+
+            orbit, carrier, admitted = self._flip_orbits
+            rows = admitted[c][orbit]
+            indptr = np.concatenate([[0], np.cumsum(rows)])
+            column = (np.cumsum(admitted[c]) - 1)[orbit[rows]]
+            size = np.bincount(orbit)[orbit[rows]].astype(float)
+            value = self.characters[c][carrier[rows]] / np.sqrt(size)
+            q = self._blocks[c] = sp.csr_matrix(
+                (value, column, indptr), shape=(self.basis.dim, int(admitted[c].sum()))
+            )
+        return q
 
     def block_matrix(self, mat, c: int) -> sp.csr_matrix:
-        """``Q_chi^T A Q_chi`` for block ``c`` of ``blocks``.
+        """``Q_chi^T A Q_chi`` for the block ``block(c)``.
 
         It is ``S^T A S`` for the signs ``S`` of ``Q_chi``, scaled by
         ``1 / sqrt(m_i m_j)`` for the orbit sizes ``m``: a power of 2, so a
@@ -434,7 +446,7 @@ class Symmetry:
         exactly, as the free spectrum does."""
         import scipy.sparse as sp
 
-        q = self.blocks[c]
+        q = self.block(c)
         signs = q.sign()
         block = (signs.T @ sp.csr_matrix(mat) @ signs).tocsr()
         size = np.bincount(q.indices, minlength=q.shape[1]).astype(float)
@@ -443,8 +455,8 @@ class Symmetry:
         return block
 
     def block_matrices(self, mat) -> List[sp.csr_matrix]:
-        """``block_matrix`` of every block, in the order of ``blocks``."""
-        return [self.block_matrix(mat, c) for c in range(len(self.blocks))]
+        """``block_matrix`` of every block, in the order of ``characters``."""
+        return [self.block_matrix(mat, c) for c in range(len(self.characters))]
 
 
 def symmetry(basis: FockBasis, grid: MomentumGrid, ff: FormFactor, xi=None) -> Symmetry:

@@ -20,10 +20,15 @@ element ``g`` of the instance's point group (``fock.Symmetry``) maps mode
 ``U_g H(k) U_g^T = H(g k)``.  So ``Y(gk)|v> = U_g Y(k)|v>``,
 ``X a_{gk}^+|v> = U_g X a_k^+|v>``, ``E(gk) = E(k)`` and
 ``C(gk, gl) = C(k, l)``: ``c_matrix``, ``d_kernel`` and ``build_bundle``
-solve one column per orbit and one ``Z(s)`` per orbit of sums, and move
-the solutions to the rest of each orbit exactly.  These mode orbits need
+solve one column per orbit and one ``Z(s)`` per orbit of sums, and hold
+each family (``Y(p)|v>``, ``a_k^+|v>`` and their ``X`` solves) as its
+representatives' columns alone.  A kernel entry ``K(r, l) = <a_r, b_l>``
+is formed only on representative rows ``r``, with ``b_l`` moved from its
+representative's column by ``U_g`` for the carrier ``g`` of ``l``, and
+every other entry is ``K(gr, gl) = K(r, l)``, so the memory of a kernel
+grows with the number of orbits, not of modes.  These mode orbits need
 the whole group; the ground energy and the tail gaps need only its sign
-flips (``fock.Symmetry.blocks``).  With a trivial group
+flips (``fock.Symmetry.block``).  With a trivial group
 (a generic ``xi``, a non-radial profile) every orbit is one point and
 every column is solved.  ``c_kernel``, ``lambda_direct`` and the pointwise
 solves (``y_on_v`` caches only what it solved) use no symmetry.  The tests
@@ -412,20 +417,42 @@ class ReductionWorkspace:
 
     # -- point-group orbits ------------------------------------------------
 
-    def _covariant_columns(self, perms: np.ndarray, solve, start: int = 0) -> np.ndarray:
-        """Columns of a covariant family (``col[perms[g, x]] = U_g col[x]``).
+    def _members(self, perms: np.ndarray, held: np.ndarray, items, start: int = 0) -> np.ndarray:
+        """Columns ``items`` of a covariant family (``col[perms[g, x]] = U_g
+        col[x]``) held as its orbit representatives' columns ``held``, on
+        the tail from ``start``: each is its representative's, moved by
+        ``U_g`` for the carrier ``g`` of its item, one scatter per carrier."""
+        rep, carrier = orbits(perms)
+        out = held[:, np.searchsorted(np.unique(rep), rep[items])]
+        for g in np.unique(carrier[items]):
+            if g:
+                at = np.flatnonzero(carrier[items] == g)
+                out[self.symmetry.basis_perm(int(g))[start:, None] - start, at] = out[:, at]
+        return out
 
-        ``solve(reps)`` returns the columns of the orbit representatives as
-        vectors on the tail from ``start``; every other column is its
-        representative's moved by ``U_g``.
+    def _orbit_kernel(
+        self, perms: np.ndarray, a: np.ndarray, b: np.ndarray, start: int = 0
+    ) -> np.ndarray:
+        """Symmetric kernel ``K(x, y) = <a_x, b_y>`` of two covariant families
+        held as their representatives' columns ``a`` and ``b`` on the tail
+        from ``start``.
+
+        Only the rows ``K(r, y)`` of representatives ``r`` are formed, on the
+        columns ``b_y`` of one carrier at a time (``_members``); every other
+        row is ``K(g r, g y) = K(r, y)``.  Each entry above the diagonal is
+        then its mirror's, so ``K`` is exactly symmetric.
         """
         rep, carrier = orbits(perms)
-        own = rep == np.arange(len(rep))
-        solved = solve(np.flatnonzero(own))
-        out = np.empty((solved.shape[0], len(rep)))
-        out[:, own] = solved
-        for x in np.flatnonzero(~own):
-            out[self.symmetry.basis_perm(carrier[x])[start:] - start, x] = out[:, rep[x]]
+        reps = np.unique(rep)
+        rows = np.empty((len(reps), len(rep)))
+        for g in np.unique(carrier):
+            items = np.flatnonzero(carrier == g)
+            rows[:, items] = a.T @ self._members(perms, b, items, start)
+        out = np.empty((len(rep), len(rep)))
+        for perm in perms:
+            out[perm[reps, None], perm] = rows
+        upper = np.triu_indices(len(rep), 1)
+        out[upper] = out.T[upper]
         return out
 
     @cached_property
@@ -478,25 +505,19 @@ class ReductionWorkspace:
 
         This is the exact Schur coupling of the truncated operator through
         the >=2 tail (no pull-through rewriting involved).  ``X(eps)`` is
-        solved on one raised column per mode orbit.
+        solved on the raised column of each mode orbit's representative.
         """
-        rhs = self._raised_v
-        handle = self.x_handle(eps)
-        solved = self._covariant_columns(
-            self.symmetry.mode_perms, lambda reps: handle.solve(rhs[:, reps]), start=self.start2
-        )
-        return rhs.T @ solved
+        raised = self._raised_v
+        solved = self.x_handle(eps).solve(raised)
+        return self._orbit_kernel(self.symmetry.mode_perms, raised, solved, self.start2)
 
     @cached_property
     def _raised_v(self) -> np.ndarray:
-        """Columns ``[a_j^+ |v>]`` on the >=2 tail, one per grid mode; a
-        creator is built for one mode per orbit."""
-        return self._covariant_columns(
-            self.symmetry.mode_perms,
-            lambda reps: np.column_stack(
-                [(fock.creator(self.basis, j) @ self.v)[self.start2 :] for j in reps]
-            ),
-            start=self.start2,
+        """Columns ``a_r^+ |v>`` on the >=2 tail, one per mode orbit, of its
+        representative ``r``, from one creator each."""
+        reps = np.unique(orbits(self.symmetry.mode_perms)[0])
+        return np.column_stack(
+            [(fock.creator(self.basis, j) @ self.v)[self.start2 :] for j in reps]
         )
 
     @cached_property
@@ -533,30 +554,32 @@ class ReductionWorkspace:
     def c_matrix(self) -> np.ndarray:
         """Extended kernel ``C`` on zero + all grid modes, batched solves.
 
-        ``Y(p)|v>`` and ``X(0)`` are solved for one point per orbit, and
-        ``Z(s)`` for one sum per orbit of sums; every other entry is
-        ``C(gk, gl) = C(k, l)``.
+        ``u = Y(p)|v>`` and ``X(0)`` on its >=2 tail are solved and held
+        for one point per orbit, and ``Z(s)`` for one sum per orbit of sums;
+        the columns of ``w = vacuum - u`` are formed from their
+        representatives' only where a ``Z(s)`` block needs them, the block's
+        right-hand sides at once and each left factor one column at a time.
+        Every other entry is ``C(gk, gl) = C(k, l)``, and ``C`` is exactly
+        symmetric.
         """
         points = self._c_points()
         perms = self._point_perms
-        u = self._covariant_columns(
-            perms, lambda reps: np.column_stack([self.y_on_v(points[r]) for r in reps])
-        )
-        w = -u
-        w[0, :] += 1.0  # vacuum component
-        g2 = u[self.start2 :, :]
-        x0 = self.x_handle(0.0)
-        x2 = self._covariant_columns(
-            perms, lambda reps: x0.solve(g2[:, reps]), start=self.start2
-        )
-        term2 = g2.T @ x2
+        u = np.column_stack([self.y_on_v(points[r]) for r in np.unique(orbits(perms)[0])])
+        g2 = u[self.start2 :]
+        term2 = self._orbit_kernel(perms, g2, self.x_handle(0.0).solve(g2), self.start2)
+
+        def w(items):
+            out = self._members(perms, u, items)
+            np.negative(out, out=out)
+            out[0] += 1.0  # vacuum component
+            return out
 
         first, second, vals = [], [], []
         for s, pair_i, pair_j in self._sum_orbits[1]:
             cols = np.unique(pair_j)
-            solved = self.z_handle(s).solve(w[:, cols])
+            solved = self.z_handle(s).solve(w(cols))
             for i, j in zip(pair_i, pair_j):
-                vals.append(float(w[:, i] @ solved[:, np.searchsorted(cols, j)]))
+                vals.append(float(w([i])[:, 0] @ solved[:, np.searchsorted(cols, j)]))
             first.append(pair_i)
             second.append(pair_j)
         first, second, vals = np.concatenate(first), np.concatenate(second), np.array(vals)

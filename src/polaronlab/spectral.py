@@ -3,7 +3,7 @@ or dense ndarrays alike.
 
 Every eigenvalue count is a sum of inertias, one ``SymmetricFactor`` of
 ``Q^T A Q - shift`` per character block of the instance's sign-flip
-subgroup (``fock.Symmetry.blocks``): ``A`` commutes with the group, so it
+subgroup (``fock.Symmetry.block``): ``A`` commutes with the group, so it
 is block diagonal in the blocks and the sum is exact (Sylvester's law of
 inertia); the inertia of one factor also gives definiteness.  An
 eigenvalue list is the merge of the blocks' lists, each certified by its
@@ -41,7 +41,7 @@ Every solve, by factor or by conjugate gradients, must pass a
 true-residual check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
-trivial character block alone: the range of ``Q_0 = Symmetry.blocks[0]``,
+trivial character block alone: the range of ``Q_0 = Symmetry.block(0)``,
 whose columns are the normalized orbit sums of the sign flips that fix
 ``xi`` and the form factor, ordered by lowest state.  That block holds
 the bottom of H and of each of its ``>= n`` tails.  In the sign gauge
@@ -441,7 +441,7 @@ def ground_energy(mat, symmetry: Symmetry, config: SolverConfig) -> Tuple[float,
     against the full ``H``, and normalized with its largest entry positive.
     """
     pairs = lowest_eigenpairs(symmetry.block_matrix(mat, 0), 1, config)
-    lifted = symmetry.blocks[0] @ pairs.vectors
+    lifted = symmetry.block(0) @ pairs.vectors
     _certified_residuals(mat, pairs.values, lifted, f"lifted {pairs.method}")
     return float(pairs.values[0]), _signed_unit(lifted[:, 0])
 
@@ -458,7 +458,7 @@ def _interlacing_cut(blocks, count: int, config: SolverConfig) -> float:
     ``blocks`` below it, known before any Lanczos run.
 
     Each block's leading ``min(dim, max(count, dense_threshold))`` rows, its
-    lowest-boson states (``Symmetry.blocks`` orders its columns by each
+    lowest-boson states (``Symmetry.block`` orders its columns by each
     orbit's lowest state, and an orbit stays inside a boson-number sector),
     span a principal submatrix, whose lowest ``count`` eigenvalues dense
     ``syevr`` gives: the size keeps ``dense_threshold`` the largest matrix
@@ -534,7 +534,7 @@ def spectrum_summary(
     e0 = float(values[lowest[0]])
     nmax = symmetry.basis.nmax
     gaps = [nu(mat, e0, n, symmetry, config) if n <= nmax else None for n in (1, 2)]
-    ground = symmetry.blocks[0] @ lists[0].vectors[:, 0]
+    ground = symmetry.block(0) @ lists[0].vectors[:, 0]
     return {
         "eigenvalues": values[lowest],
         "residuals": residuals[lowest],

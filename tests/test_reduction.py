@@ -3,6 +3,7 @@
 import gc
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -644,32 +645,102 @@ def _unsymmetrized_d_kernel(ws, eps):
 
 
 @pytest.mark.parametrize(
-    "h, xi, broken",
-    [(1.0, None, False), (1.0, None, True), (0.5, [0.6, 0.0], False)],
-    ids=["radial", "broken", "shifted"],
+    "d, K, h, xi, broken, nmax, order",
+    [
+        (1, 2.0, 0.5, None, False, 4, 2),  # dim 495
+        (2, 1.0, 1.0, None, False, 4, 8),  # dim 495
+        (2, 1.0, 1.0, None, True, 4, 1),
+        (2, 1.0, 0.5, [0.6, 0.0], False, 2, 2),  # dim 325
+        (3, 1.0, 1.0, None, False, 2, 48),  # dim 378, permutation-flip carriers
+    ],
+    ids=["d1", "radial", "broken", "shifted", "d3"],
 )
-def test_orbit_kernels_match_unsymmetrized(h, xi, broken):
+def test_orbit_kernels_match_unsymmetrized(d, K, h, xi, broken, nmax, order):
     """On the sparse path, the orbit-representative kernels equal the
     unsymmetrized ones: ``D`` against dense solves of every raised column,
     ``C`` against ``c_kernel`` on every point pair, ``e_k`` against
     ``energy_curve`` on every mode."""
-    grid = pl.build_grid(2, 1.0, h)
+    grid = pl.build_grid(d, K, h)
     ff = _broken_form_factor(grid) if broken else pl.sample_form_factor(grid, "gaussian", 0.2)
-    nmax = 4 if xi is None else 2  # dims 495 and 325
     ws = pl.build_workspace(grid, ff, nmax, config=SolverConfig(dense_threshold=10), xi=xi)
+    assert len(ws.symmetry.mode_perms) == order
     for eps in (0.0, 0.3):
         assert np.allclose(ws.d_kernel(eps), _unsymmetrized_d_kernel(ws, eps), rtol=0, atol=1e-10)
     if xi is not None:
         return
     cmat = ws.c_matrix()
-    points = np.vstack([np.zeros((1, 2)), grid.modes])
+    points = np.vstack([np.zeros((1, d)), grid.modes])
     pointwise = np.array([[ws.c_kernel(k, l) for l in points] for k in points])
-    assert pointwise.shape == (9, 9)
+    assert pointwise.shape == (grid.size + 1, grid.size + 1)
     assert np.allclose(cmat, pointwise, rtol=0, atol=1e-12)
     if not broken:
         e_k = ws.build_bundle().e_k
         curve = np.array([ws.energy_curve(k) for k in grid.modes])
         assert np.allclose(e_k, curve, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, K, h, profile, g, nmax",
+    [
+        (1, 2.0, 0.5, "gaussian", 0.1, 4),
+        (2, 1.0, 0.5, "constant", 0.5, 3),
+        (3, 1.0, 1.0, "froehlich", 0.1, 3),
+    ],
+)
+def test_kernels_exactly_symmetric(d, K, h, profile, g, nmax):
+    """``C`` and ``D`` are symmetric to the bit: each pair of mirrored
+    entries is filled from one value, so the rearrangement identity's
+    ``symmetry`` residual reads 0."""
+    grid = pl.build_grid(d, K, h)
+    ws = pl.build_workspace(grid, pl.sample_form_factor(grid, profile, g), nmax)
+    cmat = ws.c_matrix()
+    assert np.array_equal(cmat, cmat.T)
+    for eps in (0.0, 0.3):
+        dmat = ws.d_kernel(eps)
+        assert np.array_equal(dmat, dmat.T)
+
+
+def test_kernel_families_held_on_representatives():
+    """On the paper's model at ``nmax`` 3 (dim 3654; 26 modes in 3 orbits,
+    4 point orbits with zero) every covariant family is held as its
+    representatives' columns: once a first call has built the handles, a
+    second ``d_kernel(0)`` traces at most 4 and ``c_matrix()`` at most 8
+    times (orbits + 1) vectors of the basis dimension.  Dense families of
+    all ``M + 1`` columns take 31 and 101 such vectors."""
+    grid = pl.build_grid(3, 1.0, 1.0)
+    ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "froehlich", 0.1), 3)
+    n_orbits = len(np.unique(pl.fock.orbits(ws.symmetry.mode_perms)[0]))
+    assert (ws.basis.dim, grid.size, n_orbits) == (3654, 26, 3)
+    vector = 8 * ws.basis.dim
+    for kernel, multiple in ((lambda: ws.d_kernel(0.0), 4), (ws.c_matrix, 8)):
+        kernel()
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiple * (n_orbits + 1) * vector
+
+
+def test_workspace_builds_the_trivial_block_alone(caplog):
+    """``e0`` and the bundle's tail gaps read the trivial flip block alone,
+    so a workspace builds ``block(0)`` and no other ``Q_chi`` until a count
+    asks for the rest; each block is built once and the dimensions are
+    logged once, before any other block is built."""
+    grid = pl.build_grid(2, 1.0, 0.5)
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+        ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.1), 3)
+        ws.build_bundle()
+        assert list(ws.symmetry._blocks) == [0]
+        trivial = ws.symmetry.block(0)
+        assert pl.count_below(ws.hamiltonian, ws.symmetry, ws.e0 + 1.0, 1e-6) >= 1
+    assert sorted(ws.symmetry._blocks) == [0, 1, 2, 3]
+    assert ws.symmetry.block(0) is trivial
+    events = [r.getMessage() for r in caplog.records if r.getMessage().startswith("character")]
+    assert events == [
+        "character blocks of the order-8 group (flip order 4): dims [777, 728, 728, 692] of 2925"
+    ]
 
 
 def test_point_group_logged(caplog):
@@ -718,7 +789,7 @@ def test_spectral_solves_factor_only_the_invariant_sector(monkeypatch):
     ws = pl.build_workspace(grid, ff, 3)
     bundle = ws.build_bundle()
     symmetry = ws.symmetry
-    assert (ws.basis.dim, symmetry.blocks[0].shape[1], len(symmetry.flips)) == (2925, 777, 4)
+    assert (ws.basis.dim, symmetry.block(0).shape[1], len(symmetry.flips)) == (2925, 777, 4)
     assert 2925 not in factored
     assert max(factored, default=0) <= 777
     # against the full-space Lanczos minima of H and its tails

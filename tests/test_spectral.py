@@ -237,7 +237,7 @@ def test_block_lists_match_full_spectrum(shape, profile, g, nmax, count):
     ff = pl.sample_form_factor(grid, profile, g, alpha=0.5)
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
     symmetry = pl.fock.symmetry(basis, grid, ff, xi)
-    assert len(symmetry.blocks) == 2 ** (d - (xi is not None))
+    assert len(symmetry.characters) == 2 ** (d - (xi is not None))
     vals, vecs = np.linalg.eigh(ham.toarray())
     summary = pl.spectrum_summary(ham, symmetry, count, SolverConfig(dense_threshold=10), 0.1)
     assert np.allclose(summary["eigenvalues"], vals[:count], rtol=0, atol=1e-9)
@@ -291,7 +291,7 @@ def test_sector_minima_in_three_dimensions(profile, g):
     for xi, flips, dim in ((None, 8, 76), ((0.5, 0.0, 0.0), 4, 126)):
         ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
         symmetry = pl.fock.symmetry(basis, grid, ff, xi)
-        assert (len(symmetry.flips), symmetry.blocks[0].shape[1]) == (flips, dim)
+        assert (len(symmetry.flips), symmetry.block(0).shape[1]) == (flips, dim)
         _assert_trivial_block_minima(ham, basis, symmetry, SolverConfig(dense_threshold=10))
 
 
@@ -848,7 +848,7 @@ def test_sparse_lists_match_dense_on_degenerate_draws(profile, g, nmax, count, x
     assert pairs.method == "shift-invert"
     assert np.allclose(pairs.values, truth, rtol=0, atol=1e-9)
     symmetry = pl.fock.symmetry(basis, grid, ff, xi)
-    assert len(symmetry.blocks) == (4 if xi is None else 2)
+    assert len(symmetry.characters) == (4 if xi is None else 2)
     summary = pl.spectrum_summary(ham, symmetry, count, config, 0.1)
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-9)
     # the first clear gap at or above the count-th eigenvalue
@@ -1027,7 +1027,7 @@ def test_fine_lists_and_counts_keep_half_the_rows(caplog):
     the whole space keeps 832."""
     grid, ff, basis, ham = _instance(1, 2.0, 0.25, 4, "gaussian", 0.065295, 1.0)
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    assert [q.shape[1] for q in symmetry.blocks] == [2445, 2400]
+    assert [symmetry.block(c).shape[1] for c in range(2)] == [2445, 2400]
     events = _list_and_count(ham, symmetry, caplog)
     assert {label for label, *_ in events} == {
         "counted operator", "eigenvalue list", "shift-invert operator"
