@@ -456,9 +456,7 @@ def verify_lambda_identity(workspaces: Dict[int, ReductionWorkspace]) -> Identit
         av_u = ws.raising_part.T.tocsr() @ u
         av_u1 = ws.sector1_components(av_u)
         rhs = u1 + av_u1 + dmat @ u1
-        lhs = np.array(
-            [ws.ff.values[j] * ws.lambda_direct(ws.grid.modes[j]) for j in range(ws.basis.n_modes)]
-        )
+        lhs = ws.ff.values * np.array([ws.lambda_direct(k) for k in ws.grid.modes])
         res.append(float(np.max(np.abs(lhs - rhs))))
     trend = _strictly_decreasing(res)
     return IdentityReport(

@@ -232,9 +232,9 @@ class ReductionWorkspace:
     handled internally through the contiguous sector layout.
 
     ``symmetry`` is the instance's point group (``fock.symmetry``).  The
-    ground energy, its vector and the bundle's ``nu1``/``nu2`` are solved
-    on the trivial block of its sign flips (see the ``spectral`` module
-    docstring), and the grid kernels only on the orbit representatives of
+    ground energy, its vector and the tail gaps ``nu1``/``nu2`` are solved
+    at construction on the trivial block of its sign flips, formed once (see
+    ``spectral``), and the grid kernels only on the orbit representatives of
     the whole group (see the module docstring).  Construction logs the
     orbit counts at DEBUG level, and the blocks log their dimensions.
     """
@@ -262,9 +262,11 @@ class ReductionWorkspace:
         self.start1 = basis.tail_start(1)
         self.start2 = basis.tail_start(2)
         self._offs: Dict[str, sp.csr_matrix] = {}
-        self.hamiltonian = self.restricted_matrix(FULL, np.zeros(grid.d), 0.0)
-        self.symmetry = fock.symmetry(basis, grid, ff, self.xi)
-        self.e0, self.ground_vector = ground_energy(self.hamiltonian, self.symmetry, self.config)
+        self.hamiltonian = ham = self.restricted_matrix(FULL, np.zeros(grid.d), 0.0)
+        self.symmetry = symmetry = fock.symmetry(basis, grid, ff, self.xi)
+        trivial = symmetry.block_matrix(ham, 0)
+        self.e0, self.ground_vector = ground_energy(ham, trivial, symmetry, self.config)
+        self.nu1, self.nu2 = (nu(trivial, self.e0, n, symmetry, self.config) for n in (1, 2))
         # mode j <-> the 1-boson basis state carrying that mode
         self.mode_state = basis.rank(np.eye(basis.n_modes, dtype=np.int32))
         #: the coupling amplitudes in the 1-boson sector: the field's raising part on the vacuum
@@ -280,6 +282,7 @@ class ReductionWorkspace:
         #: sign gauge in which every handle matrix is a Z-matrix (a tail's is its slice)
         self.signs = fock.sign_gauge(basis, ff)
         self._u_cache: Dict[bytes, np.ndarray] = {}
+        self._lambdas: Dict[bytes, float] = {}
         self._bundle: Optional[ReductionBundle] = None
         self.schur_gap = abs(self.e0 - self.vacuum_kinetic() + self.vacuum_schur(1.0))
         if self.schur_gap > 1e-6:
@@ -592,18 +595,23 @@ class ReductionWorkspace:
     def lambda_direct(self, k: Momentum) -> float:
         """Transfer scalar ``lam(k) = <w_k|Z(k)|w_0> + <Yv_k|X|Yv_0>``.
 
-        Evaluated on its own solve chain; coincides with
-        ``1/(1+e0) - C(k, 0)`` by construction, so the pair of code paths
-        cross-checks the kernel bookkeeping.
+        Cached per momentum, on its own solves, one ``X`` solve per
+        workspace; coincides with ``1/(1+e0) - C(k, 0)`` by construction, so
+        the pair of code paths cross-checks the kernel bookkeeping.
         """
         k = self._as_momentum(k)
-        w_k = self.vacuum_vector() - self.y_on_v(k)
-        w_0 = self.vacuum_vector() - self.y_on_v(np.zeros(self.grid.d))
-        term1 = float(w_k @ self.apply_z(k, w_0))
-        xk = self.y_on_v(k)[self.start2 :]
-        x0 = self.y_on_v(np.zeros(self.grid.d))[self.start2 :]
-        term2 = float(xk @ self.x_handle(0.0).solve(x0))
-        return term1 + term2
+        lam = self._lambdas.get(k.tobytes())
+        if lam is None:
+            w_0 = self.vacuum_vector() - self.y_on_v(np.zeros(self.grid.d))
+            term1 = float((self.vacuum_vector() - self.y_on_v(k)) @ self.apply_z(k, w_0))
+            term2 = float(self.y_on_v(k)[self.start2 :] @ self._x_on_yv0)
+            lam = self._lambdas[k.tobytes()] = term1 + term2
+        return lam
+
+    @cached_property
+    def _x_on_yv0(self) -> np.ndarray:
+        """``X(0)`` on the >=2 tail of ``Y(0)|v>``, solved once."""
+        return self.x_handle(0.0).solve(self.y_on_v(np.zeros(self.grid.d))[self.start2 :])
 
     # -- bundle assembly ---------------------------------------------------
 
@@ -666,8 +674,6 @@ class ReductionWorkspace:
 
         dmat = self.d_kernel(0.0)
         omat = self.one_particle_operator(0.0, dmat=dmat)
-        nu1 = nu(self.hamiltonian, self.e0, 1, self.symmetry, self.config)
-        nu2 = nu(self.hamiltonian, self.e0, 2, self.symmetry, self.config)
         self._bundle = ReductionBundle(
             e0=self.e0,
             mode_norms=norms,
@@ -681,8 +687,8 @@ class ReductionWorkspace:
             coupling_active=coupling_active,
             phi=phi,
             smat=smat,
-            nu1=nu1,
-            nu2=nu2,
+            nu1=self.nu1,
+            nu2=self.nu2,
         )
         return self._bundle
 

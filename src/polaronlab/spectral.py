@@ -1,47 +1,39 @@
 """Eigenvalue and linear solvers for real symmetric matrices, scipy sparse
 or dense ndarrays alike.
 
-Every eigenvalue count is a sum of inertias, one ``SymmetricFactor`` of
+Every eigenvalue count rests on inertias, one ``SymmetricFactor`` of
 ``Q^T A Q - shift`` per character block of the instance's sign-flip
 subgroup (``fock.Symmetry.block``): ``A`` commutes with the group, so it
 is block diagonal in the blocks and the sum is exact (Sylvester's law of
-inertia); the inertia of one factor also gives definiteness.  An
-eigenvalue list is the merge of the blocks' lists, each certified by its
-block's inertia; a trivial group gives one block, the whole space.
-Eigenpair lists of small problems (dimension at or below
-``dense_threshold``, 200 by default) come from the MRRR routine
-``syevr`` (Dhillon & Parlett, Linear Algebra Appl. 387, 2004), asked for
-the lowest ``count`` pairs only, which doubles as the
-built-in oracle for the sparse path; above the threshold the factor's
-solves drive shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35,
-1980), which holds no dense copy of the matrix.  The default is 200, the
-measured crossover (the timings are in ROADMAP, "After PR 28").  ``Phi``
+inertia); the inertia of one factor also gives definiteness.  Each
+block's list of its eigenvalues below a cut known before any Lanczos run
+(``_interlacing_cut``) is certified by its inertia there, so no copy of
+a multiple eigenvalue goes missing, and the merged lists count any
+window that the cut clears; a trivial group gives one block.  Lists at
+or below ``dense_threshold`` (200 by default, the measured crossover)
+come from the MRRR routine ``syevr`` (Dhillon & Parlett, Linear Algebra
+Appl. 387, 2004), the built-in oracle of the sparse path; above it the
+factor's solves drive shift-invert Lanczos (Ericsson & Ruhe, Math.
+Comp. 35, 1980), which holds no dense copy of the matrix.  ``Phi``
 changes the boson number by one, so the factor eliminates an uncoupled
 set of rows by their diagonal and factors the dense Schur complement on
-the rest with Bunch-Kaufman pivoting; inertia is additive over a Schur complement (Haynsworth, Linear
-Algebra Appl. 1, 1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A
-complement of more than ``SCHUR_CAP`` rows, too large to hold densely, is
-a ``SolverError``; a singular factor counts its zero pivots, the
-eigenvalues at its shift, but refuses to solve.  Each block list, and
-each sparse list of several pairs, is certified by that inertia too, at a
-cut known before any Lanczos run from Cauchy interlacing
-(``_interlacing_cut``), so no copy of a multiple eigenvalue goes missing.
-No factor outlives its use: the cut's factor serves inertia only and is
-gone before the list builds its shift-invert factor, which then serves
-every deflated run, so at most one factor is alive at a time.
-``SpdSolver`` takes a matrix as its off-diagonal part and a call that
-returns its diagonal, the form in which every resolvent of ``reduction``
-is one shared restriction of ``Phi`` plus a diagonal derived on each
-solve.  At every dimension it certifies definiteness itself, as an M-matrix
-in the sign gauge below (a vector ``x > 0`` with ``G x > 0``, checked
-against its rounding error), else by the inertia of a transient factor,
-and solves by Jacobi-preconditioned conjugate gradients that apply the
-pair, matrix-free; ``dense_threshold`` governs the eigenpair lists only.
-Every solve, by factor or by conjugate gradients, must pass a
-true-residual check.
+the rest with Bunch-Kaufman pivoting; inertia is additive over a Schur
+complement (Haynsworth, Linear Algebra Appl. 1, 1968; Bunch & Kaufman,
+Math. Comp. 31, 1977).  A complement of more than ``SCHUR_CAP`` rows,
+too large to hold densely, is a ``SolverError``; a singular factor
+counts its zero pivots, the eigenvalues at its shift, but refuses to
+solve.  No factor outlives its use: the cut's factor serves inertia only
+and is gone before the list builds its shift-invert factor, which then
+serves every deflated run, so at most one factor is alive at a time.
+``SpdSolver`` serves the resolvents of ``reduction``: it certifies
+definiteness as an M-matrix in the sign gauge below, else by a transient
+factor's inertia, and solves by Jacobi-preconditioned conjugate
+gradients at every dimension.  Every solve, by factor or by conjugate
+gradients, must pass a true-residual check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
-trivial character block alone: the range of ``Q_0 = Symmetry.block(0)``,
+trivial character block ``Q_0^T H Q_0`` alone, which their caller forms
+once: the range of ``Q_0 = Symmetry.block(0)``,
 whose columns are the normalized orbit sums of the sign flips that fix
 ``xi`` and the form factor, ordered by lowest state.  That block holds
 the bottom of H and of each of its ``>= n`` tails.  In the sign gauge
@@ -313,7 +305,7 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
         raise ConfigError(f"cannot compute {count} eigenpairs of a dim-{dim} operator")
     if count == 1 or dim <= config.dense_threshold or count >= dim - 1:
         return _lowest(mat, count, config, None)
-    [pairs] = _lists_below([mat], _interlacing_cut([mat], count, config), config)
+    [pairs] = _lists_below([mat], _interlacing_cut([mat], count, config, 0.0), config)
     return Eigenpairs(
         pairs.values[:count], pairs.vectors[:, :count], pairs.residuals[:count],
         pairs.method, pairs.iterations,
@@ -432,30 +424,26 @@ def _signed_unit(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[pivot] < 0 else vec
 
 
-def ground_energy(mat, symmetry: Symmetry, config: SolverConfig) -> Tuple[float, np.ndarray]:
+def ground_energy(
+    mat, trivial, symmetry: Symmetry, config: SolverConfig
+) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit ground vector of a fiber Hamiltonian.
 
-    Solved on the trivial block ``Q_0^T H Q_0`` of ``symmetry`` (see the
-    module docstring), with the pair certified by its residual there; the
-    ground vector is lifted to ``Q_0 y``, certified again by its residual
-    against the full ``H``, and normalized with its largest entry positive.
+    Solved on ``trivial``, its trivial block ``Q_0^T H Q_0`` (see the module
+    docstring), with the pair certified by its residual there; the ground
+    vector is lifted to ``Q_0 y``, certified again by its residual against
+    the full ``H``, and normalized with its largest entry positive.
     """
-    pairs = lowest_eigenpairs(symmetry.block_matrix(mat, 0), 1, config)
+    pairs = lowest_eigenpairs(trivial, 1, config)
     lifted = symmetry.block(0) @ pairs.vectors
     _certified_residuals(mat, pairs.values, lifted, f"lifted {pairs.method}")
     return float(pairs.values[0]), _signed_unit(lifted[:, 0])
 
 
-def _counted(mat, cut: float) -> int:
-    """Eigenvalues of ``mat`` at or below ``cut``: the negative and zero
-    pivots of one factor, gone before the caller builds the next."""
-    factor = SymmetricFactor(mat, cut, label="counted operator")
-    return factor.negative_count + factor.zero_count
-
-
-def _interlacing_cut(blocks, count: int, config: SolverConfig) -> float:
+def _interlacing_cut(blocks, count: int, config: SolverConfig, width: float) -> float:
     """A cut with at least ``count`` eigenvalues of the direct sum of
-    ``blocks`` below it, known before any Lanczos run.
+    ``blocks`` below it, and every eigenvalue within ``width`` of the
+    lowest, known before any Lanczos run.
 
     Each block's leading ``min(dim, max(count, dense_threshold))`` rows, its
     lowest-boson states (``Symmetry.block`` orders its columns by each
@@ -466,18 +454,19 @@ def _interlacing_cut(blocks, count: int, config: SolverConfig) -> float:
     principal submatrix's ``j``-th eigenvalue bounds its block's ``j``-th
     from above (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch.
     10), so at least ``count`` eigenvalues lie at or below ``v``, the
-    ``count``-th smallest of the merged values.  The cut is
-    ``v + 2 EIG_TOL max(1, |v|)``: the margin, far above the rounding of
-    ``v`` and of a factor's inertia, puts those eigenvalues strictly below
-    it."""
+    ``count``-th smallest of the merged values, and the lowest at or below
+    the smallest, ``v_1``.  With ``w = max(v, v_1 + width)`` the cut is
+    ``w + 2 EIG_TOL max(1, |w|)``: the margin, far above the rounding of
+    ``w`` and of a factor's inertia, puts those eigenvalues strictly below it."""
     leading = []
     for block in blocks:
         size = min(block.shape[0], max(count, config.dense_threshold))
         head = _dense(block[:size, :size])
         top = min(count, size) - 1
         leading.append(sla.eigh(head, eigvals_only=True, subset_by_index=[0, top]))
-    v = float(np.sort(np.concatenate(leading))[count - 1])
-    return v + 2.0 * EIG_TOL * max(1.0, abs(v))
+    merged = np.sort(np.concatenate(leading))
+    w = max(float(merged[count - 1]), float(merged[0]) + width)
+    return w + 2.0 * EIG_TOL * max(1.0, abs(w))
 
 
 def _lists_below(blocks, cut: float, config: SolverConfig) -> list:
@@ -513,18 +502,18 @@ def spectrum_summary(
     and the window count, under the keys of the ``spectrum`` artifact; a
     gap whose tail lies above the truncation is ``None``.
 
-    The eigenvalues are the lowest ``count`` of the character blocks of
-    ``symmetry``, listed below one cut (``_interlacing_cut``,
-    ``_lists_below``), ties in block order; ``diagnostics`` gives that cut
+    The character blocks of ``symmetry``, formed once, are listed below
+    one cut (``_interlacing_cut``, ``_lists_below``) that clears the
+    ``count``-th value and ``e0 + 1 - buffer``; the eigenvalues are the
+    lowest ``count``, ties in block order.  ``diagnostics`` gives that cut
     and each block's dimension, its share of the list, and the method and
-    solves of its own list.  The vacuum overlap is read from the trivial
-    block's lowest vector, lifted by its ``Q``, and the gaps from that
-    block's tails (see ``nu``).  ``count_below_window`` counts the
-    eigenvalues at or below ``e0 + 1 - buffer`` on the same blocks (see
-    ``count_below``)."""
+    solves of its own list.  The vacuum overlap and the gaps are read from
+    the trivial block (see ``nu``).  ``count_below_window`` counts the
+    listed values at or below ``e0 + 1 - buffer``: ``count_below`` there,
+    unless a listed value lies within its residual of that cut."""
     blocks = symmetry.block_matrices(mat)
     count = min(count, mat.shape[0])
-    cut = _interlacing_cut(blocks, count, config)
+    cut = _interlacing_cut(blocks, count, config, 1.0 - buffer)
     lists = _lists_below(blocks, cut, config)
     values = np.concatenate([pairs.values for pairs in lists])
     residuals = np.concatenate([pairs.residuals for pairs in lists])
@@ -532,8 +521,11 @@ def spectrum_summary(
     lowest = np.argsort(values, kind="stable")[:count]
     shares = np.bincount(owner[lowest], minlength=len(blocks))
     e0 = float(values[lowest[0]])
+    window = e0 + 1.0 - buffer
+    if not window < cut:
+        raise SolverError(f"the window cut {window!r} is not below the list cut {cut!r}")
     nmax = symmetry.basis.nmax
-    gaps = [nu(mat, e0, n, symmetry, config) if n <= nmax else None for n in (1, 2)]
+    gaps = [nu(blocks[0], e0, n, symmetry, config) if n <= nmax else None for n in (1, 2)]
     ground = symmetry.block(0) @ lists[0].vectors[:, 0]
     return {
         "eigenvalues": values[lowest],
@@ -541,7 +533,7 @@ def spectrum_summary(
         "vacuum_overlap": float(_signed_unit(ground)[0]),
         "nu1": gaps[0],
         "nu2": gaps[1],
-        "count_below_window": _count_below(blocks, e0 + 1.0, buffer),
+        "count_below_window": int(np.count_nonzero(values <= window)),
         "diagnostics": {
             "cut": cut,
             "blocks": [
@@ -557,25 +549,25 @@ def spectrum_summary(
     }
 
 
-def nu(mat, e0: float, n: int, symmetry: Symmetry, config: SolverConfig) -> float:
+def nu(trivial, e0: float, n: int, symmetry: Symmetry, config: SolverConfig) -> float:
     """Spectral gap of the ``>= n`` boson tail above the one-boson line.
 
     Returns the smallest eigenvalue of the tail restriction of
     ``H - 1 - e0``; positivity of ``nu(2)`` is the standing assumption
     behind the two-boson resolvent.  The minimum is taken on the tail of
-    the trivial block, the trailing block of ``Q_0^T H Q_0`` from
+    ``trivial``, the trivial block ``Q_0^T H Q_0``: its trailing block from
     ``symmetry.tail_column(n)`` on, with its residual certified there.
     """
     nmax = symmetry.basis.nmax
     if n < 1 or n > nmax:
         raise ConfigError(f"tail index {n} outside 1..{nmax}")
     column = symmetry.tail_column(n)
-    sub = symmetry.block_matrix(mat, 0)[column:, column:]
+    sub = trivial[column:, column:]
     return float(lowest_eigenpairs(sub, 1, config).values[0]) - 1.0 - e0
 
 
 def count_below(mat, symmetry: Symmetry, threshold: float, buffer: float) -> int:
-    """Number of eigenvalues at or below ``threshold - buffer``.
+    """Number of eigenvalues at or below ``threshold - buffer``, ``scan``'s window.
 
     The buffer keeps the count stable against eigenvalues sitting right at
     the threshold.  The count is the sum over the character blocks of
@@ -583,14 +575,14 @@ def count_below(mat, symmetry: Symmetry, threshold: float, buffer: float) -> int
     negative count plus its zero pivots, so a cut exactly on an eigenvalue
     counts it.  It is exact, since ``A`` is block diagonal in the blocks.
     """
-    return _count_below(symmetry.block_matrices(mat), threshold, buffer)
-
-
-def _count_below(blocks, threshold: float, buffer: float) -> int:
-    """``count_below`` on character blocks already built."""
     if buffer < 0:
         raise ConfigError(f"buffer must be >= 0, got {buffer}")
-    return sum(_counted(block, threshold - buffer) for block in blocks)
+    total = 0
+    for block in symmetry.block_matrices(mat):
+        factor = SymmetricFactor(block, threshold - buffer, label="counted operator")
+        total += factor.negative_count + factor.zero_count
+        del factor  # gone before the next block's factor is built
+    return total
 
 
 def eigenvalues_below(
@@ -624,7 +616,8 @@ def _jacobi_cg(off, diag: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int,
         z = r / diag
         rho = r @ z
         p = z + (rho / rho_prev) * p
-        q = off @ p + diag * p
+        q = off @ p
+        q += diag * p
         alpha = rho / (p @ q)
         x += alpha * p
         r -= alpha * q
@@ -645,10 +638,11 @@ def _m_matrix(off, diag: np.ndarray, signs: np.ndarray) -> bool:
     is proven, however accurate the solve.
     """
     per_row = np.diff(off.indptr)
-    gauged = off.data * np.repeat(signs, per_row) * signs[off.indices]
+    gauged = signs[off.indices] * off.data
+    gauged *= np.repeat(signs, per_row)
     if np.any(diag <= 0.0) or np.any(gauged > 0.0):
         return False
-    magnitude = abs(off)
+    magnitude = sp.csr_matrix((np.abs(gauged, out=gauged), off.indices, off.indptr), off.shape)
 
     def proves(y: np.ndarray) -> bool:
         # 4 u nnz_row (|A| |y|), with the unit roundoff u = eps / 2 and the

@@ -347,7 +347,8 @@ def test_spectrum_artifacts_and_values(tmp_path):
     ff = pl.sample_form_factor(grid, "gaussian", 0.2)
     basis = pl.enumerate_basis(grid.size, 3)
     ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-    e0, _ = pl.ground_energy(ham, pl.fock.symmetry(basis, grid, ff), pl.SolverConfig())
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    e0, _ = pl.ground_energy(ham, symmetry.block_matrix(ham, 0), symmetry, pl.SolverConfig())
     level = payload["levels"]["3"]
     assert level["eigenvalues"][0] == pytest.approx(e0, abs=1e-12)
     assert level["count_below_window"] == 1
@@ -369,6 +370,30 @@ def test_spectrum_logs_its_sector_once_per_level(tmp_path, caplog):
         "character blocks of the order-8 group (flip order 4): dims [97, 78, 78, 72] of 325",
         "character blocks of the order-8 group (flip order 4): dims [777, 728, 728, 692] of 2925",
     ]
+
+
+def test_spectrum_certifies_each_level_by_one_factor_per_block(tmp_path, caplog, monkeypatch):
+    """``spectrum`` certifies each level by one inertia factor per character
+    block, at its list cut, and builds every other factor for shift-invert
+    Lanczos; it forms ``Q_0^T H Q_0`` once per level, for the lists, the
+    vacuum overlap and both tail gaps (d=2, four blocks, ``nmax`` [2, 3])."""
+    cfg = _write_config(
+        tmp_path, grid={"d": 2, "K": 1.0, "h": 0.5}, form_factor={"profile": "gaussian", "g": 0.1}
+    )
+    formed = []
+    block_matrix = pl.fock.Symmetry.block_matrix
+
+    def counting(self, mat, c):
+        formed.append(c)
+        return block_matrix(self, mat, c)
+
+    monkeypatch.setattr(pl.fock.Symmetry, "block_matrix", counting)
+    with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec")]) == 0
+    labels = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "polaronlab.factor"]
+    assert labels.count("factor eigenvalue list") == 2 * 4
+    assert set(labels) == {"factor eigenvalue list", "factor shift-invert operator"}
+    assert formed == [0, 1, 2, 3] * 2
 
 
 def test_spectrum_top_level_one_has_no_nu2(tmp_path, capsys):

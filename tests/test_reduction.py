@@ -356,14 +356,13 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
     """After ``build_bundle``, ``run_suite`` and ``schur_equivalence_report``
     on the reference ladder, no resolvent handle's solver references a
     ``SymmetricFactor``: every one of the 92 handles is certified as an
-    M-matrix, so no handle builds a factor.  After the workspaces, whose
-    trivial-block lists may factor, the factors built are the shift-invert
-    lists of the ``nmax`` 4 bundle's two tail gaps (dims 254 and 250), then
-    the equivalence report's list of the eigenvalues below ``e0 + 1``: each
-    character block's count there, and the list of the one below it, in the
-    trivial block (dims 255 and 240)."""
+    M-matrix, so no handle builds a factor.  The factors built are the
+    shift-invert lists of the ``nmax`` 4 workspace's ground energy and two
+    tail gaps (dims 255, 254 and 250; the lower levels' lists are dense),
+    then the equivalence report's list of the eigenvalues below ``e0 + 1``:
+    each character block's count there, and the list of the one below it,
+    in the trivial block (dims 255 and 240)."""
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in (2, 3, 4)}
-    live_factors.built.clear()
     assert [r.identity for r in pl.run_suite(workspaces) if not r.passed] == []
     assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
     handles = [h for ws in workspaces.values() for h in ws._handles.values()]
@@ -372,7 +371,7 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
         held = list(vars(handle.solver).values())
         held += gc.get_referents(*held)
         assert not [x for x in held if isinstance(x, pl.spectral.SymmetricFactor)]
-    assert live_factors.built == ["shift-invert operator"] * 2 + [
+    assert live_factors.built == ["shift-invert operator"] * 3 + [
         "eigenvalue list",
         "shift-invert operator",
         "eigenvalue list",
@@ -721,6 +720,59 @@ def test_kernel_families_held_on_representatives():
         finally:
             tracemalloc.stop()
         assert peak <= multiple * (n_orbits + 1) * vector
+
+
+def test_workspace_forms_the_trivial_block_once(monkeypatch):
+    """A workspace forms ``Q_0^T H Q_0`` once, for ``e0`` and the two tail
+    gaps, and its bundle forms none."""
+    formed = []
+    block_matrix = pl.fock.Symmetry.block_matrix
+
+    def counting(self, mat, c):
+        formed.append(c)
+        return block_matrix(self, mat, c)
+
+    monkeypatch.setattr(pl.fock.Symmetry, "block_matrix", counting)
+    grid = pl.build_grid(2, 1.0, 0.5)
+    ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.1), 3)
+    ws.build_bundle()
+    assert formed == [0]
+
+
+def test_z_handle_build_holds_no_copy_of_phi(caplog):
+    """Certifying one ``Z(s)`` handle on the paper's model at ``nmax`` 3
+    (dim 3654) traces less than 16 vectors of the basis dimension, while
+    the data of ``Phi`` alone take 5.4: the gauge test and ``|Phi|`` share
+    one array on the index arrays of ``Phi``.  The certificate is the
+    M-matrix one."""
+    grid = pl.build_grid(3, 1.0, 1.0)
+    ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "froehlich", 0.1), 3)
+    vector = 8 * ws.basis.dim
+    assert ws.phi_op.data.nbytes > 5 * vector
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+            ws.z_handle(np.array([0.5, 0.0, 0.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * vector
+    [certificate] = [r.getMessage() for r in caplog.records if "certified" in r.getMessage()]
+    assert certificate.endswith("certified positive definite by m-matrix")
+
+
+def test_lambda_is_solved_once_per_momentum():
+    """``lambda_direct`` solves ``X(0)`` on ``Y(0)|v>`` once per workspace and
+    ``Z(k)`` once per momentum; a repeated momentum solves nothing."""
+    grid = pl.build_grid(1, 2.0, 0.5)
+    ws = pl.build_workspace(grid, pl.sample_form_factor(grid, "gaussian", 0.1), 3)
+    points = [np.zeros(1)] + list(grid.modes)
+    first = [ws.lambda_direct(k) for k in points]
+    assert ws.x_handle().solves == 1
+    assert [ws.z_handle(k).solves for k in points] == [1] * len(points)
+    assert [ws.lambda_direct(k) for k in points] == first
+    assert ws.x_handle().solves == 1
+    assert [ws.z_handle(k).solves for k in points] == [1] * len(points)
 
 
 def test_workspace_builds_the_trivial_block_alone(caplog):

@@ -153,14 +153,15 @@ def _assert_trivial_block_minima(ham, basis, symmetry, cfg):
     vector is an eigenvector of the full H within the residual bound that
     ``ground_energy`` certifies."""
     dense = ham.toarray()
-    e0, vec = pl.ground_energy(ham, symmetry, cfg)
+    trivial = symmetry.block_matrix(ham, 0)
+    e0, vec = pl.ground_energy(ham, trivial, symmetry, cfg)
     assert abs(e0 - np.linalg.eigvalsh(dense)[0]) <= 1e-12
     bound = pl.spectral._residual_bound(np.array([e0]), ham.shape[0])
     assert np.linalg.norm(ham @ vec - e0 * vec) <= bound
     for n in (1, 2):
         start = basis.tail_start(n)
         tail_min = np.linalg.eigvalsh(dense[start:, start:])[0]
-        assert abs(pl.nu(ham, e0, n, symmetry, cfg) - (tail_min - 1.0 - e0)) <= 1e-12
+        assert abs(pl.nu(trivial, e0, n, symmetry, cfg) - (tail_min - 1.0 - e0)) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -197,12 +198,13 @@ def test_dense_ground_energy_and_gaps_match_full_spectrum(
     g=st.floats(0.0, 1.5),
     nmax=st.sampled_from([2, 3]),
     count=st.integers(1, 8),
+    width=st.sampled_from([0.0, 0.5, 0.9]),
 )
-def test_interlacing_cut_lists_each_block_below_it(shape, profile, g, nmax, count):
+def test_interlacing_cut_lists_each_block_below_it(shape, profile, g, nmax, count, width):
     """At ``dense_threshold=10`` the interlacing cut lies above the
-    ``count``-th eigenvalue, and each character block lists exactly its
-    dense eigenvalues below the cut (d=1, 2, with and without a fiber
-    shift)."""
+    ``count``-th eigenvalue and above the lowest plus ``width``, and each
+    character block lists exactly its dense eigenvalues below the cut (d=1,
+    2, with and without a fiber shift)."""
     d, xi = shape
     grid = pl.build_grid(d, *_DENSE_GRIDS[d])
     basis = pl.enumerate_basis(grid.size, nmax)
@@ -210,8 +212,9 @@ def test_interlacing_cut_lists_each_block_below_it(shape, profile, g, nmax, coun
     ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
     blocks = pl.fock.symmetry(basis, grid, ff, xi).block_matrices(ham)
     config = SolverConfig(dense_threshold=10)
-    cut = pl.spectral._interlacing_cut(blocks, count, config)
-    assert cut > np.linalg.eigvalsh(ham.toarray())[count - 1]
+    cut = pl.spectral._interlacing_cut(blocks, count, config, width)
+    vals = np.linalg.eigvalsh(ham.toarray())
+    assert cut > max(vals[count - 1], vals[0] + width)
     for block, pairs in zip(blocks, pl.spectral._lists_below(blocks, cut, config)):
         dense = np.linalg.eigvalsh(block.toarray())
         assert len(pairs.values) == np.count_nonzero(dense < cut)
@@ -316,7 +319,7 @@ def test_spectral_solves_permute_the_sign_flips_alone(monkeypatch, xi, calls):
 
     monkeypatch.setattr(pl.FockBasis, "permute_modes", counting)
     config = SolverConfig()
-    pl.ground_energy(ham, symmetry, config)
+    pl.ground_energy(ham, symmetry.block_matrix(ham, 0), symmetry, config)
     pl.spectrum_summary(ham, symmetry, 6, config, config.buffer(grid.h))
     assert len(moved) == calls
 
@@ -334,8 +337,9 @@ def test_ground_vector_sign_deterministic(mid_instance):
     grid, ff, basis, ham = mid_instance
     cfg = SolverConfig()
     symmetry = pl.fock.symmetry(basis, grid, ff)
-    e1, v1 = pl.ground_energy(ham, symmetry, cfg)
-    e2, v2 = pl.ground_energy(ham, symmetry, cfg)
+    trivial = symmetry.block_matrix(ham, 0)
+    e1, v1 = pl.ground_energy(ham, trivial, symmetry, cfg)
+    e2, v2 = pl.ground_energy(ham, trivial, symmetry, cfg)
     assert e1 == e2
     assert np.array_equal(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
@@ -357,8 +361,9 @@ def test_free_theory_exact_values():
     assert result["nu1"] == pytest.approx(grid.h**2, abs=1e-12)
     assert result["nu2"] == pytest.approx(1.0, abs=1e-12)
     # direct calls agree with the summary
-    assert pl.nu(ham, 0.0, 1, symmetry, cfg) == pytest.approx(result["nu1"], abs=1e-13)
-    assert pl.nu(ham, 0.0, 2, symmetry, cfg) == pytest.approx(result["nu2"], abs=1e-13)
+    trivial = symmetry.block_matrix(ham, 0)
+    assert pl.nu(trivial, 0.0, 1, symmetry, cfg) == pytest.approx(result["nu1"], abs=1e-13)
+    assert pl.nu(trivial, 0.0, 2, symmetry, cfg) == pytest.approx(result["nu2"], abs=1e-13)
 
 
 def test_count_below_free_theory():
@@ -383,7 +388,8 @@ def test_ground_energy_nonincreasing_in_coupling():
     for g in (0.0, 0.05, 0.1, 0.2):
         ff = pl.sample_form_factor(grid, "gaussian", g)
         ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
-        energies.append(pl.ground_energy(ham, pl.fock.symmetry(basis, grid, ff), cfg)[0])
+        symmetry = pl.fock.symmetry(basis, grid, ff)
+        energies.append(pl.ground_energy(ham, symmetry.block_matrix(ham, 0), symmetry, cfg)[0])
     assert energies[0] == pytest.approx(0.0, abs=1e-14)
     for a, b in zip(energies, energies[1:]):
         assert b < a + 1e-14
@@ -400,7 +406,8 @@ def test_spectrum_summary_residuals_certified(mid_instance):
         assert np.all(result["residuals"] <= 1e-8)
         assert 0.9 < result["vacuum_overlap"] <= 1.0
         e0 = result["eigenvalues"][0]
-        assert result["nu2"] == pytest.approx(pl.nu(ham, e0, 2, symmetry, SolverConfig()))
+        trivial = symmetry.block_matrix(ham, 0)
+        assert result["nu2"] == pytest.approx(pl.nu(trivial, e0, 2, symmetry, SolverConfig()))
     assert np.allclose(sparse["eigenvalues"], dense["eigenvalues"], rtol=0, atol=1e-9)
     # the diagnostics name each block's dimension, its share of the list,
     # the path its list took and its factor solves
@@ -427,7 +434,8 @@ def test_spd_solver_dense_and_cg_agree(mid_instance):
     default threshold 500), and its answers are the dense
     ``np.linalg.solve`` ones, for one vector or a block of columns."""
     grid, ff, basis, ham = mid_instance
-    e0, _ = pl.ground_energy(ham, pl.fock.symmetry(basis, grid, ff), SolverConfig())
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    e0, _ = pl.ground_energy(ham, symmetry.block_matrix(ham, 0), symmetry, SolverConfig())
     identity = sp.identity(basis.dim, format="csr")
     rhs = np.column_stack([start_vector(basis.dim, 7), start_vector(basis.dim, 8)])
     # a diagonal offset, and the Hamiltonian shifted to half a unit below e0
@@ -655,6 +663,38 @@ def test_count_below_on_an_eigenvalue_matches_dense():
         assert pl.spectral.eigenvalues_below(mat, symmetry, cut, sparse).shape == (0,)
 
 
+#: the reference grid at ``nmax`` 4, d=2 at xi = (0.6, 0) and ``nmax`` 3,
+#: and the paper's model at ``nmax`` 3: (d, K, h, nmax, profile, g, xi)
+_WINDOW_ROWS = [
+    (1, 2.0, 0.5, 4, "gaussian", 0.1, None),
+    (2, 1.0, 0.5, 3, "constant", 0.5, (0.6, 0.0)),
+    (3, 1.0, 1.0, 3, "froehlich", 0.1, None),
+]
+
+
+@pytest.mark.parametrize("count", [6, 1])
+@pytest.mark.parametrize("row", _WINDOW_ROWS)
+def test_window_count_from_the_lists_is_the_inertia_count(row, count):
+    """``count_below_window``, read off the merged block lists, equals
+    ``count_below`` at ``e0 + 1 - buffer``, the blocks' inertia there.  At
+    ``count`` 1 the window bound raises the list cut above the interlacing
+    cut of one value, and the lists hold the values of the whole window."""
+    d, K, h, nmax, profile, g, xi = row
+    grid = pl.build_grid(d, K, h)
+    ff = pl.sample_form_factor(grid, profile, g)
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    symmetry = pl.fock.symmetry(basis, grid, ff, xi)
+    config = SolverConfig()
+    buffer = config.buffer(grid.h)
+    summary = pl.spectrum_summary(ham, symmetry, count, config, buffer)
+    e0 = summary["eigenvalues"][0]
+    assert summary["count_below_window"] == pl.count_below(ham, symmetry, e0 + 1.0, buffer)
+    if count == 1:
+        blocks = symmetry.block_matrices(ham)
+        assert summary["diagnostics"]["cut"] > pl.spectral._interlacing_cut(blocks, 1, config, 0.0)
+
+
 #: instances (d, K, h, nmax, profile, g, alpha) with a double
 #: eigenvalue among the lowest six, and their lowest six eigenvalues from
 #: dense ``eigvalsh``, frozen: diagonalizing the three larger ones takes ~10 s
@@ -796,18 +836,18 @@ def test_list_factors_at_its_cut_then_once_for_lanczos(
 def test_eigenvalue_lists_hold_one_factor_at_a_time(degenerate_blocks, live_factors):
     """No ``SymmetricFactor`` is built while another is alive.  On the first
     degenerate instance ``spectrum_summary`` has each of the four blocks
-    factor at the cut and then for Lanczos, each tail gap on the trivial
-    block (dims 776 and 768, above the default threshold) factor once, and
-    each block factor once more for the window count.  On a d=1 instance at
-    ``dense_threshold=10``, the two block lists, both tail gaps and the
-    two window counts factor in turn.  ``eigenvalues_below`` factors each
-    block at its threshold, then for Lanczos where that count is not 0."""
+    factor at the cut and then for Lanczos, and each tail gap on the
+    trivial block (dims 776 and 768, above the default threshold) factor
+    once; the window count takes no factor of its own.  On a d=1 instance at
+    ``dense_threshold=10``, the two block lists and both tail gaps factor in
+    turn.  ``eigenvalues_below`` factors each block at its threshold, then
+    for Lanczos where that count is not 0."""
     ham, symmetry = degenerate_blocks
     truth = _DEGENERATE_ROWS[0][1]
-    lanczos, cut, counted = "shift-invert operator", "eigenvalue list", "counted operator"
+    lanczos, cut = "shift-invert operator", "eigenvalue list"
     summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(), 0.1)
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
-    assert live_factors.built == [cut, lanczos] * 4 + [lanczos] * 2 + [counted] * 4
+    assert live_factors.built == [cut, lanczos] * 4 + [lanczos] * 2
     live_factors.built.clear()
     vals = pl.spectral.eigenvalues_below(ham, symmetry, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
@@ -817,7 +857,7 @@ def test_eigenvalue_lists_hold_one_factor_at_a_time(degenerate_blocks, live_fact
     cfg = SolverConfig(dense_threshold=10)
     summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, cfg, 0.1)
     assert [b["method"] for b in summary["diagnostics"]["blocks"]] == ["shift-invert"] * 2
-    assert live_factors.built == [cut, lanczos] * 2 + [lanczos] * 2 + [counted] * 2
+    assert live_factors.built == [cut, lanczos] * 2 + [lanczos] * 2
     assert len(live_factors.live) == 0
 
 
@@ -1009,13 +1049,14 @@ def _factor_events(caplog):
 
 
 def _list_and_count(ham, symmetry, caplog):
-    """The ``spectrum`` level's list of six with its window count, and the
-    equivalence report's eigenvalues below ``e0 + 1``, with their factor
-    events."""
+    """The ``spectrum`` level's list of six with its window count, ``scan``'s
+    inertia count of that window, and the equivalence report's eigenvalues
+    below ``e0 + 1``, with their factor events."""
     config = SolverConfig()
     with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
         summary = pl.spectrum_summary(ham, symmetry, 6, config, config.buffer(0.25))
         e0 = summary["eigenvalues"][0]
+        pl.count_below(ham, symmetry, e0 + 1.0, config.buffer(0.25))
         pl.spectral.eigenvalues_below(ham, symmetry, e0 + 1.0, config)
     return _factor_events(caplog)
 
