@@ -497,8 +497,12 @@ def _scan_row(cfg: dict, coupling: float) -> dict:
 
 
 def _scan_jobs(jobs: int, couplings: int) -> int:
-    """Worker count: the requested jobs, but no more than couplings or cores."""
-    return max(1, min(jobs, couplings, os.cpu_count() or 1))
+    """Worker count: the requested jobs, but no more than couplings or the
+    CPUs this process may run on (its affinity mask where the platform has
+    one, else the machine's cores)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(jobs, couplings, cpus))
 
 
 def cmd_scan(args) -> int:

@@ -195,7 +195,9 @@ class ReductionBundle:
 
         For each value ``eps`` of ``BS_LADDER`` computes the smallest
         eigenvalue of ``(k^2 + eps)^{-1/2} O(0) (k^2 + eps)^{-1/2}`` and
-        reports the gap of the last one to the smallest eigenvalue of ``S``.
+        reports the gap of the last one to the smallest eigenvalue of ``S``,
+        and whether the grid's smallest ``|k|`` squared lies below that
+        ``eps`` (see the README's scale note).
         """
         ksq = self.mode_norms**2
         values = []
@@ -205,11 +207,14 @@ class ReductionBundle:
             values.append(float(sla.eigvalsh(weighted)[0]))
         target = self.s_min_eigenvalue()
         gap = None if target is None else abs(values[-1] - target)
+        smallest = float(self.mode_norms.min())
         return {
             "eps_ladder": list(BS_LADDER),
             "values": values,
             "s_min_eigenvalue": target,
             "final_gap": gap,
+            "min_mode_norm": smallest,
+            "infrared_resolved": bool(smallest**2 < BS_LADDER[-1]),
         }
 
 

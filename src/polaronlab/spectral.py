@@ -10,26 +10,22 @@ block's list of its eigenvalues below a cut known before any Lanczos run
 (``_interlacing_cut``) is certified by its inertia there, so no copy of
 a multiple eigenvalue goes missing, and the merged lists count any
 window that the cut clears; a trivial group gives one block.  Lists at
-or below ``dense_threshold`` (200 by default, the measured crossover)
-come from the MRRR routine ``syevr`` (Dhillon & Parlett, Linear Algebra
-Appl. 387, 2004), the built-in oracle of the sparse path; above it the
-factor's solves drive shift-invert Lanczos (Ericsson & Ruhe, Math.
-Comp. 35, 1980), which holds no dense copy of the matrix.  ``Phi``
-changes the boson number by one, so the factor eliminates an uncoupled
-set of rows by their diagonal and factors the dense Schur complement on
-the rest with Bunch-Kaufman pivoting; inertia is additive over a Schur
-complement (Haynsworth, Linear Algebra Appl. 1, 1968; Bunch & Kaufman,
-Math. Comp. 31, 1977).  A complement of more than ``SCHUR_CAP`` rows,
-too large to hold densely, is a ``SolverError``; a singular factor
-counts its zero pivots, the eigenvalues at its shift, but refuses to
-solve.  No factor outlives its use: the cut's factor serves inertia only
-and is gone before the list builds its shift-invert factor, which then
-serves every deflated run, so at most one factor is alive at a time.
-``SpdSolver`` serves the resolvents of ``reduction``: it certifies
-definiteness as an M-matrix in the sign gauge below, else by a transient
-factor's inertia, and solves by Jacobi-preconditioned conjugate
-gradients at every dimension.  Every solve, by factor or by conjugate
-gradients, must pass a true-residual check.
+or below ``dense_threshold`` (``SolverConfig``) come from the MRRR
+routine ``syevr`` (Dhillon & Parlett, Linear Algebra Appl. 387, 2004),
+the built-in oracle of the sparse path; above it shift-invert Lanczos
+(Ericsson & Ruhe, Math. Comp. 35, 1980) runs on ``SpdSolver``'s Jacobi
+PCG solves, with no dense copy of the matrix and no factor, so a factor
+only counts.  ``Phi`` changes the boson number by one, so the factor
+eliminates an uncoupled set of rows by their diagonal and factors the
+dense Schur complement on the rest with Bunch-Kaufman pivoting; inertia
+is additive over a Schur complement (Haynsworth, Linear Algebra Appl. 1,
+1968; Bunch & Kaufman, Math. Comp. 31, 1977).  A complement of more than
+``SCHUR_CAP`` rows is a ``SolverError``; a singular factor counts its
+zero pivots, the eigenvalues at its shift.  ``SpdSolver`` also serves
+the resolvents of ``reduction``: it certifies definiteness by strict
+diagonal dominance, else as an M-matrix in the sign gauge below, else by
+a transient factor's inertia, and every solve must pass a true-residual
+check.
 
 The ground energy ``e0`` and the tail gaps ``nu(n)`` are solved on the
 trivial character block ``Q_0^T H Q_0`` alone, which their caller forms
@@ -63,7 +59,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
 from .errors import ConfigError, IndefiniteOperatorError, SolverError
 from .fock import DEFAULT_SEED, Symmetry
@@ -80,6 +76,10 @@ MAX_ITERATIONS = 5000
 #: most kept rows whose Schur complement ``SymmetricFactor`` holds densely:
 #: 16384^2 doubles are 2.1 GB; more is a ``SolverError``
 SCHUR_CAP = 16384
+#: shift-invert shift below the Gershgorin bound: each row of ``B - sigma`` is
+#: diagonally dominant by this much, so PCG solves it; nearer than 1, Lanczos
+#: takes fewer solves
+SHIFT_MARGIN = 0.25
 #: deflated Lanczos runs a sparse eigenvalue list may take to find the copies
 #: of multiple eigenvalues that its inertia check says are missing
 LIST_TRIES = 8
@@ -90,14 +90,18 @@ _PIVOT_RATIO = (1.0 + 17.0**0.5) / 8.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The largest matrix solved densely, 200 by default, the measured
-    crossover (no config entry sets it): an eigenpair list of a larger one
-    leaves dense ``syevr`` for shift-invert Lanczos, which holds no dense
-    n x n copy, and a list's interlacing cut reads the leading
-    ``max(count, dense_threshold)`` rows of each block densely
-    (``_interlacing_cut``); and the seed of the iterative solvers' start
-    vectors, defaulting to ``fock.DEFAULT_SEED``.  The tolerances are the
-    module constants ``EIG_TOL``, ``LIN_TOL`` and ``MAX_ITERATIONS``."""
+    """The largest matrix solved densely, 200 by default (no config entry
+    sets it): an eigenpair list of a larger one leaves dense ``syevr`` for
+    shift-invert Lanczos, which holds no dense n x n copy, and a list's
+    interlacing cut reads the leading ``max(count, dense_threshold)`` rows
+    of each block densely (``_interlacing_cut``); and the seed of the
+    iterative solvers' start vectors, defaulting to ``fock.DEFAULT_SEED``.
+    The tolerances are the module constants ``EIG_TOL``, ``LIN_TOL`` and
+    ``MAX_ITERATIONS``.  200 was the crossover against shift-invert on a
+    Bunch-Kaufman factor, a path that is gone; against PCG it lies between
+    dims 255 and 489.  Per list, ms for 4 pairs and for 1 (dense / factor /
+    PCG), one BLAS thread: dim 255: 2.9/4.9/16.7, 3.4/2.3/4.9; dim 489:
+    10.5/3.3/6.1, 9.7/2.5/3.9; dim 777: 33.9/4.7/8.1, 32.3/3.0/4.8."""
 
     dense_threshold: int = 200
     seed: int = DEFAULT_SEED
@@ -166,8 +170,9 @@ def _eliminated_rows(shifted: sp.csr_matrix) -> np.ndarray:
 
 
 class SymmetricFactor:
-    """Symmetric indefinite factorization of ``A - shift * I`` that gives its
-    exact inertia and solves against it.
+    """The exact inertia of ``A - shift * I`` from a symmetric indefinite
+    factorization: ``negative_count`` and ``zero_count``, the eigenvalues
+    below and at ``shift``, and nothing else.
 
     Every matrix this package factors is a diagonal plus ``Phi``, or its
     restriction to a character block or a tail, and ``Phi`` changes
@@ -184,19 +189,9 @@ class SymmetricFactor:
     one negative eigenvalue.  An exactly zero 1x1 block, after which
     ``sytrf`` still completes the factor, is an eigenvalue at ``shift``:
     ``zero_count`` counts them, and ``negative_count`` leaves them out.
-    Solves eliminate E, then run ``sytrs``.
-    Besides the factor of ``S`` it keeps the blocks of ``A - shift`` that
-    the solve and its true residual read: ``D_E`` (and its inverse),
-    ``A_KE``, through whose transpose (a view on the same arrays) it
-    back-substitutes, and the sparse ``A_KK``.  The whole shifted matrix
-    is transient.  The residual is taken on those blocks rather than as
-    ``A x - shift x``, which would cancel ``shift x`` against the diagonal
-    in rounding.
-
+    The shifted matrix, its blocks and the factor are all transient.
     The dense ``S`` takes ``8 K^2`` bytes, so more than ``SCHUR_CAP`` kept
-    rows are refused before it is formed.  That, a solve on a factor with
-    a zero pivot, and a solve that fails its true-residual check are
-    ``SolverError``.  Each build
+    rows are refused before it is formed, a ``SolverError``.  Each build
     emits one DEBUG event on the ``polaronlab.factor`` logger, a child of
     ``polaronlab``: the label, dimension and shift, the eliminated and kept
     row counts, the negative count and the seconds taken.
@@ -204,7 +199,6 @@ class SymmetricFactor:
 
     def __init__(self, mat, shift: float, label: str = "operator"):
         started = time.perf_counter()
-        self.label = label
         dim = mat.shape[0]
         shifted = (sp.csr_matrix(mat) - shift * sp.identity(dim, format="csr")).tocsr()
         eliminated = _eliminated_rows(shifted)
@@ -214,25 +208,20 @@ class SymmetricFactor:
                 f"{label} keeps {rows_k.size} of {dim} rows for its dense Schur complement "
                 f"({8e-9 * rows_k.size**2:.1f} GB), above SCHUR_CAP = {SCHUR_CAP}"
             )
-        self._rows_e, self._rows_k = rows_e, rows_k
         by_k = shifted[rows_k]
-        self._pivots = pivots = shifted.diagonal()[rows_e]
-        self._inverse = 1.0 / pivots
-        self._a_ke, self._a_kk = by_k[:, rows_e], by_k[:, rows_k]
-        # a CSC view on the arrays of A_KE, made once: building it per solve
-        # costs about as much as the product through it
-        self._a_ek = self._a_ke.T
-        schur = self._a_kk - self._a_ke @ sp.diags(self._inverse) @ self._a_ek.tocsr()
+        pivots = shifted.diagonal()[rows_e]
+        a_ke = by_k[:, rows_e]
+        schur = by_k[:, rows_k] - a_ke @ sp.diags(1.0 / pivots) @ a_ke.T.tocsr()
         # S is symmetric, so its C-ordered array read in Fortran order is S
         # again, and LAPACK factors it in place
         lwork = max(int(dsytrf_lwork(rows_k.size)[0]), 1)
-        self._ldu, self._ipiv, _ = dsytrf(schur.toarray().T, lwork=lwork, overwrite_a=True)
-        blocks = self._ldu.diagonal()[self._ipiv > 0]
+        ldu, ipiv, _ = dsytrf(schur.toarray().T, lwork=lwork, overwrite_a=True)
+        blocks = ldu.diagonal()[ipiv > 0]
         self.zero_count = int(np.count_nonzero(blocks == 0.0))
         self.negative_count = int(
             np.count_nonzero(pivots < 0)
             + np.count_nonzero(blocks < 0)
-            + np.count_nonzero(self._ipiv < 0) // 2
+            + np.count_nonzero(ipiv < 0) // 2
         )
         _factor_log.debug(
             "factor %s: dim %d at shift %r, %d eliminated, %d kept, %d negative, %.4f s",
@@ -240,39 +229,12 @@ class SymmetricFactor:
             time.perf_counter() - started,
         )
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``(A - shift) x = rhs``, certified by the true residual."""
-        if self.zero_count:
-            raise SolverError(f"{self.label} is singular: {self.zero_count} zero pivots")
-        rhs = np.asarray(rhs, dtype=float)
-        column = (-1,) + (1,) * (rhs.ndim - 1)
-        inverse, pivots = self._inverse.reshape(column), self._pivots.reshape(column)
-        rhs_e, rhs_k = rhs[self._rows_e], rhs[self._rows_k]
-        scaled = inverse * rhs_e
-        kept = rhs_k - self._a_ke @ scaled
-        if kept.shape[0]:
-            kept = dsytrs(self._ldu, self._ipiv, kept)[0]
-        coupled = self._a_ek @ kept
-        x = np.empty_like(rhs)
-        x[self._rows_k] = kept
-        x[self._rows_e] = x_e = scaled - inverse * coupled
-        # the rows E and K of (A - shift) x - rhs, from the blocks kept
-        residual = np.hypot(
-            np.linalg.norm(pivots * x_e + coupled - rhs_e),
-            np.linalg.norm(self._a_ke @ x_e + self._a_kk @ kept - rhs_k),
-        )
-        scale = np.linalg.norm(rhs)
-        if not residual <= LIN_TOL * scale:
-            raise SolverError(
-                f"factor solve on {self.label} left residual {residual:.3e} at |rhs| {scale:.3e}"
-            )
-        return x
-
 
 class Eigenpairs(NamedTuple):
     """Ascending eigenpairs with their residuals ``|A x - lam x|`` and the
     path taken: ``"dense"``, or ``"shift-invert"`` with ``iterations``
-    factor solves (``None`` for a block list of no pairs)."""
+    shift-invert solves, each by Jacobi PCG (``None`` for a block list of
+    no pairs)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -287,8 +249,9 @@ def lowest_eigenpairs(mat, count: int, config: SolverConfig) -> Eigenpairs:
 
     At or below ``dense_threshold``, or when nearly every pair is asked
     for, LAPACK's ``syevr`` computes only the lowest ``count`` pairs; above
-    it, shift-invert Lanczos on a ``SymmetricFactor``.  Every returned pair
-    is certified by its residual; one above tolerance is a ``SolverError``.
+    it, shift-invert Lanczos on Jacobi PCG solves (``_lowest``).  Every
+    returned pair is certified by its residual; one above tolerance is a
+    ``SolverError``.
 
     Lanczos from one start vector finds the extra copies of a multiple
     eigenvalue only through rounding, so a sparse list of several pairs is
@@ -318,12 +281,15 @@ def _lowest(mat, count: int, config: SolverConfig, cut: Optional[float]) -> Eige
     ``count`` at ``cut``, or, for one pair (``cut`` None), by its residual
     alone.
 
+    At ``sigma = _gershgorin_lower(mat) - SHIFT_MARGIN`` the matrix
+    ``mat - sigma`` is strictly diagonally dominant with a positive
+    diagonal, hence positive definite (Horn & Johnson, *Matrix Analysis*,
+    6.1): one ``SpdSolver`` certifies that and applies its inverse.
     Values the list lacks below the cut are asked for again from Lanczos
-    on the factor's inverse deflated by the pairs already found, whose
-    start vector then has a component along each of them; up to
-    ``LIST_TRIES`` such runs, all on the one shift-invert factor, else
-    ``SolverError``, as are more listed values below the cut than its
-    inertia.  ``iterations`` counts the solves of every run."""
+    on that inverse deflated by the pairs already found, whose start
+    vector then has a component along each of them; up to ``LIST_TRIES``
+    such runs, else ``SolverError``, as are more listed values below the
+    cut than its inertia.  ``iterations`` counts the solves of every run."""
     dim = mat.shape[0]
     if dim <= config.dense_threshold or count >= dim - 1:
         vals, vecs = sla.eigh(_dense(mat), subset_by_index=[0, count - 1])
@@ -333,14 +299,16 @@ def _lowest(mat, count: int, config: SolverConfig, cut: Optional[float]) -> Eige
     # smallest-algebraic Lanczos silently loses eigenvectors the matrix
     # (nearly) annihilates, because their Krylov components never grow;
     # the inverted operator makes the low end dominant instead.
-    sigma = _gershgorin_lower(mat) - 1.0
-    factor = SymmetricFactor(mat, sigma, label="shift-invert operator")
+    csr = sp.csr_matrix(mat)
+    sigma, diag = _gershgorin_lower(csr) - SHIFT_MARGIN, csr.diagonal()
+    shifted = diag - sigma
+    solver = SpdSolver(csr - sp.diags(diag, format="csr"), lambda: shifted, "shift-invert operator")
     solves = 0
 
     def solve(x: np.ndarray) -> np.ndarray:
         nonlocal solves
         solves += 1
-        return factor.solve(x)
+        return solver.solve(x)
 
     start = start_vector(dim, config.seed)
     vals, vecs = _lanczos(mat, count, sigma, solve, start)
@@ -475,8 +443,7 @@ def _lists_below(blocks, cut: float, config: SolverConfig) -> list:
     A transient factor at the cut counts a block's eigenvalues below it,
     and ``_lowest`` lists that many, certified by that count; a listed value
     at or above the cut is a ``SolverError``.  A block with none runs no
-    eigensolver and has an empty list whose ``method`` is ``None``.  The
-    cut's factor is gone before the list builds its own."""
+    eigensolver and has an empty list whose ``method`` is ``None``."""
     lists = []
     for block in blocks:
         below = SymmetricFactor(block, cut, label="eigenvalue list").negative_count
@@ -505,9 +472,10 @@ def spectrum_summary(
     The character blocks of ``symmetry``, formed once, are listed below
     one cut (``_interlacing_cut``, ``_lists_below``) that clears the
     ``count``-th value and ``e0 + 1 - buffer``; the eigenvalues are the
-    lowest ``count``, ties in block order.  ``diagnostics`` gives that cut
-    and each block's dimension, its share of the list, and the method and
-    solves of its own list.  The vacuum overlap and the gaps are read from
+    lowest ``count``, ties (values within ``EIG_TOL max(1, |v|)`` of the
+    next) in block order.  ``diagnostics`` gives that cut and each block's
+    dimension, its share of the list, and the method and solves of its own
+    list.  The vacuum overlap and the gaps are read from
     the trivial block (see ``nu``).  ``count_below_window`` counts the
     listed values at or below ``e0 + 1 - buffer``: ``count_below`` there,
     unless a listed value lies within its residual of that cut."""
@@ -518,7 +486,12 @@ def spectrum_summary(
     values = np.concatenate([pairs.values for pairs in lists])
     residuals = np.concatenate([pairs.residuals for pairs in lists])
     owner = np.repeat(np.arange(len(lists)), [len(pairs.values) for pairs in lists])
-    lowest = np.argsort(values, kind="stable")[:count]
+    order = np.argsort(values, kind="stable")
+    ascending = values[order]
+    ties = np.diff(ascending) <= EIG_TOL * np.maximum(1.0, np.abs(ascending[1:]))
+    cluster = np.concatenate([[0], np.cumsum(~ties)])
+    lowest = order[np.lexsort((owner[order], cluster))][:count]
+    lowest = lowest[np.argsort(values[lowest], kind="stable")]
     shares = np.bincount(owner[lowest], minlength=len(blocks))
     e0 = float(values[lowest[0]])
     window = e0 + 1.0 - buffer
@@ -625,33 +598,42 @@ def _jacobi_cg(off, diag: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int,
     return x, MAX_ITERATIONS, bool(np.linalg.norm(r) <= tol)
 
 
+def _slack(off, reach: np.ndarray) -> np.ndarray:
+    """The rounding error ``4 u nnz_row reach`` of ``A x`` per row, for
+    ``reach = |A| |x|``, ``u = eps / 2`` and the diagonal counted."""
+    return 2.0 * np.finfo(float).eps * (np.diff(off.indptr) + 1) * reach
+
+
+def _dominant(off, diag: np.ndarray) -> bool:
+    """Whether ``A = off + diag(diag)``, ``off`` CSR with an empty diagonal,
+    is strictly diagonally dominant with a positive diagonal, so positive
+    definite: ``diag - |off| 1`` must clear ``_slack`` at ``|x| = 1``."""
+    magnitude = sp.csr_matrix((np.abs(off.data), off.indices, off.indptr), off.shape)
+    radii = magnitude @ np.ones(len(diag))
+    return bool(np.all(diag - radii > _slack(off, radii + np.abs(diag))))
+
+
 def _m_matrix(off, diag: np.ndarray, signs: np.ndarray) -> bool:
     """Whether ``A = off + diag(diag)`` is proven positive definite as an
     M-matrix in the gauge ``signs``; ``off`` is CSR with an empty diagonal.
 
     ``G = diag(s) A diag(s)`` must have a positive diagonal and no positive
     off-diagonal entry, and some ``x > 0`` must have ``G x > 0`` (Berman &
-    Plemmons, ch. 6).  The tries are ``x = 1``, Gershgorin's test in the
-    gauge, then ``x = s y`` for the Jacobi CG iterate ``y`` of ``A y = s``,
-    converged or not.  ``G x = s (A y)`` must clear its rounding error
-    ``4 u nnz_row (|A| |y|)`` in every row, so the vector computed is what
-    is proven, however accurate the solve.
+    Plemmons, ch. 6).  The try is ``x = s y`` for the Jacobi CG iterate
+    ``y`` of ``A y = s``, converged or not (``x = 1`` in the gauge is
+    ``_dominant``'s test).  ``G x = s (A y)`` must clear its rounding error
+    (``_slack``) in every row, so the vector computed is what is proven,
+    however accurate the solve.
     """
-    per_row = np.diff(off.indptr)
     gauged = signs[off.indices] * off.data
-    gauged *= np.repeat(signs, per_row)
+    gauged *= np.repeat(signs, np.diff(off.indptr))
     if np.any(diag <= 0.0) or np.any(gauged > 0.0):
         return False
     magnitude = sp.csr_matrix((np.abs(gauged, out=gauged), off.indices, off.indptr), off.shape)
-
-    def proves(y: np.ndarray) -> bool:
-        # 4 u nnz_row (|A| |y|), with the unit roundoff u = eps / 2 and the
-        # diagonal entry counted in each row
-        size = np.abs(y)
-        slack = 2.0 * np.finfo(float).eps * (per_row + 1) * (magnitude @ size + diag * size)
-        return bool(np.all(signs * y > 0.0) and np.all(signs * (off @ y + diag * y) > slack))
-
-    return proves(signs) or proves(_jacobi_cg(off, diag, signs)[0])
+    y = _jacobi_cg(off, diag, signs)[0]
+    size = np.abs(y)
+    slack = _slack(off, magnitude @ size + diag * size)
+    return bool(np.all(signs * y > 0.0) and np.all(signs * (off @ y + diag * y) > slack))
 
 
 class SpdSolver:
@@ -660,19 +642,20 @@ class SpdSolver:
     ``diagonal``, a call that returns ``d``.  A caller holding a whole
     matrix splits it.
 
-    Construction certifies definiteness as an M-matrix in the sign gauge
-    ``signs`` (``_m_matrix``; all ``+1`` when not given), else by the
-    inertia of a transient ``SymmetricFactor``, at every dimension; each
-    solve runs Jacobi-preconditioned conjugate gradients on the pair
-    (``_jacobi_cg``).  So a solver holds no factor, no matrix and no
-    diagonal: only ``off``, which its caller may share, and ``diagonal``,
-    called once at construction and once per ``solve``.  An indefinite
-    matrix raises ``IndefiniteOperatorError`` naming its negative count, a
-    singular one ``SolverError``.  One DEBUG event on the ``polaronlab``
-    logger names the certificate, ``m-matrix`` or ``inertia``, and each
-    solve logs another with its column and iteration counts.  Every answer
-    must leave a true residual ``|A x - b| <= LIN_TOL |b|``.  Instances are
-    safe to share across threads.
+    Construction certifies definiteness by strict diagonal dominance
+    (``_dominant``), else as an M-matrix in the sign gauge ``signs``
+    (``_m_matrix``; all ``+1`` when not given), else by the inertia of a
+    transient ``SymmetricFactor``, at every dimension; each solve runs
+    Jacobi-preconditioned conjugate gradients on the pair (``_jacobi_cg``).
+    So a solver holds no factor, no matrix and no diagonal: only ``off``,
+    which its caller may share, and ``diagonal``, called once at
+    construction and once per ``solve``.  An indefinite matrix raises
+    ``IndefiniteOperatorError`` naming its negative count, a singular one
+    ``SolverError``.  One DEBUG event on the ``polaronlab`` logger names the
+    certificate, ``diagonal dominance``, ``m-matrix`` or ``inertia``, and
+    each solve logs another with its column and iteration counts.  Every
+    answer must leave a true residual ``|A x - b| <= LIN_TOL |b|``.
+    Instances are safe to share across threads.
     """
 
     def __init__(
@@ -683,8 +666,11 @@ class SpdSolver:
         self._off, self._diagonal = off, diagonal
         diag = diagonal()
         self.dim = len(diag)
-        certificate = "m-matrix"
-        if not _m_matrix(off, diag, np.ones(self.dim) if signs is None else signs):
+        if _dominant(off, diag):
+            certificate = "diagonal dominance"
+        elif _m_matrix(off, diag, np.ones(self.dim) if signs is None else signs):
+            certificate = "m-matrix"
+        else:
             certificate = "inertia"
             factor = SymmetricFactor(off + sp.diags(diag, format="csr"), 0.0, label)
             if factor.zero_count:

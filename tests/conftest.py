@@ -85,6 +85,7 @@ def live_factors(monkeypatch):
             alive = sorted(f.label for f in tracked.live)
             assert not alive, f"{label} built while {alive} alive"
             super().__init__(mat, shift, label)
+            self.label = label
             tracked.live.add(self)
             tracked.built.append(label)
 

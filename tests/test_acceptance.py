@@ -273,20 +273,25 @@ def test_criterion_09_regularized_limit(workspaces, bundles, solver):
     # so the weighted infimum saturates at the rank-one-lifted bottom instead
     # of descending to the reduced operator's own infimum.
     coarse = bundles[4].bs_limit_check()
+    assert coarse["infrared_resolved"] is False
     b4 = bundles[4]
     u = b4.phi + np.sqrt(b4.c0) * b4.v / b4.mode_norms
     lifted = float(np.linalg.eigvalsh(b4.smat + np.outer(u, u))[0])
     assert abs(coarse["values"][-1] - lifted) <= 5e-2
 
-    # The limit statement itself needs the infrared resolved: every mode of
-    # this instance lies deep below the scale where the amplitude-to-momentum
-    # ratio would be square-summable, and the smallest momentum squared
-    # (1/256)^2 sits far under the final regularization 1e-3.
+    # The limit statement itself needs the infrared resolved, the smallest
+    # momentum squared below the final regularization, as ``bs_limit``'s
+    # ``infrared_resolved`` flag says: every mode of this instance lies deep
+    # below the scale where the amplitude-to-momentum ratio would be
+    # square-summable, and the smallest momentum squared (1/256)^2 sits far
+    # under the final regularization 1e-3.
     grid = pl.build_grid(1, 0.125, 1.0 / 256.0)
     ff = pl.sample_form_factor(grid, "gaussian", 0.1)
     ws = pl.build_workspace(grid, ff, 2, config=solver)
     check = ws.build_bundle().bs_limit_check()
     elapsed = time.perf_counter() - started
+    assert check["min_mode_norm"] == pytest.approx(1.0 / 256.0, rel=1e-12)
+    assert check["infrared_resolved"] is True
 
     gap = check["final_gap"]
     ok = gap is not None and gap <= 5e-2 and elapsed < 600.0

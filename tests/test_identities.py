@@ -1,5 +1,6 @@
 """Identity verification suite: classifications, trends, and reports."""
 
+import collections
 import dataclasses
 import json
 import logging
@@ -473,8 +474,9 @@ def test_sparse_paths_pass_reference_suite(ref_grid, ref_ff, shifted_workspace):
 
 def test_window_builds_no_handle_factor(caplog):
     """Every X(eps) handle of the spectral correspondence, the window's and
-    the grid's alike, is certified as an M-matrix in the sign gauge, so the
-    report builds no factor for a resolvent handle."""
+    the grid's alike, is certified by diagonal dominance or as an M-matrix
+    in the sign gauge, so the report builds no factor for a resolvent
+    handle."""
     grid = pl.build_grid(2, 1.0, 0.5)
     ff = pl.sample_form_factor(grid, "constant", 0.1)
     cfg = pl.SolverConfig(dense_threshold=10)
@@ -484,22 +486,24 @@ def test_window_builds_no_handle_factor(caplog):
     assert len(report["window_eigenvalues"]) >= 2
     events = [r.getMessage() for r in caplog.records]
     handles = [e for e in events if e.startswith(TAIL_TWO)]
-    assert handles and all(e.endswith(" by m-matrix") for e in handles)
+    assert handles and all(e.endswith((" by diagonal dominance", " by m-matrix")) for e in handles)
     assert [e for e in events if e.startswith("factor ") and " resolvent " in e] == []
 
 
 def test_handles_count_every_solved_column(ref_grid, ref_ff, monkeypatch):
     """Every right-hand side solved against a resolvent handle is counted by
-    that handle's ``solves``, single vectors and column blocks alike."""
-    solved = [0]
+    that handle's ``solves``, single vectors and column blocks alike; every
+    other ``SpdSolver`` drives a shift-invert eigenpair list."""
+    solved = collections.Counter()
     solve = SpdSolver.solve
 
     def counting_solve(self, rhs):
-        solved[0] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
+        solved[self] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
         return solve(self, rhs)
 
     monkeypatch.setattr(SpdSolver, "solve", counting_solve)
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in LEVELS}
     pl.run_suite(workspaces)
-    counted = sum(h.solves for ws in workspaces.values() for h in ws._handles.values())
-    assert solved[0] > 0 and counted == solved[0]
+    handles = [h for ws in workspaces.values() for h in ws._handles.values()]
+    assert handles and all(h.solves == solved.pop(h.solver, 0) for h in handles)
+    assert solved and {s.label for s in solved} == {"shift-invert operator"}

@@ -225,8 +225,8 @@ def test_handle_built_exactly_when_dense_definite(
     """A resolvent handle above the dense threshold is built exactly when
     its matrix is positive definite by dense ``eigvalsh``; an indefinite one
     raises with the dense negative count, and one with a margin of at least
-    1e-6 is certified as an M-matrix.  Draws within 1e-8 of singular are
-    skipped."""
+    1e-6 is certified with no factor, by diagonal dominance or as an
+    M-matrix.  Draws within 1e-8 of singular are skipped."""
     d, xi = shape
     ws = _signed_instance(
         d, magnitudes, flips, 3 if d == 1 else 2, xi=xi, config=SolverConfig(dense_threshold=10)
@@ -247,7 +247,7 @@ def test_handle_built_exactly_when_dense_definite(
         ws._handle(kind, momentum, shift)
     [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
     if margin >= 1e-6:
-        assert event.endswith(" by m-matrix")
+        assert event.endswith((" by diagonal dominance", " by m-matrix"))
 
 
 @settings(
@@ -262,8 +262,8 @@ def test_dense_handle_built_exactly_when_dense_definite(
 ):
     """At the default threshold, below which the eigenvalue paths go dense,
     a resolvent handle is built exactly when its matrix is positive definite
-    by dense ``eigvalsh``, and is certified as above the threshold: as an
-    M-matrix when its margin is at least 1e-6; an indefinite one raises with
+    by dense ``eigvalsh``, and is certified as above the threshold: with no
+    factor when its margin is at least 1e-6; an indefinite one raises with
     the dense negative count.  Draws within 1e-8 of singular are skipped."""
     d, xi = shape
     ws = _signed_instance(d, magnitudes, flips, 3 if d == 1 else 2, xi=xi)
@@ -281,9 +281,10 @@ def test_dense_handle_built_exactly_when_dense_definite(
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         ws._handle(kind, momentum, shift)
     [event] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
-    assert re.search(f" dim {len(vals)} certified positive definite by (m-matrix|inertia)$", event)
+    certificate = "(diagonal dominance|m-matrix|inertia)"
+    assert re.search(f" dim {len(vals)} certified positive definite by {certificate}$", event)
     if margin >= 1e-6:
-        assert event.endswith(" by m-matrix")
+        assert event.endswith((" by diagonal dominance", " by m-matrix"))
 
 
 @pytest.mark.parametrize("d, K, k", [(1, 1.0, [0.25]), (2, 0.5, [0.25, -0.5])])
@@ -332,17 +333,16 @@ def test_handles_hold_no_tail_vector(ref_workspaces, ref_bundles):
 
 def test_reference_handle_certified_without_a_factor(ref_grid, ref_ff, caplog, live_factors):
     """A ``Y(k)`` handle on the reference ``nmax`` 4 tail (dim 494) is
-    certified as an M-matrix with no factor built, and holds only the
-    workspace's shared ``Phi`` and its own diagonal; its vector and block
-    solves are the dense solves.  The workspace's own trivial-block lists
-    (dim about 250) may factor; the count starts after them."""
+    certified by diagonal dominance with no factor built, and holds only
+    the workspace's shared ``Phi`` and its own diagonal; its vector and
+    block solves are the dense solves."""
     ws = pl.build_workspace(ref_grid, ref_ff, 4)
     live_factors.built.clear()
     k = np.array([0.25])
     with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         handle = ws._handle(TAIL_ONE, k, -ws.e0)
     [certificate] = [r.getMessage() for r in caplog.records if r.name == "polaronlab"]
-    assert certificate.endswith(" dim 494 certified positive definite by m-matrix")
+    assert certificate.endswith(" dim 494 certified positive definite by diagonal dominance")
     assert live_factors.built == []
     assert handle.solver._off is ws._off_diagonal(TAIL_ONE)
     dense = ws.restricted_matrix(TAIL_ONE, k, -ws.e0).toarray()
@@ -355,13 +355,13 @@ def test_reference_handle_certified_without_a_factor(ref_grid, ref_ff, caplog, l
 def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
     """After ``build_bundle``, ``run_suite`` and ``schur_equivalence_report``
     on the reference ladder, no resolvent handle's solver references a
-    ``SymmetricFactor``: every one of the 92 handles is certified as an
-    M-matrix, so no handle builds a factor.  The factors built are the
-    shift-invert lists of the ``nmax`` 4 workspace's ground energy and two
-    tail gaps (dims 255, 254 and 250; the lower levels' lists are dense),
-    then the equivalence report's list of the eigenvalues below ``e0 + 1``:
-    each character block's count there, and the list of the one below it,
-    in the trivial block (dims 255 and 240)."""
+    ``SymmetricFactor``: every one of the 92 handles is certified by
+    diagonal dominance or as an M-matrix, so no handle builds a factor.
+    The factors built are the equivalence report's counts of the
+    eigenvalues below ``e0 + 1``, one per character block (dims 255 and
+    240); the shift-invert lists of the ``nmax`` 4 workspace's ground
+    energy and two tail gaps, and the report's list of the one eigenvalue
+    below ``e0 + 1``, solve by PCG."""
     workspaces = {n: pl.build_workspace(ref_grid, ref_ff, n) for n in (2, 3, 4)}
     assert [r.identity for r in pl.run_suite(workspaces) if not r.passed] == []
     assert pl.schur_equivalence_report(workspaces[4])["consistent"] is True
@@ -371,11 +371,7 @@ def test_no_handle_holds_a_factor(ref_grid, ref_ff, live_factors):
         held = list(vars(handle.solver).values())
         held += gc.get_referents(*held)
         assert not [x for x in held if isinstance(x, pl.spectral.SymmetricFactor)]
-    assert live_factors.built == ["shift-invert operator"] * 3 + [
-        "eigenvalue list",
-        "shift-invert operator",
-        "eigenvalue list",
-    ]
+    assert live_factors.built == ["eigenvalue list"] * 2
 
 
 def test_c_kernel_matches_oracle(tiny):

@@ -259,8 +259,7 @@ def test_block_lists_match_full_spectrum(shape, profile, g, nmax, count):
 def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, nmax):
     """The assembled H equals its transpose exactly, the inertia count
     equals the dense count at the window cut ``e0 + 1 - buffer`` and at a
-    cut inside the spectrum, and the factor's solve there is the dense
-    solve."""
+    cut inside the spectrum."""
     d, xi = shape
     grid = pl.build_grid(d, *_DENSE_GRIDS[d])
     basis = pl.enumerate_basis(grid.size, nmax)
@@ -277,10 +276,6 @@ def test_hamiltonian_symmetric_and_sparse_counts_match_dense(shape, profile, g, 
     j = gaps[np.argmin(np.abs(gaps - basis.dim // 2))]
     cut = 0.5 * (vals[j] + vals[j + 1])
     assert pl.count_below(ham, symmetry, cut, 0.0) == j + 1
-    rhs = start_vector(basis.dim, 5)
-    exact = np.linalg.solve(ham.toarray() - cut * np.eye(basis.dim), rhs)
-    solved = SymmetricFactor(ham, cut).solve(rhs)
-    assert np.allclose(solved, exact, rtol=0, atol=1e-9 * np.abs(exact).max())
 
 
 @pytest.mark.parametrize("profile, g", [("froehlich", 0.1), ("constant", 0.3)])
@@ -472,12 +467,14 @@ def test_spd_solver_rejects_indefinite():
 
 
 def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog, live_factors):
-    """In its sign gauge a shifted H is certified as an M-matrix with no
-    factor built: by ``x = 1`` (Gershgorin in the gauge) when the shift is
-    large, by the CG solution of ``A y = s`` when Gershgorin fails.  A
-    definite matrix under signs that do not gauge it is certified by its
-    inertia, and that factor is gone once the solver is built.  Every way
-    the Jacobi CG solve matches the dense Cholesky answer."""
+    """A strictly diagonally dominant matrix is certified by that, whatever
+    the signs of its entries and of the gauge: a shifted H when the shift
+    is large, and a block with positive off-diagonal entries.  When
+    Gershgorin fails, a shifted H is certified in its sign gauge as an
+    M-matrix by the CG solution of ``A y = s``, with no factor built.  A
+    definite matrix that is neither is certified by its inertia, and that
+    factor is gone once the solver is built.  Every way the Jacobi CG solve
+    matches the dense Cholesky answer."""
     grid, ff, basis, ham = mid_instance
     signs = pl.fock.sign_gauge(basis, ff)
     e0 = np.linalg.eigvalsh(ham.toarray())[0]
@@ -486,9 +483,13 @@ def test_spd_solver_certificate_m_matrix_else_inertia(mid_instance, caplog, live
     tight = ham - (e0 - 0.1) * identity
     # eigenvalues 0.197 and 3.803, a positive off-diagonal entry
     skewed = sp.block_diag([np.array([[3.0, 1.5], [1.5, 1.0]])] * 10, format="csr")
+    # no Z-matrix in any gauge: the sign gauge of a 3-cycle of positive
+    # entries would have to flip an odd number of its edges
+    cycle = sp.csr_matrix(np.array([[3.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 3.0]]))
     assert _gershgorin_lower(dominant) > 0 >= _gershgorin_lower(tight)
     cases = (
-        (dominant, signs, "m-matrix"),
+        (dominant, signs, "diagonal dominance"),
+        (cycle, np.ones(3), "diagonal dominance"),
         (tight, signs, "m-matrix"),
         (skewed, np.ones(20), "inertia"),
     )
@@ -632,10 +633,10 @@ def test_count_below_refuses_uncertified_inertia():
 
 def test_count_below_on_an_eigenvalue_matches_dense():
     """A cut exactly on an eigenvalue leaves zero pivots in the factor,
-    which the count adds as the dense ``vals <= cut`` does; the singular
-    factor still refuses to solve, ``SpdSolver`` still refuses the singular
-    matrix, and ``eigenvalues_below`` still counts strictly.  A cut below
-    the whole spectrum lists nothing, on the sparse list path too."""
+    which the count adds as the dense ``vals <= cut`` does; ``SpdSolver``
+    still refuses the singular matrix, and ``eigenvalues_below`` still
+    counts strictly.  A cut below the whole spectrum lists nothing, on the
+    sparse list path too."""
     grid = pl.build_grid(1, 2.0, 0.5)
     basis = pl.enumerate_basis(grid.size, 3)
     zero = pl.sample_form_factor(grid, "gaussian", 0.0)
@@ -647,8 +648,6 @@ def test_count_below_on_an_eigenvalue_matches_dense():
         assert pl.count_below(mat, symmetry, cut, 0.0) == dense
         factor = SymmetricFactor(mat, cut)
         assert factor.zero_count > 0
-        with pytest.raises(SolverError, match="singular"):
-            factor.solve(np.ones(mat.shape[0]))
         config = SolverConfig(dense_threshold=threshold)
         strict = pl.spectral.eigenvalues_below(mat, symmetry, cut, config)
         assert len(strict) == dense - factor.zero_count
@@ -693,6 +692,54 @@ def test_window_count_from_the_lists_is_the_inertia_count(row, count):
     if count == 1:
         blocks = symmetry.block_matrices(ham)
         assert summary["diagnostics"]["cut"] > pl.spectral._interlacing_cut(blocks, 1, config, 0.0)
+
+
+@pytest.mark.parametrize("row", _WINDOW_ROWS[1:])
+def test_shift_invert_lists_run_on_pcg(row, caplog, live_factors):
+    """With ``dense_threshold=10`` every character block's lowest pairs come
+    from shift-invert Lanczos on Jacobi PCG: they match dense ``eigvalsh``
+    within 1e-11, each block's solver is certified by diagonal dominance,
+    although only the trivial block is a Z-matrix in the sign gauge, and
+    the only factor is the list's count at its cut.  On d=2 at xi = (0.6, 0)
+    and on the paper's model, both at ``nmax`` 3."""
+    d, K, h, nmax, profile, g, xi = row
+    grid = pl.build_grid(d, K, h)
+    ff = pl.sample_form_factor(grid, profile, g)
+    basis = pl.enumerate_basis(grid.size, nmax)
+    ham = pl.assemble_hamiltonian(basis, grid, ff, xi=xi).matrix
+    blocks = pl.fock.symmetry(basis, grid, ff, xi).block_matrices(ham)
+    assert len(blocks) > 1
+    config = SolverConfig(dense_threshold=10)
+    for block in blocks:
+        dim = block.shape[0]
+        caplog.clear()
+        live_factors.built.clear()
+        with caplog.at_level(logging.DEBUG, logger="polaronlab"):
+            pairs = pl.lowest_eigenpairs(block, 4, config)
+        assert pairs.method == "shift-invert"
+        truth = np.linalg.eigvalsh(block.toarray())[:4]
+        assert np.allclose(pairs.values, truth, rtol=0, atol=1e-11)
+        certificates = [m for m in caplog.messages if m.startswith("shift-invert operator: ")]
+        assert certificates and set(certificates) == {
+            f"shift-invert operator: dim {dim} certified positive definite by diagonal dominance"
+        }
+        assert live_factors.built == ["eigenvalue list"]
+
+
+def test_copies_of_a_level_are_taken_in_block_order():
+    """On the paper's model at ``nmax`` 4 the sixth value of the list is one
+    copy of a threefold level spread over blocks 3, 5 and 6; the copies
+    differ by rounding alone, and the share goes to block 3, the first,
+    whatever the rounding of each block's Lanczos run (two seeds)."""
+    grid = pl.build_grid(3, 1.0, 1.0)
+    ff = pl.sample_form_factor(grid, "froehlich", 0.1)
+    basis = pl.enumerate_basis(grid.size, 4)
+    ham = pl.assemble_hamiltonian(basis, grid, ff).matrix
+    symmetry = pl.fock.symmetry(basis, grid, ff)
+    for seed in (1, 2):
+        summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(seed=seed), 1.0)
+        shares = [b["share"] for b in summary["diagnostics"]["blocks"]]
+        assert shares == [5, 0, 0, 1, 0, 0, 0, 0]
 
 
 #: instances (d, K, h, nmax, profile, g, alpha) with a double
@@ -788,33 +835,40 @@ def degenerate_blocks():
 def test_eigenvalues_below_certifies_its_list_by_its_count(degenerate_blocks, caplog):
     """``eigenvalues_below`` lists both copies of the double eigenvalue
     below its threshold, and each block's count at the threshold certifies
-    that block's list: in each block one factor counts, one drives Lanczos
-    if the count is not 0, and no third is built."""
+    that block's list: in each block one factor counts, and where the count
+    is not 0, Lanczos runs on Jacobi PCG solves, certified by diagonal
+    dominance, with no factor."""
     ham, symmetry = degenerate_blocks
     truth = _DEGENERATE_ROWS[0][1]
-    with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
+    with caplog.at_level(logging.DEBUG, logger="polaronlab"):
         vals = pl.spectral.eigenvalues_below(ham, symmetry, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
     labels = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "polaronlab.factor"]
-    counted, lanczos = "factor eigenvalue list", "factor shift-invert operator"
+    assert labels == ["factor eigenvalue list"] * 4
+    certified = [
+        m for m in (r.getMessage() for r in caplog.records if r.name == "polaronlab")
+        if m.startswith("shift-invert operator: ")
+    ]
     # the trivial block holds three values below 0.5, the two blocks odd
     # under one flip a copy of the doublet each, the fourth block none
-    assert labels == [counted, lanczos] * 3 + [counted]
+    dims = [block.shape[1] for block in map(symmetry.block, range(3))]
+    assert certified == [
+        f"shift-invert operator: dim {dim} certified positive definite by diagonal dominance"
+        for dim in dims
+    ]
 
 
-def test_list_factors_at_its_cut_then_once_for_lanczos(
-    degenerate_blocks, live_factors, monkeypatch
-):
-    """``lowest_eigenpairs`` with several pairs factors once at its
-    interlacing cut, then once for shift-invert Lanczos, and never again:
-    on the first degenerate instance, whose list of six holds the double
-    eigenvalue, and on the free d=2 ``nmax`` 3 instance at
+def test_list_factors_once_at_its_cut(degenerate_blocks, live_factors, monkeypatch):
+    """``lowest_eigenpairs`` with several pairs factors once, at its
+    interlacing cut, and never again: shift-invert Lanczos solves by PCG.
+    So on the first degenerate instance, whose list of six holds the
+    double eigenvalue, and on the free d=2 ``nmax`` 3 instance at
     ``dense_threshold=10``, whose cut above a 16-fold eigenvalue takes
-    deflated runs, all on that one factor."""
-    cut, lanczos = "eigenvalue list", "shift-invert operator"
+    deflated runs."""
+    cut = "eigenvalue list"
     pairs = pl.lowest_eigenpairs(degenerate_blocks[0], 6, SolverConfig())
     assert np.allclose(pairs.values, _DEGENERATE_ROWS[0][1], rtol=0, atol=1e-10)
-    assert live_factors.built == [cut, lanczos]
+    assert live_factors.built == [cut]
     runs = []
     lanczos_run = pl.spectral._lanczos
 
@@ -829,35 +883,35 @@ def test_list_factors_at_its_cut_then_once_for_lanczos(
     live_factors.built.clear()
     pairs = pl.lowest_eigenpairs(ham, 6, SolverConfig(dense_threshold=10))
     assert np.allclose(pairs.values, [0.0] + [2.0] * 5, rtol=0, atol=1e-12)
-    assert live_factors.built == [cut, lanczos]
+    assert live_factors.built == [cut]
     assert len(runs) > 1 and runs[0] == 25
 
 
 def test_eigenvalue_lists_hold_one_factor_at_a_time(degenerate_blocks, live_factors):
-    """No ``SymmetricFactor`` is built while another is alive.  On the first
-    degenerate instance ``spectrum_summary`` has each of the four blocks
-    factor at the cut and then for Lanczos, and each tail gap on the
-    trivial block (dims 776 and 768, above the default threshold) factor
-    once; the window count takes no factor of its own.  On a d=1 instance at
-    ``dense_threshold=10``, the two block lists and both tail gaps factor in
-    turn.  ``eigenvalues_below`` factors each block at its threshold, then
-    for Lanczos where that count is not 0."""
+    """No ``SymmetricFactor`` is built while another is alive, and only the
+    counts build one.  On the first degenerate instance ``spectrum_summary``
+    has each of the four blocks factor at the cut; the tail gaps on the
+    trivial block (dims 776 and 768, above the default threshold) and
+    every list's Lanczos solve by PCG, and the window count takes no factor
+    of its own.  On a d=1 instance at ``dense_threshold=10``, the two block
+    lists factor in turn.  ``eigenvalues_below`` factors each block at its
+    threshold."""
     ham, symmetry = degenerate_blocks
     truth = _DEGENERATE_ROWS[0][1]
-    lanczos, cut = "shift-invert operator", "eigenvalue list"
+    cut = "eigenvalue list"
     summary = pl.spectrum_summary(ham, symmetry, 6, SolverConfig(), 0.1)
     assert np.allclose(summary["eigenvalues"], truth, rtol=0, atol=1e-10)
-    assert live_factors.built == [cut, lanczos] * 4 + [lanczos] * 2
+    assert live_factors.built == [cut] * 4
     live_factors.built.clear()
     vals = pl.spectral.eigenvalues_below(ham, symmetry, 0.5, SolverConfig())
     assert np.allclose(vals, truth[:5], rtol=0, atol=1e-10)
-    assert live_factors.built == [cut, lanczos] * 3 + [cut]
+    assert live_factors.built == [cut] * 4
     grid, ff, basis, ham = _instance(1, 2.0, 0.5, 3, "gaussian", 0.1, 1.0)
     live_factors.built.clear()
     cfg = SolverConfig(dense_threshold=10)
     summary = pl.spectrum_summary(ham, pl.fock.symmetry(basis, grid, ff), 6, cfg, 0.1)
     assert [b["method"] for b in summary["diagnostics"]["blocks"]] == ["shift-invert"] * 2
-    assert live_factors.built == [cut, lanczos] * 2 + [lanczos] * 2
+    assert live_factors.built == [cut] * 2
     assert len(live_factors.live) == 0
 
 
@@ -930,14 +984,11 @@ def _factored_matrix(d, xi, profile, g, nmax, which, tail, k):
     k=st.floats(-0.7, 0.7),
     position=st.floats(-0.1, 1.1),
 )
-def test_factor_inertia_and_solve_match_dense(
-    shape, profile, g, nmax, which, tail, k, position
-):
+def test_factor_inertia_matches_dense(shape, profile, g, nmax, which, tail, k, position):
     """The Schur-complement factor's negative count is the dense count of
-    eigenvalues below the shift, and its solve is the dense solve, on the
-    tails and the trivial-block matrices the package factors besides H
-    (d=1, 2, with and without a fiber shift); the shift stays at least 1e-8
-    from every eigenvalue."""
+    eigenvalues below the shift, on the tails and the trivial-block
+    matrices the package factors besides H (d=1, 2, with and without a
+    fiber shift); the shift stays at least 1e-8 from every eigenvalue."""
     d, xi = shape
     tail = max(tail, 1) if which == "tail" else tail
     mat = _factored_matrix(d, xi, profile, g, nmax, which, tail, k)
@@ -946,18 +997,13 @@ def test_factor_inertia_and_solve_match_dense(
     shift = vals[0] + position * (vals[-1] - vals[0])
     distance = np.min(np.abs(vals - shift))
     assume(distance >= 1e-8)
-    factor = SymmetricFactor(mat, shift)
-    assert factor.negative_count == int(np.sum(vals < shift))
-    if distance >= 1e-2:  # well conditioned enough for the residual bound
-        rhs = start_vector(mat.shape[0], 11)
-        exact = np.linalg.solve(dense - shift * np.eye(mat.shape[0]), rhs)
-        assert np.allclose(factor.solve(rhs), exact, rtol=0, atol=1e-9 * np.abs(exact).max())
+    assert SymmetricFactor(mat, shift).negative_count == int(np.sum(vals < shift))
 
 
 def test_factor_on_a_generic_sparse_matrix():
     """A random sparse symmetric matrix whose pattern has odd cycles, so it
-    is not bipartite: counts at cuts between its eigenvalues, and a solve,
-    match the dense ones."""
+    is not bipartite: counts at cuts between its eigenvalues match the
+    dense ones."""
     rng = np.random.RandomState(3)
     upper = sp.random(60, 60, density=0.08, random_state=rng, format="csr")
     mat = (upper + upper.T + sp.diags(rng.uniform(-2.0, 2.0, 60))).tocsr()
@@ -968,10 +1014,6 @@ def test_factor_on_a_generic_sparse_matrix():
     for j in range(0, 59, 7):
         cut = 0.5 * (vals[j] + vals[j + 1])
         assert SymmetricFactor(mat, cut).negative_count == j + 1
-    cut = 0.5 * (vals[29] + vals[30])
-    rhs = start_vector(60, 4)
-    exact = np.linalg.solve(dense - cut * np.eye(60), rhs)
-    assert np.allclose(SymmetricFactor(mat, cut).solve(rhs), exact, rtol=0, atol=1e-10)
 
 
 def test_factor_eliminates_the_top_parity_class(d2_instance):
@@ -1070,11 +1112,12 @@ def test_fine_lists_and_counts_keep_half_the_rows(caplog):
     symmetry = pl.fock.symmetry(basis, grid, ff)
     assert [symmetry.block(c).shape[1] for c in range(2)] == [2445, 2400]
     events = _list_and_count(ham, symmetry, caplog)
-    assert {label for label, *_ in events} == {
-        "counted operator", "eigenvalue list", "shift-invert operator"
-    }
+    assert {label for label, *_ in events} == {"counted operator", "eigenvalue list"}
     assert max(kept for *_, kept in events) == 416
-    assert SymmetricFactor(ham, 0.5)._rows_k.size == 832
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="polaronlab.factor"):
+        SymmetricFactor(ham, 0.5, label="whole")
+    assert _factor_events(caplog) == [("whole", 4845, 0.5, 832)]
 
 
 def test_paper_model_factors_keep_at_most_a_block(caplog):
